@@ -38,6 +38,7 @@ from .semilattice import (
     join_closure,
     minimal_partitions,
     mobius_closed_form,
+    subset_suprema,
     verify_mobius,
     verify_semilattice_hypothesis,
     vertex_codec,

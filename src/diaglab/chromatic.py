@@ -165,20 +165,6 @@ class ExactColouring:
         return self.upper if self.search_complete or self.lower == self.upper else None
 
 
-def _greedy_clique(adjacency, order) -> list[int]:
-    nbr = [set(a) for a in adjacency]
-    best: list[int] = []
-    for v in order:
-        clique = [v]
-        cand = nbr[v]
-        for u in sorted(cand):
-            if all(u in nbr[w] for w in clique):
-                clique.append(u)
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
 def chromatic_number_exact(
     graph: DiagGraph,
     node_budget: int | None = None,

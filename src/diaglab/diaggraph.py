@@ -8,7 +8,6 @@ is a constant non-identity tuple).  ``same_edge_set`` asserts they agree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import ceil
 
@@ -496,7 +495,3 @@ def property_report(g: GroupTable, graph: DiagGraph, clique_cap: int = 4096) -> 
     if graph.size <= clique_cap:
         report["clique_number"] = maximal_cliques(g, graph, clique_cap).clique_number
     return report
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

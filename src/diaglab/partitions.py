@@ -142,14 +142,6 @@ def supremum(p: Partition, q: Partition) -> Partition:
     return Partition.from_labels(uf.find(x) for x in range(p.size))
 
 
-def supremum_many(parts: list[Partition], n: int) -> Partition:
-    """Supremum of a (possibly empty) list; the empty supremum is singletons."""
-    acc = singletons(n)
-    for p in parts:
-        acc = supremum(acc, p)
-    return acc
-
-
 @dataclass(frozen=True)
 class PosetMatrices:
     """Zeta and Moebius matrices of a finite family of partitions.

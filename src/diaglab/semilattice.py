@@ -12,6 +12,7 @@ diagonal semilattice; its Moebius function has a closed form which
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -19,7 +20,6 @@ from .errors import CapExceededError
 from .groups import GroupTable
 from .partitions import (
     Partition,
-    finer_or_equal,
     poset_matrices,
     singletons,
     supremum,
@@ -113,9 +113,32 @@ class DiagonalSemilattice:
     minimal_indices: tuple[int, ...]
 
 
+def subset_suprema(parts: list[Partition]) -> list[Partition]:
+    """The supremum of every subset of ``parts``, indexed by bitmask.
+
+    ``sup[mask]`` is the supremum of the parts whose bits are set in ``mask``;
+    ``sup[0]`` is the empty supremum, the singleton partition.  Each entry
+    extends the entry without its lowest bit by one supremum, so the table
+    costs 2^len(parts) - 1 calls.
+    """
+    if not parts:
+        raise ValueError("need at least one partition")
+    sup = [singletons(parts[0].size)]
+    for mask in range(1, 1 << len(parts)):
+        low = mask & -mask
+        sup.append(supremum(sup[mask ^ low], parts[low.bit_length() - 1]))
+    return sup
+
+
 def join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
-    """Generate the semilattice: closure under pairwise suprema plus the
-    empty supremum (the singleton partition)."""
+    """Generate the semilattice: the suprema of all subsets of the
+    generators, the empty one (the singleton partition) included.
+
+    Every element of a join closure is the supremum of a subset of its
+    generators, so the subset table holds each element at least once.  The
+    order is read off the same table: sup(S) <= sup(T) iff
+    sup(S | T) == sup(T).
+    """
     if not minimals:
         raise ValueError("need at least one generator partition")
     n = minimals[0].size
@@ -127,60 +150,39 @@ def join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         raise ValueError("generator partitions must have constant part size")
     q = part_sizes.pop()
 
-    elements: list[Partition] = [singletons(n)]
-    index: dict[Partition, int] = {elements[0]: 0}
-    for p in minimals:
-        if p not in index:
-            index[p] = len(elements)
-            elements.append(p)
-
-    # Closure under pairwise supremum; new elements join the worklist.
-    frontier = list(range(1, len(elements)))
-    done: set[tuple[int, int]] = set()
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            for j in range(1, len(elements)):
-                pair = (i, j) if i < j else (j, i)
-                if i == j or pair in done:
-                    continue
-                done.add(pair)
-                s = supremum(elements[i], elements[j])
-                if s not in index:
-                    index[s] = len(elements)
-                    elements.append(s)
-                    next_frontier.append(len(elements) - 1)
-        frontier = next_frontier
-
-    order = sorted(range(len(elements)),
-                   key=lambda k: (-elements[k].block_count, elements[k].block_of))
-    elements = [elements[k] for k in order]
+    sup = subset_suprema(minimals)
+    first_mask: dict[Partition, int] = {}
+    for mask, p in enumerate(sup):
+        first_mask.setdefault(p, mask)
+    elements = sorted(first_mask, key=lambda p: (-p.block_count, p.block_of))
+    position = {p: k for k, p in enumerate(elements)}
+    element_of = [position[p] for p in sup]
+    rep = [first_mask[p] for p in elements]
     count = len(elements)
 
-    leq = [[False] * count for _ in range(count)]
+    # up[i]: bitset of the j > i with elements[i] <= elements[j].  The sort
+    # is a linear extension of refinement, so nothing above i precedes it.
+    up = []
     for i in range(count):
-        leq[i][i] = True
+        bits = 0
         for j in range(i + 1, count):
-            if finer_or_equal(elements[i], elements[j]):
-                leq[i][j] = True
+            if element_of[rep[i] | rep[j]] == j:
+                bits |= 1 << j
+        up.append(bits)
 
-    # Longest-chain rank over the sorted (topological) order.
+    # Transitive reduction: the lowest remaining j above i is a cover, and
+    # nothing above that cover is.  Ranks are longest chains along covers;
+    # rank[i] is final once every i' < i has been scanned.
     rank = [0] * count
-    for j in range(count):
-        best = 0
-        for i in range(j):
-            if leq[i][j] and elements[i] != elements[j]:
-                best = max(best, rank[i] + 1)
-        rank[j] = best
-
     hasse = []
     for i in range(count):
-        for j in range(i + 1, count):
-            if not leq[i][j]:
-                continue
-            if any(leq[i][k] and leq[k][j] for k in range(i + 1, j)):
-                continue
+        rest = up[i]
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
             hasse.append((i, j))
+            rank[j] = max(rank[j], rank[i] + 1)
+            rest &= ~(up[j] | low)
 
     m = len(minimals) - 1
     single = [k for k in range(count) if elements[k].is_single_block()]
@@ -195,12 +197,24 @@ def join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         hasse=tuple(hasse),
         e_index=0,
         u_index=single[0],
-        minimal_indices=tuple(elements.index(p) for p in minimals),
+        minimal_indices=tuple(position[p] for p in minimals),
     )
 
 
 def build_semilattice(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagonalSemilattice:
     return join_closure(minimal_partitions(g, m, cap))
+
+
+def _is_cartesian(sup: list[Partition], q: int, masks) -> bool:
+    """True iff each sup[mask] has every part of size q^popcount(mask) and
+    the suprema are pairwise distinct."""
+    seen: set[Partition] = set()
+    for mask in masks:
+        s = sup[mask]
+        if s in seen or set(Counter(s.block_of).values()) != {q ** mask.bit_count()}:
+            return False
+        seen.add(s)
+    return True
 
 
 def check_cartesian(parts: list[Partition], q: int) -> bool:
@@ -209,31 +223,21 @@ def check_cartesian(parts: list[Partition], q: int) -> bool:
     are pairwise distinct."""
     if not parts:
         return True
-    n = parts[0].size
-    m = len(parts)
-    seen: set[Partition] = set()
-    for mask in range(1 << m):
-        chosen = [parts[i] for i in range(m) if mask >> i & 1]
-        s = singletons(n)
-        for p in chosen:
-            s = supremum(s, p)
-        want = q ** len(chosen)
-        if any(len(blk) != want for blk in s.blocks()):
-            return False
-        if s in seen:
-            return False
-        seen.add(s)
-    return True
+    return _is_cartesian(subset_suprema(parts), q, range(1 << len(parts)))
 
 
 def verify_semilattice_hypothesis(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> bool:
-    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice."""
-    qs = minimal_partitions(g, m, cap)
-    for drop in range(m + 1):
-        subset = [qs[i] for i in range(m + 1) if i != drop]
-        if not check_cartesian(subset, g.order):
-            return False
-    return True
+    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice.
+
+    One subset table over all m+1 minimal partitions serves every m-subset:
+    the subsets of the one without Q_drop are the masks without bit drop.
+    """
+    sup = subset_suprema(minimal_partitions(g, m, cap))
+    return all(
+        _is_cartesian(sup, g.order,
+                      [mask for mask in range(len(sup)) if not mask >> drop & 1])
+        for drop in range(m + 1)
+    )
 
 
 def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from diaglab.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from diaglab.diaggraph import parse_graph6
@@ -162,6 +165,40 @@ def test_check_all_text_format(capsys):
                            "--format", "text")
     assert code == EXIT_OK
     assert "ok: True" in out
+
+
+SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "check_all.schema.json"
+
+
+@pytest.fixture(scope="module")
+def ledger_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
+@pytest.mark.parametrize("group,m,claims", [
+    ("C3", "2", set()),
+    ("C6", "2", {"chromatic-bounds", "chromatic-conjecture"}),
+    ("C2", "3", set()),
+])
+def test_check_all_matches_schema(capsys, ledger_validator, group, m, claims):
+    code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", m,
+                           "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert claims <= {c["claim"] for c in data["claims"]}
+
+
+def test_grid_entries_match_schema(capsys, ledger_validator):
+    code, out, _ = run_cli(capsys, "grid", "--m-max", "2")
+    assert code == EXIT_OK
+    ran = [e for e in json.loads(out)["instances"] if not e.get("skipped")]
+    assert ran
+    for entry in ran:
+        ledger_validator.validate(entry)
 
 
 def test_grid_small(capsys):

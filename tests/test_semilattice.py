@@ -9,6 +9,7 @@ from diaglab.groups import cyclic
 from diaglab.partitions import Partition, finer_or_equal, poset_matrices
 from diaglab.semilattice import (
     build_q,
+    build_semilattice,
     check_cartesian,
     expected_rank_counts,
     hasse_dot,
@@ -207,6 +208,16 @@ def test_hasse_dot_output():
     assert dot.startswith("digraph")
     assert dot.count("->") == len(sl.hasse) == 6
     assert '"E (rank 0)"' in dot and '"U (rank 2)"' in dot
+
+
+def test_c2_m8_semilattice_and_mobius():
+    sl = build_semilattice(cyclic(2), 8)
+    assert len(sl.elements) == 503
+    counts = {}
+    for r in sl.rank:
+        counts[r] = counts.get(r, 0) + 1
+    assert counts == expected_rank_counts(8)
+    assert verify_mobius(sl).ok
 
 
 def test_grid_rank_counts(grid):
