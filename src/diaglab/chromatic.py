@@ -172,43 +172,54 @@ def chromatic_number_exact(
 ) -> ExactColouring:
     """DSATUR upper bound, clique lower bound, branch-and-bound closure.
 
-    Deterministic: saturation then degree then lowest index.  If the node
-    budget runs out the bounds are returned with search_complete False.
+    Brelaz's DSATUR over incremental counters: each vertex keeps the mask of
+    colours on its neighbours and one packed priority (saturation, then
+    uncoloured neighbours, then lowest index), so picking the next vertex is
+    one ``max`` over a list of ints.  Coloured vertices sit below every
+    uncoloured one by a fixed offset.  A branch fails as soon as some
+    uncoloured vertex sees all k colours.  Deterministic; if the node budget
+    runs out the bounds are returned with search_complete False.
     """
     n = graph.size
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds exact colouring cap {cap}")
-    adjacency = graph.adjacency
-    nbr = [set(a) for a in adjacency]
+    nbr = graph.adjacency
 
     # Maximum clique for the lower bound and for seeding colours; the graphs
     # here are small enough to enumerate maximal cliques outright.
-    cliques = bron_kerbosch(adjacency)
+    cliques = bron_kerbosch(nbr)
     clique = max(cliques, key=lambda c: (len(c), [-x for x in c]))
     lower = len(clique)
 
-    def dsatur(limit: int | None) -> list[int] | None:
-        colors = [-1] * n
-        sat: list[set[int]] = [set() for _ in range(n)]
-        for _ in range(n):
-            v = max(
-                (u for u in range(n) if colors[u] < 0),
-                key=lambda u: (len(sat[u]), len(adjacency[u]), -u),
-            )
-            c = 0
-            while c in sat[v]:
-                c += 1
-            if limit is not None and c >= limit:
-                return None
-            colors[v] = c
-            for w in nbr[v]:
-                sat[w].add(c)
-        return colors
+    # priority = saturation << 2b | uncoloured neighbours << b | (n-1-index)
+    b = n.bit_length()
+    index_mask = (1 << b) - 1
+    free_unit = 1 << b
+    sat_unit = 1 << 2 * b
+    coloured = 1 << 3 * b
 
-    greedy = dsatur(None)
-    assert greedy is not None
+    def fresh() -> tuple[list[int], list[int], list[int]]:
+        prio = [len(nbr[u]) * free_unit + n - 1 - u for u in range(n)]
+        return prio, [0] * n, [-1] * n
+
+    def paint(prio: list[int], sat: list[int], v: int, bit: int) -> None:
+        """Colour v with the one-bit mask bit, for good."""
+        prio[v] -= coloured
+        for w in nbr[v]:
+            prio[w] -= free_unit
+            if not sat[w] & bit:
+                sat[w] |= bit
+                prio[w] += sat_unit
+
+    prio, sat, greedy = fresh()
+    for _ in range(n):
+        v = n - 1 - (max(prio) & index_mask)
+        s = sat[v]
+        bit = ~s & (s + 1)  # lowest colour v does not see
+        greedy[v] = bit.bit_length() - 1
+        paint(prio, sat, v, bit)
     upper = max(greedy) + 1
-    best = list(greedy)
+    best = greedy
 
     if lower == upper:
         return ExactColouring(lower, upper, Coloring(tuple(best)), True)
@@ -218,28 +229,13 @@ def chromatic_number_exact(
 
     def try_k(k: int) -> list[int] | None:
         """Backtracking k-colourability with DSATUR ordering, clique seeded."""
-        nonlocal nodes, budget_exhausted
-        colors = [-1] * n
-        sat: list[set[int]] = [set() for _ in range(n)]
+        prio, sat, colors = fresh()
+        for i, v in enumerate(clique):
+            colors[v] = i
+            paint(prio, sat, v, 1 << i)
+        dead = k * sat_unit  # an uncoloured priority this high sees all k colours
 
-        def assign(v: int, c: int) -> list[tuple[int, int]]:
-            colors[v] = c
-            undo = []
-            for w in nbr[v]:
-                if c not in sat[w]:
-                    sat[w].add(c)
-                    undo.append((w, c))
-            return undo
-
-        def unassign(v: int, undo: list[tuple[int, int]]) -> None:
-            colors[v] = -1
-            for w, c in undo:
-                sat[w].remove(c)
-
-        for i, v in enumerate(clique[:k]):
-            assign(v, i)
-
-        def descend(remaining: int) -> bool:
+        def descend(remaining: int, used: int) -> bool:
             nonlocal nodes, budget_exhausted
             if remaining == 0:
                 return True
@@ -247,33 +243,46 @@ def chromatic_number_exact(
                 budget_exhausted = True
                 return False
             nodes += 1
-            v = max(
-                (u for u in range(n) if colors[u] < 0),
-                key=lambda u: (len(sat[u]), len(adjacency[u]), -u),
-            )
-            if len(sat[v]) >= k:
+            v = n - 1 - (max(prio) & index_mask)
+            # Colours beyond the first unused one are interchangeable.
+            avail = ~sat[v] & ((1 << min(k, used + 1)) - 1)
+            if not avail:
                 return False
-            used_new = False
-            max_used = max((c for c in colors if c >= 0), default=-1)
-            for c in range(k):
-                if c in sat[v]:
-                    continue
-                if c > max_used + 1:
-                    break  # colour classes are interchangeable beyond the frontier
-                if c == max_used + 1:
-                    if used_new:
-                        break
-                    used_new = True
-                undo = assign(v, c)
-                if descend(remaining - 1):
-                    return True
-                unassign(v, undo)
-                if budget_exhausted:
-                    return False
+            around = nbr[v]
+            prio[v] -= coloured
+            for w in around:
+                prio[w] -= free_unit
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                newly = []
+                wiped = False
+                for w in around:
+                    if not sat[w] & bit:
+                        sat[w] |= bit
+                        p = prio[w] + sat_unit
+                        prio[w] = p
+                        newly.append(w)
+                        if p >= dead:
+                            wiped = True
+                if not wiped:
+                    c = bit.bit_length() - 1
+                    colors[v] = c
+                    if descend(remaining - 1, used if c < used else c + 1):
+                        return True
+                    if budget_exhausted:
+                        return False
+                for w in newly:
+                    sat[w] ^= bit
+                    prio[w] -= sat_unit
+            colors[v] = -1
+            for w in around:
+                prio[w] += free_unit
+            prio[v] += coloured
             return False
 
-        if descend(n - min(k, len(clique))):
-            return list(colors)
+        if descend(n - len(clique), len(clique)):
+            return colors
         return None
 
     for k in range(lower, upper):
@@ -298,6 +307,7 @@ class ChromaticVerdict:
     reason: tuple[str, ...]
     conjecture: int | None
     coloring: Coloring | None = field(repr=False, default=None)
+    mapping: CompleteMapping | None = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -319,14 +329,19 @@ def chromatic_verdict(
     m: int,
     exact: bool = False,
     exact_cap: int = EXACT_COLOURING_LIMIT,
+    graph: DiagGraph | None = None,
 ) -> ChromaticVerdict:
     """Chromatic number with a provenance trail.
 
     chi = |G| whenever m is odd or the Hall-Paige condition holds, witnessed
     by an explicit validated colouring.  Otherwise bounds
     [|G|, chi(dimension-2 graph)] with the conjectured |G|+2 annotated.
+    ``graph``, if given, is the dimension-m graph of g, already built.
     """
     q = g.order
+    if graph is not None and (graph.q, graph.m) != (q, m):
+        raise ValueError(f"graph of dimension {graph.m} over order {graph.q} given "
+                         f"for dimension {m} over order {q}")
     reasons: list[str] = []
     if m == 1:
         return ChromaticVerdict(
@@ -352,7 +367,8 @@ def chromatic_verdict(
             if m > 2:
                 reasons.append("pulled back through the homomorphism cascade to dimension 2")
         coloring = q_coloring(g, m, cm)
-        graph = build_graph(g, m)
+        if graph is None:
+            graph = build_graph(g, m)
         if not validate_coloring(graph, coloring):
             raise AssertionError(f"{g.label}, m={m}: constructed colouring not proper")
         if coloring.count != q:
@@ -362,7 +378,7 @@ def chromatic_verdict(
         reasons.append("colouring validated edge by edge")
         return ChromaticVerdict(
             q=q, m=m, chi=q, lower=q, upper=q,
-            reason=tuple(reasons), conjecture=None, coloring=coloring,
+            reason=tuple(reasons), conjecture=None, coloring=coloring, mapping=cm,
         )
 
     # Even dimension over a group with non-trivial cyclic Sylow 2-subgroup.
@@ -370,17 +386,20 @@ def chromatic_verdict(
     reasons.append("clique of size q forces chi >= q")
     upper: int | None = None
     if q * q <= exact_cap:
-        base = build_graph(g, 2)
-        result = chromatic_number_exact(base)
-        if result.value is not None:
-            upper = result.value
+        base = graph if m == 2 and graph is not None else build_graph(g, 2)
+        base_result = chromatic_number_exact(base)
+        if base_result.value is not None:
+            upper = base_result.value
             reasons.append(
                 f"exact search on the dimension-2 graph gives the upper bound {upper}"
             )
     chi = None
     if exact and g.order**m <= exact_cap:
-        graph = build_graph(g, m)
-        result = chromatic_number_exact(graph)
+        if m == 2:
+            result = base_result
+        else:
+            result = chromatic_number_exact(
+                graph if graph is not None else build_graph(g, m))
         if result.value is not None:
             chi = result.value
             reasons.append(f"exact search on this graph closed the value: {chi}")

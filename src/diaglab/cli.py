@@ -166,7 +166,8 @@ def run_check_all(cfg: RunConfig) -> dict:
             detail += f", intersection array {arrays}"
         _claim(claims, "distance-regular-iff", dr == expect_dr, detail)
 
-    verdict = chromatic_verdict(g, m, exact=cfg.exact, exact_cap=cfg.exact_cap)
+    verdict = chromatic_verdict(g, m, exact=cfg.exact, exact_cap=cfg.exact_cap,
+                                graph=graph)
     if verdict.chi is not None and (m % 2 == 1 or hall_paige_predicate(g)):
         _claim(claims, "chromatic-number", verdict.chi == q,
                f"chi = {verdict.chi} via {verdict.reason[0]}")
@@ -180,7 +181,9 @@ def run_check_all(cfg: RunConfig) -> dict:
                    f"upper bound {verdict.upper} vs conjectured {verdict.conjecture}",
                    conjectural=True)
 
-    cm = find_complete_mapping(g) if q <= 16 else None
+    cm = verdict.mapping
+    if cm is None and q <= 16:
+        cm = find_complete_mapping(g)
     if q <= 16:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")

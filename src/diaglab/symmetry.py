@@ -453,23 +453,17 @@ def action_on_partitions(
 
 
 def induced_symmetric_closure(induced: list[tuple[int, ...]]) -> int:
-    """Size of the permutation group generated by the induced actions."""
+    """Order of the permutation group generated by the induced actions.
+
+    A stabiliser chain on the m+1 points, rather than listing the group:
+    the expected order is (m+1)!.
+    """
     if not induced:
         return 1
-    k = len(induced[0])
-    identity = tuple(range(k))
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in induced:
-                c = tuple(a[x] for x in s)
-                if c not in closure:
-                    closure.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return len(closure)
+    chain = StabilizerChain(len(induced[0]))
+    for perm in induced:
+        chain.add_generator(np.asarray(perm, dtype=chain.dtype))
+    return chain.order()
 
 
 @dataclass(frozen=True)

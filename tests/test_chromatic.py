@@ -164,6 +164,28 @@ def test_exact_chromatic_budget_flag():
         assert res.lower <= 4 <= res.upper
 
 
+@pytest.mark.parametrize("spec", ["C6", "S3"])
+def test_exact_chromatic_hall_paige_failing_dimension_2(spec):
+    # chi = |G| + 2 = 8 on the 36-vertex Latin square graphs: the exact
+    # search has to rule out every 7-colouring.
+    graph = graph_of(spec, 2)
+    res = chromatic_number_exact(graph)
+    assert res.search_complete
+    assert res.value == 8
+    assert res.coloring.count == 8
+    assert validate_coloring(graph, res.coloring)
+
+
+@pytest.mark.parametrize("spec", ["C6", "S3"])
+def test_exact_chromatic_budget_path(spec):
+    graph = graph_of(spec, 2)
+    res = chromatic_number_exact(graph, node_budget=50)
+    assert res.search_complete is False
+    assert res.value is None
+    assert res.lower <= 8 <= res.upper
+    assert validate_coloring(graph, res.coloring)
+
+
 def test_latin_square_coloring_c3():
     g = group_of("C3")
     cm = find_complete_mapping(g)
@@ -221,6 +243,21 @@ def test_verdict_c2_even_dimension_bounds():
     assert v.lower == 2
     assert v.upper == 4  # chi of the dimension-2 graph, which is K4
     assert v.chi == 4
+
+
+def test_verdict_reuses_given_graph_and_mapping():
+    for spec, m in [("C3", 2), ("C4", 2), ("C2", 2), ("C2xC2", 4), ("C4", 3)]:
+        g = group_of(spec)
+        built = chromatic_verdict(g, m)
+        given = chromatic_verdict(g, m, graph=graph_of(spec, m))
+        assert given.to_dict() == built.to_dict(), (spec, m)
+        assert "mapping" not in given.to_dict()
+        assert given.mapping == built.mapping
+        # a mapping is searched for only when m is even and Hall-Paige holds
+        assert (given.mapping is not None) == (m % 2 == 0 and hall_paige_predicate(g))
+    assert chromatic_verdict(group_of("C3"), 2).mapping == find_complete_mapping(group_of("C3"))
+    with pytest.raises(ValueError):
+        chromatic_verdict(group_of("C3"), 2, graph=graph_of("C3", 3))
 
 
 def test_verdict_m1_complete_graph():

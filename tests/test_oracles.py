@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from diaglab.chromatic import find_complete_mapping
 from diaglab.groups import automorphism_group, parse_group_spec
-from diaglab.symmetry import TaggedPerm, schreier_sims_order
+from diaglab.semilattice import minimal_partitions
+from diaglab.symmetry import (
+    TaggedPerm,
+    action_on_partitions,
+    induced_symmetric_closure,
+    schreier_sims_order,
+)
+
+from conftest import GRID, generators_of, group_of
 
 
 def closure_order(gens: list[tuple[int, ...]]) -> int:
@@ -45,6 +53,14 @@ def test_schreier_sims_matches_closure(perm_lists):
     gens = [tuple(p) for p in perm_lists]
     tagged = [TaggedPerm(tag="t", image=p) for p in gens]
     assert schreier_sims_order(tagged) == closure_order(gens)
+
+
+def test_induced_closure_matches_bfs_on_grid():
+    for spec, m in GRID:  # every grid instance has m <= 5
+        induced = action_on_partitions(
+            list(generators_of(spec, m)), minimal_partitions(group_of(spec), m)
+        )
+        assert induced_symmetric_closure(induced) == closure_order(induced), (spec, m)
 
 
 def brute_force_automorphisms(g) -> list[tuple[int, ...]]:
