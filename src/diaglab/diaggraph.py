@@ -20,6 +20,13 @@ from .semilattice import (
     vertex_codec,
 )
 
+# The paranoid walk counts and eccentricities run a block of start vertices
+# in one pass: each vertex holds one Python int, and each start of the block
+# owns a fixed field of its bits.  A block takes as many starts as keep one
+# list of those ints within about this many bits (8 MiB), so memory does not
+# grow with the square of the vertex count.
+PACK_BITS = 1 << 26
+
 
 @dataclass(frozen=True)
 class DiagGraph:
@@ -168,14 +175,49 @@ class DiameterReport:
         return self.bfs == self.formula
 
 
+def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
+    """max(max(bfs_distances(graph, b)) for b in bases), with every base of
+    a block searched in one pass.
+
+    Each vertex holds a ``reach`` and a ``frontier`` bitset with one bit per
+    base.  A level ORs each frontier into the neighbours and masks off what
+    is already reached; the answer is the last level that reached anything,
+    so on a disconnected graph it is the largest finite distance.
+    """
+    n = graph.size
+    adjacency = graph.adjacency
+    per_block = max(1, PACK_BITS // n)
+    ecc = 0
+    for lo in range(0, len(bases), per_block):
+        frontier = [0] * n
+        for k, b in enumerate(bases[lo: lo + per_block]):
+            frontier[b] = 1 << k
+        reach = frontier
+        level = 0
+        while True:
+            nxt = [0] * n
+            for u in range(n):
+                fu = frontier[u]
+                if fu:
+                    for v in adjacency[u]:
+                        nxt[v] |= fu
+            frontier = [f & ~r for f, r in zip(nxt, reach)]
+            if not any(frontier):
+                break
+            level += 1
+            reach = [r | f for r, f in zip(reach, frontier)]
+        ecc = max(ecc, level)
+    return ecc
+
+
 def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
     """BFS diameter against the closed form m+1-ceil((m+1)/q).
 
     Vertex-transitivity makes the eccentricity of vertex 0 the diameter;
     ``paranoid`` recomputes from every base vertex.
     """
-    bases = range(graph.size) if paranoid else (0,)
-    ecc = max(max(bfs_distances(graph, b)) for b in bases)
+    bases = range(graph.size) if paranoid else range(1)
+    ecc = _max_eccentricity(graph, bases)
     formula = graph.m + 1 - ceil((graph.m + 1) / graph.q)
     return DiameterReport(bfs=ecc, formula=formula)
 
@@ -227,31 +269,34 @@ def exceptional_key(g: GroupTable, m: int) -> tuple[int, int, str] | None:
     return (g.order, m, variant)
 
 
+def _bk_expand(
+    r: list[int], p: set[int], x: set[int],
+    nbr: list[set[int]], cliques: list[tuple[int, ...]],
+) -> None:
+    if not p and not x:
+        cliques.append(tuple(sorted(r)))
+        return
+    pivot = max(p | x, key=lambda u: (len(p & nbr[u]), -u))
+    for v in sorted(p - nbr[pivot]):
+        _bk_expand(r + [v], p & nbr[v], x & nbr[v], nbr, cliques)
+        p.remove(v)
+        x.add(v)
+
+
 def bron_kerbosch(adjacency: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     """All maximal cliques, via pivoting over a fixed vertex order.
 
     The outer loop peels vertices in index order (each vertex only looks at
     later neighbours), which keeps subproblems at most the size of a
-    neighbourhood.
+    neighbourhood.  The recursion is a module-level function, not a closure,
+    so no reference cycle keeps the sets alive after the call returns.
     """
-    n = len(adjacency)
     nbr = [set(a) for a in adjacency]
     cliques: list[tuple[int, ...]] = []
-
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: (len(p & nbr[u]), -u))
-        for v in sorted(p - nbr[pivot]):
-            expand(r + [v], p & nbr[v], x & nbr[v])
-            p.remove(v)
-            x.add(v)
-
-    for v in range(n):
+    for v in range(len(adjacency)):
         later = {u for u in nbr[v] if u > v}
         earlier = {u for u in nbr[v] if u < v}
-        expand([v], later, earlier)
+        _bk_expand([v], later, earlier, nbr, cliques)
     return cliques
 
 
@@ -396,20 +441,16 @@ def is_distance_regular(
     return True, result
 
 
-def _bits_to_graph6_bytes(bits: list[int]) -> bytes:
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray()
-    for i in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[i: i + 6]:
-            val = val << 1 | bit
-        out.append(val + 63)
-    return bytes(out)
+# graph6 writes each six-bit group as its value plus 63.
+_GRAPH6_OFFSET = bytes((b + 63) & 0xFF for b in range(256))
 
 
 def to_graph6(graph: DiagGraph) -> str:
-    """Standard graph6 encoding (long size form for more than 62 vertices)."""
+    """Standard graph6 encoding (long size form for more than 62 vertices).
+
+    Edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle, read
+    column by column; each byte carries six bits, most significant first.
+    """
     n = graph.size
     if n == 0 or not graph.edge_tag:
         raise ValueError("refusing to encode an empty graph")
@@ -419,12 +460,11 @@ def to_graph6(graph: DiagGraph) -> str:
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError(f"graph6 size form for n={n} not supported")
-    edges = set(graph.edge_tag)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in edges else 0)
-    return (head + _bits_to_graph6_bytes(bits)).decode("ascii")
+    groups = bytearray(-(-n * (n - 1) // 12))
+    for i, j in graph.edge_tag:
+        pos = j * (j - 1) // 2 + i
+        groups[pos // 6] |= 32 >> pos % 6
+    return (head + groups.translate(_GRAPH6_OFFSET)).decode("ascii")
 
 
 def parse_graph6(text: str) -> list[list[int]]:

@@ -3,8 +3,9 @@
 ``spectrum_closed_form`` evaluates the eigenvalue/multiplicity formula in
 integer arithmetic.  ``spectrum_trace_moments`` never diagonalises anything:
 it counts closed walks from one vertex (vertex-transitivity turns the count
-into an exact trace), then solves the square Vandermonde system on the
-candidate eigenvalues -(m+1)+kq over the rationals.  Disagreement between
+into an exact trace; ``paranoid`` counts from every vertex, packed into one
+pass of Python ints per block of starts), then solves the square Vandermonde
+system on the candidate eigenvalues -(m+1)+kq over the rationals.  Disagreement between
 the two, or a negative or fractional multiplicity, would falsify the closed
 form; both paths are compared entry by entry.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diaggraph import DiagGraph
+from .diaggraph import PACK_BITS, DiagGraph
 
 
 @dataclass(frozen=True)
@@ -75,26 +76,35 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     """tr(A^j) for j = 0..steps, exactly.
 
     Single-column iteration: tr(A^j) = n * (A^j)_00 by vertex-transitivity;
-    paranoid mode sums the diagonal over every start vertex instead.
+    paranoid mode sums the diagonal over every start vertex instead, with
+    the starts of a block packed side by side into the bits of each entry.
+    An entry of A^j e_s is at most max_degree^j, so a field of
+    ``width`` bits never carries into the next one.  The width comes from
+    the adjacency itself, never from the claimed valency.
     """
     n = graph.size
-    starts = range(n) if paranoid else (0,)
+    adjacency = graph.adjacency
+    starts = range(n) if paranoid else range(1)
+    max_degree = max(map(len, adjacency), default=0)
+    width = (max_degree**steps).bit_length() + 1
+    mask = (1 << width) - 1
+    per_block = max(1, PACK_BITS // (n * width))
     traces = [0] * (steps + 1)
-    for s in starts:
+    for lo in range(0, len(starts), per_block):
+        block = starts[lo: lo + per_block]
         col = [0] * n
-        col[s] = 1
-        diag = [1] + [0] * steps
+        for k, s in enumerate(block):
+            col[s] = 1 << (width * k)
+        traces[0] += len(block)
         for j in range(1, steps + 1):
             nxt = [0] * n
             for u in range(n):
                 cu = col[u]
                 if cu:
-                    for v in graph.adjacency[u]:
+                    for v in adjacency[u]:
                         nxt[v] += cu
             col = nxt
-            diag[j] = col[s]
-        for j in range(steps + 1):
-            traces[j] += diag[j]
+            traces[j] += sum(col[s] >> (width * k) & mask for k, s in enumerate(block))
     if not paranoid:
         traces = [n * t for t in traces]
     return traces

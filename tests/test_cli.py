@@ -152,6 +152,27 @@ def test_check_all_c2_m6_within_caps(capsys):
     assert data["ok"] is True and data["n"] == 64
 
 
+@pytest.mark.parametrize("group,m", [("C3", "3"), ("C2", "4"), ("C4", "2")])
+def test_check_all_paranoid_same_verdicts(capsys, group, m):
+    verdicts = []
+    for extra in ((), ("--paranoid",)):
+        code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", m, *extra)
+        assert code == EXIT_OK
+        verdicts.append({(c["claim"], c["passed"]) for c in json.loads(out)["claims"]})
+    assert verdicts[0] == verdicts[1]
+
+
+def test_spectrum_and_diameter_paranoid(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--group", "C3", "--m", "3",
+                           "--verify", "--paranoid")
+    assert code == EXIT_OK
+    assert json.loads(out)["verified"] is True
+    code, out, _ = run_cli(capsys, "diameter", "--group", "C4", "--m", "3",
+                           "--paranoid")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"bfs": 3, "formula": 3, "match": True}
+
+
 def test_check_all_conjectural_not_fatal(capsys):
     code, out, _ = run_cli(capsys, "check-all", "--group", "C4", "--m", "2")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -302,3 +303,18 @@ def test_bron_kerbosch_small_reference():
     adjacency = ((1,), (0, 2), (1, 3, 4), (2, 4), (2, 3))
     cliques = bron_kerbosch(adjacency)
     assert sorted(cliques) == [(0, 1), (1, 2), (2, 3, 4)]
+
+
+def test_bron_kerbosch_leaves_no_garbage():
+    # a reference cycle would keep the sets and the clique list alive until
+    # the cyclic collector ran
+    adjacency = graph_of("C8", 3).adjacency
+    gc.collect()
+    gc.disable()
+    try:
+        cliques = bron_kerbosch(adjacency)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert len(cliques) == 4 * 512 // 8

@@ -1,0 +1,197 @@
+"""The packed walk counts, eccentricities and graph6 encoder against oracles.
+
+The paranoid walk counts and the paranoid diameter run a block of start
+vertices in one pass, each start in its own field of one Python int per
+vertex.  The oracles here run nothing side by side: exact matrix powers for
+the walk counts, one breadth-first search per base for the eccentricities,
+and the bit-list graph6 encoder the packed one replaced.
+"""
+
+from __future__ import annotations
+
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diaglab import diaggraph, spectral
+from diaglab.diaggraph import _max_eccentricity, bfs_distances, diameter, to_graph6
+from diaglab.spectral import _walk_counts
+
+from conftest import GRID, graph_of, group_of
+
+SMALL_GRID = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 256]
+
+
+def matrix_power_traces(adjacency, steps: int) -> list[int]:
+    """tr(A^j) for j = 0..steps from the full matrices A^j in Python ints."""
+    n = len(adjacency)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
+    traces = [n]
+    for _ in range(steps):
+        # (A^j A)[r][c] sums row r of A^j over the neighbours of c
+        power = [
+            [sum(map(row.__getitem__, adjacency[c])) for c in range(n)]
+            for row in power
+        ]
+        traces.append(sum(power[r][r] for r in range(n)))
+    return traces
+
+
+def bfs_eccentricity(graph, bases) -> int:
+    return max(max(bfs_distances(graph, b)) for b in bases)
+
+
+def bit_list_graph6(graph) -> str:
+    """The graph6 encoder as it was before the scattered-bit one."""
+    n = graph.size
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    edges = set(graph.edge_tag)
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if (i, j) in edges else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = bytearray()
+    for i in range(0, len(bits), 6):
+        val = 0
+        for bit in bits[i: i + 6]:
+            val = val << 1 | bit
+        out.append(val + 63)
+    return (head + bytes(out)).decode("ascii")
+
+
+def graph_from_edges(n: int, edges) -> SimpleNamespace:
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return SimpleNamespace(
+        size=n,
+        adjacency=tuple(tuple(sorted(a)) for a in nbrs),
+        edge_tag={(min(u, v), max(u, v)): 0 for u, v in edges},
+    )
+
+
+@st.composite
+def small_graphs(draw, max_n: int):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+# --- walk counts -----------------------------------------------------------
+
+def test_walk_counts_match_matrix_powers_on_grid():
+    for spec, m in SMALL_GRID:
+        g = graph_of(spec, m)
+        want = matrix_power_traces(g.adjacency, m + 1)
+        assert _walk_counts(g, m + 1, paranoid=True) == want, (spec, m)
+        assert _walk_counts(g, m + 1, paranoid=False) == want, (spec, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(12), st.integers(0, 9))
+def test_paranoid_walk_counts_on_irregular_graphs(graph, steps):
+    assert _walk_counts(graph, steps, paranoid=True) == matrix_power_traces(
+        graph.adjacency, steps
+    )
+
+
+def test_walk_counts_star_graph():
+    # max degree 11 against an average degree below 2
+    star = graph_from_edges(12, [(0, v) for v in range(1, 12)])
+    assert _walk_counts(star, 12, paranoid=True) == matrix_power_traces(
+        star.adjacency, 12
+    )
+
+
+def test_walk_counts_wider_than_a_machine_word():
+    k20 = graph_from_edges(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
+    assert 19**16 > 2**64
+    want = matrix_power_traces(k20.adjacency, 16)
+    assert _walk_counts(k20, 16, paranoid=True) == want
+    assert _walk_counts(k20, 16, paranoid=False) == want
+
+
+def test_paranoid_walk_counts_over_several_blocks(monkeypatch):
+    g = graph_of("C2", 10)
+    single = _walk_counts(g, 11, paranoid=False)
+    assert _walk_counts(g, 11, paranoid=True) == single
+    # 27 starts, four per block: seven blocks, the last one short
+    g = graph_of("C3", 3)
+    width = (8**4).bit_length() + 1
+    monkeypatch.setattr(spectral, "PACK_BITS", 27 * width * 4)
+    assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(g.adjacency, 4)
+
+
+# --- eccentricities --------------------------------------------------------
+
+def test_eccentricity_matches_bfs_on_grid():
+    for spec, m in GRID:
+        g = graph_of(spec, m)
+        # every base on the small graphs, a stride of them on the large ones
+        bases = range(g.size) if g.size <= 256 else range(0, g.size, 97)
+        assert _max_eccentricity(g, bases) == bfs_eccentricity(g, bases), (spec, m)
+
+
+def test_paranoid_diameter_on_grid():
+    for spec, m in GRID:
+        g = graph_of(spec, m)
+        paranoid = diameter(g, paranoid=True)
+        assert paranoid.bfs == diameter(g).bfs == paranoid.formula, (spec, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(14))
+def test_eccentricity_on_graphs_that_may_be_disconnected(graph):
+    bases = range(graph.size)
+    assert _max_eccentricity(graph, bases) == bfs_eccentricity(graph, bases)
+
+
+def test_eccentricity_over_several_blocks(monkeypatch):
+    # a path 0-1-...-9 plus an isolated vertex 10, five bases per block: the
+    # last block holds only the isolated vertex, of eccentricity 0
+    path = graph_from_edges(11, [(v, v + 1) for v in range(9)])
+    monkeypatch.setattr(diaggraph, "PACK_BITS", 11 * 5)
+    assert _max_eccentricity(path, range(11)) == 9
+    g = graph_of("C4", 3)
+    monkeypatch.setattr(diaggraph, "PACK_BITS", g.size * 5)
+    assert _max_eccentricity(g, range(g.size)) == bfs_eccentricity(g, range(g.size))
+
+
+# --- graph6 ------------------------------------------------------------------
+
+def test_graph6_matches_bit_list_encoder_on_grid():
+    for spec, m in GRID:
+        g = graph_of(spec, m)
+        assert to_graph6(g) == bit_list_graph6(g), (spec, m)
+
+
+@pytest.mark.parametrize("n", [62, 63])
+def test_graph6_at_the_size_form_boundary(n):
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for edges in (pairs, rng.sample(pairs, len(pairs) // 3), [(0, n - 1)]):
+        g = graph_from_edges(n, edges)
+        assert to_graph6(g) == bit_list_graph6(g)
+    assert to_graph6(graph_from_edges(n, [(0, 1)]))[0] == ("~" if n > 62 else chr(n + 63))
+
+
+def test_graph6_single_edge():
+    for n, edge in ((2, (0, 1)), (5, (3, 4)), (100, (0, 99)), (100, (41, 42))):
+        g = graph_from_edges(n, [edge])
+        assert to_graph6(g) == bit_list_graph6(g)
+
+
+def test_graph6_rejects_an_empty_graph():
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            to_graph6(SimpleNamespace(size=n, edge_tag={}))
