@@ -94,11 +94,14 @@ def run_check_all(cfg: RunConfig) -> dict:
     q = g.order
     claims: list[dict] = []
 
-    ok = semilattice.verify_semilattice_hypothesis(g, m, cfg.vertex_cap)
+    minimals = semilattice.minimal_partitions(g, m, cfg.vertex_cap)
+    sup = semilattice.subset_suprema(minimals)
+    ok = semilattice.verify_semilattice_hypothesis(g, m, cfg.vertex_cap, sup=sup)
     _claim(claims, "cartesian-hypothesis", ok,
            "every m-subset of the minimal partitions generates a Cartesian lattice")
 
-    sl = semilattice.build_semilattice(g, m, cfg.vertex_cap)
+    sl = semilattice.join_closure(minimals, sup)
+    del sup
     expected = semilattice.expected_rank_counts(m)
     got: dict[int, int] = {}
     for r in sl.rank:
@@ -190,9 +193,16 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     if m >= 2:
         perms = symmetry.diagonal_group_generators(g, m, cfg.vertex_cap)
-        formula = symmetry.diagonal_group_order_formula(g, m)
-        if graph.size <= symmetry.BSGS_POINT_CAP and formula <= symmetry.BSGS_ORDER_CAP:
-            order = symmetry.schreier_sims_order(perms)
+        # One chain serves the order and the primitivity claims; past the
+        # point cap both are left out.  It is released before the orbit
+        # counts build their arrays.
+        prim = None
+        if graph.size <= symmetry.BSGS_POINT_CAP:
+            chain = symmetry.build_chain(perms)
+            order = chain.order()
+            prim = symmetry.is_vertex_primitive(g, m, perms=perms, chain=chain)
+            del chain
+            formula = symmetry.diagonal_group_order_formula(g, m)
             _claim(claims, "symmetry-order", order == formula,
                    f"Schreier-Sims order {order}, formula {formula}")
         _claim(claims, "vertex-transitive",
@@ -207,16 +217,14 @@ def run_check_all(cfg: RunConfig) -> dict:
             clique_orbits = symmetry.orbit_count(perms, top)
             _claim(claims, "clique-transitive", clique_orbits == 1,
                    f"{clique_orbits} orbits on the {len(top)} maximum cliques")
-        prim = symmetry.is_vertex_primitive(g, m, cfg.vertex_cap)
-        if prim.criterion is None:
+        if prim is not None and prim.criterion is None:
             _claim(claims, "primitivity", True,
                    f"block computation: primitive={prim.primitive}; "
                    "criterion: unsupported classification")
-        else:
+        elif prim is not None:
             _claim(claims, "primitivity", prim.agrees is True,
                    f"blocks say primitive={prim.primitive}, criterion says {prim.criterion}")
-        induced = symmetry.action_on_partitions(
-            perms, semilattice.minimal_partitions(g, m, cfg.vertex_cap))
+        induced = symmetry.action_on_partitions(perms, minimals)
         size = symmetry.induced_symmetric_closure(induced)
         want = 1
         for k in range(2, m + 2):

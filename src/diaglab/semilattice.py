@@ -130,14 +130,17 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
     return sup
 
 
-def join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
+def join_closure(
+    minimals: list[Partition], sup: list[Partition] | None = None
+) -> DiagonalSemilattice:
     """Generate the semilattice: the suprema of all subsets of the
     generators, the empty one (the singleton partition) included.
 
     Every element of a join closure is the supremum of a subset of its
     generators, so the subset table holds each element at least once.  The
     order is read off the same table: sup(S) <= sup(T) iff
-    sup(S | T) == sup(T).
+    sup(S | T) == sup(T).  ``sup``, when given, must be
+    ``subset_suprema(minimals)``; otherwise it is built here.
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
@@ -150,7 +153,8 @@ def join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         raise ValueError("generator partitions must have constant part size")
     q = part_sizes.pop()
 
-    sup = subset_suprema(minimals)
+    if sup is None:
+        sup = subset_suprema(minimals)
     first_mask: dict[Partition, int] = {}
     for mask, p in enumerate(sup):
         first_mask.setdefault(p, mask)
@@ -226,13 +230,21 @@ def check_cartesian(parts: list[Partition], q: int) -> bool:
     return _is_cartesian(subset_suprema(parts), q, range(1 << len(parts)))
 
 
-def verify_semilattice_hypothesis(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def verify_semilattice_hypothesis(
+    g: GroupTable,
+    m: int,
+    cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    sup: list[Partition] | None = None,
+) -> bool:
     """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice.
 
     One subset table over all m+1 minimal partitions serves every m-subset:
     the subsets of the one without Q_drop are the masks without bit drop.
+    ``sup``, when given, must be ``subset_suprema(minimal_partitions(g, m))``.
     """
-    sup = subset_suprema(minimal_partitions(g, m, cap))
+    if sup is None:
+        sup = subset_suprema(minimal_partitions(g, m, cap))
     return all(
         _is_cartesian(sup, g.order,
                       [mask for mask in range(len(sup)) if not mask >> drop & 1])

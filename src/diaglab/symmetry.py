@@ -32,7 +32,6 @@ from .partitions import Partition, UnionFind
 from .semilattice import DEFAULT_VERTEX_CAP, minimal_partitions, vertex_codec
 
 BSGS_POINT_CAP = 4096
-BSGS_ORDER_CAP = 10**9
 
 GENERATOR_TAGS = (
     "right-mult",
@@ -278,50 +277,105 @@ class StabilizerChain:
         self._complete_level(level)
 
 
-def schreier_sims_order(perms: list[TaggedPerm], point_cap: int = BSGS_POINT_CAP) -> int:
-    """Exact order of the permutation group generated by perms."""
-    if not perms:
-        return 1
-    degree = len(perms[0].image)
-    if degree > point_cap:
-        raise CapExceededError(f"degree {degree} exceeds BSGS cap {point_cap}")
-    chain = StabilizerChain(degree)
-    for p in perms:
-        chain.add_generator(np.asarray(p.image, dtype=chain.dtype))
-    return chain.order()
+def build_chain(perms: list[TaggedPerm], point_cap: int | None = None) -> StabilizerChain:
+    """Stabiliser chain of the group generated by perms.
 
-
-def build_chain(perms: list[TaggedPerm], point_cap: int = BSGS_POINT_CAP) -> StabilizerChain:
+    ``point_cap`` defaults to ``BSGS_POINT_CAP``, read at call time.
+    """
     if not perms:
         raise ValueError("need at least one permutation")
     degree = len(perms[0].image)
-    if degree > point_cap:
-        raise CapExceededError(f"degree {degree} exceeds BSGS cap {point_cap}")
+    cap = BSGS_POINT_CAP if point_cap is None else point_cap
+    if degree > cap:
+        raise CapExceededError(f"degree {degree} exceeds BSGS cap {cap}")
     chain = StabilizerChain(degree)
     for p in perms:
         chain.add_generator(np.asarray(p.image, dtype=chain.dtype))
     return chain
 
 
+def schreier_sims_order(perms: list[TaggedPerm], point_cap: int | None = None) -> int:
+    """Exact order of the permutation group generated by perms."""
+    if not perms:
+        return 1
+    return build_chain(perms, point_cap).order()
+
+
+def _row_ids(rows: np.ndarray, degree: int):
+    """Number the distinct rows, one column at a time.
+
+    Returns ``(keys, ids)``: ``keys[c]`` holds the sorted distinct values of
+    ``prefix_id * degree + rows[:, c]``, where ``prefix_id`` numbers the
+    distinct prefixes of length c, and ``ids`` numbers the distinct rows.
+    No key is wider than ``len(rows) * degree``, whatever the row length.
+    """
+    keys = []
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for c in range(rows.shape[1]):
+        col_keys, ids = np.unique(ids * degree + rows[:, c], return_inverse=True)
+        keys.append(col_keys)
+    return keys, ids
+
+
+def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
+    """Ids of rows in the table behind ``keys``, or None if one is absent."""
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for c, col_keys in enumerate(keys):
+        want = ids * degree + rows[:, c]
+        ids = np.minimum(np.searchsorted(col_keys, want), len(col_keys) - 1)
+        if not np.array_equal(col_keys[ids], want):
+            return None
+    return ids
+
+
 def orbit_count(perms: list[TaggedPerm], items: list) -> int:
-    """Orbits of the induced action on hashable items.
+    """Orbits of the induced action on the distinct items.
 
     Items may be vertices (ints), edges (sorted pairs) or cliques (sorted
-    tuples); the action relabels entries through each permutation.
+    tuples); the action relabels entries through each permutation.  Items
+    are rows of one int array; each generator maps the whole array, and the
+    orbits are the components of the resulting item maps, found by label
+    propagation with pointer jumping.  Raises AssertionError if some
+    generator maps an item outside the set.
     """
-    index = {item: i for i, item in enumerate(items)}
-    uf = UnionFind(len(items))
-
-    def apply(perm: tuple[int, ...], item):
-        if isinstance(item, int):
-            return perm[item]
-        return tuple(sorted(perm[x] for x in item))
-
+    if not len(items):
+        return 0
+    rows = np.asarray(items, dtype=np.int64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    degree = len(perms[0].image) if perms else int(rows.max()) + 1
+    keys, ids = _row_ids(rows, degree)
+    count = len(keys[-1])
+    distinct = np.empty((count, rows.shape[1]), dtype=np.int64)
+    distinct[ids] = rows
+    del rows, ids
+    # maps[g][i]: the index of generator g's image of distinct row i.  Each
+    # is a bijection, since a permutation keeps distinct rows distinct.
+    maps = []
     for p in perms:
-        for i, item in enumerate(items):
-            j = index[apply(p.image, item)]
-            uf.union(i, j)
-    return len({uf.find(i) for i in range(len(items))})
+        image = np.asarray(p.image, dtype=np.int64)[distinct]
+        found = _lookup_rows(keys, np.sort(image, axis=1), degree)
+        if found is None:
+            raise AssertionError(
+                f"generator {p.tag} maps an item outside the item set"
+            )
+        maps.append(found)
+    del distinct
+
+    lab = np.arange(count)
+    while True:
+        before = lab.copy()
+        for f in maps:
+            np.minimum(lab, lab[f], out=lab)
+            lab[f] = np.minimum(lab[f], lab)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        if np.array_equal(lab, before):
+            break
+    return int(np.count_nonzero(lab == np.arange(count)))
 
 
 def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
@@ -381,17 +435,29 @@ def primitivity_criterion(g: GroupTable, m: int) -> bool | None:
 
 
 def is_vertex_primitive(
-    g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP
+    g: GroupTable,
+    m: int,
+    cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    perms: list[TaggedPerm] | None = None,
+    chain: StabilizerChain | None = None,
 ) -> PrimitivityReport:
     """Block-system primitivity of the diagonal group action.
 
     The minimal block containing {0, v} depends only on the suborbit of v
     under the stabiliser of 0, so one representative per suborbit is tested;
     the suborbits come from the stabiliser level of the Schreier-Sims chain.
+    ``perms`` and ``chain``, when given, must be the diagonal group's
+    generators and their chain; otherwise both are built here.
     """
-    perms = diagonal_group_generators(g, m, cap)
+    if perms is None:
+        perms = diagonal_group_generators(g, m, cap)
+    if chain is None:
+        chain = build_chain(perms)
     n = len(perms[0].image)
-    chain = build_chain(perms)
+    if n != g.order**m or chain.degree != n:
+        raise ValueError(f"generators on {n} points and a chain on {chain.degree} "
+                         f"given for {g.order}^{m} vertices")
     stab_gens = chain.stabilizer_generators()
 
     reps: list[int] = []
@@ -507,12 +573,14 @@ def symmetry_report(
         raise ValueError("symmetry analysis needs m >= 2 (the minimal "
                          "partitions coincide at m = 1)")
     perms = diagonal_group_generators(g, m, cap)
-    order = schreier_sims_order(perms)
+    chain = build_chain(perms)
+    order = chain.order()
+    prim = is_vertex_primitive(g, m, perms=perms, chain=chain)
+    del chain
     formula = diagonal_group_order_formula(g, m)
     vertex_orbits = orbit_count(perms, list(range(graph.size)))
     edge_orbits = orbit_count(perms, graph.edges())
     clique_orbits = orbit_count(perms, sorted(cliques)) if cliques else None
-    prim = is_vertex_primitive(g, m, cap)
     induced = action_on_partitions(perms, minimal_partitions(g, m, cap))
     return SymmetryReport(
         order=order,

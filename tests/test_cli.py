@@ -271,3 +271,64 @@ def test_usage_error_exit_two():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+CLAIMS_PATH = Path(__file__).resolve().parent / "data" / "check_all_claims.json"
+
+
+@pytest.mark.parametrize("group,m", [("C3", "3"), ("C6", "2"), ("Q8", "2"), ("C2", "4")])
+@pytest.mark.parametrize("extra", [(), ("--paranoid",)])
+def test_check_all_claims_unchanged(capsys, group, m, extra):
+    """(claim, passed, detail) in order, as recorded before the symmetry
+    layer shared one chain between the order and primitivity claims."""
+    expected = json.loads(CLAIMS_PATH.read_text())[f"{group} {m}"]
+    code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", m, *extra)
+    assert code == EXIT_OK
+    got = [[c["claim"], c["passed"], c["detail"]] for c in json.loads(out)["claims"]]
+    assert got == expected
+
+
+def test_check_all_past_chain_cap_leaves_out_chain_claims(capsys, monkeypatch,
+                                                          ledger_validator):
+    from diaglab import symmetry
+
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "4")
+    assert code == EXIT_OK
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+    assert {"symmetry-order", "primitivity"} <= set(full)
+
+    monkeypatch.setattr(symmetry, "BSGS_POINT_CAP", 64)  # C3 m=4 has 81 points
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "4")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["ok"] is True
+    assert [c["claim"] for c in data["claims"]] == [
+        c for c in full if c not in ("symmetry-order", "primitivity")]
+
+    code, _, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "4")
+    assert code == EXIT_CAP and "BSGS cap 64" in err
+
+
+def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
+    from diaglab import semilattice, symmetry
+
+    calls: dict[str, int] = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(semilattice, "minimal_partitions")
+    counted(semilattice, "subset_suprema")
+    counted(symmetry, "diagonal_group_generators")
+    counted(symmetry, "build_chain")
+    code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
+    assert code == EXIT_OK
+    assert calls == {"minimal_partitions": 1, "subset_suprema": 1,
+                     "diagonal_group_generators": 1, "build_chain": 1}

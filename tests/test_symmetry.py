@@ -6,6 +6,8 @@ from diaglab.groups import is_elementary_abelian
 from diaglab.semilattice import minimal_partitions
 from diaglab.symmetry import (
     action_on_partitions,
+    build_chain,
+    diagonal_group_generators,
     diagonal_group_order_formula,
     induced_symmetric_closure,
     is_vertex_primitive,
@@ -14,7 +16,7 @@ from diaglab.symmetry import (
     symmetry_report,
 )
 
-from conftest import cliques_of, generators_of, graph_of, group_of
+from conftest import GRID, cliques_of, generators_of, graph_of, group_of
 
 
 def test_generators_are_bijections(grid):
@@ -54,6 +56,37 @@ def test_order_formula_grid(grid):
             continue
         order = schreier_sims_order(list(generators_of(spec, m)))
         assert order == formula, (spec, m)
+
+
+def test_schreier_sims_order_is_chain_order():
+    for spec, m in [("C2", 2), ("C3", 3), ("S3", 2), ("C2xC2", 3), ("Q8", 2)]:
+        perms = list(generators_of(spec, m))
+        assert schreier_sims_order(perms) == build_chain(perms).order()
+
+
+def test_chain_order_c2_m9():
+    # 1 857 945 600 > 10^9: past the order cap that check-all used to apply
+    g = group_of("C2")
+    chain = build_chain(diagonal_group_generators(g, 9))
+    assert chain.order() == diagonal_group_order_formula(g, 9) == 1857945600
+
+
+@pytest.mark.parametrize("spec,m", GRID)
+def test_primitivity_with_given_chain(spec, m):
+    g = group_of(spec)
+    perms = list(generators_of(spec, m))
+    given = is_vertex_primitive(g, m, perms=perms, chain=build_chain(perms))
+    assert given == is_vertex_primitive(g, m)
+
+
+def test_primitivity_rejects_mismatched_chain():
+    g = group_of("C3")
+    perms = list(generators_of("C3", 2))
+    with pytest.raises(ValueError):
+        is_vertex_primitive(g, 3, perms=perms)
+    with pytest.raises(ValueError):
+        is_vertex_primitive(g, 2, perms=perms,
+                            chain=build_chain(list(generators_of("C3", 3))))
 
 
 def test_vertex_orbits_always_one(grid):
