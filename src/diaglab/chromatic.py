@@ -5,22 +5,31 @@ the homomorphism cascade lands in a complete graph and the pulled-back
 colouring uses exactly |G| colours.  For even dimension and a group with a
 complete mapping, the cascade lands in dimension 2, where the translates of
 the transversal {(g, phi(g))} tile the vertex set with q independent sets;
-the colour of (a, b) is phi(a^-1)^-1 * b.  Only when neither applies does
-the verdict fall back to bounds, with the conjectured value |G|+2 reported
-separately and never asserted.
+the colour of (a, b) is phi(a^-1)^-1 * b.  Otherwise a seeded tabu search
+colours the dimension-2 graph with |G|+2 colours and the colouring is
+pulled back the same way.  At dimension 2 the absence of a complete mapping
+also caps every independent set at |G|-1 cells, which closes chi = |G|+2.
+Every colouring is validated edge by edge; the conjectured value is
+reported separately and never asserted.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
 from .diaggraph import DiagGraph, bron_kerbosch, build_graph
 from .errors import CapExceededError
-from .groups import GroupTable, sylow2_nontrivial_cyclic
+from .groups import GroupTable, direct_product, subgroup_closure, sylow2_nontrivial_cyclic
+from .semilattice import vertex_codec
 
 COMPLETE_MAPPING_SEARCH_LIMIT = 16
 EXACT_COLOURING_LIMIT = 64
+TABUCOL_MOVE_BUDGET = 50_000
+TABUCOL_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,31 @@ class CompleteMapping:
         return tuple(g.mul[x][self.phi[x]] for x in g.elements())
 
 
-def find_complete_mapping(
+def is_complete_mapping(g: GroupTable, cm: CompleteMapping) -> bool:
+    """phi and x -> x*phi(x) are both bijections of g."""
+    everything = list(g.elements())
+    return (len(cm.phi) == g.order and sorted(cm.phi) == everything
+            and sorted(cm.psi(g)) == everything)
+
+
+def hall_paige_obstruction(g: GroupTable) -> bool:
+    """True when the product of all elements lies outside G'.
+
+    Then no complete mapping exists (Hall & Paige, 1955): if phi were one,
+    x -> x*phi(x) would be a bijection, and multiplying out all of G in the
+    abelianisation G/G' would give T = T*T, where T is the image of the
+    product of all elements in any order; so T would be trivial.
+    """
+    mul, inv = g.mul, g.inv
+    prod = 0
+    for x in g.elements():
+        prod = mul[prod][x]
+    commutators = {mul[mul[a][b]][mul[inv[a]][inv[b]]]
+                   for a in g.elements() for b in g.elements()}
+    return prod not in subgroup_closure(g, commutators)
+
+
+def search_complete_mapping(
     g: GroupTable, limit: int = COMPLETE_MAPPING_SEARCH_LIMIT
 ) -> CompleteMapping | None:
     """Backtracking search; None means exhaustively-verified absence.
@@ -70,6 +103,59 @@ def find_complete_mapping(
     if search(1, 1, 1):  # row 0 pinned to value 0, product 0
         return CompleteMapping(phi=tuple(phi))
     return None
+
+
+def _product_mapping(g: GroupTable, limit: int) -> tuple[int, ...] | None:
+    """phi(e, o) = (phi_E(e), o) for g = E x O, where O is the product of the
+    odd-order factors (phi = identity there) and E of the even-order ones.
+
+    Indices of a direct product run through its factors' coordinates in
+    lexicographic order, as ``groups.direct_product`` lays them out.
+    """
+    even = [i for i, f in enumerate(g.factors) if f.order % 2 == 0]
+    if len(even) == 1:
+        cm = find_complete_mapping(g.factors[even[0]], limit)
+    else:
+        cm = search_complete_mapping(reduce(direct_product, [g.factors[i] for i in even]),
+                                     limit)
+    if cm is None:
+        return None
+    coords = list(product(*(range(f.order) for f in g.factors)))
+    index = {c: x for x, c in enumerate(coords)}
+    even_coords = list(product(*(range(g.factors[i].order) for i in even)))
+    even_index = {c: x for x, c in enumerate(even_coords)}
+    phi = []
+    for c in coords:
+        image = list(c)
+        for i, y in zip(even, even_coords[cm.phi[even_index[tuple(c[i] for i in even)]]]):
+            image[i] = y
+        phi.append(index[tuple(image)])
+    return tuple(phi)
+
+
+def find_complete_mapping(
+    g: GroupTable, limit: int = COMPLETE_MAPPING_SEARCH_LIMIT
+) -> CompleteMapping | None:
+    """A complete mapping of g, or None when provably none exists.
+
+    Certificates come first: ``hall_paige_obstruction`` proves absence;
+    phi(x) = x is a witness for odd order (squaring is then a bijection);
+    a direct product pairs the identity on its odd-order factors with a
+    mapping of its even-order ones.  Only when none applies does
+    ``search_complete_mapping`` run, capped at order ``limit``.  Every
+    witness is checked before it is returned.
+    """
+    if hall_paige_obstruction(g):
+        return None
+    phi = None
+    if g.order % 2:
+        phi = tuple(g.elements())
+    elif any(f.order % 2 for f in g.factors):
+        phi = _product_mapping(g, limit)
+    cm = search_complete_mapping(g, limit) if phi is None else CompleteMapping(phi=phi)
+    if cm is not None and not is_complete_mapping(g, cm):
+        raise AssertionError(f"{g.label}: complete-mapping witness is not a bijection")
+    return cm
 
 
 def hall_paige_predicate(g: GroupTable) -> bool:
@@ -122,6 +208,18 @@ def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:
     return Coloring(colors=tuple(colors))
 
 
+def pull_back(g: GroupTable, m: int, base: Coloring) -> Coloring:
+    """Colouring of the even dimension-m graph from one of the dimension-2
+    graph, through the homomorphism cascade (edges map to edges)."""
+    codec = vertex_codec(g, m)
+    q = g.order
+    colors = []
+    for v in range(codec.size):
+        a, b = reduce_to_dimension(codec.decode(v), g, 2)
+        colors.append(base.colors[a + q * b])
+    return Coloring(colors=tuple(colors))
+
+
 def q_coloring(g: GroupTable, m: int, cm: CompleteMapping | None) -> Coloring:
     """Colouring of the dimension-m graph with exactly q colours.
 
@@ -129,28 +227,86 @@ def q_coloring(g: GroupTable, m: int, cm: CompleteMapping | None) -> Coloring:
     Even m: cascade to dimension 2 and pull back the complete-mapping
     colouring (cm required).
     """
-    from .semilattice import vertex_codec
-
-    codec = vertex_codec(g, m)
     if m % 2:
+        codec = vertex_codec(g, m)
         colors = tuple(
             reduce_to_dimension(codec.decode(v), g, 1)[0]
             for v in range(codec.size)
         )
         return Coloring(colors=colors)
-    if m == 2:
-        if cm is None:
-            raise ValueError("dimension-2 colouring needs a complete mapping")
-        return latin_square_coloring(g, cm)
     if cm is None:
         raise ValueError("even-dimension colouring needs a complete mapping")
     base = latin_square_coloring(g, cm)
-    q = g.order
-    colors = []
-    for v in range(codec.size):
-        a, b = reduce_to_dimension(codec.decode(v), g, 2)
-        colors.append(base.colors[a + q * b])
-    return Coloring(colors=tuple(colors))
+    return base if m == 2 else pull_back(g, m, base)
+
+
+def tabucol(
+    graph: DiagGraph, k: int, max_moves: int = TABUCOL_MOVE_BUDGET
+) -> Coloring | None:
+    """Tabu search for a proper k-colouring (Hertz & de Werra, 1987).
+
+    From a seeded random assignment, each move recolours one vertex that
+    has a same-coloured neighbour, choosing the move that leaves the fewest
+    conflicting edges.  Moving a vertex back to a colour it left is tabu for
+    r + 0.6 * (conflicting vertices) moves, r uniform in 0..9 (Galinier &
+    Hao, 1999), unless it reaches fewer conflicts than ever before.  Ties
+    are broken by a generator seeded with ``TABUCOL_SEED``, so the result
+    depends only on the graph and k.  None if ``max_moves`` moves leave a
+    conflict.
+    """
+    n = graph.size
+    nbr = graph.adjacency
+    rng = random.Random(TABUCOL_SEED)
+    colour = [rng.randrange(k) for _ in range(n)]
+    # seen[v][c]: neighbours of v that have colour c
+    seen = [[0] * k for _ in range(n)]
+    for v in range(n):
+        row = seen[v]
+        for w in nbr[v]:
+            row[colour[w]] += 1
+    conflicts = sum(seen[v][colour[v]] for v in range(n)) // 2
+    fewest = conflicts
+    tabu_until = [[0] * k for _ in range(n)]
+    for step in range(max_moves):
+        if not conflicts:
+            return Coloring(colors=tuple(colour))
+        best = n  # no move changes the conflicts by n or more
+        moves: list[tuple[int, int]] = []
+        conflicted = 0
+        for v in range(n):
+            row = seen[v]
+            cv = colour[v]
+            own = row[cv]
+            if not own:
+                continue
+            conflicted += 1
+            if min(row) - own > best:
+                continue
+            until = tabu_until[v]
+            for c in range(k):
+                delta = row[c] - own
+                if delta > best or c == cv:
+                    continue
+                if until[c] > step and conflicts + delta >= fewest:
+                    continue
+                if delta < best:
+                    best = delta
+                    moves = [(v, c)]
+                else:
+                    moves.append((v, c))
+        if not moves:
+            continue  # every move is tabu; wait for one to expire
+        v, c = moves[rng.randrange(len(moves))]
+        old = colour[v]
+        colour[v] = c
+        for w in nbr[v]:
+            row = seen[w]
+            row[old] -= 1
+            row[c] += 1
+        conflicts += best
+        fewest = min(fewest, conflicts)
+        tabu_until[v][old] = step + 1 + rng.randrange(10) + int(0.6 * conflicted)
+    return Coloring(colors=tuple(colour)) if not conflicts else None
 
 
 @dataclass(frozen=True)
@@ -307,6 +463,8 @@ class ChromaticVerdict:
     reason: tuple[str, ...]
     conjecture: int | None
     coloring: Coloring | None = field(repr=False, default=None)
+    # For even m, what find_complete_mapping returned (None: none exists);
+    # odd m never looks for one.
     mapping: CompleteMapping | None = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
@@ -334,9 +492,13 @@ def chromatic_verdict(
     """Chromatic number with a provenance trail.
 
     chi = |G| whenever m is odd or the Hall-Paige condition holds, witnessed
-    by an explicit validated colouring.  Otherwise bounds
-    [|G|, chi(dimension-2 graph)] with the conjectured |G|+2 annotated.
-    ``graph``, if given, is the dimension-m graph of g, already built.
+    by an explicit validated colouring.  Otherwise the upper bound is the
+    size of a validated tabu-search colouring with |G|+2 colours, and the
+    lower bound stays the clique bound |G|, with the conjectured |G|+2
+    annotated.  At m = 2 the certificate that no complete mapping exists
+    closes chi = |G|+2; ``exact`` adds the exact search within
+    ``exact_cap`` vertices.  No search here is unbounded.  ``graph``, if
+    given, is the dimension-m graph of g, already built.
     """
     q = g.order
     if graph is not None and (graph.q, graph.m) != (q, m):
@@ -384,27 +546,46 @@ def chromatic_verdict(
     # Even dimension over a group with non-trivial cyclic Sylow 2-subgroup.
     reasons.append("m even and the group has a non-trivial cyclic Sylow 2-subgroup")
     reasons.append("clique of size q forces chi >= q")
+    cm = find_complete_mapping(g)
+    if graph is None:
+        graph = build_graph(g, m)
+    base = graph if m == 2 else build_graph(g, 2)
+    coloring = tabucol(base, q + 2)
     upper: int | None = None
-    if q * q <= exact_cap:
-        base = graph if m == 2 and graph is not None else build_graph(g, 2)
-        base_result = chromatic_number_exact(base)
-        if base_result.value is not None:
-            upper = base_result.value
-            reasons.append(
-                f"exact search on the dimension-2 graph gives the upper bound {upper}"
-            )
     chi = None
-    if exact and g.order**m <= exact_cap:
-        if m == 2:
-            result = base_result
-        else:
-            result = chromatic_number_exact(
-                graph if graph is not None else build_graph(g, m))
+    if coloring is None:
+        reasons.append(f"tabu search found no {q + 2}-colouring of the dimension-2 "
+                       f"graph in {TABUCOL_MOVE_BUDGET} moves: no upper bound")
+    else:
+        if not validate_coloring(base, coloring):
+            raise AssertionError(f"{g.label}: tabu colouring of dimension 2 not proper")
+        reasons.append(f"tabu search found a {q + 2}-colouring of the dimension-2 graph")
+        if m > 2:
+            coloring = pull_back(g, m, coloring)
+            if not validate_coloring(graph, coloring):
+                raise AssertionError(
+                    f"{g.label}, m={m}: pulled-back colouring not proper")
+            reasons.append("pulled back through the homomorphism cascade to dimension 2")
+        reasons.append("colouring validated edge by edge")
+        upper = coloring.count
+        if m == 2 and cm is None:
+            # An independent set is a partial transversal of the Cayley
+            # table; a full one (q cells) would be a complete mapping.
+            if upper < q + 2:
+                raise AssertionError(f"{g.label}: {upper} colours, below the "
+                                     "partial-transversal bound q+2")
+            chi = upper
+            reasons.append("no complete mapping, so independent sets have at most q-1 "
+                           "cells and chi >= ceil(q^2/(q-1)) = q+2")
+    if exact and q**m <= exact_cap:
+        result = chromatic_number_exact(graph)
         if result.value is not None:
+            if chi is not None and result.value != chi:
+                raise AssertionError(f"{g.label}, m={m}: exact search gives "
+                                     f"{result.value}, certificates give {chi}")
             chi = result.value
             reasons.append(f"exact search on this graph closed the value: {chi}")
-    conjecture = q + 2
     return ChromaticVerdict(
         q=q, m=m, chi=chi, lower=q, upper=upper,
-        reason=tuple(reasons), conjecture=conjecture,
+        reason=tuple(reasons), conjecture=q + 2, coloring=coloring, mapping=cm,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from . import diaggraph, semilattice, spectral, symmetry
 from .chromatic import chromatic_verdict, find_complete_mapping, hall_paige_predicate
 from .errors import CapExceededError, DiagLabError
-from .groups import is_elementary_abelian, parse_group_spec
+from .groups import automorphism_group, is_elementary_abelian, parse_group_spec
 from .semilattice import DEFAULT_VERTEX_CAP
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def run_check_all(cfg: RunConfig) -> dict:
     _claim(claims, "mobius-closed-form", rep.ok,
            f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {len(rep.mismatches)}")
 
-    graph = diaggraph.build_graph(g, m, cfg.vertex_cap)
+    graph = diaggraph.build_graph(g, m, cfg.vertex_cap, minimals=minimals)
     cay = diaggraph.cayley_graph(g, m, cfg.vertex_cap)
     _claim(claims, "construction-agreement", diaggraph.same_edge_set(graph, cay),
            "partition-based and connection-set edge sets coincide")
@@ -145,7 +145,8 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     if graph.size <= cfg.clique_cap:
         try:
-            creport = diaggraph.maximal_cliques(g, graph, cfg.clique_cap)
+            creport = diaggraph.maximal_cliques(g, graph, cfg.clique_cap,
+                                                minimals=minimals)
             detail = (
                 f"{creport.count} maximal cliques, clique number {creport.clique_number}"
             )
@@ -169,30 +170,47 @@ def run_check_all(cfg: RunConfig) -> dict:
             detail += f", intersection array {arrays}"
         _claim(claims, "distance-regular-iff", dr == expect_dr, detail)
 
-    verdict = chromatic_verdict(g, m, exact=cfg.exact, exact_cap=cfg.exact_cap,
-                                graph=graph)
-    if verdict.chi is not None and (m % 2 == 1 or hall_paige_predicate(g)):
-        _claim(claims, "chromatic-number", verdict.chi == q,
-               f"chi = {verdict.chi} via {verdict.reason[0]}")
+    proven_case = m % 2 == 1 or hall_paige_predicate(g)
+    try:
+        verdict = chromatic_verdict(g, m, exact=cfg.exact, exact_cap=cfg.exact_cap,
+                                    graph=graph)
+    except CapExceededError:
+        # Past a cap, e.g. a Hall-Paige group whose complete mapping only
+        # the capped search could find, the chromatic claim is left out.
+        verdict = None
+    except AssertionError as exc:
+        verdict = None
+        _claim(claims, "chromatic-number" if proven_case else "chromatic-bounds",
+               False, str(exc))
     else:
-        bounds_ok = verdict.upper is None or verdict.lower <= verdict.upper
-        _claim(claims, "chromatic-bounds", bounds_ok,
-               f"bounds [{verdict.lower}, {verdict.upper}]")
-        if verdict.conjecture is not None and verdict.upper is not None:
-            _claim(claims, "chromatic-conjecture",
-                   verdict.upper == verdict.conjecture,
-                   f"upper bound {verdict.upper} vs conjectured {verdict.conjecture}",
-                   conjectural=True)
+        if verdict.chi is not None and proven_case:
+            _claim(claims, "chromatic-number", verdict.chi == q,
+                   f"chi = {verdict.chi} via {verdict.reason[0]}")
+        else:
+            bounds_ok = verdict.upper is None or verdict.lower <= verdict.upper
+            _claim(claims, "chromatic-bounds", bounds_ok,
+                   f"bounds [{verdict.lower}, {verdict.upper}]")
+            if verdict.conjecture is not None and verdict.upper is not None:
+                _claim(claims, "chromatic-conjecture",
+                       verdict.upper == verdict.conjecture,
+                       f"upper bound {verdict.upper} vs conjectured {verdict.conjecture}",
+                       conjectural=True)
 
-    cm = verdict.mapping
-    if cm is None and q <= 16:
-        cm = find_complete_mapping(g)
-    if q <= 16:
+    # For even m the verdict has already looked for a complete mapping.  The
+    # search fallback is capped (order 16, for groups no certificate covers);
+    # past it the claim is left out.
+    try:
+        searched = verdict is not None and m % 2 == 0
+        cm = verdict.mapping if searched else find_complete_mapping(g)
+    except CapExceededError:
+        pass
+    else:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")
 
     if m >= 2:
-        perms = symmetry.diagonal_group_generators(g, m, cfg.vertex_cap)
+        aut = automorphism_group(g)
+        perms = symmetry.diagonal_group_generators(g, m, cfg.vertex_cap, aut=aut)
         # One chain serves the order and the primitivity claims; past the
         # point cap both are left out.  It is released before the orbit
         # counts build their arrays.
@@ -202,7 +220,7 @@ def run_check_all(cfg: RunConfig) -> dict:
             order = chain.order()
             prim = symmetry.is_vertex_primitive(g, m, perms=perms, chain=chain)
             del chain
-            formula = symmetry.diagonal_group_order_formula(g, m)
+            formula = symmetry.diagonal_group_order_formula(g, m, aut=aut)
             _claim(claims, "symmetry-order", order == formula,
                    f"Schreier-Sims order {order}, formula {formula}")
         _claim(claims, "vertex-transitive",
@@ -264,9 +282,8 @@ def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
             if g.order**m > vertex_limit:
                 return {"group": spec, "m": m, "skipped": True}
             return run_check_all(local)
-        except DiagLabError as exc:
-            return {"group": spec, "m": m, "error": str(exc), "ok": False}
-        except ValueError as exc:
+        except (DiagLabError, ValueError, AssertionError) as exc:
+            # One instance's failure is its own entry; the rest still run.
             return {"group": spec, "m": m, "error": str(exc), "ok": False}
 
     if jobs > 1:

@@ -13,6 +13,7 @@ from math import ceil
 
 from .errors import CapExceededError
 from .groups import GroupTable
+from .partitions import Partition
 from .semilattice import (
     DEFAULT_VERTEX_CAP,
     VertexCodec,
@@ -74,14 +75,23 @@ def _graph_from_edges(
     )
 
 
-def build_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
+def build_graph(
+    g: GroupTable,
+    m: int,
+    cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    minimals: list[Partition] | None = None,
+) -> DiagGraph:
     """Adjacency from the minimal partitions: joined iff some part of some
-    Q_i contains both vertices.  For m = 1 this is the complete graph."""
+    Q_i contains both vertices.  For m = 1 this is the complete graph.
+    ``minimals``, when given, must be ``minimal_partitions(g, m)``."""
     if g.order < 2:
         raise ValueError("group order must be >= 2 for a diagonal graph")
     codec = vertex_codec(g, m, cap)
+    if minimals is None:
+        minimals = minimal_partitions(g, m, cap)
     tagged: dict[tuple[int, int], int] = {}
-    for i, part in enumerate(minimal_partitions(g, m, cap)):
+    for i, part in enumerate(minimals):
         for block in part.blocks():
             for a in range(len(block)):
                 for b in range(a + 1, len(block)):
@@ -314,13 +324,18 @@ class CliqueReport:
 
 
 def maximal_cliques(
-    g: GroupTable, graph: DiagGraph, cap: int = 4096
+    g: GroupTable,
+    graph: DiagGraph,
+    cap: int = 4096,
+    *,
+    minimals: list[Partition] | None = None,
 ) -> CliqueReport:
     """Enumerate maximal cliques and check them against the partition parts.
 
     Outside the four exceptional graphs the maximum cliques must be exactly
     the parts of the minimal partitions; for dimension > 2 every maximal
-    clique is such a part.
+    clique is such a part.  ``minimals``, when given, must be
+    ``minimal_partitions(g, graph.m)``.
     """
     if graph.size > cap:
         raise CapExceededError(f"{graph.size} vertices exceeds clique cap {cap}")
@@ -330,7 +345,7 @@ def maximal_cliques(
 
     parts = {
         tuple(sorted(block))
-        for part in minimal_partitions(g, graph.m)
+        for part in (minimal_partitions(g, graph.m) if minimals is None else minimals)
         for block in part.blocks()
         if len(block) >= 2
     }

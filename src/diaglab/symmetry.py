@@ -54,42 +54,36 @@ class TaggedPerm:
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Greedy generating subset of a closed permutation list."""
+    """Greedy generating subset of a closed permutation list: in sorted
+    order, each permutation that the ones kept so far do not generate
+    (membership by sifting through their stabiliser chain)."""
     if not perms:
         return []
-    n = len(perms[0])
-    identity = tuple(range(n))
+    chain = StabilizerChain(len(perms[0]))
     gens: list[tuple[int, ...]] = []
-    closure = {identity}
     for p in sorted(perms):
-        if p in closure:
+        perm = np.asarray(p, dtype=chain.dtype)
+        if chain._sift(perm, 0)[0] is None:
             continue
         gens.append(p)
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closure):
-                    for c in (
-                        tuple(b[x] for x in a),
-                        tuple(a[x] for x in b),
-                    ):
-                        if c not in closure:
-                            closure.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        if len(closure) == len(perms):
+        chain.add_generator(perm)
+        if chain.order() == len(perms):
             break
     return gens
 
 
 def diagonal_group_generators(
-    g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP
+    g: GroupTable,
+    m: int,
+    cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    aut: list[tuple[int, ...]] | None = None,
 ) -> list[TaggedPerm]:
     """Explicit image arrays for a generating set of the diagonal group.
 
     Uses generating sequences of G and of Aut(G) rather than full element
     lists; identity permutations are dropped and duplicates removed.
+    ``aut``, when given, must be ``automorphism_group(g)``.
     """
     codec = vertex_codec(g, m, cap)
     n = codec.size
@@ -109,7 +103,9 @@ def diagonal_group_generators(
     for x in gens_g:
         xi = g.inv[x]
         emit("diag-left-mult", lambda t, xi=xi: tuple(g.mul[xi][e] for e in t))
-    for alpha in _perm_group_generators(automorphism_group(g)):
+    if aut is None:
+        aut = automorphism_group(g)
+    for alpha in _perm_group_generators(aut):
         emit("aut", lambda t, alpha=alpha: tuple(alpha[e] for e in t))
     if m >= 2:
         emit("coord-perm", lambda t: (t[1], t[0]) + t[2:])
@@ -122,8 +118,13 @@ def diagonal_group_generators(
     return out
 
 
-def diagonal_group_order_formula(g: GroupTable, m: int) -> int:
-    return g.order**m * len(automorphism_group(g)) * factorial(m + 1)
+def diagonal_group_order_formula(
+    g: GroupTable, m: int, *, aut: list[tuple[int, ...]] | None = None
+) -> int:
+    """|G|^m * |Aut(G)| * (m+1)!; ``aut``, when given, is Aut(G) itself."""
+    if aut is None:
+        aut = automorphism_group(g)
+    return g.order**m * len(aut) * factorial(m + 1)
 
 
 class StabilizerChain:
@@ -572,12 +573,13 @@ def symmetry_report(
     if m < 2:
         raise ValueError("symmetry analysis needs m >= 2 (the minimal "
                          "partitions coincide at m = 1)")
-    perms = diagonal_group_generators(g, m, cap)
+    aut = automorphism_group(g)
+    perms = diagonal_group_generators(g, m, cap, aut=aut)
     chain = build_chain(perms)
     order = chain.order()
     prim = is_vertex_primitive(g, m, perms=perms, chain=chain)
     del chain
-    formula = diagonal_group_order_formula(g, m)
+    formula = diagonal_group_order_formula(g, m, aut=aut)
     vertex_orbits = orbit_count(perms, list(range(graph.size)))
     edge_orbits = orbit_count(perms, graph.edges())
     clique_orbits = orbit_count(perms, sorted(cliques)) if cliques else None

@@ -13,10 +13,11 @@ from diaglab.chromatic import (
     latin_square_coloring,
     q_coloring,
     reduce_hom,
+    search_complete_mapping,
     validate_coloring,
 )
 from diaglab.errors import CapExceededError
-from diaglab.groups import cyclic, parse_group_spec
+from diaglab.groups import cyclic, dihedral, parse_group_spec
 
 from conftest import graph_of, group_of
 
@@ -65,8 +66,14 @@ def test_complete_mapping_v4():
 
 
 def test_complete_mapping_cap():
+    # The order-16 cap guards only the backtracking search.  C17 has the
+    # odd-order witness; D10 (order 20, Sylow 2-subgroup C2xC2) has a
+    # complete mapping that no construction here covers.
     with pytest.raises(CapExceededError):
-        find_complete_mapping(cyclic(17))
+        search_complete_mapping(cyclic(17))
+    assert find_complete_mapping(cyclic(17)) is not None
+    with pytest.raises(CapExceededError):
+        find_complete_mapping(dihedral(10))
 
 
 @pytest.mark.parametrize(

@@ -311,7 +311,7 @@ def test_check_all_past_chain_cap_leaves_out_chain_claims(capsys, monkeypatch,
 
 
 def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
-    from diaglab import semilattice, symmetry
+    from diaglab import groups, semilattice, symmetry
 
     calls: dict[str, int] = {}
 
@@ -322,13 +322,86 @@ def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        # every diaglab module that bound the function by name
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("diaglab")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, wrapper)
 
     counted(semilattice, "minimal_partitions")
     counted(semilattice, "subset_suprema")
     counted(symmetry, "diagonal_group_generators")
     counted(symmetry, "build_chain")
+    counted(groups, "automorphism_group")
     code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
     assert code == EXIT_OK
     assert calls == {"minimal_partitions": 1, "subset_suprema": 1,
-                     "diagonal_group_generators": 1, "build_chain": 1}
+                     "diagonal_group_generators": 1, "build_chain": 1,
+                     "automorphism_group": 1}
+
+
+def test_check_all_needs_no_exact_colouring(capsys, monkeypatch):
+    from diaglab import chromatic
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("exact colouring search called")
+
+    monkeypatch.setattr(chromatic, "chromatic_number_exact", refuse)
+    for group, m in [("C2", "2"), ("C4", "2"), ("C6", "2"), ("S3", "2"),
+                     ("C2", "4"), ("C8", "2")]:
+        code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", m)
+        assert code == EXIT_OK, (group, m)
+        data = json.loads(out)
+        claims = {c["claim"]: c for c in data["claims"]}
+        q = data["q"]
+        assert claims["chromatic-bounds"]["detail"] == f"bounds [{q}, {q + 2}]"
+        assert claims["chromatic-conjecture"]["passed"] is True
+    for group in ("C17", "C5xC5"):
+        code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", "2")
+        assert code == EXIT_OK, group
+        claims = {c["claim"]: c for c in json.loads(out)["claims"]}
+        assert claims["hall-paige"]["passed"] is True
+        assert claims["chromatic-number"]["passed"] is True
+
+
+def test_check_all_contains_chromatic_assertion(capsys, monkeypatch, ledger_validator):
+    from diaglab import cli
+
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("injected colouring failure")
+
+    monkeypatch.setattr(cli, "chromatic_verdict", broken)
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["failures"] == ["chromatic-number"]
+    assert [c["claim"] for c in data["claims"]] == full
+    failed = next(c for c in data["claims"] if c["claim"] == "chromatic-number")
+    assert failed["detail"] == "injected colouring failure"
+
+
+def test_grid_contains_instance_assertion(capsys, monkeypatch):
+    from diaglab import cli
+
+    original = cli.run_check_all
+
+    def broken_for_c3(cfg):
+        if cfg.group == "C3":
+            raise AssertionError("injected instance failure")
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "run_check_all", broken_for_c3)
+    code, out, _ = run_cli(capsys, "grid", "--groups", "C2,C3,C4", "--m-min", "2",
+                           "--m-max", "2")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    assert data["ran"] == 3 and data["failed"] == 1
+    by_group = {e["group"]: e for e in data["instances"]}
+    assert by_group["C3"] == {"group": "C3", "m": 2, "error": "injected instance failure",
+                              "ok": False}
+    assert by_group["C2"]["ok"] is True and by_group["C4"]["ok"] is True
+
