@@ -156,7 +156,7 @@ def run_check_all(cfg: RunConfig) -> dict:
         except AssertionError as exc:
             creport = None
             _claim(claims, "clique-structure", False, str(exc))
-        cover = diaggraph.clique_cover(g, graph)
+        cover = diaggraph.clique_cover(g, graph, minimals=minimals)
         _claim(claims, "clique-cover", cover.size == q ** (m - 1),
                f"{cover.size} disjoint cliques, lower bound {cover.lower_bound}")
     else:
@@ -454,9 +454,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
     if cmd == "cliques":
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap)
-        rep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap)
-        cover = diaggraph.clique_cover(g, graph)
+        minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
+        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
+        rep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap, minimals=minimals)
+        cover = diaggraph.clique_cover(g, graph, minimals=minimals)
         data = {
             "clique_number": rep.clique_number,
             "maximal_cliques": rep.count,
@@ -474,12 +475,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "symmetry":
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap)
+        minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
+        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
         cliques = None
         if graph.size <= cfg.clique_cap:
-            crep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap)
+            crep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap,
+                                             minimals=minimals)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
-        rep = symmetry.symmetry_report(g, cfg.m, graph, cliques, cfg.vertex_cap)
+        rep = symmetry.symmetry_report(g, cfg.m, graph, cliques, cfg.vertex_cap,
+                                       minimals=minimals)
         _emit(_render(rep.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 

@@ -8,6 +8,7 @@ is a constant non-identity tuple).  ``same_edge_set`` asserts they agree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import ceil
 
@@ -17,6 +18,7 @@ from .partitions import Partition
 from .semilattice import (
     DEFAULT_VERTEX_CAP,
     VertexCodec,
+    build_q,
     minimal_partitions,
     vertex_codec,
 )
@@ -280,33 +282,65 @@ def exceptional_key(g: GroupTable, m: int) -> tuple[int, int, str] | None:
 
 
 def _bk_expand(
-    r: list[int], p: set[int], x: set[int],
-    nbr: list[set[int]], cliques: list[tuple[int, ...]],
+    r: list[int], p: int, x: int, nbr: list[int], cliques: list[tuple[int, ...]],
 ) -> None:
-    if not p and not x:
-        cliques.append(tuple(sorted(r)))
+    if not p:
+        if not x:
+            cliques.append(tuple(sorted(r)))
         return
-    pivot = max(p | x, key=lambda u: (len(p & nbr[u]), -u))
-    for v in sorted(p - nbr[pivot]):
+    # Tomita pivot: the vertex of P | X with the most neighbours in P.  Bits
+    # are taken high to low one at a time; no list of them is ever built.
+    size = p.bit_count()
+    best = pivot = -1
+    b = x
+    while b:
+        u = b.bit_length() - 1
+        b ^= 1 << u
+        c = (p & nbr[u]).bit_count()
+        if c == size:
+            return  # u extends every clique of this branch
+        if c > best:
+            best, pivot = c, u
+    b = p if best < size - 1 else 0
+    while b:
+        u = b.bit_length() - 1
+        b ^= 1 << u
+        c = (p & nbr[u]).bit_count()
+        if c > best:
+            best, pivot = c, u
+            if c == size - 1:
+                break
+    b = p & ~nbr[pivot]
+    while b:
+        v = b.bit_length() - 1
+        bit = 1 << v
+        b ^= bit
         _bk_expand(r + [v], p & nbr[v], x & nbr[v], nbr, cliques)
-        p.remove(v)
-        x.add(v)
+        p ^= bit
+        x |= bit
 
 
-def bron_kerbosch(adjacency: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All maximal cliques, via pivoting over a fixed vertex order.
+def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All maximal cliques, each once as a sorted tuple (Bron-Kerbosch over
+    Python-int bitsets with Tomita's pivot).
 
-    The outer loop peels vertices in index order (each vertex only looks at
-    later neighbours), which keeps subproblems at most the size of a
-    neighbourhood.  The recursion is a module-level function, not a closure,
-    so no reference cycle keeps the sets alive after the call returns.
+    The outer loop peels vertices in index order: vertex v branches on its
+    later neighbours and excludes its earlier ones, which keeps subproblems
+    at most the size of a neighbourhood.  The pivot maximises the number of
+    neighbours in P over P | X, and its scan stops early in two places,
+    neither of which changes the output.  A vertex of X adjacent to all of P
+    ends the branch at once: it extends every clique the branch could report,
+    so none of them is maximal (the full pivot rule would choose that vertex
+    and branch on nothing).  A vertex of P reaches at most |P| - 1, so the
+    first one that does is a best pivot; any pivot yields the same cliques.
+    The recursion is a module-level function, not a closure, so no reference
+    cycle keeps its state alive after the call returns.
     """
-    nbr = [set(a) for a in adjacency]
+    nbr = [sum(1 << u for u in a) for a in adjacency]
     cliques: list[tuple[int, ...]] = []
-    for v in range(len(adjacency)):
-        later = {u for u in nbr[v] if u > v}
-        earlier = {u for u in nbr[v] if u < v}
-        _bk_expand([v], later, earlier, nbr, cliques)
+    for v, bits in enumerate(nbr):
+        later = bits >> (v + 1) << (v + 1)
+        _bk_expand([v], later, bits ^ later, nbr, cliques)
     return cliques
 
 
@@ -397,12 +431,13 @@ class CliqueCover:
         return len(self.parts)
 
 
-def clique_cover(g: GroupTable, graph: DiagGraph) -> CliqueCover:
+def clique_cover(
+    g: GroupTable, graph: DiagGraph, *, minimals: list[Partition] | None = None
+) -> CliqueCover:
     """Vertex-disjoint clique cover from the parts of Q_1 (q^(m-1) cliques),
-    with the matching lower bound size/q."""
-    from .semilattice import build_q
-
-    part = build_q(g, graph.m, 1)
+    with the matching lower bound size/q.  ``minimals``, when given, must be
+    ``minimal_partitions(g, graph.m)``."""
+    part = build_q(g, graph.m, 1) if minimals is None else minimals[1]
     blocks = [tuple(sorted(b)) for b in part.blocks()]
     nbr = [set(a) for a in graph.adjacency]
     covered: set[int] = set()
@@ -530,23 +565,3 @@ def export_graph(graph: DiagGraph, fmt: str) -> str:
         return to_edgelist(graph)
     raise ValueError(f"unknown export format: {fmt!r}")
 
-
-def property_report(g: GroupTable, graph: DiagGraph, clique_cap: int = 4096) -> dict:
-    """JSON-ready summary of the graph's headline parameters."""
-    diam = diameter(graph)
-    dr, arrays = is_distance_regular(graph)
-    report = {
-        "q": graph.q,
-        "m": graph.m,
-        "N": graph.size,
-        "valency": graph.valency,
-        "edges": graph.edge_count(),
-        "diameter": diam.bfs,
-        "diameter_formula": diam.formula,
-        "dr": dr,
-    }
-    if arrays is not None and dr:
-        report["intersection_array"] = [list(arrays[0]), list(arrays[1])]
-    if graph.size <= clique_cap:
-        report["clique_number"] = maximal_cliques(g, graph, clique_cap).clique_number
-    return report

@@ -91,6 +91,14 @@ class GroupTable:
         return f"GroupTable({self.label!r}, order={self.order})"
 
 
+def _check_order(order: int, label: str) -> None:
+    """Refuse a table above MAX_GROUP_ORDER before any of it is built."""
+    if order > MAX_GROUP_ORDER:
+        raise CapExceededError(
+            f"{label} has order {order}, above the group order cap {MAX_GROUP_ORDER}"
+        )
+
+
 def _finish_table(
     order: int,
     mul: list[list[int]],
@@ -144,6 +152,7 @@ def cyclic(n: int) -> GroupTable:
     """Cyclic group C_n; element i is the i-th power of the generator."""
     if n < 1:
         raise GroupParseError("cyclic group order must be >= 1")
+    _check_order(n, f"C{n}")
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     return _finish_table(n, mul, f"C{n}")
 
@@ -156,6 +165,7 @@ def dihedral(n: int) -> GroupTable:
     if n < 3:
         raise GroupParseError("dihedral Dn requires n >= 3")
     order = 2 * n
+    _check_order(order, f"D{n}")
     mul = [[0] * order for _ in range(order)]
     for e1 in (0, 1):
         for i1 in range(n):
@@ -243,6 +253,7 @@ def from_table_text(text: str, label: str = "file") -> GroupTable:
         order = int(lines[0].strip())
     except ValueError as exc:
         raise GroupParseError(f"bad order line: {lines[0]!r}") from exc
+    _check_order(order, label)
     if len(lines) != order + 1:
         raise GroupParseError(f"expected {order} table rows, found {len(lines) - 1}")
     mul = []
@@ -257,9 +268,13 @@ def from_table_text(text: str, label: str = "file") -> GroupTable:
 
 def load_table_file(path: str | Path) -> GroupTable:
     p = Path(path)
-    if not p.is_file():
-        raise GroupParseError(f"table file not found: {p}")
-    return from_table_text(p.read_text(), label=f"file:{p.name}")
+    try:
+        if not p.is_file():
+            raise GroupParseError(f"table file not found: {p}")
+        text = p.read_text()
+    except OSError as exc:  # a name too long, a file that cannot be read
+        raise GroupParseError(f"cannot read table file {p}: {exc.strerror}") from exc
+    return from_table_text(text, label=f"file:{p.name}")
 
 
 _ATOM_RE = re.compile(r"^(C|D|S|A)([0-9]+)$")

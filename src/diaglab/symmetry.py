@@ -569,7 +569,10 @@ def symmetry_report(
     graph: DiagGraph,
     cliques: list[tuple[int, ...]] | None = None,
     cap: int = DEFAULT_VERTEX_CAP,
+    *,
+    minimals: list[Partition] | None = None,
 ) -> SymmetryReport:
+    """``minimals``, when given, must be ``minimal_partitions(g, m)``."""
     if m < 2:
         raise ValueError("symmetry analysis needs m >= 2 (the minimal "
                          "partitions coincide at m = 1)")
@@ -583,7 +586,9 @@ def symmetry_report(
     vertex_orbits = orbit_count(perms, list(range(graph.size)))
     edge_orbits = orbit_count(perms, graph.edges())
     clique_orbits = orbit_count(perms, sorted(cliques)) if cliques else None
-    induced = action_on_partitions(perms, minimal_partitions(g, m, cap))
+    if minimals is None:
+        minimals = minimal_partitions(g, m, cap)
+    induced = action_on_partitions(perms, minimals)
     return SymmetryReport(
         order=order,
         order_formula=formula,

@@ -310,9 +310,10 @@ def test_check_all_past_chain_cap_leaves_out_chain_claims(capsys, monkeypatch,
     assert code == EXIT_CAP and "BSGS cap 64" in err
 
 
-def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
-    from diaglab import groups, semilattice, symmetry
-
+@pytest.fixture
+def call_counts(monkeypatch):
+    """``(counted, calls)``: ``counted(module, name)`` wraps the function so
+    that ``calls[name]`` counts its calls."""
     calls: dict[str, int] = {}
 
     def counted(module, name):
@@ -328,6 +329,13 @@ def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
                     and getattr(mod, name, None) is original):
                 monkeypatch.setattr(mod, name, wrapper)
 
+    return counted, calls
+
+
+def test_check_all_builds_each_artefact_once(capsys, call_counts):
+    from diaglab import groups, semilattice, symmetry
+
+    counted, calls = call_counts
     counted(semilattice, "minimal_partitions")
     counted(semilattice, "subset_suprema")
     counted(symmetry, "diagonal_group_generators")
@@ -338,6 +346,35 @@ def test_check_all_builds_each_artefact_once(capsys, monkeypatch):
     assert calls == {"minimal_partitions": 1, "subset_suprema": 1,
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1}
+
+
+@pytest.mark.parametrize("command", ["cliques", "symmetry"])
+def test_graph_commands_build_minimal_partitions_once(capsys, call_counts, command):
+    from diaglab import semilattice
+
+    counted, calls = call_counts
+    counted(semilattice, "minimal_partitions")
+    counted(semilattice, "build_q")
+    code, _, _ = run_cli(capsys, command, "--group", "C3", "--m", "3")
+    assert code == EXIT_OK
+    assert calls == {"minimal_partitions": 1, "build_q": 4}
+
+
+def test_oversized_group_atom_exits_at_cap():
+    # The cap is checked before the table is built.  The child gets a 1 GiB
+    # address-space limit, so a regression that allocates the 10^10-entry
+    # table fails with a MemoryError instead of exhausting the host.
+    import resource
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "diaglab", "build", "--group", "C100000", "--m", "1"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60,
+    )
+    assert proc.returncode == EXIT_CAP
+    assert "above the group order cap 512" in proc.stderr
 
 
 def test_check_all_needs_no_exact_colouring(capsys, monkeypatch):

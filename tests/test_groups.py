@@ -4,14 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab.errors import CapExceededError, GroupParseError, GroupValidationError
+from diaglab.errors import (
+    CapExceededError,
+    DiagLabError,
+    GroupParseError,
+    GroupValidationError,
+)
 from diaglab.groups import (
+    MAX_GROUP_ORDER,
+    GroupTable,
     alternating,
     automorphism_group,
     cyclic,
     dihedral,
     direct_product,
     element_orders,
+    from_table_text,
     generating_sequence,
     is_elementary_abelian,
     is_simple_nonabelian,
@@ -63,6 +71,68 @@ def test_direct_product_identity_factor():
 def test_direct_product_cap():
     with pytest.raises(CapExceededError):
         direct_product(symmetric(5), symmetric(5))
+
+
+@pytest.mark.parametrize("spec", ["C513", "C600", "D257", "D300", "C2xC300"])
+def test_single_atoms_are_capped(spec):
+    with pytest.raises(CapExceededError):
+        parse_group_spec(spec)
+
+
+def test_atoms_at_the_cap_are_built():
+    assert parse_group_spec("C512").order == parse_group_spec("D256").order == 512
+
+
+def test_table_text_is_capped():
+    with pytest.raises(CapExceededError):
+        from_table_text("600\n0\n")
+
+
+def test_unreadable_table_file_is_a_parse_error():
+    with pytest.raises(GroupParseError, match="cannot read table file"):
+        parse_group_spec("file:" + "a" * 5000)
+
+
+def _accepted_or_refused(parse, arg) -> None:
+    """``parse(arg)`` gives a table within the cap or a diaglab error, which
+    the command line turns into exit code 2 or 3."""
+    try:
+        g = parse(arg)
+    except DiagLabError:
+        return
+    assert isinstance(g, GroupTable) and 1 <= g.order <= MAX_GROUP_ORDER
+
+
+_ATOMS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("CDSA"), st.integers(0, 700)),
+    st.sampled_from(["Q8", "", "C", "x", "8Q", " C2", "C-1", "C02"]),
+    st.text(alphabet="CDSAQx0123456789 ", max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(_ATOMS, min_size=1, max_size=3).map("x".join), st.text(max_size=12)))
+def test_parse_group_spec_fuzz(spec):
+    _accepted_or_refused(parse_group_spec, spec)
+
+
+@st.composite
+def _table_texts(draw):
+    n = draw(st.integers(-1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, 6), max_size=6), max_size=6))
+    if draw(st.booleans()):  # a well-formed C_n, sometimes damaged below
+        rows = [[(a + b) % max(n, 1) for b in range(n)] for a in range(n)]
+    lines = [str(n)] + [" ".join(map(str, r)) for r in rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.text(max_size=6))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_table_texts(), st.text(max_size=30)))
+def test_from_table_text_fuzz(text):
+    _accepted_or_refused(from_table_text, text)
 
 
 def test_element_orders_c4():
