@@ -54,10 +54,9 @@ def check_against_oracle(adjacency) -> None:
 
 
 def complement(adjacency) -> tuple[tuple[int, ...], ...]:
-    n = len(adjacency)
+    everyone = set(range(len(adjacency)))
     return tuple(
-        tuple(u for u in range(n) if u != v and u not in set(adjacency[v]))
-        for v in range(n)
+        tuple(sorted(everyone - set(a) - {v})) for v, a in enumerate(adjacency)
     )
 
 
