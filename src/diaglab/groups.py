@@ -288,7 +288,15 @@ def _parse_atom(atom: str) -> GroupTable:
     m = _ATOM_RE.match(atom)
     if not m:
         raise GroupParseError(f"unrecognised group atom: {atom!r}")
-    kind, n = m.group(1), int(m.group(2))
+    kind, digits = m.group(1), m.group(2).lstrip("0")
+    # A number with more digits than the cap names a group above it, for
+    # every kind; int() would refuse one past 4300 digits with a ValueError.
+    if len(digits) > len(str(MAX_GROUP_ORDER)):
+        raise CapExceededError(
+            f"{kind} with a {len(digits)}-digit index is above the group order "
+            f"cap {MAX_GROUP_ORDER}"
+        )
+    n = int(digits or "0")
     if kind == "C":
         return cyclic(n)
     if kind == "D":

@@ -377,6 +377,14 @@ def test_oversized_group_atom_exits_at_cap():
     assert "above the group order cap 512" in proc.stderr
 
 
+def test_over_long_group_atom_exits_at_cap(capsys):
+    code, out, err = run_cli(capsys, "check-all", "--group", "C" + "9" * 5000,
+                             "--m", "2")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "5000-digit index is above the group order cap 512" in err
+
+
 def test_check_all_needs_no_exact_colouring(capsys, monkeypatch):
     from diaglab import chromatic
 

@@ -83,6 +83,18 @@ def test_atoms_at_the_cap_are_built():
     assert parse_group_spec("C512").order == parse_group_spec("D256").order == 512
 
 
+@pytest.mark.parametrize("spec", ["C" + "9" * 5000, "D" + "1" * 4400, "S1000",
+                                  "C2x" + "A" + "7" * 5000])
+def test_over_long_atoms_are_capped(spec):
+    # the digit count is compared before int() sees the digits
+    with pytest.raises(CapExceededError, match="digit index is above the group order cap"):
+        parse_group_spec(spec)
+
+
+def test_leading_zeros_do_not_count_toward_the_cap():
+    assert parse_group_spec("C" + "0" * 5000 + "7").order == 7
+
+
 def test_table_text_is_capped():
     with pytest.raises(CapExceededError):
         from_table_text("600\n0\n")
