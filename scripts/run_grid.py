@@ -22,7 +22,6 @@ def main() -> int:
     ap.add_argument("--m-min", type=int, default=2)
     ap.add_argument("--m-max", type=int, default=5)
     ap.add_argument("--max-vertices", type=int, default=4096)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="grid_report.json")
     args = ap.parse_args()
 
@@ -33,7 +32,6 @@ def main() -> int:
         list(range(args.m_min, args.m_max + 1)),
         cfg,
         args.max_vertices,
-        args.jobs,
     )
     report["elapsed_seconds"] = round(time.time() - started, 1)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import diaggraph, semilattice, spectral, symmetry
@@ -35,24 +34,30 @@ class RunConfig:
     group: str = ""
     m: int = 2
     vertex_cap: int = DEFAULT_VERTEX_CAP
-    clique_cap: int = 4096
-    exact_cap: int = 64
     fmt: str = "json"
     paranoid: bool = False
     exact: bool = False
     out: str | None = None
 
 
-def default_vertex_cap() -> int:
-    env = os.environ.get("DIAGLAB_CAP_VERTICES")
-    if env:
+def resolve_vertex_cap(flag: int | None) -> int:
+    """``--cap-vertices`` if given, else ``DIAGLAB_CAP_VERTICES``, else the
+    default; a cap below 1 is a usage error."""
+    cap, source = flag, "--cap-vertices"
+    if cap is None:
+        env = os.environ.get("DIAGLAB_CAP_VERTICES")
+        if not env:
+            return DEFAULT_VERTEX_CAP
+        source = "DIAGLAB_CAP_VERTICES"
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise DiagLabError(
                 f"DIAGLAB_CAP_VERTICES must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_VERTEX_CAP
+    if cap < 1:
+        raise DiagLabError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _render(data: dict, fmt: str) -> str:
@@ -143,10 +148,9 @@ def run_check_all(cfg: RunConfig) -> dict:
         _claim(claims, "stratum-identities", spectral.verify_stratum_identity(q, m),
                "interval dimension sums and multiplicity grouping")
 
-    if graph.size <= cfg.clique_cap:
+    if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
         try:
-            creport = diaggraph.maximal_cliques(g, graph, cfg.clique_cap,
-                                                minimals=minimals)
+            creport = diaggraph.maximal_cliques(g, graph, minimals=minimals)
             detail = (
                 f"{creport.count} maximal cliques, clique number {creport.clique_number}"
             )
@@ -172,8 +176,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     proven_case = m % 2 == 1 or hall_paige_predicate(g)
     try:
-        verdict = chromatic_verdict(g, m, exact=cfg.exact, exact_cap=cfg.exact_cap,
-                                    graph=graph)
+        verdict = chromatic_verdict(g, m, exact=cfg.exact, graph=graph)
     except CapExceededError:
         # Past a cap, e.g. a Hall-Paige group whose complete mapping only
         # the capped search could find, the chromatic claim is left out.
@@ -267,15 +270,10 @@ def _instance_key(entry: dict) -> tuple:
 
 
 def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
-             vertex_limit: int, jobs: int = 1) -> dict:
+             vertex_limit: int) -> dict:
     """check-all across a grid of instances, skipping oversize ones."""
-    tasks = []
-    for spec in groups:
-        for m in m_values:
-            tasks.append((spec, m))
 
-    def one(task: tuple[str, int]) -> dict:
-        spec, m = task
+    def one(spec: str, m: int) -> dict:
         local = replace(cfg, group=spec, m=m)
         try:
             g = parse_group_spec(spec)
@@ -286,11 +284,7 @@ def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
             # One instance's failure is its own entry; the rest still run.
             return {"group": spec, "m": m, "error": str(exc), "ok": False}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, tasks))
-    else:
-        entries = [one(t) for t in tasks]
+    entries = [one(spec, m) for spec in groups for m in m_values]
     entries.sort(key=_instance_key)
     ran = [e for e in entries if not e.get("skipped")]
     failures = [e for e in ran if not e.get("ok")]
@@ -322,7 +316,7 @@ def _build_config(args: argparse.Namespace, with_m: bool = True) -> RunConfig:
         cfg.m = args.m
         if cfg.m < 1:
             raise DiagLabError("m must be >= 1")
-    cfg.vertex_cap = args.cap_vertices or default_vertex_cap()
+    cfg.vertex_cap = resolve_vertex_cap(args.cap_vertices)
     cfg.fmt = args.fmt or "json"
     cfg.paranoid = args.paranoid
     cfg.exact = args.exact
@@ -354,7 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--max-vertices", type=int, default=GRID_DEFAULT_VERTEX_LIMIT)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", dest="fmt", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--cap-vertices", type=int, default=None)
@@ -381,12 +374,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "grid":
         cfg = RunConfig()
-        cfg.vertex_cap = args.cap_vertices or default_vertex_cap()
+        cfg.vertex_cap = resolve_vertex_cap(args.cap_vertices)
         cfg.paranoid = args.paranoid
         cfg.exact = args.exact
         groups = [s for s in args.groups.split(",") if s]
         m_values = list(range(args.m_min, args.m_max + 1))
-        report = run_grid(groups, m_values, cfg, args.max_vertices, args.jobs)
+        report = run_grid(groups, m_values, cfg, args.max_vertices)
         _emit(_render(report, args.fmt or "json"), args.out)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
@@ -456,7 +449,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "cliques":
         minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
         graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
-        rep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap, minimals=minimals)
+        rep = diaggraph.maximal_cliques(g, graph, minimals=minimals)
         cover = diaggraph.clique_cover(g, graph, minimals=minimals)
         data = {
             "clique_number": rep.clique_number,
@@ -470,7 +463,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "chromatic":
-        verdict = chromatic_verdict(g, cfg.m, exact=cfg.exact, exact_cap=cfg.exact_cap)
+        verdict = chromatic_verdict(g, cfg.m, exact=cfg.exact)
         _emit(_render(verdict.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 
@@ -478,9 +471,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
         graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
         cliques = None
-        if graph.size <= cfg.clique_cap:
-            crep = diaggraph.maximal_cliques(g, graph, cfg.clique_cap,
-                                             minimals=minimals)
+        if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
+            crep = diaggraph.maximal_cliques(g, graph, minimals=minimals)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
         rep = symmetry.symmetry_report(g, cfg.m, graph, cliques, cfg.vertex_cap,
                                        minimals=minimals)

@@ -30,6 +30,9 @@ from .semilattice import (
 # grow with the square of the vertex count.
 PACK_BITS = 1 << 26
 
+# Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
+CLIQUE_VERTEX_CAP = 4096
+
 
 @dataclass(frozen=True)
 class DiagGraph:
@@ -360,7 +363,7 @@ class CliqueReport:
 def maximal_cliques(
     g: GroupTable,
     graph: DiagGraph,
-    cap: int = 4096,
+    cap: int = CLIQUE_VERTEX_CAP,
     *,
     minimals: list[Partition] | None = None,
 ) -> CliqueReport:

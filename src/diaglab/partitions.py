@@ -14,32 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class UnionFind:
-    """Disjoint-set forest with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -127,19 +102,49 @@ def infimum(p: Partition, q: Partition) -> Partition:
     return Partition.from_labels(zip(p.block_of, q.block_of))
 
 
+def components(n: int, links) -> np.ndarray:
+    """The smallest point of each point's connected component.
+
+    Each int array ``t`` in ``links`` joins point ``i`` to point ``t[i]``;
+    a link need not be a bijection.  Labels start as the points themselves
+    and only decrease, always to a point of the same component.  Each pass
+    pulls the label of ``t[i]`` into ``i``, pushes the label of ``i`` into
+    ``t[i]`` and then jumps pointers to a fixpoint.  The push is
+    ``np.minimum.at`` because a fancy assignment writes only the last of
+    repeated targets, so a smaller label could fail to spread.  After a
+    pass that changes nothing, both ends of every link carry one label,
+    and the smallest point of a component has kept its own.
+    """
+    links = [np.asarray(t, dtype=np.intp) for t in links]
+    lab = np.arange(n)
+    while True:
+        before = lab.copy()
+        for t in links:
+            np.minimum(lab, lab[t], out=lab)
+            np.minimum.at(lab, t, lab)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        if np.array_equal(lab, before):
+            return lab
+
+
 def supremum(p: Partition, q: Partition) -> Partition:
-    """Coarsening by connected components, via disjoint-set union."""
+    """Coarsening by connected components of the two block structures.
+
+    Each point is linked to the first point of its block in p and in q.
+    The component labels are smallest points, so in sorted order they
+    already number the blocks by first occurrence.
+    """
     _check_same_ground(p, q)
-    uf = UnionFind(p.size)
+    links = []
     for part in (p, q):
-        anchor = [-1] * part.block_count
-        for point in range(part.size):
-            b = part.block_of[point]
-            if anchor[b] == -1:
-                anchor[b] = point
-            else:
-                uf.union(anchor[b], point)
-    return Partition.from_labels(uf.find(x) for x in range(p.size))
+        b = np.asarray(part.block_of, dtype=np.intp)
+        links.append(np.unique(b, return_index=True)[1][b])
+    roots, canon = np.unique(components(p.size, links), return_inverse=True)
+    return Partition(p.size, tuple(canon.tolist()), len(roots))
 
 
 @dataclass(frozen=True)

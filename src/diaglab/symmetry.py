@@ -28,7 +28,7 @@ from .groups import (
     is_elementary_abelian,
     is_simple_nonabelian,
 )
-from .partitions import Partition, UnionFind
+from .partitions import Partition, components
 from .semilattice import DEFAULT_VERTEX_CAP, minimal_partitions, vertex_codec
 
 BSGS_POINT_CAP = 4096
@@ -335,9 +335,8 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
     Items may be vertices (ints), edges (sorted pairs) or cliques (sorted
     tuples); the action relabels entries through each permutation.  Items
     are rows of one int array; each generator maps the whole array, and the
-    orbits are the components of the resulting item maps, found by label
-    propagation with pointer jumping.  Raises AssertionError if some
-    generator maps an item outside the set.
+    orbits are the components of the resulting item maps.  Raises
+    AssertionError if some generator maps an item outside the set.
     """
     if not len(items):
         return 0
@@ -363,37 +362,30 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
         maps.append(found)
     del distinct
 
-    lab = np.arange(count)
-    while True:
-        before = lab.copy()
-        for f in maps:
-            np.minimum(lab, lab[f], out=lab)
-            lab[f] = np.minimum(lab[f], lab)
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
-        if np.array_equal(lab, before):
-            break
+    lab = components(count, maps)
     return int(np.count_nonzero(lab == np.arange(count)))
 
 
 def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
-    """True iff the minimal block system containing {0, v} is the whole set."""
-    uf = UnionFind(n)
-    uf.union(0, v)
-    queue = [(0, v)]
-    while queue:
-        a, b = queue.pop()
-        for p in perms:
-            x, y = p.image[a], p.image[b]
-            rx, ry = uf.find(x), uf.find(y)
-            if rx != ry:
-                uf.union(rx, ry)
-                queue.append((rx, ry))
-    root = uf.find(0)
-    return uf.size[root] == n
+    """True iff the minimal block system containing {0, v} is the whole set.
+
+    ``lab`` labels a partition by the smallest point of each block.  Each
+    round coarsens it by its image under every generator p, linking ``x``
+    to the image of the smallest point in the block of ``p^-1(x)``.  When a
+    round changes nothing, every generator maps the partition onto itself,
+    and each round only merged blocks that every such partition containing
+    {0, v} must merge.
+    """
+    images = [np.asarray(p.image, dtype=np.intp) for p in perms]
+    inverses = [np.argsort(p) for p in images]
+    lab = np.arange(n)
+    lab[v] = 0
+    while True:
+        images_of_lab = [p[lab[p_inv]] for p, p_inv in zip(images, inverses)]
+        joined = components(n, [lab] + images_of_lab)
+        if np.array_equal(joined, lab):
+            return not lab.any()
+        lab = joined
 
 
 @dataclass(frozen=True)
@@ -446,8 +438,9 @@ def is_vertex_primitive(
     """Block-system primitivity of the diagonal group action.
 
     The minimal block containing {0, v} depends only on the suborbit of v
-    under the stabiliser of 0, so one representative per suborbit is tested;
-    the suborbits come from the stabiliser level of the Schreier-Sims chain.
+    under the stabiliser of 0, so one representative per suborbit is tested:
+    the least point of each component of the stabiliser generators taken
+    from the Schreier-Sims chain.
     ``perms`` and ``chain``, when given, must be the diagonal group's
     generators and their chain; otherwise both are built here.
     """
@@ -459,29 +452,8 @@ def is_vertex_primitive(
     if n != g.order**m or chain.degree != n:
         raise ValueError(f"generators on {n} points and a chain on {chain.degree} "
                          f"given for {g.order}^{m} vertices")
-    stab_gens = chain.stabilizer_generators()
-
-    reps: list[int] = []
-    if stab_gens:
-        seen = [False] * n
-        seen[0] = True
-        for v in range(1, n):
-            if seen[v]:
-                continue
-            reps.append(v)
-            frontier = [v]
-            seen[v] = True
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s in stab_gens:
-                        y = int(s[x])
-                        if not seen[y]:
-                            seen[y] = True
-                            nxt.append(y)
-                frontier = nxt
-    else:
-        reps = list(range(1, n))
+    lab = components(n, chain.stabilizer_generators())
+    reps = [v for v in range(1, n) if lab[v] == v]
 
     primitive = all(minimal_block_trivial(perms, n, v) for v in reps)
     return PrimitivityReport(

@@ -1,0 +1,90 @@
+"""The connected-components code that ``partitions.components`` replaced,
+kept as test oracles: the disjoint-set forest, the supremum and the minimal
+block system search built on it, and the breadth-first suborbit search."""
+
+from __future__ import annotations
+
+from diaglab.partitions import Partition, _check_same_ground
+from diaglab.symmetry import TaggedPerm
+
+
+class UnionFind:
+    """Disjoint-set forest with path halving and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def unionfind_supremum(p: Partition, q: Partition) -> Partition:
+    """Coarsening by connected components, via disjoint-set union."""
+    _check_same_ground(p, q)
+    uf = UnionFind(p.size)
+    for part in (p, q):
+        anchor = [-1] * part.block_count
+        for point in range(part.size):
+            b = part.block_of[point]
+            if anchor[b] == -1:
+                anchor[b] = point
+            else:
+                uf.union(anchor[b], point)
+    return Partition.from_labels(uf.find(x) for x in range(p.size))
+
+
+def unionfind_minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
+    """True iff the minimal block system containing {0, v} is the whole set."""
+    uf = UnionFind(n)
+    uf.union(0, v)
+    queue = [(0, v)]
+    while queue:
+        a, b = queue.pop()
+        for p in perms:
+            x, y = p.image[a], p.image[b]
+            rx, ry = uf.find(x), uf.find(y)
+            if rx != ry:
+                uf.union(rx, ry)
+                queue.append((rx, ry))
+    root = uf.find(0)
+    return uf.size[root] == n
+
+
+def bfs_suborbit_representatives(n: int, stab_gens) -> list[int]:
+    """The least point of each orbit of the stabiliser of 0 on 1..n-1."""
+    seen = [False] * n
+    seen[0] = True
+    reps = []
+    for v in range(1, n):
+        if seen[v]:
+            continue
+        reps.append(v)
+        frontier = [v]
+        seen[v] = True
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in stab_gens:
+                    y = int(s[x])
+                    if not seen[y]:
+                        seen[y] = True
+                        nxt.append(y)
+            frontier = nxt
+    return reps

@@ -67,6 +67,21 @@ def test_env_var_cap(capsys, monkeypatch):
     assert code == EXIT_CAP
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["check-all", "--group", "C3", "--m", "2", "--cap-vertices", "0"], None),
+    (["check-all", "--group", "C3", "--m", "2", "--cap-vertices", "-5"], None),
+    (["check-all", "--group", "C3", "--m", "2"], "-1"),
+    (["grid", "--groups", "C2", "--m-max", "2", "--cap-vertices", "0"], None),
+])
+def test_vertex_cap_below_one_is_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("DIAGLAB_CAP_VERTICES", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 def test_semilattice_dot(capsys):
     code, out, _ = run_cli(capsys, "semilattice", "--group", "C2", "--m", "2")
     assert code == EXIT_OK
@@ -231,13 +246,6 @@ def test_grid_small(capsys):
     ran = [e for e in data["instances"] if not e.get("skipped")]
     assert {(e["group"], e["m"]) for e in ran} == {
         ("C2", 2), ("C2", 3), ("C3", 2), ("C3", 3)}
-
-
-def test_grid_with_jobs(capsys):
-    code, out, _ = run_cli(capsys, "grid", "--groups", "C2,C3", "--m-min", "2",
-                           "--m-max", "2", "--jobs", "2")
-    assert code == EXIT_OK
-    assert json.loads(out)["ok"] is True
 
 
 def test_grid_error_entries(capsys):

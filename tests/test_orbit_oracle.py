@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab.diaggraph import build_graph, maximal_cliques
-from diaglab.partitions import UnionFind
 from diaglab.symmetry import TaggedPerm, diagonal_group_generators, orbit_count
 
 from conftest import GRID, cliques_of, generators_of, graph_of, group_of
+from replaced import UnionFind
 
 
 def unionfind_orbit_count(perms: list[TaggedPerm], items: list) -> int:

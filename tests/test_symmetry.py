@@ -11,12 +11,14 @@ from diaglab.symmetry import (
     diagonal_group_order_formula,
     induced_symmetric_closure,
     is_vertex_primitive,
+    minimal_block_trivial,
     orbit_count,
     schreier_sims_order,
     symmetry_report,
 )
 
 from conftest import GRID, cliques_of, generators_of, graph_of, group_of
+from replaced import bfs_suborbit_representatives, unionfind_minimal_block_trivial
 
 
 def test_generators_are_bijections(grid):
@@ -75,8 +77,17 @@ def test_chain_order_c2_m9():
 def test_primitivity_with_given_chain(spec, m):
     g = group_of(spec)
     perms = list(generators_of(spec, m))
-    given = is_vertex_primitive(g, m, perms=perms, chain=build_chain(perms))
+    chain = build_chain(perms)
+    given = is_vertex_primitive(g, m, perms=perms, chain=chain)
     assert given == is_vertex_primitive(g, m)
+    # Suborbits and block systems against the BFS and union-find code that
+    # the components kernel replaced.
+    n = len(perms[0].image)
+    reps = bfs_suborbit_representatives(n, chain.stabilizer_generators())
+    assert given.analysed_points == len(reps)
+    verdicts = [minimal_block_trivial(perms, n, v) for v in reps]
+    assert verdicts == [unionfind_minimal_block_trivial(perms, n, v) for v in reps]
+    assert given.primitive == all(verdicts)
 
 
 def test_primitivity_rejects_mismatched_chain():
