@@ -13,19 +13,31 @@ import sys
 import time
 from pathlib import Path
 
-from diaglab.cli import GRID_DEFAULT_GROUPS, RunConfig, run_grid
+from diaglab.cli import (
+    EXIT_USAGE,
+    GRID_DEFAULT_GROUPS,
+    RunConfig,
+    resolve_vertex_cap,
+    run_grid,
+)
+from diaglab.errors import DiagLabError
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--groups", default=",".join(GRID_DEFAULT_GROUPS))
     ap.add_argument("--m-min", type=int, default=2)
     ap.add_argument("--m-max", type=int, default=5)
     ap.add_argument("--max-vertices", type=int, default=4096)
     ap.add_argument("--out", default="grid_report.json")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = RunConfig()
+    try:
+        cfg.vertex_cap = resolve_vertex_cap(None)  # DIAGLAB_CAP_VERTICES
+    except DiagLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     started = time.time()
     report = run_grid(
         [s for s in args.groups.split(",") if s],

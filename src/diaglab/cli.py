@@ -150,7 +150,8 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
         try:
-            creport = diaggraph.maximal_cliques(g, graph, minimals=minimals)
+            creport = diaggraph.maximal_cliques(g, graph, minimals=minimals,
+                                                paranoid=cfg.paranoid)
             detail = (
                 f"{creport.count} maximal cliques, clique number {creport.clique_number}"
             )
@@ -449,7 +450,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "cliques":
         minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
         graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
-        rep = diaggraph.maximal_cliques(g, graph, minimals=minimals)
+        rep = diaggraph.maximal_cliques(g, graph, minimals=minimals,
+                                        paranoid=cfg.paranoid)
         cover = diaggraph.clique_cover(g, graph, minimals=minimals)
         data = {
             "clique_number": rep.clique_number,
@@ -472,7 +474,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
         cliques = None
         if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
-            crep = diaggraph.maximal_cliques(g, graph, minimals=minimals)
+            crep = diaggraph.maximal_cliques(g, graph, minimals=minimals,
+                                             paranoid=cfg.paranoid)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
         rep = symmetry.symmetry_report(g, cfg.m, graph, cliques, cfg.vertex_cap,
                                        minimals=minimals)

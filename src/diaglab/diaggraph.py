@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
+
+import numpy as np
 
 from .errors import CapExceededError
 from .groups import GroupTable
@@ -32,6 +35,10 @@ PACK_BITS = 1 << 26
 
 # Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
 CLIQUE_VERTEX_CAP = 4096
+
+# The distance-regularity check searches a block of bases at once, as a
+# (vertex, neighbour, base) array of about this many entries.
+DISTANCE_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -347,6 +354,81 @@ def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return cliques
 
 
+def _padded_adjacency(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
+    """The adjacency lists as one (n, largest degree) array, each row padded
+    with the sentinel n."""
+    n = len(adjacency)
+    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    nbr = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    row = np.repeat(np.arange(n), degree)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(degree) - degree, degree)
+    nbr[row, col] = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                count=len(row))
+    return nbr
+
+
+def _translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]] | None:
+    """All maximal cliques as right translates of those through vertex 0,
+    or None when the graph is not certified to be invariant under right
+    translation.
+
+    The certificate reads only the adjacency and the group table: with
+    S = N(0), it checks N(v) = S·v (coordinatewise products) for every v.
+    Then u ~ w iff w ∈ S·u iff w·h ∈ S·u·h, so every v -> v·h is an
+    automorphism and each maximal clique K is a translate of K·k^-1, which
+    holds vertex 0 (the identity tuple) for each k in K.  The cliques
+    through 0 are {0} ∪ C for the maximal cliques C of the subgraph induced
+    on S.  For each h in K, exactly one of them, K·h^-1, translates by h to
+    K, and for h outside K none does; so keeping the translates whose
+    smallest vertex is h lists each K once.
+    """
+    adjacency = graph.adjacency
+    n = graph.size
+    q, m = graph.codec.q, graph.codec.m
+    if n == 0 or q != g.order or q**m != n:
+        return None
+    adj = _padded_adjacency(adjacency)
+    if (adj == n).any():  # not regular
+        return None
+    mul = np.asarray(g.mul, dtype=np.int64)
+    weight = q ** np.arange(m, dtype=np.int64)
+    digits = np.arange(n, dtype=np.int64)[:, None] // weight % q
+    vertices = np.arange(n, dtype=np.int64)
+
+    def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The vertex left·right, one table gather per coordinate."""
+        out = 0
+        for i in range(m):
+            out = out + mul[digits[left, i], digits[right, i]] * weight[i]
+        return out
+
+    if not np.array_equal(np.sort(product(adj[:1], vertices[:, None]), axis=1), adj):
+        return None
+    star = adjacency[0]
+    where = {v: j for j, v in enumerate(star)}
+    local = [tuple(where[w] for w in adjacency[v] if w in where) for v in star]
+    through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
+    cliques: list[tuple[int, ...]] = []
+    for base in through_zero or [(0,)]:
+        rows = np.sort(product(np.array(base)[None, :], vertices[:, None]), axis=1)
+        cliques.extend(map(tuple, rows[rows[:, 0] == vertices].tolist()))
+    return cliques
+
+
+def all_maximal_cliques(
+    g: GroupTable, graph: DiagGraph, *, paranoid: bool = False
+) -> list[tuple[int, ...]]:
+    """Every maximal clique, each once as a sorted tuple, in no set order.
+
+    They are translated from those through vertex 0 when the graph is
+    certified to be invariant under right translation (see
+    ``_translated_cliques``).  Otherwise, and under ``paranoid``,
+    Bron-Kerbosch runs over the whole graph.
+    """
+    cliques = None if paranoid else _translated_cliques(g, graph)
+    return bron_kerbosch(graph.adjacency) if cliques is None else cliques
+
+
 @dataclass(frozen=True)
 class CliqueReport:
     clique_number: int
@@ -366,17 +448,20 @@ def maximal_cliques(
     cap: int = CLIQUE_VERTEX_CAP,
     *,
     minimals: list[Partition] | None = None,
+    paranoid: bool = False,
 ) -> CliqueReport:
     """Enumerate maximal cliques and check them against the partition parts.
 
     Outside the four exceptional graphs the maximum cliques must be exactly
     the parts of the minimal partitions; for dimension > 2 every maximal
     clique is such a part.  ``minimals``, when given, must be
-    ``minimal_partitions(g, graph.m)``.
+    ``minimal_partitions(g, graph.m)``.  ``paranoid`` enumerates over the
+    whole graph instead of translating the cliques through vertex 0 (see
+    ``all_maximal_cliques``).
     """
     if graph.size > cap:
         raise CapExceededError(f"{graph.size} vertices exceeds clique cap {cap}")
-    cliques = bron_kerbosch(graph.adjacency)
+    cliques = all_maximal_cliques(g, graph, paranoid=paranoid)
     omega = max(len(c) for c in cliques)
     key = exceptional_key(g, graph.m)
 
@@ -464,29 +549,54 @@ def is_distance_regular(
 
     Vertex-transitivity justifies the single base; ``paranoid`` re-checks
     from every vertex.  Returns (verdict, (b_array, c_array) or None).
+
+    A block of bases is searched at once: ``dist`` holds one column per
+    base, and each breadth-first level gathers the frontier over an
+    adjacency array padded with a sentinel vertex n.  For each base, every
+    vertex at distance i must have the same number c_i of neighbours at
+    i - 1 and b_i at i + 1, and every base must give the same arrays.
+    Unreachable vertices (distance -1) are not counted.
     """
-    bases = range(graph.size) if paranoid else (0,)
+    n = graph.size
+    bases = range(n) if paranoid else range(min(n, 1))
+    nbr = _padded_adjacency(graph.adjacency)
+    per_block = max(1, DISTANCE_BLOCK // max(1, nbr.size))
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for base in bases:
-        dist = bfs_distances(graph, base)
-        diam = max(dist)
-        b = [-1] * (diam + 1)
-        c = [-1] * (diam + 1)
-        for v in range(graph.size):
-            i = dist[v]
-            down = up = 0
-            for w in graph.adjacency[v]:
-                if dist[w] == i - 1:
-                    down += 1
-                elif dist[w] == i + 1:
-                    up += 1
-            for arr, val in ((c, down), (b, up)):
-                if i >= 0:
-                    if arr[i] == -1:
-                        arr[i] = val
-                    elif arr[i] != val:
-                        return False, None
-        arrays = (tuple(b[:diam]), tuple(c[1:]))
+    for lo in range(0, len(bases), per_block):
+        block = np.asarray(bases[lo: lo + per_block])
+        dist = np.full((n + 1, len(block)), -1, dtype=np.int32)
+        dist[n] = -2  # the sentinel is at no distance i - 1 or i + 1
+        dist[block, np.arange(len(block))] = 0
+        frontier = dist == 0
+        diam = 0
+        while True:
+            reached = frontier[nbr].any(axis=1) & (dist[:n] == -1)
+            if not reached.any():
+                break
+            diam += 1
+            dist[:n][reached] = diam
+            frontier[:n] = reached
+        around = dist[nbr]
+        own = dist[:n, None, :]
+        counts = ((around == own + 1).sum(axis=1), (around == own - 1).sum(axis=1))
+        # profile[k][i, j]: the count at distance i from base j, or -1 when
+        # no vertex is at that distance; it must be the same at every vertex.
+        profile = []
+        for count in counts:
+            top = np.full((diam + 1, len(block)), -1)
+            low = np.full((diam + 1, len(block)), n + 1)
+            for i in range(diam + 1):
+                at = dist[:n] == i
+                top[i] = np.where(at, count, -1).max(axis=0)
+                low[i] = np.where(at, count, n + 1).min(axis=0)
+            if ((top != low) & (top >= 0)).any():
+                return False, None
+            profile.append(top)
+        if any((p != p[:, :1]).any() for p in profile):
+            return False, None
+        ecc = int((profile[0][:, 0] >= 0).sum()) - 1
+        arrays = (tuple(profile[0][:ecc, 0].tolist()),
+                  tuple(profile[1][1: ecc + 1, 0].tolist()))
         if result is None:
             result = arrays
         elif result != arrays:

@@ -1,9 +1,15 @@
-"""The connected-components code that ``partitions.components`` replaced,
-kept as test oracles: the disjoint-set forest, the supremum and the minimal
-block system search built on it, and the breadth-first suborbit search."""
+"""Code that faster kernels replaced, kept as test oracles.
+
+The connected-components code that ``partitions.components`` replaced: the
+disjoint-set forest, the supremum and the minimal block system search built
+on it, and the breadth-first suborbit search.  The distance-regularity check
+that ran one breadth-first search per base, which the blocked numpy search
+in ``diaggraph.is_distance_regular`` replaced.
+"""
 
 from __future__ import annotations
 
+from diaglab.diaggraph import DiagGraph, bfs_distances
 from diaglab.partitions import Partition, _check_same_ground
 from diaglab.symmetry import TaggedPerm
 
@@ -88,3 +94,40 @@ def bfs_suborbit_representatives(n: int, stab_gens) -> list[int]:
                         nxt.append(y)
             frontier = nxt
     return reps
+
+
+def is_distance_regular(
+    graph: DiagGraph, paranoid: bool = False
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Distance-regularity by sphere counting from a base vertex.
+
+    Vertex-transitivity justifies the single base; ``paranoid`` re-checks
+    from every vertex.  Returns (verdict, (b_array, c_array) or None).
+    """
+    bases = range(graph.size) if paranoid else (0,)
+    result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    for base in bases:
+        dist = bfs_distances(graph, base)
+        diam = max(dist)
+        b = [-1] * (diam + 1)
+        c = [-1] * (diam + 1)
+        for v in range(graph.size):
+            i = dist[v]
+            down = up = 0
+            for w in graph.adjacency[v]:
+                if dist[w] == i - 1:
+                    down += 1
+                elif dist[w] == i + 1:
+                    up += 1
+            for arr, val in ((c, down), (b, up)):
+                if i >= 0:
+                    if arr[i] == -1:
+                        arr[i] = val
+                    elif arr[i] != val:
+                        return False, None
+        arrays = (tuple(b[:diam]), tuple(c[1:]))
+        if result is None:
+            result = arrays
+        elif result != arrays:
+            return False, None
+    return True, result

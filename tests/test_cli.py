@@ -177,6 +177,33 @@ def test_check_all_paranoid_same_verdicts(capsys, group, m):
     assert verdicts[0] == verdicts[1]
 
 
+@pytest.mark.parametrize("command", ["cliques", "symmetry"])
+@pytest.mark.parametrize("group,m", [("C3", "3"), ("Q8", "2"), ("C4", "3")])
+def test_clique_commands_paranoid_same_output(capsys, monkeypatch, command, group, m):
+    """Same bytes either way; only --paranoid runs Bron-Kerbosch on the whole
+    graph, the default path only on the neighbourhood of vertex 0."""
+    from diaglab import diaggraph
+
+    sizes: list[int] = []
+    original = diaggraph.bron_kerbosch
+
+    def counted(adjacency):
+        sizes.append(len(adjacency))
+        return original(adjacency)
+
+    monkeypatch.setattr(diaggraph, "bron_kerbosch", counted)
+    outputs, largest = [], []
+    for extra in ((), ("--paranoid",)):
+        sizes.clear()
+        code, out, err = run_cli(capsys, command, "--group", group, "--m", m, *extra)
+        assert code == EXIT_OK
+        outputs.append((out, err))
+        largest.append(max(sizes))
+    assert outputs[0] == outputs[1]
+    n = {"C3": 3, "Q8": 8, "C4": 4}[group] ** int(m)
+    assert largest[0] < n and largest[1] == n
+
+
 def test_spectrum_and_diameter_paranoid(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--group", "C3", "--m", "3",
                            "--verify", "--paranoid")
