@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
+import numpy as np
+
 from .diaggraph import DiagGraph, bron_kerbosch, build_graph
 from .errors import CapExceededError
 from .groups import GroupTable, direct_product, subgroup_closure, sylow2_nontrivial_cyclic
@@ -189,8 +191,8 @@ class Coloring:
 
 
 def validate_coloring(graph: DiagGraph, coloring: Coloring) -> bool:
-    colors = coloring.colors
-    return all(colors[u] != colors[v] for u, v in graph.edge_tag)
+    colors = np.asarray(coloring.colors)
+    return bool((colors[graph.rows[:, 0]] != colors[graph.rows[:, 1]]).all())
 
 
 def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:

@@ -1,16 +1,17 @@
 """The diagonal graph: construction, metric, clique and regularity checks.
 
-Two independent constructions are kept side by side: ``build_graph`` derives
-adjacency from the minimal partitions, ``cayley_graph`` from the connection
-set inside G^m (u ~ v iff v*u^-1 has exactly one non-identity coordinate or
-is a constant non-identity tuple).  ``same_edge_set`` asserts they agree.
+Two independent constructions are kept side by side: ``build_graph`` pairs
+the points of each part of the minimal partitions, ``cayley_graph`` joins v
+to s*v over the connection set inside G^m (one non-identity coordinate, or
+a constant non-identity tuple).  ``same_edge_set`` asserts that their
+``(u, v, tag)`` edge rows agree, tags included.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -41,50 +42,72 @@ CLIQUE_VERTEX_CAP = 4096
 DISTANCE_BLOCK = 1 << 21
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagGraph:
-    """Simple regular graph on G^m with per-edge partition tags.
+    """Simple graph on G^m, built once by ``from_rows`` as two int32 arrays.
 
-    ``edge_tag[(u, v)]`` (u < v) names the minimal partition whose part
-    contains the edge; for dimension m >= 2 this tag is unique.
+    ``rows`` holds the edges as ``(u, v, tag)``, u < v, sorted by (u, v); the
+    tag names the minimal partition whose part contains the edge, unique for
+    m >= 2, and ``same_edge_set`` requires both constructions to agree on it.
+    ``nbr`` holds each vertex's sorted neighbours, one row each, padded with
+    the sentinel n where the graph is not regular.
     """
 
     q: int
     m: int
     size: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_tag: dict[tuple[int, int], int]
+    rows: np.ndarray
+    nbr: np.ndarray
     codec: VertexCodec
+
+    @classmethod
+    def from_rows(cls, codec: VertexCodec, rows) -> DiagGraph:
+        """The graph whose edges are ``rows``, (u, v, tag) with u < v in any
+        order; an edge given more than once keeps its first row."""
+        n = codec.size
+        rows = np.asarray(rows, dtype=np.int32).reshape(-1, 3)
+        key, first = np.unique(rows[:, 0].astype(np.int64) * n + rows[:, 1],
+                               return_index=True)
+        rows = rows[first]
+        # both directions of every edge, sorted: each vertex's neighbours in order
+        arcs = np.sort(np.concatenate([key, rows[:, 1].astype(np.int64) * n + rows[:, 0]]))
+        src, dst = np.divmod(arcs, n)
+        degree = np.bincount(src, minlength=n)
+        nbr = np.full((n, degree.max(initial=0)), n, dtype=np.int32)
+        nbr[src, np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]] = dst
+        rows.flags.writeable = nbr.flags.writeable = False
+        return cls(q=codec.q, m=codec.m, size=n, rows=rows, nbr=nbr, codec=codec)
 
     @property
     def valency(self) -> int:
         return (self.m + 1) * (self.q - 1) if self.m >= 2 else self.q - 1
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_tag)
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """``nbr`` as lists of Python ints without the sentinels, for loops."""
+        n = self.size
+        lists = self.nbr.tolist()
+        if self.nbr.size and (self.nbr[:, -1] == n).any():
+            lists = [a[: a.index(n)] if a[-1] == n else a for a in lists]
+        return lists
 
-    def edge_count(self) -> int:
-        return len(self.edge_tag)
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+def _block_rows(part: Partition, tag: int) -> np.ndarray:
+    """(u, v, tag) for every pair u < v of points in one part of ``part``.
 
-
-def _graph_from_edges(
-    q: int, m: int, size: int, tagged_edges: dict[tuple[int, int], int], codec: VertexCodec
-) -> DiagGraph:
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for u, v in tagged_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return DiagGraph(
-        q=q,
-        m=m,
-        size=size,
-        adjacency=tuple(tuple(sorted(nb)) for nb in adj),
-        edge_tag=tagged_edges,
-        codec=codec,
-    )
+    A stable sort by block lists each block's points in increasing order;
+    the blocks of each size then form one (blocks, size) array, paired up
+    by the upper-triangle indices."""
+    labels = np.asarray(part.block_of, dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)[labels[order]]
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for s in np.unique(size[size > 1]).tolist():
+        blocks = order[size == s].reshape(-1, s)
+        i, j = np.triu_indices(s, 1)
+        u, v = blocks[:, i].ravel(), blocks[:, j].ravel()
+        rows.append(np.stack([u, v, np.full_like(u, tag)], axis=1))
+    return np.concatenate(rows)
 
 
 def build_graph(
@@ -95,26 +118,20 @@ def build_graph(
     minimals: list[Partition] | None = None,
 ) -> DiagGraph:
     """Adjacency from the minimal partitions: joined iff some part of some
-    Q_i contains both vertices.  For m = 1 this is the complete graph.
-    ``minimals``, when given, must be ``minimal_partitions(g, m)``."""
+    Q_i contains both vertices, tagged i (the first i at m = 1, the complete
+    graph).  ``minimals``, when given, must be ``minimal_partitions(g, m)``."""
     if g.order < 2:
         raise ValueError("group order must be >= 2 for a diagonal graph")
     codec = vertex_codec(g, m, cap)
     if minimals is None:
         minimals = minimal_partitions(g, m, cap)
-    tagged: dict[tuple[int, int], int] = {}
-    for i, part in enumerate(minimals):
-        for block in part.blocks():
-            for a in range(len(block)):
-                for b in range(a + 1, len(block)):
-                    e = (block[a], block[b])
-                    if e not in tagged:
-                        tagged[e] = i
-                    elif m >= 2:
-                        raise AssertionError(
-                            f"edge {e} lies in two minimal partitions"
-                        )
-    return _graph_from_edges(g.order, m, codec.size, tagged, codec)
+    rows = np.concatenate([_block_rows(part, i) for i, part in enumerate(minimals)])
+    graph = DiagGraph.from_rows(codec, rows)
+    if m >= 2 and len(graph.rows) < len(rows):
+        key = np.sort(rows[:, 0] * codec.size + rows[:, 1])
+        e = divmod(int(key[1:][key[1:] == key[:-1]][0]), codec.size)
+        raise AssertionError(f"edge {e} lies in two minimal partitions")
+    return graph
 
 
 @dataclass(frozen=True)
@@ -124,9 +141,6 @@ class ConnectionSet:
     q: int
     m: int
     tuples: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
 
 
 def connection_set(g: GroupTable, m: int) -> ConnectionSet:
@@ -145,29 +159,37 @@ def connection_set(g: GroupTable, m: int) -> ConnectionSet:
     return ConnectionSet(q=g.order, m=m, tuples=tuple(seen))
 
 
+def _multiplier(g: GroupTable, m: int):
+    """The coordinatewise product of vertices of G^m, as a function of two
+    vertex index arrays: one group-table gather per coordinate over the
+    codec's digit table."""
+    mul = np.asarray(g.mul, dtype=np.int64)
+    weight = g.order ** np.arange(m, dtype=np.int64)
+    digits = np.arange(g.order**m, dtype=np.int64)[:, None] // weight % g.order
+    return lambda left, right: sum(
+        mul[digits[left, i], digits[right, i]] * weight[i] for i in range(m))
+
+
 def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
     """Independent construction: v ~ s*v (componentwise) for s in the
-    connection set.  Tags: the moved coordinate for one-coordinate tuples,
-    0 for the constant (diagonal) tuples."""
+    inverse-closed connection set, kept at the smaller end.  Tags: the moved
+    coordinate for one-coordinate tuples, 0 for the constant tuples."""
     codec = vertex_codec(g, m, cap)
-    conn = connection_set(g, m)
-    tags = []
-    for s in conn.tuples:
+    product = _multiplier(g, m)
+    vertices = np.arange(codec.size)
+    rows = []
+    for s in connection_set(g, m).tuples:
         moved = [i for i in range(m) if s[i] != 0]
-        tags.append(moved[0] + 1 if len(moved) == 1 and m >= 2 else 0)
-    tagged: dict[tuple[int, int], int] = {}
-    for idx in range(codec.size):
-        u = codec.decode(idx)
-        for s, tag in zip(conn.tuples, tags):
-            w = codec.encode(tuple(g.mul[s[i]][u[i]] for i in range(m)))
-            e = (idx, w) if idx < w else (w, idx)
-            if e not in tagged:
-                tagged[e] = tag
-    return _graph_from_edges(g.order, m, codec.size, tagged, codec)
+        tag = moved[0] + 1 if len(moved) == 1 and m >= 2 else 0
+        w = product(codec.encode(s), vertices)
+        up = vertices < w
+        rows.append(np.stack([vertices[up], w[up], np.full(up.sum(), tag)], axis=1))
+    return DiagGraph.from_rows(codec, np.concatenate(rows))
 
 
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
-    return set(a.edge_tag) == set(b.edge_tag)
+    """True iff the two graphs have the same (u, v, tag) rows."""
+    return np.array_equal(a.rows, b.rows)
 
 
 def bfs_distances(graph: DiagGraph, start: int) -> list[int]:
@@ -247,7 +269,8 @@ def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
 def common_neighbours(graph: DiagGraph, u: int, v: int) -> list[int]:
     if u == v:
         raise ValueError("common neighbours need two distinct vertices")
-    return sorted(set(graph.adjacency[u]) & set(graph.adjacency[v]))
+    common = np.intersect1d(graph.nbr[u], graph.nbr[v])
+    return common[common < graph.size].tolist()
 
 
 # The four small graphs whose clique structure departs from the generic
@@ -354,19 +377,6 @@ def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return cliques
 
 
-def _padded_adjacency(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
-    """The adjacency lists as one (n, largest degree) array, each row padded
-    with the sentinel n."""
-    n = len(adjacency)
-    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    nbr = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
-    row = np.repeat(np.arange(n), degree)
-    col = np.arange(len(row)) - np.repeat(np.cumsum(degree) - degree, degree)
-    nbr[row, col] = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                                count=len(row))
-    return nbr
-
-
 def _translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]] | None:
     """All maximal cliques as right translates of those through vertex 0,
     or None when the graph is not certified to be invariant under right
@@ -382,31 +392,17 @@ def _translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]
     K, and for h outside K none does; so keeping the translates whose
     smallest vertex is h lists each K once.
     """
-    adjacency = graph.adjacency
+    adj = graph.nbr
     n = graph.size
-    q, m = graph.codec.q, graph.codec.m
-    if n == 0 or q != g.order or q**m != n:
+    if n == 0 or graph.q != g.order or (adj == n).any():  # not regular
         return None
-    adj = _padded_adjacency(adjacency)
-    if (adj == n).any():  # not regular
-        return None
-    mul = np.asarray(g.mul, dtype=np.int64)
-    weight = q ** np.arange(m, dtype=np.int64)
-    digits = np.arange(n, dtype=np.int64)[:, None] // weight % q
-    vertices = np.arange(n, dtype=np.int64)
-
-    def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The vertex left·right, one table gather per coordinate."""
-        out = 0
-        for i in range(m):
-            out = out + mul[digits[left, i], digits[right, i]] * weight[i]
-        return out
-
+    product = _multiplier(g, graph.m)
+    vertices = np.arange(n)
     if not np.array_equal(np.sort(product(adj[:1], vertices[:, None]), axis=1), adj):
         return None
-    star = adjacency[0]
+    star = adj[0].tolist()
     where = {v: j for j, v in enumerate(star)}
-    local = [tuple(where[w] for w in adjacency[v] if w in where) for v in star]
+    local = [[where[w] for w in row if w in where] for row in adj[star].tolist()]
     through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
     cliques: list[tuple[int, ...]] = []
     for base in through_zero or [(0,)]:
@@ -526,19 +522,17 @@ def clique_cover(
     with the matching lower bound size/q.  ``minimals``, when given, must be
     ``minimal_partitions(g, graph.m)``."""
     part = build_q(g, graph.m, 1) if minimals is None else minimals[1]
-    blocks = [tuple(sorted(b)) for b in part.blocks()]
-    nbr = [set(a) for a in graph.adjacency]
-    covered: set[int] = set()
-    for blk in blocks:
-        for i, u in enumerate(blk):
-            if u in covered:
-                raise AssertionError("cover blocks overlap")
-            covered.add(u)
-            for v in blk[i + 1:]:
-                if v not in nbr[u]:
-                    raise AssertionError(f"cover block {blk} is not a clique")
-    if len(covered) != graph.size:
+    blocks = [tuple(b) for b in part.blocks()]
+    if part.size != graph.size:
         raise AssertionError("cover misses vertices")
+    # A block is a clique iff each of its vertices has every other one of
+    # it among its neighbours; the sentinel n lies in no block.
+    label = np.append(np.asarray(part.block_of), -1)
+    inside = (label[graph.nbr] == label[:-1, None]).sum(axis=1)
+    short = inside < np.bincount(label[:-1])[label[:-1]] - 1
+    if short.any():
+        blk = blocks[label[:-1][short].min()]
+        raise AssertionError(f"cover block {blk} is not a clique")
     return CliqueCover(parts=tuple(blocks), lower_bound=graph.size // g.order)
 
 
@@ -551,15 +545,15 @@ def is_distance_regular(
     from every vertex.  Returns (verdict, (b_array, c_array) or None).
 
     A block of bases is searched at once: ``dist`` holds one column per
-    base, and each breadth-first level gathers the frontier over an
-    adjacency array padded with a sentinel vertex n.  For each base, every
+    base, and each breadth-first level gathers the frontier over ``nbr``,
+    whose padding is the sentinel vertex n.  For each base, every
     vertex at distance i must have the same number c_i of neighbours at
     i - 1 and b_i at i + 1, and every base must give the same arrays.
     Unreachable vertices (distance -1) are not counted.
     """
     n = graph.size
     bases = range(n) if paranoid else range(min(n, 1))
-    nbr = _padded_adjacency(graph.adjacency)
+    nbr = graph.nbr
     per_block = max(1, DISTANCE_BLOCK // max(1, nbr.size))
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for lo in range(0, len(bases), per_block):
@@ -604,18 +598,15 @@ def is_distance_regular(
     return True, result
 
 
-# graph6 writes each six-bit group as its value plus 63.
-_GRAPH6_OFFSET = bytes((b + 63) & 0xFF for b in range(256))
-
-
 def to_graph6(graph: DiagGraph) -> str:
     """Standard graph6 encoding (long size form for more than 62 vertices).
 
     Edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle, read
-    column by column; each byte carries six bits, most significant first.
+    column by column; each byte carries six bits, most significant first,
+    plus 63.
     """
     n = graph.size
-    if n == 0 or not graph.edge_tag:
+    if n == 0 or not len(graph.rows):
         raise ValueError("refusing to encode an empty graph")
     if n <= 62:
         head = bytes([n + 63])
@@ -623,11 +614,12 @@ def to_graph6(graph: DiagGraph) -> str:
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError(f"graph6 size form for n={n} not supported")
-    groups = bytearray(-(-n * (n - 1) // 12))
-    for i, j in graph.edge_tag:
-        pos = j * (j - 1) // 2 + i
-        groups[pos // 6] |= 32 >> pos % 6
-    return (head + groups.translate(_GRAPH6_OFFSET)).decode("ascii")
+    i, j = graph.rows[:, 0].astype(np.int64), graph.rows[:, 1].astype(np.int64)
+    pos = j * (j - 1) // 2 + i
+    groups = np.full(-(-n * (n - 1) // 12), 63, dtype=np.uint8)
+    # rows hold each edge once, so each bit is added at most once
+    np.add.at(groups, pos // 6, (32 >> pos % 6).astype(np.uint8))
+    return (head + groups.tobytes()).decode("ascii")
 
 
 def parse_graph6(text: str) -> list[list[int]]:
@@ -659,14 +651,14 @@ def to_dot(graph: DiagGraph) -> str:
     for v in range(graph.size):
         tup = graph.codec.decode(v)
         lines.append(f'  v{v} [label="{",".join(map(str, tup))}"];')
-    for u, v in graph.edges():
+    for u, v in graph.rows[:, :2].tolist():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines)
 
 
 def to_edgelist(graph: DiagGraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in graph.edges())
+    return "\n".join(f"{u} {v}" for u, v in graph.rows[:, :2].tolist())
 
 
 def export_graph(graph: DiagGraph, fmt: str) -> str:

@@ -80,13 +80,12 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     the starts of a block packed side by side into the bits of each entry.
     An entry of A^j e_s is at most max_degree^j, so a field of
     ``width`` bits never carries into the next one.  The width comes from
-    the adjacency itself, never from the claimed valency.
+    the largest degree, the width of ``nbr``, never from the claimed valency.
     """
     n = graph.size
     adjacency = graph.adjacency
     starts = range(n) if paranoid else range(1)
-    max_degree = max(map(len, adjacency), default=0)
-    width = (max_degree**steps).bit_length() + 1
+    width = (graph.nbr.shape[1] ** steps).bit_length() + 1
     mask = (1 << width) - 1
     per_block = max(1, PACK_BITS // (n * width))
     traces = [0] * (steps + 1)

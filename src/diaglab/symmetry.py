@@ -556,7 +556,7 @@ def symmetry_report(
     del chain
     formula = diagonal_group_order_formula(g, m, aut=aut)
     vertex_orbits = orbit_count(perms, list(range(graph.size)))
-    edge_orbits = orbit_count(perms, graph.edges())
+    edge_orbits = orbit_count(perms, graph.rows[:, :2])
     clique_orbits = orbit_count(perms, sorted(cliques)) if cliques else None
     if minimals is None:
         minimals = minimal_partitions(g, m, cap)

@@ -59,6 +59,11 @@ def generators_of(spec: str, m: int):
     return tuple(diagonal_group_generators(group_of(spec), m))
 
 
+def edge_set(graph) -> set[tuple[int, int]]:
+    """The graph's edges as (u, v) pairs, u < v."""
+    return set(map(tuple, graph.rows[:, :2].tolist()))
+
+
 @pytest.fixture(scope="session")
 def grid():
     return GRID

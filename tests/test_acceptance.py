@@ -43,7 +43,15 @@ from diaglab.symmetry import (
     schreier_sims_order,
 )
 
-from conftest import GRID, cliques_of, generators_of, graph_of, group_of, semilattice_of
+from conftest import (
+    GRID,
+    cliques_of,
+    edge_set,
+    generators_of,
+    graph_of,
+    group_of,
+    semilattice_of,
+)
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
 
 
@@ -91,7 +99,7 @@ def test_criterion_03_valency_and_edges():
         graph = build_graph(g, m)
         k = (m + 1) * (g.order - 1)
         ok = all(len(nb) == k for nb in graph.adjacency)
-        ok = ok and 2 * graph.edge_count() == graph.size * k
+        ok = ok and 2 * len(graph.rows) == graph.size * k
         elapsed = time.perf_counter() - t0
         if not ok:
             bad.append((spec, m))
@@ -192,8 +200,8 @@ def test_criterion_08_homomorphism():
     for spec, m_from, m_to in [("C3", 4, 2), ("C2", 5, 3)]:
         g = group_of(spec)
         big, small = graph_of(spec, m_from), graph_of(spec, m_to)
-        small_edges = set(small.edge_tag)
-        for u, v in big.edge_tag:
+        small_edges = edge_set(small)
+        for u, v in big.rows[:, :2].tolist():
             iu = small.codec.encode(reduce_hom(big.codec.decode(u), g))
             iv = small.codec.encode(reduce_hom(big.codec.decode(v), g))
             if iu == iv or (min(iu, iv), max(iu, iv)) not in small_edges:
@@ -214,7 +222,7 @@ def test_criterion_09_symmetry():
         graph = graph_of(spec, m)
         if orbit_count(perms, list(range(graph.size))) != 1:
             bad.append((spec, m, "vertex orbits"))
-        edge_orbits = orbit_count(perms, graph.edges())
+        edge_orbits = orbit_count(perms, graph.rows[:, :2])
         if (edge_orbits == 1) != (is_elementary_abelian(g) is not None):
             bad.append((spec, m, "edge orbits"))
         prim = is_vertex_primitive(g, m)

@@ -368,9 +368,11 @@ def call_counts(monkeypatch):
 
 
 def test_check_all_builds_each_artefact_once(capsys, call_counts):
-    from diaglab import groups, semilattice, symmetry
+    from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
+    counted(diaggraph, "build_graph")
+    counted(diaggraph, "cayley_graph")
     counted(semilattice, "minimal_partitions")
     counted(semilattice, "subset_suprema")
     counted(symmetry, "diagonal_group_generators")
@@ -378,21 +380,50 @@ def test_check_all_builds_each_artefact_once(capsys, call_counts):
     counted(groups, "automorphism_group")
     code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
     assert code == EXIT_OK
-    assert calls == {"minimal_partitions": 1, "subset_suprema": 1,
+    assert calls == {"build_graph": 1, "cayley_graph": 1,
+                     "minimal_partitions": 1, "subset_suprema": 1,
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1}
 
 
 @pytest.mark.parametrize("command", ["cliques", "symmetry"])
 def test_graph_commands_build_minimal_partitions_once(capsys, call_counts, command):
-    from diaglab import semilattice
+    from diaglab import diaggraph, semilattice
 
     counted, calls = call_counts
+    counted(diaggraph, "build_graph")
     counted(semilattice, "minimal_partitions")
     counted(semilattice, "build_q")
     code, _, _ = run_cli(capsys, command, "--group", "C3", "--m", "3")
     assert code == EXIT_OK
-    assert calls == {"minimal_partitions": 1, "build_q": 4}
+    assert calls == {"build_graph": 1, "minimal_partitions": 1, "build_q": 4}
+
+
+SYMMETRY_CLAIMS = {"symmetry-order", "vertex-transitive", "edge-transitive-iff",
+                   "clique-transitive", "primitivity", "partition-action"}
+
+
+def test_check_all_past_automorphism_cap_leaves_out_symmetry_claims(
+        capsys, ledger_validator):
+    # C27 has more elements than the automorphism search takes
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C27", "--m", "2")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["ok"] is True
+    names = {c["claim"] for c in data["claims"]}
+    assert not names & SYMMETRY_CLAIMS
+    assert {"construction-agreement", "clique-structure", "chromatic-number",
+            "hall-paige"} <= names
+
+
+def test_grid_past_automorphism_cap_records_a_ledger(capsys, ledger_validator):
+    code, out, _ = run_cli(capsys, "grid", "--groups", "C27", "--m-min", "2",
+                           "--m-max", "2")
+    assert code == EXIT_OK
+    [entry] = json.loads(out)["instances"]
+    assert "error" not in entry and entry["ok"] is True
+    ledger_validator.validate(entry)
 
 
 def test_oversized_group_atom_exits_at_cap():

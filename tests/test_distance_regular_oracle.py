@@ -95,7 +95,8 @@ def disjoint_unions(draw):
     copies = draw(st.integers(2, 3))
     graph = graph_of(*base)
     n = graph.size
-    edges = [(u + k * n, v + k * n) for k in range(copies) for u, v in graph.edge_tag]
+    edges = [(u + k * n, v + k * n) for k in range(copies)
+             for u, v in graph.rows[:, :2].tolist()]
     return graph_from_edges(n * copies, edges)
 
 

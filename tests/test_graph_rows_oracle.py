@@ -1,0 +1,98 @@
+"""The array-backed graph constructions against the Python ones they replaced.
+
+``build_graph`` and ``cayley_graph`` each yield (u, v, tag) rows and one
+padded neighbour array.  Here both must give the rows of the dict-based
+constructions in ``replaced.py``, their neighbour lists, and the same
+graph6, DOT and edge-list bytes; and the construction invariants (an edge
+in two minimal partitions, a tag or an edge that differs) must be caught.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from diaglab.diaggraph import (
+    DiagGraph,
+    build_graph,
+    cayley_graph,
+    same_edge_set,
+    to_dot,
+    to_edgelist,
+    to_graph6,
+)
+from diaglab.semilattice import VertexCodec, minimal_partitions
+
+from conftest import GRID, graph_of, group_of
+from replaced import (
+    adjacency_of,
+    cayley_edge_tags,
+    dot_of,
+    edgelist_of,
+    graph6_of,
+    partition_edge_tags,
+)
+
+INSTANCES = GRID + [(spec, 1) for spec in ("C2", "C3", "C4", "C5")] + [("C16", 3)]
+
+
+def rows_of(tagged: dict[tuple[int, int], int]) -> np.ndarray:
+    return np.array([(u, v, t) for (u, v), t in sorted(tagged.items())],
+                    dtype=np.int32).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("spec,m", INSTANCES)
+def test_rows_match_the_python_constructions(spec, m):
+    g = group_of(spec)
+    for graph, tagged in ((build_graph(g, m), partition_edge_tags(g, m)),
+                          (cayley_graph(g, m), cayley_edge_tags(g, m))):
+        assert graph.rows.dtype == graph.nbr.dtype == np.int32
+        assert np.array_equal(graph.rows, rows_of(tagged)), (spec, m)
+        want = adjacency_of(graph.size, tagged)
+        assert [tuple(a) for a in graph.adjacency] == list(want)
+        assert np.array_equal(graph.nbr, np.array(want, dtype=np.int32))
+        assert to_graph6(graph) == graph6_of(graph.size, tagged)
+        assert to_dot(graph) == dot_of(graph.codec, tagged)
+        assert to_edgelist(graph) == edgelist_of(tagged)
+
+
+def test_an_edge_in_two_minimal_partitions_raises():
+    g = group_of("C3")
+    q0, q1, _, q3 = minimal_partitions(g, 3)
+    doctored = [q0, q1, q1, q3]
+    with pytest.raises(AssertionError, match="lies in two minimal partitions"):
+        partition_edge_tags(g, 3, doctored)
+    with pytest.raises(AssertionError, match="lies in two minimal partitions"):
+        build_graph(g, 3, minimals=doctored)
+
+
+def test_dimension_one_keeps_the_first_of_two_equal_partitions():
+    g = group_of("C4")
+    q0, q1 = minimal_partitions(g, 1)
+    assert q0 == q1
+    graph = build_graph(g, 1, minimals=[q0, q0])
+    assert np.array_equal(graph.rows, rows_of(partition_edge_tags(g, 1, [q0, q0])))
+    assert (graph.rows[:, 2] == 0).all() and len(graph.rows) == 6
+
+
+def test_same_edge_set_compares_tags_and_edges():
+    graph = graph_of("C3", 3)
+    assert same_edge_set(graph, DiagGraph.from_rows(graph.codec, graph.rows))
+    retagged = graph.rows.copy()
+    retagged[5, 2] = (retagged[5, 2] + 1) % 4
+    assert not same_edge_set(graph, DiagGraph.from_rows(graph.codec, retagged))
+    assert not same_edge_set(graph, DiagGraph.from_rows(graph.codec, graph.rows[1:]))
+
+
+def test_from_rows_pads_an_irregular_graph():
+    # a star on 0..3 plus the edge 4-5, in no order, with one edge given twice
+    rows = [(4, 5, 2), (0, 3, 1), (0, 1, 0), (0, 2, 0), (0, 3, 7)]
+    graph = DiagGraph.from_rows(VertexCodec(q=6, m=1), rows)
+    assert graph.rows.tolist() == [[0, 1, 0], [0, 2, 0], [0, 3, 1], [4, 5, 2]]
+    assert graph.nbr.tolist() == [[1, 2, 3], [0, 6, 6], [0, 6, 6], [0, 6, 6],
+                                  [5, 6, 6], [4, 6, 6]]
+    assert graph.adjacency == [[1, 2, 3], [0], [0], [0], [5], [4]]
+    assert graph.adjacency is graph.adjacency  # built once
+    empty = DiagGraph.from_rows(VertexCodec(q=3, m=1), [])
+    assert empty.rows.shape == (0, 3) and empty.nbr.shape == (3, 0)
+    assert empty.adjacency == [[], [], []]

@@ -10,17 +10,17 @@ and the bit-list graph6 encoder the packed one replaced.
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab import diaggraph, spectral
-from diaglab.diaggraph import _max_eccentricity, bfs_distances, diameter, to_graph6
+from diaglab.diaggraph import DiagGraph, _max_eccentricity, bfs_distances, diameter, to_graph6
+from diaglab.semilattice import VertexCodec
 from diaglab.spectral import _walk_counts
 
-from conftest import GRID, graph_of, group_of
+from conftest import GRID, edge_set, graph_of, group_of
 
 SMALL_GRID = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 256]
 
@@ -51,7 +51,7 @@ def bit_list_graph6(graph) -> str:
         head = bytes([n + 63])
     else:
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    edges = set(graph.edge_tag)
+    edges = edge_set(graph)
     bits = []
     for j in range(1, n):
         for i in range(j):
@@ -67,16 +67,10 @@ def bit_list_graph6(graph) -> str:
     return (head + bytes(out)).decode("ascii")
 
 
-def graph_from_edges(n: int, edges) -> SimpleNamespace:
-    nbrs = [set() for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return SimpleNamespace(
-        size=n,
-        adjacency=tuple(tuple(sorted(a)) for a in nbrs),
-        edge_tag={(min(u, v), max(u, v)): 0 for u, v in edges},
-    )
+def graph_from_edges(n: int, edges) -> DiagGraph:
+    """The graph on 0..n-1 with these edges, each in either order."""
+    rows = [(min(u, v), max(u, v), 0) for u, v in edges]
+    return DiagGraph.from_rows(VertexCodec(q=n, m=1), rows)
 
 
 @st.composite
@@ -194,4 +188,4 @@ def test_graph6_single_edge():
 def test_graph6_rejects_an_empty_graph():
     for n in (0, 5):
         with pytest.raises(ValueError):
-            to_graph6(SimpleNamespace(size=n, edge_tag={}))
+            to_graph6(graph_from_edges(n, []))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from diaglab import diaggraph
 from diaglab.diaggraph import (
-    _graph_from_edges,
+    DiagGraph,
     _translated_cliques,
     all_maximal_cliques,
     bron_kerbosch,
@@ -24,7 +24,7 @@ from diaglab.diaggraph import (
 )
 from diaglab.semilattice import VertexCodec
 
-from conftest import GRID, graph_of, group_of
+from conftest import GRID, edge_set, graph_of, group_of
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
@@ -53,16 +53,16 @@ def two_switch(graph):
     """The graph with edges ab and cd replaced by ac and bd, for the first
     such pair (a, b, c, d distinct, ac and bd not edges, 0 not among them).
     The result is regular, and N(a) loses b while N(0) is unchanged."""
-    edges = set(graph.edge_tag)
+    edges = edge_set(graph)
     linked = lambda u, v: (min(u, v), max(u, v)) in edges  # noqa: E731
     for a, b in sorted(edges):
         for c, d in sorted(edges):
             if 0 in (a, b, c, d) or len({a, b, c, d}) < 4:
                 continue
             if not linked(a, c) and not linked(b, d):
-                tagged = {e: 0 for e in edges - {(a, b), (c, d)}}
-                tagged.update({(min(a, c), max(a, c)): 0, (min(b, d), max(b, d)): 0})
-                return _graph_from_edges(graph.q, graph.m, graph.size, tagged, graph.codec)
+                rows = [(u, v, 0) for u, v in edges - {(a, b), (c, d)}]
+                rows += [(min(a, c), max(a, c), 0), (min(b, d), max(b, d), 0)]
+                return DiagGraph.from_rows(graph.codec, rows)
     raise AssertionError("no 2-switch found")
 
 
@@ -92,16 +92,14 @@ def test_two_switch_falls_back(spec, m):
 def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
-    tagged = dict(graph.edge_tag)
-    del tagged[min(tagged)]
-    broken = _graph_from_edges(graph.q, graph.m, graph.size, tagged, graph.codec)
+    broken = DiagGraph.from_rows(graph.codec, graph.rows[1:])
     assert _translated_cliques(g, broken) is None
     assert_same_cliques(g, broken)
 
 
 def test_edgeless_graph_gives_singletons():
     g = group_of("C3")
-    empty = _graph_from_edges(3, 2, 9, {}, VertexCodec(q=3, m=2))
+    empty = DiagGraph.from_rows(VertexCodec(q=3, m=2), [])
     assert sorted(all_maximal_cliques(g, empty)) == [(v,) for v in range(9)]
 
 
@@ -140,7 +138,7 @@ def cayley_graphs(draw):
         for s in conn:
             w = codec.encode(tuple(g.mul[s[i]][u[i]] for i in range(m)))
             tagged[(min(v, w), max(v, w))] = 0
-    return g, _graph_from_edges(g.order, m, codec.size, tagged, codec)
+    return g, DiagGraph.from_rows(codec, [(u, v, 0) for u, v in tagged])
 
 
 @settings(max_examples=150, deadline=None)
