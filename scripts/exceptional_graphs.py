@@ -13,6 +13,7 @@ from collections import Counter
 from diaglab.chromatic import chromatic_number_exact
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.groups import parse_group_spec
+from diaglab.semilattice import minimal_partitions
 from diaglab.spectral import spectrum_trace_moments
 
 CASES = ["C2", "C3", "C2xC2", "C4"]
@@ -21,8 +22,9 @@ CASES = ["C2", "C3", "C2xC2", "C4"]
 def main() -> None:
     for spec in CASES:
         g = parse_group_spec(spec)
-        graph = build_graph(g, 2)
-        rep = maximal_cliques(g, graph)
+        minimals = minimal_partitions(g, 2)
+        graph = build_graph(g, minimals)
+        rep = maximal_cliques(g, graph, minimals)
         sizes = Counter(len(c) for c in rep.cliques)
         spectrum = spectrum_trace_moments(graph)
         chi = chromatic_number_exact(graph)

@@ -33,7 +33,6 @@ from .partitions import (
 from .semilattice import (
     DiagonalSemilattice,
     build_q,
-    build_semilattice,
     check_cartesian,
     join_closure,
     minimal_partitions,
@@ -80,7 +79,6 @@ from .symmetry import (
     diagonal_group_order_formula,
     is_vertex_primitive,
     orbit_count,
-    schreier_sims_order,
     symmetry_report,
 )
 

@@ -26,7 +26,7 @@ import numpy as np
 from .diaggraph import DiagGraph, bron_kerbosch, build_graph
 from .errors import CapExceededError
 from .groups import GroupTable, direct_product, subgroup_closure, sylow2_nontrivial_cyclic
-from .semilattice import vertex_codec
+from .semilattice import minimal_partitions, vertex_codec
 
 COMPLETE_MAPPING_SEARCH_LIMIT = 16
 EXACT_COLOURING_LIMIT = 64
@@ -323,11 +323,7 @@ class ExactColouring:
         return self.upper if self.search_complete or self.lower == self.upper else None
 
 
-def chromatic_number_exact(
-    graph: DiagGraph,
-    node_budget: int | None = None,
-    cap: int = EXACT_COLOURING_LIMIT,
-) -> ExactColouring:
+def chromatic_number_exact(graph: DiagGraph, node_budget: int | None = None) -> ExactColouring:
     """DSATUR upper bound, clique lower bound, branch-and-bound closure.
 
     Brelaz's DSATUR over incremental counters: each vertex keeps the mask of
@@ -339,8 +335,9 @@ def chromatic_number_exact(
     runs out the bounds are returned with search_complete False.
     """
     n = graph.size
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceeds exact colouring cap {cap}")
+    if n > EXACT_COLOURING_LIMIT:
+        raise CapExceededError(
+            f"{n} vertices exceeds exact colouring cap {EXACT_COLOURING_LIMIT}")
     nbr = graph.adjacency
 
     # Maximum clique for the lower bound and for seeding colours; the graphs
@@ -484,14 +481,9 @@ class ChromaticVerdict:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def chromatic_verdict(
-    g: GroupTable,
-    m: int,
-    exact: bool = False,
-    exact_cap: int = EXACT_COLOURING_LIMIT,
-    graph: DiagGraph | None = None,
-) -> ChromaticVerdict:
-    """Chromatic number with a provenance trail.
+def chromatic_verdict(g: GroupTable, graph: DiagGraph, exact: bool = False) -> ChromaticVerdict:
+    """Chromatic number of ``graph``, the diagonal graph of g in dimension
+    m = ``graph.m``, with a provenance trail.
 
     chi = |G| whenever m is odd or the Hall-Paige condition holds, witnessed
     by an explicit validated colouring.  Otherwise the upper bound is the
@@ -499,13 +491,12 @@ def chromatic_verdict(
     lower bound stays the clique bound |G|, with the conjectured |G|+2
     annotated.  At m = 2 the certificate that no complete mapping exists
     closes chi = |G|+2; ``exact`` adds the exact search within
-    ``exact_cap`` vertices.  No search here is unbounded.  ``graph``, if
-    given, is the dimension-m graph of g, already built.
+    ``EXACT_COLOURING_LIMIT`` vertices.  No search here is unbounded.
     """
     q = g.order
-    if graph is not None and (graph.q, graph.m) != (q, m):
-        raise ValueError(f"graph of dimension {graph.m} over order {graph.q} given "
-                         f"for dimension {m} over order {q}")
+    m = graph.m
+    if graph.q != q:
+        raise ValueError(f"graph over order {graph.q} given for a group of order {q}")
     reasons: list[str] = []
     if m == 1:
         return ChromaticVerdict(
@@ -531,8 +522,6 @@ def chromatic_verdict(
             if m > 2:
                 reasons.append("pulled back through the homomorphism cascade to dimension 2")
         coloring = q_coloring(g, m, cm)
-        if graph is None:
-            graph = build_graph(g, m)
         if not validate_coloring(graph, coloring):
             raise AssertionError(f"{g.label}, m={m}: constructed colouring not proper")
         if coloring.count != q:
@@ -549,9 +538,7 @@ def chromatic_verdict(
     reasons.append("m even and the group has a non-trivial cyclic Sylow 2-subgroup")
     reasons.append("clique of size q forces chi >= q")
     cm = find_complete_mapping(g)
-    if graph is None:
-        graph = build_graph(g, m)
-    base = graph if m == 2 else build_graph(g, 2)
+    base = graph if m == 2 else build_graph(g, minimal_partitions(g, 2))
     coloring = tabucol(base, q + 2)
     upper: int | None = None
     chi = None
@@ -579,7 +566,7 @@ def chromatic_verdict(
             chi = upper
             reasons.append("no complete mapping, so independent sets have at most q-1 "
                            "cells and chi >= ceil(q^2/(q-1)) = q+2")
-    if exact and q**m <= exact_cap:
+    if exact and graph.size <= EXACT_COLOURING_LIMIT:
         result = chromatic_number_exact(graph)
         if result.value is not None:
             if chi is not None and result.value != chi:

@@ -13,11 +13,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from math import factorial
 
 from . import diaggraph, semilattice, spectral, symmetry
 from .chromatic import chromatic_verdict, find_complete_mapping, hall_paige_predicate
 from .errors import CapExceededError, DiagLabError
-from .groups import automorphism_group, is_elementary_abelian, parse_group_spec
+from .groups import is_elementary_abelian, parse_group_spec
 from .semilattice import DEFAULT_VERTEX_CAP
 
 EXIT_OK = 0
@@ -80,8 +81,11 @@ def _render(data: dict, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DiagLabError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -101,7 +105,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     minimals = semilattice.minimal_partitions(g, m, cfg.vertex_cap)
     sup = semilattice.subset_suprema(minimals)
-    ok = semilattice.verify_semilattice_hypothesis(g, m, cfg.vertex_cap, sup=sup)
+    ok = semilattice.verify_semilattice_hypothesis(sup, q)
     _claim(claims, "cartesian-hypothesis", ok,
            "every m-subset of the minimal partitions generates a Cartesian lattice")
 
@@ -118,7 +122,7 @@ def run_check_all(cfg: RunConfig) -> dict:
     _claim(claims, "mobius-closed-form", rep.ok,
            f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {len(rep.mismatches)}")
 
-    graph = diaggraph.build_graph(g, m, cfg.vertex_cap, minimals=minimals)
+    graph = diaggraph.build_graph(g, minimals)
     cay = diaggraph.cayley_graph(g, m, cfg.vertex_cap)
     _claim(claims, "construction-agreement", diaggraph.same_edge_set(graph, cay),
            "partition-based and connection-set edge sets coincide")
@@ -151,8 +155,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
         try:
-            creport = diaggraph.maximal_cliques(g, graph, minimals=minimals,
-                                                paranoid=cfg.paranoid)
+            creport = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
             detail = (
                 f"{creport.count} maximal cliques, clique number {creport.clique_number}"
             )
@@ -162,7 +165,7 @@ def run_check_all(cfg: RunConfig) -> dict:
         except AssertionError as exc:
             creport = None
             _claim(claims, "clique-structure", False, str(exc))
-        cover = diaggraph.clique_cover(g, graph, minimals=minimals)
+        cover = diaggraph.clique_cover(g, graph, minimals)
         _claim(claims, "clique-cover", cover.size == q ** (m - 1),
                f"{cover.size} disjoint cliques, lower bound {cover.lower_bound}")
     else:
@@ -178,7 +181,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     proven_case = m % 2 == 1 or hall_paige_predicate(g)
     try:
-        verdict = chromatic_verdict(g, m, exact=cfg.exact, graph=graph)
+        verdict = chromatic_verdict(g, graph, exact=cfg.exact)
     except CapExceededError:
         # Past a cap, e.g. a Hall-Paige group whose complete mapping only
         # the capped search could find, the chromatic claim is left out.
@@ -213,37 +216,29 @@ def run_check_all(cfg: RunConfig) -> dict:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")
 
-    # Past the search cap for Aut(G) the symmetry claims are left out.
-    try:
-        aut = automorphism_group(g) if m >= 2 else None
-    except CapExceededError:
-        aut = None
-    if aut is not None:
-        perms = symmetry.diagonal_group_generators(g, m, cfg.vertex_cap, aut=aut)
-        # One chain serves the order and the primitivity claims; past the
-        # point cap both are left out.  It is released before the orbit
-        # counts build their arrays.
-        prim = None
-        if graph.size <= symmetry.BSGS_POINT_CAP:
-            chain = symmetry.build_chain(perms)
-            order = chain.order()
-            prim = symmetry.is_vertex_primitive(g, m, perms=perms, chain=chain)
-            del chain
-            formula = symmetry.diagonal_group_order_formula(g, m, aut=aut)
-            _claim(claims, "symmetry-order", order == formula,
-                   f"Schreier-Sims order {order}, formula {formula}")
-        _claim(claims, "vertex-transitive",
-               symmetry.orbit_count(perms, list(range(graph.size))) == 1,
-               "one vertex orbit")
-        edge_orbits = symmetry.orbit_count(perms, graph.rows[:, :2])
-        elem_ab = is_elementary_abelian(g) is not None
-        _claim(claims, "edge-transitive-iff", (edge_orbits == 1) == elem_ab,
-               f"{edge_orbits} edge orbits, elementary abelian: {elem_ab}")
+    # Past the search cap for Aut(G) the symmetry claims are left out, and
+    # past the point cap the two that need a stabiliser chain.
+    sym = None
+    if m >= 2:
+        top = None
         if creport is not None and (m > 2 or q > 4):
             top = [c for c in creport.cliques if len(c) == creport.clique_number]
-            clique_orbits = symmetry.orbit_count(perms, top)
-            _claim(claims, "clique-transitive", clique_orbits == 1,
-                   f"{clique_orbits} orbits on the {len(top)} maximum cliques")
+        try:
+            sym = symmetry.symmetry_report(g, graph, minimals, top)
+        except CapExceededError:
+            pass
+    if sym is not None:
+        if sym.order is not None:
+            _claim(claims, "symmetry-order", sym.order == sym.order_formula,
+                   f"Schreier-Sims order {sym.order}, formula {sym.order_formula}")
+        _claim(claims, "vertex-transitive", sym.vertex_orbits == 1, "one vertex orbit")
+        elem_ab = is_elementary_abelian(g) is not None
+        _claim(claims, "edge-transitive-iff", (sym.edge_orbits == 1) == elem_ab,
+               f"{sym.edge_orbits} edge orbits, elementary abelian: {elem_ab}")
+        if sym.clique_orbits is not None:
+            _claim(claims, "clique-transitive", sym.clique_orbits == 1,
+                   f"{sym.clique_orbits} orbits on the {len(top)} maximum cliques")
+        prim = sym.primitivity
         if prim is not None and prim.criterion is None:
             _claim(claims, "primitivity", True,
                    f"block computation: primitive={prim.primitive}; "
@@ -251,11 +246,8 @@ def run_check_all(cfg: RunConfig) -> dict:
         elif prim is not None:
             _claim(claims, "primitivity", prim.agrees is True,
                    f"blocks say primitive={prim.primitive}, criterion says {prim.criterion}")
-        induced = symmetry.action_on_partitions(perms, minimals)
-        size = symmetry.induced_symmetric_closure(induced)
-        want = 1
-        for k in range(2, m + 2):
-            want *= k
+        size = sym.induced_partition_group
+        want = factorial(m + 1)
         _claim(claims, "partition-action", size == want,
                f"induced group on the minimal partitions has size {size} (want {want})")
 
@@ -406,8 +398,38 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     g = parse_group_spec(cfg.group)
 
+    if cmd == "spectrum":
+        closed = spectral.spectrum_closed_form(g.order, cfg.m)
+        data = closed.to_dict()
+        if args.verify:
+            graph = diaggraph.build_graph(
+                g, semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap))
+            moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
+            data["verified"] = moments.entries == closed.entries
+            _emit(_render(data, cfg.fmt), cfg.out)
+            return EXIT_OK if data["verified"] else EXIT_CHECK_FAILED
+        _emit(_render(data, cfg.fmt), cfg.out)
+        return EXIT_OK
+
+    if cmd in ("semilattice", "mobius"):
+        minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
+        sl = semilattice.join_closure(minimals, semilattice.subset_suprema(minimals))
+        if cmd == "semilattice":
+            _emit(semilattice.hasse_dot(sl), cfg.out)
+            return EXIT_OK
+        rep = semilattice.verify_mobius(sl)
+        _emit(rep.to_json(), cfg.out)
+        return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+
+    if cmd == "check-all":
+        report = run_check_all(cfg)
+        _emit(_render(report, cfg.fmt), cfg.out)
+        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+
+    minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
+    graph = diaggraph.build_graph(g, minimals)
+
     if cmd == "build":
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap)
         fmt = cfg.fmt if cfg.fmt in ("graph6", "dot", "edgelist") else "graph6"
         text = diaggraph.export_graph(graph, fmt)
         summary = json.dumps(
@@ -422,42 +444,15 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(summary, file=sys.stderr)
         return EXIT_OK
 
-    if cmd == "semilattice":
-        sl = semilattice.build_semilattice(g, cfg.m, cfg.vertex_cap)
-        _emit(semilattice.hasse_dot(sl), cfg.out)
-        return EXIT_OK
-
-    if cmd == "mobius":
-        sl = semilattice.build_semilattice(g, cfg.m, cfg.vertex_cap)
-        rep = semilattice.verify_mobius(sl)
-        _emit(rep.to_json(), cfg.out)
-        return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
-
-    if cmd == "spectrum":
-        closed = spectral.spectrum_closed_form(g.order, cfg.m)
-        data = closed.to_dict()
-        if args.verify:
-            graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap)
-            moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
-            data["verified"] = moments.entries == closed.entries
-            _emit(_render(data, cfg.fmt), cfg.out)
-            return EXIT_OK if data["verified"] else EXIT_CHECK_FAILED
-        _emit(_render(data, cfg.fmt), cfg.out)
-        return EXIT_OK
-
     if cmd == "diameter":
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap)
         rep = diaggraph.diameter(graph, cfg.paranoid)
         data = {"bfs": rep.bfs, "formula": rep.formula, "match": rep.ok}
         _emit(_render(data, cfg.fmt), cfg.out)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
     if cmd == "cliques":
-        minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
-        rep = diaggraph.maximal_cliques(g, graph, minimals=minimals,
-                                        paranoid=cfg.paranoid)
-        cover = diaggraph.clique_cover(g, graph, minimals=minimals)
+        rep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
+        cover = diaggraph.clique_cover(g, graph, minimals)
         data = {
             "clique_number": rep.clique_number,
             "maximal_cliques": rep.count,
@@ -470,27 +465,21 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "chromatic":
-        verdict = chromatic_verdict(g, cfg.m, exact=cfg.exact)
+        verdict = chromatic_verdict(g, graph, exact=cfg.exact)
         _emit(_render(verdict.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 
     if cmd == "symmetry":
-        minimals = semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap)
-        graph = diaggraph.build_graph(g, cfg.m, cfg.vertex_cap, minimals=minimals)
         cliques = None
         if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
-            crep = diaggraph.maximal_cliques(g, graph, minimals=minimals,
-                                             paranoid=cfg.paranoid)
+            crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
-        rep = symmetry.symmetry_report(g, cfg.m, graph, cliques, cfg.vertex_cap,
-                                       minimals=minimals)
+        rep = symmetry.symmetry_report(g, graph, minimals, cliques)
+        if rep.order is None:
+            raise CapExceededError(
+                f"degree {graph.size} exceeds BSGS cap {symmetry.BSGS_POINT_CAP}")
         _emit(_render(rep.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
-
-    if cmd == "check-all":
-        report = run_check_all(cfg)
-        _emit(_render(report, cfg.fmt), cfg.out)
-        return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     raise DiagLabError(f"unknown command {cmd!r}")
 

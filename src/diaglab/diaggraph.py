@@ -19,13 +19,7 @@ import numpy as np
 from .errors import CapExceededError
 from .groups import GroupTable
 from .partitions import Partition
-from .semilattice import (
-    DEFAULT_VERTEX_CAP,
-    VertexCodec,
-    build_q,
-    minimal_partitions,
-    vertex_codec,
-)
+from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
 
 # The paranoid walk counts and eccentricities run a block of start vertices
 # in one pass: each vertex holds one Python int, and each start of the block
@@ -110,21 +104,14 @@ def _block_rows(part: Partition, tag: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def build_graph(
-    g: GroupTable,
-    m: int,
-    cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    minimals: list[Partition] | None = None,
-) -> DiagGraph:
-    """Adjacency from the minimal partitions: joined iff some part of some
-    Q_i contains both vertices, tagged i (the first i at m = 1, the complete
-    graph).  ``minimals``, when given, must be ``minimal_partitions(g, m)``."""
+def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
+    """Adjacency from the minimal partitions Q_0..Q_m of G^m: joined iff
+    some part of some Q_i contains both vertices, tagged i (the first i at
+    m = 1, the complete graph)."""
     if g.order < 2:
         raise ValueError("group order must be >= 2 for a diagonal graph")
-    codec = vertex_codec(g, m, cap)
-    if minimals is None:
-        minimals = minimal_partitions(g, m, cap)
+    m = len(minimals) - 1
+    codec = VertexCodec(q=g.order, m=m)
     rows = np.concatenate([_block_rows(part, i) for i, part in enumerate(minimals)])
     graph = DiagGraph.from_rows(codec, rows)
     if m >= 2 and len(graph.rows) < len(rows):
@@ -441,29 +428,29 @@ class CliqueReport:
 def maximal_cliques(
     g: GroupTable,
     graph: DiagGraph,
-    cap: int = CLIQUE_VERTEX_CAP,
+    minimals: list[Partition],
     *,
-    minimals: list[Partition] | None = None,
     paranoid: bool = False,
 ) -> CliqueReport:
-    """Enumerate maximal cliques and check them against the partition parts.
+    """Enumerate maximal cliques and check them against the parts of the
+    minimal partitions the graph was built from.
 
     Outside the four exceptional graphs the maximum cliques must be exactly
     the parts of the minimal partitions; for dimension > 2 every maximal
-    clique is such a part.  ``minimals``, when given, must be
-    ``minimal_partitions(g, graph.m)``.  ``paranoid`` enumerates over the
-    whole graph instead of translating the cliques through vertex 0 (see
-    ``all_maximal_cliques``).
+    clique is such a part.  ``paranoid`` enumerates over the whole graph
+    instead of translating the cliques through vertex 0 (see
+    ``all_maximal_cliques``).  At most ``CLIQUE_VERTEX_CAP`` vertices.
     """
-    if graph.size > cap:
-        raise CapExceededError(f"{graph.size} vertices exceeds clique cap {cap}")
+    if graph.size > CLIQUE_VERTEX_CAP:
+        raise CapExceededError(
+            f"{graph.size} vertices exceeds clique cap {CLIQUE_VERTEX_CAP}")
     cliques = all_maximal_cliques(g, graph, paranoid=paranoid)
     omega = max(len(c) for c in cliques)
     key = exceptional_key(g, graph.m)
 
     parts = {
         tuple(sorted(block))
-        for part in (minimal_partitions(g, graph.m) if minimals is None else minimals)
+        for part in minimals
         for block in part.blocks()
         if len(block) >= 2
     }
@@ -515,13 +502,10 @@ class CliqueCover:
         return len(self.parts)
 
 
-def clique_cover(
-    g: GroupTable, graph: DiagGraph, *, minimals: list[Partition] | None = None
-) -> CliqueCover:
+def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
     """Vertex-disjoint clique cover from the parts of Q_1 (q^(m-1) cliques),
-    with the matching lower bound size/q.  ``minimals``, when given, must be
-    ``minimal_partitions(g, graph.m)``."""
-    part = build_q(g, graph.m, 1) if minimals is None else minimals[1]
+    with the matching lower bound size/q."""
+    part = minimals[1]
     blocks = [tuple(b) for b in part.blocks()]
     if part.size != graph.size:
         raise AssertionError("cover misses vertices")

@@ -132,17 +132,14 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
     return sup
 
 
-def join_closure(
-    minimals: list[Partition], sup: list[Partition] | None = None
-) -> DiagonalSemilattice:
+def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSemilattice:
     """Generate the semilattice: the suprema of all subsets of the
     generators, the empty one (the singleton partition) included.
 
     Every element of a join closure is the supremum of a subset of its
     generators, so the subset table holds each element at least once.  The
     order is read off the same table: sup(S) <= sup(T) iff
-    sup(S | T) == sup(T).  ``sup``, when given, must be
-    ``subset_suprema(minimals)``; otherwise it is built here.
+    sup(S | T) == sup(T).  ``sup`` is ``subset_suprema(minimals)``.
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
@@ -155,8 +152,6 @@ def join_closure(
         raise ValueError("generator partitions must have constant part size")
     q = part_sizes.pop()
 
-    if sup is None:
-        sup = subset_suprema(minimals)
     first_mask: dict[Partition, int] = {}
     for mask, p in enumerate(sup):
         first_mask.setdefault(p, mask)
@@ -207,10 +202,6 @@ def join_closure(
     )
 
 
-def build_semilattice(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagonalSemilattice:
-    return join_closure(minimal_partitions(g, m, cap))
-
-
 def _mask_tests(sup: list[Partition], q: int) -> tuple[list[bool], list[int]]:
     """Per mask: whether every part of sup[mask] has size q^popcount(mask),
     and the first mask whose supremum equals sup[mask]."""
@@ -238,27 +229,20 @@ def check_cartesian(parts: list[Partition], q: int) -> bool:
                          list(range(1 << len(parts))))
 
 
-def verify_semilattice_hypothesis(
-    g: GroupTable,
-    m: int,
-    cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    sup: list[Partition] | None = None,
-) -> bool:
-    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice.
+def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
+    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice
+    with parts of size q^k, where ``sup`` is ``subset_suprema`` of the m+1
+    minimal partitions.
 
     One subset table over all m+1 minimal partitions serves every m-subset:
     the subsets of the one without Q_drop are the masks without bit drop.
     Each mask is tested once and the result reused for every drop.
-    ``sup``, when given, must be ``subset_suprema(minimal_partitions(g, m))``.
     """
-    if sup is None:
-        sup = subset_suprema(minimal_partitions(g, m, cap))
-    sizes_ok, same_as = _mask_tests(sup, g.order)
+    sizes_ok, same_as = _mask_tests(sup, q)
     return all(
         _is_cartesian(sizes_ok, same_as,
                       [mask for mask in range(len(sup)) if not mask >> drop & 1])
-        for drop in range(m + 1)
+        for drop in range(len(sup).bit_length() - 1)
     )
 
 

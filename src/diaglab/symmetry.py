@@ -29,7 +29,7 @@ from .groups import (
     is_simple_nonabelian,
 )
 from .partitions import Partition, components
-from .semilattice import DEFAULT_VERTEX_CAP, minimal_partitions, vertex_codec
+from .semilattice import VertexCodec
 
 BSGS_POINT_CAP = 4096
 
@@ -73,19 +73,15 @@ def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]
 
 
 def diagonal_group_generators(
-    g: GroupTable,
-    m: int,
-    cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    aut: list[tuple[int, ...]] | None = None,
+    g: GroupTable, m: int, aut: list[tuple[int, ...]]
 ) -> list[TaggedPerm]:
-    """Explicit image arrays for a generating set of the diagonal group.
+    """Explicit image arrays for a generating set of the diagonal group on
+    G^m, given ``aut = automorphism_group(g)``.
 
     Uses generating sequences of G and of Aut(G) rather than full element
     lists; identity permutations are dropped and duplicates removed.
-    ``aut``, when given, must be ``automorphism_group(g)``.
     """
-    codec = vertex_codec(g, m, cap)
+    codec = VertexCodec(q=g.order, m=m)
     n = codec.size
     tuples = [codec.decode(v) for v in range(n)]
     gens_g = generating_sequence(g)
@@ -103,8 +99,6 @@ def diagonal_group_generators(
     for x in gens_g:
         xi = g.inv[x]
         emit("diag-left-mult", lambda t, xi=xi: tuple(g.mul[xi][e] for e in t))
-    if aut is None:
-        aut = automorphism_group(g)
     for alpha in _perm_group_generators(aut):
         emit("aut", lambda t, alpha=alpha: tuple(alpha[e] for e in t))
     if m >= 2:
@@ -118,12 +112,8 @@ def diagonal_group_generators(
     return out
 
 
-def diagonal_group_order_formula(
-    g: GroupTable, m: int, *, aut: list[tuple[int, ...]] | None = None
-) -> int:
-    """|G|^m * |Aut(G)| * (m+1)!; ``aut``, when given, is Aut(G) itself."""
-    if aut is None:
-        aut = automorphism_group(g)
+def diagonal_group_order_formula(g: GroupTable, m: int, aut: list[tuple[int, ...]]) -> int:
+    """|G|^m * |Aut(G)| * (m+1)!, given ``aut = automorphism_group(g)``."""
     return g.order**m * len(aut) * factorial(m + 1)
 
 
@@ -278,28 +268,18 @@ class StabilizerChain:
         self._complete_level(level)
 
 
-def build_chain(perms: list[TaggedPerm], point_cap: int | None = None) -> StabilizerChain:
-    """Stabiliser chain of the group generated by perms.
-
-    ``point_cap`` defaults to ``BSGS_POINT_CAP``, read at call time.
-    """
+def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
+    """Stabiliser chain of the group generated by perms, on at most
+    ``BSGS_POINT_CAP`` points."""
     if not perms:
         raise ValueError("need at least one permutation")
     degree = len(perms[0].image)
-    cap = BSGS_POINT_CAP if point_cap is None else point_cap
-    if degree > cap:
-        raise CapExceededError(f"degree {degree} exceeds BSGS cap {cap}")
+    if degree > BSGS_POINT_CAP:
+        raise CapExceededError(f"degree {degree} exceeds BSGS cap {BSGS_POINT_CAP}")
     chain = StabilizerChain(degree)
     for p in perms:
         chain.add_generator(np.asarray(p.image, dtype=chain.dtype))
     return chain
-
-
-def schreier_sims_order(perms: list[TaggedPerm], point_cap: int | None = None) -> int:
-    """Exact order of the permutation group generated by perms."""
-    if not perms:
-        return 1
-    return build_chain(perms, point_cap).order()
 
 
 def _row_ids(rows: np.ndarray, degree: int):
@@ -428,26 +408,16 @@ def primitivity_criterion(g: GroupTable, m: int) -> bool | None:
 
 
 def is_vertex_primitive(
-    g: GroupTable,
-    m: int,
-    cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    perms: list[TaggedPerm] | None = None,
-    chain: StabilizerChain | None = None,
+    g: GroupTable, m: int, perms: list[TaggedPerm], chain: StabilizerChain
 ) -> PrimitivityReport:
-    """Block-system primitivity of the diagonal group action.
+    """Block-system primitivity of the diagonal group action, given its
+    generators ``perms`` and their chain ``build_chain(perms)``.
 
     The minimal block containing {0, v} depends only on the suborbit of v
     under the stabiliser of 0, so one representative per suborbit is tested:
     the least point of each component of the stabiliser generators taken
     from the Schreier-Sims chain.
-    ``perms`` and ``chain``, when given, must be the diagonal group's
-    generators and their chain; otherwise both are built here.
     """
-    if perms is None:
-        perms = diagonal_group_generators(g, m, cap)
-    if chain is None:
-        chain = build_chain(perms)
     n = len(perms[0].image)
     if n != g.order**m or chain.degree != n:
         raise ValueError(f"generators on {n} points and a chain on {chain.degree} "
@@ -507,14 +477,12 @@ def induced_symmetric_closure(induced: list[tuple[int, ...]]) -> int:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    order: int
+    order: int | None  # None past BSGS_POINT_CAP, with primitivity
     order_formula: int
     vertex_orbits: int
     edge_orbits: int
     clique_orbits: int | None
-    primitive: bool
-    criterion: bool | None
-    criterion_agrees: bool | None
+    primitivity: PrimitivityReport | None
     induced_partition_group: int
     small_exceptional_case: bool  # m = 2 and |G| <= 4: the full automorphism
     # group of the graph is strictly larger, so verdicts describe the
@@ -527,9 +495,9 @@ class SymmetryReport:
             "vertex_orbits": self.vertex_orbits,
             "edge_orbits": self.edge_orbits,
             "clique_orbits": self.clique_orbits,
-            "primitive": self.primitive,
-            "criterion": self.criterion,
-            "criterion_agrees": self.criterion_agrees,
+            "primitive": self.primitivity.primitive,
+            "criterion": self.primitivity.criterion,
+            "criterion_agrees": self.primitivity.agrees,
             "induced_partition_group": self.induced_partition_group,
             "about_diagonal_action_only": self.small_exceptional_case,
         }
@@ -537,39 +505,40 @@ class SymmetryReport:
 
 def symmetry_report(
     g: GroupTable,
-    m: int,
     graph: DiagGraph,
+    minimals: list[Partition],
     cliques: list[tuple[int, ...]] | None = None,
-    cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    minimals: list[Partition] | None = None,
 ) -> SymmetryReport:
-    """``minimals``, when given, must be ``minimal_partitions(g, m)``."""
+    """The diagonal group of G^m, m >= 2, acting on ``graph``, built from
+    ``minimals``: its order against the formula, its orbits on the vertices,
+    the edges and ``cliques`` (when given), its primitivity, and the group
+    it induces on the minimal partitions.
+
+    One generating set serves every count, and one chain both the order and
+    the primitivity; the chain is released before the orbit counts build
+    their arrays.  Past ``BSGS_POINT_CAP`` points no chain is built, and the
+    order and the primitivity are None.
+    """
+    m = graph.m
     if m < 2:
         raise ValueError("symmetry analysis needs m >= 2 (the minimal "
                          "partitions coincide at m = 1)")
     aut = automorphism_group(g)
-    perms = diagonal_group_generators(g, m, cap, aut=aut)
-    chain = build_chain(perms)
-    order = chain.order()
-    prim = is_vertex_primitive(g, m, perms=perms, chain=chain)
-    del chain
-    formula = diagonal_group_order_formula(g, m, aut=aut)
-    vertex_orbits = orbit_count(perms, list(range(graph.size)))
-    edge_orbits = orbit_count(perms, graph.rows[:, :2])
-    clique_orbits = orbit_count(perms, sorted(cliques)) if cliques else None
-    if minimals is None:
-        minimals = minimal_partitions(g, m, cap)
-    induced = action_on_partitions(perms, minimals)
+    perms = diagonal_group_generators(g, m, aut)
+    order = prim = None
+    if graph.size <= BSGS_POINT_CAP:
+        chain = build_chain(perms)
+        order = chain.order()
+        prim = is_vertex_primitive(g, m, perms, chain)
+        del chain
     return SymmetryReport(
         order=order,
-        order_formula=formula,
-        vertex_orbits=vertex_orbits,
-        edge_orbits=edge_orbits,
-        clique_orbits=clique_orbits,
-        primitive=prim.primitive,
-        criterion=prim.criterion,
-        criterion_agrees=prim.agrees,
-        induced_partition_group=induced_symmetric_closure(induced),
+        order_formula=diagonal_group_order_formula(g, m, aut),
+        vertex_orbits=orbit_count(perms, list(range(graph.size))),
+        edge_orbits=orbit_count(perms, graph.rows[:, :2]),
+        clique_orbits=orbit_count(perms, cliques) if cliques else None,
+        primitivity=prim,
+        induced_partition_group=induced_symmetric_closure(
+            action_on_partitions(perms, minimals)),
         small_exceptional_case=(m == 2 and g.order <= 4),
     )

@@ -12,9 +12,9 @@ from functools import lru_cache
 import pytest
 
 from diaglab.diaggraph import build_graph, maximal_cliques
-from diaglab.groups import parse_group_spec
-from diaglab.semilattice import build_semilattice
-from diaglab.symmetry import diagonal_group_generators
+from diaglab.groups import automorphism_group, parse_group_spec
+from diaglab.semilattice import join_closure, minimal_partitions, subset_suprema
+from diaglab.symmetry import build_chain, diagonal_group_generators, is_vertex_primitive
 
 GRID_GROUPS = ("C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8")
 GRID_M = (2, 3, 4, 5)
@@ -40,23 +40,40 @@ def group_of(spec: str):
 
 
 @lru_cache(maxsize=None)
+def aut_of(spec: str):
+    return automorphism_group(group_of(spec))
+
+
+@lru_cache(maxsize=None)
+def minimals_of(spec: str, m: int):
+    return minimal_partitions(group_of(spec), m)
+
+
+@lru_cache(maxsize=None)
 def graph_of(spec: str, m: int):
-    return build_graph(group_of(spec), m)
+    return build_graph(group_of(spec), minimals_of(spec, m))
 
 
 @lru_cache(maxsize=None)
 def semilattice_of(spec: str, m: int):
-    return build_semilattice(group_of(spec), m)
+    minimals = minimals_of(spec, m)
+    return join_closure(minimals, subset_suprema(minimals))
 
 
 @lru_cache(maxsize=None)
 def cliques_of(spec: str, m: int):
-    return maximal_cliques(group_of(spec), graph_of(spec, m))
+    return maximal_cliques(group_of(spec), graph_of(spec, m), minimals_of(spec, m))
 
 
 @lru_cache(maxsize=None)
 def generators_of(spec: str, m: int):
-    return tuple(diagonal_group_generators(group_of(spec), m))
+    return tuple(diagonal_group_generators(group_of(spec), m, aut_of(spec)))
+
+
+def primitivity_of(spec: str, m: int):
+    """``is_vertex_primitive`` over a fresh chain, which is not cached."""
+    perms = list(generators_of(spec, m))
+    return is_vertex_primitive(group_of(spec), m, perms, build_chain(perms))
 
 
 def edge_set(graph) -> set[tuple[int, int]]:

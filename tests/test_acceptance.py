@@ -26,6 +26,8 @@ from diaglab.diaggraph import (
 from diaglab.groups import is_elementary_abelian, parse_group_spec
 from diaglab.semilattice import (
     expected_rank_counts,
+    minimal_partitions,
+    subset_suprema,
     verify_mobius,
     verify_semilattice_hypothesis,
 )
@@ -37,19 +39,22 @@ from diaglab.spectral import (
     verify_stratum_identity,
 )
 from diaglab.symmetry import (
+    build_chain,
     diagonal_group_order_formula,
     is_vertex_primitive,
     orbit_count,
-    schreier_sims_order,
 )
 
 from conftest import (
     GRID,
+    aut_of,
     cliques_of,
     edge_set,
     generators_of,
     graph_of,
     group_of,
+    minimals_of,
+    primitivity_of,
     semilattice_of,
 )
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
@@ -96,7 +101,7 @@ def test_criterion_03_valency_and_edges():
     for spec, m in GRID:
         g = group_of(spec)
         t0 = time.perf_counter()
-        graph = build_graph(g, m)
+        graph = build_graph(g, minimal_partitions(g, m))
         k = (m + 1) * (g.order - 1)
         ok = all(len(nb) == k for nb in graph.adjacency)
         ok = ok and 2 * len(graph.rows) == graph.size * k
@@ -143,7 +148,7 @@ def test_criterion_06_cliques():
             want = (m + 1) * g.q ** (m - 1)
             if rep.count != want or any(len(c) != g.q for c in rep.cliques):
                 bad.append((spec, m))
-        cover = clique_cover(group_of(spec), g)
+        cover = clique_cover(group_of(spec), g, minimals_of(spec, m))
         if cover.size != g.q ** (m - 1):
             bad.append((spec, m, "cover"))
     exceptional = {
@@ -179,7 +184,7 @@ def test_criterion_07_chromatic(tmp_path):
     for spec, m in GRID:
         g = group_of(spec)
         if m % 2 == 1 or hall_paige_predicate(g):
-            verdict = chromatic_verdict(g, m)
+            verdict = chromatic_verdict(g, graph_of(spec, m))
             if verdict.chi != g.order or verdict.coloring is None:
                 bad.append((spec, m))
     folded = chromatic_number_exact(graph_of("C2", 4))
@@ -215,9 +220,10 @@ def test_criterion_09_symmetry():
     for spec, m in GRID:
         g = group_of(spec)
         perms = list(generators_of(spec, m))
-        formula = diagonal_group_order_formula(g, m)
+        formula = diagonal_group_order_formula(g, m, aut_of(spec))
+        chain = build_chain(perms)
         if formula <= 10**9:
-            if schreier_sims_order(perms) != formula:
+            if chain.order() != formula:
                 bad.append((spec, m, "order"))
         graph = graph_of(spec, m)
         if orbit_count(perms, list(range(graph.size))) != 1:
@@ -225,13 +231,14 @@ def test_criterion_09_symmetry():
         edge_orbits = orbit_count(perms, graph.rows[:, :2])
         if (edge_orbits == 1) != (is_elementary_abelian(g) is not None):
             bad.append((spec, m, "edge orbits"))
-        prim = is_vertex_primitive(g, m)
+        prim = is_vertex_primitive(g, m, perms, chain)
+        del chain
         if prim.criterion is not None and prim.agrees is not True:
             bad.append((spec, m, "primitivity"))
     spot = (
-        schreier_sims_order(list(generators_of("C3", 3))) == 1296
-        and is_vertex_primitive(group_of("C3"), 2).primitive is False
-        and is_vertex_primitive(group_of("C3"), 3).primitive is True
+        build_chain(list(generators_of("C3", 3))).order() == 1296
+        and primitivity_of("C3", 2).primitive is False
+        and primitivity_of("C3", 3).primitive is True
     )
     report(9, "symmetry", not bad and spot,
            "orders match |G|^m|Aut||(m+1)!|; transitivity and primitivity as classified")
@@ -240,7 +247,8 @@ def test_criterion_09_symmetry():
 def test_criterion_10_semilattice_hypothesis():
     bad = []
     for spec, m in GRID:
-        if not verify_semilattice_hypothesis(group_of(spec), m):
+        if not verify_semilattice_hypothesis(subset_suprema(minimals_of(spec, m)),
+                                             group_of(spec).order):
             bad.append((spec, m, "hypothesis"))
         sl = semilattice_of(spec, m)
         counts: dict[int, int] = {}

@@ -100,7 +100,7 @@ def test_tabucol_budget():
 def test_verdict_closes_q_plus_2_at_dimension_2(spec):
     g = group_of(spec)
     q = g.order
-    v = chromatic_verdict(g, 2)
+    v = chromatic_verdict(g, graph_of(spec, 2))
     assert (v.chi, v.lower, v.upper, v.conjecture) == (q + 2, q, q + 2, q + 2)
     assert v.mapping is None
     assert validate_coloring(graph_of(spec, 2), v.coloring)
@@ -109,7 +109,7 @@ def test_verdict_closes_q_plus_2_at_dimension_2(spec):
 @pytest.mark.parametrize("spec,m", [("C2", 4), ("C2", 6), ("C4", 4)])
 def test_verdict_pulls_back_at_even_dimension(spec, m):
     g = group_of(spec)
-    v = chromatic_verdict(g, m)
+    v = chromatic_verdict(g, graph_of(spec, m))
     assert (v.chi, v.lower, v.upper) == (None, g.order, g.order + 2)
     assert validate_coloring(graph_of(spec, m), v.coloring)
     assert "pulled back through the homomorphism cascade to dimension 2" in v.reason
@@ -117,6 +117,6 @@ def test_verdict_pulls_back_at_even_dimension(spec, m):
 
 def test_verdict_without_upper_bound(monkeypatch):
     monkeypatch.setattr(chromatic, "tabucol", lambda graph, k: None)
-    v = chromatic_verdict(group_of("C6"), 2)
+    v = chromatic_verdict(group_of("C6"), graph_of("C6", 2))
     assert (v.chi, v.lower, v.upper) == (None, 6, None)
     assert any("no 8-colouring" in r for r in v.reason)

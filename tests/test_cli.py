@@ -49,6 +49,18 @@ def test_build_to_file(tmp_path, capsys):
     assert parse_graph6(out_path.read_text().strip())
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--group", "C2", "--m", "2"),
+    ("grid", "--groups", "C2", "--m-min", "2", "--m-max", "2"),
+])
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "build", "--group", "Z9", "--m", "2")
     assert code == EXIT_USAGE
@@ -131,6 +143,17 @@ def test_chromatic_json(capsys):
     assert data["conjecture"] == 6
 
 
+def test_chromatic_honours_vertex_cap(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "chromatic", "--group", "C3", "--m", "3",
+                             "--cap-vertices", "5")
+    assert code == EXIT_CAP and out == ""
+    assert "exceeds cap" in err
+    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "5")
+    code, out, err = run_cli(capsys, "chromatic", "--group", "C3", "--m", "3")
+    assert code == EXIT_CAP and out == ""
+    assert "exceeds cap" in err
+
+
 def test_mapping_json(capsys):
     code, out, _ = run_cli(capsys, "mapping", "--group", "C2xC2")
     assert code == EXIT_OK
@@ -147,6 +170,25 @@ def test_symmetry_json(capsys):
     data = json.loads(out)
     assert data["order"] == 108
     assert data["vertex_orbits"] == 1
+
+
+SYMMETRY_PATH = Path(__file__).resolve().parent / "data" / "symmetry_reports.json"
+
+
+@pytest.mark.parametrize("key", sorted(json.loads(SYMMETRY_PATH.read_text())))
+def test_symmetry_output_unchanged(capsys, key):
+    """The ``symmetry`` output of every ``grid --m-max 3`` instance, byte for
+    byte, as recorded before it shared its code path with ``check-all``.
+
+    ``about_diagonal_action_only`` is a hard-coded rule (m = 2 and
+    |G| <= 4), not a computation of the graph's full automorphism group;
+    a change that computes that group re-records this file and says why.
+    """
+    expected = json.loads(SYMMETRY_PATH.read_text())[key]
+    group, m = key.split()
+    code, out, err = run_cli(capsys, "symmetry", "--group", group, "--m", m)
+    assert code == EXIT_OK and err == ""
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_check_all_passes(capsys):
@@ -397,6 +439,26 @@ def test_graph_commands_build_minimal_partitions_once(capsys, call_counts, comma
     code, _, _ = run_cli(capsys, command, "--group", "C3", "--m", "3")
     assert code == EXIT_OK
     assert calls == {"build_graph": 1, "minimal_partitions": 1, "build_q": 4}
+
+
+@pytest.mark.parametrize("argv,graphs", [
+    (("build",), 1),
+    (("diameter",), 1),
+    (("spectrum", "--verify"), 1),
+    (("chromatic",), 1),
+    (("semilattice",), 0),
+    (("mobius",), 0),
+])
+def test_single_commands_build_each_artefact_once(capsys, call_counts, argv, graphs):
+    from diaglab import diaggraph, semilattice
+
+    counted, calls = call_counts
+    counted(diaggraph, "build_graph")
+    counted(semilattice, "minimal_partitions")
+    code, _, _ = run_cli(capsys, argv[0], "--group", "C3", "--m", "3", *argv[1:])
+    assert code == EXIT_OK
+    assert calls.get("minimal_partitions") == 1
+    assert calls.get("build_graph", 0) == graphs
 
 
 SYMMETRY_CLAIMS = {"symmetry-order", "vertex-transitive", "edge-transitive-iff",

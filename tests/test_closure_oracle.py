@@ -115,7 +115,7 @@ def test_subset_suprema_table():
 @pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
 def test_join_closure_matches_worklist(spec, m):
     qs = minimal_partitions(group_of(spec), m)
-    assert join_closure(qs) == worklist_join_closure(qs)
+    assert join_closure(qs, subset_suprema(qs)) == worklist_join_closure(qs)
 
 
 @pytest.mark.parametrize("spec,m", [("C2", 3), ("C3", 3), ("C4", 2), ("S3", 2),
@@ -127,7 +127,7 @@ def test_check_cartesian_matches_per_subset(spec, m):
     subsets += [qs, qs[:1], [qs[1], qs[1]], [qs[0], qs[1], qs[0]]]
     for parts in subsets:
         assert check_cartesian(parts, g.order) == per_subset_cartesian(parts, g.order)
-    assert verify_semilattice_hypothesis(g, m) == all(
+    assert verify_semilattice_hypothesis(subset_suprema(qs), g.order) == all(
         per_subset_cartesian(parts, g.order) for parts in subsets[: m + 1]
     )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from diaglab.diaggraph import (
+    CLIQUE_VERTEX_CAP,
     bfs_distances,
     bron_kerbosch,
     cayley_graph,
@@ -22,8 +23,9 @@ from diaglab.diaggraph import (
     to_graph6,
 )
 from diaglab.groups import cyclic
+from diaglab.semilattice import minimal_partitions
 
-from conftest import cliques_of, edge_set, graph_of, group_of
+from conftest import cliques_of, edge_set, graph_of, group_of, minimals_of
 
 
 def test_k4():
@@ -59,7 +61,7 @@ def test_group_order_one_rejected():
     from diaglab.diaggraph import build_graph
 
     with pytest.raises(ValueError):
-        build_graph(cyclic(1), 2)
+        build_graph(cyclic(1), minimal_partitions(cyclic(1), 2))
 
 
 def test_connection_set_c3_m3():
@@ -216,12 +218,12 @@ def test_cliques_grid_m_above_two(grid):
 
 
 def test_clique_cover_examples():
-    cover = clique_cover(group_of("C3"), graph_of("C3", 2))
+    cover = clique_cover(group_of("C3"), graph_of("C3", 2), minimals_of("C3", 2))
     assert cover.size == 3
-    cover = clique_cover(group_of("C2"), graph_of("C2", 3))
+    cover = clique_cover(group_of("C2"), graph_of("C2", 3), minimals_of("C2", 3))
     assert cover.size == 4
     assert all(len(p) == 2 for p in cover.parts)
-    cover = clique_cover(group_of("C3"), graph_of("C3", 3))
+    cover = clique_cover(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3))
     assert cover.size == 9
     assert cover.lower_bound == 9
 
@@ -290,7 +292,7 @@ def test_export_dot_and_edgelist():
         export_graph(g, "adjacency")
 
 
-def property_report(g, graph, clique_cap: int = 4096) -> dict:
+def property_report(g, graph, minimals) -> dict:
     """JSON-ready summary of the graph's headline parameters."""
     diam = diameter(graph)
     dr, arrays = is_distance_regular(graph)
@@ -306,13 +308,13 @@ def property_report(g, graph, clique_cap: int = 4096) -> dict:
     }
     if arrays is not None and dr:
         report["intersection_array"] = [list(arrays[0]), list(arrays[1])]
-    if graph.size <= clique_cap:
-        report["clique_number"] = maximal_cliques(g, graph, clique_cap).clique_number
+    if graph.size <= CLIQUE_VERTEX_CAP:
+        report["clique_number"] = maximal_cliques(g, graph, minimals).clique_number
     return report
 
 
 def test_property_report_keys():
-    rep = property_report(group_of("C3"), graph_of("C3", 3))
+    rep = property_report(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3))
     assert rep["q"] == 3 and rep["m"] == 3 and rep["N"] == 27
     assert rep["valency"] == 8
     assert rep["diameter"] == rep["diameter_formula"] == 2

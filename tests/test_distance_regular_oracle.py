@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from diaglab import diaggraph
 from diaglab.diaggraph import build_graph, is_distance_regular
+from diaglab.semilattice import minimal_partitions
 
 from conftest import GRID, graph_of, group_of
 from replaced import is_distance_regular as bfs_is_distance_regular
@@ -39,7 +40,7 @@ def test_grid_graphs(spec, m):
 
 
 def test_c2_m8_from_every_vertex():
-    graph = build_graph(group_of("C2"), 8)
+    graph = build_graph(group_of("C2"), minimal_partitions(group_of("C2"), 8))
     assert_matches_oracle(graph)
     assert is_distance_regular(graph, paranoid=True) == (
         True, ((9, 8, 7, 6), (1, 2, 3, 4)))
@@ -55,7 +56,7 @@ def test_several_blocks(monkeypatch):
 
 
 def test_paranoid_c2_m10_is_fast():
-    graph = build_graph(group_of("C2"), 10)
+    graph = build_graph(group_of("C2"), minimal_partitions(group_of("C2"), 10))
     started = time.perf_counter()
     verdict = is_distance_regular(graph, paranoid=True)
     elapsed = time.perf_counter() - started

@@ -44,7 +44,8 @@ def rows_of(tagged: dict[tuple[int, int], int]) -> np.ndarray:
 @pytest.mark.parametrize("spec,m", INSTANCES)
 def test_rows_match_the_python_constructions(spec, m):
     g = group_of(spec)
-    for graph, tagged in ((build_graph(g, m), partition_edge_tags(g, m)),
+    for graph, tagged in ((build_graph(g, minimal_partitions(g, m)),
+                           partition_edge_tags(g, m)),
                           (cayley_graph(g, m), cayley_edge_tags(g, m))):
         assert graph.rows.dtype == graph.nbr.dtype == np.int32
         assert np.array_equal(graph.rows, rows_of(tagged)), (spec, m)
@@ -63,14 +64,14 @@ def test_an_edge_in_two_minimal_partitions_raises():
     with pytest.raises(AssertionError, match="lies in two minimal partitions"):
         partition_edge_tags(g, 3, doctored)
     with pytest.raises(AssertionError, match="lies in two minimal partitions"):
-        build_graph(g, 3, minimals=doctored)
+        build_graph(g, doctored)
 
 
 def test_dimension_one_keeps_the_first_of_two_equal_partitions():
     g = group_of("C4")
     q0, q1 = minimal_partitions(g, 1)
     assert q0 == q1
-    graph = build_graph(g, 1, minimals=[q0, q0])
+    graph = build_graph(g, [q0, q0])
     assert np.array_equal(graph.rows, rows_of(partition_edge_tags(g, 1, [q0, q0])))
     assert (graph.rows[:, 2] == 0).all() and len(graph.rows) == 6
 

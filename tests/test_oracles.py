@@ -17,8 +17,8 @@ from diaglab.semilattice import minimal_partitions
 from diaglab.symmetry import (
     TaggedPerm,
     action_on_partitions,
+    build_chain,
     induced_symmetric_closure,
-    schreier_sims_order,
 )
 
 from conftest import GRID, generators_of, group_of
@@ -52,7 +52,7 @@ def closure_order(gens: list[tuple[int, ...]]) -> int:
 def test_schreier_sims_matches_closure(perm_lists):
     gens = [tuple(p) for p in perm_lists]
     tagged = [TaggedPerm(tag="t", image=p) for p in gens]
-    assert schreier_sims_order(tagged) == closure_order(gens)
+    assert build_chain(tagged).order() == closure_order(gens)
 
 
 def test_induced_closure_matches_bfs_on_grid():

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab.diaggraph import build_graph, maximal_cliques
+from diaglab.semilattice import minimal_partitions
 from diaglab.symmetry import TaggedPerm, diagonal_group_generators, orbit_count
 
-from conftest import GRID, cliques_of, generators_of, graph_of, group_of
+from conftest import GRID, aut_of, cliques_of, generators_of, graph_of, group_of
 from replaced import UnionFind
 
 
@@ -56,10 +57,11 @@ def test_orbit_count_matches_unionfind_on_grid(spec, m):
 def test_orbit_count_wide_rows_c16_m3():
     # 16-point cliques on 4096 points: a radix key 4096^16 overflows int64
     g = group_of("C16")
-    graph = build_graph(g, 3)
-    top = top_cliques(maximal_cliques(g, graph).cliques)
+    minimals = minimal_partitions(g, 3)
+    graph = build_graph(g, minimals)
+    top = top_cliques(maximal_cliques(g, graph, minimals).cliques)
     assert len(top[0]) == 16 and 4096**16 > 2**63
-    perms = diagonal_group_generators(g, 3)
+    perms = diagonal_group_generators(g, 3, aut_of("C16"))
     assert orbit_count(perms, top) == unionfind_orbit_count(perms, top) == 1
 
 

@@ -9,19 +9,19 @@ from diaglab.groups import cyclic
 from diaglab.partitions import Partition, finer_or_equal, poset_matrices
 from diaglab.semilattice import (
     build_q,
-    build_semilattice,
     check_cartesian,
     expected_rank_counts,
     hasse_dot,
     join_closure,
     minimal_partitions,
     mobius_closed_form,
+    subset_suprema,
     verify_mobius,
     verify_semilattice_hypothesis,
     vertex_codec,
 )
 
-from conftest import group_of, semilattice_of
+from conftest import group_of, minimals_of, semilattice_of
 
 
 def test_codec_examples():
@@ -92,7 +92,8 @@ def test_check_cartesian():
 
 @pytest.mark.parametrize("spec,m", [("C3", 3), ("C2", 2), ("C4", 2)])
 def test_semilattice_hypothesis_examples(spec, m):
-    assert verify_semilattice_hypothesis(group_of(spec), m)
+    assert verify_semilattice_hypothesis(subset_suprema(minimals_of(spec, m)),
+                                         group_of(spec).order)
 
 
 def test_mobius_closed_form_values():
@@ -199,7 +200,8 @@ def test_expected_rank_counts_formula():
 
 def test_join_closure_rejects_mixed_ground_sets():
     with pytest.raises(ValueError):
-        join_closure([build_q(cyclic(2), 2, 0), build_q(cyclic(2), 3, 0)])
+        # the ground sets are checked before the subset table is read
+        join_closure([build_q(cyclic(2), 2, 0), build_q(cyclic(2), 3, 0)], [])
 
 
 def test_hasse_dot_output():
@@ -211,7 +213,8 @@ def test_hasse_dot_output():
 
 
 def test_c2_m8_semilattice_and_mobius():
-    sl = build_semilattice(cyclic(2), 8)
+    qs = minimal_partitions(cyclic(2), 8)
+    sl = join_closure(qs, subset_suprema(qs))
     assert len(sl.elements) == 503
     counts = {}
     for r in sl.rank:

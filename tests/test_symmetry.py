@@ -13,11 +13,20 @@ from diaglab.symmetry import (
     is_vertex_primitive,
     minimal_block_trivial,
     orbit_count,
-    schreier_sims_order,
     symmetry_report,
 )
 
-from conftest import GRID, cliques_of, edge_set, generators_of, graph_of, group_of
+from conftest import (
+    GRID,
+    aut_of,
+    cliques_of,
+    edge_set,
+    generators_of,
+    graph_of,
+    group_of,
+    minimals_of,
+    primitivity_of,
+)
 from replaced import bfs_suborbit_representatives, unionfind_minimal_block_trivial
 
 
@@ -46,31 +55,25 @@ def test_fifth_map_is_involution():
     [("C2", 2, 24), ("C3", 2, 108), ("C3", 3, 1296)],
 )
 def test_schreier_sims_order_examples(spec, m, expected):
-    order = schreier_sims_order(list(generators_of(spec, m)))
+    order = build_chain(list(generators_of(spec, m))).order()
     assert order == expected
-    assert diagonal_group_order_formula(group_of(spec), m) == expected
+    assert diagonal_group_order_formula(group_of(spec), m, aut_of(spec)) == expected
 
 
 def test_order_formula_grid(grid):
     for spec, m in grid:
-        formula = diagonal_group_order_formula(group_of(spec), m)
+        formula = diagonal_group_order_formula(group_of(spec), m, aut_of(spec))
         if formula > 10**9:
             continue
-        order = schreier_sims_order(list(generators_of(spec, m)))
+        order = build_chain(list(generators_of(spec, m))).order()
         assert order == formula, (spec, m)
-
-
-def test_schreier_sims_order_is_chain_order():
-    for spec, m in [("C2", 2), ("C3", 3), ("S3", 2), ("C2xC2", 3), ("Q8", 2)]:
-        perms = list(generators_of(spec, m))
-        assert schreier_sims_order(perms) == build_chain(perms).order()
 
 
 def test_chain_order_c2_m9():
     # 1 857 945 600 > 10^9: past the order cap that check-all used to apply
     g = group_of("C2")
-    chain = build_chain(diagonal_group_generators(g, 9))
-    assert chain.order() == diagonal_group_order_formula(g, 9) == 1857945600
+    chain = build_chain(diagonal_group_generators(g, 9, aut_of("C2")))
+    assert chain.order() == diagonal_group_order_formula(g, 9, aut_of("C2")) == 1857945600
 
 
 @pytest.mark.parametrize("spec,m", GRID)
@@ -78,8 +81,7 @@ def test_primitivity_with_given_chain(spec, m):
     g = group_of(spec)
     perms = list(generators_of(spec, m))
     chain = build_chain(perms)
-    given = is_vertex_primitive(g, m, perms=perms, chain=chain)
-    assert given == is_vertex_primitive(g, m)
+    given = is_vertex_primitive(g, m, perms, chain)
     # Suborbits and block systems against the BFS and union-find code that
     # the components kernel replaced.
     n = len(perms[0].image)
@@ -94,10 +96,9 @@ def test_primitivity_rejects_mismatched_chain():
     g = group_of("C3")
     perms = list(generators_of("C3", 2))
     with pytest.raises(ValueError):
-        is_vertex_primitive(g, 3, perms=perms)
+        is_vertex_primitive(g, 3, perms, build_chain(perms))
     with pytest.raises(ValueError):
-        is_vertex_primitive(g, 2, perms=perms,
-                            chain=build_chain(list(generators_of("C3", 3))))
+        is_vertex_primitive(g, 2, perms, build_chain(list(generators_of("C3", 3))))
 
 
 def test_vertex_orbits_always_one(grid):
@@ -139,19 +140,19 @@ def test_clique_transitivity_on_maximum_cliques():
 
 
 def test_primitivity_examples():
-    rep = is_vertex_primitive(group_of("C3"), 2)
+    rep = primitivity_of("C3", 2)
     assert rep.primitive is False and rep.criterion is False and rep.agrees
 
-    rep = is_vertex_primitive(group_of("C3"), 3)
+    rep = primitivity_of("C3", 3)
     assert rep.primitive is True and rep.criterion is True and rep.agrees
 
-    rep = is_vertex_primitive(group_of("C2"), 2)
+    rep = primitivity_of("C2", 2)
     assert rep.primitive is True and rep.criterion is True
 
-    rep = is_vertex_primitive(group_of("C2"), 3)  # p=2 divides m+1=4
+    rep = primitivity_of("C2", 3)  # p=2 divides m+1=4
     assert rep.primitive is False and rep.criterion is False
 
-    rep = is_vertex_primitive(group_of("C4"), 2)  # not characteristically simple
+    rep = primitivity_of("C4", 2)  # not characteristically simple
     assert rep.criterion is None and rep.agrees is None
 
 
@@ -162,7 +163,7 @@ def test_primitivity_criterion_matches_blocks_on_elementary_grid(grid):
             continue
         if g.order**m > 1024:
             continue
-        rep = is_vertex_primitive(g, m)
+        rep = primitivity_of(spec, m)
         assert rep.agrees is True, (spec, m)
 
 
@@ -199,7 +200,7 @@ def test_symmetry_report_fields():
     g = group_of("C3")
     graph = graph_of("C3", 2)
     cliques = list(cliques_of("C3", 2).cliques)
-    rep = symmetry_report(g, 2, graph, cliques)
+    rep = symmetry_report(g, graph, minimals_of("C3", 2), cliques)
     data = rep.to_dict()
     assert data["order"] == data["order_formula"] == 108
     assert data["vertex_orbits"] == 1

@@ -22,9 +22,9 @@ from diaglab.diaggraph import (
     build_graph,
     maximal_cliques,
 )
-from diaglab.semilattice import VertexCodec
+from diaglab.semilattice import VertexCodec, minimal_partitions
 
-from conftest import GRID, edge_set, graph_of, group_of
+from conftest import GRID, edge_set, graph_of, group_of, minimals_of
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
@@ -75,7 +75,7 @@ def test_grid_graphs(spec, m):
 @pytest.mark.parametrize("spec", COMPLETE)
 def test_complete_graphs_of_dimension_1(spec):
     g = group_of(spec)
-    graph = build_graph(g, 1)
+    graph = build_graph(g, minimal_partitions(g, 1))
     assert all_maximal_cliques(g, graph) == [tuple(range(g.order))]
     assert_same_cliques(g, graph)
 
@@ -107,7 +107,7 @@ def test_edgeless_graph_gives_singletons():
 def test_default_path_enumerates_only_the_neighbourhood(monkeypatch, spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
     sizes = record_sizes(monkeypatch)
-    maximal_cliques(g, graph)
+    maximal_cliques(g, graph, minimals_of(spec, m))
     assert sizes and max(sizes) <= graph.valency
 
 
@@ -115,9 +115,9 @@ def test_default_path_enumerates_only_the_neighbourhood(monkeypatch, spec, m):
 def test_paranoid_runs_the_full_enumeration(monkeypatch, spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
     sizes = record_sizes(monkeypatch)
-    report = maximal_cliques(g, graph, paranoid=True)
+    report = maximal_cliques(g, graph, minimals_of(spec, m), paranoid=True)
     assert sizes == [graph.size]
-    assert report == maximal_cliques(g, graph)
+    assert report == maximal_cliques(g, graph, minimals_of(spec, m))
 
 
 @st.composite
