@@ -45,7 +45,6 @@ from .semilattice import (
 from .diaggraph import (
     ConnectionSet,
     DiagGraph,
-    bfs_distances,
     build_graph,
     cayley_graph,
     clique_cover,

@@ -26,7 +26,7 @@ import numpy as np
 from .diaggraph import DiagGraph, bron_kerbosch, build_graph
 from .errors import CapExceededError
 from .groups import GroupTable, direct_product, subgroup_closure, sylow2_nontrivial_cyclic
-from .semilattice import minimal_partitions, vertex_codec
+from .semilattice import VertexCodec, minimal_partitions
 
 COMPLETE_MAPPING_SEARCH_LIMIT = 16
 EXACT_COLOURING_LIMIT = 64
@@ -165,20 +165,24 @@ def hall_paige_predicate(g: GroupTable) -> bool:
     return g.order % 2 == 1 or not sylow2_nontrivial_cyclic(g)
 
 
-def reduce_hom(v: tuple[int, ...], g: GroupTable) -> tuple[int, ...]:
-    """(g1, ..., gm) -> (g1 * g2^-1 * g3, g4, ..., gm); maps edges to edges."""
-    if len(v) < 3:
+def reduce_hom(digits, g: GroupTable) -> np.ndarray:
+    """(g1, ..., gm) -> (g1 * g2^-1 * g3, g4, ..., gm) on each row of a
+    digit array (one row or many); maps edges to edges."""
+    d = np.asarray(digits)
+    if d.shape[-1] < 3:
         raise ValueError("dimension reduction needs m >= 3")
-    head = g.mul[g.mul[v[0]][g.inv[v[1]]]][v[2]]
-    return (head,) + v[3:]
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    head = mul[mul[d[..., 0], inv[d[..., 1]]], d[..., 2]]
+    return np.concatenate([head[..., None], d[..., 3:]], axis=-1)
 
 
-def reduce_to_dimension(v: tuple[int, ...], g: GroupTable, target: int) -> tuple[int, ...]:
-    if (len(v) - target) % 2:
+def reduce_to_dimension(digits, g: GroupTable, target: int) -> np.ndarray:
+    d = np.asarray(digits)
+    if (d.shape[-1] - target) % 2:
         raise ValueError("dimension parity mismatch")
-    while len(v) > target:
-        v = reduce_hom(v, g)
-    return v
+    while d.shape[-1] > target:
+        d = reduce_hom(d, g)
+    return d
 
 
 @dataclass(frozen=True)
@@ -202,44 +206,35 @@ def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:
     class rows, columns and quotient classes are all distinct, so the class
     is independent.
     """
-    q = g.order
-    colors = []
-    for idx in range(q * q):
-        a, b = idx % q, idx // q  # coordinate 1 least significant
-        colors.append(g.mul[g.inv[cm.phi[g.inv[a]]]][b])
-    return Coloring(colors=tuple(colors))
+    mul, inv, phi = np.asarray(g.mul), np.asarray(g.inv), np.asarray(cm.phi)
+    a, b = VertexCodec(q=g.order, m=2).digits.T
+    return Coloring(colors=tuple(mul[inv[phi[inv[a]]], b].tolist()))
 
 
-def pull_back(g: GroupTable, m: int, base: Coloring) -> Coloring:
-    """Colouring of the even dimension-m graph from one of the dimension-2
-    graph, through the homomorphism cascade (edges map to edges)."""
-    codec = vertex_codec(g, m)
-    q = g.order
-    colors = []
-    for v in range(codec.size):
-        a, b = reduce_to_dimension(codec.decode(v), g, 2)
-        colors.append(base.colors[a + q * b])
-    return Coloring(colors=tuple(colors))
+def pull_back(g: GroupTable, codec: VertexCodec, base: Coloring) -> Coloring:
+    """Colouring of the even dimension-m graph on ``codec``'s vertices from
+    one of the dimension-2 graph, through the homomorphism cascade (edges
+    map to edges)."""
+    ab = reduce_to_dimension(codec.digits, g, 2)
+    colors = np.asarray(base.colors)[VertexCodec(q=g.order, m=2).index(ab)]
+    return Coloring(colors=tuple(colors.tolist()))
 
 
-def q_coloring(g: GroupTable, m: int, cm: CompleteMapping | None) -> Coloring:
-    """Colouring of the dimension-m graph with exactly q colours.
+def q_coloring(g: GroupTable, codec: VertexCodec, cm: CompleteMapping | None) -> Coloring:
+    """Colouring of the dimension-m graph on ``codec``'s vertices with
+    exactly q colours.
 
     Odd m: cascade to dimension 1, colour by the surviving group element.
     Even m: cascade to dimension 2 and pull back the complete-mapping
     colouring (cm required).
     """
-    if m % 2:
-        codec = vertex_codec(g, m)
-        colors = tuple(
-            reduce_to_dimension(codec.decode(v), g, 1)[0]
-            for v in range(codec.size)
-        )
-        return Coloring(colors=colors)
+    if codec.m % 2:
+        colors = reduce_to_dimension(codec.digits, g, 1)[:, 0]
+        return Coloring(colors=tuple(colors.tolist()))
     if cm is None:
         raise ValueError("even-dimension colouring needs a complete mapping")
     base = latin_square_coloring(g, cm)
-    return base if m == 2 else pull_back(g, m, base)
+    return base if codec.m == 2 else pull_back(g, codec, base)
 
 
 def tabucol(
@@ -521,7 +516,7 @@ def chromatic_verdict(g: GroupTable, graph: DiagGraph, exact: bool = False) -> C
             reasons.append("complete mapping found; transversal translates give q colours")
             if m > 2:
                 reasons.append("pulled back through the homomorphism cascade to dimension 2")
-        coloring = q_coloring(g, m, cm)
+        coloring = q_coloring(g, graph.codec, cm)
         if not validate_coloring(graph, coloring):
             raise AssertionError(f"{g.label}, m={m}: constructed colouring not proper")
         if coloring.count != q:
@@ -550,7 +545,7 @@ def chromatic_verdict(g: GroupTable, graph: DiagGraph, exact: bool = False) -> C
             raise AssertionError(f"{g.label}: tabu colouring of dimension 2 not proper")
         reasons.append(f"tabu search found a {q + 2}-colouring of the dimension-2 graph")
         if m > 2:
-            coloring = pull_back(g, m, coloring)
+            coloring = pull_back(g, graph.codec, coloring)
             if not validate_coloring(graph, coloring):
                 raise AssertionError(
                     f"{g.label}, m={m}: pulled-back colouring not proper")

@@ -70,8 +70,6 @@ def _render(data: dict, fmt: str) -> str:
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}{k}.", value[k])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]}: {value}")
         else:
             lines.append(f"{prefix[:-1]}: {value}")
 
@@ -470,14 +468,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "symmetry":
+        if graph.size > symmetry.BSGS_POINT_CAP:
+            raise CapExceededError(
+                f"degree {graph.size} exceeds BSGS cap {symmetry.BSGS_POINT_CAP}")
         cliques = None
         if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
             crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
         rep = symmetry.symmetry_report(g, graph, minimals, cliques)
-        if rep.order is None:
-            raise CapExceededError(
-                f"degree {graph.size} exceeds BSGS cap {symmetry.BSGS_POINT_CAP}")
         _emit(_render(rep.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 

@@ -146,29 +146,18 @@ def connection_set(g: GroupTable, m: int) -> ConnectionSet:
     return ConnectionSet(q=g.order, m=m, tuples=tuple(seen))
 
 
-def _multiplier(g: GroupTable, m: int):
-    """The coordinatewise product of vertices of G^m, as a function of two
-    vertex index arrays: one group-table gather per coordinate over the
-    codec's digit table."""
-    mul = np.asarray(g.mul, dtype=np.int64)
-    weight = g.order ** np.arange(m, dtype=np.int64)
-    digits = np.arange(g.order**m, dtype=np.int64)[:, None] // weight % g.order
-    return lambda left, right: sum(
-        mul[digits[left, i], digits[right, i]] * weight[i] for i in range(m))
-
-
 def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
     """Independent construction: v ~ s*v (componentwise) for s in the
     inverse-closed connection set, kept at the smaller end.  Tags: the moved
     coordinate for one-coordinate tuples, 0 for the constant tuples."""
     codec = vertex_codec(g, m, cap)
-    product = _multiplier(g, m)
+    mul = np.asarray(g.mul)
     vertices = np.arange(codec.size)
     rows = []
     for s in connection_set(g, m).tuples:
         moved = [i for i in range(m) if s[i] != 0]
         tag = moved[0] + 1 if len(moved) == 1 and m >= 2 else 0
-        w = product(codec.encode(s), vertices)
+        w = codec.index(mul[s, codec.digits])
         up = vertices < w
         rows.append(np.stack([vertices[up], w[up], np.full(up.sum(), tag)], axis=1))
     return DiagGraph.from_rows(codec, np.concatenate(rows))
@@ -177,23 +166,6 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
     """True iff the two graphs have the same (u, v, tag) rows."""
     return np.array_equal(a.rows, b.rows)
-
-
-def bfs_distances(graph: DiagGraph, start: int) -> list[int]:
-    dist = [-1] * graph.size
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in graph.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
 
 
 @dataclass(frozen=True)
@@ -207,8 +179,8 @@ class DiameterReport:
 
 
 def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
-    """max(max(bfs_distances(graph, b)) for b in bases), with every base of
-    a block searched in one pass.
+    """The largest distance from any of ``bases`` to any vertex it reaches,
+    with every base of a block searched in one pass.
 
     Each vertex holds a ``reach`` and a ``frontier`` bitset with one bit per
     base.  A level ORs each frontier into the neighbours and masks off what
@@ -383,17 +355,22 @@ def _translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]
     n = graph.size
     if n == 0 or graph.q != g.order or (adj == n).any():  # not regular
         return None
-    product = _multiplier(g, graph.m)
-    vertices = np.arange(n)
-    if not np.array_equal(np.sort(product(adj[:1], vertices[:, None]), axis=1), adj):
+    codec, mul = graph.codec, np.asarray(g.mul)
+
+    def translates(left: np.ndarray) -> np.ndarray:
+        """Row v: the vertices left·v, sorted."""
+        return np.sort(codec.index(mul[codec.digits[left], codec.digits[:, None]]), axis=1)
+
+    if not np.array_equal(translates(adj[0]), adj):
         return None
     star = adj[0].tolist()
     where = {v: j for j, v in enumerate(star)}
     local = [[where[w] for w in row if w in where] for row in adj[star].tolist()]
     through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
     cliques: list[tuple[int, ...]] = []
+    vertices = np.arange(n)
     for base in through_zero or [(0,)]:
-        rows = np.sort(product(np.array(base)[None, :], vertices[:, None]), axis=1)
+        rows = translates(np.array(base))
         cliques.extend(map(tuple, rows[rows[:, 0] == vertices].tolist()))
     return cliques
 
@@ -632,9 +609,8 @@ def parse_graph6(text: str) -> list[list[int]]:
 
 def to_dot(graph: DiagGraph) -> str:
     lines = ["graph diagonal {"]
-    for v in range(graph.size):
-        tup = graph.codec.decode(v)
-        lines.append(f'  v{v} [label="{",".join(map(str, tup))}"];')
+    for v, row in enumerate(graph.codec.digits.tolist()):
+        lines.append(f'  v{v} [label="{",".join(map(str, row))}"];')
     for u, v in graph.rows[:, :2].tolist():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

@@ -31,14 +31,13 @@ class Partition:
 
     @staticmethod
     def from_labels(labels) -> "Partition":
-        """Canonicalize an arbitrary labelling of {0..n-1}."""
-        remap: dict = {}
-        canon = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap)
-            canon.append(remap[lab])
-        return Partition(len(canon), tuple(canon), len(remap))
+        """Canonicalize an integer labelling of {0..n-1}: each distinct label
+        becomes the rank of its first occurrence."""
+        distinct, first, inverse = np.unique(
+            np.asarray(labels, dtype=np.int64), return_index=True, return_inverse=True)
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(distinct))
+        return Partition(len(inverse), tuple(rank[inverse].tolist()), len(distinct))
 
     @staticmethod
     def from_blocks(blocks, size: int | None = None) -> "Partition":
@@ -59,9 +58,6 @@ class Partition:
         for p, b in enumerate(self.block_of):
             out[b].append(p)
         return out
-
-    def is_singletons(self) -> bool:
-        return self.block_count == self.size
 
     def is_single_block(self) -> bool:
         return self.block_count == 1
@@ -99,7 +95,8 @@ def finer_or_equal(p: Partition, q: Partition) -> bool:
 def infimum(p: Partition, q: Partition) -> Partition:
     """Common refinement: blocks are the non-empty pairwise intersections."""
     _check_same_ground(p, q)
-    return Partition.from_labels(zip(p.block_of, q.block_of))
+    return Partition.from_labels(
+        np.asarray(p.block_of, dtype=np.int64) * q.block_count + q.block_of)
 
 
 def components(n: int, links) -> np.ndarray:
@@ -191,15 +188,3 @@ def poset_matrices(elems: list[Partition]) -> PosetMatrices:
         zeta=tuple(tuple(row) for row in zeta),
         mobius=tuple(tuple(row) for row in mobius),
     )
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse the one-line text format: comma-separated block ids."""
-    toks = [t.strip() for t in text.strip().split(",") if t.strip() != ""]
-    if not toks:
-        raise ValueError("empty partition text")
-    return Partition.from_labels(int(t) for t in toks)
-
-
-def format_partition(p: Partition) -> str:
-    return ",".join(str(b) for b in p.block_of)

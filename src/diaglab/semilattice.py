@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -32,7 +33,13 @@ DEFAULT_VERTEX_CAP = 65536
 
 @dataclass(frozen=True)
 class VertexCodec:
-    """Bijection between 0..q^m-1 and m-tuples over 0..q-1."""
+    """Bijection between 0..q^m-1 and m-tuples over 0..q-1, coordinate 1
+    least significant.
+
+    ``digits`` is the whole bijection as a (q^m, m) table, row v the tuple
+    of vertex v; every coordinatewise map of G^m is a gather of a group
+    table over it, followed by ``index``.
+    """
 
     q: int
     m: int
@@ -41,22 +48,17 @@ class VertexCodec:
     def size(self) -> int:
         return self.q**self.m
 
-    def encode(self, tup) -> int:
-        idx = 0
-        for i in range(self.m - 1, -1, -1):
-            idx = idx * self.q + tup[i]
-        return idx
+    @cached_property
+    def digits(self) -> np.ndarray:
+        weight = self.q ** np.arange(self.m)
+        table = np.arange(self.size)[:, None] // weight % self.q
+        table.flags.writeable = False
+        return table
 
-    def decode(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            idx, r = divmod(idx, self.q)
-            out.append(r)
-        return tuple(out)
-
-    def all_tuples(self):
-        for idx in range(self.size):
-            yield self.decode(idx)
+    def index(self, digits) -> np.ndarray:
+        """Vertex numbers of the rows of an (..., m) digit array; one row
+        gives one number."""
+        return np.asarray(digits) @ self.q ** np.arange(self.m)
 
 
 def vertex_codec(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> VertexCodec:
@@ -79,15 +81,14 @@ def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP) -> Par
     if not 0 <= i <= m:
         raise ValueError(f"partition index {i} outside 0..{m}")
     codec = vertex_codec(g, m, cap)
-    labels = []
     if i >= 1:
-        for tup in codec.all_tuples():
-            labels.append(tup[: i - 1] + tup[i:])
+        labels = codec.digits.copy()
+        labels[:, i - 1] = 0
     else:
-        for tup in codec.all_tuples():
-            x = g.inv[tup[0]]  # normal form: translate first coordinate to 0
-            labels.append(tuple(g.mul[x][e] for e in tup))
-    return Partition.from_labels(labels)
+        # normal form: translate the first coordinate to the identity
+        mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+        labels = mul[inv[codec.digits[:, :1]], codec.digits]
+    return Partition.from_labels(codec.index(labels))
 
 
 def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> list[Partition]:

@@ -154,11 +154,6 @@ def spectrum_trace_moments(graph: DiagGraph, paranoid: bool = False) -> Spectrum
     return SpectrumReport(q=q, m=m, entries=tuple(entries), source="trace_moments")
 
 
-def cycle_chromatic_polynomial(length: int, q: int) -> int:
-    """Chromatic polynomial of the cycle graph: (q-1)^n + (-1)^n (q-1)."""
-    return (q - 1) ** length + (-1) ** length * (q - 1)
-
-
 def verify_stratum_identity(q: int, m: int) -> bool:
     """Consistency of the stratum dimensions with the interval structure.
 

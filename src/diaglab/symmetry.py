@@ -42,15 +42,18 @@ GENERATOR_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedPerm:
-    """A permutation of the vertex set with its generator type."""
+    """A permutation of the vertex set with its generator type; ``image``
+    is kept as a read-only int array."""
 
     tag: str
-    image: tuple[int, ...]
+    image: np.ndarray
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.image))
+    def __post_init__(self) -> None:
+        image = np.array(self.image, dtype=np.intp)
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -82,33 +85,34 @@ def diagonal_group_generators(
     lists; identity permutations are dropped and duplicates removed.
     """
     codec = VertexCodec(q=g.order, m=m)
-    n = codec.size
-    tuples = [codec.decode(v) for v in range(n)]
+    d = codec.digits
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
     gens_g = generating_sequence(g)
+    identity = np.arange(codec.size)
     out: list[TaggedPerm] = []
 
-    def emit(tag: str, fn) -> None:
-        image = tuple(codec.encode(fn(t)) for t in tuples)
-        perm = TaggedPerm(tag=tag, image=image)
-        if not perm.is_identity() and all(perm.image != p.image for p in out):
-            out.append(perm)
+    def emit(tag: str, digits: np.ndarray) -> None:
+        image = codec.index(digits)
+        if not np.array_equal(image, identity) and all(
+                not np.array_equal(image, p.image) for p in out):
+            out.append(TaggedPerm(tag=tag, image=image))
 
     for x in gens_g:
         for i in range(m):
-            emit("right-mult", lambda t, x=x, i=i: t[:i] + (g.mul[t[i]][x],) + t[i + 1:])
+            t = d.copy()
+            t[:, i] = mul[d[:, i], x]
+            emit("right-mult", t)
     for x in gens_g:
-        xi = g.inv[x]
-        emit("diag-left-mult", lambda t, xi=xi: tuple(g.mul[xi][e] for e in t))
+        emit("diag-left-mult", mul[inv[x], d])
     for alpha in _perm_group_generators(aut):
-        emit("aut", lambda t, alpha=alpha: tuple(alpha[e] for e in t))
+        emit("aut", np.asarray(alpha)[d])
     if m >= 2:
-        emit("coord-perm", lambda t: (t[1], t[0]) + t[2:])
+        emit("coord-perm", d[:, [1, 0, *range(2, m)]])
         if m >= 3:
-            emit("coord-perm", lambda t: t[1:] + (t[0],))
-    emit(
-        "inversion-map",
-        lambda t: (g.inv[t[0]],) + tuple(g.mul[g.inv[t[0]]][e] for e in t[1:]),
-    )
+            emit("coord-perm", np.roll(d, -1, axis=1))
+    twisted = mul[inv[d[:, :1]], d]
+    twisted[:, 0] = inv[d[:, 0]]
+    emit("inversion-map", twisted)
     return out
 
 
@@ -278,7 +282,7 @@ def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
         raise CapExceededError(f"degree {degree} exceeds BSGS cap {BSGS_POINT_CAP}")
     chain = StabilizerChain(degree)
     for p in perms:
-        chain.add_generator(np.asarray(p.image, dtype=chain.dtype))
+        chain.add_generator(p.image.astype(chain.dtype))
     return chain
 
 
@@ -333,7 +337,7 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
     # is a bijection, since a permutation keeps distinct rows distinct.
     maps = []
     for p in perms:
-        image = np.asarray(p.image, dtype=np.int64)[distinct]
+        image = p.image[distinct]
         found = _lookup_rows(keys, np.sort(image, axis=1), degree)
         if found is None:
             raise AssertionError(
@@ -356,12 +360,11 @@ def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
     and each round only merged blocks that every such partition containing
     {0, v} must merge.
     """
-    images = [np.asarray(p.image, dtype=np.intp) for p in perms]
-    inverses = [np.argsort(p) for p in images]
+    inverses = [np.argsort(p.image) for p in perms]
     lab = np.arange(n)
     lab[v] = 0
     while True:
-        images_of_lab = [p[lab[p_inv]] for p, p_inv in zip(images, inverses)]
+        images_of_lab = [p.image[lab[p_inv]] for p, p_inv in zip(perms, inverses)]
         joined = components(n, [lab] + images_of_lab)
         if np.array_equal(joined, lab):
             return not lab.any()
@@ -442,16 +445,14 @@ def action_on_partitions(
     the semilattice being preserved).
     """
     canon = {p: i for i, p in enumerate(minimals)}
-    n = minimals[0].size
+    blocks = [np.asarray(p.block_of) for p in minimals]
     induced = []
     for perm in perms:
         row = []
-        for p in minimals:
-            labels = [0] * n
-            for point in range(n):
-                labels[perm.image[point]] = p.block_of[point]
-            image = Partition.from_labels(labels)
-            target = canon.get(image)
+        for block_of in blocks:
+            labels = np.zeros(len(block_of), dtype=np.int64)
+            labels[perm.image] = block_of
+            target = canon.get(Partition.from_labels(labels))
             if target is None:
                 raise AssertionError(
                     f"generator {perm.tag} maps a minimal partition outside the family"

@@ -76,6 +76,11 @@ def primitivity_of(spec: str, m: int):
     return is_vertex_primitive(group_of(spec), m, perms, build_chain(perms))
 
 
+def cycle_chromatic_polynomial(length: int, q: int) -> int:
+    """Chromatic polynomial of the cycle graph: (q-1)^n + (-1)^n (q-1)."""
+    return (q - 1) ** length + (-1) ** length * (q - 1)
+
+
 def edge_set(graph) -> set[tuple[int, int]]:
     """The graph's edges as (u, v) pairs, u < v."""
     return set(map(tuple, graph.rows[:, :2].tolist()))

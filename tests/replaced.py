@@ -7,16 +7,225 @@ that ran one breadth-first search per base, which the blocked numpy search
 in ``diaggraph.is_distance_regular`` replaced.  The two Python graph
 constructions, which built an ``edge_tag`` dict {(u, v): tag} and sorted
 adjacency tuples before both were built as numpy arrays, and the exporters
-that read that dict.
+that read that dict.  The per-vertex tuple loops that gathers over
+``VertexCodec.digits`` replaced: the tuple codec, the minimal partitions,
+the diagonal-group generators, the induced action on the partitions, the
+homomorphism cascade and the colourings, and the dict canonicalisation of
+``Partition.from_labels``.
 """
 
 from __future__ import annotations
 
-from diaglab.diaggraph import DiagGraph, bfs_distances, connection_set
-from diaglab.groups import GroupTable
+from dataclasses import dataclass
+
+from diaglab.chromatic import CompleteMapping, Coloring
+from diaglab.diaggraph import DiagGraph, connection_set
+from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import Partition, _check_same_ground
-from diaglab.semilattice import VertexCodec, minimal_partitions, vertex_codec
-from diaglab.symmetry import TaggedPerm
+from diaglab.semilattice import minimal_partitions
+from diaglab.symmetry import TaggedPerm, _perm_group_generators
+
+
+@dataclass(frozen=True)
+class TupleCodec:
+    """Bijection between 0..q^m-1 and m-tuples over 0..q-1."""
+
+    q: int
+    m: int
+
+    @property
+    def size(self) -> int:
+        return self.q**self.m
+
+    def encode(self, tup) -> int:
+        idx = 0
+        for i in range(self.m - 1, -1, -1):
+            idx = idx * self.q + tup[i]
+        return idx
+
+    def decode(self, idx: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(self.m):
+            idx, r = divmod(idx, self.q)
+            out.append(r)
+        return tuple(out)
+
+    def all_tuples(self):
+        for idx in range(self.size):
+            yield self.decode(idx)
+
+
+def dict_from_labels(labels) -> Partition:
+    """Canonicalize an arbitrary labelling of {0..n-1}."""
+    remap: dict = {}
+    canon = []
+    for lab in labels:
+        if lab not in remap:
+            remap[lab] = len(remap)
+        canon.append(remap[lab])
+    return Partition(len(canon), tuple(canon), len(remap))
+
+
+def bfs_distances(graph: DiagGraph, start: int) -> list[int]:
+    dist = [-1] * graph.size
+    dist[start] = 0
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in graph.adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def tuple_build_q(g: GroupTable, m: int, i: int) -> Partition:
+    """The minimal partition Q_i of G^m.
+
+    For i >= 1 the parts collect tuples agreeing in every coordinate except
+    i; for i = 0 they are the diagonal left-translation classes
+    {(x*g_1, ..., x*g_m) : x in G}.
+    """
+    if not 0 <= i <= m:
+        raise ValueError(f"partition index {i} outside 0..{m}")
+    codec = TupleCodec(q=g.order, m=m)
+    labels = []
+    if i >= 1:
+        for tup in codec.all_tuples():
+            labels.append(tup[: i - 1] + tup[i:])
+    else:
+        for tup in codec.all_tuples():
+            x = g.inv[tup[0]]  # normal form: translate first coordinate to 0
+            labels.append(tuple(g.mul[x][e] for e in tup))
+    return dict_from_labels(labels)
+
+
+@dataclass(frozen=True)
+class TuplePerm:
+    """A permutation of the vertex set with its generator type."""
+
+    tag: str
+    image: tuple[int, ...]
+
+    def is_identity(self) -> bool:
+        return all(i == x for i, x in enumerate(self.image))
+
+
+def tuple_generators(
+    g: GroupTable, m: int, aut: list[tuple[int, ...]]
+) -> list[TuplePerm]:
+    """Explicit image tuples for a generating set of the diagonal group on
+    G^m, given ``aut = automorphism_group(g)``."""
+    codec = TupleCodec(q=g.order, m=m)
+    n = codec.size
+    tuples = [codec.decode(v) for v in range(n)]
+    gens_g = generating_sequence(g)
+    out: list[TuplePerm] = []
+
+    def emit(tag: str, fn) -> None:
+        image = tuple(codec.encode(fn(t)) for t in tuples)
+        perm = TuplePerm(tag=tag, image=image)
+        if not perm.is_identity() and all(perm.image != p.image for p in out):
+            out.append(perm)
+
+    for x in gens_g:
+        for i in range(m):
+            emit("right-mult", lambda t, x=x, i=i: t[:i] + (g.mul[t[i]][x],) + t[i + 1:])
+    for x in gens_g:
+        xi = g.inv[x]
+        emit("diag-left-mult", lambda t, xi=xi: tuple(g.mul[xi][e] for e in t))
+    for alpha in _perm_group_generators(aut):
+        emit("aut", lambda t, alpha=alpha: tuple(alpha[e] for e in t))
+    if m >= 2:
+        emit("coord-perm", lambda t: (t[1], t[0]) + t[2:])
+        if m >= 3:
+            emit("coord-perm", lambda t: t[1:] + (t[0],))
+    emit(
+        "inversion-map",
+        lambda t: (g.inv[t[0]],) + tuple(g.mul[g.inv[t[0]]][e] for e in t[1:]),
+    )
+    return out
+
+
+def tuple_action_on_partitions(
+    perms, minimals: list[Partition]
+) -> list[tuple[int, ...]]:
+    """Induced permutation of the minimal partitions for each generator."""
+    canon = {p: i for i, p in enumerate(minimals)}
+    n = minimals[0].size
+    induced = []
+    for perm in perms:
+        row = []
+        for p in minimals:
+            labels = [0] * n
+            for point in range(n):
+                labels[perm.image[point]] = p.block_of[point]
+            image = dict_from_labels(labels)
+            target = canon.get(image)
+            if target is None:
+                raise AssertionError(
+                    f"generator {perm.tag} maps a minimal partition outside the family"
+                )
+            row.append(target)
+        induced.append(tuple(row))
+    return induced
+
+
+def tuple_reduce_hom(v: tuple[int, ...], g: GroupTable) -> tuple[int, ...]:
+    """(g1, ..., gm) -> (g1 * g2^-1 * g3, g4, ..., gm); maps edges to edges."""
+    if len(v) < 3:
+        raise ValueError("dimension reduction needs m >= 3")
+    head = g.mul[g.mul[v[0]][g.inv[v[1]]]][v[2]]
+    return (head,) + v[3:]
+
+
+def tuple_reduce_to_dimension(v: tuple[int, ...], g: GroupTable, target: int) -> tuple[int, ...]:
+    if (len(v) - target) % 2:
+        raise ValueError("dimension parity mismatch")
+    while len(v) > target:
+        v = tuple_reduce_hom(v, g)
+    return v
+
+
+def tuple_latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:
+    """Proper q-colouring of the dimension-2 graph from a complete mapping."""
+    q = g.order
+    colors = []
+    for idx in range(q * q):
+        a, b = idx % q, idx // q  # coordinate 1 least significant
+        colors.append(g.mul[g.inv[cm.phi[g.inv[a]]]][b])
+    return Coloring(colors=tuple(colors))
+
+
+def tuple_pull_back(g: GroupTable, m: int, base: Coloring) -> Coloring:
+    """Colouring of the even dimension-m graph from one of the dimension-2
+    graph, through the homomorphism cascade (edges map to edges)."""
+    codec = TupleCodec(q=g.order, m=m)
+    q = g.order
+    colors = []
+    for v in range(codec.size):
+        a, b = tuple_reduce_to_dimension(codec.decode(v), g, 2)
+        colors.append(base.colors[a + q * b])
+    return Coloring(colors=tuple(colors))
+
+
+def tuple_q_coloring(g: GroupTable, m: int, cm: CompleteMapping | None) -> Coloring:
+    """Colouring of the dimension-m graph with exactly q colours."""
+    if m % 2:
+        codec = TupleCodec(q=g.order, m=m)
+        colors = tuple(
+            tuple_reduce_to_dimension(codec.decode(v), g, 1)[0]
+            for v in range(codec.size)
+        )
+        return Coloring(colors=colors)
+    if cm is None:
+        raise ValueError("even-dimension colouring needs a complete mapping")
+    base = tuple_latin_square_coloring(g, cm)
+    return base if m == 2 else tuple_pull_back(g, m, base)
 
 
 class UnionFind:
@@ -58,7 +267,7 @@ def unionfind_supremum(p: Partition, q: Partition) -> Partition:
                 anchor[b] = point
             else:
                 uf.union(anchor[b], point)
-    return Partition.from_labels(uf.find(x) for x in range(p.size))
+    return Partition.from_labels([uf.find(x) for x in range(p.size)])
 
 
 def unionfind_minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
@@ -163,7 +372,7 @@ def partition_edge_tags(
 def cayley_edge_tags(g: GroupTable, m: int) -> dict[tuple[int, int], int]:
     """{(u, v): tag} for v = s*u over the connection set, first tag kept:
     the moved coordinate for one-coordinate tuples, 0 for constants."""
-    codec = vertex_codec(g, m)
+    codec = TupleCodec(q=g.order, m=m)
     conn = connection_set(g, m)
     tags = []
     for s in conn.tuples:
@@ -203,7 +412,7 @@ def graph6_of(size: int, tagged: dict[tuple[int, int], int]) -> str:
     return (head + bytes(b + 63 for b in groups)).decode("ascii")
 
 
-def dot_of(codec: VertexCodec, tagged: dict[tuple[int, int], int]) -> str:
+def dot_of(codec: TupleCodec, tagged: dict[tuple[int, int], int]) -> str:
     lines = ["graph diagonal {"]
     for v in range(codec.size):
         tup = codec.decode(v)

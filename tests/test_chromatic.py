@@ -110,8 +110,8 @@ def test_hall_paige_matches_search_all_orders_up_to_12(tmp_path):
 
 def test_reduce_hom_examples():
     g = cyclic(5)
-    assert reduce_hom((2, 2, 2, 3), g) == (2, 3)
-    assert reduce_hom((0, 0, 0), g) == (0,)
+    assert reduce_hom((2, 2, 2, 3), g).tolist() == [2, 3]
+    assert reduce_hom((0, 0, 0), g).tolist() == [0]
     with pytest.raises(ValueError):
         reduce_hom((0, 0), g)
 
@@ -124,8 +124,8 @@ def test_reduce_hom_sampled_edges():
     rng = random.Random(7)
     edges = big.rows[:, :2].tolist()
     for u, v in rng.sample(edges, 200):
-        iu = small.codec.encode(reduce_hom(big.codec.decode(u), g))
-        iv = small.codec.encode(reduce_hom(big.codec.decode(v), g))
+        iu = int(small.codec.index(reduce_hom(big.codec.digits[u], g)))
+        iv = int(small.codec.index(reduce_hom(big.codec.digits[v], g)))
         assert iu != iv
         assert (min(iu, iv), max(iu, iv)) in small_edges
 
@@ -138,9 +138,9 @@ def test_reduce_hom_exhaustive_small_groups():
             big = graph_of(spec, m)
             small = graph_of(spec, m - 2)
             small_edges = edge_set(small)
+            image = small.codec.index(reduce_hom(big.codec.digits, g)).tolist()
             for u, v in big.rows[:, :2].tolist():
-                iu = small.codec.encode(reduce_hom(big.codec.decode(u), g))
-                iv = small.codec.encode(reduce_hom(big.codec.decode(v), g))
+                iu, iv = image[u], image[v]
                 assert (min(iu, iv), max(iu, iv)) in small_edges, (spec, m)
 
 
@@ -204,7 +204,7 @@ def test_latin_square_coloring_c3():
 def test_q_coloring_odd_dimension_uses_q_colors():
     for spec, m in [("C3", 3), ("C2", 3), ("C2", 5), ("S3", 3), ("C4", 3)]:
         g = group_of(spec)
-        col = q_coloring(g, m, None)
+        col = q_coloring(g, graph_of(spec, m).codec, None)
         assert col.count == g.order
         assert validate_coloring(graph_of(spec, m), col)
 
@@ -214,7 +214,7 @@ def test_q_coloring_even_dimension_with_mapping():
         g = group_of(spec)
         cm = find_complete_mapping(g)
         assert cm is not None
-        col = q_coloring(g, m, cm)
+        col = q_coloring(g, graph_of(spec, m).codec, cm)
         assert col.count == g.order
         assert validate_coloring(graph_of(spec, m), col)
 

@@ -154,6 +154,15 @@ def test_chromatic_honours_vertex_cap(capsys, monkeypatch):
     assert "exceeds cap" in err
 
 
+def test_chromatic_honours_a_raised_vertex_cap(capsys):
+    # 2^17 = 131072 vertices, above the default cap of 65536: the colouring
+    # runs on the graph's own vertices, under the command's cap
+    code, out, err = run_cli(capsys, "chromatic", "--group", "C2", "--m", "17",
+                             "--cap-vertices", "200000")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["chi"] == 2
+
+
 def test_mapping_json(capsys):
     code, out, _ = run_cli(capsys, "mapping", "--group", "C2xC2")
     assert code == EXIT_OK
@@ -385,6 +394,20 @@ def test_check_all_past_chain_cap_leaves_out_chain_claims(capsys, monkeypatch,
 
     code, _, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "4")
     assert code == EXIT_CAP and "BSGS cap 64" in err
+
+
+def test_symmetry_past_chain_cap_counts_no_orbits(capsys, monkeypatch):
+    from diaglab import diaggraph, symmetry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called past the BSGS cap")
+
+    monkeypatch.setattr(symmetry, "BSGS_POINT_CAP", 64)  # C3 m=4 has 81 points
+    monkeypatch.setattr(symmetry, "orbit_count", refuse)
+    monkeypatch.setattr(diaggraph, "maximal_cliques", refuse)
+    code, out, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "4")
+    assert code == EXIT_CAP and out == ""
+    assert err == "error: degree 81 exceeds BSGS cap 64\n"
 
 
 @pytest.fixture

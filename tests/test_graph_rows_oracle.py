@@ -25,6 +25,7 @@ from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, graph_of, group_of
 from replaced import (
+    TupleCodec,
     adjacency_of,
     cayley_edge_tags,
     dot_of,
@@ -53,7 +54,7 @@ def test_rows_match_the_python_constructions(spec, m):
         assert [tuple(a) for a in graph.adjacency] == list(want)
         assert np.array_equal(graph.nbr, np.array(want, dtype=np.int32))
         assert to_graph6(graph) == graph6_of(graph.size, tagged)
-        assert to_dot(graph) == dot_of(graph.codec, tagged)
+        assert to_dot(graph) == dot_of(TupleCodec(q=graph.q, m=graph.m), tagged)
         assert to_edgelist(graph) == edgelist_of(tagged)
 
 

@@ -85,8 +85,8 @@ def closed_actions(draw):
         nxt = []
         for item in frontier:
             for p in perms:
-                image = (p.image[item] if k == 0
-                         else tuple(sorted(p.image[x] for x in item)))
+                image = (int(p.image[item]) if k == 0
+                         else tuple(sorted(int(p.image[x]) for x in item)))
                 if image not in found:
                     found.add(image)
                     nxt.append(image)

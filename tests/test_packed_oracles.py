@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab import diaggraph, spectral
-from diaglab.diaggraph import DiagGraph, _max_eccentricity, bfs_distances, diameter, to_graph6
+from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, to_graph6
 from diaglab.semilattice import VertexCodec
 from diaglab.spectral import _walk_counts
 
 from conftest import GRID, edge_set, graph_of, group_of
+from replaced import bfs_distances
 
 SMALL_GRID = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 256]
 

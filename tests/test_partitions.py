@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from diaglab.partitions import (
     Partition,
     finer_or_equal,
-    format_partition,
     infimum,
-    parse_partition,
     poset_matrices,
     single_block,
     singletons,
@@ -17,10 +15,22 @@ from diaglab.partitions import (
 )
 
 
+def parse_partition(text: str) -> Partition:
+    """Parse the one-line text format: comma-separated block ids."""
+    toks = [t.strip() for t in text.strip().split(",") if t.strip() != ""]
+    if not toks:
+        raise ValueError("empty partition text")
+    return Partition.from_labels([int(t) for t in toks])
+
+
+def format_partition(p: Partition) -> str:
+    return ",".join(str(b) for b in p.block_of)
+
+
 def grid_partitions(side: int) -> tuple[Partition, Partition]:
     """Row and column partitions of a side x side grid (row-major points)."""
-    rows = Partition.from_labels(p // side for p in range(side * side))
-    cols = Partition.from_labels(p % side for p in range(side * side))
+    rows = Partition.from_labels([p // side for p in range(side * side)])
+    cols = Partition.from_labels([p % side for p in range(side * side)])
     return rows, cols
 
 

@@ -26,12 +26,13 @@ from conftest import group_of, minimals_of, semilattice_of
 
 def test_codec_examples():
     c = vertex_codec(cyclic(3), 3)
-    assert c.encode((1, 0, 0)) == 1
-    assert c.decode(26) == (2, 2, 2)
+    assert c.index((1, 0, 0)) == 1
+    assert c.digits[26].tolist() == [2, 2, 2]
     c2 = vertex_codec(cyclic(2), 4)
-    assert c2.encode((1, 1, 0, 0)) == 3
+    assert c2.index((1, 1, 0, 0)) == 3
+    assert c.index(c.digits).tolist() == list(range(c.size))
     for idx in range(c.size):
-        assert c.encode(c.decode(idx)) == idx
+        assert c.index(c.digits[idx]) == idx
 
 
 def test_codec_cap():

@@ -3,14 +3,13 @@ from __future__ import annotations
 import pytest
 
 from diaglab.spectral import (
-    cycle_chromatic_polynomial,
     spectrum_closed_form,
     spectrum_trace_moments,
     stratum_dimension,
     verify_stratum_identity,
 )
 
-from conftest import graph_of
+from conftest import cycle_chromatic_polynomial, graph_of
 
 
 def test_closed_form_q3_m2():

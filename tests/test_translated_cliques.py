@@ -25,6 +25,7 @@ from diaglab.diaggraph import (
 from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, edge_set, graph_of, group_of, minimals_of
+from replaced import TupleCodec
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
@@ -126,7 +127,7 @@ def cayley_graphs(draw):
     spec = draw(st.sampled_from(["C2", "C3", "C4", "C2xC2", "S3", "C5"]))
     g = group_of(spec)
     m = draw(st.integers(1, 3 if g.order <= 3 else 2))
-    codec = VertexCodec(q=g.order, m=m)
+    codec = TupleCodec(q=g.order, m=m)
     chosen = draw(st.sets(st.integers(1, codec.size - 1)))
     conn = set()
     for s in chosen:
@@ -138,7 +139,7 @@ def cayley_graphs(draw):
         for s in conn:
             w = codec.encode(tuple(g.mul[s[i]][u[i]] for i in range(m)))
             tagged[(min(v, w), max(v, w))] = 0
-    return g, DiagGraph.from_rows(codec, [(u, v, 0) for u, v in tagged])
+    return g, DiagGraph.from_rows(VertexCodec(q=g.order, m=m), [(u, v, 0) for u, v in tagged])
 
 
 @settings(max_examples=150, deadline=None)
