@@ -79,6 +79,7 @@ from .symmetry import (
     is_vertex_primitive,
     orbit_count,
     symmetry_report,
+    vertex_stabiliser_generators,
 )
 
 __version__ = "0.1.0"

@@ -214,8 +214,8 @@ def run_check_all(cfg: RunConfig) -> dict:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")
 
-    # Past the search cap for Aut(G) the symmetry claims are left out, and
-    # past the point cap the two that need a stabiliser chain.
+    # Past the search cap for Aut(G) the symmetry claims are left out; a
+    # failed check inside the report fails the symmetry-order claim.
     sym = None
     if m >= 2:
         top = None
@@ -225,10 +225,11 @@ def run_check_all(cfg: RunConfig) -> dict:
             sym = symmetry.symmetry_report(g, graph, minimals, top)
         except CapExceededError:
             pass
+        except AssertionError as exc:
+            _claim(claims, "symmetry-order", False, str(exc))
     if sym is not None:
-        if sym.order is not None:
-            _claim(claims, "symmetry-order", sym.order == sym.order_formula,
-                   f"Schreier-Sims order {sym.order}, formula {sym.order_formula}")
+        _claim(claims, "symmetry-order", sym.order == sym.order_formula,
+               f"Schreier-Sims order {sym.order}, formula {sym.order_formula}")
         _claim(claims, "vertex-transitive", sym.vertex_orbits == 1, "one vertex orbit")
         elem_ab = is_elementary_abelian(g) is not None
         _claim(claims, "edge-transitive-iff", (sym.edge_orbits == 1) == elem_ab,
@@ -237,11 +238,11 @@ def run_check_all(cfg: RunConfig) -> dict:
             _claim(claims, "clique-transitive", sym.clique_orbits == 1,
                    f"{sym.clique_orbits} orbits on the {len(top)} maximum cliques")
         prim = sym.primitivity
-        if prim is not None and prim.criterion is None:
+        if prim.criterion is None:
             _claim(claims, "primitivity", True,
                    f"block computation: primitive={prim.primitive}; "
                    "criterion: unsupported classification")
-        elif prim is not None:
+        else:
             _claim(claims, "primitivity", prim.agrees is True,
                    f"blocks say primitive={prim.primitive}, criterion says {prim.criterion}")
         size = sym.induced_partition_group
@@ -468,9 +469,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "symmetry":
-        if graph.size > symmetry.BSGS_POINT_CAP:
-            raise CapExceededError(
-                f"degree {graph.size} exceeds BSGS cap {symmetry.BSGS_POINT_CAP}")
         cliques = None
         if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
             crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)

@@ -33,11 +33,9 @@ class Partition:
     def from_labels(labels) -> "Partition":
         """Canonicalize an integer labelling of {0..n-1}: each distinct label
         becomes the rank of its first occurrence."""
-        distinct, first, inverse = np.unique(
-            np.asarray(labels, dtype=np.int64), return_index=True, return_inverse=True)
-        rank = np.empty(len(distinct), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(distinct))
-        return Partition(len(inverse), tuple(rank[inverse].tolist()), len(distinct))
+        dense = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1]
+        canon = canonical_labels(dense)
+        return Partition(len(canon), tuple(canon.tolist()), int(canon.max(initial=-1)) + 1)
 
     @staticmethod
     def from_blocks(blocks, size: int | None = None) -> "Partition":
@@ -61,6 +59,21 @@ class Partition:
 
     def is_single_block(self) -> bool:
         return self.block_count == 1
+
+
+def canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """Canonical block form of a labelling of {0..n-1} by labels in 0..n-1:
+    each label becomes the rank of its first occurrence, in linear time.
+
+    ``first[l]`` is the first point labelled l; the points where it is
+    reached are the first occurrences, and their running count ranks them.
+    """
+    n = len(labels)
+    points = np.arange(n)
+    first = np.full(n, n)
+    np.minimum.at(first, labels, points)
+    at = first[labels]
+    return (np.cumsum(at == points) - 1)[at]
 
 
 def singletons(n: int) -> Partition:
@@ -103,8 +116,9 @@ def components(n: int, links) -> np.ndarray:
     """The smallest point of each point's connected component.
 
     Each int array ``t`` in ``links`` joins point ``i`` to point ``t[i]``;
-    a link need not be a bijection.  Labels start as the points themselves
-    and only decrease, always to a point of the same component.  Each pass
+    a link need not be a bijection, and an array is used uncopied, in its
+    own int type.  Labels start as the points themselves and only
+    decrease, always to a point of the same component.  Each pass
     pulls the label of ``t[i]`` into ``i``, pushes the label of ``i`` into
     ``t[i]`` and then jumps pointers to a fixpoint.  The push is
     ``np.minimum.at`` because a fancy assignment writes only the last of
@@ -112,7 +126,8 @@ def components(n: int, links) -> np.ndarray:
     pass that changes nothing, both ends of every link carry one label,
     and the smallest point of a component has kept its own.
     """
-    links = [np.asarray(t, dtype=np.intp) for t in links]
+    links = [t if isinstance(t, np.ndarray) else np.asarray(t, dtype=np.intp)
+             for t in links]
     lab = np.arange(n)
     while True:
         before = lab.copy()

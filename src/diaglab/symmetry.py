@@ -5,11 +5,14 @@ simultaneous left multiplication, automorphisms acting coordinatewise,
 coordinate permutations, and the inversion twist
 (g_1, ..., g_m) -> (g_1^-1, g_1^-1 g_2, ..., g_1^-1 g_m).
 
-The exact order of the generated group is computed with a deterministic
-Schreier-Sims stabiliser chain (numpy arrays as permutations) and compared
-against |G|^m * |Aut(G)| * (m+1)!.  Orbit counting, minimal block systems
-and the induced action on the minimal partitions verify the remaining
-symmetry claims.
+The order of the generated group D is n * |D_0|, D_0 the stabiliser of
+vertex 0, with |D_0| from a deterministic Schreier-Sims chain (numpy arrays
+as permutations); it is compared against |G|^m * |Aut(G)| * (m+1)!.
+D_0's generators are Schreier generators over the transversal of right
+translations t_p: x -> x*p, checked to be in D and transitive.  A generator
+s needs one per orbit of the translations it conjugates into translations.
+Orbit counting, minimal block systems and the induced action on the
+minimal partitions verify the remaining symmetry claims.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from .groups import (
     is_elementary_abelian,
     is_simple_nonabelian,
 )
-from .partitions import Partition, components
+from .partitions import Partition, canonical_labels, components
 from .semilattice import VertexCodec
-
-BSGS_POINT_CAP = 4096
 
 GENERATOR_TAGS = (
     "right-mult",
@@ -273,43 +274,98 @@ class StabilizerChain:
 
 
 def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
-    """Stabiliser chain of the group generated by perms, on at most
-    ``BSGS_POINT_CAP`` points."""
+    """Stabiliser chain of the group generated by perms.
+
+    Each level holds a transversal element and its inverse per orbit point,
+    so the chain takes the sum of its orbit lengths times the degree in
+    permutation entries, twice over.
+    """
     if not perms:
         raise ValueError("need at least one permutation")
     degree = len(perms[0].image)
-    if degree > BSGS_POINT_CAP:
-        raise CapExceededError(f"degree {degree} exceeds BSGS cap {BSGS_POINT_CAP}")
     chain = StabilizerChain(degree)
     for p in perms:
         chain.add_generator(p.image.astype(chain.dtype))
     return chain
 
 
-def _row_ids(rows: np.ndarray, degree: int):
+def vertex_stabiliser_generators(
+    g: GroupTable, m: int, perms: list[TaggedPerm]
+) -> list[TaggedPerm]:
+    """Generators of D_0, the stabiliser of vertex 0 in the group D that
+    ``perms`` generate on G^m, each tagged with the generator it comes from.
+
+    The translations among ``perms`` (p(x) = x*p(0) for every x) must act
+    transitively, or AssertionError: then they generate the regular group R
+    of right translations t_v: x -> x*v, so R <= D and t_p, which maps 0 to
+    p, is a transversal of D_0 in D.  By Schreier's lemma D_0 is generated
+    by the sigma(s, p) = t_{s(p)}^-1 s t_p, that is x -> s(x*p) * s(p)^-1,
+    over the generators s and the points p; sigma is 1 when s is a
+    translation.  If s t_v s^-1 = t_w, then s(p*v) = s(p)*w and
+    sigma(s, p*v) = sigma(s, p).  So sigma(s, .) is constant on the orbits
+    of the translation generators r with s r s^-1 in R, and is formed once
+    per orbit.  Identities and repeats are dropped.
+    """
+    codec = VertexCodec(q=g.order, m=m)
+    d = codec.digits
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    n = codec.size
+
+    def translation(v: int) -> np.ndarray:
+        return codec.index(mul[d, d[v]])
+
+    def is_translation(image: np.ndarray) -> bool:
+        return np.array_equal(image, translation(image[0]))
+
+    shifts = [p for p in perms if is_translation(p.image)]
+    if components(n, [r.image for r in shifts]).any():
+        raise AssertionError("the translations among the generators are not transitive")
+    out: list[TaggedPerm] = []
+    seen = {np.arange(n).tobytes()}
+    for s in perms:
+        if any(s is r for r in shifts):
+            continue
+        s_inv = np.argsort(s.image)
+        normalised = [r.image for r in shifts if is_translation(s.image[r.image[s_inv]])]
+        lab = components(n, normalised)
+        for p in np.flatnonzero(lab == np.arange(n)):
+            sigma = codec.index(mul[d[s.image[translation(p)]], inv[d[s.image[p]]]])
+            key = sigma.tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append(TaggedPerm(tag=s.tag, image=sigma))
+    return out
+
+
+def _row_ids(rows: np.ndarray, degree: int, key_type: type):
     """Number the distinct rows, one column at a time.
 
     Returns ``(keys, ids)``: ``keys[c]`` holds the sorted distinct values of
     ``prefix_id * degree + rows[:, c]``, where ``prefix_id`` numbers the
-    distinct prefixes of length c, and ``ids`` numbers the distinct rows.
-    No key is wider than ``len(rows) * degree``, whatever the row length.
+    distinct prefixes of length c, and ``ids`` (int32) numbers the distinct
+    rows.  No key is wider than ``len(rows) * degree``, whatever the row
+    length, so ``key_type`` is int64 only where that product needs it.
     """
     keys = []
-    ids = np.zeros(len(rows), dtype=np.int64)
+    ids = np.zeros(len(rows), dtype=np.int32)
     for c in range(rows.shape[1]):
-        col_keys, ids = np.unique(ids * degree + rows[:, c], return_inverse=True)
+        col_keys, inverse = np.unique(
+            ids.astype(key_type) * degree + rows[:, c], return_inverse=True)
         keys.append(col_keys)
+        ids = inverse.astype(np.int32)
     return keys, ids
 
 
 def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
-    """Ids of rows in the table behind ``keys``, or None if one is absent."""
-    ids = np.zeros(len(rows), dtype=np.int64)
+    """Ids (int32) of rows in the table behind ``keys``, or None if one is
+    absent."""
+    ids = np.zeros(len(rows), dtype=np.int32)
     for c, col_keys in enumerate(keys):
-        want = ids * degree + rows[:, c]
+        want = ids.astype(col_keys.dtype) * degree + rows[:, c]
         ids = np.minimum(np.searchsorted(col_keys, want), len(col_keys) - 1)
         if not np.array_equal(col_keys[ids], want):
             return None
+        ids = ids.astype(np.int32)
     return ids
 
 
@@ -318,26 +374,28 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
 
     Items may be vertices (ints), edges (sorted pairs) or cliques (sorted
     tuples); the action relabels entries through each permutation.  Items
-    are rows of one int array; each generator maps the whole array, and the
-    orbits are the components of the resulting item maps.  Raises
+    are rows of one int32 array; each generator maps the whole array, and
+    the orbits are the components of the resulting int32 item maps.  Raises
     AssertionError if some generator maps an item outside the set.
     """
     if not len(items):
         return 0
-    rows = np.asarray(items, dtype=np.int64)
+    rows = np.asarray(items)
     if rows.ndim == 1:
         rows = rows[:, None]
     degree = len(perms[0].image) if perms else int(rows.max()) + 1
-    keys, ids = _row_ids(rows, degree)
+    rows = rows.astype(np.int32, copy=False)
+    key_type = np.int64 if len(rows) * degree > np.iinfo(np.int32).max else np.int32
+    keys, ids = _row_ids(rows, degree, key_type)
     count = len(keys[-1])
-    distinct = np.empty((count, rows.shape[1]), dtype=np.int64)
+    distinct = np.empty((count, rows.shape[1]), dtype=np.int32)
     distinct[ids] = rows
     del rows, ids
     # maps[g][i]: the index of generator g's image of distinct row i.  Each
     # is a bijection, since a permutation keeps distinct rows distinct.
     maps = []
     for p in perms:
-        image = p.image[distinct]
+        image = p.image.astype(np.int32)[distinct]
         found = _lookup_rows(keys, np.sort(image, axis=1), degree)
         if found is None:
             raise AssertionError(
@@ -411,21 +469,22 @@ def primitivity_criterion(g: GroupTable, m: int) -> bool | None:
 
 
 def is_vertex_primitive(
-    g: GroupTable, m: int, perms: list[TaggedPerm], chain: StabilizerChain
+    g: GroupTable, m: int, perms: list[TaggedPerm], stabiliser: list[np.ndarray]
 ) -> PrimitivityReport:
     """Block-system primitivity of the diagonal group action, given its
-    generators ``perms`` and their chain ``build_chain(perms)``.
+    generators ``perms`` and image arrays ``stabiliser`` that generate the
+    stabiliser of vertex 0.
 
     The minimal block containing {0, v} depends only on the suborbit of v
     under the stabiliser of 0, so one representative per suborbit is tested:
-    the least point of each component of the stabiliser generators taken
-    from the Schreier-Sims chain.
+    the least point of each component of the stabiliser generators.
     """
     n = len(perms[0].image)
-    if n != g.order**m or chain.degree != n:
-        raise ValueError(f"generators on {n} points and a chain on {chain.degree} "
-                         f"given for {g.order}^{m} vertices")
-    lab = components(n, chain.stabilizer_generators())
+    if n != g.order**m or any(len(s) != n for s in stabiliser):
+        raise ValueError(f"generators on {n} points and stabiliser generators "
+                         f"on {sorted({len(s) for s in stabiliser})} points given "
+                         f"for {g.order}^{m} vertices")
+    lab = components(n, stabiliser)
     reps = [v for v in range(1, n) if lab[v] == v]
 
     primitive = all(minimal_block_trivial(perms, n, v) for v in reps)
@@ -441,18 +500,20 @@ def action_on_partitions(
 ) -> list[tuple[int, ...]]:
     """Induced permutation of the minimal partitions for each generator.
 
-    Raises if some generator does not permute them (that would contradict
-    the semilattice being preserved).
+    Each image labelling is put in canonical block form once and looked up
+    by its bytes among the minimal partitions' ``block_of`` arrays.  Raises
+    if some generator does not permute them (that would contradict the
+    semilattice being preserved).
     """
-    canon = {p: i for i, p in enumerate(minimals)}
-    blocks = [np.asarray(p.block_of) for p in minimals]
+    blocks = [np.asarray(p.block_of, dtype=np.int64) for p in minimals]
+    canon = {b.tobytes(): i for i, b in enumerate(blocks)}
     induced = []
     for perm in perms:
         row = []
         for block_of in blocks:
-            labels = np.zeros(len(block_of), dtype=np.int64)
+            labels = np.empty_like(block_of)
             labels[perm.image] = block_of
-            target = canon.get(Partition.from_labels(labels))
+            target = canon.get(canonical_labels(labels).tobytes())
             if target is None:
                 raise AssertionError(
                     f"generator {perm.tag} maps a minimal partition outside the family"
@@ -478,12 +539,12 @@ def induced_symmetric_closure(induced: list[tuple[int, ...]]) -> int:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    order: int | None  # None past BSGS_POINT_CAP, with primitivity
+    order: int
     order_formula: int
     vertex_orbits: int
     edge_orbits: int
     clique_orbits: int | None
-    primitivity: PrimitivityReport | None
+    primitivity: PrimitivityReport
     induced_partition_group: int
     small_exceptional_case: bool  # m = 2 and |G| <= 4: the full automorphism
     # group of the graph is strictly larger, so verdicts describe the
@@ -515,10 +576,11 @@ def symmetry_report(
     the edges and ``cliques`` (when given), its primitivity, and the group
     it induces on the minimal partitions.
 
-    One generating set serves every count, and one chain both the order and
-    the primitivity; the chain is released before the orbit counts build
-    their arrays.  Past ``BSGS_POINT_CAP`` points no chain is built, and the
-    order and the primitivity are None.
+    One generating set serves every count.  The order is n times the order
+    of the stabiliser of vertex 0, from one chain over its generators, and
+    the same generators give the suborbits for the primitivity.  Raises
+    AssertionError when a check fails: the translations are not transitive,
+    or a generator moves an item or a minimal partition outside its set.
     """
     m = graph.m
     if m < 2:
@@ -526,19 +588,14 @@ def symmetry_report(
                          "partitions coincide at m = 1)")
     aut = automorphism_group(g)
     perms = diagonal_group_generators(g, m, aut)
-    order = prim = None
-    if graph.size <= BSGS_POINT_CAP:
-        chain = build_chain(perms)
-        order = chain.order()
-        prim = is_vertex_primitive(g, m, perms, chain)
-        del chain
+    stabiliser = vertex_stabiliser_generators(g, m, perms)
     return SymmetryReport(
-        order=order,
+        order=graph.size * build_chain(stabiliser).order(),
         order_formula=diagonal_group_order_formula(g, m, aut),
         vertex_orbits=orbit_count(perms, list(range(graph.size))),
         edge_orbits=orbit_count(perms, graph.rows[:, :2]),
         clique_orbits=orbit_count(perms, cliques) if cliques else None,
-        primitivity=prim,
+        primitivity=is_vertex_primitive(g, m, perms, [s.image for s in stabiliser]),
         induced_partition_group=induced_symmetric_closure(
             action_on_partitions(perms, minimals)),
         small_exceptional_case=(m == 2 and g.order <= 4),

@@ -71,9 +71,11 @@ def generators_of(spec: str, m: int):
 
 
 def primitivity_of(spec: str, m: int):
-    """``is_vertex_primitive`` over a fresh chain, which is not cached."""
+    """``is_vertex_primitive`` over the stabiliser generators of a fresh
+    generic chain, which is not cached."""
     perms = list(generators_of(spec, m))
-    return is_vertex_primitive(group_of(spec), m, perms, build_chain(perms))
+    return is_vertex_primitive(group_of(spec), m, perms,
+                               build_chain(perms).stabilizer_generators())
 
 
 def cycle_chromatic_polynomial(length: int, q: int) -> int:

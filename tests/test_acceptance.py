@@ -230,7 +230,7 @@ def test_criterion_09_symmetry():
         edge_orbits = orbit_count(perms, graph.rows[:, :2])
         if (edge_orbits == 1) != (is_elementary_abelian(g) is not None):
             bad.append((spec, m, "edge orbits"))
-        prim = is_vertex_primitive(g, m, perms, chain)
+        prim = is_vertex_primitive(g, m, perms, chain.stabilizer_generators())
         del chain
         if prim.criterion is not None and prim.agrees is not True:
             bad.append((spec, m, "primitivity"))

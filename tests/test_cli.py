@@ -374,40 +374,26 @@ def test_check_all_claims_unchanged(capsys, group, m, extra):
     assert got == expected
 
 
-def test_check_all_past_chain_cap_leaves_out_chain_claims(capsys, monkeypatch,
-                                                          ledger_validator):
-    from diaglab import symmetry
-
-    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "4")
-    assert code == EXIT_OK
-    full = [c["claim"] for c in json.loads(out)["claims"]]
-    assert {"symmetry-order", "primitivity"} <= set(full)
-
-    monkeypatch.setattr(symmetry, "BSGS_POINT_CAP", 64)  # C3 m=4 has 81 points
-    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "4")
+def test_check_all_runs_chain_claims_past_4096_points(capsys, ledger_validator):
+    # C3 m=8 has 6561 points; the stabiliser chain has no point cap
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "8")
     assert code == EXIT_OK
     data = json.loads(out)
     ledger_validator.validate(data)
-    assert data["ok"] is True
-    assert [c["claim"] for c in data["claims"]] == [
-        c for c in full if c not in ("symmetry-order", "primitivity")]
+    claims = {c["claim"]: c for c in data["claims"]}
+    assert claims["symmetry-order"] == {
+        "claim": "symmetry-order", "passed": True, "conjectural": False,
+        "detail": "Schreier-Sims order 4761711360, formula 4761711360"}
+    # 3 divides m+1 = 9, so the blocks and the criterion both say imprimitive
+    assert claims["primitivity"]["passed"] is True
+    assert claims["primitivity"]["detail"] == (
+        "blocks say primitive=False, criterion says False")
 
-    code, _, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "4")
-    assert code == EXIT_CAP and "BSGS cap 64" in err
-
-
-def test_symmetry_past_chain_cap_counts_no_orbits(capsys, monkeypatch):
-    from diaglab import diaggraph, symmetry
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("called past the BSGS cap")
-
-    monkeypatch.setattr(symmetry, "BSGS_POINT_CAP", 64)  # C3 m=4 has 81 points
-    monkeypatch.setattr(symmetry, "orbit_count", refuse)
-    monkeypatch.setattr(diaggraph, "maximal_cliques", refuse)
-    code, out, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "4")
-    assert code == EXIT_CAP and out == ""
-    assert err == "error: degree 81 exceeds BSGS cap 64\n"
+    code, out, _ = run_cli(capsys, "symmetry", "--group", "C3", "--m", "8")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["order"] == report["order_formula"] == 4761711360
+    assert report["primitive"] is report["criterion"] is False
 
 
 @pytest.fixture
@@ -578,6 +564,37 @@ def test_check_all_contains_chromatic_assertion(capsys, monkeypatch, ledger_vali
     assert [c["claim"] for c in data["claims"]] == full
     failed = next(c for c in data["claims"] if c["claim"] == "chromatic-number")
     assert failed["detail"] == "injected colouring failure"
+
+
+@pytest.mark.parametrize("breakage,message", [
+    ("no-translations", "the translations among the generators are not transitive"),
+    ("not-an-automorphism", "generator injected maps an item outside the item set"),
+])
+def test_check_all_contains_symmetry_assertion(capsys, monkeypatch, ledger_validator,
+                                               breakage, message):
+    from diaglab import symmetry
+
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+    original = symmetry.diagonal_group_generators
+
+    def broken(*args):
+        perms = original(*args)
+        if breakage == "no-translations":
+            return [p for p in perms if p.tag != "right-mult"]
+        swap = list(range(len(perms[0].image)))
+        swap[1], swap[2] = 2, 1  # (1, 0) and (2, 0) have different neighbours
+        return perms + [symmetry.TaggedPerm(tag="injected", image=swap)]
+
+    monkeypatch.setattr(symmetry, "diagonal_group_generators", broken)
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["failures"] == ["symmetry-order"]
+    assert [c["claim"] for c in data["claims"]] == [
+        c for c in full if c not in SYMMETRY_CLAIMS] + ["symmetry-order"]
+    assert data["claims"][-1]["detail"] == message
 
 
 def test_grid_contains_instance_assertion(capsys, monkeypatch):

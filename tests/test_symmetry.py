@@ -81,7 +81,7 @@ def test_primitivity_with_given_chain(spec, m):
     g = group_of(spec)
     perms = list(generators_of(spec, m))
     chain = build_chain(perms)
-    given = is_vertex_primitive(g, m, perms, chain)
+    given = is_vertex_primitive(g, m, perms, chain.stabilizer_generators())
     # Suborbits and block systems against the BFS and union-find code that
     # the components kernel replaced.
     n = len(perms[0].image)
@@ -96,9 +96,10 @@ def test_primitivity_rejects_mismatched_chain():
     g = group_of("C3")
     perms = list(generators_of("C3", 2))
     with pytest.raises(ValueError):
-        is_vertex_primitive(g, 3, perms, build_chain(perms))
+        is_vertex_primitive(g, 3, perms, build_chain(perms).stabilizer_generators())
     with pytest.raises(ValueError):
-        is_vertex_primitive(g, 2, perms, build_chain(list(generators_of("C3", 3))))
+        is_vertex_primitive(
+            g, 2, perms, build_chain(list(generators_of("C3", 3))).stabilizer_generators())
 
 
 def test_vertex_orbits_always_one(grid):
