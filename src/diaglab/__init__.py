@@ -77,7 +77,7 @@ from .symmetry import (
     diagonal_group_generators,
     diagonal_group_order_formula,
     is_vertex_primitive,
-    orbit_count,
+    rooted_orbit_counts,
     symmetry_report,
     vertex_stabiliser_generators,
 )

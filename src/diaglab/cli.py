@@ -473,7 +473,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
             crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
             cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
-        rep = symmetry.symmetry_report(g, graph, minimals, cliques)
+        try:
+            rep = symmetry.symmetry_report(g, graph, minimals, cliques)
+        except AssertionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         _emit(_render(rep.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 

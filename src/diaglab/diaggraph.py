@@ -149,15 +149,23 @@ def connection_set(g: GroupTable, m: int) -> ConnectionSet:
 def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
     """Independent construction: v ~ s*v (componentwise) for s in the
     inverse-closed connection set, kept at the smaller end.  Tags: the moved
-    coordinate for one-coordinate tuples, 0 for the constant tuples."""
+    coordinate for one-coordinate tuples, 0 for the constant tuples.  A
+    tuple that moves coordinate i changes one digit of v, so s*v is v plus
+    the change of that digit times q^i."""
     codec = vertex_codec(g, m, cap)
     mul = np.asarray(g.mul)
+    d = codec.digits
     vertices = np.arange(codec.size)
     rows = []
     for s in connection_set(g, m).tuples:
         moved = [i for i in range(m) if s[i] != 0]
-        tag = moved[0] + 1 if len(moved) == 1 and m >= 2 else 0
-        w = codec.index(mul[s, codec.digits])
+        if len(moved) == 1:
+            (i,) = moved
+            w = vertices + (mul[s[i], d[:, i]] - d[:, i]) * codec.q**i
+            tag = i + 1 if m >= 2 else 0
+        else:
+            w = codec.index(mul[s, d])
+            tag = 0
         up = vertices < w
         rows.append(np.stack([vertices[up], w[up], np.full(up.sum(), tag)], axis=1))
     return DiagGraph.from_rows(codec, np.concatenate(rows))

@@ -11,8 +11,14 @@ as permutations); it is compared against |G|^m * |Aut(G)| * (m+1)!.
 D_0's generators are Schreier generators over the transversal of right
 translations t_p: x -> x*p, checked to be in D and transitive.  A generator
 s needs one per orbit of the translations it conjugates into translations.
-Orbit counting, minimal block systems and the induced action on the
-minimal partitions verify the remaining symmetry claims.
+
+Each generator is checked once to be a graph automorphism, on the whole
+neighbour array.  The orbits on the edges and the maximum cliques are then
+counted from those through vertex 0 alone.  Any d in D with d(0) = y is
+t_y times an element of D_0, so two items through 0 share a D-orbit
+exactly when D_0 maps one onto a re-rooting C*c^-1 of the other, c in C.
+Minimal block systems and the induced action on the minimal partitions
+verify the remaining symmetry claims.
 """
 
 from __future__ import annotations
@@ -369,43 +375,92 @@ def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
     return ids
 
 
-def orbit_count(perms: list[TaggedPerm], items: list) -> int:
-    """Orbits of the induced action on the distinct items.
+def check_automorphisms(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
+    """Raise AssertionError unless every generator is an automorphism of
+    ``graph``: p maps the sorted neighbours of each vertex v onto those of
+    p(v), with the padding sentinel n of ``nbr`` mapped to itself."""
+    n = graph.size
+    for p in perms:
+        image = np.append(p.image, n).astype(np.int32)
+        if not np.array_equal(np.sort(image[graph.nbr], axis=1), graph.nbr[p.image]):
+            raise AssertionError(f"generator {p.tag} maps an item outside the item set")
 
-    Items may be vertices (ints), edges (sorted pairs) or cliques (sorted
-    tuples); the action relabels entries through each permutation.  Items
-    are rows of one int32 array; each generator maps the whole array, and
-    the orbits are the components of the resulting int32 item maps.  Raises
-    AssertionError if some generator maps an item outside the set.
+
+def _rooted_orbit_count(
+    g: GroupTable, codec: VertexCodec, stabiliser: list[TaggedPerm],
+    at_zero: np.ndarray, total: int,
+) -> int:
+    """Orbits of D on a D-invariant set of ``total`` items of one size, from
+    ``at_zero``, its items that contain vertex 0 (rows of one array).
+
+    Each item C is linked to its image under every generator of D_0 and to
+    its re-rooting C*c^-1 at each of its points c, the right translation
+    by c^-1.  Raises AssertionError if a link leaves ``at_zero``, or if
+    ``total * |C|`` is not n times the number of items through 0, as it is
+    for a set closed under the translations.
     """
-    if not len(items):
-        return 0
-    rows = np.asarray(items)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    degree = len(perms[0].image) if perms else int(rows.max()) + 1
-    rows = rows.astype(np.int32, copy=False)
-    key_type = np.int64 if len(rows) * degree > np.iinfo(np.int32).max else np.int32
-    keys, ids = _row_ids(rows, degree, key_type)
+    n = codec.size
+    rows = np.sort(np.asarray(at_zero, dtype=np.int32), axis=1)
+    if total * rows.shape[1] != n * len(rows):
+        raise AssertionError(f"{total} items of {rows.shape[1]} points, "
+                             f"{len(rows)} of them through vertex 0, on {n} vertices")
+    key_type = np.int64 if len(rows) * n > np.iinfo(np.int32).max else np.int32
+    keys, ids = _row_ids(rows, n, key_type)
     count = len(keys[-1])
     distinct = np.empty((count, rows.shape[1]), dtype=np.int32)
     distinct[ids] = rows
-    del rows, ids
-    # maps[g][i]: the index of generator g's image of distinct row i.  Each
-    # is a bijection, since a permutation keeps distinct rows distinct.
-    maps = []
-    for p in perms:
-        image = p.image.astype(np.int32)[distinct]
-        found = _lookup_rows(keys, np.sort(image, axis=1), degree)
-        if found is None:
-            raise AssertionError(
-                f"generator {p.tag} maps an item outside the item set"
-            )
-        maps.append(found)
-    del distinct
+    links = []
 
-    lab = components(count, maps)
+    def link(image: np.ndarray, mover: str) -> None:
+        found = _lookup_rows(keys, np.sort(image, axis=1), n)
+        if found is None:
+            raise AssertionError(f"{mover} maps an item outside the item set")
+        links.append(found)
+
+    for s in stabiliser:
+        link(s.image[distinct], f"generator {s.tag}")
+    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    digits = codec.digits[distinct]
+    for c in range(1, rows.shape[1]):  # column 0 holds vertex 0 itself
+        link(codec.index(mul[digits, inv[digits[:, c:c + 1]]]), "a translation")
+    lab = components(count, links)
     return int(np.count_nonzero(lab == np.arange(count)))
+
+
+def rooted_orbit_counts(
+    g: GroupTable,
+    graph: DiagGraph,
+    perms: list[TaggedPerm],
+    stabiliser: list[TaggedPerm],
+    cliques: list[tuple[int, ...]] | None = None,
+) -> tuple[int, int, int | None]:
+    """Orbits of the group D that ``perms`` generate on the vertices, the
+    edges and the ``cliques`` of ``graph`` (None when no cliques are given),
+    given generators ``stabiliser`` of D_0 over the right translations, as
+    ``vertex_stabiliser_generators`` returns them.
+
+    Every generator is first checked to be an automorphism, so the edge set
+    is D-invariant.  The edges and cliques are then counted from those
+    through vertex 0 alone: if d in D maps C onto C' and d(0) = y, then
+    t_{y^-1} d lies in D_0 and maps C onto C'*y^-1, the re-rooting of C' at
+    y.  So the D-orbits are the components of the links from D_0's
+    generators and the re-rootings.  Raises AssertionError when a check
+    fails: a generator is no automorphism, a link leaves the items through
+    0, or an item set is not spread evenly over the vertices.
+    """
+    check_automorphisms(graph, perms)
+    n = graph.size
+    lab = components(n, [p.image for p in perms])
+    vertex_orbits = int(np.count_nonzero(lab == np.arange(n)))
+    ends = graph.nbr[0][graph.nbr[0] < n]
+    edges = np.stack([np.zeros_like(ends), ends], axis=1)
+    edge_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, edges, len(graph.rows))
+    clique_orbits = None
+    if cliques:
+        rows = np.asarray(cliques)
+        clique_orbits = _rooted_orbit_count(
+            g, graph.codec, stabiliser, rows[(rows == 0).any(axis=1)], len(rows))
+    return vertex_orbits, edge_orbits, clique_orbits
 
 
 def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
@@ -578,9 +633,12 @@ def symmetry_report(
 
     One generating set serves every count.  The order is n times the order
     of the stabiliser of vertex 0, from one chain over its generators, and
-    the same generators give the suborbits for the primitivity.  Raises
-    AssertionError when a check fails: the translations are not transitive,
-    or a generator moves an item or a minimal partition outside its set.
+    the same generators give the suborbits for the primitivity and link the
+    edges and cliques through vertex 0 for their orbit counts (see
+    ``rooted_orbit_counts``).  Raises AssertionError when a check fails: the
+    translations are not transitive, a generator is no graph automorphism,
+    the cliques are not closed under the group, or a generator moves a
+    minimal partition outside the family.
     """
     m = graph.m
     if m < 2:
@@ -589,12 +647,15 @@ def symmetry_report(
     aut = automorphism_group(g)
     perms = diagonal_group_generators(g, m, aut)
     stabiliser = vertex_stabiliser_generators(g, m, perms)
+    order = graph.size * build_chain(stabiliser).order()
+    vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
+        g, graph, perms, stabiliser, cliques)
     return SymmetryReport(
-        order=graph.size * build_chain(stabiliser).order(),
+        order=order,
         order_formula=diagonal_group_order_formula(g, m, aut),
-        vertex_orbits=orbit_count(perms, list(range(graph.size))),
-        edge_orbits=orbit_count(perms, graph.rows[:, :2]),
-        clique_orbits=orbit_count(perms, cliques) if cliques else None,
+        vertex_orbits=vertex_orbits,
+        edge_orbits=edge_orbits,
+        clique_orbits=clique_orbits,
         primitivity=is_vertex_primitive(g, m, perms, [s.image for s in stabiliser]),
         induced_partition_group=induced_symmetric_closure(
             action_on_partitions(perms, minimals)),

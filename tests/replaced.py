@@ -11,19 +11,23 @@ that read that dict.  The per-vertex tuple loops that gathers over
 ``VertexCodec.digits`` replaced: the tuple codec, the minimal partitions,
 the diagonal-group generators, the induced action on the partitions, the
 homomorphism cascade and the colourings, and the dict canonicalisation of
-``Partition.from_labels``.
+``Partition.from_labels``.  The orbit count over the whole item set that
+``symmetry.rooted_orbit_counts`` replaced: it looks every generator's image
+of every item up in a table of all items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from diaglab.chromatic import CompleteMapping, Coloring
 from diaglab.diaggraph import DiagGraph, connection_set
 from diaglab.groups import GroupTable, generating_sequence
-from diaglab.partitions import Partition, _check_same_ground
+from diaglab.partitions import Partition, _check_same_ground, components
 from diaglab.semilattice import minimal_partitions
-from diaglab.symmetry import TaggedPerm, _perm_group_generators
+from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
 
 
 @dataclass(frozen=True)
@@ -425,3 +429,42 @@ def dot_of(codec: TupleCodec, tagged: dict[tuple[int, int], int]) -> str:
 
 def edgelist_of(tagged: dict[tuple[int, int], int]) -> str:
     return "\n".join(f"{u} {v}" for u, v in sorted(tagged))
+
+
+def orbit_count(perms: list[TaggedPerm], items: list) -> int:
+    """Orbits of the induced action on the distinct items.
+
+    Items may be vertices (ints), edges (sorted pairs) or cliques (sorted
+    tuples); the action relabels entries through each permutation.  Items
+    are rows of one int32 array; each generator maps the whole array, and
+    the orbits are the components of the resulting int32 item maps.  Raises
+    AssertionError if some generator maps an item outside the set.
+    """
+    if not len(items):
+        return 0
+    rows = np.asarray(items)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    degree = len(perms[0].image) if perms else int(rows.max()) + 1
+    rows = rows.astype(np.int32, copy=False)
+    key_type = np.int64 if len(rows) * degree > np.iinfo(np.int32).max else np.int32
+    keys, ids = _row_ids(rows, degree, key_type)
+    count = len(keys[-1])
+    distinct = np.empty((count, rows.shape[1]), dtype=np.int32)
+    distinct[ids] = rows
+    del rows, ids
+    # maps[g][i]: the index of generator g's image of distinct row i.  Each
+    # is a bijection, since a permutation keeps distinct rows distinct.
+    maps = []
+    for p in perms:
+        image = p.image.astype(np.int32)[distinct]
+        found = _lookup_rows(keys, np.sort(image, axis=1), degree)
+        if found is None:
+            raise AssertionError(
+                f"generator {p.tag} maps an item outside the item set"
+            )
+        maps.append(found)
+    del distinct
+
+    lab = components(count, maps)
+    return int(np.count_nonzero(lab == np.arange(count)))

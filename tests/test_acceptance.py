@@ -41,7 +41,6 @@ from diaglab.symmetry import (
     build_chain,
     diagonal_group_order_formula,
     is_vertex_primitive,
-    orbit_count,
 )
 
 from conftest import (
@@ -57,6 +56,7 @@ from conftest import (
     primitivity_of,
     semilattice_of,
 )
+from replaced import orbit_count
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
 
 

@@ -566,16 +566,17 @@ def test_check_all_contains_chromatic_assertion(capsys, monkeypatch, ledger_vali
     assert failed["detail"] == "injected colouring failure"
 
 
-@pytest.mark.parametrize("breakage,message", [
+SYMMETRY_BREAKAGES = pytest.mark.parametrize("breakage,message", [
     ("no-translations", "the translations among the generators are not transitive"),
     ("not-an-automorphism", "generator injected maps an item outside the item set"),
 ])
-def test_check_all_contains_symmetry_assertion(capsys, monkeypatch, ledger_validator,
-                                               breakage, message):
+
+
+def break_generators(monkeypatch, breakage):
+    """Make the diagonal-group generators lose the right multiplications, or
+    gain a transposition that is no graph automorphism."""
     from diaglab import symmetry
 
-    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
-    full = [c["claim"] for c in json.loads(out)["claims"]]
     original = symmetry.diagonal_group_generators
 
     def broken(*args):
@@ -587,6 +588,14 @@ def test_check_all_contains_symmetry_assertion(capsys, monkeypatch, ledger_valid
         return perms + [symmetry.TaggedPerm(tag="injected", image=swap)]
 
     monkeypatch.setattr(symmetry, "diagonal_group_generators", broken)
+
+
+@SYMMETRY_BREAKAGES
+def test_check_all_contains_symmetry_assertion(capsys, monkeypatch, ledger_validator,
+                                               breakage, message):
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+    break_generators(monkeypatch, breakage)
     code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
     assert code == EXIT_CHECK_FAILED
     data = json.loads(out)
@@ -595,6 +604,15 @@ def test_check_all_contains_symmetry_assertion(capsys, monkeypatch, ledger_valid
     assert [c["claim"] for c in data["claims"]] == [
         c for c in full if c not in SYMMETRY_CLAIMS] + ["symmetry-order"]
     assert data["claims"][-1]["detail"] == message
+
+
+@SYMMETRY_BREAKAGES
+def test_symmetry_reports_failed_check(capsys, monkeypatch, breakage, message):
+    break_generators(monkeypatch, breakage)
+    code, out, err = run_cli(capsys, "symmetry", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_grid_contains_instance_assertion(capsys, monkeypatch):

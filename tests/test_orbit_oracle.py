@@ -1,8 +1,8 @@
-"""The array orbit count against the union-find count it replaced.
+"""The whole-set array orbit count against the union-find count it replaced.
 
-``orbit_count`` maps every item row through each generator as one numpy
-pass, finds the image rows column by column and counts components by label
-propagation.  The oracle here is the per-item union-find loop over hashable
+``replaced.orbit_count``, now the oracle for ``symmetry.rooted_orbit_counts``,
+maps every item row through each generator as one numpy pass, finds the
+image rows column by column and counts components by label propagation.  The oracle here is the per-item union-find loop over hashable
 items that it replaced, kept verbatim.
 """
 
@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.semilattice import minimal_partitions
-from diaglab.symmetry import TaggedPerm, diagonal_group_generators, orbit_count
+from diaglab.symmetry import TaggedPerm, diagonal_group_generators
 
 from conftest import GRID, aut_of, cliques_of, generators_of, graph_of, group_of
-from replaced import UnionFind
+from replaced import UnionFind, orbit_count
 
 
 def unionfind_orbit_count(perms: list[TaggedPerm], items: list) -> int:

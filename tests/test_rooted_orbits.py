@@ -1,0 +1,126 @@
+"""Orbit counts rooted at vertex 0 against the whole-set count they replaced.
+
+``rooted_orbit_counts`` checks that every generator is a graph automorphism,
+then counts the orbits on the edges and cliques from those through vertex 0,
+linked by the stabiliser's generators and by re-rooting at each point.  The
+oracle ``replaced.orbit_count`` looks every generator's image of every item
+up in a table of all items.  Besides the diagonal group's own generators,
+two smaller groups are checked: the right translations alone, whose vertex
+stabiliser is trivial, so that every link is a re-rooting, and the
+translations with one seeded automorphism of G acting coordinatewise.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from diaglab.cli import GRID_DEFAULT_GROUPS
+from diaglab.diaggraph import cayley_graph
+from diaglab.semilattice import VertexCodec
+from diaglab.symmetry import (
+    TaggedPerm,
+    diagonal_group_generators,
+    rooted_orbit_counts,
+    vertex_stabiliser_generators,
+)
+
+from conftest import aut_of, cliques_of, generators_of, graph_of, group_of
+from replaced import orbit_count
+
+INSTANCES = [(spec, m) for spec in GRID_DEFAULT_GROUPS for m in (2, 3)] + [
+    ("S3", 4), ("Q8", 4), ("C16", 3)]
+GENERATOR_SETS = ("diagonal", "translations", "translations+aut")
+
+
+def top_cliques(spec: str, m: int) -> list[tuple[int, ...]]:
+    rep = cliques_of(spec, m)
+    return [c for c in rep.cliques if len(c) == rep.clique_number]
+
+
+def generator_set(spec: str, m: int, which: str) -> list[TaggedPerm]:
+    perms = list(generators_of(spec, m))
+    if which == "diagonal":
+        return perms
+    shifts = [p for p in perms if p.tag == "right-mult"]
+    if which == "translations":
+        return shifts
+    aut = aut_of(spec)
+    moving = [a for a in aut if list(a) != sorted(a)] or aut
+    alpha = np.asarray(moving[np.random.default_rng(15).integers(len(moving))])
+    codec = VertexCodec(q=group_of(spec).order, m=m)
+    return shifts + [TaggedPerm(tag="aut", image=codec.index(alpha[codec.digits]))]
+
+
+@pytest.mark.parametrize("which", GENERATOR_SETS)
+@pytest.mark.parametrize("spec,m", INSTANCES)
+def test_rooted_counts_match_whole_set_counts(spec, m, which):
+    g, graph = group_of(spec), graph_of(spec, m)
+    perms = generator_set(spec, m, which)
+    stabiliser = vertex_stabiliser_generators(g, m, perms)
+    top = top_cliques(spec, m)
+    assert rooted_orbit_counts(g, graph, perms, stabiliser, top) == (
+        orbit_count(perms, list(range(graph.size))),
+        orbit_count(perms, graph.rows[:, :2]),
+        orbit_count(perms, top),
+    )
+
+
+def test_rooted_counts_c16_m4():
+    g = group_of("C16")
+    perms = diagonal_group_generators(g, 4, aut_of("C16"))
+    stabiliser = vertex_stabiliser_generators(g, 4, perms)
+    assert rooted_orbit_counts(g, cayley_graph(g, 4), perms, stabiliser) == (1, 4, None)
+
+
+def test_rooted_counts_without_cliques():
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3))
+    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    assert rooted_orbit_counts(g, graph, perms, stabiliser, []) == (1, 1, None)
+
+
+def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
+    # The swap fixes 0 and every neighbour of 0, so it maps every edge and
+    # clique through 0 into the set: only the whole-graph check sees it.
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3))
+    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    far = sorted(set(range(1, graph.size)) - set(graph.nbr[0].tolist()))
+    nbrs = [set(graph.nbr[v].tolist()) for v in range(graph.size)]
+    u, v = next((u, v) for u in far for v in far
+                if u < v and nbrs[u] - {v} != nbrs[v] - {u})
+    swap = np.arange(graph.size)
+    swap[[u, v]] = v, u
+    bad = TaggedPerm(tag="injected", image=swap)
+    with pytest.raises(AssertionError,
+                       match="generator injected maps an item outside the item set"):
+        rooted_orbit_counts(g, graph, perms + [bad], stabiliser, top_cliques("C3", 3))
+
+
+def test_clique_list_missing_an_item_away_from_0_is_caught():
+    # The cliques through 0 and their links are all kept; only the count
+    # of incidences tells that the list is not closed.
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3))
+    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    top = top_cliques("C3", 3)
+    away = next(i for i, c in enumerate(top) if 0 not in c)
+    with pytest.raises(AssertionError, match="35 items of 3 points, 4 of them through "
+                       "vertex 0, on 27 vertices"):
+        rooted_orbit_counts(g, graph, perms, stabiliser, top[:away] + top[away + 1:])
+
+
+def test_clique_list_not_closed_under_the_stabiliser_is_caught():
+    # The parts of Q_1 and Q_2: each vertex lies in two of them and the
+    # translations keep both families, but a coordinate swap moves a part of
+    # Q_2 to one of Q_3.
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3))
+    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    digits = VertexCodec(q=3, m=3).digits
+    parts = [tuple(np.flatnonzero((np.delete(digits, i, axis=1) == key).all(axis=1)))
+             for i in (0, 1) for key in np.unique(np.delete(digits, i, axis=1), axis=0)]
+    assert len(parts) == 18 and all(len(p) == 3 for p in parts)
+    with pytest.raises(AssertionError, match="maps an item outside the item set"):
+        rooted_orbit_counts(g, graph, perms, stabiliser, parts)

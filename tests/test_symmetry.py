@@ -12,7 +12,6 @@ from diaglab.symmetry import (
     induced_symmetric_closure,
     is_vertex_primitive,
     minimal_block_trivial,
-    orbit_count,
     symmetry_report,
 )
 
@@ -27,7 +26,11 @@ from conftest import (
     minimals_of,
     primitivity_of,
 )
-from replaced import bfs_suborbit_representatives, unionfind_minimal_block_trivial
+from replaced import (
+    bfs_suborbit_representatives,
+    orbit_count,
+    unionfind_minimal_block_trivial,
+)
 
 
 def test_generators_are_bijections(grid):
