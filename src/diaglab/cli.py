@@ -9,6 +9,7 @@ that ``--format json`` emits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -321,7 +322,10 @@ def _build_config(args: argparse.Namespace, with_m: bool = True) -> RunConfig:
     return cfg
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each ``parse_args``
+    call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="diaglab",
         description="diagonal semilattices and diagonal graphs over small finite groups",
@@ -350,8 +354,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cap-vertices", type=int, default=None)
     p.add_argument("--paranoid", action="store_true")
     p.add_argument("--exact", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         return _dispatch(args)

@@ -1,10 +1,17 @@
 """The diagonal graph: construction, metric, clique and regularity checks.
 
-Two independent constructions are kept side by side: ``build_graph`` pairs
-the points of each part of the minimal partitions, ``cayley_graph`` joins v
-to s*v over the connection set inside G^m (one non-identity coordinate, or
-a constant non-identity tuple).  ``same_edge_set`` asserts that their
-``(u, v, tag)`` edge rows agree, tags included.
+Two independent constructions are kept side by side, both in numpy and
+both neighbours-first: ``build_graph`` lists, for each vertex, the other
+points of its part of each minimal partition Q_i (tagged i); ``cayley_graph``
+joins v to s*v over the connection set inside G^m (one non-identity
+coordinate, or a constant non-identity tuple), one neighbour column per s.
+Each sorts every row into the padded neighbour array ``nbr`` and derives
+its ``(u, v, tag)`` edge rows from the entries above u; ``same_edge_set``
+asserts that the rows agree, tags included.
+
+The paranoid diameter searches a block of bases at once over ``nbr``: each
+vertex holds reach and frontier bitsets, one bit per base in ``uint64``
+words, and each breadth-first level is one gather per column of ``nbr``.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ from .partitions import Partition
 from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
 
 # The paranoid walk counts and eccentricities run a block of start vertices
-# in one pass: each vertex holds one Python int, and each start of the block
-# owns a fixed field of its bits.  A block takes as many starts as keep one
-# list of those ints within about this many bits (8 MiB), so memory does not
-# grow with the square of the vertex count.
-PACK_BITS = 1 << 26
+# side by side, one column (or one bit) per start.  A block takes as many
+# starts as keep one (vertex, start) array within about this many bytes
+# (8 MiB), so memory does not grow with the square of the vertex count.
+BLOCK_BYTES = 1 << 23
 
 # Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
 CLIQUE_VERTEX_CAP = 4096
@@ -38,13 +44,13 @@ DISTANCE_BLOCK = 1 << 21
 
 @dataclass(frozen=True, eq=False)
 class DiagGraph:
-    """Simple graph on G^m, built once by ``from_rows`` as two int32 arrays.
+    """Simple graph on G^m, built once by ``from_neighbours`` as two int32 arrays.
 
-    ``rows`` holds the edges as ``(u, v, tag)``, u < v, sorted by (u, v); the
-    tag names the minimal partition whose part contains the edge, unique for
-    m >= 2, and ``same_edge_set`` requires both constructions to agree on it.
     ``nbr`` holds each vertex's sorted neighbours, one row each, padded with
-    the sentinel n where the graph is not regular.
+    the sentinel n where the graph is not regular.  ``rows`` holds the edges
+    as ``(u, v, tag)``, u < v, sorted by (u, v); the tag names the minimal
+    partition whose part contains the edge, unique for m >= 2, and
+    ``same_edge_set`` requires both constructions to agree on it.
     """
 
     q: int
@@ -55,20 +61,15 @@ class DiagGraph:
     codec: VertexCodec
 
     @classmethod
-    def from_rows(cls, codec: VertexCodec, rows) -> DiagGraph:
-        """The graph whose edges are ``rows``, (u, v, tag) with u < v in any
-        order; an edge given more than once keeps its first row."""
+    def from_neighbours(cls, codec: VertexCodec, nbr: np.ndarray, tag: np.ndarray) -> DiagGraph:
+        """The graph whose vertex u has the neighbours ``nbr[u]``, sorted and
+        padded with n, each tagged by the same entry of ``tag``; an edge's
+        row takes its tag from the smaller end."""
         n = codec.size
-        rows = np.asarray(rows, dtype=np.int32).reshape(-1, 3)
-        key, first = np.unique(rows[:, 0].astype(np.int64) * n + rows[:, 1],
-                               return_index=True)
-        rows = rows[first]
-        # both directions of every edge, sorted: each vertex's neighbours in order
-        arcs = np.sort(np.concatenate([key, rows[:, 1].astype(np.int64) * n + rows[:, 0]]))
-        src, dst = np.divmod(arcs, n)
-        degree = np.bincount(src, minlength=n)
-        nbr = np.full((n, degree.max(initial=0)), n, dtype=np.int32)
-        nbr[src, np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]] = dst
+        nbr = nbr.astype(np.int32)
+        u = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], nbr.shape)
+        up = (nbr > u) & (nbr < n)
+        rows = np.stack([u[up], nbr[up], tag[up].astype(np.int32)], axis=1)
         rows.flags.writeable = nbr.flags.writeable = False
         return cls(q=codec.q, m=codec.m, size=n, rows=rows, nbr=nbr, codec=codec)
 
@@ -78,7 +79,8 @@ class DiagGraph:
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
-        """``nbr`` as lists of Python ints without the sentinels, for loops."""
+        """``nbr`` as lists of Python ints without the sentinels, for the
+        per-vertex searches (Bron-Kerbosch on the whole graph, the colourings)."""
         n = self.size
         lists = self.nbr.tolist()
         if self.nbr.size and (self.nbr[:, -1] == n).any():
@@ -86,22 +88,27 @@ class DiagGraph:
         return lists
 
 
-def _block_rows(part: Partition, tag: int) -> np.ndarray:
-    """(u, v, tag) for every pair u < v of points in one part of ``part``.
+def _sort_rows(nbr: np.ndarray, tag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``nbr`` sorted, ``tag`` permuted alike; equal neighbours
+    keep their order, so the first copy stays first."""
+    order = np.argsort(nbr, axis=1, kind="stable")
+    return np.take_along_axis(nbr, order, axis=1), np.take_along_axis(tag, order, axis=1)
 
-    A stable sort by block lists each block's points in increasing order;
-    the blocks of each size then form one (blocks, size) array, paired up
-    by the upper-triangle indices."""
+
+def _block_mates(part: Partition) -> np.ndarray:
+    """Row v: the other points of v's block, in increasing order.
+
+    A stable sort by block lists each block's points in increasing order,
+    so the sorted points form one (blocks, size) array; row v of it, taken
+    at v's block, holds v once, which is dropped."""
     labels = np.asarray(part.block_of, dtype=np.int64)
-    order = np.argsort(labels, kind="stable")
-    size = np.bincount(labels)[labels[order]]
-    rows = [np.empty((0, 3), dtype=np.int64)]
-    for s in np.unique(size[size > 1]).tolist():
-        blocks = order[size == s].reshape(-1, s)
-        i, j = np.triu_indices(s, 1)
-        u, v = blocks[:, i].ravel(), blocks[:, j].ravel()
-        rows.append(np.stack([u, v, np.full_like(u, tag)], axis=1))
-    return np.concatenate(rows)
+    counts = np.bincount(labels)
+    if (counts != counts[0]).any():
+        raise ValueError("a minimal partition has blocks of unequal size")
+    n = len(labels)
+    order = np.argsort(labels, kind="stable").astype(np.int32)
+    members = order.reshape(-1, counts[0])[labels]
+    return members[members != np.arange(n)[:, None]].reshape(n, counts[0] - 1)
 
 
 def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
@@ -112,13 +119,23 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
         raise ValueError("group order must be >= 2 for a diagonal graph")
     m = len(minimals) - 1
     codec = VertexCodec(q=g.order, m=m)
-    rows = np.concatenate([_block_rows(part, i) for i, part in enumerate(minimals)])
-    graph = DiagGraph.from_rows(codec, rows)
-    if m >= 2 and len(graph.rows) < len(rows):
-        key = np.sort(rows[:, 0] * codec.size + rows[:, 1])
-        e = divmod(int(key[1:][key[1:] == key[:-1]][0]), codec.size)
-        raise AssertionError(f"edge {e} lies in two minimal partitions")
-    return graph
+    n = codec.size
+    mates = [_block_mates(part) for part in minimals]
+    tag = np.repeat(np.arange(m + 1, dtype=np.int32), [a.shape[1] for a in mates])
+    nbr, tag = _sort_rows(np.concatenate(mates, axis=1),
+                          np.broadcast_to(tag, (n, len(tag))))
+    twice = np.zeros(nbr.shape, dtype=bool)
+    twice[:, 1:] = nbr[:, 1:] == nbr[:, :-1]
+    if twice.any():
+        if m >= 2:
+            u, k = np.nonzero(twice & (nbr > np.arange(n)[:, None]))
+            raise AssertionError(
+                f"edge {(int(u[0]), int(nbr[u[0], k[0]]))} lies in two minimal partitions")
+        # m = 1: keep the first copy, move the others past the end as padding
+        width = (~twice).sum(axis=1).max()
+        nbr, tag = _sort_rows(np.where(twice, n, nbr), tag)
+        nbr, tag = nbr[:, :width], tag[:, :width]
+    return DiagGraph.from_neighbours(codec, nbr, tag)
 
 
 @dataclass(frozen=True)
@@ -148,27 +165,27 @@ def connection_set(g: GroupTable, m: int) -> ConnectionSet:
 
 def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
     """Independent construction: v ~ s*v (componentwise) for s in the
-    inverse-closed connection set, kept at the smaller end.  Tags: the moved
-    coordinate for one-coordinate tuples, 0 for the constant tuples.  A
-    tuple that moves coordinate i changes one digit of v, so s*v is v plus
-    the change of that digit times q^i."""
+    inverse-closed connection set, one neighbour column per s.  Tags: the
+    moved coordinate for one-coordinate tuples, 0 for the constant tuples;
+    s and its inverse carry the same tag.  A tuple that moves coordinate i
+    changes one digit of v, so s*v is v plus the change of that digit times
+    q^i."""
     codec = vertex_codec(g, m, cap)
     mul = np.asarray(g.mul)
     d = codec.digits
-    vertices = np.arange(codec.size)
-    rows = []
-    for s in connection_set(g, m).tuples:
+    tuples = connection_set(g, m).tuples
+    nbr = np.empty((codec.size, len(tuples)), dtype=np.int32)
+    tag = np.zeros(len(tuples), dtype=np.int32)
+    for k, s in enumerate(tuples):
         moved = [i for i in range(m) if s[i] != 0]
         if len(moved) == 1:
             (i,) = moved
-            w = vertices + (mul[s[i], d[:, i]] - d[:, i]) * codec.q**i
-            tag = i + 1 if m >= 2 else 0
+            nbr[:, k] = np.arange(codec.size) + (mul[s[i], d[:, i]] - d[:, i]) * codec.q**i
+            tag[k] = i + 1 if m >= 2 else 0
         else:
-            w = codec.index(mul[s, d])
-            tag = 0
-        up = vertices < w
-        rows.append(np.stack([vertices[up], w[up], np.full(up.sum(), tag)], axis=1))
-    return DiagGraph.from_rows(codec, np.concatenate(rows))
+            nbr[:, k] = codec.index(mul[s, d])
+    nbr, tag = _sort_rows(nbr, np.broadcast_to(tag, nbr.shape))
+    return DiagGraph.from_neighbours(codec, nbr, tag)
 
 
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
@@ -186,37 +203,43 @@ class DiameterReport:
         return self.bfs == self.formula
 
 
+def start_blocks(starts: range, bits_per_start: int) -> list[range]:
+    """``starts`` cut into blocks of as many as keep one block within
+    ``BLOCK_BYTES`` when each start takes ``bits_per_start`` bits."""
+    per_block = max(1, 8 * BLOCK_BYTES // bits_per_start)
+    return [starts[lo: lo + per_block] for lo in range(0, len(starts), per_block)]
+
+
 def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
     """The largest distance from any of ``bases`` to any vertex it reaches,
     with every base of a block searched in one pass.
 
-    Each vertex holds a ``reach`` and a ``frontier`` bitset with one bit per
-    base.  A level ORs each frontier into the neighbours and masks off what
-    is already reached; the answer is the last level that reached anything,
+    Each vertex holds a ``reach`` and a ``frontier`` bitset, one bit per
+    base of the block in ``uint64`` words; row n is the padding sentinel
+    and stays empty.  A level ORs the frontier rows of each vertex's
+    neighbours, one gather per column of ``nbr``, and masks off what is
+    already reached; the answer is the last level that reached anything,
     so on a disconnected graph it is the largest finite distance.
     """
     n = graph.size
-    adjacency = graph.adjacency
-    per_block = max(1, PACK_BITS // n)
+    columns = np.ascontiguousarray(graph.nbr.T)
     ecc = 0
-    for lo in range(0, len(bases), per_block):
-        frontier = [0] * n
-        for k, b in enumerate(bases[lo: lo + per_block]):
-            frontier[b] = 1 << k
-        reach = frontier
+    for block in start_blocks(bases, n + 1):
+        bit = np.arange(len(block))
+        frontier = np.zeros((n + 1, -(-len(block) // 64)), dtype=np.uint64)
+        frontier[np.asarray(block), bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        reach = frontier.copy()
         level = 0
         while True:
-            nxt = [0] * n
-            for u in range(n):
-                fu = frontier[u]
-                if fu:
-                    for v in adjacency[u]:
-                        nxt[v] |= fu
-            frontier = [f & ~r for f, r in zip(nxt, reach)]
-            if not any(frontier):
+            nxt = np.zeros_like(frontier)
+            for col in columns:
+                nxt[:n] |= frontier[col]
+            nxt &= ~reach
+            if not nxt.any():
                 break
             level += 1
-            reach = [r | f for r, f in zip(reach, frontier)]
+            reach |= nxt
+            frontier = nxt
         ecc = max(ecc, level)
     return ecc
 

@@ -2,12 +2,21 @@
 
 ``spectrum_closed_form`` evaluates the eigenvalue/multiplicity formula in
 integer arithmetic.  ``spectrum_trace_moments`` never diagonalises anything:
-it counts closed walks from one vertex (vertex-transitivity turns the count
-into an exact trace; ``paranoid`` counts from every vertex, packed into one
-pass of Python ints per block of starts), then solves the square Vandermonde
-system on the candidate eigenvalues -(m+1)+kq over the rationals.  Disagreement between
-the two, or a negative or fractional multiplicity, would falsify the closed
-form; both paths are compared entry by entry.
+it counts closed walks exactly, then solves the square Vandermonde system on
+the candidate eigenvalues -(m+1)+kq over the rationals.  Disagreement
+between the two, or a negative or fractional multiplicity, would falsify
+the closed form; both paths are compared entry by entry.
+
+The walk counts are a numpy kernel over the neighbour array ``nbr``.  As A
+is symmetric, tr(A^j) = sum over starts s of <A^a e_s, A^b e_s> with
+a = j // 2 and b = j - a, so only ceil(steps/2) multiplications by A are
+run.  From vertex 0 alone, vertex-transitivity turns the count into the
+trace; ``paranoid`` counts from every vertex, a block of starts side by
+side as the columns of one array.  An entry of A^t e_s is at most deg^t for
+the width deg of ``nbr``, so the columns are int32 while
+deg^ceil(steps/2) < 2^31 and a block times deg^steps < 2^63 (the inner
+products are taken in int64); past that bound they hold Python ints
+(``dtype=object``), so a count never wraps.
 """
 
 from __future__ import annotations
@@ -16,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diaggraph import PACK_BITS, DiagGraph
+import numpy as np
+
+from .diaggraph import DiagGraph, start_blocks
 
 
 @dataclass(frozen=True)
@@ -72,38 +83,57 @@ def spectrum_closed_form(q: int, m: int) -> SpectrumReport:
     return SpectrumReport(q=q, m=m, entries=tuple(rows), source="closed_form")
 
 
+def _walk_blocks(n: int, deg: int, steps: int, starts: range) -> tuple[type, list[range]]:
+    """The column dtype and the blocks of ``starts`` for ``_walk_counts``.
+
+    An entry of A^t e_s is at most deg^t, and one start adds at most
+    deg^steps to a trace, so int32 columns with int64 inner products are
+    exact while deg^ceil(steps/2) < 2^31 and a block times deg^steps <
+    2^63.  Otherwise the columns hold Python ints (``dtype=object``)."""
+    blocks = start_blocks(starts, 32 * (n + 1))
+    if deg ** -(-steps // 2) < 2**31 and len(blocks[0]) * deg**steps < 2**63:
+        return np.int32, blocks
+    return object, start_blocks(starts, 64 * (n + 1))
+
+
 def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     """tr(A^j) for j = 0..steps, exactly.
 
-    Single-column iteration: tr(A^j) = n * (A^j)_00 by vertex-transitivity;
-    paranoid mode sums the diagonal over every start vertex instead, with
-    the starts of a block packed side by side into the bits of each entry.
-    An entry of A^j e_s is at most max_degree^j, so a field of
-    ``width`` bits never carries into the next one.  The width comes from
-    the largest degree, the width of ``nbr``, never from the claimed valency.
+    A is symmetric, so tr(A^j) = sum over starts s of <A^a e_s, A^b e_s>
+    with a = j // 2 and b = j - a: only the columns A^t e_s for t up to
+    ceil(steps/2) are formed.  A block of starts is one (n + 1, B) array,
+    one column per start; row n is a zero sentinel that absorbs the
+    padding of ``nbr``, and each step adds the rows of every vertex's
+    neighbours, one gather per column of ``nbr``.  The degree bound of
+    ``_walk_blocks`` comes from the width of ``nbr``, never from the
+    claimed valency.  Without ``paranoid`` the one start 0 gives
+    tr(A^j) = n * (A^j)_00 by vertex-transitivity.
     """
     n = graph.size
-    adjacency = graph.adjacency
+    columns = np.ascontiguousarray(graph.nbr.T)
     starts = range(n) if paranoid else range(1)
-    width = (graph.nbr.shape[1] ** steps).bit_length() + 1
-    mask = (1 << width) - 1
-    per_block = max(1, PACK_BITS // (n * width))
+    half = -(-steps // 2)
     traces = [0] * (steps + 1)
-    for lo in range(0, len(starts), per_block):
-        block = starts[lo: lo + per_block]
-        col = [0] * n
-        for k, s in enumerate(block):
-            col[s] = 1 << (width * k)
+    dtype, blocks = _walk_blocks(n, graph.nbr.shape[1], steps, starts)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> int:
+        if dtype is object:
+            return int((a * b).sum())
+        return int(np.einsum("ij,ij->", a, b, dtype=np.int64))
+
+    for block in blocks:
+        x = np.zeros((n + 1, len(block)), dtype=dtype)
+        x[np.asarray(block), np.arange(len(block))] = 1
         traces[0] += len(block)
-        for j in range(1, steps + 1):
-            nxt = [0] * n
-            for u in range(n):
-                cu = col[u]
-                if cu:
-                    for v in adjacency[u]:
-                        nxt[v] += cu
-            col = nxt
-            traces[j] += sum(col[s] >> (width * k) & mask for k, s in enumerate(block))
+        for t in range(1, half + 1):
+            y = np.zeros_like(x)
+            for col in columns:
+                y[:n] += x[col]
+            # x = A^(t-1) e_s and y = A^t e_s give j = 2t - 1 and j = 2t
+            traces[2 * t - 1] += dot(x, y)
+            if 2 * t <= steps:
+                traces[2 * t] += dot(y, y)
+            x = y
     if not paranoid:
         traces = [n * t for t in traces]
     return traces

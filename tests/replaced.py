@@ -13,7 +13,12 @@ the diagonal-group generators, the induced action on the partitions, the
 homomorphism cascade and the colourings, and the dict canonicalisation of
 ``Partition.from_labels``.  The orbit count over the whole item set that
 ``symmetry.rooted_orbit_counts`` replaced: it looks every generator's image
-of every item up in a table of all items.
+of every item up in a table of all items.  The edge-list constructor
+``from_rows`` and the pair rows of each part of a partition, which both
+constructions formed before they built ``nbr`` first; ``from_rows`` also
+builds the tests' irregular graphs.  The walk counts and the eccentricities
+that packed a block of starts into the bits of one Python int per vertex
+and looped over the list view, before the numpy kernels over ``nbr``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from diaglab.chromatic import CompleteMapping, Coloring
 from diaglab.diaggraph import DiagGraph, connection_set
 from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import Partition, _check_same_ground, components
-from diaglab.semilattice import minimal_partitions
+from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
 
 
@@ -468,3 +473,113 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
 
     lab = components(count, maps)
     return int(np.count_nonzero(lab == np.arange(count)))
+
+
+def from_rows(codec: VertexCodec, rows) -> DiagGraph:
+    """The graph whose edges are ``rows``, (u, v, tag) with u < v in any
+    order; an edge given more than once keeps its first row."""
+    n = codec.size
+    rows = np.asarray(rows, dtype=np.int32).reshape(-1, 3)
+    key, first = np.unique(rows[:, 0].astype(np.int64) * n + rows[:, 1],
+                           return_index=True)
+    rows = rows[first]
+    # both directions of every edge, sorted: each vertex's neighbours in order
+    arcs = np.sort(np.concatenate([key, rows[:, 1].astype(np.int64) * n + rows[:, 0]]))
+    src, dst = np.divmod(arcs, n)
+    degree = np.bincount(src, minlength=n)
+    nbr = np.full((n, degree.max(initial=0)), n, dtype=np.int32)
+    nbr[src, np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]] = dst
+    rows.flags.writeable = nbr.flags.writeable = False
+    return DiagGraph(q=codec.q, m=codec.m, size=n, rows=rows, nbr=nbr, codec=codec)
+
+
+def block_rows(part: Partition, tag: int) -> np.ndarray:
+    """(u, v, tag) for every pair u < v of points in one part of ``part``.
+
+    A stable sort by block lists each block's points in increasing order;
+    the blocks of each size then form one (blocks, size) array, paired up
+    by the upper-triangle indices."""
+    labels = np.asarray(part.block_of, dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)[labels[order]]
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for s in np.unique(size[size > 1]).tolist():
+        blocks = order[size == s].reshape(-1, s)
+        i, j = np.triu_indices(s, 1)
+        u, v = blocks[:, i].ravel(), blocks[:, j].ravel()
+        rows.append(np.stack([u, v, np.full_like(u, tag)], axis=1))
+    return np.concatenate(rows)
+
+
+# A block of packed starts keeps one list of Python ints within about this
+# many bits (8 MiB).
+PACK_BITS = 1 << 26
+
+
+def packed_walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
+    """tr(A^j) for j = 0..steps, exactly.
+
+    Single-column iteration: tr(A^j) = n * (A^j)_00 by vertex-transitivity;
+    paranoid mode sums the diagonal over every start vertex instead, with
+    the starts of a block packed side by side into the bits of each entry.
+    An entry of A^j e_s is at most max_degree^j, so a field of
+    ``width`` bits never carries into the next one.
+    """
+    n = graph.size
+    adjacency = graph.adjacency
+    starts = range(n) if paranoid else range(1)
+    width = (graph.nbr.shape[1] ** steps).bit_length() + 1
+    mask = (1 << width) - 1
+    per_block = max(1, PACK_BITS // (n * width))
+    traces = [0] * (steps + 1)
+    for lo in range(0, len(starts), per_block):
+        block = starts[lo: lo + per_block]
+        col = [0] * n
+        for k, s in enumerate(block):
+            col[s] = 1 << (width * k)
+        traces[0] += len(block)
+        for j in range(1, steps + 1):
+            nxt = [0] * n
+            for u in range(n):
+                cu = col[u]
+                if cu:
+                    for v in adjacency[u]:
+                        nxt[v] += cu
+            col = nxt
+            traces[j] += sum(col[s] >> (width * k) & mask for k, s in enumerate(block))
+    if not paranoid:
+        traces = [n * t for t in traces]
+    return traces
+
+
+def packed_max_eccentricity(graph: DiagGraph, bases: range) -> int:
+    """The largest distance from any of ``bases`` to any vertex it reaches.
+
+    Each vertex holds a ``reach`` and a ``frontier`` Python int with one
+    bit per base; a level ORs each frontier into the neighbours and masks
+    off what is already reached.
+    """
+    n = graph.size
+    adjacency = graph.adjacency
+    per_block = max(1, PACK_BITS // n)
+    ecc = 0
+    for lo in range(0, len(bases), per_block):
+        frontier = [0] * n
+        for k, b in enumerate(bases[lo: lo + per_block]):
+            frontier[b] = 1 << k
+        reach = frontier
+        level = 0
+        while True:
+            nxt = [0] * n
+            for u in range(n):
+                fu = frontier[u]
+                if fu:
+                    for v in adjacency[u]:
+                        nxt[v] |= fu
+            frontier = [f & ~r for f, r in zip(nxt, reach)]
+            if not any(frontier):
+                break
+            level += 1
+            reach = [r | f for r, f in zip(reach, frontier)]
+        ecc = max(ecc, level)
+    return ecc

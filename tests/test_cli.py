@@ -437,6 +437,35 @@ def test_check_all_builds_each_artefact_once(capsys, call_counts):
                      "automorphism_group": 1}
 
 
+@pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])
+def test_check_all_never_builds_the_list_view(capsys, monkeypatch, group, m):
+    # the walk counts and the diameter read nbr; only the per-vertex searches
+    # (TabuCol, DSATUR, whole-graph Bron-Kerbosch) need Python lists
+    from diaglab.diaggraph import DiagGraph
+
+    build = DiagGraph.__dict__["adjacency"].func
+    built = []
+    monkeypatch.setattr(DiagGraph, "adjacency",
+                        property(lambda self: built.append(self.size) or build(self)))
+    code, _, _ = run_cli(capsys, "check-all", "--group", group, "--m", str(m))
+    assert code == EXIT_OK
+    assert built == []
+
+
+def test_parser_is_built_once_and_keeps_no_options(monkeypatch):
+    from diaglab import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(args) or EXIT_OK)
+    assert main(["spectrum", "--group", "C3", "--m", "2", "--verify", "--paranoid"]) == EXIT_OK
+    assert main(["diameter", "--group", "C4", "--m", "3"]) == EXIT_OK
+    assert cli._parser() is cli._parser()
+    first, second = seen
+    assert first.paranoid and first.verify and first.command == "spectrum"
+    assert second.command == "diameter" and (second.group, second.m) == ("C4", 3)
+    assert not second.paranoid and not hasattr(second, "verify")
+
+
 @pytest.mark.parametrize("command", ["cliques", "symmetry"])
 def test_graph_commands_build_minimal_partitions_once(capsys, call_counts, command):
     from diaglab import diaggraph, semilattice

@@ -1,10 +1,12 @@
-"""The array-backed graph constructions against the Python ones they replaced.
+"""The array-backed graph constructions against the ones they replaced.
 
-``build_graph`` and ``cayley_graph`` each yield (u, v, tag) rows and one
-padded neighbour array.  Here both must give the rows of the dict-based
-constructions in ``replaced.py``, their neighbour lists, and the same
-graph6, DOT and edge-list bytes; and the construction invariants (an edge
-in two minimal partitions, a tag or an edge that differs) must be caught.
+``build_graph`` and ``cayley_graph`` each build one padded neighbour array
+first and derive the (u, v, tag) rows from it.  Here both must give the
+rows of the dict-based constructions in ``replaced.py``, their neighbour
+lists, and the same graph6, DOT and edge-list bytes, and the arrays that
+``replaced.from_rows`` built from the pair rows of each part; and the
+construction invariants (an edge in two minimal partitions, a tag or an
+edge that differs, blocks of unequal size) must be caught.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 import pytest
 
 from diaglab.diaggraph import (
-    DiagGraph,
     build_graph,
     cayley_graph,
     same_edge_set,
@@ -21,18 +22,22 @@ from diaglab.diaggraph import (
     to_edgelist,
     to_graph6,
 )
+from diaglab.partitions import Partition
 from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, graph_of, group_of
 from replaced import (
     TupleCodec,
     adjacency_of,
+    block_rows,
     cayley_edge_tags,
     dot_of,
     edgelist_of,
+    from_rows,
     graph6_of,
     partition_edge_tags,
 )
+from test_packed_oracles import SMALL_GRID
 
 INSTANCES = GRID + [(spec, 1) for spec in ("C2", "C3", "C4", "C5")] + [("C16", 3)]
 
@@ -58,6 +63,26 @@ def test_rows_match_the_python_constructions(spec, m):
         assert to_edgelist(graph) == edgelist_of(tagged)
 
 
+@pytest.mark.parametrize("spec,m", SMALL_GRID)
+def test_neighbours_first_matches_the_pair_rows(spec, m):
+    g = group_of(spec)
+    minimals = minimal_partitions(g, m)
+    rows = np.concatenate([block_rows(part, i) for i, part in enumerate(minimals)])
+    want = from_rows(VertexCodec(q=g.order, m=m), rows)
+    for graph in (build_graph(g, minimals), cayley_graph(g, m)):
+        for got, expect in ((graph.nbr, want.nbr), (graph.rows, want.rows)):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes(), (spec, m)
+
+
+def test_blocks_of_unequal_size_raise():
+    g = group_of("C3")
+    q0, q1, _ = minimal_partitions(g, 2)
+    lopsided = Partition.from_labels([0, 0, 1, 1, 1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="unequal size"):
+        build_graph(g, [q0, q1, lopsided])
+
+
 def test_an_edge_in_two_minimal_partitions_raises():
     g = group_of("C3")
     q0, q1, _, q3 = minimal_partitions(g, 3)
@@ -77,24 +102,39 @@ def test_dimension_one_keeps_the_first_of_two_equal_partitions():
     assert (graph.rows[:, 2] == 0).all() and len(graph.rows) == 6
 
 
+def test_dimension_one_pads_the_rows_that_lose_a_copy():
+    # two partitions of C6 that share the edges 0-1 and 4-5 only: vertices
+    # 0, 1, 4 and 5 keep two neighbours, 2 and 3 keep three
+    g = group_of("C6")
+    halves = Partition.from_labels([0, 0, 0, 1, 1, 1])
+    pairs = Partition.from_labels([0, 0, 1, 1, 2, 2])
+    graph = build_graph(g, [halves, pairs])
+    rows = np.concatenate([block_rows(halves, 0), block_rows(pairs, 1)])
+    want = from_rows(VertexCodec(q=6, m=1), rows)
+    assert graph.nbr.tolist() == want.nbr.tolist() == [
+        [1, 2, 6], [0, 2, 6], [0, 1, 3], [2, 4, 5], [3, 5, 6], [3, 4, 6]]
+    assert graph.rows.tolist() == want.rows.tolist()
+    assert graph.rows[:, 2].tolist() == [0, 0, 0, 1, 0, 0, 0]
+
+
 def test_same_edge_set_compares_tags_and_edges():
     graph = graph_of("C3", 3)
-    assert same_edge_set(graph, DiagGraph.from_rows(graph.codec, graph.rows))
+    assert same_edge_set(graph, from_rows(graph.codec, graph.rows))
     retagged = graph.rows.copy()
     retagged[5, 2] = (retagged[5, 2] + 1) % 4
-    assert not same_edge_set(graph, DiagGraph.from_rows(graph.codec, retagged))
-    assert not same_edge_set(graph, DiagGraph.from_rows(graph.codec, graph.rows[1:]))
+    assert not same_edge_set(graph, from_rows(graph.codec, retagged))
+    assert not same_edge_set(graph, from_rows(graph.codec, graph.rows[1:]))
 
 
 def test_from_rows_pads_an_irregular_graph():
     # a star on 0..3 plus the edge 4-5, in no order, with one edge given twice
     rows = [(4, 5, 2), (0, 3, 1), (0, 1, 0), (0, 2, 0), (0, 3, 7)]
-    graph = DiagGraph.from_rows(VertexCodec(q=6, m=1), rows)
+    graph = from_rows(VertexCodec(q=6, m=1), rows)
     assert graph.rows.tolist() == [[0, 1, 0], [0, 2, 0], [0, 3, 1], [4, 5, 2]]
     assert graph.nbr.tolist() == [[1, 2, 3], [0, 6, 6], [0, 6, 6], [0, 6, 6],
                                   [5, 6, 6], [4, 6, 6]]
     assert graph.adjacency == [[1, 2, 3], [0], [0], [0], [5], [4]]
     assert graph.adjacency is graph.adjacency  # built once
-    empty = DiagGraph.from_rows(VertexCodec(q=3, m=1), [])
+    empty = from_rows(VertexCodec(q=3, m=1), [])
     assert empty.rows.shape == (0, 3) and empty.nbr.shape == (3, 0)
     assert empty.adjacency == [[], [], []]

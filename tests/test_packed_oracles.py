@@ -1,27 +1,31 @@
-"""The packed walk counts, eccentricities and graph6 encoder against oracles.
+"""The walk counts, eccentricities and graph6 encoder against oracles.
 
 The paranoid walk counts and the paranoid diameter run a block of start
-vertices in one pass, each start in its own field of one Python int per
-vertex.  The oracles here run nothing side by side: exact matrix powers for
-the walk counts, one breadth-first search per base for the eccentricities,
-and the bit-list graph6 encoder the packed one replaced.
+vertices in one pass over ``nbr``: one int32 (or Python int) column per
+start for the walk counts, one bit of a ``uint64`` bitset per base for the
+eccentricities.  The oracles here run nothing side by side: exact matrix
+powers for the walk counts, one breadth-first search per base for the
+eccentricities, and the bit-list graph6 encoder the packed one replaced.
+The Python-int kernels that packed each block into one int per vertex are
+checked against too.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab import diaggraph, spectral
-from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, to_graph6
+from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, start_blocks, to_graph6
 from diaglab.semilattice import VertexCodec
-from diaglab.spectral import _walk_counts
+from diaglab.spectral import _walk_blocks, _walk_counts
 
 from conftest import GRID, edge_set, graph_of, group_of
-from replaced import bfs_distances
+from replaced import bfs_distances, from_rows, packed_max_eccentricity, packed_walk_counts
 
 SMALL_GRID = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 256]
 
@@ -71,7 +75,23 @@ def bit_list_graph6(graph) -> str:
 def graph_from_edges(n: int, edges) -> DiagGraph:
     """The graph on 0..n-1 with these edges, each in either order."""
     rows = [(min(u, v), max(u, v), 0) for u, v in edges]
-    return DiagGraph.from_rows(VertexCodec(q=n, m=1), rows)
+    return from_rows(VertexCodec(q=n, m=1), rows)
+
+
+def cycle(n: int) -> DiagGraph:
+    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def spy_blocks(monkeypatch, module) -> list[list[range]]:
+    """Record the blocks of starts each call of ``module.start_blocks`` cuts."""
+    cut: list[list[range]] = []
+
+    def spy(starts, bits_per_start):
+        cut.append(start_blocks(starts, bits_per_start))
+        return cut[-1]
+
+    monkeypatch.setattr(module, "start_blocks", spy)
+    return cut
 
 
 @st.composite
@@ -116,15 +136,53 @@ def test_walk_counts_wider_than_a_machine_word():
     assert _walk_counts(k20, 16, paranoid=False) == want
 
 
+def test_walk_counts_match_the_packed_kernel():
+    for spec, m in SMALL_GRID:
+        g = graph_of(spec, m)
+        for paranoid in (False, True):
+            assert _walk_counts(g, m + 2, paranoid) == packed_walk_counts(g, m + 2, paranoid)
+
+
+@pytest.mark.parametrize("steps,half_power,dtype",
+                         [(60, 2**30, np.int32), (62, 2**31, object)],
+                         ids=["int32", "object"])
+def test_walk_counts_at_the_int32_boundary(steps, half_power, dtype):
+    # a 5-cycle has degree 2: the columns reach A^ceil(steps/2) e_s
+    c5 = cycle(5)
+    assert 2 ** -(-steps // 2) == half_power
+    assert _walk_blocks(5, 2, steps, range(5))[0] is dtype
+    assert _walk_blocks(5, 2, steps, range(1))[0] is dtype
+    want = matrix_power_traces(c5.adjacency, steps)
+    assert _walk_counts(c5, steps, paranoid=True) == want
+    assert _walk_counts(c5, steps, paranoid=False) == want
+
+
+def test_walk_counts_when_a_block_could_pass_int64(monkeypatch):
+    # eight starts of degree 2 at 60 steps: 2^30 fits int32, but the block
+    # sum bound 8 * 2^60 reaches 2^63, so the columns hold Python ints
+    c8 = cycle(8)
+    want = matrix_power_traces(c8.adjacency, 60)
+    dtype, blocks = _walk_blocks(8, 2, 60, range(8))
+    assert dtype is object and len(blocks) == 1
+    assert _walk_counts(c8, 60, paranoid=True) == want
+    # four starts per int32 block keep the bound below 2^63
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 9 // 8)
+    dtype, blocks = _walk_blocks(8, 2, 60, range(8))
+    assert dtype is np.int32 and [len(b) for b in blocks] == [4, 4]
+    assert _walk_counts(c8, 60, paranoid=True) == want
+
+
 def test_paranoid_walk_counts_over_several_blocks(monkeypatch):
     g = graph_of("C2", 10)
     single = _walk_counts(g, 11, paranoid=False)
     assert _walk_counts(g, 11, paranoid=True) == single
-    # 27 starts, four per block: seven blocks, the last one short
+    # 27 starts, four per block of int32 columns of 28 rows: seven blocks,
+    # the last one short
     g = graph_of("C3", 3)
-    width = (8**4).bit_length() + 1
-    monkeypatch.setattr(spectral, "PACK_BITS", 27 * width * 4)
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 28 // 8)
+    cut = spy_blocks(monkeypatch, spectral)
     assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(g.adjacency, 4)
+    assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
 
 
 # --- eccentricities --------------------------------------------------------
@@ -151,15 +209,33 @@ def test_eccentricity_on_graphs_that_may_be_disconnected(graph):
     assert _max_eccentricity(graph, bases) == bfs_eccentricity(graph, bases)
 
 
+def test_eccentricity_matches_the_packed_kernel():
+    for spec, m in SMALL_GRID:
+        g = graph_of(spec, m)
+        bases = range(g.size)
+        assert _max_eccentricity(g, bases) == packed_max_eccentricity(g, bases), (spec, m)
+
+
 def test_eccentricity_over_several_blocks(monkeypatch):
-    # a path 0-1-...-9 plus an isolated vertex 10, five bases per block: the
-    # last block holds only the isolated vertex, of eccentricity 0
+    # a path 0-1-...-9 plus an isolated vertex 10, five bases per block of
+    # 12-bit rows: the last block holds only the isolated vertex, of
+    # eccentricity 0
     path = graph_from_edges(11, [(v, v + 1) for v in range(9)])
-    monkeypatch.setattr(diaggraph, "PACK_BITS", 11 * 5)
+    cut = spy_blocks(monkeypatch, diaggraph)
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 12 // 8))
     assert _max_eccentricity(path, range(11)) == 9
+    assert [len(b) for b in cut[-1]] == [5, 5, 1]
+    # a path 11-0-1-...-10: of the bases 0..10 only 10, alone in the last
+    # block, is an end of the path
+    tail = graph_from_edges(12, [(v, v + 1) for v in range(10)] + [(11, 0)])
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 13 // 8))
+    assert _max_eccentricity(tail, range(11)) == 11
+    assert [len(b) for b in cut[-1]] == [5, 5, 1]
+    # 64 bases, five per block of 65-bit rows: thirteen blocks, the last short
     g = graph_of("C4", 3)
-    monkeypatch.setattr(diaggraph, "PACK_BITS", g.size * 5)
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 65 // 8))
     assert _max_eccentricity(g, range(g.size)) == bfs_eccentricity(g, range(g.size))
+    assert [len(b) for b in cut[-1]] == [5] * 12 + [4]
 
 
 # --- graph6 ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from diaglab import diaggraph
 from diaglab.diaggraph import (
-    DiagGraph,
     _translated_cliques,
     all_maximal_cliques,
     bron_kerbosch,
@@ -25,7 +24,7 @@ from diaglab.diaggraph import (
 from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, edge_set, graph_of, group_of, minimals_of
-from replaced import TupleCodec
+from replaced import TupleCodec, from_rows
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
@@ -63,7 +62,7 @@ def two_switch(graph):
             if not linked(a, c) and not linked(b, d):
                 rows = [(u, v, 0) for u, v in edges - {(a, b), (c, d)}]
                 rows += [(min(a, c), max(a, c), 0), (min(b, d), max(b, d), 0)]
-                return DiagGraph.from_rows(graph.codec, rows)
+                return from_rows(graph.codec, rows)
     raise AssertionError("no 2-switch found")
 
 
@@ -93,14 +92,14 @@ def test_two_switch_falls_back(spec, m):
 def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
-    broken = DiagGraph.from_rows(graph.codec, graph.rows[1:])
+    broken = from_rows(graph.codec, graph.rows[1:])
     assert _translated_cliques(g, broken) is None
     assert_same_cliques(g, broken)
 
 
 def test_edgeless_graph_gives_singletons():
     g = group_of("C3")
-    empty = DiagGraph.from_rows(VertexCodec(q=3, m=2), [])
+    empty = from_rows(VertexCodec(q=3, m=2), [])
     assert sorted(all_maximal_cliques(g, empty)) == [(v,) for v in range(9)]
 
 
@@ -139,7 +138,7 @@ def cayley_graphs(draw):
         for s in conn:
             w = codec.encode(tuple(g.mul[s[i]][u[i]] for i in range(m)))
             tagged[(min(v, w), max(v, w))] = 0
-    return g, DiagGraph.from_rows(VertexCodec(q=g.order, m=m), [(u, v, 0) for u, v in tagged])
+    return g, from_rows(VertexCodec(q=g.order, m=m), [(u, v, 0) for u, v in tagged])
 
 
 @settings(max_examples=150, deadline=None)
