@@ -195,8 +195,9 @@ class Coloring:
 
 
 def validate_coloring(graph: DiagGraph, coloring: Coloring) -> bool:
-    colors = np.asarray(coloring.colors)
-    return bool((colors[graph.rows[:, 0]] != colors[graph.rows[:, 1]]).all())
+    """True iff no neighbour shares a vertex's colour; n is the padding."""
+    c, nbr = np.asarray(coloring.colors), graph.nbr
+    return bool(((np.append(c, -1)[nbr] != c[:, None]) | (nbr == graph.size)).all())
 
 
 def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:

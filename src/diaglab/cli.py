@@ -82,7 +82,8 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise DiagLabError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
@@ -130,8 +131,8 @@ def run_check_all(cfg: RunConfig) -> dict:
     val = graph.valency
     degree_ok = graph.nbr.shape[1] == val and bool((graph.nbr < graph.size).all())
     _claim(claims, "valency", degree_ok, f"regular of valency {val}")
-    _claim(claims, "edge-count", len(graph.rows) * 2 == graph.size * val,
-           f"{len(graph.rows)} edges")
+    edges = graph.edge_count
+    _claim(claims, "edge-count", edges * 2 == graph.size * val, f"{edges} edges")
 
     diam = diaggraph.diameter(graph, cfg.paranoid)
     _claim(claims, "diameter-formula", diam.ok,
@@ -439,7 +440,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         fmt = cfg.fmt if cfg.fmt in ("graph6", "dot", "edgelist") else "graph6"
         text = diaggraph.export_graph(graph, fmt)
         summary = json.dumps(
-            {"N": graph.size, "valency": graph.valency, "edges": len(graph.rows)},
+            {"N": graph.size, "valency": graph.valency, "edges": graph.edge_count},
             sort_keys=True,
         )
         if cfg.out:

@@ -5,9 +5,9 @@ both neighbours-first: ``build_graph`` lists, for each vertex, the other
 points of its part of each minimal partition Q_i (tagged i); ``cayley_graph``
 joins v to s*v over the connection set inside G^m (one non-identity
 coordinate, or a constant non-identity tuple), one neighbour column per s.
-Each sorts every row into the padded neighbour array ``nbr`` and derives
-its ``(u, v, tag)`` edge rows from the entries above u; ``same_edge_set``
-asserts that the rows agree, tags included.
+Each sorts every row into the padded neighbour array ``nbr``, each entry's
+tag alongside in ``tag``; ``same_edge_set`` asserts that both arrays agree.
+Only the exporters list the edges as pairs, derived from ``nbr``.
 
 The paranoid diameter searches a block of bases at once over ``nbr``: each
 vertex holds reach and frontier bitsets, one bit per base in ``uint64``
@@ -37,41 +37,47 @@ BLOCK_BYTES = 1 << 23
 # Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
 CLIQUE_VERTEX_CAP = 4096
 
-# The distance-regularity check searches a block of bases at once, as a
-# (vertex, neighbour, base) array of about this many entries.
-DISTANCE_BLOCK = 1 << 21
-
 
 @dataclass(frozen=True, eq=False)
 class DiagGraph:
-    """Simple graph on G^m, built once by ``from_neighbours`` as two int32 arrays.
+    """Simple graph on G^m, built once by ``from_neighbours`` as two arrays.
 
-    ``nbr`` holds each vertex's sorted neighbours, one row each, padded with
-    the sentinel n where the graph is not regular.  ``rows`` holds the edges
-    as ``(u, v, tag)``, u < v, sorted by (u, v); the tag names the minimal
-    partition whose part contains the edge, unique for m >= 2, and
-    ``same_edge_set`` requires both constructions to agree on it.
+    ``nbr`` (int32) holds each vertex's sorted neighbours, one row each,
+    padded with the sentinel n where the graph is not regular.  ``tag``
+    (int8) names, for each entry, the minimal partition whose part contains
+    that edge, unique for m >= 2, and is -1 at the padding.
     """
 
     q: int
     m: int
     size: int
-    rows: np.ndarray
     nbr: np.ndarray
+    tag: np.ndarray
     codec: VertexCodec
 
     @classmethod
     def from_neighbours(cls, codec: VertexCodec, nbr: np.ndarray, tag: np.ndarray) -> DiagGraph:
         """The graph whose vertex u has the neighbours ``nbr[u]``, sorted and
-        padded with n, each tagged by the same entry of ``tag``; an edge's
-        row takes its tag from the smaller end."""
+        padded with n, each tagged by the same entry of ``tag``; the padding
+        is tagged -1, so graphs with the same tagged edges are byte-equal."""
         n = codec.size
         nbr = nbr.astype(np.int32)
-        u = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], nbr.shape)
-        up = (nbr > u) & (nbr < n)
-        rows = np.stack([u[up], nbr[up], tag[up].astype(np.int32)], axis=1)
-        rows.flags.writeable = nbr.flags.writeable = False
-        return cls(q=codec.q, m=codec.m, size=n, rows=rows, nbr=nbr, codec=codec)
+        tag = np.where(nbr == n, -1, tag).astype(np.int8, copy=False)
+        nbr.flags.writeable = tag.flags.writeable = False
+        return cls(q=codec.q, m=codec.m, size=n, nbr=nbr, tag=tag, codec=codec)
+
+    def _upper(self) -> np.ndarray:
+        """Where ``nbr`` lists an edge at its smaller end."""
+        return (self.nbr > np.arange(self.size)[:, None]) & (self.nbr < self.size)
+
+    def edges(self) -> np.ndarray:
+        """The edges as sorted int32 (u, v) pairs, u < v (row-major order)."""
+        u, k = np.nonzero(self._upper())
+        return np.stack([u.astype(np.int32), self.nbr[u, k]], axis=1)
+
+    @property
+    def edge_count(self) -> int:
+        return int(np.count_nonzero(self._upper()))
 
     @property
     def valency(self) -> int:
@@ -121,7 +127,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
     codec = VertexCodec(q=g.order, m=m)
     n = codec.size
     mates = [_block_mates(part) for part in minimals]
-    tag = np.repeat(np.arange(m + 1, dtype=np.int32), [a.shape[1] for a in mates])
+    tag = np.repeat(np.arange(m + 1, dtype=np.int8), [a.shape[1] for a in mates])
     nbr, tag = _sort_rows(np.concatenate(mates, axis=1),
                           np.broadcast_to(tag, (n, len(tag))))
     twice = np.zeros(nbr.shape, dtype=bool)
@@ -175,7 +181,7 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
     d = codec.digits
     tuples = connection_set(g, m).tuples
     nbr = np.empty((codec.size, len(tuples)), dtype=np.int32)
-    tag = np.zeros(len(tuples), dtype=np.int32)
+    tag = np.zeros(len(tuples), dtype=np.int8)
     for k, s in enumerate(tuples):
         moved = [i for i in range(m) if s[i] != 0]
         if len(moved) == 1:
@@ -189,8 +195,9 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
 
 
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
-    """True iff the two graphs have the same (u, v, tag) rows."""
-    return np.array_equal(a.rows, b.rows)
+    """True iff the two graphs list the same neighbours with the same tags,
+    entry for entry, so at both ends of every edge."""
+    return np.array_equal(a.nbr, b.nbr) and np.array_equal(a.tag, b.tag)
 
 
 @dataclass(frozen=True)
@@ -546,10 +553,8 @@ def is_distance_regular(
     n = graph.size
     bases = range(n) if paranoid else range(min(n, 1))
     nbr = graph.nbr
-    per_block = max(1, DISTANCE_BLOCK // max(1, nbr.size))
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for lo in range(0, len(bases), per_block):
-        block = np.asarray(bases[lo: lo + per_block])
+    for block in start_blocks(bases, 32 * max(1, nbr.size)):
         dist = np.full((n + 1, len(block)), -1, dtype=np.int32)
         dist[n] = -2  # the sentinel is at no distance i - 1 or i + 1
         dist[block, np.arange(len(block))] = 0
@@ -598,20 +603,21 @@ def to_graph6(graph: DiagGraph) -> str:
     plus 63.
     """
     n = graph.size
-    if n == 0 or not len(graph.rows):
+    i, j = graph.edges().T.astype(np.int64)
+    if n == 0 or not len(i):
         raise ValueError("refusing to encode an empty graph")
     if n <= 62:
-        head = bytes([n + 63])
+        head = [n + 63]
     elif n <= 258047:
-        head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError(f"graph6 size form for n={n} not supported")
-    i, j = graph.rows[:, 0].astype(np.int64), graph.rows[:, 1].astype(np.int64)
     pos = j * (j - 1) // 2 + i
-    groups = np.full(-(-n * (n - 1) // 12), 63, dtype=np.uint8)
-    # rows hold each edge once, so each bit is added at most once
-    np.add.at(groups, pos // 6, (32 >> pos % 6).astype(np.uint8))
-    return (head + groups.tobytes()).decode("ascii")
+    out = np.full(len(head) - (-n * (n - 1) // 12), 63, dtype=np.uint8)
+    out[: len(head)] = head
+    # each edge is listed once, so each bit is added at most once
+    np.add.at(out, len(head) + pos // 6, (32 >> pos % 6).astype(np.uint8))
+    return str(out, "ascii")
 
 
 def parse_graph6(text: str) -> list[list[int]]:
@@ -642,14 +648,14 @@ def to_dot(graph: DiagGraph) -> str:
     lines = ["graph diagonal {"]
     for v, row in enumerate(graph.codec.digits.tolist()):
         lines.append(f'  v{v} [label="{",".join(map(str, row))}"];')
-    for u, v in graph.rows[:, :2].tolist():
+    for u, v in graph.edges().tolist():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines)
 
 
 def to_edgelist(graph: DiagGraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in graph.rows[:, :2].tolist())
+    return "\n".join(f"{u} {v}" for u, v in graph.edges().tolist())
 
 
 def export_graph(graph: DiagGraph, fmt: str) -> str:

@@ -454,7 +454,7 @@ def rooted_orbit_counts(
     vertex_orbits = int(np.count_nonzero(lab == np.arange(n)))
     ends = graph.nbr[0][graph.nbr[0] < n]
     edges = np.stack([np.zeros_like(ends), ends], axis=1)
-    edge_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, edges, len(graph.rows))
+    edge_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, edges, graph.edge_count)
     clique_orbits = None
     if cliques:
         rows = np.asarray(cliques)

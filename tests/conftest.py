@@ -85,7 +85,7 @@ def cycle_chromatic_polynomial(length: int, q: int) -> int:
 
 def edge_set(graph) -> set[tuple[int, int]]:
     """The graph's edges as (u, v) pairs, u < v."""
-    return set(map(tuple, graph.rows[:, :2].tolist()))
+    return set(map(tuple, graph.edges().tolist()))
 
 
 @pytest.fixture(scope="session")

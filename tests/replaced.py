@@ -16,7 +16,9 @@ homomorphism cascade and the colourings, and the dict canonicalisation of
 of every item up in a table of all items.  The edge-list constructor
 ``from_rows`` and the pair rows of each part of a partition, which both
 constructions formed before they built ``nbr`` first; ``from_rows`` also
-builds the tests' irregular graphs.  The walk counts and the eccentricities
+builds the tests' irregular graphs.  The ``(u, v, tag)`` rows that
+``DiagGraph`` stored beside ``nbr`` before it kept ``nbr`` and ``tag`` alone,
+derived by ``tagged_rows``.  The walk counts and the eccentricities
 that packed a block of starts into the bits of one Python int per vertex
 and looped over the list view, before the numpy kernels over ``nbr``.
 """
@@ -477,20 +479,34 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
 
 def from_rows(codec: VertexCodec, rows) -> DiagGraph:
     """The graph whose edges are ``rows``, (u, v, tag) with u < v in any
-    order; an edge given more than once keeps its first row."""
+    order, each tagged at both ends; an edge given more than once keeps its
+    first row."""
     n = codec.size
     rows = np.asarray(rows, dtype=np.int32).reshape(-1, 3)
     key, first = np.unique(rows[:, 0].astype(np.int64) * n + rows[:, 1],
                            return_index=True)
     rows = rows[first]
     # both directions of every edge, sorted: each vertex's neighbours in order
-    arcs = np.sort(np.concatenate([key, rows[:, 1].astype(np.int64) * n + rows[:, 0]]))
-    src, dst = np.divmod(arcs, n)
+    arcs = np.concatenate([key, rows[:, 1].astype(np.int64) * n + rows[:, 0]])
+    order = np.argsort(arcs)
+    src, dst = np.divmod(arcs[order], n)
     degree = np.bincount(src, minlength=n)
     nbr = np.full((n, degree.max(initial=0)), n, dtype=np.int32)
-    nbr[src, np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]] = dst
-    rows.flags.writeable = nbr.flags.writeable = False
-    return DiagGraph(q=codec.q, m=codec.m, size=n, rows=rows, nbr=nbr, codec=codec)
+    tag = np.full(nbr.shape, -1, dtype=np.int32)
+    col = np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]
+    nbr[src, col] = dst
+    tag[src, col] = np.tile(rows[:, 2], 2)[order]
+    return DiagGraph.from_neighbours(codec, nbr, tag)
+
+
+def tagged_rows(graph: DiagGraph) -> np.ndarray:
+    """The edges as int32 ``(u, v, tag)`` rows, u < v, sorted by (u, v),
+    each taking its tag from the smaller end: the rows ``DiagGraph`` stored
+    before it kept ``nbr`` and ``tag`` alone."""
+    n = graph.size
+    u = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], graph.nbr.shape)
+    up = (graph.nbr > u) & (graph.nbr < n)
+    return np.stack([u[up], graph.nbr[up], graph.tag[up].astype(np.int32)], axis=1)
 
 
 def block_rows(part: Partition, tag: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_criterion_03_valency_and_edges():
         graph = build_graph(g, minimal_partitions(g, m))
         k = (m + 1) * (g.order - 1)
         ok = all(len(nb) == k for nb in graph.adjacency)
-        ok = ok and 2 * len(graph.rows) == graph.size * k
+        ok = ok and 2 * graph.edge_count == graph.size * k
         elapsed = time.perf_counter() - t0
         if not ok:
             bad.append((spec, m))
@@ -206,7 +206,7 @@ def test_criterion_08_homomorphism():
         big, small = graph_of(spec, m_from), graph_of(spec, m_to)
         small_edges = edge_set(small)
         image = small.codec.index(reduce_hom(big.codec.digits, g)).tolist()
-        for u, v in big.rows[:, :2].tolist():
+        for u, v in big.edges().tolist():
             iu, iv = image[u], image[v]
             if iu == iv or (min(iu, iv), max(iu, iv)) not in small_edges:
                 bad.append((spec, u, v))
@@ -227,7 +227,7 @@ def test_criterion_09_symmetry():
         graph = graph_of(spec, m)
         if orbit_count(perms, list(range(graph.size))) != 1:
             bad.append((spec, m, "vertex orbits"))
-        edge_orbits = orbit_count(perms, graph.rows[:, :2])
+        edge_orbits = orbit_count(perms, graph.edges())
         if (edge_orbits == 1) != (is_elementary_abelian(g) is not None):
             bad.append((spec, m, "edge orbits"))
         prim = is_vertex_primitive(g, m, perms, chain.stabilizer_generators())

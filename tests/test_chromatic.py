@@ -122,7 +122,7 @@ def test_reduce_hom_sampled_edges():
     small = graph_of("C3", 2)
     small_edges = edge_set(small)
     rng = random.Random(7)
-    edges = big.rows[:, :2].tolist()
+    edges = big.edges().tolist()
     for u, v in rng.sample(edges, 200):
         iu = int(small.codec.index(reduce_hom(big.codec.digits[u], g)))
         iv = int(small.codec.index(reduce_hom(big.codec.digits[v], g)))
@@ -139,7 +139,7 @@ def test_reduce_hom_exhaustive_small_groups():
             small = graph_of(spec, m - 2)
             small_edges = edge_set(small)
             image = small.codec.index(reduce_hom(big.codec.digits, g)).tolist()
-            for u, v in big.rows[:, :2].tolist():
+            for u, v in big.edges().tolist():
                 iu, iv = image[u], image[v]
                 assert (min(iu, iv), max(iu, iv)) in small_edges, (spec, m)
 

@@ -452,6 +452,18 @@ def test_check_all_never_builds_the_list_view(capsys, monkeypatch, group, m):
     assert built == []
 
 
+@pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])
+def test_check_all_never_lists_the_edges(capsys, monkeypatch, group, m):
+    # the edge counts read a mask over nbr; only the exporters list pairs
+    from diaglab.diaggraph import DiagGraph
+
+    listed = []
+    monkeypatch.setattr(DiagGraph, "edges", lambda self: listed.append(self.size))
+    code, _, _ = run_cli(capsys, "check-all", "--group", group, "--m", str(m))
+    assert code == EXIT_OK
+    assert listed == []
+
+
 def test_parser_is_built_once_and_keeps_no_options(monkeypatch):
     from diaglab import cli
 

@@ -25,7 +25,7 @@ from diaglab.groups import cyclic
 from diaglab.semilattice import minimal_partitions
 
 from conftest import cliques_of, edge_set, graph_of, group_of, minimals_of
-from replaced import bfs_distances
+from replaced import bfs_distances, tagged_rows
 
 
 def test_k4():
@@ -95,7 +95,7 @@ def test_constructions_agree(grid):
         a = graph_of(spec, m)
         b = cayley_graph(group_of(spec), m)
         assert same_edge_set(a, b), (spec, m)
-        assert np.array_equal(a.rows, b.rows), (spec, m)
+        assert np.array_equal(tagged_rows(a), tagged_rows(b)), (spec, m)
 
 
 def test_valency_and_edge_count(grid):
@@ -103,7 +103,7 @@ def test_valency_and_edge_count(grid):
         g = graph_of(spec, m)
         k = (m + 1) * (g.q - 1)
         assert all(len(nb) == k for nb in g.adjacency), (spec, m)
-        assert 2 * len(g.rows) == g.size * k
+        assert 2 * len(g.edges()) == 2 * g.edge_count == g.size * k
 
 
 def test_edge_tags_unique_and_consistent(grid):
@@ -112,7 +112,8 @@ def test_edge_tags_unique_and_consistent(grid):
     for spec, m in grid[:6]:
         g = graph_of(spec, m)
         parts = minimal_partitions(group_of(spec), m)
-        for u, v, tag in g.rows.tolist():
+        for u, v, tag in zip(np.arange(g.size).repeat(g.nbr.shape[1]).tolist(),
+                             g.nbr.ravel().tolist(), g.tag.ravel().tolist()):
             owners = [
                 i for i, p in enumerate(parts) if p.block_of[u] == p.block_of[v]
             ]
@@ -177,7 +178,7 @@ def test_common_neighbours_example():
 def test_edge_in_unique_maximal_clique_above_dim_two():
     g = graph_of("C3", 3)
     cliques = cliques_of("C3", 3).cliques
-    for u, v in g.rows[:, :2].tolist():
+    for u, v in g.edges().tolist():
         containing = [c for c in cliques if u in c and v in c]
         assert len(containing) == 1
 
@@ -303,7 +304,7 @@ def property_report(g, graph, minimals) -> dict:
         "m": graph.m,
         "N": graph.size,
         "valency": graph.valency,
-        "edges": len(graph.rows),
+        "edges": graph.edge_count,
         "diameter": diam.bfs,
         "diameter_formula": diam.formula,
         "dr": dr,

@@ -21,7 +21,7 @@ from diaglab.semilattice import minimal_partitions
 
 from conftest import GRID, graph_of, group_of
 from replaced import is_distance_regular as bfs_is_distance_regular
-from test_packed_oracles import graph_from_edges
+from test_packed_oracles import graph_from_edges, spy_blocks
 
 
 def assert_matches_oracle(graph) -> None:
@@ -47,12 +47,16 @@ def test_c2_m8_from_every_vertex():
 
 
 def test_several_blocks(monkeypatch):
-    graph = graph_of("C3", 3)  # not distance-regular; 27 vertices, valency 8
-    monkeypatch.setattr(diaggraph, "DISTANCE_BLOCK", 27 * 8 * 4)
+    # each base takes one int32 per entry of nbr
+    cut = spy_blocks(monkeypatch, diaggraph)
+    graph = graph_of("C3", 3)  # not distance-regular; 27 bases, 216 entries
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 216 // 8)
     assert_matches_oracle(graph)
+    assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
     graph = graph_of("C2", 4)
-    monkeypatch.setattr(diaggraph, "DISTANCE_BLOCK", 1)
+    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 1)
     assert_matches_oracle(graph)
+    assert [len(b) for b in cut[-1]] == [1] * graph.size
 
 
 def test_paranoid_c2_m10_is_fast():
@@ -97,7 +101,7 @@ def disjoint_unions(draw):
     graph = graph_of(*base)
     n = graph.size
     edges = [(u + k * n, v + k * n) for k in range(copies)
-             for u, v in graph.rows[:, :2].tolist()]
+             for u, v in graph.edges().tolist()]
     return graph_from_edges(n * copies, edges)
 
 

@@ -1,12 +1,13 @@
 """The array-backed graph constructions against the ones they replaced.
 
 ``build_graph`` and ``cayley_graph`` each build one padded neighbour array
-first and derive the (u, v, tag) rows from it.  Here both must give the
-rows of the dict-based constructions in ``replaced.py``, their neighbour
-lists, and the same graph6, DOT and edge-list bytes, and the arrays that
-``replaced.from_rows`` built from the pair rows of each part; and the
-construction invariants (an edge in two minimal partitions, a tag or an
-edge that differs, blocks of unequal size) must be caught.
+``nbr`` with its ``tag`` array alongside.  Here both must give the (u, v,
+tag) rows of the dict-based constructions in ``replaced.py`` (read back by
+``replaced.tagged_rows``), their neighbour lists, and the same graph6, DOT
+and edge-list bytes, and the arrays that ``replaced.from_rows`` built from
+the pair rows of each part; and the construction invariants (an edge in two
+minimal partitions, a tag or an edge that differs, a neighbour listed at
+one end only, blocks of unequal size) must be caught.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from diaglab.diaggraph import (
+    DiagGraph,
     build_graph,
     cayley_graph,
     same_edge_set,
@@ -36,6 +38,7 @@ from replaced import (
     from_rows,
     graph6_of,
     partition_edge_tags,
+    tagged_rows,
 )
 from test_packed_oracles import SMALL_GRID
 
@@ -53,8 +56,10 @@ def test_rows_match_the_python_constructions(spec, m):
     for graph, tagged in ((build_graph(g, minimal_partitions(g, m)),
                            partition_edge_tags(g, m)),
                           (cayley_graph(g, m), cayley_edge_tags(g, m))):
-        assert graph.rows.dtype == graph.nbr.dtype == np.int32
-        assert np.array_equal(graph.rows, rows_of(tagged)), (spec, m)
+        assert graph.nbr.dtype == np.int32 and graph.tag.dtype == np.int8
+        assert not graph.nbr.flags.writeable and not graph.tag.flags.writeable
+        assert np.array_equal(tagged_rows(graph), rows_of(tagged)), (spec, m)
+        assert np.array_equal(graph.edges(), rows_of(tagged)[:, :2]), (spec, m)
         want = adjacency_of(graph.size, tagged)
         assert [tuple(a) for a in graph.adjacency] == list(want)
         assert np.array_equal(graph.nbr, np.array(want, dtype=np.int32))
@@ -70,7 +75,8 @@ def test_neighbours_first_matches_the_pair_rows(spec, m):
     rows = np.concatenate([block_rows(part, i) for i, part in enumerate(minimals)])
     want = from_rows(VertexCodec(q=g.order, m=m), rows)
     for graph in (build_graph(g, minimals), cayley_graph(g, m)):
-        for got, expect in ((graph.nbr, want.nbr), (graph.rows, want.rows)):
+        for got, expect in ((graph.nbr, want.nbr), (graph.tag, want.tag),
+                            (tagged_rows(graph), tagged_rows(want))):
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert got.tobytes() == expect.tobytes(), (spec, m)
 
@@ -98,8 +104,8 @@ def test_dimension_one_keeps_the_first_of_two_equal_partitions():
     q0, q1 = minimal_partitions(g, 1)
     assert q0 == q1
     graph = build_graph(g, [q0, q0])
-    assert np.array_equal(graph.rows, rows_of(partition_edge_tags(g, 1, [q0, q0])))
-    assert (graph.rows[:, 2] == 0).all() and len(graph.rows) == 6
+    assert np.array_equal(tagged_rows(graph), rows_of(partition_edge_tags(g, 1, [q0, q0])))
+    assert (graph.tag == 0).all() and graph.edge_count == 6
 
 
 def test_dimension_one_pads_the_rows_that_lose_a_copy():
@@ -113,28 +119,65 @@ def test_dimension_one_pads_the_rows_that_lose_a_copy():
     want = from_rows(VertexCodec(q=6, m=1), rows)
     assert graph.nbr.tolist() == want.nbr.tolist() == [
         [1, 2, 6], [0, 2, 6], [0, 1, 3], [2, 4, 5], [3, 5, 6], [3, 4, 6]]
-    assert graph.rows.tolist() == want.rows.tolist()
-    assert graph.rows[:, 2].tolist() == [0, 0, 0, 1, 0, 0, 0]
+    assert graph.tag.tobytes() == want.tag.tobytes()
+    assert graph.tag.tolist() == [
+        [0, 0, -1], [0, 0, -1], [0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 0, -1]]
+    assert tagged_rows(graph).tolist() == tagged_rows(want).tolist()
+    assert tagged_rows(graph)[:, 2].tolist() == [0, 0, 0, 1, 0, 0, 0]
 
 
 def test_same_edge_set_compares_tags_and_edges():
     graph = graph_of("C3", 3)
-    assert same_edge_set(graph, from_rows(graph.codec, graph.rows))
-    retagged = graph.rows.copy()
+    rows = tagged_rows(graph)
+    assert same_edge_set(graph, from_rows(graph.codec, rows))
+    retagged = rows.copy()
     retagged[5, 2] = (retagged[5, 2] + 1) % 4
     assert not same_edge_set(graph, from_rows(graph.codec, retagged))
-    assert not same_edge_set(graph, from_rows(graph.codec, graph.rows[1:]))
+    assert not same_edge_set(graph, from_rows(graph.codec, rows[1:]))
+    # two 4-cycles on 0..3: the same degrees and tags, other edges
+    square = from_rows(VertexCodec(q=4, m=1), [(0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0)])
+    crossed = from_rows(VertexCodec(q=4, m=1), [(0, 2, 0), (1, 2, 0), (1, 3, 0), (0, 3, 0)])
+    assert np.array_equal(square.tag, crossed.tag)
+    assert not same_edge_set(square, crossed)
+
+
+def test_same_edge_set_compares_the_tag_at_the_larger_end():
+    graph = graph_of("C3", 3)
+    u, k = map(int, np.argwhere(graph.nbr < np.arange(graph.size)[:, None])[0])
+    tag = graph.tag.copy()
+    tag[u, k] = (tag[u, k] + 1) % 4
+    doctored = DiagGraph.from_neighbours(graph.codec, graph.nbr, tag)
+    # the rows tagged at the smaller end alone cannot tell them apart
+    assert np.array_equal(tagged_rows(doctored), tagged_rows(graph))
+    assert not same_edge_set(graph, doctored)
+
+
+def test_same_edge_set_catches_a_neighbour_listed_at_one_end_only():
+    # a star on 0..3 plus the edge 4-5, where 3 no longer lists 0 back
+    graph = from_rows(VertexCodec(q=6, m=1), [(0, 1, 0), (0, 2, 0), (0, 3, 1), (4, 5, 2)])
+    nbr = graph.nbr.copy()
+    nbr[3, 0] = 6
+    doctored = DiagGraph.from_neighbours(graph.codec, nbr, graph.tag)
+    assert doctored.tag[3].tolist() == [-1, -1, -1]
+    # the rows read at the smaller end alone cannot tell them apart
+    assert np.array_equal(tagged_rows(doctored), tagged_rows(graph))
+    assert not same_edge_set(graph, doctored)
 
 
 def test_from_rows_pads_an_irregular_graph():
     # a star on 0..3 plus the edge 4-5, in no order, with one edge given twice
     rows = [(4, 5, 2), (0, 3, 1), (0, 1, 0), (0, 2, 0), (0, 3, 7)]
     graph = from_rows(VertexCodec(q=6, m=1), rows)
-    assert graph.rows.tolist() == [[0, 1, 0], [0, 2, 0], [0, 3, 1], [4, 5, 2]]
+    assert tagged_rows(graph).tolist() == [[0, 1, 0], [0, 2, 0], [0, 3, 1], [4, 5, 2]]
+    assert graph.edges().tolist() == [[0, 1], [0, 2], [0, 3], [4, 5]]
     assert graph.nbr.tolist() == [[1, 2, 3], [0, 6, 6], [0, 6, 6], [0, 6, 6],
                                   [5, 6, 6], [4, 6, 6]]
+    assert np.array_equal(graph.tag == -1, graph.nbr == 6)
+    assert graph.tag.tolist() == [[0, 0, 1], [0, -1, -1], [0, -1, -1], [1, -1, -1],
+                                  [2, -1, -1], [2, -1, -1]]
     assert graph.adjacency == [[1, 2, 3], [0], [0], [0], [5], [4]]
     assert graph.adjacency is graph.adjacency  # built once
     empty = from_rows(VertexCodec(q=3, m=1), [])
-    assert empty.rows.shape == (0, 3) and empty.nbr.shape == (3, 0)
+    assert empty.edges().shape == (0, 2) and empty.edge_count == 0
+    assert empty.nbr.shape == empty.tag.shape == (3, 0)
     assert empty.adjacency == [[], [], []]

@@ -47,9 +47,9 @@ def test_orbit_count_matches_unionfind_on_grid(spec, m):
     perms = list(generators_of(spec, m))
     graph = graph_of(spec, m)
     vertices = list(range(graph.size))
-    edges = list(map(tuple, graph.rows[:, :2].tolist()))
+    edges = list(map(tuple, graph.edges().tolist()))
     assert orbit_count(perms, vertices) == unionfind_orbit_count(perms, vertices)
-    assert orbit_count(perms, graph.rows[:, :2]) == unionfind_orbit_count(perms, edges)
+    assert orbit_count(perms, graph.edges()) == unionfind_orbit_count(perms, edges)
     top = top_cliques(cliques_of(spec, m).cliques)
     assert orbit_count(perms, top) == unionfind_orbit_count(perms, top)
 
@@ -103,7 +103,7 @@ def test_orbit_count_matches_unionfind_random(action):
 
 def test_orbit_count_rejects_unclosed_items():
     perms = list(generators_of("C3", 2))
-    edges = graph_of("C3", 2).rows[:, :2]
+    edges = graph_of("C3", 2).edges()
     with pytest.raises(AssertionError, match="generator (right-mult|diag-left-mult"
                        "|aut|coord-perm|inversion-map) maps an item outside"):
         orbit_count(perms, edges[:3])

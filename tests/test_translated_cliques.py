@@ -24,7 +24,7 @@ from diaglab.diaggraph import (
 from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, edge_set, graph_of, group_of, minimals_of
-from replaced import TupleCodec, from_rows
+from replaced import TupleCodec, from_rows, tagged_rows
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
@@ -92,7 +92,7 @@ def test_two_switch_falls_back(spec, m):
 def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
-    broken = from_rows(graph.codec, graph.rows[1:])
+    broken = from_rows(graph.codec, tagged_rows(graph)[1:])
     assert _translated_cliques(g, broken) is None
     assert_same_cliques(g, broken)
 
