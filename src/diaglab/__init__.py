@@ -34,6 +34,7 @@ from .semilattice import (
     DiagonalSemilattice,
     build_q,
     check_cartesian,
+    closure_masks,
     join_closure,
     minimal_partitions,
     mobius_closed_form,

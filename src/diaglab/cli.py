@@ -78,16 +78,24 @@ def _render(data: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: str | bytes, out: str | None) -> None:
+    """Write text, or bytes as they are, and a newline, to ``out`` or to
+    standard output."""
+    binary = not isinstance(data, str)
+    newline = b"\n" if binary else "\n"
     if out:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
-                fh.write("\n")
+            with open(out, "wb" if binary else "w") as fh:
+                fh.write(data)
+                fh.write(newline)
         except OSError as exc:
             raise DiagLabError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    elif binary:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(newline)
     else:
-        print(text)
+        print(data)
 
 
 def _claim(claims: list, name: str, passed: bool, detail: str = "", conjectural: bool = False) -> None:
@@ -438,17 +446,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "build":
         fmt = cfg.fmt if cfg.fmt in ("graph6", "dot", "edgelist") else "graph6"
-        text = diaggraph.export_graph(graph, fmt)
+        data = diaggraph.export_graph(graph, fmt)
         summary = json.dumps(
             {"N": graph.size, "valency": graph.valency, "edges": graph.edge_count},
             sort_keys=True,
         )
-        if cfg.out:
-            _emit(text, cfg.out)
-            print(summary)
-        else:
-            print(text)
-            print(summary, file=sys.stderr)
+        _emit(data, cfg.out)
+        print(summary, file=sys.stdout if cfg.out else sys.stderr)
         return EXIT_OK
 
     if cmd == "diameter":

@@ -121,8 +121,6 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
     """Adjacency from the minimal partitions Q_0..Q_m of G^m: joined iff
     some part of some Q_i contains both vertices, tagged i (the first i at
     m = 1, the complete graph)."""
-    if g.order < 2:
-        raise ValueError("group order must be >= 2 for a diagonal graph")
     m = len(minimals) - 1
     codec = VertexCodec(q=g.order, m=m)
     n = codec.size
@@ -155,8 +153,6 @@ class ConnectionSet:
 
 def connection_set(g: GroupTable, m: int) -> ConnectionSet:
     """Tuples with one non-identity coordinate, plus non-identity constants."""
-    if g.order < 2:
-        raise ValueError("group order must be >= 2")
     if m < 1:
         raise ValueError("dimension m must be >= 1")
     seen: dict[tuple[int, ...], None] = {}
@@ -595,12 +591,13 @@ def is_distance_regular(
     return True, result
 
 
-def to_graph6(graph: DiagGraph) -> str:
+def to_graph6(graph: DiagGraph) -> bytearray:
     """Standard graph6 encoding (long size form for more than 62 vertices).
 
     Edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle, read
     column by column; each byte carries six bits, most significant first,
-    plus 63.
+    plus 63.  numpy fills the returned buffer in place, so the encoding is
+    held once, and is written out as it is.
     """
     n = graph.size
     i, j = graph.edges().T.astype(np.int64)
@@ -613,16 +610,19 @@ def to_graph6(graph: DiagGraph) -> str:
     else:
         raise ValueError(f"graph6 size form for n={n} not supported")
     pos = j * (j - 1) // 2 + i
-    out = np.full(len(head) - (-n * (n - 1) // 12), 63, dtype=np.uint8)
+    buf = bytearray(len(head) - (-n * (n - 1) // 12))
+    out = np.frombuffer(buf, dtype=np.uint8)
+    out.fill(63)
     out[: len(head)] = head
     # each edge is listed once, so each bit is added at most once
     np.add.at(out, len(head) + pos // 6, (32 >> pos % 6).astype(np.uint8))
-    return str(out, "ascii")
+    return buf
 
 
-def parse_graph6(text: str) -> list[list[int]]:
-    """Decode a graph6 string into sorted adjacency lists."""
-    data = [ord(ch) - 63 for ch in text.strip()]
+def parse_graph6(text: str | bytes) -> list[list[int]]:
+    """Decode a graph6 string or byte string into sorted adjacency lists."""
+    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    data = [byte - 63 for byte in raw.strip()]
     if data and data[0] == 63:  # 0x7e '~' marks the long form
         n = data[1] << 12 | data[2] << 6 | data[3]
         data = data[4:]
@@ -658,7 +658,8 @@ def to_edgelist(graph: DiagGraph) -> str:
     return "\n".join(f"{u} {v}" for u, v in graph.edges().tolist())
 
 
-def export_graph(graph: DiagGraph, fmt: str) -> str:
+def export_graph(graph: DiagGraph, fmt: str) -> str | bytearray:
+    """The graph in ``fmt``: graph6 as bytes, DOT and edge lists as text."""
     if fmt == "graph6":
         return to_graph6(graph)
     if fmt == "dot":

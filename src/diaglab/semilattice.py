@@ -5,9 +5,11 @@ significant).  The m+1 minimal partitions are the coordinate partitions
 Q_1..Q_m (tuples agreeing everywhere except one coordinate) and the diagonal
 partition Q_0 (orbits of simultaneous left translation).  Their closure under
 the coarsening operation, together with the singleton partition, is the
-diagonal semilattice; its Moebius function has a closed form which
-``verify_mobius`` checks as a certificate: closed form times zeta is the
-identity.
+diagonal semilattice.  Its elements are read off the table of subset suprema
+through closure masks: the mask of a subset S has bit g set iff Q_g refines
+sup(S), equal masks name equal elements, and mask inclusion is the order.
+Its Moebius function has a closed form which ``verify_mobius`` checks as a
+certificate: closed form times zeta is the identity.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class VertexCodec:
 
 
 def vertex_codec(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> VertexCodec:
+    """The codec of G^m, refusing a trivial group, m < 1 or more than
+    ``cap`` vertices."""
+    if g.order < 2:
+        raise ValueError("group order must be >= 2")
     if m < 1:
         raise ValueError("dimension m must be >= 1")
     if g.order**m > cap:
@@ -102,7 +108,8 @@ class DiagonalSemilattice:
 
     ``rank`` counts steps from the singleton partition along a longest chain;
     ``hasse`` lists cover pairs (lower index, upper index) into ``elements``.
-    ``minimal_indices[i]`` locates Q_i.
+    ``minimal_indices[i]`` locates Q_i, and ``below[k]`` is the closure
+    mask of element k: bit g set iff Q_g refines it.
     """
 
     m: int
@@ -114,6 +121,7 @@ class DiagonalSemilattice:
     e_index: int
     u_index: int
     minimal_indices: tuple[int, ...]
+    below: tuple[int, ...]
 
 
 def subset_suprema(parts: list[Partition]) -> list[Partition]:
@@ -133,44 +141,67 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
     return sup
 
 
+def closure_masks(sup: list[Partition]) -> np.ndarray:
+    """The closure mask of every subset of the generators, indexed by mask.
+
+    ``sup`` is ``subset_suprema`` of generators Q_0, Q_1, ...; bit g of
+    ``cl[S]`` is set iff Q_g refines sup[S].  Since sup[S | 1 << g] is the
+    supremum of sup[S] and Q_g, it is never finer than sup[S], and it equals
+    sup[S] (Q_g refines sup[S]) exactly when the two have the same block
+    count: one vectorised comparison per generator, with no hashing.
+
+    A closure mask names its element and its place in the order:
+    sup(S) <= sup(T) iff cl[S] is a subset of cl[T], and sup(S) == sup(T)
+    iff cl[S] == cl[T].  (If cl[S] lies in cl[T], every generator of S is
+    below sup(T), and so is their supremum.)
+    """
+    count = np.array([p.block_count for p in sup])
+    masks = np.arange(len(sup))
+    cl = np.zeros(len(sup), dtype=np.int64)
+    for g in range(len(sup).bit_length() - 1):
+        cl |= (count[masks | 1 << g] == count).astype(np.int64) << g
+    return cl
+
+
 def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSemilattice:
     """Generate the semilattice: the suprema of all subsets of the
     generators, the empty one (the singleton partition) included.
 
     Every element of a join closure is the supremum of a subset of its
-    generators, so the subset table holds each element at least once.  The
-    order is read off the same table: sup(S) <= sup(T) iff
-    sup(S | T) == sup(T).  ``sup`` is ``subset_suprema(minimals)``.
+    generators, so the subset table holds each element at least once.
+    ``sup`` is ``subset_suprema(minimals)``.  The closure masks identify the
+    elements (the first subset of each distinct mask represents it) and give
+    the order: s <= t iff the mask of s is a subset of the mask of t.
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
     n = minimals[0].size
     if any(p.size != n for p in minimals):
         raise ValueError("generators must share a ground set")
+    if len(sup) != 1 << len(minimals):
+        raise ValueError("sup must be the subset table of the generators")
 
     part_sizes = {len(blk) for p in minimals for blk in p.blocks()}
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
     q = part_sizes.pop()
 
-    first_mask: dict[Partition, int] = {}
-    for mask, p in enumerate(sup):
-        first_mask.setdefault(p, mask)
-    elements = sorted(first_mask, key=lambda p: (-p.block_count, p.block_of))
-    position = {p: k for k, p in enumerate(elements)}
-    element_of = [position[p] for p in sup]
-    rep = [first_mask[p] for p in elements]
+    distinct, first, element_of = np.unique(
+        closure_masks(sup), return_index=True, return_inverse=True)
+    order = sorted(range(len(first)), key=lambda e: (-sup[first[e]].block_count,
+                                                     sup[first[e]].block_of))
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    elements = [sup[first[e]] for e in order]
+    below = distinct[order]
     count = len(elements)
 
     # up[i]: bitset of the j > i with elements[i] <= elements[j].  The sort
     # is a linear extension of refinement, so nothing above i precedes it.
-    up = []
-    for i in range(count):
-        bits = 0
-        for j in range(i + 1, count):
-            if element_of[rep[i] | rep[j]] == j:
-                bits |= 1 << j
-        up.append(bits)
+    outside = ~below
+    up = [int.from_bytes(np.packbits((below[i] & outside[i + 1:]) == 0,
+                                     bitorder="little").tobytes(), "little") << (i + 1)
+          for i in range(count)]
 
     # Transitive reduction: the lowest remaining j above i is a cover, and
     # nothing above that cover is.  Ranks are longest chains along covers;
@@ -199,25 +230,30 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
         hasse=tuple(hasse),
         e_index=0,
         u_index=single[0],
-        minimal_indices=tuple(position[p] for p in minimals),
+        minimal_indices=tuple(int(position[element_of[1 << g]]) for g in range(m + 1)),
+        below=tuple(below.tolist()),
     )
 
 
-def _mask_tests(sup: list[Partition], q: int) -> tuple[list[bool], list[int]]:
-    """Per mask: whether every part of sup[mask] has size q^popcount(mask),
-    and the first mask whose supremum equals sup[mask]."""
-    sizes_ok = [bool((np.bincount(s.block_of) == q ** mask.bit_count()).all())
-                for mask, s in enumerate(sup)]
-    first: dict[Partition, int] = {}
-    same_as = [first.setdefault(s, mask) for mask, s in enumerate(sup)]
-    return sizes_ok, same_as
+def _generates_cartesian(sup: list[Partition], q: int, domains: list[int]) -> bool:
+    """True iff each generator set D in ``domains`` (a mask into the subset
+    table ``sup``) generates a Cartesian lattice: for every S within D, the
+    parts of sup[S] have size q^|S|, and the suprema are pairwise distinct.
 
-
-def _is_cartesian(sizes_ok: list[bool], same_as: list[int], masks: list[int]) -> bool:
-    """True iff each of the masks passes its part-size test and their
-    suprema are pairwise distinct."""
-    return (all(sizes_ok[mask] for mask in masks)
-            and len({same_as[mask] for mask in masks}) == len(masks))
+    Distinctness is read off the closure masks: sup(S) == sup(T) for some
+    T != S within D iff a generator of D outside S lies below sup(S), so the
+    suprema are distinct iff cl[S] & D == S for every S.  Part sizes are
+    tested once per mask and reused for every D.
+    """
+    masks = np.arange(len(sup))
+    sizes_ok = np.array([(np.bincount(s.block_of) == q ** mask.bit_count()).all()
+                         for mask, s in enumerate(sup)])
+    cl = closure_masks(sup)
+    for d in domains:
+        inside = masks[(masks & ~d) == 0]
+        if not (sizes_ok[inside].all() and ((cl[inside] & d) == inside).all()):
+            return False
+    return True
 
 
 def check_cartesian(parts: list[Partition], q: int) -> bool:
@@ -226,8 +262,7 @@ def check_cartesian(parts: list[Partition], q: int) -> bool:
     are pairwise distinct."""
     if not parts:
         return True
-    return _is_cartesian(*_mask_tests(subset_suprema(parts), q),
-                         list(range(1 << len(parts))))
+    return _generates_cartesian(subset_suprema(parts), q, [(1 << len(parts)) - 1])
 
 
 def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
@@ -237,14 +272,10 @@ def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
 
     One subset table over all m+1 minimal partitions serves every m-subset:
     the subsets of the one without Q_drop are the masks without bit drop.
-    Each mask is tested once and the result reused for every drop.
     """
-    sizes_ok, same_as = _mask_tests(sup, q)
-    return all(
-        _is_cartesian(sizes_ok, same_as,
-                      [mask for mask in range(len(sup)) if not mask >> drop & 1])
-        for drop in range(len(sup).bit_length() - 1)
-    )
+    full = len(sup) - 1
+    return _generates_cartesian(
+        sup, q, [full & ~(1 << drop) for drop in range(full.bit_length())])
 
 
 def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
@@ -292,25 +323,13 @@ class MobiusReport:
 
 
 def generator_zeta(sl: DiagonalSemilattice) -> np.ndarray:
-    """Zeta matrix of the semilattice, read off the generators below.
+    """Zeta matrix of the semilattice, read off the closure masks.
 
-    Every element of a join closure is the supremum of a subset S of the
-    generators, and sup(S) <= T iff every generator in S is <= T, so each
-    element is the supremum of the generators below it and s <= t iff the
-    generators below s are all below t.  No ``finer_or_equal`` is needed.
-
-    ``below[i]`` has bit g set iff Q_g refines element i, i.e. the labels
-    of element i are constant on every block of Q_g: equal at each point
-    and at its block's first point.  One vectorised test per generator
-    covers all elements; the labels are stored point by point, so the test
-    gathers whole rows.
+    ``below[i]`` has bit g set iff Q_g refines element i.  Every element of
+    a join closure is the supremum of the generators below it, so s <= t iff
+    every generator below s is below t.  No ``finer_or_equal`` is needed.
     """
-    labels = np.array([p.block_of for p in sl.elements], dtype=np.int32).T.copy()
-    below = np.zeros(len(sl.elements), dtype=np.int64)
-    for g, idx in enumerate(sl.minimal_indices):
-        blocks = np.asarray(sl.elements[idx].block_of)
-        anchor = np.unique(blocks, return_index=True)[1][blocks]
-        below |= (labels == labels[anchor]).all(axis=0).astype(np.int64) << g
+    below = np.array(sl.below, dtype=np.int64)
     return (below[:, None] & ~below[None, :]) == 0
 
 
@@ -347,7 +366,10 @@ def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
     closed = np.zeros((k, k), dtype=np.float32)
     closed[rows, cols] = values[where]
 
-    if np.array_equal(closed @ zeta.astype(np.float32), np.eye(k, dtype=np.float32)):
+    # M @ Z - I, formed in place of the product: no identity matrix is built
+    residue = closed @ zeta.astype(np.float32)
+    residue[np.diag_indices(k)] -= 1
+    if not residue.any():
         mismatches = ()
         mu_bottom_top = int(closed[sl.e_index, sl.u_index])
     else:

@@ -409,7 +409,7 @@ def adjacency_of(size: int, tagged: dict[tuple[int, int], int]) -> tuple[tuple[i
     return tuple(tuple(sorted(nb)) for nb in adj)
 
 
-def graph6_of(size: int, tagged: dict[tuple[int, int], int]) -> str:
+def graph6_of(size: int, tagged: dict[tuple[int, int], int]) -> bytes:
     """graph6 from the edge dict, one bit set per edge in a bytearray."""
     n = size
     if n <= 62:
@@ -420,7 +420,7 @@ def graph6_of(size: int, tagged: dict[tuple[int, int], int]) -> str:
     for i, j in tagged:
         pos = j * (j - 1) // 2 + i
         groups[pos // 6] |= 32 >> pos % 6
-    return (head + bytes(b + 63 for b in groups)).decode("ascii")
+    return head + bytes(b + 63 for b in groups)
 
 
 def dot_of(codec: TupleCodec, tagged: dict[tuple[int, int], int]) -> str:

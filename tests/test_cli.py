@@ -40,13 +40,24 @@ def test_build_rejects_trivial_group(capsys):
     assert "order must be >= 2" in err
 
 
+@pytest.mark.parametrize("command", ["semilattice", "mobius", "check-all"])
+def test_semilattice_commands_reject_trivial_group(capsys, command):
+    code, out, err = run_cli(capsys, command, "--group", "C1", "--m", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: group order must be >= 2\n"
+
+
 def test_build_to_file(tmp_path, capsys):
     out_path = tmp_path / "g.d6"
     code, out, _ = run_cli(capsys, "build", "--group", "C2", "--m", "3",
                            "--out", str(out_path))
     assert code == EXIT_OK
     assert json.loads(out)["N"] == 8
-    assert parse_graph6(out_path.read_text().strip())
+    data = out_path.read_bytes()
+    assert parse_graph6(data)
+    code, out, _ = run_cli(capsys, "build", "--group", "C2", "--m", "3")
+    assert out.encode("ascii") == data == b"GrdjSk\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
 """The subset-table closure against the pairwise worklist it replaced.
 
 ``worklist_join_closure`` closes the generators under pairwise suprema and
-orders the result with a dense ``finer_or_equal`` table;
-``per_subset_cartesian`` recomputes every subset supremum from scratch.
-Both share no code with the subset table in ``diaglab.semilattice``, so the
-library's results must match them field for field.
+orders the result with a dense ``finer_or_equal`` table, from which it also
+reads each element's closure mask; ``per_subset_cartesian`` recomputes every
+subset supremum from scratch.  Both share no code with the subset table and
+the closure masks in ``diaglab.semilattice``, so the library's results must
+match them field for field.  ``closure_masks`` itself is checked against one
+``finer_or_equal`` test per (generator, subset).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from diaglab.partitions import Partition, finer_or_equal, singletons, supremum
 from diaglab.semilattice import (
     DiagonalSemilattice,
     check_cartesian,
+    closure_masks,
     join_closure,
     minimal_partitions,
     subset_suprema,
@@ -82,6 +85,8 @@ def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         e_index=0,
         u_index=next(k for k, p in enumerate(elements) if p.is_single_block()),
         minimal_indices=tuple(elements.index(p) for p in minimals),
+        below=tuple(sum(finer_or_equal(q_g, e) << g for g, q_g in enumerate(minimals))
+                    for e in elements),
     )
 
 
@@ -112,6 +117,27 @@ def test_subset_suprema_table():
     assert sup[0b1111].is_single_block()
 
 
+def masks_by_refinement(parts: list[Partition]) -> list[int]:
+    sup = subset_suprema(parts)
+    return [sum(finer_or_equal(q_g, s) << g for g, q_g in enumerate(parts)) for s in sup]
+
+
+@pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
+def test_closure_masks_match_refinement(spec, m):
+    qs = minimal_partitions(group_of(spec), m)
+    assert closure_masks(subset_suprema(qs)).tolist() == masks_by_refinement(qs)
+
+
+def test_closure_masks_with_repeated_parts():
+    qs = minimal_partitions(group_of("C3"), 2)
+    for parts in ([qs[1], qs[1]], [qs[0], qs[1], qs[0]], [qs[0], qs[0], qs[0]]):
+        cl = closure_masks(subset_suprema(parts))
+        assert cl.tolist() == masks_by_refinement(parts)
+    # [Q0, Q1, Q0]: Q0 below anything containing either copy of Q0
+    assert closure_masks(subset_suprema([qs[0], qs[1], qs[0]])).tolist() == [
+        0b000, 0b101, 0b010, 0b111, 0b101, 0b101, 0b111, 0b111]
+
+
 @pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
 def test_join_closure_matches_worklist(spec, m):
     qs = minimal_partitions(group_of(spec), m)
@@ -138,3 +164,20 @@ def test_check_cartesian_duplicate_part():
     assert per_subset_cartesian([qs[1], qs[1]], 3) is False
     assert check_cartesian([qs[1], qs[2]], 3) is True
     assert check_cartesian(qs, 3) is False
+
+
+def test_part_sizes_and_distinctness_each_decide():
+    """With q >= 2, parts of size q^|S| already force distinct suprema, so
+    each test is pinned here where the other one passes."""
+    hexagon = [Partition.from_blocks([[0, 1], [2, 3], [4, 5]]),
+               Partition.from_blocks([[1, 2], [3, 4], [5, 0]])]
+    # E, the two matchings and U are distinct, but U has one part of 6, not 4
+    assert check_cartesian(hexagon, 2) is False
+    assert per_subset_cartesian(hexagon, 2) is False
+    assert verify_semilattice_hypothesis(subset_suprema(hexagon + hexagon[:1]), 2) is False
+    # every part has size 1^|S|, but the generator E repeats the empty supremum
+    e = singletons(4)
+    for parts in ([e], [e, e]):
+        assert check_cartesian(parts, 1) is False
+        assert per_subset_cartesian(parts, 1) is False
+    assert verify_semilattice_hypothesis(subset_suprema([e, e]), 1) is False

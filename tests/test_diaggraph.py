@@ -267,7 +267,7 @@ def test_folded_cube_identity():
 
 
 def test_graph6_k4():
-    assert to_graph6(graph_of("C2", 2)) == "C~"
+    assert to_graph6(graph_of("C2", 2)) == b"C~"
 
 
 def test_graph6_round_trip(grid):
@@ -280,7 +280,7 @@ def test_graph6_round_trip(grid):
 def test_graph6_long_form():
     g = graph_of("C3", 5)  # 243 vertices forces the long size form
     s = to_graph6(g)
-    assert s.startswith("~")
+    assert s.startswith(b"~")
     adj = parse_graph6(s)
     assert adj == g.adjacency
 

@@ -116,6 +116,7 @@ def test_element_order_must_extend_refinement():
         e_index=k - 1 - sl.e_index,
         u_index=k - 1 - sl.u_index,
         minimal_indices=tuple(k - 1 - i for i in sl.minimal_indices),
+        below=sl.below[::-1],
     )
     with pytest.raises(AssertionError, match="upper triangular"):
         verify_mobius(flipped)

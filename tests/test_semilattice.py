@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from diaglab.cli import EXIT_OK, main
 from diaglab.errors import CapExceededError
 from diaglab.groups import cyclic
 from diaglab.partitions import Partition, finer_or_equal, poset_matrices
@@ -38,6 +39,30 @@ def test_codec_examples():
 def test_codec_cap():
     with pytest.raises(CapExceededError):
         vertex_codec(cyclic(2), 4, cap=8)
+
+
+def test_codec_refuses_the_trivial_group():
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        vertex_codec(cyclic(1), 2)
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        build_q(cyclic(1), 2, 0)
+
+
+@pytest.mark.parametrize("spec,m", [("C3", 3), ("C2", 5)])
+def test_elements_are_named_without_hashing_a_partition(monkeypatch, capsys, spec, m):
+    """Closure masks identify the elements, so no Partition is ever hashed."""
+    def refuse(self):
+        raise RuntimeError("a Partition was hashed")
+
+    monkeypatch.setattr(Partition, "__hash__", refuse)
+    g = group_of(spec)
+    qs = minimal_partitions(g, m)
+    sup = subset_suprema(qs)
+    assert verify_semilattice_hypothesis(sup, g.order)
+    assert len(join_closure(qs, sup).elements) == sum(expected_rank_counts(m).values())
+    assert main(["check-all", "--group", spec, "--m", str(m)]) == EXIT_OK
+    with pytest.raises(RuntimeError, match="hashed"):
+        hash(qs[0])
 
 
 def test_build_q_coordinate_blocks():
