@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time ``check-all`` on a fixed ladder of instances and write
+``BENCH_check_all.json`` at the root of the checkout.
+
+Each rung runs as ``python -m diaglab check-all`` on this checkout's
+``src/`` in a child process of its own, one at a time, so that each peak
+is that rung's alone.  For each rung the file records the wall time of
+the child (interpreter start included), its ``ru_maxrss``, its exit code
+and the sha256 of the ledger it printed; it also records the machine and
+the git revision.  Nothing is gated on the numbers.
+
+Run as ``python scripts/bench.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_check_all.json"
+
+# (group, m), each of at most 65,536 vertices
+RUNGS = [("C2", 10), ("C2", 12), ("C3", 8), ("C4", 7), ("C4", 8), ("C16", 4), ("Q8", 4)]
+
+
+def run_rung(group: str, m: int) -> dict:
+    """One ``check-all`` in a child process; its own rusage comes from
+    ``os.wait4``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    cmd = [sys.executable, "-m", "diaglab", "check-all", "--group", group, "--m", str(m)]
+    with tempfile.TemporaryFile() as ledger:
+        started = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=ledger, stderr=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
+        ledger.seek(0)
+        digest = hashlib.sha256(ledger.read()).hexdigest()
+    return {
+        "group": group,
+        "m": m,
+        "wall_s": round(wall, 3),
+        "ru_maxrss_kb": usage.ru_maxrss,
+        "exit_code": proc.returncode,
+        "ledger_sha256": digest,
+    }
+
+
+def git_revision() -> dict:
+    def git(*args: str) -> str | None:
+        try:
+            return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                                  text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"revision": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
+
+
+def machine() -> dict:
+    return {
+        "system": platform.system(),
+        "release": platform.release(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def main() -> int:
+    rungs = []
+    for group, m in RUNGS:
+        entry = run_rung(group, m)
+        rungs.append(entry)
+        print(f"{group:>5} m={m:<3} exit {entry['exit_code']}  {entry['wall_s']:7.2f} s  "
+              f"{entry['ru_maxrss_kb'] / 1024:7.0f} MB")
+    report = {"command": "check-all", "git": git_revision(), "machine": machine(),
+              "rungs": rungs}
+    OUT.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"-> {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

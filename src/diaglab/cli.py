@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 size cap exceeded.  ``DIAGLAB_CAP_VERTICES`` overrides the default vertex
 cap.  All output is deterministic; ``--format text`` renders the same data
-that ``--format json`` emits.
+that ``--format json`` emits.  Each subcommand accepts only the formats it
+can emit, so an unknown ``--format`` is a usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ EXIT_CAP = 3
 
 GRID_DEFAULT_GROUPS = ("C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8")
 GRID_DEFAULT_VERTEX_LIMIT = 4096
+
+# The formats each subcommand can emit, the default first; the report
+# commands and grid render JSON or the same data as text.
+REPORT_FORMATS = ("json", "text")
+COMMAND_FORMATS = {"build": ("graph6", "dot", "edgelist"),
+                   "semilattice": ("dot",), "mobius": ("json",)}
 
 
 @dataclass
@@ -129,6 +136,7 @@ def run_check_all(cfg: RunConfig) -> dict:
     rep = semilattice.verify_mobius(sl)
     _claim(claims, "mobius-closed-form", rep.ok,
            f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {len(rep.mismatches)}")
+    del sl
 
     graph = diaggraph.build_graph(g, minimals)
     cay = diaggraph.cayley_graph(g, m, cfg.vertex_cap)
@@ -303,11 +311,13 @@ def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
     }
 
 
-def _add_common(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, with_m: bool = True,
+                formats: tuple[str, ...] = REPORT_FORMATS) -> None:
     p.add_argument("--group", required=True, help="group expression, e.g. C3 or C2xC2")
     if with_m:
         p.add_argument("--m", type=int, required=True, help="dimension m >= 1")
-    p.add_argument("--format", dest="fmt", default=None, help="output format")
+    p.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
+                   help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--cap-vertices", type=int, default=None)
     p.add_argument("--paranoid", action="store_true",
@@ -324,7 +334,7 @@ def _build_config(args: argparse.Namespace, with_m: bool = True) -> RunConfig:
         if cfg.m < 1:
             raise DiagLabError("m must be >= 1")
     cfg.vertex_cap = resolve_vertex_cap(args.cap_vertices)
-    cfg.fmt = args.fmt or "json"
+    cfg.fmt = args.fmt
     cfg.paranoid = args.paranoid
     cfg.exact = args.exact
     cfg.out = args.out
@@ -344,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("build", "semilattice", "mobius", "spectrum", "diameter",
                  "cliques", "chromatic", "symmetry", "check-all"):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, formats=COMMAND_FORMATS.get(name, REPORT_FORMATS))
         if name == "spectrum":
             p.add_argument("--verify", action="store_true",
                            help="also compare against trace moments")
@@ -358,7 +368,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--max-vertices", type=int, default=GRID_DEFAULT_VERTEX_LIMIT)
-    p.add_argument("--format", dest="fmt", default=None)
+    p.add_argument("--format", dest="fmt", choices=REPORT_FORMATS, default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--cap-vertices", type=int, default=None)
     p.add_argument("--paranoid", action="store_true")
@@ -393,7 +403,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         groups = [s for s in args.groups.split(",") if s]
         m_values = list(range(args.m_min, args.m_max + 1))
         report = run_grid(groups, m_values, cfg, args.max_vertices)
-        _emit(_render(report, args.fmt or "json"), args.out)
+        _emit(_render(report, args.fmt), args.out)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if cmd == "mapping":
@@ -445,8 +455,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     graph = diaggraph.build_graph(g, minimals)
 
     if cmd == "build":
-        fmt = cfg.fmt if cfg.fmt in ("graph6", "dot", "edgelist") else "graph6"
-        data = diaggraph.export_graph(graph, fmt)
+        data = diaggraph.export_graph(graph, cfg.fmt)
         summary = json.dumps(
             {"N": graph.size, "valency": graph.valency, "edges": graph.edge_count},
             sort_keys=True,

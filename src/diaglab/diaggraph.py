@@ -107,7 +107,7 @@ def _block_mates(part: Partition) -> np.ndarray:
     A stable sort by block lists each block's points in increasing order,
     so the sorted points form one (blocks, size) array; row v of it, taken
     at v's block, holds v once, which is dropped."""
-    labels = np.asarray(part.block_of, dtype=np.int64)
+    labels = part.block_of
     counts = np.bincount(labels)
     if (counts != counts[0]).any():
         raise ValueError("a minimal partition has blocks of unequal size")
@@ -522,7 +522,7 @@ def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> 
         raise AssertionError("cover misses vertices")
     # A block is a clique iff each of its vertices has every other one of
     # it among its neighbours; the sentinel n lies in no block.
-    label = np.append(np.asarray(part.block_of), -1)
+    label = np.append(part.block_of, -1)
     inside = (label[graph.nbr] == label[:-1, None]).sum(axis=1)
     short = inside < np.bincount(label[:-1])[label[:-1]] - 1
     if short.any():

@@ -8,6 +8,8 @@ the coarsening operation, together with the singleton partition, is the
 diagonal semilattice.  Its elements are read off the table of subset suprema
 through closure masks: the mask of a subset S has bit g set iff Q_g refines
 sup(S), equal masks name equal elements, and mask inclusion is the order.
+The elements are listed in ``partitions.element_order``; this module reads a
+partition's labels only as the array ``block_of``, and never converts them.
 Its Moebius function has a closed form which ``verify_mobius`` checks as a
 certificate: closed form times zeta is the identity.
 """
@@ -25,6 +27,7 @@ from .errors import CapExceededError
 from .groups import GroupTable
 from .partitions import (
     Partition,
+    element_order,
     poset_matrices,
     singletons,
     supremum,
@@ -171,7 +174,8 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     generators, so the subset table holds each element at least once.
     ``sup`` is ``subset_suprema(minimals)``.  The closure masks identify the
     elements (the first subset of each distinct mask represents it) and give
-    the order: s <= t iff the mask of s is a subset of the mask of t.
+    the order: s <= t iff the mask of s is a subset of the mask of t.  The
+    elements are listed by (-block_count, block_of), ``element_order``.
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
@@ -181,15 +185,14 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     if len(sup) != 1 << len(minimals):
         raise ValueError("sup must be the subset table of the generators")
 
-    part_sizes = {len(blk) for p in minimals for blk in p.blocks()}
+    part_sizes = np.unique(np.concatenate([np.bincount(p.block_of) for p in minimals]))
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
-    q = part_sizes.pop()
+    q = int(part_sizes[0])
 
     distinct, first, element_of = np.unique(
         closure_masks(sup), return_index=True, return_inverse=True)
-    order = sorted(range(len(first)), key=lambda e: (-sup[first[e]].block_count,
-                                                     sup[first[e]].block_of))
+    order = element_order([sup[f] for f in first])
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.arange(len(order))
     elements = [sup[first[e]] for e in order]

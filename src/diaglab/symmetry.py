@@ -560,7 +560,7 @@ def action_on_partitions(
     if some generator does not permute them (that would contradict the
     semilattice being preserved).
     """
-    blocks = [np.asarray(p.block_of, dtype=np.int64) for p in minimals]
+    blocks = [p.block_of for p in minimals]
     canon = {b.tobytes(): i for i, b in enumerate(blocks)}
     induced = []
     for perm in perms:

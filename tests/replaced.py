@@ -21,6 +21,8 @@ builds the tests' irregular graphs.  The ``(u, v, tag)`` rows that
 derived by ``tagged_rows``.  The walk counts and the eccentricities
 that packed a block of starts into the bits of one Python int per vertex
 and looped over the list view, before the numpy kernels over ``nbr``.
+The per-point loops of ``finer_or_equal`` and ``Partition.blocks``, from
+when a partition's labels were a tuple of Python ints.
 """
 
 from __future__ import annotations
@@ -75,6 +77,27 @@ def dict_from_labels(labels) -> Partition:
             remap[lab] = len(remap)
         canon.append(remap[lab])
     return Partition(len(canon), tuple(canon), len(remap))
+
+
+def loop_finer_or_equal(p: Partition, q: Partition) -> bool:
+    """True iff every block of p lies inside a single block of q."""
+    _check_same_ground(p, q)
+    seen: list[int] = [-1] * p.block_count
+    for point in range(p.size):
+        bp = p.block_of[point]
+        bq = q.block_of[point]
+        if seen[bp] == -1:
+            seen[bp] = bq
+        elif seen[bp] != bq:
+            return False
+    return True
+
+
+def loop_blocks(p: Partition) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(p.block_count)]
+    for point, b in enumerate(p.block_of):
+        out[b].append(point)
+    return out
 
 
 def bfs_distances(graph: DiagGraph, start: int) -> list[int]:

@@ -370,6 +370,32 @@ def test_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("diameter", "--group", "C3", "--m", "2", "--format", "yaml"),
+    ("build", "--group", "C3", "--m", "2", "--format", "json"),
+    ("grid", "--groups", "C2", "--m-max", "2", "--format", "graph6"),
+    ("mobius", "--group", "C2", "--m", "2", "--format", "text"),
+    ("semilattice", "--group", "C2", "--m", "2", "--format", "json"),
+])
+def test_unknown_format_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,start", [
+    (("build", "--group", "C2", "--m", "2"), "C~"),
+    (("semilattice", "--group", "C2", "--m", "2", "--format", "dot"), "digraph hasse"),
+    (("mobius", "--group", "C2", "--m", "2", "--format", "json"), "{"),
+    (("diameter", "--group", "C2", "--m", "2", "--format", "text"), "bfs: "),
+])
+def test_each_command_accepts_its_own_formats(capsys, argv, start):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out.startswith(start)
+
+
 CLAIMS_PATH = Path(__file__).resolve().parent / "data" / "check_all_claims.json"
 
 

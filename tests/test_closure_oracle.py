@@ -55,7 +55,7 @@ def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
                     next_frontier.append(len(elements) - 1)
         frontier = next_frontier
 
-    elements.sort(key=lambda p: (-p.block_count, p.block_of))
+    elements.sort(key=lambda p: (-p.block_count, tuple(p.block_of.tolist())))
     count = len(elements)
     leq = [[False] * count for _ in range(count)]
     for i in range(count):

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab.partitions import (
     Partition,
+    element_order,
     finer_or_equal,
     infimum,
     poset_matrices,
     single_block,
     singletons,
     supremum,
+    tie_break_key,
 )
+
+from replaced import loop_blocks, loop_finer_or_equal
 
 
 def parse_partition(text: str) -> Partition:
@@ -55,7 +60,7 @@ def test_canonical_form_round_trip(labels):
     assert p.block_of[0] == 0
     assert max(p.block_of) == p.block_count - 1
     # first occurrences appear in increasing order
-    firsts = [p.block_of.index(b) for b in range(p.block_count)]
+    firsts = [p.block_of.tolist().index(b) for b in range(p.block_count)]
     assert firsts == sorted(firsts)
     # relabelling arbitrarily and re-canonicalising is the identity
     relabeled = [2 * b + 7 for b in p.block_of]
@@ -64,11 +69,96 @@ def test_canonical_form_round_trip(labels):
 
 def test_from_blocks():
     p = Partition.from_blocks([[0, 2], [1], [3, 4]])
-    assert p.block_of == (0, 1, 0, 2, 2)
+    assert p.block_of.tolist() == [0, 1, 0, 2, 2]
     with pytest.raises(ValueError):
         Partition.from_blocks([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         Partition.from_blocks([[0, 2]], size=3)
+    # a negative point would wrap to the end of the ground set
+    with pytest.raises(ValueError, match="point -1 outside 0..2"):
+        Partition.from_blocks([[0, -1], [1]], size=3)
+    with pytest.raises(ValueError, match="point 3 outside 0..2"):
+        Partition.from_blocks([[0, 3], [1], [2]], size=3)
+    with pytest.raises(ValueError, match="point -1 outside"):
+        Partition.from_blocks([[0, -1], [1]])
+
+
+def test_block_of_is_a_read_only_int32_array():
+    rows, cols = grid_partitions(3)
+    for p in (Partition.from_labels([7, -3, 7]), Partition.from_blocks([[0], [1, 2]]),
+              Partition(3, (0, 1, 0), 2), singletons(4), single_block(4),
+              supremum(rows, cols), infimum(rows, cols)):
+        assert type(p.block_of) is np.ndarray
+        assert p.block_of.dtype == np.int32 and p.block_of.ndim == 1
+        with pytest.raises(ValueError):
+            p.block_of[0] = 1
+
+
+def test_tuple_and_array_labels_give_one_partition():
+    labels = [0, 1, 0, 2]
+    built = [Partition(4, tuple(labels), 3), Partition(4, np.array(labels), 3),
+             Partition(4, np.array(labels, dtype=np.int32), 3),
+             Partition.from_labels(labels)]
+    assert all(p == built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1 and len(set(built)) == 1
+    assert built[0] != Partition(4, (0, 1, 0, 1), 2)
+    assert built[0] != Partition(4, (0, 1, 2, 0), 3)
+    assert built[0] != labels
+
+
+def test_a_writeable_array_is_copied_not_frozen():
+    labels = np.array([0, 0, 1], dtype=np.int32)
+    p = Partition(3, labels, 2)
+    assert labels.flags.writeable
+    labels[2] = 0
+    assert p.block_of.tolist() == [0, 0, 1]
+
+
+@settings(max_examples=100)
+@given(partition_pairs)
+def test_finer_or_equal_matches_the_loop(pq):
+    p, q = pq
+    for a, b in ((p, q), (q, p), (p, p), (p, supremum(p, q)), (infimum(p, q), q),
+                 (singletons(p.size), q), (p, single_block(p.size))):
+        assert finer_or_equal(a, b) == loop_finer_or_equal(a, b)
+
+
+@given(labellings)
+def test_blocks_match_the_loop(labels):
+    p = Partition.from_labels(labels)
+    blocks = p.blocks()
+    assert blocks == loop_blocks(p)
+    assert all(type(x) is int for blk in blocks for x in blk)
+
+
+def test_blocks_of_empty_and_single_block():
+    assert Partition.from_labels([]).blocks() == []
+    assert single_block(3).blocks() == [[0, 1, 2]]
+
+
+# 260 singleton blocks, then four points that join old blocks or open new
+# ones: block counts tie often, and labels past 255 differ in their second
+# byte, where a little-endian key would order them wrongly.
+wide_tails = st.lists(st.lists(st.integers(0, 270), min_size=4, max_size=4),
+                      min_size=2, max_size=8, unique_by=tuple)
+
+
+@given(wide_tails)
+def test_tie_break_key_orders_like_the_label_tuples(tails):
+    parts = [Partition.from_labels(list(range(260)) + tail) for tail in tails]
+    by_tuple = sorted(range(len(parts)), key=lambda i: tuple(parts[i].block_of.tolist()))
+    assert sorted(range(len(parts)), key=lambda i: tie_break_key(parts[i])) == by_tuple
+    expect = sorted(range(len(parts)), key=lambda i: (-parts[i].block_count,
+                                                      tuple(parts[i].block_of.tolist())))
+    assert element_order(parts) == expect
+
+
+def test_tie_break_key_past_one_byte():
+    low = Partition.from_labels(list(range(257)) + [255])
+    high = Partition.from_labels(list(range(257)) + [256])
+    assert low.block_count == high.block_count == 257
+    assert tie_break_key(low) < tie_break_key(high)
+    assert element_order([high, low]) == [1, 0]
 
 
 def test_finer_or_equal_trivial_bounds():

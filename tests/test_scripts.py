@@ -55,3 +55,26 @@ def test_run_grid_rejects_a_cap_below_one(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "DIAGLAB_CAP_VERTICES must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_records_each_rung(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from diaglab.cli import main as diaglab_main
+
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "RUNGS", [("C2", 2), ("C3", 2)])
+    monkeypatch.setattr(bench, "OUT", tmp_path / "BENCH_check_all.json")
+    assert bench.main() == 0
+    report = json.loads((tmp_path / "BENCH_check_all.json").read_text())
+    assert report["command"] == "check-all"
+    assert set(report["git"]) == {"revision", "dirty"}
+    assert report["machine"]["cpus"] >= 1
+    assert [(r["group"], r["m"]) for r in report["rungs"]] == [("C2", 2), ("C3", 2)]
+    capsys.readouterr()
+    for rung in report["rungs"]:
+        assert rung["exit_code"] == 0
+        assert rung["wall_s"] > 0 and rung["ru_maxrss_kb"] > 0
+        diaglab_main(["check-all", "--group", rung["group"], "--m", str(rung["m"])])
+        ledger = capsys.readouterr().out.encode()
+        assert rung["ledger_sha256"] == hashlib.sha256(ledger).hexdigest()

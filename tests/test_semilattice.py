@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from diaglab.cli import EXIT_OK, main
@@ -247,6 +248,13 @@ def test_c2_m8_semilattice_and_mobius():
         counts[r] = counts.get(r, 0) + 1
     assert counts == expected_rank_counts(8)
     assert verify_mobius(sl).ok
+
+
+@pytest.mark.parametrize("spec,m", [("C3", 3), ("S3", 2), ("C2", 5), ("Q8", 2)])
+def test_closure_elements_hold_read_only_int32_labels(spec, m):
+    for p in semilattice_of(spec, m).elements:
+        assert type(p.block_of) is np.ndarray and p.block_of.dtype == np.int32
+        assert not p.block_of.flags.writeable
 
 
 def test_grid_rank_counts(grid):
