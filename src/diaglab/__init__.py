@@ -28,6 +28,7 @@ from .partitions import (
     poset_matrices,
     single_block,
     singletons,
+    subset_suprema,
     supremum,
 )
 from .semilattice import (
@@ -38,7 +39,6 @@ from .semilattice import (
     join_closure,
     minimal_partitions,
     mobius_closed_form,
-    subset_suprema,
     verify_mobius,
     verify_semilattice_hypothesis,
     vertex_codec,

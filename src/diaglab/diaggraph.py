@@ -25,14 +25,8 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import GroupTable
-from .partitions import Partition
+from .partitions import Partition, start_blocks
 from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
-
-# The paranoid walk counts and eccentricities run a block of start vertices
-# side by side, one column (or one bit) per start.  A block takes as many
-# starts as keep one (vertex, start) array within about this many bytes
-# (8 MiB), so memory does not grow with the square of the vertex count.
-BLOCK_BYTES = 1 << 23
 
 # Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
 CLIQUE_VERTEX_CAP = 4096
@@ -204,13 +198,6 @@ class DiameterReport:
     @property
     def ok(self) -> bool:
         return self.bfs == self.formula
-
-
-def start_blocks(starts: range, bits_per_start: int) -> list[range]:
-    """``starts`` cut into blocks of as many as keep one block within
-    ``BLOCK_BYTES`` when each start takes ``bits_per_start`` bits."""
-    per_block = max(1, 8 * BLOCK_BYTES // bits_per_start)
-    return [starts[lo: lo + per_block] for lo in range(0, len(starts), per_block)]
 
 
 def _max_eccentricity(graph: DiagGraph, bases: range) -> int:

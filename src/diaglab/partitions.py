@@ -2,7 +2,10 @@
 
 A partition's labels are a read-only int32 array in canonical block form,
 and only this module reads or writes that format: the lattice operations,
-the refinement test and the element order all work on the arrays.
+the refinement test, the element order and the table of subset suprema all
+work on the arrays.  Inside a supremum a labelling is kept in smallest-point
+form, each point labelled by the smallest point of its block, which is what
+``components`` returns and also a link that ``components`` takes.
 
 Terminology.  This module follows the refinement-order convention used
 throughout the package: ``infimum`` is the common refinement (blockwise
@@ -20,6 +23,19 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
+
+# The blocked kernels run a block of rows (starts, bases or subsets) side by
+# side: the subset suprema, the paranoid walk counts and the eccentricities.
+# A block takes as many rows as keep its working arrays within about this
+# many bytes (8 MiB), so memory does not grow with the square of the input.
+BLOCK_BYTES = 1 << 23
+
+
+def start_blocks(starts: range, bits_per_start: int) -> list[range]:
+    """``starts`` cut into blocks of as many as keep one block within
+    ``BLOCK_BYTES`` when each start takes ``bits_per_start`` bits."""
+    per_block = max(1, 8 * BLOCK_BYTES // bits_per_start)
+    return [starts[lo: lo + per_block] for lo in range(0, len(starts), per_block)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,20 +205,79 @@ def components(n: int, links) -> np.ndarray:
             return lab
 
 
-def supremum(p: Partition, q: Partition) -> Partition:
-    """Coarsening by connected components of the two block structures.
+def smallest_points(p: Partition) -> np.ndarray:
+    """The labels of ``p`` in smallest-point form: each point labelled by the
+    smallest point of its block."""
+    b = p.block_of
+    return np.unique(b, return_index=True)[1][b]
 
-    Each point is linked to the first point of its block in p and in q.
-    The component labels are smallest points, so in sorted order they
-    already number the blocks by first occurrence.
+
+def join_rows(rows: np.ndarray, part: Partition) -> np.ndarray:
+    """The supremum of each row of ``rows`` with ``part``, one row each.
+
+    ``rows`` is an (R, n) array of labellings in smallest-point form, and so
+    is the result.  The rows are stacked as one ground set of R*n points,
+    row r offset by r*n.  Each point is linked to its row label and to the
+    smallest point of its block of ``part``, and one ``components`` call
+    joins all R rows; its labels are smallest points again.
     """
+    count, n = rows.shape
+    offset = n * np.arange(count)[:, None]
+    links = [(rows + offset).ravel(), (smallest_points(part) + offset).ravel()]
+    return components(count * n, links).reshape(count, n) - offset
+
+
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Put each row of ``rows`` from smallest-point form into canonical
+    block form, in place, and return the block count of each row.
+
+    The first occurrences are the points labelled by themselves, and their
+    running count, read at each point's label, numbers the blocks by first
+    occurrence: one ``cumsum`` and one gather.
+    """
+    first = rows == np.arange(rows.shape[1])
+    rank = np.cumsum(first, axis=1, dtype=np.int32) - 1
+    rows[...] = np.take_along_axis(rank, rows, axis=1)
+    return first.sum(axis=1)
+
+
+def supremum(p: Partition, q: Partition) -> Partition:
+    """Coarsening by connected components of the two block structures: the
+    one-row case of ``join_rows``."""
     _check_same_ground(p, q)
-    links = []
-    for part in (p, q):
-        b = part.block_of
-        links.append(np.unique(b, return_index=True)[1][b])
-    roots, canon = np.unique(components(p.size, links), return_inverse=True)
-    return Partition(p.size, canon, len(roots))
+    rows = join_rows(smallest_points(p)[None, :], q)
+    count = canonical_rows(rows)
+    return Partition(p.size, rows[0], int(count[0]))
+
+
+def subset_suprema(parts: list[Partition]) -> list[Partition]:
+    """The supremum of every subset of ``parts``, indexed by bitmask.
+
+    ``sup[mask]`` is the supremum of the parts whose bits are set in
+    ``mask``; ``sup[0]`` is the empty supremum, the singleton partition.
+    The table is one read-only (2^len(parts), n) int32 array, and each
+    entry holds a view of its row.  It is built one part at a time: the
+    rows for the masks in [2^b, 2^(b+1)) are the suprema of rows [0, 2^b)
+    with part b, a block of rows per ``join_rows`` call at 64 bytes a
+    point.  The rows stay in smallest-point form, the link the next part
+    needs, and each block goes to canonical form in place at the end.
+    """
+    if not parts:
+        raise ValueError("need at least one partition")
+    n = parts[0].size
+    for part in parts:
+        _check_same_ground(parts[0], part)
+    table = np.empty((1 << len(parts), n), dtype=np.int32)
+    table[0] = np.arange(n)
+    bits_per_row = 512 * max(1, n)
+    for b, part in enumerate(parts):
+        for block in start_blocks(range(1 << b), bits_per_row):
+            lo, hi = block.start, block.stop
+            table[(1 << b) + lo: (1 << b) + hi] = join_rows(table[lo:hi], part)
+    counts = np.concatenate([canonical_rows(table[block.start:block.stop])
+                             for block in start_blocks(range(len(table)), bits_per_row)])
+    table.flags.writeable = False
+    return [Partition(n, row, int(c)) for row, c in zip(table, counts)]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ Q_1..Q_m (tuples agreeing everywhere except one coordinate) and the diagonal
 partition Q_0 (orbits of simultaneous left translation).  Their closure under
 the coarsening operation, together with the singleton partition, is the
 diagonal semilattice.  Its elements are read off the table of subset suprema
-through closure masks: the mask of a subset S has bit g set iff Q_g refines
-sup(S), equal masks name equal elements, and mask inclusion is the order.
-The elements are listed in ``partitions.element_order``; this module reads a
-partition's labels only as the array ``block_of``, and never converts them.
+(``partitions.subset_suprema``, built one generator at a time in blocks of
+rows) through closure masks: the mask of a subset S has bit g set iff Q_g
+refines sup(S), equal masks name equal elements, and mask inclusion is the
+order.  The elements are listed in ``partitions.element_order``; this module
+reads a partition's labels only as the array ``block_of``, and never
+converts them.
 Its Moebius function has a closed form which ``verify_mobius`` checks as a
 certificate: closed form times zeta is the identity.
 """
@@ -29,8 +31,7 @@ from .partitions import (
     Partition,
     element_order,
     poset_matrices,
-    singletons,
-    supremum,
+    subset_suprema,
 )
 
 DEFAULT_VERTEX_CAP = 65536
@@ -125,23 +126,6 @@ class DiagonalSemilattice:
     u_index: int
     minimal_indices: tuple[int, ...]
     below: tuple[int, ...]
-
-
-def subset_suprema(parts: list[Partition]) -> list[Partition]:
-    """The supremum of every subset of ``parts``, indexed by bitmask.
-
-    ``sup[mask]`` is the supremum of the parts whose bits are set in ``mask``;
-    ``sup[0]`` is the empty supremum, the singleton partition.  Each entry
-    extends the entry without its lowest bit by one supremum, so the table
-    costs 2^len(parts) - 1 calls.
-    """
-    if not parts:
-        raise ValueError("need at least one partition")
-    sup = [singletons(parts[0].size)]
-    for mask in range(1, 1 << len(parts)):
-        low = mask & -mask
-        sup.append(supremum(sup[mask ^ low], parts[low.bit_length() - 1]))
-    return sup
 
 
 def closure_masks(sup: list[Partition]) -> np.ndarray:

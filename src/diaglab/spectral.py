@@ -3,9 +3,9 @@
 ``spectrum_closed_form`` evaluates the eigenvalue/multiplicity formula in
 integer arithmetic.  ``spectrum_trace_moments`` never diagonalises anything:
 it counts closed walks exactly, then solves the square Vandermonde system on
-the candidate eigenvalues -(m+1)+kq over the rationals.  Disagreement
-between the two, or a negative or fractional multiplicity, would falsify
-the closed form; both paths are compared entry by entry.
+the candidate eigenvalues -(m+1)+kq in integers, by Lagrange interpolation.
+Disagreement between the two, or a negative or fractional multiplicity,
+would falsify the closed form; both paths are compared entry by entry.
 
 The walk counts are a numpy kernel over the neighbour array ``nbr``.  As A
 is symmetric, tr(A^j) = sum over starts s of <A^a e_s, A^b e_s> with
@@ -27,7 +27,8 @@ from math import comb
 
 import numpy as np
 
-from .diaggraph import DiagGraph, start_blocks
+from .diaggraph import DiagGraph
+from .partitions import start_blocks
 
 
 @dataclass(frozen=True)
@@ -139,20 +140,34 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     return traces
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction (small dense systems only)."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _multiplicities(candidates: list[int], traces: list[int]) -> list[int]:
+    """The multiplicities mult_k with sum_k mult_k * lam_k^j = traces[j] for
+    j = 0..len(candidates)-1, over distinct integer candidates lam_k, in
+    exact integer arithmetic.
+
+    With P_k(x) = prod over i != k of (x - lam_i) = sum_j c_kj x^j, the sum
+    sum_j c_kj * traces[j] is sum_i mult_i P_k(lam_i) = mult_k P_k(lam_k),
+    so mult_k is that sum divided by prod over i != k of (lam_k - lam_i).
+    A remainder or a negative quotient raises, as it would mean an
+    eigenvalue outside the candidates.
+    """
+    mults = []
+    for k, lam in enumerate(candidates):
+        coeffs = [1]  # P_k, lowest degree first
+        denom = 1
+        for i, other in enumerate(candidates):
+            if i != k:
+                coeffs = [a - other * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                denom *= lam - other
+        num = sum(c * t for c, t in zip(coeffs, traces))
+        mult, rem = divmod(num, denom)
+        if rem or mult < 0:
+            raise AssertionError(
+                f"non-integral or negative multiplicity {Fraction(num, denom)} "
+                f"at eigenvalue {lam}"
+            )
+        mults.append(mult)
+    return mults
 
 
 def spectrum_trace_moments(graph: DiagGraph, paranoid: bool = False) -> SpectrumReport:
@@ -167,20 +182,9 @@ def spectrum_trace_moments(graph: DiagGraph, paranoid: bool = False) -> Spectrum
         # describes the doubled adjacency matrix, not the simple graph
         raise ValueError("trace-moment verification needs m >= 2")
     candidates = [-(m + 1) + k * q for k in range(m + 2)]
-    traces = _walk_counts(graph, m + 1, paranoid)
-    vand = [
-        [Fraction(lam**j) for lam in candidates] for j in range(m + 2)
-    ]
-    mults = _solve_exact(vand, [Fraction(t) for t in traces])
-    entries = []
-    for lam, mult in zip(candidates, mults):
-        if mult.denominator != 1 or mult < 0:
-            raise AssertionError(
-                f"non-integral or negative multiplicity {mult} at eigenvalue {lam}"
-            )
-        if mult:
-            entries.append((lam, int(mult)))
-    entries.sort()
+    mults = _multiplicities(candidates, _walk_counts(graph, m + 1, paranoid))
+    # the candidates ascend, so the entries come sorted by eigenvalue
+    entries = [(lam, mult) for lam, mult in zip(candidates, mults) if mult]
     return SpectrumReport(q=q, m=m, entries=tuple(entries), source="trace_moments")
 
 

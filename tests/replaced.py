@@ -22,19 +22,24 @@ derived by ``tagged_rows``.  The walk counts and the eccentricities
 that packed a block of starts into the bits of one Python int per vertex
 and looped over the list view, before the numpy kernels over ``nbr``.
 The per-point loops of ``finer_or_equal`` and ``Partition.blocks``, from
-when a partition's labels were a tuple of Python ints.
+when a partition's labels were a tuple of Python ints.  The subset table
+built one mask at a time by a pairwise ``supremum``, before one
+``components`` call per block of rows built it one generator at a time.
+The Gauss-Jordan elimination over ``Fraction`` that solved for the
+spectrum's multiplicities before the integer Lagrange solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from diaglab.chromatic import CompleteMapping, Coloring
 from diaglab.diaggraph import DiagGraph, connection_set
 from diaglab.groups import GroupTable, generating_sequence
-from diaglab.partitions import Partition, _check_same_ground, components
+from diaglab.partitions import Partition, _check_same_ground, components, singletons
 from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
 
@@ -622,3 +627,44 @@ def packed_max_eccentricity(graph: DiagGraph, bases: range) -> int:
             reach = [r | f for r, f in zip(reach, frontier)]
         ecc = max(ecc, level)
     return ecc
+
+
+def pairwise_supremum(p: Partition, q: Partition) -> Partition:
+    """Coarsening by connected components, one pair at a time: each point
+    is linked to the first point of its block in p and in q, and the
+    component labels are ranked by ``np.unique``."""
+    _check_same_ground(p, q)
+    links = []
+    for part in (p, q):
+        b = part.block_of
+        links.append(np.unique(b, return_index=True)[1][b])
+    roots, canon = np.unique(components(p.size, links), return_inverse=True)
+    return Partition(p.size, canon, len(roots))
+
+
+def loop_subset_suprema(parts: list[Partition]) -> list[Partition]:
+    """The subset table one mask at a time: each entry extends the entry
+    without its lowest bit by one ``pairwise_supremum``."""
+    if not parts:
+        raise ValueError("need at least one partition")
+    sup = [singletons(parts[0].size)]
+    for mask in range(1, 1 << len(parts)):
+        low = mask & -mask
+        sup.append(pairwise_supremum(sup[mask ^ low], parts[low.bit_length() - 1]))
+    return sup
+
+
+def fraction_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination over Fraction (small dense systems only)."""
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]

@@ -714,3 +714,44 @@ def test_grid_contains_instance_assertion(capsys, monkeypatch):
                               "ok": False}
     assert by_group["C2"]["ok"] is True and by_group["C4"]["ok"] is True
 
+
+
+def doctor_walk_counts(monkeypatch):
+    """Count one closed walk of length 1, a loop, where the graph has none:
+    the multiplicities over the candidate eigenvalues are not integral."""
+    from diaglab import spectral
+
+    original = spectral._walk_counts
+
+    def doctored(*args):
+        traces = original(*args)
+        return [traces[0], traces[1] + 1] + traces[2:]
+
+    monkeypatch.setattr(spectral, "_walk_counts", doctored)
+
+
+DOCTORED_MESSAGE = "non-integral or negative multiplicity 17/9 at eigenvalue -3"
+
+
+def test_check_all_records_a_failed_spectrum_solve(capsys, monkeypatch, ledger_validator):
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+    doctor_walk_counts(monkeypatch)
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["failures"] == ["spectrum-agreement"]
+    assert [c["claim"] for c in data["claims"]] == full
+    failed = next(c for c in data["claims"] if c["claim"] == "spectrum-agreement")
+    assert failed["detail"] == DOCTORED_MESSAGE
+
+
+def test_spectrum_verify_reports_a_failed_solve(capsys, monkeypatch):
+    doctor_walk_counts(monkeypatch)
+    code, out, err = run_cli(capsys, "spectrum", "--group", "C3", "--m", "2", "--verify")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    assert data["verified"] is False
+    assert data["entries"] == [[-3, 2], [0, 6], [6, 1]]
+    assert err == f"error: {DOCTORED_MESSAGE}\n"

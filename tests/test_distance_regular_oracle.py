@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab import diaggraph
+from diaglab import diaggraph, partitions
 from diaglab.diaggraph import build_graph, is_distance_regular
 from diaglab.semilattice import minimal_partitions
 
@@ -50,11 +50,11 @@ def test_several_blocks(monkeypatch):
     # each base takes one int32 per entry of nbr
     cut = spy_blocks(monkeypatch, diaggraph)
     graph = graph_of("C3", 3)  # not distance-regular; 27 bases, 216 entries
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 216 // 8)
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 216 // 8)
     assert_matches_oracle(graph)
     assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
     graph = graph_of("C2", 4)
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 1)
     assert_matches_oracle(graph)
     assert [len(b) for b in cut[-1]] == [1] * graph.size
 

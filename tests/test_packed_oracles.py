@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab import diaggraph, spectral
-from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, start_blocks, to_graph6
+from diaglab import diaggraph, partitions, spectral
+from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, to_graph6
+from diaglab.partitions import start_blocks
 from diaglab.semilattice import VertexCodec
 from diaglab.spectral import _walk_blocks, _walk_counts
 
@@ -166,7 +167,7 @@ def test_walk_counts_when_a_block_could_pass_int64(monkeypatch):
     assert dtype is object and len(blocks) == 1
     assert _walk_counts(c8, 60, paranoid=True) == want
     # four starts per int32 block keep the bound below 2^63
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 9 // 8)
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 9 // 8)
     dtype, blocks = _walk_blocks(8, 2, 60, range(8))
     assert dtype is np.int32 and [len(b) for b in blocks] == [4, 4]
     assert _walk_counts(c8, 60, paranoid=True) == want
@@ -179,7 +180,7 @@ def test_paranoid_walk_counts_over_several_blocks(monkeypatch):
     # 27 starts, four per block of int32 columns of 28 rows: seven blocks,
     # the last one short
     g = graph_of("C3", 3)
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", 4 * 32 * 28 // 8)
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 28 // 8)
     cut = spy_blocks(monkeypatch, spectral)
     assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(g.adjacency, 4)
     assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
@@ -222,18 +223,18 @@ def test_eccentricity_over_several_blocks(monkeypatch):
     # eccentricity 0
     path = graph_from_edges(11, [(v, v + 1) for v in range(9)])
     cut = spy_blocks(monkeypatch, diaggraph)
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 12 // 8))
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", -(-5 * 12 // 8))
     assert _max_eccentricity(path, range(11)) == 9
     assert [len(b) for b in cut[-1]] == [5, 5, 1]
     # a path 11-0-1-...-10: of the bases 0..10 only 10, alone in the last
     # block, is an end of the path
     tail = graph_from_edges(12, [(v, v + 1) for v in range(10)] + [(11, 0)])
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 13 // 8))
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", -(-5 * 13 // 8))
     assert _max_eccentricity(tail, range(11)) == 11
     assert [len(b) for b in cut[-1]] == [5, 5, 1]
     # 64 bases, five per block of 65-bit rows: thirteen blocks, the last short
     g = graph_of("C4", 3)
-    monkeypatch.setattr(diaggraph, "BLOCK_BYTES", -(-5 * 65 // 8))
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", -(-5 * 65 // 8))
     assert _max_eccentricity(g, range(g.size)) == bfs_eccentricity(g, range(g.size))
     assert [len(b) for b in cut[-1]] == [5] * 12 + [4]
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diaglab.spectral import (
+    _multiplicities,
     spectrum_closed_form,
     spectrum_trace_moments,
     stratum_dimension,
@@ -10,6 +15,7 @@ from diaglab.spectral import (
 )
 
 from conftest import cycle_chromatic_polynomial, graph_of
+from replaced import fraction_solve
 
 
 def test_closed_form_q3_m2():
@@ -130,3 +136,36 @@ def test_errors():
         spectrum_closed_form(1, 2)
     with pytest.raises(ValueError):
         stratum_dimension(2, -1)
+
+
+@st.composite
+def candidate_traces(draw):
+    """The candidate eigenvalues -(m+1)+kq and power sums of them, with
+    integral multiplicities (some negative) and a perturbation that is
+    mostly zero."""
+    q, m = draw(st.integers(2, 9)), draw(st.integers(2, 6))
+    candidates = [-(m + 1) + k * q for k in range(m + 2)]
+    mult = st.one_of(st.integers(-2, 5), st.integers(0, 10**6))
+    mults = draw(st.lists(mult, min_size=m + 2, max_size=m + 2))
+    noise = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 7]),
+                          min_size=m + 2, max_size=m + 2))
+    traces = [sum(c * lam**j for c, lam in zip(mults, candidates)) + e
+              for j, e in enumerate(noise)]
+    return candidates, traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_traces())
+def test_integer_solve_agrees_with_fraction_elimination(case):
+    candidates, traces = case
+    vand = [[Fraction(lam**j) for lam in candidates] for j in range(len(candidates))]
+    want = fraction_solve(vand, [Fraction(t) for t in traces])
+    bad = [(x, lam) for x, lam in zip(want, candidates) if x.denominator != 1 or x < 0]
+    if bad:
+        x, lam = bad[0]
+        with pytest.raises(AssertionError) as raised:
+            _multiplicities(candidates, traces)
+        assert str(raised.value) == (
+            f"non-integral or negative multiplicity {x} at eigenvalue {lam}")
+    else:
+        assert _multiplicities(candidates, traces) == want
