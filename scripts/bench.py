@@ -30,7 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_check_all.json"
 
 # (group, m), each of at most 65,536 vertices
-RUNGS = [("C2", 10), ("C2", 12), ("C3", 8), ("C4", 7), ("C4", 8), ("C16", 4), ("Q8", 4)]
+RUNGS = [("C2", 10), ("C2", 12), ("C3", 8), ("C4", 7), ("C4", 8), ("C16", 4), ("Q8", 4),
+         ("C2", 13)]
 
 
 def run_rung(group: str, m: int) -> dict:

@@ -22,10 +22,8 @@ from .groups import (
 )
 from .partitions import (
     Partition,
-    PosetMatrices,
     finer_or_equal,
     infimum,
-    poset_matrices,
     single_block,
     singletons,
     subset_suprema,

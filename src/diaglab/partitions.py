@@ -24,8 +24,9 @@ from itertools import groupby
 
 import numpy as np
 
-# The blocked kernels run a block of rows (starts, bases or subsets) side by
-# side: the subset suprema, the paranoid walk counts and the eccentricities.
+# The blocked kernels run a block of rows (starts, bases, subsets or
+# elements) side by side: the subset suprema, the Moebius values of the
+# semilattice, the paranoid walk counts and the eccentricities.
 # A block takes as many rows as keep its working arrays within about this
 # many bytes (8 MiB), so memory does not grow with the square of the input.
 BLOCK_BYTES = 1 << 23
@@ -278,49 +279,3 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
                              for block in start_blocks(range(len(table)), bits_per_row)])
     table.flags.writeable = False
     return [Partition(n, row, int(c)) for row, c in zip(table, counts)]
-
-
-@dataclass(frozen=True)
-class PosetMatrices:
-    """Zeta and Moebius matrices of a finite family of partitions.
-
-    ``elements`` is sorted by decreasing block count (a linear extension of
-    refinement), so zeta is upper unitriangular and mobius is its exact
-    integer inverse.
-    """
-
-    elements: tuple[Partition, ...]
-    zeta: tuple[tuple[int, ...], ...]
-    mobius: tuple[tuple[int, ...], ...]
-
-    def index_of(self, p: Partition) -> int:
-        return self.elements.index(p)
-
-
-def poset_matrices(elems: list[Partition]) -> PosetMatrices:
-    """Exact zeta and Moebius matrices for pairwise-distinct partitions."""
-    if len(set(elems)) != len(elems):
-        raise ValueError("poset elements must be pairwise distinct")
-    if elems and any(e.size != elems[0].size for e in elems):
-        raise ValueError("poset elements must share a ground set")
-    ordered = [elems[i] for i in element_order(elems)]
-    n = len(ordered)
-    zeta = [[0] * n for _ in range(n)]
-    for i in range(n):
-        zeta[i][i] = 1
-        for j in range(i + 1, n):
-            if finer_or_equal(ordered[i], ordered[j]):
-                zeta[i][j] = 1
-    # Invert the unitriangular matrix by forward substitution, exactly.
-    mobius = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mobius[i][i] = 1
-        for j in range(i + 1, n):
-            mobius[i][j] = -sum(
-                mobius[i][k] * zeta[k][j] for k in range(i, j) if zeta[k][j]
-            )
-    return PosetMatrices(
-        elements=tuple(ordered),
-        zeta=tuple(tuple(row) for row in zeta),
-        mobius=tuple(tuple(row) for row in mobius),
-    )

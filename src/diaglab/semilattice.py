@@ -12,8 +12,19 @@ refines sup(S), equal masks name equal elements, and mask inclusion is the
 order.  The elements are listed in ``partitions.element_order``; this module
 reads a partition's labels only as the array ``block_of``, and never
 converts them.
-Its Moebius function has a closed form which ``verify_mobius`` checks as a
-certificate: closed form times zeta is the identity.
+
+The table of closure masks ``cl`` is the semilattice's one order structure.
+It is a closure operator on the subsets of the generators: extensive (each
+generator of S refines sup(S)), monotone (S within T gives sup(S) <= sup(T))
+and idempotent (every generator in cl(S) is below sup(S), so
+sup(cl(S)) = sup(S)).  Its closed masks are the elements.  The covers of an
+element A are the minimal masks among cl(A + g), one per generator g, and
+its Moebius values follow from Rota's closure theorem (1964):
+mu(A, T) = sum of (-1)^|B - A| over the masks B containing A with
+cl(B) = T.  ``verify_mobius`` computes every value this way, exactly, and
+compares each with the closed form.  The masks come from the block counts
+of the partitions alone, so the closed form enters the check only as the
+values it is compared with.
 """
 
 from __future__ import annotations
@@ -27,12 +38,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import GroupTable
-from .partitions import (
-    Partition,
-    element_order,
-    poset_matrices,
-    subset_suprema,
-)
+from .partitions import Partition, element_order, start_blocks, subset_suprema
 
 DEFAULT_VERTEX_CAP = 65536
 
@@ -113,7 +119,9 @@ class DiagonalSemilattice:
     ``rank`` counts steps from the singleton partition along a longest chain;
     ``hasse`` lists cover pairs (lower index, upper index) into ``elements``.
     ``minimal_indices[i]`` locates Q_i, and ``below[k]`` is the closure
-    mask of element k: bit g set iff Q_g refines it.
+    mask of element k: bit g set iff Q_g refines it.  ``cl[S]`` is the
+    closure mask of the supremum of the generators in the subset mask S,
+    the semilattice's one order structure.
     """
 
     m: int
@@ -126,6 +134,7 @@ class DiagonalSemilattice:
     u_index: int
     minimal_indices: tuple[int, ...]
     below: tuple[int, ...]
+    cl: tuple[int, ...]
 
 
 def closure_masks(sup: list[Partition]) -> np.ndarray:
@@ -150,6 +159,41 @@ def closure_masks(sup: list[Partition]) -> np.ndarray:
     return cl
 
 
+def _element_index(cl: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """index[mask]: the element whose closure mask is ``mask``, else -1."""
+    index = np.full(len(cl), -1)
+    index[below] = np.arange(len(below))
+    return index
+
+
+def _covers(cl: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and Hasse covers of the elements with closure masks ``below``,
+    read off the closure-mask table ``cl``.
+
+    Each cover T of A is cl(A + g) for a generator g outside A: for any g in
+    T but not in A, A < cl(A + g) <= T.  So the covers of A are the minimal
+    masks among its m+1 candidates cl(A + g); for g in A the candidate is A
+    itself and is left out.  The covers come sorted by (lower, upper).
+    Ranks are longest chains along them, one relaxation per step.
+    """
+    index = _element_index(cl, below)
+    cand = cl[below[:, None] | 1 << np.arange((len(cl) - 1).bit_length())]
+    proper = cand != below[:, None]
+    # smaller[a, g, h]: candidate h of element a lies strictly inside candidate g
+    smaller = (((cand[:, None, :] & ~cand[:, :, None]) == 0)
+               & (cand[:, None, :] != cand[:, :, None]) & proper[:, None, :])
+    lower, g = np.nonzero(proper & ~smaller.any(axis=2))
+    codes = np.unique(lower * len(below) + index[cand[lower, g]])
+    hasse = np.stack(np.divmod(codes, len(below)), axis=1)
+    rank = np.zeros(len(below), dtype=np.int64)
+    while True:
+        longer = rank.copy()
+        np.maximum.at(longer, hasse[:, 1], rank[hasse[:, 0]] + 1)
+        if (longer == rank).all():
+            return rank, hasse
+        rank = longer
+
+
 def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSemilattice:
     """Generate the semilattice: the suprema of all subsets of the
     generators, the empty one (the singleton partition) included.
@@ -159,7 +203,8 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     ``sup`` is ``subset_suprema(minimals)``.  The closure masks identify the
     elements (the first subset of each distinct mask represents it) and give
     the order: s <= t iff the mask of s is a subset of the mask of t.  The
-    elements are listed by (-block_count, block_of), ``element_order``.
+    elements are listed by (-block_count, block_of), ``element_order``, and
+    their covers and ranks come from the masks alone (``_covers``).
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
@@ -174,38 +219,17 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
         raise ValueError("generator partitions must have constant part size")
     q = int(part_sizes[0])
 
-    distinct, first, element_of = np.unique(
-        closure_masks(sup), return_index=True, return_inverse=True)
+    cl = closure_masks(sup)
+    distinct, first, element_of = np.unique(cl, return_index=True, return_inverse=True)
     order = element_order([sup[f] for f in first])
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.arange(len(order))
     elements = [sup[first[e]] for e in order]
     below = distinct[order]
-    count = len(elements)
-
-    # up[i]: bitset of the j > i with elements[i] <= elements[j].  The sort
-    # is a linear extension of refinement, so nothing above i precedes it.
-    outside = ~below
-    up = [int.from_bytes(np.packbits((below[i] & outside[i + 1:]) == 0,
-                                     bitorder="little").tobytes(), "little") << (i + 1)
-          for i in range(count)]
-
-    # Transitive reduction: the lowest remaining j above i is a cover, and
-    # nothing above that cover is.  Ranks are longest chains along covers;
-    # rank[i] is final once every i' < i has been scanned.
-    rank = [0] * count
-    hasse = []
-    for i in range(count):
-        rest = up[i]
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            hasse.append((i, j))
-            rank[j] = max(rank[j], rank[i] + 1)
-            rest &= ~(up[j] | low)
+    rank, hasse = _covers(cl, below)
 
     m = len(minimals) - 1
-    single = [k for k in range(count) if elements[k].is_single_block()]
+    single = [k for k, p in enumerate(elements) if p.is_single_block()]
     if len(single) != 1:
         raise ValueError("closure did not produce the one-block partition")
     return DiagonalSemilattice(
@@ -213,12 +237,13 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
         q=q,
         size=n,
         elements=tuple(elements),
-        rank=tuple(rank),
-        hasse=tuple(hasse),
+        rank=tuple(rank.tolist()),
+        hasse=tuple(map(tuple, hasse.tolist())),
         e_index=0,
         u_index=single[0],
         minimal_indices=tuple(int(position[element_of[1 << g]]) for g in range(m + 1)),
         below=tuple(below.tolist()),
+        cl=tuple(cl.tolist()),
     )
 
 
@@ -309,76 +334,78 @@ class MobiusReport:
         )
 
 
-def generator_zeta(sl: DiagonalSemilattice) -> np.ndarray:
-    """Zeta matrix of the semilattice, read off the closure masks.
+def _mobius_blocks(cl: np.ndarray, below: np.ndarray):
+    """Yield, block by block of elements, every comparable pair
+    (lower, upper) of element indices with its exact Moebius value.
 
-    ``below[i]`` has bit g set iff Q_g refines element i.  Every element of
-    a join closure is the supremum of the generators below it, so s <= t iff
-    every generator below s is below t.  No ``finer_or_equal`` is needed.
+    ``cl`` is a closure operator on the subsets of the generators, and the
+    elements are its closed masks, so by Rota's closure theorem
+    mu(A, T) = sum of (-1)^|B - A| over the masks B containing A with
+    cl(B) = T.  The masks B are A + s for the subsets s of the generators
+    outside A, and they increase with s, so one ``searchsorted`` finds the
+    position of each cl(B) among them, and two ``bincount`` calls, one per
+    parity of |s|, give the signed sums in int64.  A block holds elements
+    with the same number of free generators, within ``BLOCK_BYTES``: at
+    most 3^(m+1) terms in all.  The closed masks B are exactly the elements
+    above A, so every comparable pair is listed.
     """
-    below = np.array(sl.below, dtype=np.int64)
-    return (below[:, None] & ~below[None, :]) == 0
+    index = _element_index(cl, below)
+    width = (len(cl) - 1).bit_length()
+    free = (len(cl) - 1) & ~below
+    nfree = np.bitwise_count(free)
+    for f in np.unique(nfree).tolist():
+        same = np.flatnonzero(nfree == f)
+        subsets = np.arange(1 << f)
+        odd = np.bitwise_count(subsets) & 1 == 1
+        # about eight int64 arrays of 2^f terms per element
+        for block in start_blocks(range(len(same)), 512 << f):
+            rows = same[block.start:block.stop]
+            # the free generators of each row, ascending, deposited by each s
+            pos = np.nonzero(free[rows, None] >> np.arange(width) & 1)[1].reshape(len(rows), f)
+            ups = below[rows, None] + ((subsets[:, None] >> np.arange(f) & 1) @ (1 << pos.T)).T
+            shift = (np.arange(len(rows)) << width)[:, None]
+            keys = (ups + shift).ravel()
+            targets = (cl[ups] + shift).ravel()
+            at = np.searchsorted(keys, targets)
+            if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], targets):
+                raise AssertionError("cl(B) does not contain the element A that B contains")
+            at = at.reshape(ups.shape)
+            mu = (np.bincount(at[:, ~odd].ravel(), minlength=len(keys))
+                  - np.bincount(at[:, odd].ravel(), minlength=len(keys)))
+            closed = targets == keys
+            yield np.repeat(rows, 1 << f)[closed], index[ups.ravel()[closed]], mu[closed]
 
 
 def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
-    """Check every Moebius entry of the semilattice against the closed form.
+    """Compute every Moebius value of the semilattice exactly from its
+    closure masks (``_mobius_blocks``) and compare each with the closed form.
 
-    With Z the zeta matrix and M the closed form on its comparable pairs,
-    M is the Moebius matrix iff M @ Z == I: Z is unitriangular, so its
-    inverse is unique, and the check is exactly as strong as inverting Z.
-    Entries of M are at most m in absolute value, so every partial sum of
-    the float32 product is an integer of size at most m*k; the bound is
-    asserted below 2**24 on the actual entries, which keeps the sums exact.
-    Only a failed check inverts Z exactly, to name the mismatching entries.
+    A comparable pair whose lower element comes later in the element order
+    fails the check.  The closed form enters only in the comparison.  A
+    rank outside 0..m is a ValueError here, as it is in the closed form.
     """
-    zeta = generator_zeta(sl)
-    k = len(sl.elements)
-    if np.tril(zeta, -1).any():
-        raise AssertionError("zeta is not upper triangular in the element order")
-
-    # One closed-form call per distinct (rank_s, rank_t, t_is_u) of a
-    # comparable pair fills M through a lookup table.  A rank outside 0..m
-    # is a ValueError here, as it is in the closed form.
     ranks = np.asarray(sl.rank)
-    rows, cols = np.nonzero(zeta)
     dims = (sl.m + 1, sl.m + 1, 2)
-    codes = np.ravel_multi_index((ranks[rows], ranks[cols], cols == sl.u_index), dims)
-    present, where = np.unique(codes, return_inverse=True)
-    values = np.array([mobius_closed_form(int(s), int(t), bool(u), sl.m)
-                       for s, t, u in zip(*np.unravel_index(present, dims))])
-    largest = int(np.abs(values).max())
-    if largest * k >= 1 << 24:
-        raise AssertionError(
-            f"{k} elements with entries up to {largest} overflow exact float32 sums")
-    closed = np.zeros((k, k), dtype=np.float32)
-    closed[rows, cols] = values[where]
-
-    # M @ Z - I, formed in place of the product: no identity matrix is built
-    residue = closed @ zeta.astype(np.float32)
-    residue[np.diag_indices(k)] -= 1
-    if not residue.any():
-        mismatches = ()
-        mu_bottom_top = int(closed[sl.e_index, sl.u_index])
-    else:
-        mats = poset_matrices(list(sl.elements))
-        # poset_matrices sorts with the same key used by join_closure, so the
-        # orders coincide; guard anyway.
-        if mats.elements != sl.elements:
-            raise AssertionError("element order of poset_matrices differs from the closure")
-        if not np.array_equal(np.array(mats.zeta, dtype=bool), zeta):
-            raise AssertionError("generator zeta differs from finer_or_equal")
-        exact = np.array(mats.mobius, dtype=np.int64)
-        expect = closed.astype(np.int64)
-        mismatches = tuple(
-            (int(i), int(j), int(exact[i, j]), int(expect[i, j]))
-            for i, j in np.argwhere(exact != expect)
-        )
-        mu_bottom_top = int(exact[sl.e_index, sl.u_index])
+    found = []
+    for lower, upper, exact in _mobius_blocks(np.asarray(sl.cl), np.asarray(sl.below)):
+        if (lower > upper).any():
+            raise AssertionError("the order is not upper triangular in the element order")
+        # one closed-form call per distinct (rank_s, rank_t, t_is_u) in the block
+        codes = np.ravel_multi_index((ranks[lower], ranks[upper], upper == sl.u_index), dims)
+        present, where = np.unique(codes, return_inverse=True)
+        values = np.array([mobius_closed_form(int(s), int(t), bool(u), sl.m)
+                           for s, t, u in zip(*np.unravel_index(present, dims))], dtype=np.int64)
+        closed_form = values[where]
+        keep = (exact != closed_form) | (lower == sl.e_index) & (upper == sl.u_index)
+        found.append(np.stack([lower, upper, exact, closed_form], axis=1)[keep])
+    found = np.concatenate(found)
+    found = found[np.lexsort((found[:, 1], found[:, 0]))]
+    bottom_top = (found[:, 0] == sl.e_index) & (found[:, 1] == sl.u_index)
     return MobiusReport(
-        element_count=k,
+        element_count=len(sl.elements),
         ranks=sl.rank,
-        mu_bottom_top=mu_bottom_top,
-        mismatches=mismatches,
+        mu_bottom_top=int(found[bottom_top, 2][0]),
+        mismatches=tuple(map(tuple, found[found[:, 2] != found[:, 3]].tolist())),
     )
 
 

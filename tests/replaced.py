@@ -26,7 +26,11 @@ when a partition's labels were a tuple of Python ints.  The subset table
 built one mask at a time by a pairwise ``supremum``, before one
 ``components`` call per block of rows built it one generator at a time.
 The Gauss-Jordan elimination over ``Fraction`` that solved for the
-spectrum's multiplicities before the integer Lagrange solve.
+spectrum's multiplicities before the integer Lagrange solve.  The dense
+zeta and Moebius matrices of a family of partitions, one ``finer_or_equal``
+test per pair and exact forward substitution, which named the mismatches
+of a failed Moebius check before the semilattice's Moebius values were
+read off its closure masks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,14 @@ import numpy as np
 from diaglab.chromatic import CompleteMapping, Coloring
 from diaglab.diaggraph import DiagGraph, connection_set
 from diaglab.groups import GroupTable, generating_sequence
-from diaglab.partitions import Partition, _check_same_ground, components, singletons
+from diaglab.partitions import (
+    Partition,
+    _check_same_ground,
+    components,
+    element_order,
+    finer_or_equal,
+    singletons,
+)
 from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
 
@@ -668,3 +679,49 @@ def fraction_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fr
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+@dataclass(frozen=True)
+class PosetMatrices:
+    """Zeta and Moebius matrices of a finite family of partitions.
+
+    ``elements`` is sorted by decreasing block count (a linear extension of
+    refinement), so zeta is upper unitriangular and mobius is its exact
+    integer inverse.
+    """
+
+    elements: tuple[Partition, ...]
+    zeta: tuple[tuple[int, ...], ...]
+    mobius: tuple[tuple[int, ...], ...]
+
+    def index_of(self, p: Partition) -> int:
+        return self.elements.index(p)
+
+
+def poset_matrices(elems: list[Partition]) -> PosetMatrices:
+    """Exact zeta and Moebius matrices for pairwise-distinct partitions."""
+    if len(set(elems)) != len(elems):
+        raise ValueError("poset elements must be pairwise distinct")
+    if elems and any(e.size != elems[0].size for e in elems):
+        raise ValueError("poset elements must share a ground set")
+    ordered = [elems[i] for i in element_order(elems)]
+    n = len(ordered)
+    zeta = [[0] * n for _ in range(n)]
+    for i in range(n):
+        zeta[i][i] = 1
+        for j in range(i + 1, n):
+            if finer_or_equal(ordered[i], ordered[j]):
+                zeta[i][j] = 1
+    # Invert the unitriangular matrix by forward substitution, exactly.
+    mobius = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mobius[i][i] = 1
+        for j in range(i + 1, n):
+            mobius[i][j] = -sum(
+                mobius[i][k] * zeta[k][j] for k in range(i, j) if zeta[k][j]
+            )
+    return PosetMatrices(
+        elements=tuple(ordered),
+        zeta=tuple(tuple(row) for row in zeta),
+        mobius=tuple(tuple(row) for row in mobius),
+    )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -755,3 +756,41 @@ def test_spectrum_verify_reports_a_failed_solve(capsys, monkeypatch):
     assert data["verified"] is False
     assert data["entries"] == [[-3, 2], [0, 6], [6, 1]]
     assert err == f"error: {DOCTORED_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("module,name,claim", [
+    ("semilattice", "verify_mobius", "mobius-closed-form"),
+    ("diaggraph", "clique_cover", "clique-cover"),
+])
+def test_check_all_records_a_failed_assertion(capsys, monkeypatch, ledger_validator,
+                                              module, name, claim):
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"doctored {name}")
+
+    monkeypatch.setattr(import_module(f"diaglab.{module}"), name, fail)
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["failures"] == [claim]
+    assert [c["claim"] for c in data["claims"]] == full
+    failed = next(c for c in data["claims"] if c["claim"] == claim)
+    assert failed["detail"] == f"doctored {name}"
+
+
+@pytest.mark.parametrize("exc,message", [(MemoryError(), "out of memory"),
+                                         (MemoryError("no room"), "no room")])
+def test_memory_error_exits_with_cap_code(capsys, monkeypatch, exc, message):
+    from diaglab import cli
+
+    def exhausted(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_check_all", exhausted)
+    code, out, err = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -2,7 +2,8 @@
 
 ``worklist_join_closure`` closes the generators under pairwise suprema and
 orders the result with a dense ``finer_or_equal`` table, from which it also
-reads each element's closure mask; ``per_subset_cartesian`` recomputes every
+reads each element's closure mask and, as meets of those, the closure mask
+of every subset; ``per_subset_cartesian`` recomputes every
 subset supremum from scratch.  Both share no code with the subset table and
 the closure masks in ``diaglab.semilattice``, so the library's results must
 match them field for field.  ``closure_masks`` itself is checked against one
@@ -10,6 +11,9 @@ match them field for field.  ``closure_masks`` itself is checked against one
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -75,6 +79,10 @@ def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         for j in range(i + 1, count)
         if leq[i][j] and not any(leq[i][k] and leq[k][j] for k in range(i + 1, j))
     ]
+    # the closure of S is the meet of the closed masks containing it
+    below = [sum(finer_or_equal(q_g, e) << g for g, q_g in enumerate(minimals))
+             for e in elements]
+    cl = [reduce(and_, (b for b in below if s & b == s)) for s in range(1 << len(minimals))]
     return DiagonalSemilattice(
         m=len(minimals) - 1,
         q=q,
@@ -85,8 +93,8 @@ def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         e_index=0,
         u_index=next(k for k, p in enumerate(elements) if p.is_single_block()),
         minimal_indices=tuple(elements.index(p) for p in minimals),
-        below=tuple(sum(finer_or_equal(q_g, e) << g for g, q_g in enumerate(minimals))
-                    for e in elements),
+        below=tuple(below),
+        cl=tuple(cl),
     )
 
 

@@ -1,9 +1,9 @@
-"""The Moebius certificate (closed form times zeta is the identity) against
-exact inversion.
+"""The Moebius values read off the closure masks (Rota's closure theorem)
+against exact inversion.
 
-``exact_mismatches`` is the entry-by-entry comparison that ``verify_mobius``
-made before it checked a certificate: ``finer_or_equal`` zeta, forward
-substitution, and one closed-form call per comparable pair.
+``exact_mismatches`` is the entry-by-entry comparison of the dense oracle
+``replaced.poset_matrices``: ``finer_or_equal`` zeta, forward substitution,
+and one closed-form call per comparable pair.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import replaced
 from diaglab import partitions, semilattice
 from diaglab.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from diaglab.partitions import poset_matrices
-from diaglab.semilattice import generator_zeta, verify_mobius
+from diaglab.semilattice import verify_mobius
 
 from conftest import GRID, semilattice_of
+from replaced import poset_matrices
 
 
 def exact_mismatches(sl):
@@ -49,13 +50,20 @@ def wrong_top_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
-def test_generator_zeta_and_certificate_match_inversion(spec, m):
+def test_generator_zeta_and_certificate_match_inversion(spec, m, monkeypatch):
     sl = semilattice_of(spec, m)
     mats = poset_matrices(list(sl.elements))
-    assert np.array_equal(generator_zeta(sl), np.array(mats.zeta, dtype=bool))
+    below = np.array(sl.below)
+    zeta = (below[:, None] & ~below[None, :]) == 0
+    assert np.array_equal(zeta, np.array(mats.zeta, dtype=bool))
     rep = verify_mobius(sl)
     assert rep.ok
     assert rep.mu_bottom_top == mats.mobius[sl.e_index][sl.u_index]
+    # against a closed form of zeros, the mismatches are every nonzero value
+    monkeypatch.setattr(semilattice, "mobius_closed_form", lambda *args: 0)
+    mobius = np.array(mats.mobius)
+    assert verify_mobius(sl).mismatches == tuple(
+        (int(i), int(j), int(mobius[i, j]), 0) for i, j in np.argwhere(mobius))
 
 
 @pytest.mark.parametrize("spec,m", [("C2", 2), ("C2", 4), ("C3", 3), ("S3", 3),
@@ -64,7 +72,7 @@ def test_passing_certificate_needs_no_exact_order(spec, m, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("exact order test called")
 
-    monkeypatch.setattr(semilattice, "poset_matrices", refuse)
+    monkeypatch.setattr(replaced, "poset_matrices", refuse)
     monkeypatch.setattr(partitions, "finer_or_equal", refuse)
     assert verify_mobius(semilattice_of(spec, m)).ok
 
@@ -79,6 +87,16 @@ def test_wrong_closed_form_fails_like_inversion(spec, m, wrong_top_interval):
     assert mismatches  # the oracle sees the fault too
     assert rep.mismatches == mismatches
     assert rep.mu_bottom_top == mu
+
+
+@pytest.mark.parametrize("spec,m", [("C2", 4), ("C3", 3)])
+def test_blocks_of_one_or_two_elements_change_nothing(spec, m, wrong_top_interval,
+                                                     monkeypatch):
+    sl = semilattice_of(spec, m)
+    whole = verify_mobius(sl)
+    assert whole.mismatches == exact_mismatches(sl)[0]
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 128)
+    assert verify_mobius(sl) == whole
 
 
 def test_check_all_records_a_wrong_closed_form(capsys, wrong_top_interval,
@@ -129,13 +147,24 @@ def test_rank_outside_the_lattice_is_refused():
         verify_mobius(bad)
 
 
-def test_float32_bound_is_asserted_on_the_entries(monkeypatch):
-    sl = semilattice_of("C2", 3)  # 12 elements
-    largest = (1 << 24) // 12  # 12 * largest is just below 2**24
-    monkeypatch.setattr(semilattice, "mobius_closed_form",
-                        lambda rank_s, rank_t, t_is_u, m: largest)
-    assert not verify_mobius(sl).ok
-    monkeypatch.setattr(semilattice, "mobius_closed_form",
-                        lambda rank_s, rank_t, t_is_u, m: largest + 1)
-    with pytest.raises(AssertionError, match="overflow exact float32 sums"):
-        verify_mobius(sl)
+@pytest.mark.parametrize("offset", [1 << 40, (1 << 53) + 1])
+def test_large_closed_form_entries_compare_exactly(offset, monkeypatch):
+    sl = semilattice_of("C2", 3)
+    original = semilattice.mobius_closed_form
+
+    def shifted(rank_s, rank_t, t_is_u, m):
+        value = original(rank_s, rank_t, t_is_u, m)
+        return value + offset if t_is_u and rank_s < m else value
+
+    monkeypatch.setattr(semilattice, "mobius_closed_form", shifted)
+    rep = verify_mobius(sl)
+    mismatches, _ = exact_mismatches(sl)
+    assert rep.mismatches == mismatches
+    assert [j for _, j, _, _ in mismatches] == [sl.u_index] * (len(sl.elements) - 1)
+    assert all(closed - exact == offset for _, _, exact, closed in mismatches)
+
+
+def test_closure_masks_must_contain_their_subsets():
+    sl = semilattice_of("C2", 3)
+    with pytest.raises(AssertionError, match="does not contain"):
+        verify_mobius(replace(sl, cl=(0,) * len(sl.cl)))

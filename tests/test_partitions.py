@@ -10,14 +10,13 @@ from diaglab.partitions import (
     element_order,
     finer_or_equal,
     infimum,
-    poset_matrices,
     single_block,
     singletons,
     supremum,
     tie_break_key,
 )
 
-from replaced import loop_blocks, loop_finer_or_equal
+from replaced import loop_blocks, loop_finer_or_equal, poset_matrices
 
 
 def parse_partition(text: str) -> Partition:

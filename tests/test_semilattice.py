@@ -8,7 +8,7 @@ import pytest
 from diaglab.cli import EXIT_OK, main
 from diaglab.errors import CapExceededError
 from diaglab.groups import cyclic
-from diaglab.partitions import Partition, finer_or_equal, poset_matrices
+from diaglab.partitions import Partition, finer_or_equal
 from diaglab.semilattice import (
     build_q,
     check_cartesian,
@@ -24,6 +24,7 @@ from diaglab.semilattice import (
 )
 
 from conftest import group_of, minimals_of, semilattice_of
+from replaced import poset_matrices
 
 
 def test_codec_examples():
