@@ -54,6 +54,7 @@ from .diaggraph import (
     is_distance_regular,
     maximal_cliques,
     same_edge_set,
+    translations_are_automorphisms,
 )
 from .spectral import (
     SpectrumReport,

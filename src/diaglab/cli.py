@@ -112,6 +112,17 @@ def _claim(claims: list, name: str, passed: bool, detail: str = "", conjectural:
     )
 
 
+def _paranoid(cfg: RunConfig, g, graph: diaggraph.DiagGraph) -> bool:
+    """Under ``--paranoid`` or without the translation certificate."""
+    return cfg.paranoid or not diaggraph.translations_are_automorphisms(g, graph)
+
+
+def _ledger(g, m: int, n: int, claims: list) -> dict:
+    failures = [c["claim"] for c in claims if not c["passed"] and not c["conjectural"]]
+    return {"group": g.label, "q": g.order, "m": m, "n": n, "claims": claims,
+            "failures": failures, "ok": not failures}
+
+
 def run_check_all(cfg: RunConfig) -> dict:
     """Run every verification for one instance; returns the claims ledger."""
     g = parse_group_spec(cfg.group)
@@ -143,7 +154,11 @@ def run_check_all(cfg: RunConfig) -> dict:
                f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {len(rep.mismatches)}")
     del sl
 
-    graph = diaggraph.build_graph(g, minimals)
+    try:
+        graph = diaggraph.build_graph(g, minimals)
+    except AssertionError as exc:
+        _claim(claims, "construction-agreement", False, str(exc))
+        return _ledger(g, m, q**m, claims)
     cay = diaggraph.cayley_graph(g, m, cfg.vertex_cap)
     _claim(claims, "construction-agreement", diaggraph.same_edge_set(graph, cay),
            "partition-based and connection-set edge sets coincide")
@@ -155,14 +170,15 @@ def run_check_all(cfg: RunConfig) -> dict:
     edges = graph.edge_count
     _claim(claims, "edge-count", edges * 2 == graph.size * val, f"{edges} edges")
 
-    diam = diaggraph.diameter(graph, cfg.paranoid)
+    paranoid = _paranoid(cfg, g, graph)
+    diam = diaggraph.diameter(graph, paranoid)
     _claim(claims, "diameter-formula", diam.ok,
            f"bfs {diam.bfs} vs closed form {diam.formula}")
 
     closed = spectral.spectrum_closed_form(q, m) if m >= 2 else None
     if closed is not None:
         try:
-            moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
+            moments = spectral.spectrum_trace_moments(graph, paranoid)
         except AssertionError as exc:
             _claim(claims, "spectrum-agreement", False, str(exc))
         else:
@@ -178,30 +194,28 @@ def run_check_all(cfg: RunConfig) -> dict:
         _claim(claims, "stratum-identities", spectral.verify_stratum_identity(q, m),
                "interval dimension sums and multiplicity grouping")
 
-    if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
-        try:
-            creport = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
-            detail = (
-                f"{creport.count} maximal cliques, clique number {creport.clique_number}"
-            )
-            if creport.exceptional:
-                detail += f" ({creport.exceptional_name})"
-            _claim(claims, "clique-structure", True, detail)
-        except AssertionError as exc:
-            creport = None
-            _claim(claims, "clique-structure", False, str(exc))
-        try:
-            cover = diaggraph.clique_cover(g, graph, minimals)
-        except AssertionError as exc:
-            _claim(claims, "clique-cover", False, str(exc))
-        else:
-            _claim(claims, "clique-cover", cover.size == q ** (m - 1),
-                   f"{cover.size} disjoint cliques, lower bound {cover.lower_bound}")
+    creport = None
+    try:
+        creport = diaggraph.maximal_cliques(g, graph, minimals, paranoid=paranoid)
+    except CapExceededError:
+        pass  # whole-graph Bron-Kerbosch past its cap: the claim is left out
+    except AssertionError as exc:
+        _claim(claims, "clique-structure", False, str(exc))
     else:
-        creport = None
+        detail = f"{creport.count} maximal cliques, clique number {creport.clique_number}"
+        if creport.exceptional:
+            detail += f" ({creport.exceptional_name})"
+        _claim(claims, "clique-structure", True, detail)
+    try:
+        cover = diaggraph.clique_cover(g, graph, minimals)
+    except AssertionError as exc:
+        _claim(claims, "clique-cover", False, str(exc))
+    else:
+        _claim(claims, "clique-cover", cover.size == q ** (m - 1),
+               f"{cover.size} disjoint cliques, lower bound {cover.lower_bound}")
 
     if m >= 2:
-        dr, arrays = diaggraph.is_distance_regular(graph, cfg.paranoid)
+        dr, arrays = diaggraph.is_distance_regular(graph, paranoid)
         expect_dr = m == 2 or q == 2
         detail = f"distance-regular: {dr}"
         if arrays and dr:
@@ -250,10 +264,11 @@ def run_check_all(cfg: RunConfig) -> dict:
     sym = None
     if m >= 2:
         top = None
-        if creport is not None and (m > 2 or q > 4):
-            top = [c for c in creport.cliques if len(c) == creport.clique_number]
+        if creport is not None and not creport.exceptional:
+            top = (creport.top_through_zero, creport.max_count)
         try:
-            sym = symmetry.symmetry_report(g, graph, minimals, top)
+            sym = symmetry.symmetry_report(g, graph, minimals, top,
+                                           translations_checked=not paranoid)
         except CapExceededError:
             pass
         except AssertionError as exc:
@@ -267,7 +282,7 @@ def run_check_all(cfg: RunConfig) -> dict:
                f"{sym.edge_orbits} edge orbits, elementary abelian: {elem_ab}")
         if sym.clique_orbits is not None:
             _claim(claims, "clique-transitive", sym.clique_orbits == 1,
-                   f"{sym.clique_orbits} orbits on the {len(top)} maximum cliques")
+                   f"{sym.clique_orbits} orbits on the {creport.max_count} maximum cliques")
         prim = sym.primitivity
         if prim.criterion is None:
             _claim(claims, "primitivity", True,
@@ -281,16 +296,7 @@ def run_check_all(cfg: RunConfig) -> dict:
         _claim(claims, "partition-action", size == want,
                f"induced group on the minimal partitions has size {size} (want {want})")
 
-    failures = [c["claim"] for c in claims if not c["passed"] and not c["conjectural"]]
-    return {
-        "group": g.label,
-        "q": q,
-        "m": m,
-        "n": graph.size,
-        "claims": claims,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return _ledger(g, m, graph.size, claims)
 
 
 def _instance_key(entry: dict) -> tuple:
@@ -443,7 +449,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             graph = diaggraph.build_graph(
                 g, semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap))
             try:
-                moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
+                moments = spectral.spectrum_trace_moments(graph, _paranoid(cfg, g, graph))
             except AssertionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 data["verified"] = False
@@ -483,13 +489,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "diameter":
-        rep = diaggraph.diameter(graph, cfg.paranoid)
+        rep = diaggraph.diameter(graph, _paranoid(cfg, g, graph))
         data = {"bfs": rep.bfs, "formula": rep.formula, "match": rep.ok}
         _emit(_render(data, cfg.fmt), cfg.out)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
     if cmd == "cliques":
-        rep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
+        rep = diaggraph.maximal_cliques(g, graph, minimals,
+                                        paranoid=_paranoid(cfg, g, graph))
         cover = diaggraph.clique_cover(g, graph, minimals)
         data = {
             "clique_number": rep.clique_number,
@@ -509,11 +516,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "symmetry":
         cliques = None
-        if graph.size <= diaggraph.CLIQUE_VERTEX_CAP:
-            crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=cfg.paranoid)
-            cliques = [c for c in crep.cliques if len(c) == crep.clique_number]
+        paranoid = _paranoid(cfg, g, graph)
         try:
-            rep = symmetry.symmetry_report(g, graph, minimals, cliques)
+            crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=paranoid)
+            cliques = (crep.top_through_zero, crep.max_count)
+        except CapExceededError:
+            pass  # as in check-all, the clique orbits are left out
+        try:
+            rep = symmetry.symmetry_report(g, graph, minimals, cliques,
+                                           translations_checked=not paranoid)
         except AssertionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED

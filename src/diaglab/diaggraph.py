@@ -9,6 +9,11 @@ Each sorts every row into the padded neighbour array ``nbr``, each entry's
 tag alongside in ``tag``; ``same_edge_set`` asserts that both arrays agree.
 Only the exporters list the edges as pairs, derived from ``nbr``.
 
+``translations_are_automorphisms`` certifies that every right translation
+is an automorphism, as every shortcut from vertex 0 assumes (the diameter,
+distance-regularity, the walk counts, the clique census); where it fails,
+callers pass ``paranoid`` to search from every vertex instead.
+
 The paranoid diameter searches a block of bases at once over ``nbr``: each
 vertex holds reach and frontier bitsets, one bit per base in ``uint64``
 words, and each breadth-first level is one gather per column of ``nbr``.
@@ -16,6 +21,7 @@ words, and each breadth-first level is one gather per column of ``nbr``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,11 +30,11 @@ from math import ceil
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import GroupTable
-from .partitions import Partition, start_blocks
+from .groups import GroupTable, generating_sequence
+from .partitions import Partition, components, start_blocks
 from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
 
-# Bron-Kerbosch enumerates maximal cliques only up to this many vertices.
+# Whole-graph Bron-Kerbosch, the paranoid clique census, stops at this size.
 CLIQUE_VERTEX_CAP = 4096
 
 
@@ -190,6 +196,62 @@ def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
     return np.array_equal(a.nbr, b.nbr) and np.array_equal(a.tag, b.tag)
 
 
+@dataclass(frozen=True, eq=False)
+class TaggedPerm:
+    """A permutation of the vertex set with its generator type; ``image``
+    is kept as a read-only int array."""
+
+    tag: str
+    image: np.ndarray
+
+    def __post_init__(self) -> None:
+        image = np.array(self.image, dtype=np.intp)
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
+
+
+def right_translations(g: GroupTable, codec: VertexCodec) -> list[TaggedPerm]:
+    """v -> v·h for h the identity but for one coordinate, taken from a
+    generating sequence of G: generators of the right translations of G^m."""
+    d = codec.digits
+    mul = np.asarray(g.mul)
+    out = []
+    for x in generating_sequence(g):
+        for i in range(codec.m):
+            t = d.copy()
+            t[:, i] = mul[d[:, i], x]
+            out.append(TaggedPerm(tag="right-mult", image=codec.index(t)))
+    return out
+
+
+def check_automorphisms(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
+    """Raise AssertionError unless every generator is an automorphism of
+    ``graph``: p maps the sorted neighbours of each vertex v onto those of
+    p(v), with the padding sentinel n of ``nbr`` mapped to itself."""
+    n = graph.size
+    for p in perms:
+        image = np.append(p.image, n).astype(np.int32)
+        if not np.array_equal(np.sort(image[graph.nbr], axis=1), graph.nbr[p.image]):
+            raise AssertionError(f"generator {p.tag} maps an item outside the item set")
+
+
+def translations_are_automorphisms(g: GroupTable, graph: DiagGraph) -> bool:
+    """True iff every right translation of G^m is an automorphism of
+    ``graph``: the ``right_translations`` act transitively and each is an
+    automorphism.  They generate a transitive subgroup of the regular group
+    of right translations, which is then the whole group."""
+    if graph.q != g.order:
+        return False
+    shifts = right_translations(g, graph.codec)
+    if components(graph.size, [p.image for p in shifts]).any():
+        return False
+    try:
+        check_automorphisms(graph, shifts)
+    except AssertionError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class DiameterReport:
     bfs: int
@@ -237,7 +299,8 @@ def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
 def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
     """BFS diameter against the closed form m+1-ceil((m+1)/q).
 
-    Vertex-transitivity makes the eccentricity of vertex 0 the diameter;
+    Vertex-transitivity, which ``translations_are_automorphisms``
+    certifies, makes the eccentricity of vertex 0 the diameter;
     ``paranoid`` recomputes from every base vertex.
     """
     bases = range(graph.size) if paranoid else range(1)
@@ -254,44 +317,20 @@ def common_neighbours(graph: DiagGraph, u: int, v: int) -> list[int]:
 
 
 # The four small graphs whose clique structure departs from the generic
-# pattern (dimension 2 over groups of order at most 4).  The clique counts
-# were computed with the enumerator below and are frozen as regression
-# values; the two order-16 graphs share a spectrum but differ in their
-# number of 4-cliques.
+# pattern, at dimension 2 over the groups of order at most 4, keyed by the
+# group's order and exponent.  The clique counts were computed with
+# Bron-Kerbosch and are frozen as regression values; the two order-16
+# graphs share a spectrum but differ in their number of 4-cliques.
 EXCEPTIONAL_CLIQUE_TABLE = {
-    (2, 2, "elementary"): {
-        "name": "complete graph K4",
-        "clique_number": 4,
-        "maximal_cliques": 1,
-        "max_size_cliques": 1,
-    },
-    (3, 2, "elementary"): {
-        "name": "complete tripartite graph K333",
-        "clique_number": 3,
-        "maximal_cliques": 27,
-        "max_size_cliques": 27,
-    },
-    (4, 2, "elementary"): {
-        "name": "complement of the 4x4 rook's graph",
-        "clique_number": 4,
-        "maximal_cliques": 24,
-        "max_size_cliques": 24,
-    },
-    (4, 2, "cyclic"): {
-        "name": "complement of the Shrikhande graph",
-        "clique_number": 4,
-        "maximal_cliques": 48,
-        "max_size_cliques": 16,
-    },
+    (2, 2): {"name": "complete graph K4", "clique_number": 4,
+             "maximal_cliques": 1, "max_size_cliques": 1},
+    (3, 3): {"name": "complete tripartite graph K333", "clique_number": 3,
+             "maximal_cliques": 27, "max_size_cliques": 27},
+    (4, 2): {"name": "complement of the 4x4 rook's graph", "clique_number": 4,
+             "maximal_cliques": 24, "max_size_cliques": 24},
+    (4, 4): {"name": "complement of the Shrikhande graph", "clique_number": 4,
+             "maximal_cliques": 48, "max_size_cliques": 16},
 }
-
-
-def exceptional_key(g: GroupTable, m: int) -> tuple[int, int, str] | None:
-    if m != 2 or g.order > 4:
-        return None
-    exponent = max(g.order_of(x) for x in g.elements())
-    variant = "cyclic" if exponent == g.order and g.order == 4 else "elementary"
-    return (g.order, m, variant)
 
 
 def _bk_expand(
@@ -357,70 +396,65 @@ def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return cliques
 
 
-def _translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]] | None:
-    """All maximal cliques as right translates of those through vertex 0,
-    or None when the graph is not certified to be invariant under right
-    translation.
+def _clique_census(
+    graph: DiagGraph, paranoid: bool
+) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """The maximal cliques that the clique checks read, as sorted tuples,
+    and the number of maximal cliques of each size.
 
-    The certificate reads only the adjacency and the group table: with
-    S = N(0), it checks N(v) = S·v (coordinatewise products) for every v.
-    Then u ~ w iff w ∈ S·u iff w·h ∈ S·u·h, so every v -> v·h is an
-    automorphism and each maximal clique K is a translate of K·k^-1, which
-    holds vertex 0 (the identity tuple) for each k in K.  The cliques
-    through 0 are {0} ∪ C for the maximal cliques C of the subgraph induced
-    on S.  For each h in K, exactly one of them, K·h^-1, translates by h to
-    K, and for h outside K none does; so keeping the translates whose
-    smallest vertex is h lists each K once.
+    With ``paranoid``, Bron-Kerbosch lists every maximal clique of the
+    whole graph, at most ``CLIQUE_VERTEX_CAP`` vertices.  Otherwise it lists
+    those through vertex 0, {0} ∪ C for the maximal cliques C of the
+    subgraph on N(0), and the caller vouches that the right translations
+    are automorphisms: each vertex then lies in as many maximal s-cliques as
+    vertex 0, c_0(s), so there are n·c_0(s)/s, and a remainder raises.
     """
-    adj = graph.nbr
     n = graph.size
-    if n == 0 or graph.q != g.order or (adj == n).any():  # not regular
-        return None
-    codec, mul = graph.codec, np.asarray(g.mul)
-
-    def translates(left: np.ndarray) -> np.ndarray:
-        """Row v: the vertices left·v, sorted."""
-        return np.sort(codec.index(mul[codec.digits[left], codec.digits[:, None]]), axis=1)
-
-    if not np.array_equal(translates(adj[0]), adj):
-        return None
-    star = adj[0].tolist()
+    if paranoid:
+        if n > CLIQUE_VERTEX_CAP:
+            raise CapExceededError(f"{n} vertices exceeds clique cap {CLIQUE_VERTEX_CAP}")
+        cliques = bron_kerbosch(graph.adjacency)
+        return cliques, dict(Counter(map(len, cliques)))
+    star = [v for v in graph.nbr[0].tolist() if v < n]
     where = {v: j for j, v in enumerate(star)}
-    local = [[where[w] for w in row if w in where] for row in adj[star].tolist()]
-    through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
-    cliques: list[tuple[int, ...]] = []
-    vertices = np.arange(n)
-    for base in through_zero or [(0,)]:
-        rows = translates(np.array(base))
-        cliques.extend(map(tuple, rows[rows[:, 0] == vertices].tolist()))
-    return cliques
-
-
-def all_maximal_cliques(
-    g: GroupTable, graph: DiagGraph, *, paranoid: bool = False
-) -> list[tuple[int, ...]]:
-    """Every maximal clique, each once as a sorted tuple, in no set order.
-
-    They are translated from those through vertex 0 when the graph is
-    certified to be invariant under right translation (see
-    ``_translated_cliques``).  Otherwise, and under ``paranoid``,
-    Bron-Kerbosch runs over the whole graph.
-    """
-    cliques = None if paranoid else _translated_cliques(g, graph)
-    return bron_kerbosch(graph.adjacency) if cliques is None else cliques
+    local = [[where[w] for w in row if w in where] for row in graph.nbr[star].tolist()]
+    cliques = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)] or [(0,)]
+    counts = {}
+    for size, at_zero in Counter(map(len, cliques)).items():
+        counts[size], rem = divmod(n * at_zero, size)
+        if rem:
+            raise AssertionError(f"{at_zero} maximal cliques of {size} vertices through "
+                                 f"vertex 0 do not spread evenly over {n} vertices")
+    return cliques, counts
 
 
 @dataclass(frozen=True)
 class CliqueReport:
-    clique_number: int
-    cliques: tuple[tuple[int, ...], ...]
-    exceptional: bool
+    """The number of maximal cliques of each size, and those through 0."""
+
+    sizes: dict[int, int]
+    through_zero: tuple[tuple[int, ...], ...]
     exceptional_name: str | None
-    parts_are_max_cliques: bool
+
+    @property
+    def exceptional(self) -> bool:
+        return self.exceptional_name is not None
+
+    @property
+    def clique_number(self) -> int:
+        return max(self.sizes)
 
     @property
     def count(self) -> int:
-        return len(self.cliques)
+        return sum(self.sizes.values())
+
+    @property
+    def max_count(self) -> int:
+        return self.sizes[self.clique_number]
+
+    @property
+    def top_through_zero(self) -> list[tuple[int, ...]]:
+        return [c for c in self.through_zero if len(c) == self.clique_number]
 
 
 def maximal_cliques(
@@ -430,81 +464,66 @@ def maximal_cliques(
     *,
     paranoid: bool = False,
 ) -> CliqueReport:
-    """Enumerate maximal cliques and check them against the parts of the
-    minimal partitions the graph was built from.
+    """The clique census of ``graph`` (``_clique_census``), checked against
+    the parts of the minimal partitions it was built from.
 
-    Outside the four exceptional graphs the maximum cliques must be exactly
-    the parts of the minimal partitions; for dimension > 2 every maximal
-    clique is such a part.  ``paranoid`` enumerates over the whole graph
-    instead of translating the cliques through vertex 0 (see
-    ``all_maximal_cliques``).  At most ``CLIQUE_VERTEX_CAP`` vertices.
+    The four exceptional graphs are checked by their counts.  Otherwise the
+    clique number must be q and, at m > 2, no maximal clique may be
+    smaller.  Every part must have ω points, every maximum clique in scope
+    must lie in a part, so be one, and at m >= 2 there must be as many
+    maximum cliques as parts.  Under ``paranoid`` the scope is the whole
+    graph: distinct maximum cliques are then distinct parts, and the count
+    leaves no part over, so the parts are the maximum cliques.  Otherwise
+    the scope is vertex 0, where n·c_0(ω)/ω maximum cliques against n/ω
+    parts per partition make the maximum cliques through 0 exactly the
+    parts through 0, one per partition.  Away from 0, ``build_graph`` joins
+    the points of each part and lets no edge lie in two parts, so the parts
+    are distinct maximum cliques, and the count makes them all of them.
     """
-    if graph.size > CLIQUE_VERTEX_CAP:
-        raise CapExceededError(
-            f"{graph.size} vertices exceeds clique cap {CLIQUE_VERTEX_CAP}")
-    cliques = all_maximal_cliques(g, graph, paranoid=paranoid)
-    omega = max(len(c) for c in cliques)
-    key = exceptional_key(g, graph.m)
-
-    parts = {
-        tuple(sorted(block))
-        for part in minimals
-        for block in part.blocks()
-        if len(block) >= 2
-    }
-    max_cliques = {c for c in cliques if len(c) == omega}
-
-    if key is not None:
-        expect = EXCEPTIONAL_CLIQUE_TABLE[key]
-        ok = (
-            omega == expect["clique_number"]
-            and len(cliques) == expect["maximal_cliques"]
-            and len(max_cliques) == expect["max_size_cliques"]
-        )
-        if not ok:
+    cliques, counts = _clique_census(graph, paranoid)
+    entry = (EXCEPTIONAL_CLIQUE_TABLE[g.order, max(map(g.order_of, g.elements()))]
+             if graph.m == 2 and g.order <= 4 else None)
+    report = CliqueReport(sizes=counts,
+                          through_zero=tuple(sorted(c for c in cliques if c[0] == 0)),
+                          exceptional_name=entry and entry["name"])
+    omega = report.clique_number
+    if entry is not None:
+        got = {"clique_number": omega, "maximal_cliques": report.count,
+               "max_size_cliques": report.max_count}
+        if any(entry[key] != got[key] for key in got):
             raise AssertionError(
-                f"exceptional graph {expect['name']} does not match its table entry"
-            )
-        return CliqueReport(
-            clique_number=omega,
-            cliques=tuple(sorted(cliques)),
-            exceptional=True,
-            exceptional_name=expect["name"],
-            parts_are_max_cliques=max_cliques == parts,
-        )
-
+                f"exceptional graph {entry['name']} does not match its table entry")
+        return report
     if omega != g.order:
-        raise AssertionError(
-            f"clique number {omega} differs from group order {g.order}"
-        )
-    if max_cliques != parts:
+        raise AssertionError(f"clique number {omega} differs from group order {g.order}")
+    top = np.array([c for c in cliques if len(c) == omega])
+    in_a_part = np.zeros(len(top), dtype=bool)
+    for part in minimals:
+        lab = part.block_of
+        if (np.bincount(lab) != omega).any():
+            raise AssertionError("maximum cliques are not exactly the partition parts")
+        in_a_part |= (lab[top] == lab[top[:, :1]]).all(axis=1)
+    if not in_a_part.all():
         raise AssertionError("maximum cliques are not exactly the partition parts")
-    if graph.m > 2 and len(cliques) != len(max_cliques):
+    parts = sum(part.block_count for part in minimals)
+    if graph.m >= 2 and report.max_count != parts:
+        raise AssertionError("maximum cliques are not exactly the partition parts: "
+                             f"{report.max_count} maximum cliques, {parts} parts")
+    if graph.m > 2 and len(top) != len(cliques):
         raise AssertionError("a maximal clique below maximum size exists")
-    return CliqueReport(
-        clique_number=omega,
-        cliques=tuple(sorted(cliques)),
-        exceptional=False,
-        exceptional_name=None,
-        parts_are_max_cliques=True,
-    )
+    return report
 
 
 @dataclass(frozen=True)
 class CliqueCover:
-    parts: tuple[tuple[int, ...], ...]
+    size: int
     lower_bound: int
-
-    @property
-    def size(self) -> int:
-        return len(self.parts)
 
 
 def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
     """Vertex-disjoint clique cover from the parts of Q_1 (q^(m-1) cliques),
     with the matching lower bound size/q."""
     part = minimals[1]
-    blocks = [tuple(b) for b in part.blocks()]
     if part.size != graph.size:
         raise AssertionError("cover misses vertices")
     # A block is a clique iff each of its vertices has every other one of
@@ -513,9 +532,9 @@ def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> 
     inside = (label[graph.nbr] == label[:-1, None]).sum(axis=1)
     short = inside < np.bincount(label[:-1])[label[:-1]] - 1
     if short.any():
-        blk = blocks[label[:-1][short].min()]
+        blk = tuple(part.blocks()[label[:-1][short].min()])
         raise AssertionError(f"cover block {blk} is not a clique")
-    return CliqueCover(parts=tuple(blocks), lower_bound=graph.size // g.order)
+    return CliqueCover(size=part.block_count, lower_bound=graph.size // g.order)
 
 
 def is_distance_regular(

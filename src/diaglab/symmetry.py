@@ -13,10 +13,15 @@ translations t_p: x -> x*p, checked to be in D and transitive.  A generator
 s needs one per orbit of the translations it conjugates into translations.
 
 Each generator is checked once to be a graph automorphism, on the whole
-neighbour array.  The orbits on the edges and the maximum cliques are then
-counted from those through vertex 0 alone.  Any d in D with d(0) = y is
-t_y times an element of D_0, so two items through 0 share a D-orbit
-exactly when D_0 maps one onto a re-rooting C*c^-1 of the other, c in C.
+neighbour array (``diaggraph.check_automorphisms``); the right
+multiplications are not checked again when the translation certificate
+``diaggraph.translations_are_automorphisms`` has checked them.  The orbits
+on the edges and the maximum cliques are then counted from those through
+vertex 0 alone (the cliques as the clique census lists them, with their
+number).
+Any d in D with d(0) = y is t_y times an element of D_0, so two items
+through 0 share a D-orbit exactly when D_0 maps one onto a re-rooting
+C*c^-1 of the other, c in C.
 Minimal block systems and the induced action on the minimal partitions
 verify the remaining symmetry claims.
 """
@@ -28,7 +33,7 @@ from math import factorial
 
 import numpy as np
 
-from .diaggraph import DiagGraph
+from .diaggraph import DiagGraph, TaggedPerm, check_automorphisms, right_translations
 from .errors import CapExceededError
 from .groups import (
     GroupTable,
@@ -47,20 +52,6 @@ GENERATOR_TAGS = (
     "coord-perm",
     "inversion-map",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class TaggedPerm:
-    """A permutation of the vertex set with its generator type; ``image``
-    is kept as a read-only int array."""
-
-    tag: str
-    image: np.ndarray
-
-    def __post_init__(self) -> None:
-        image = np.array(self.image, dtype=np.intp)
-        image.flags.writeable = False
-        object.__setattr__(self, "image", image)
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -94,9 +85,8 @@ def diagonal_group_generators(
     codec = VertexCodec(q=g.order, m=m)
     d = codec.digits
     mul, inv = np.asarray(g.mul), np.asarray(g.inv)
-    gens_g = generating_sequence(g)
     identity = np.arange(codec.size)
-    out: list[TaggedPerm] = []
+    out = right_translations(g, codec)
 
     def emit(tag: str, digits: np.ndarray) -> None:
         image = codec.index(digits)
@@ -104,12 +94,7 @@ def diagonal_group_generators(
                 not np.array_equal(image, p.image) for p in out):
             out.append(TaggedPerm(tag=tag, image=image))
 
-    for x in gens_g:
-        for i in range(m):
-            t = d.copy()
-            t[:, i] = mul[d[:, i], x]
-            emit("right-mult", t)
-    for x in gens_g:
+    for x in generating_sequence(g):
         emit("diag-left-mult", mul[inv[x], d])
     for alpha in _perm_group_generators(aut):
         emit("aut", np.asarray(alpha)[d])
@@ -375,17 +360,6 @@ def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
     return ids
 
 
-def check_automorphisms(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
-    """Raise AssertionError unless every generator is an automorphism of
-    ``graph``: p maps the sorted neighbours of each vertex v onto those of
-    p(v), with the padding sentinel n of ``nbr`` mapped to itself."""
-    n = graph.size
-    for p in perms:
-        image = np.append(p.image, n).astype(np.int32)
-        if not np.array_equal(np.sort(image[graph.nbr], axis=1), graph.nbr[p.image]):
-            raise AssertionError(f"generator {p.tag} maps an item outside the item set")
-
-
 def _rooted_orbit_count(
     g: GroupTable, codec: VertexCodec, stabiliser: list[TaggedPerm],
     at_zero: np.ndarray, total: int,
@@ -432,15 +406,20 @@ def rooted_orbit_counts(
     graph: DiagGraph,
     perms: list[TaggedPerm],
     stabiliser: list[TaggedPerm],
-    cliques: list[tuple[int, ...]] | None = None,
+    cliques: tuple[list[tuple[int, ...]], int] | None = None,
+    *,
+    translations_checked: bool = False,
 ) -> tuple[int, int, int | None]:
     """Orbits of the group D that ``perms`` generate on the vertices, the
-    edges and the ``cliques`` of ``graph`` (None when no cliques are given),
-    given generators ``stabiliser`` of D_0 over the right translations, as
+    edges and a set of cliques of one size (``cliques``: those through
+    vertex 0 and the size of the set; None for no cliques), given generators
+    ``stabiliser`` of D_0 over the right translations, as
     ``vertex_stabiliser_generators`` returns them.
 
     Every generator is first checked to be an automorphism, so the edge set
-    is D-invariant.  The edges and cliques are then counted from those
+    is D-invariant; the right translations are left out when
+    ``translations_checked`` says that the caller has checked them
+    (``diaggraph.translations_are_automorphisms``).  The edges and cliques are then counted from those
     through vertex 0 alone: if d in D maps C onto C' and d(0) = y, then
     t_{y^-1} d lies in D_0 and maps C onto C'*y^-1, the re-rooting of C' at
     y.  So the D-orbits are the components of the links from D_0's
@@ -448,7 +427,8 @@ def rooted_orbit_counts(
     fails: a generator is no automorphism, a link leaves the items through
     0, or an item set is not spread evenly over the vertices.
     """
-    check_automorphisms(graph, perms)
+    check_automorphisms(graph, [p for p in perms
+                                if not (translations_checked and p.tag == "right-mult")])
     n = graph.size
     lab = components(n, [p.image for p in perms])
     vertex_orbits = int(np.count_nonzero(lab == np.arange(n)))
@@ -456,10 +436,8 @@ def rooted_orbit_counts(
     edges = np.stack([np.zeros_like(ends), ends], axis=1)
     edge_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, edges, graph.edge_count)
     clique_orbits = None
-    if cliques:
-        rows = np.asarray(cliques)
-        clique_orbits = _rooted_orbit_count(
-            g, graph.codec, stabiliser, rows[(rows == 0).any(axis=1)], len(rows))
+    if cliques is not None:
+        clique_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, *cliques)
     return vertex_orbits, edge_orbits, clique_orbits
 
 
@@ -624,12 +602,16 @@ def symmetry_report(
     g: GroupTable,
     graph: DiagGraph,
     minimals: list[Partition],
-    cliques: list[tuple[int, ...]] | None = None,
+    cliques: tuple[list[tuple[int, ...]], int] | None = None,
+    *,
+    translations_checked: bool = False,
 ) -> SymmetryReport:
     """The diagonal group of G^m, m >= 2, acting on ``graph``, built from
     ``minimals``: its order against the formula, its orbits on the vertices,
-    the edges and ``cliques`` (when given), its primitivity, and the group
-    it induces on the minimal partitions.
+    the edges and the cliques of ``cliques`` (when given, as
+    ``rooted_orbit_counts`` takes them, as it takes
+    ``translations_checked``), its primitivity, and the group it induces on
+    the minimal partitions.
 
     One generating set serves every count.  The order is n times the order
     of the stabiliser of vertex 0, from one chain over its generators, and
@@ -649,7 +631,7 @@ def symmetry_report(
     stabiliser = vertex_stabiliser_generators(g, m, perms)
     order = graph.size * build_chain(stabiliser).order()
     vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
-        g, graph, perms, stabiliser, cliques)
+        g, graph, perms, stabiliser, cliques, translations_checked=translations_checked)
     return SymmetryReport(
         order=order,
         order_formula=diagonal_group_order_formula(g, m, aut),

@@ -16,6 +16,8 @@ from diaglab.groups import automorphism_group, parse_group_spec
 from diaglab.semilattice import join_closure, minimal_partitions, subset_suprema
 from diaglab.symmetry import build_chain, diagonal_group_generators, is_vertex_primitive
 
+from replaced import all_maximal_cliques
+
 GRID_GROUPS = ("C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8")
 GRID_M = (2, 3, 4, 5)
 GRID_VERTEX_LIMIT = 4096
@@ -63,6 +65,12 @@ def semilattice_of(spec: str, m: int):
 @lru_cache(maxsize=None)
 def cliques_of(spec: str, m: int):
     return maximal_cliques(group_of(spec), graph_of(spec, m), minimals_of(spec, m))
+
+
+@lru_cache(maxsize=None)
+def clique_list_of(spec: str, m: int) -> list[tuple[int, ...]]:
+    """Every maximal clique, sorted, from the list-based oracle."""
+    return sorted(all_maximal_cliques(group_of(spec), graph_of(spec, m)))
 
 
 @lru_cache(maxsize=None)

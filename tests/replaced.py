@@ -30,7 +30,9 @@ spectrum's multiplicities before the integer Lagrange solve.  The dense
 zeta and Moebius matrices of a family of partitions, one ``finer_or_equal``
 test per pair and exact forward substitution, which named the mismatches
 of a failed Moebius check before the semilattice's Moebius values were
-read off its closure masks.
+read off its closure masks.  The list of every maximal clique, translated
+from those through vertex 0 once N(v) = N(0)·v was checked at every v,
+before the clique census counted them from the cliques through vertex 0.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from diaglab.chromatic import CompleteMapping, Coloring
-from diaglab.diaggraph import DiagGraph, connection_set
+from diaglab.diaggraph import DiagGraph, bron_kerbosch, connection_set
 from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import (
     Partition,
@@ -514,6 +516,53 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
 
     lab = components(count, maps)
     return int(np.count_nonzero(lab == np.arange(count)))
+
+
+def translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]] | None:
+    """All maximal cliques as right translates of those through vertex 0,
+    or None when the graph is not certified to be invariant under right
+    translation.
+
+    The certificate reads only the adjacency and the group table: with
+    S = N(0), it checks N(v) = S·v (coordinatewise products) for every v.
+    Then u ~ w iff w ∈ S·u iff w·h ∈ S·u·h, so every v -> v·h is an
+    automorphism and each maximal clique K is a translate of K·k^-1, which
+    holds vertex 0 (the identity tuple) for each k in K.  The cliques
+    through 0 are {0} ∪ C for the maximal cliques C of the subgraph induced
+    on S.  For each h in K, exactly one of them, K·h^-1, translates by h to
+    K, and for h outside K none does; so keeping the translates whose
+    smallest vertex is h lists each K once.
+    """
+    adj = graph.nbr
+    n = graph.size
+    if n == 0 or graph.q != g.order or (adj == n).any():  # not regular
+        return None
+    codec, mul = graph.codec, np.asarray(g.mul)
+
+    def translates(left: np.ndarray) -> np.ndarray:
+        """Row v: the vertices left·v, sorted."""
+        return np.sort(codec.index(mul[codec.digits[left], codec.digits[:, None]]), axis=1)
+
+    if not np.array_equal(translates(adj[0]), adj):
+        return None
+    star = adj[0].tolist()
+    where = {v: j for j, v in enumerate(star)}
+    local = [[where[w] for w in row if w in where] for row in adj[star].tolist()]
+    through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
+    cliques: list[tuple[int, ...]] = []
+    vertices = np.arange(n)
+    for base in through_zero or [(0,)]:
+        rows = translates(np.array(base))
+        cliques.extend(map(tuple, rows[rows[:, 0] == vertices].tolist()))
+    return cliques
+
+
+def all_maximal_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]]:
+    """Every maximal clique, each once as a sorted tuple: translated from
+    those through vertex 0 when ``translated_cliques`` certifies the graph,
+    else from Bron-Kerbosch over the whole graph."""
+    cliques = translated_cliques(g, graph)
+    return bron_kerbosch(graph.adjacency) if cliques is None else cliques
 
 
 def from_rows(codec: VertexCodec, rows) -> DiagGraph:

@@ -145,7 +145,7 @@ def test_criterion_06_cliques():
         rep = cliques_of(spec, m)  # raises if structure violated
         if m > 2:
             want = (m + 1) * g.q ** (m - 1)
-            if rep.count != want or any(len(c) != g.q for c in rep.cliques):
+            if rep.count != want or (rep.clique_number, rep.max_count) != (g.q, want):
                 bad.append((spec, m))
         cover = clique_cover(group_of(spec), g, minimals_of(spec, m))
         if cover.size != g.q ** (m - 1):

@@ -240,7 +240,7 @@ def test_check_all_paranoid_same_verdicts(capsys, group, m):
     assert verdicts[0] == verdicts[1]
 
 
-@pytest.mark.parametrize("command", ["cliques", "symmetry"])
+@pytest.mark.parametrize("command", ["cliques", "symmetry", "check-all"])
 @pytest.mark.parametrize("group,m", [("C3", "3"), ("Q8", "2"), ("C4", "3")])
 def test_clique_commands_paranoid_same_output(capsys, monkeypatch, command, group, m):
     """Same bytes either way; only --paranoid runs Bron-Kerbosch on the whole
@@ -265,6 +265,87 @@ def test_clique_commands_paranoid_same_output(capsys, monkeypatch, command, grou
     assert outputs[0] == outputs[1]
     n = {"C3": 3, "Q8": 8, "C4": 4}[group] ** int(m)
     assert largest[0] < n and largest[1] == n
+
+
+@pytest.mark.parametrize("switched", [False, True])
+def test_check_all_falls_back_where_translations_are_no_automorphisms(
+        capsys, monkeypatch, switched):
+    """On a 2-switched graph the translation certificate fails, and each
+    shortcut from vertex 0 searches from every vertex instead."""
+    import inspect
+
+    from diaglab import diaggraph, spectral
+
+    from test_translated_cliques import two_switch
+
+    build = diaggraph.build_graph
+    monkeypatch.setattr(diaggraph, "build_graph", lambda g, minimals: (
+        two_switch(build(g, minimals)) if switched else build(g, minimals)))
+    paths = {}
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            bound.apply_defaults()
+            paths[name] = bound.arguments["paranoid"]
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, run)
+
+    for name in ("diameter", "is_distance_regular", "maximal_cliques"):
+        recording(diaggraph, name)
+    recording(spectral, "spectrum_trace_moments")
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
+    assert paths == dict.fromkeys(
+        ["diameter", "spectrum_trace_moments", "maximal_cliques", "is_distance_regular"],
+        switched)
+    failures = json.loads(out)["failures"]
+    assert code == (EXIT_CHECK_FAILED if switched else EXIT_OK)
+    assert ("construction-agreement" in failures) == switched
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_check_all_checks_each_right_translation_once(capsys, monkeypatch, paranoid):
+    """The certificate checks the right translations, and the symmetry
+    report checks only the other generators; under --paranoid there is no
+    certificate, and the symmetry report checks them all."""
+    from diaglab import diaggraph, symmetry
+
+    checked = []
+    original = diaggraph.check_automorphisms
+
+    def recording(graph, perms):
+        checked.extend(p.tag for p in perms)
+        return original(graph, perms)
+
+    monkeypatch.setattr(diaggraph, "check_automorphisms", recording)
+    monkeypatch.setattr(symmetry, "check_automorphisms", recording)
+    args = ["check-all", "--group", "S3", "--m", "3"] + ["--paranoid"] * paranoid
+    code, _, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    # S3 has two generators, each shifting one of three coordinates
+    assert checked.count("right-mult") == 6
+    assert "diag-left-mult" in checked
+
+
+def test_check_all_records_a_graph_built_twice_over_an_edge(capsys, monkeypatch,
+                                                             ledger_validator):
+    # Q_1 given in place of Q_0: every edge of Q_1 is listed twice
+    from diaglab import diaggraph
+
+    build = diaggraph.build_graph
+    monkeypatch.setattr(diaggraph, "build_graph",
+                        lambda g, minimals: build(g, minimals[1:2] + minimals[1:]))
+    code, out, err = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert [c["claim"] for c in data["claims"]] == [
+        "cartesian-hypothesis", "rank-counts", "mobius-closed-form", "construction-agreement"]
+    assert data["failures"] == ["construction-agreement"] and data["n"] == 9
+    assert data["claims"][-1]["detail"] == "edge (0, 1) lies in two minimal partitions"
 
 
 def test_spectrum_and_diameter_paranoid(capsys):

@@ -24,7 +24,7 @@ from diaglab.diaggraph import (
 from diaglab.groups import cyclic
 from diaglab.semilattice import minimal_partitions
 
-from conftest import cliques_of, edge_set, graph_of, group_of, minimals_of
+from conftest import clique_list_of, cliques_of, edge_set, graph_of, group_of, minimals_of
 from replaced import bfs_distances, tagged_rows
 
 
@@ -177,7 +177,7 @@ def test_common_neighbours_example():
 
 def test_edge_in_unique_maximal_clique_above_dim_two():
     g = graph_of("C3", 3)
-    cliques = cliques_of("C3", 3).cliques
+    cliques = clique_list_of("C3", 3)
     for u, v in g.edges().tolist():
         containing = [c for c in cliques if u in c and v in c]
         assert len(containing) == 1
@@ -186,8 +186,8 @@ def test_edge_in_unique_maximal_clique_above_dim_two():
 def test_cliques_c3_m3():
     rep = cliques_of("C3", 3)
     assert rep.clique_number == 3
-    assert rep.count == 36
-    assert all(len(c) == 3 for c in rep.cliques)
+    assert rep.count == rep.max_count == 36
+    assert len(rep.through_zero) == 4 and all(len(c) == 3 for c in rep.through_zero)
     assert not rep.exceptional
 
 
@@ -203,9 +203,7 @@ def test_cliques_exceptional_pair_distinguished():
     rook = cliques_of("C2xC2", 2)
     assert shr.exceptional and rook.exceptional
     assert shr.clique_number == rook.clique_number == 4
-    shr4 = sum(1 for c in shr.cliques if len(c) == 4)
-    rook4 = sum(1 for c in rook.cliques if len(c) == 4)
-    assert (rook4, shr4) == (24, 16)
+    assert (rook.max_count, shr.max_count) == (24, 16)
     assert shr.count != rook.count
 
 
@@ -217,7 +215,8 @@ def test_cliques_grid_m_above_two(grid):
         rep = cliques_of(spec, m)
         assert rep.clique_number == g.q, (spec, m)
         assert rep.count == (m + 1) * g.q ** (m - 1), (spec, m)
-        assert all(len(c) == g.q for c in rep.cliques)
+        assert rep.max_count == rep.count
+        assert all(len(c) == g.q for c in rep.through_zero)
 
 
 def test_clique_cover_examples():
@@ -225,7 +224,7 @@ def test_clique_cover_examples():
     assert cover.size == 3
     cover = clique_cover(group_of("C2"), graph_of("C2", 3), minimals_of("C2", 3))
     assert cover.size == 4
-    assert all(len(p) == 2 for p in cover.parts)
+    assert cover.lower_bound == 4
     cover = clique_cover(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3))
     assert cover.size == 9
     assert cover.lower_bound == 9

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab.diaggraph import build_graph, maximal_cliques
+from diaglab.diaggraph import build_graph
 from diaglab.semilattice import minimal_partitions
 from diaglab.symmetry import TaggedPerm, diagonal_group_generators
 
-from conftest import GRID, aut_of, cliques_of, generators_of, graph_of, group_of
-from replaced import UnionFind, orbit_count
+from conftest import GRID, aut_of, clique_list_of, generators_of, graph_of, group_of
+from replaced import UnionFind, all_maximal_cliques, orbit_count
 
 
 def unionfind_orbit_count(perms: list[TaggedPerm], items: list) -> int:
@@ -50,7 +50,7 @@ def test_orbit_count_matches_unionfind_on_grid(spec, m):
     edges = list(map(tuple, graph.edges().tolist()))
     assert orbit_count(perms, vertices) == unionfind_orbit_count(perms, vertices)
     assert orbit_count(perms, graph.edges()) == unionfind_orbit_count(perms, edges)
-    top = top_cliques(cliques_of(spec, m).cliques)
+    top = top_cliques(clique_list_of(spec, m))
     assert orbit_count(perms, top) == unionfind_orbit_count(perms, top)
 
 
@@ -59,7 +59,7 @@ def test_orbit_count_wide_rows_c16_m3():
     g = group_of("C16")
     minimals = minimal_partitions(g, 3)
     graph = build_graph(g, minimals)
-    top = top_cliques(maximal_cliques(g, graph, minimals).cliques)
+    top = top_cliques(all_maximal_cliques(g, graph))
     assert len(top[0]) == 16 and 4096**16 > 2**63
     perms = diagonal_group_generators(g, 3, aut_of("C16"))
     assert orbit_count(perms, top) == unionfind_orbit_count(perms, top) == 1

@@ -2,9 +2,11 @@
 
 ``rooted_orbit_counts`` checks that every generator is a graph automorphism,
 then counts the orbits on the edges and cliques from those through vertex 0,
-linked by the stabiliser's generators and by re-rooting at each point.  The
-oracle ``replaced.orbit_count`` looks every generator's image of every item
-up in a table of all items.  Besides the diagonal group's own generators,
+linked by the stabiliser's generators and by re-rooting at each point; the
+maximum cliques through 0 and their number come from the clique census.
+The oracle ``replaced.orbit_count`` looks every generator's image of every
+item up in a table of all items, here every maximum clique of the list-based
+oracle ``replaced.all_maximal_cliques``.  Besides the diagonal group's own generators,
 two smaller groups are checked: the right translations alone, whose vertex
 stabiliser is trivial, so that every link is a re-rooting, and the
 translations with one seeded automorphism of G acting coordinatewise.
@@ -25,7 +27,7 @@ from diaglab.symmetry import (
     vertex_stabiliser_generators,
 )
 
-from conftest import aut_of, cliques_of, generators_of, graph_of, group_of
+from conftest import aut_of, clique_list_of, cliques_of, generators_of, graph_of, group_of
 from replaced import orbit_count
 
 INSTANCES = [(spec, m) for spec in GRID_DEFAULT_GROUPS for m in (2, 3)] + [
@@ -34,8 +36,14 @@ GENERATOR_SETS = ("diagonal", "translations", "translations+aut")
 
 
 def top_cliques(spec: str, m: int) -> list[tuple[int, ...]]:
-    rep = cliques_of(spec, m)
-    return [c for c in rep.cliques if len(c) == rep.clique_number]
+    cliques = clique_list_of(spec, m)
+    omega = max(map(len, cliques))
+    return [c for c in cliques if len(c) == omega]
+
+
+def through_zero(cliques: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
+    """The cliques through vertex 0 and the number of all of them."""
+    return [c for c in cliques if 0 in c], len(cliques)
 
 
 def generator_set(spec: str, m: int, which: str) -> list[TaggedPerm]:
@@ -59,7 +67,9 @@ def test_rooted_counts_match_whole_set_counts(spec, m, which):
     perms = generator_set(spec, m, which)
     stabiliser = vertex_stabiliser_generators(g, m, perms)
     top = top_cliques(spec, m)
-    assert rooted_orbit_counts(g, graph, perms, stabiliser, top) == (
+    census = cliques_of(spec, m)
+    assert through_zero(top) == (census.top_through_zero, census.max_count)
+    assert rooted_orbit_counts(g, graph, perms, stabiliser, through_zero(top)) == (
         orbit_count(perms, list(range(graph.size))),
         orbit_count(perms, graph.edges()),
         orbit_count(perms, top),
@@ -77,7 +87,7 @@ def test_rooted_counts_without_cliques():
     g, graph = group_of("C3"), graph_of("C3", 3)
     perms = list(generators_of("C3", 3))
     stabiliser = vertex_stabiliser_generators(g, 3, perms)
-    assert rooted_orbit_counts(g, graph, perms, stabiliser, []) == (1, 1, None)
+    assert rooted_orbit_counts(g, graph, perms, stabiliser, None) == (1, 1, None)
 
 
 def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
@@ -95,7 +105,8 @@ def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
     bad = TaggedPerm(tag="injected", image=swap)
     with pytest.raises(AssertionError,
                        match="generator injected maps an item outside the item set"):
-        rooted_orbit_counts(g, graph, perms + [bad], stabiliser, top_cliques("C3", 3))
+        rooted_orbit_counts(g, graph, perms + [bad], stabiliser,
+                            through_zero(top_cliques("C3", 3)))
 
 
 def test_clique_list_missing_an_item_away_from_0_is_caught():
@@ -108,7 +119,8 @@ def test_clique_list_missing_an_item_away_from_0_is_caught():
     away = next(i for i, c in enumerate(top) if 0 not in c)
     with pytest.raises(AssertionError, match="35 items of 3 points, 4 of them through "
                        "vertex 0, on 27 vertices"):
-        rooted_orbit_counts(g, graph, perms, stabiliser, top[:away] + top[away + 1:])
+        rooted_orbit_counts(g, graph, perms, stabiliser,
+                            through_zero(top[:away] + top[away + 1:]))
 
 
 def test_clique_list_not_closed_under_the_stabiliser_is_caught():
@@ -123,4 +135,4 @@ def test_clique_list_not_closed_under_the_stabiliser_is_caught():
              for i in (0, 1) for key in np.unique(np.delete(digits, i, axis=1), axis=0)]
     assert len(parts) == 18 and all(len(p) == 3 for p in parts)
     with pytest.raises(AssertionError, match="maps an item outside the item set"):
-        rooted_orbit_counts(g, graph, perms, stabiliser, parts)
+        rooted_orbit_counts(g, graph, perms, stabiliser, through_zero(parts))

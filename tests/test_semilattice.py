@@ -118,6 +118,13 @@ def test_check_cartesian():
     assert not check_cartesian([qs[1], qs[1]], 3)
 
 
+@pytest.mark.parametrize("blocks", [[[0, 1], [2], [3]], [[0, 1, 2], [3]], [[0], [1], [2], [3]]])
+def test_check_cartesian_needs_parts_of_size_q(blocks):
+    # the largest part may have q points while a smaller one does not
+    assert not check_cartesian([Partition.from_blocks(blocks)], 2)
+    assert check_cartesian([Partition.from_blocks([[0, 1], [2, 3]])], 2)
+
+
 @pytest.mark.parametrize("spec,m", [("C3", 3), ("C2", 2), ("C4", 2)])
 def test_semilattice_hypothesis_examples(spec, m):
     assert verify_semilattice_hypothesis(subset_suprema(minimals_of(spec, m)),

@@ -18,6 +18,7 @@ from diaglab.symmetry import (
 from conftest import (
     GRID,
     aut_of,
+    clique_list_of,
     cliques_of,
     edge_set,
     generators_of,
@@ -137,7 +138,7 @@ def test_clique_transitivity_on_maximum_cliques():
     # transitivity is on cliques of maximum size; Latin-square graphs also
     # have maximal triangles and intercalates, which sit in other orbits
     for spec, m in [("C3", 3), ("C5", 2), ("C2", 4), ("S3", 2)]:
-        cliques = list(cliques_of(spec, m).cliques)
+        cliques = clique_list_of(spec, m)
         omega = max(len(c) for c in cliques)
         top = [c for c in cliques if len(c) == omega]
         assert orbit_count(list(generators_of(spec, m)), top) == 1
@@ -203,8 +204,9 @@ def test_induced_action_full_symmetric_grid(grid):
 def test_symmetry_report_fields():
     g = group_of("C3")
     graph = graph_of("C3", 2)
-    cliques = list(cliques_of("C3", 2).cliques)
-    rep = symmetry_report(g, graph, minimals_of("C3", 2), cliques)
+    census = cliques_of("C3", 2)
+    rep = symmetry_report(g, graph, minimals_of("C3", 2),
+                          (census.top_through_zero, census.max_count))
     data = rep.to_dict()
     assert data["order"] == data["order_formula"] == 108
     assert data["vertex_orbits"] == 1

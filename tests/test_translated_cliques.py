@@ -1,39 +1,57 @@
-"""Maximal cliques translated from vertex 0 against whole-graph Bron-Kerbosch.
+"""The rooted clique census and the translation certificate against
+whole-graph Bron-Kerbosch.
 
-``all_maximal_cliques`` enumerates the cliques through vertex 0 and
-right-translates them, once a certificate shows that every right translation
-is an automorphism.  It must list exactly the cliques that Bron-Kerbosch
-finds on the whole graph, on diagonal graphs, on other Cayley graphs of G^m,
-and, through the fallback, on graphs that fail the certificate.
+``maximal_cliques`` reads the cliques through vertex 0 once
+``translations_are_automorphisms`` certifies that every right translation
+is an automorphism, and counts the rest.  Bron-Kerbosch on the whole graph
+lists every maximal clique; both must agree in the clique number, the
+numbers of maximal and of maximum cliques and the cliques through 0, on
+diagonal graphs and on other Cayley graphs of G^m.  Graphs that fail the
+certificate must also fail the N(v) = N(0)·v check of the list-based
+translation, ``replaced.translated_cliques``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaglab import diaggraph
 from diaglab.diaggraph import (
-    _translated_cliques,
-    all_maximal_cliques,
+    _clique_census,
     bron_kerbosch,
     build_graph,
     maximal_cliques,
+    translations_are_automorphisms,
 )
+from diaglab.errors import CapExceededError
+from diaglab.partitions import Partition
 from diaglab.semilattice import VertexCodec, minimal_partitions
 
 from conftest import GRID, edge_set, graph_of, group_of, minimals_of
-from replaced import TupleCodec, from_rows, tagged_rows
+from replaced import TupleCodec, from_rows, tagged_rows, translated_cliques
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
 
 
-def assert_same_cliques(g, graph) -> None:
-    got = all_maximal_cliques(g, graph)
-    assert all(list(c) == sorted(set(c)) for c in got)
-    assert sorted(got) == sorted(bron_kerbosch(graph.adjacency))
+def oracle_census(g, graph) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """The number of maximal cliques of each size, and those through 0, from
+    Bron-Kerbosch on the whole graph."""
+    cliques = bron_kerbosch(graph.adjacency)
+    return dict(Counter(map(len, cliques))), sorted(c for c in cliques if 0 in c)
+
+
+def assert_census_matches(g, graph, paranoid: bool = False) -> None:
+    cliques, counts = _clique_census(graph, paranoid)
+    assert all(list(c) == sorted(set(c)) for c in cliques)
+    want_counts, want_at_zero = oracle_census(g, graph)
+    assert counts == want_counts
+    assert sorted(c for c in cliques if c[0] == 0) == want_at_zero
 
 
 def record_sizes(monkeypatch) -> list[int]:
@@ -68,16 +86,27 @@ def two_switch(graph):
 
 @pytest.mark.parametrize("spec,m", GRID + [("C16", 3)] + EXCEPTIONAL)
 def test_grid_graphs(spec, m):
-    assert _translated_cliques(group_of(spec), graph_of(spec, m)) is not None
-    assert_same_cliques(group_of(spec), graph_of(spec, m))
+    g, graph = group_of(spec), graph_of(spec, m)
+    assert translations_are_automorphisms(g, graph)
+    assert_census_matches(g, graph)
+    counts, at_zero = oracle_census(g, graph)
+    rep = maximal_cliques(g, graph, minimals_of(spec, m))
+    omega = max(counts)
+    assert (rep.clique_number, rep.count, rep.max_count, list(rep.through_zero)) == (
+        omega, sum(counts.values()), counts[omega], at_zero)
 
 
 @pytest.mark.parametrize("spec", COMPLETE)
 def test_complete_graphs_of_dimension_1(spec):
     g = group_of(spec)
-    graph = build_graph(g, minimal_partitions(g, 1))
-    assert all_maximal_cliques(g, graph) == [tuple(range(g.order))]
-    assert_same_cliques(g, graph)
+    minimals = minimal_partitions(g, 1)
+    graph = build_graph(g, minimals)
+    everything = tuple(range(g.order))
+    assert translations_are_automorphisms(g, graph)
+    assert _clique_census(graph, False) == ([everything], {g.order: 1})
+    assert_census_matches(g, graph)
+    rep = maximal_cliques(g, graph, minimals)
+    assert (rep.clique_number, rep.count, rep.through_zero) == (g.order, 1, (everything,))
 
 
 @pytest.mark.parametrize("spec,m", [("C3", 3), ("S3", 2), ("Q8", 2)])
@@ -85,22 +114,26 @@ def test_two_switch_falls_back(spec, m):
     g = group_of(spec)
     switched = two_switch(graph_of(spec, m))
     assert len({len(a) for a in switched.adjacency}) == 1  # still regular
-    assert _translated_cliques(g, switched) is None
-    assert_same_cliques(g, switched)
+    assert not translations_are_automorphisms(g, switched)
+    assert translated_cliques(g, switched) is None
+    assert_census_matches(g, switched, paranoid=True)
 
 
 def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
     broken = from_rows(graph.codec, tagged_rows(graph)[1:])
-    assert _translated_cliques(g, broken) is None
-    assert_same_cliques(g, broken)
+    assert not translations_are_automorphisms(g, broken)
+    assert translated_cliques(g, broken) is None
+    assert_census_matches(g, broken, paranoid=True)
 
 
 def test_edgeless_graph_gives_singletons():
     g = group_of("C3")
     empty = from_rows(VertexCodec(q=3, m=2), [])
-    assert sorted(all_maximal_cliques(g, empty)) == [(v,) for v in range(9)]
+    assert translations_are_automorphisms(g, empty)
+    assert _clique_census(empty, False) == ([(0,)], {1: 9})
+    assert _clique_census(empty, True) == ([(v,) for v in range(9)], {1: 9})
 
 
 @pytest.mark.parametrize("spec,m", GRID)
@@ -145,5 +178,128 @@ def cayley_graphs(draw):
 @given(cayley_graphs())
 def test_random_cayley_graphs(case):
     g, graph = case
-    assert _translated_cliques(g, graph) is not None
-    assert_same_cliques(g, graph)
+    assert translations_are_automorphisms(g, graph)
+    assert translated_cliques(g, graph) is not None
+    assert_census_matches(g, graph)
+
+
+def test_census_that_does_not_spread_evenly_is_caught():
+    # vertex 0 lies in one maximal 2-clique, and 9 * 1 / 2 is not whole
+    one_edge = from_rows(VertexCodec(q=3, m=2), [(0, 1, 0)])
+    with pytest.raises(AssertionError, match="1 maximal cliques of 2 vertices through "
+                       "vertex 0 do not spread evenly over 9 vertices"):
+        _clique_census(one_edge, False)
+
+
+def test_certificate_needs_transitive_generators(monkeypatch):
+    # the translations of the first coordinate alone are automorphisms
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    first = diaggraph.right_translations(g, graph.codec)[:1]
+    diaggraph.check_automorphisms(graph, first)
+    monkeypatch.setattr(diaggraph, "right_translations", lambda g, codec: first)
+    assert not translations_are_automorphisms(g, graph)
+
+
+PARTS_MESSAGE = "maximum cliques are not exactly the partition parts"
+
+
+def test_extra_partition_of_non_cliques_is_caught():
+    # every maximum clique is still a part, but the extra partition's
+    # blocks are no cliques, and the parts outnumber the maximum cliques
+    g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
+    order = np.random.default_rng(3).permutation(graph.size)
+    bogus = Partition.from_labels(order // 3)
+    block = np.flatnonzero(bogus.block_of == bogus.block_of[0])
+    assert not set(block.tolist()) - {0} <= set(graph.nbr[0].tolist())
+    for paranoid in (False, True):
+        with pytest.raises(AssertionError, match=PARTS_MESSAGE + ": 36 maximum "
+                           "cliques, 45 parts"):
+            maximal_cliques(g, graph, minimals + [bogus], paranoid=paranoid)
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_partition_with_a_larger_block_is_caught(paranoid):
+    # two blocks of Q_1 away from 0 merged and one of Q_2 split: the parts
+    # still number as many as the maximum cliques, and those through 0 are
+    # parts, but some parts do not have q points
+    g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
+    merged = minimals[1].block_of.copy()
+    merged[merged == merged.max()] = merged.max() - 1
+    split = minimals[2].block_of.copy()
+    split[np.flatnonzero(split == split.max())[0]] = split.max() + 1
+    doctored = [minimals[0], Partition.from_labels(merged),
+                Partition.from_labels(split)] + minimals[3:]
+    assert sum(p.block_count for p in doctored) == sum(p.block_count for p in minimals)
+    with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
+        maximal_cliques(g, graph, doctored, paranoid=paranoid)
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_maximum_clique_outside_the_parts_is_caught(paranoid):
+    # Q_1 in place of Q_m: as many parts as maximum cliques, but the parts
+    # of Q_m through 0 are maximum cliques in no given part
+    g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
+    with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
+        maximal_cliques(g, graph, minimals[:-1] + minimals[1:2], paranoid=paranoid)
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+@pytest.mark.parametrize("spec,m,cliques,parts", [("C3", 3, 36, 45), ("C5", 2, 15, 20)])
+def test_more_parts_than_maximum_cliques_is_caught(paranoid, spec, m, cliques, parts):
+    # Q_1 twice: every part is a maximum clique, and only the count of the
+    # parts against the maximum cliques sees the repeat
+    g, graph, minimals = group_of(spec), graph_of(spec, m), minimals_of(spec, m)
+    with pytest.raises(AssertionError, match=PARTS_MESSAGE + f": {cliques} maximum "
+                       f"cliques, {parts} parts"):
+        maximal_cliques(g, graph, minimals + minimals[1:2], paranoid=paranoid)
+
+
+def test_paranoid_checks_the_parts_away_from_0():
+    # Q_1 with one point swapped between two blocks away from 0: blocks of
+    # q points that are no cliques.  Vertex 0 sees only true parts and the
+    # count still holds; only the whole-graph scope sees the two maximum
+    # cliques that lie in no part
+    g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
+    members = minimals[1].blocks()
+    a, b = members[-1][0], members[-2][0]
+    labels = minimals[1].block_of.copy()
+    labels[[a, b]] = labels[[b, a]]
+    doctored = [minimals[0], Partition.from_labels(labels)] + minimals[2:]
+    maximal_cliques(g, graph, doctored)
+    with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
+        maximal_cliques(g, graph, doctored, paranoid=True)
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_smaller_maximal_clique_above_dimension_two_is_caught(monkeypatch, paranoid):
+    census = diaggraph._clique_census
+
+    def with_an_edge(graph, paranoid):
+        cliques, counts = census(graph, paranoid)
+        return cliques + [(0, graph.size - 1)], {**counts, 2: graph.size // 2}
+
+    monkeypatch.setattr(diaggraph, "_clique_census", with_an_edge)
+    with pytest.raises(AssertionError, match="a maximal clique below maximum size exists"):
+        maximal_cliques(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3),
+                        paranoid=paranoid)
+
+
+def test_clique_number_against_the_wrong_group_is_caught():
+    with pytest.raises(AssertionError, match="clique number 3 differs from group order 5"):
+        maximal_cliques(group_of("C5"), graph_of("C3", 3), minimals_of("C3", 3))
+
+
+def test_exceptional_counts_are_checked():
+    # the cyclic group of order 4 names the Shrikhande complement, whose
+    # counts the rook's graph complement does not have
+    with pytest.raises(AssertionError, match="exceptional graph complement of the "
+                       "Shrikhande graph does not match its table entry"):
+        maximal_cliques(group_of("C4"), graph_of("C2xC2", 2), minimals_of("C2xC2", 2))
+
+
+def test_whole_graph_enumeration_keeps_its_cap(monkeypatch):
+    monkeypatch.setattr(diaggraph, "CLIQUE_VERTEX_CAP", 8)
+    g, graph, minimals = group_of("C3"), graph_of("C3", 2), minimals_of("C3", 2)
+    with pytest.raises(CapExceededError, match="9 vertices exceeds clique cap 8"):
+        maximal_cliques(g, graph, minimals, paranoid=True)
+    assert maximal_cliques(g, graph, minimals).count == 27
