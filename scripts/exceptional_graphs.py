@@ -23,7 +23,7 @@ def main() -> None:
         g = parse_group_spec(spec)
         minimals = minimal_partitions(g, 2)
         graph = build_graph(g, minimals)
-        rep = maximal_cliques(g, graph, minimals)
+        rep = maximal_cliques(graph, minimals)
         spectrum = spectrum_trace_moments(graph)
         chi = chromatic_number_exact(graph)
         print(f"== {rep.exceptional_name}  (group {g.label}, {graph.size} vertices)")

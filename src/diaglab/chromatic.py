@@ -5,12 +5,14 @@ the homomorphism cascade lands in a complete graph and the pulled-back
 colouring uses exactly |G| colours.  For even dimension and a group with a
 complete mapping, the cascade lands in dimension 2, where the translates of
 the transversal {(g, phi(g))} tile the vertex set with q independent sets;
-the colour of (a, b) is phi(a^-1)^-1 * b.  Otherwise a seeded tabu search
-colours the dimension-2 graph with |G|+2 colours and the colouring is
-pulled back the same way.  At dimension 2 the absence of a complete mapping
-also caps every independent set at |G|-1 cells, which closes chi = |G|+2.
-Every colouring is validated edge by edge; the conjectured value is
-reported separately and never asserted.
+the colour of (a, b) is phi(a^-1)^-1 * b.  Otherwise a seeded tabu search,
+over a numpy table of each vertex's neighbours per colour, colours the
+dimension-2 graph with |G|+2 colours and the colouring is pulled back the
+same way.  At dimension 2 the absence of a complete mapping also caps
+every independent set at |G|-1 cells, which closes chi = |G|+2.  Every
+colouring is validated edge by edge; the conjectured value is reported
+separately and never asserted.  The verdict reads G and m from the graph
+it colours.
 """
 
 from __future__ import annotations
@@ -248,63 +250,46 @@ def tabucol(
     conflicting edges.  Moving a vertex back to a colour it left is tabu for
     r + 0.6 * (conflicting vertices) moves, r uniform in 0..9 (Galinier &
     Hao, 1999), unless it reaches fewer conflicts than ever before.  Ties
-    are broken by a generator seeded with ``TABUCOL_SEED``, so the result
-    depends only on the graph and k.  None if ``max_moves`` moves leave a
-    conflict.
+    are broken by a generator seeded with ``TABUCOL_SEED``, among the best
+    moves in (vertex, colour) order, so the result depends only on the
+    graph and k.  None if ``max_moves`` moves leave a conflict.
+
+    ``seen[v, c]`` counts the neighbours of v that have colour c, so a move
+    changes the conflicts by ``seen[v, c] - seen[v, colour[v]]``, and each
+    step weighs every move of the conflicting vertices at once.  Row n and
+    colour k absorb the padding of ``nbr``.
     """
-    n = graph.size
-    nbr = graph.adjacency
+    n, nbr = graph.size, graph.nbr
     rng = random.Random(TABUCOL_SEED)
-    colour = [rng.randrange(k) for _ in range(n)]
-    # seen[v][c]: neighbours of v that have colour c
-    seen = [[0] * k for _ in range(n)]
-    for v in range(n):
-        row = seen[v]
-        for w in nbr[v]:
-            row[colour[w]] += 1
-    conflicts = sum(seen[v][colour[v]] for v in range(n)) // 2
+    colour = np.array([rng.randrange(k) for _ in range(n)] + [k])
+    seen = np.zeros((n + 1, k + 1), dtype=np.int32)
+    for col in nbr.T:
+        seen[np.arange(n), colour[col]] += 1
+    conflicts = int(seen[np.arange(n), colour[:n]].sum()) // 2
     fewest = conflicts
-    tabu_until = [[0] * k for _ in range(n)]
+    tabu_until = np.zeros((n, k), dtype=np.int64)
     for step in range(max_moves):
         if not conflicts:
-            return Coloring(colors=tuple(colour))
-        best = n  # no move changes the conflicts by n or more
-        moves: list[tuple[int, int]] = []
-        conflicted = 0
-        for v in range(n):
-            row = seen[v]
-            cv = colour[v]
-            own = row[cv]
-            if not own:
-                continue
-            conflicted += 1
-            if min(row) - own > best:
-                continue
-            until = tabu_until[v]
-            for c in range(k):
-                delta = row[c] - own
-                if delta > best or c == cv:
-                    continue
-                if until[c] > step and conflicts + delta >= fewest:
-                    continue
-                if delta < best:
-                    best = delta
-                    moves = [(v, c)]
-                else:
-                    moves.append((v, c))
-        if not moves:
+            break
+        own = seen[np.arange(n), colour[:n]]
+        at = np.flatnonzero(own)
+        delta = seen[at, :k] - own[at, None]
+        allowed = (tabu_until[at] <= step) | (conflicts + delta < fewest)
+        allowed[np.arange(len(at)), colour[at]] = False
+        if not allowed.any():
             continue  # every move is tabu; wait for one to expire
-        v, c = moves[rng.randrange(len(moves))]
+        best = int(delta[allowed].min())
+        rows, cols = np.nonzero(allowed & (delta == best))
+        pick = rng.randrange(len(rows))
+        v, c = at[rows[pick]], cols[pick]
         old = colour[v]
         colour[v] = c
-        for w in nbr[v]:
-            row = seen[w]
-            row[old] -= 1
-            row[c] += 1
+        seen[nbr[v], old] -= 1
+        seen[nbr[v], c] += 1
         conflicts += best
         fewest = min(fewest, conflicts)
-        tabu_until[v][old] = step + 1 + rng.randrange(10) + int(0.6 * conflicted)
-    return Coloring(colors=tuple(colour)) if not conflicts else None
+        tabu_until[v, old] = step + 1 + rng.randrange(10) + int(0.6 * len(at))
+    return None if conflicts else Coloring(colors=tuple(colour[:n].tolist()))
 
 
 @dataclass(frozen=True)
@@ -477,9 +462,9 @@ class ChromaticVerdict:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def chromatic_verdict(g: GroupTable, graph: DiagGraph, exact: bool = False) -> ChromaticVerdict:
-    """Chromatic number of ``graph``, the diagonal graph of g in dimension
-    m = ``graph.m``, with a provenance trail.
+def chromatic_verdict(graph: DiagGraph, exact: bool = False) -> ChromaticVerdict:
+    """Chromatic number of ``graph``, the diagonal graph of its group G in
+    dimension m = ``graph.m``, with a provenance trail.
 
     chi = |G| whenever m is odd or the Hall-Paige condition holds, witnessed
     by an explicit validated colouring.  Otherwise the upper bound is the
@@ -489,10 +474,7 @@ def chromatic_verdict(g: GroupTable, graph: DiagGraph, exact: bool = False) -> C
     closes chi = |G|+2; ``exact`` adds the exact search within
     ``EXACT_COLOURING_LIMIT`` vertices.  No search here is unbounded.
     """
-    q = g.order
-    m = graph.m
-    if graph.q != q:
-        raise ValueError(f"graph over order {graph.q} given for a group of order {q}")
+    g, q, m = graph.group, graph.q, graph.m
     reasons: list[str] = []
     if m == 1:
         return ChromaticVerdict(

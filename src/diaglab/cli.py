@@ -112,11 +112,6 @@ def _claim(claims: list, name: str, passed: bool, detail: str = "", conjectural:
     )
 
 
-def _paranoid(cfg: RunConfig, g, graph: diaggraph.DiagGraph) -> bool:
-    """Under ``--paranoid`` or without the translation certificate."""
-    return cfg.paranoid or not diaggraph.translations_are_automorphisms(g, graph)
-
-
 def _ledger(g, m: int, n: int, claims: list) -> dict:
     failures = [c["claim"] for c in claims if not c["passed"] and not c["conjectural"]]
     return {"group": g.label, "q": g.order, "m": m, "n": n, "claims": claims,
@@ -170,15 +165,14 @@ def run_check_all(cfg: RunConfig) -> dict:
     edges = graph.edge_count
     _claim(claims, "edge-count", edges * 2 == graph.size * val, f"{edges} edges")
 
-    paranoid = _paranoid(cfg, g, graph)
-    diam = diaggraph.diameter(graph, paranoid)
+    diam = diaggraph.diameter(graph, cfg.paranoid)
     _claim(claims, "diameter-formula", diam.ok,
            f"bfs {diam.bfs} vs closed form {diam.formula}")
 
     closed = spectral.spectrum_closed_form(q, m) if m >= 2 else None
     if closed is not None:
         try:
-            moments = spectral.spectrum_trace_moments(graph, paranoid)
+            moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
         except AssertionError as exc:
             _claim(claims, "spectrum-agreement", False, str(exc))
         else:
@@ -196,7 +190,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     creport = None
     try:
-        creport = diaggraph.maximal_cliques(g, graph, minimals, paranoid=paranoid)
+        creport = diaggraph.maximal_cliques(graph, minimals, paranoid=cfg.paranoid)
     except CapExceededError:
         pass  # whole-graph Bron-Kerbosch past its cap: the claim is left out
     except AssertionError as exc:
@@ -207,7 +201,7 @@ def run_check_all(cfg: RunConfig) -> dict:
             detail += f" ({creport.exceptional_name})"
         _claim(claims, "clique-structure", True, detail)
     try:
-        cover = diaggraph.clique_cover(g, graph, minimals)
+        cover = diaggraph.clique_cover(graph, minimals)
     except AssertionError as exc:
         _claim(claims, "clique-cover", False, str(exc))
     else:
@@ -215,7 +209,7 @@ def run_check_all(cfg: RunConfig) -> dict:
                f"{cover.size} disjoint cliques, lower bound {cover.lower_bound}")
 
     if m >= 2:
-        dr, arrays = diaggraph.is_distance_regular(graph, paranoid)
+        dr, arrays = diaggraph.is_distance_regular(graph, cfg.paranoid)
         expect_dr = m == 2 or q == 2
         detail = f"distance-regular: {dr}"
         if arrays and dr:
@@ -224,7 +218,7 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     proven_case = m % 2 == 1 or hall_paige_predicate(g)
     try:
-        verdict = chromatic_verdict(g, graph, exact=cfg.exact)
+        verdict = chromatic_verdict(graph, exact=cfg.exact)
     except CapExceededError:
         # Past a cap, e.g. a Hall-Paige group whose complete mapping only
         # the capped search could find, the chromatic claim is left out.
@@ -249,12 +243,15 @@ def run_check_all(cfg: RunConfig) -> dict:
 
     # For even m the verdict has already looked for a complete mapping.  The
     # search fallback is capped (order 16, for groups no certificate covers);
-    # past it the claim is left out.
+    # past it the claim is left out.  A witness that fails its check fails
+    # the claim.
     try:
         searched = verdict is not None and m % 2 == 0
         cm = verdict.mapping if searched else find_complete_mapping(g)
     except CapExceededError:
         pass
+    except AssertionError as exc:
+        _claim(claims, "hall-paige", False, str(exc))
     else:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")
@@ -267,8 +264,7 @@ def run_check_all(cfg: RunConfig) -> dict:
         if creport is not None and not creport.exceptional:
             top = (creport.top_through_zero, creport.max_count)
         try:
-            sym = symmetry.symmetry_report(g, graph, minimals, top,
-                                           translations_checked=not paranoid)
+            sym = symmetry.symmetry_report(graph, minimals, top, paranoid=cfg.paranoid)
         except CapExceededError:
             pass
         except AssertionError as exc:
@@ -409,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        # a check that failed outside the check-all ledger
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -449,7 +449,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             graph = diaggraph.build_graph(
                 g, semilattice.minimal_partitions(g, cfg.m, cfg.vertex_cap))
             try:
-                moments = spectral.spectrum_trace_moments(graph, _paranoid(cfg, g, graph))
+                moments = spectral.spectrum_trace_moments(graph, cfg.paranoid)
             except AssertionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 data["verified"] = False
@@ -489,15 +489,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "diameter":
-        rep = diaggraph.diameter(graph, _paranoid(cfg, g, graph))
+        rep = diaggraph.diameter(graph, cfg.paranoid)
         data = {"bfs": rep.bfs, "formula": rep.formula, "match": rep.ok}
         _emit(_render(data, cfg.fmt), cfg.out)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
     if cmd == "cliques":
-        rep = diaggraph.maximal_cliques(g, graph, minimals,
-                                        paranoid=_paranoid(cfg, g, graph))
-        cover = diaggraph.clique_cover(g, graph, minimals)
+        rep = diaggraph.maximal_cliques(graph, minimals, paranoid=cfg.paranoid)
+        cover = diaggraph.clique_cover(graph, minimals)
         data = {
             "clique_number": rep.clique_number,
             "maximal_cliques": rep.count,
@@ -510,24 +509,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "chromatic":
-        verdict = chromatic_verdict(g, graph, exact=cfg.exact)
+        verdict = chromatic_verdict(graph, exact=cfg.exact)
         _emit(_render(verdict.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 
     if cmd == "symmetry":
         cliques = None
-        paranoid = _paranoid(cfg, g, graph)
         try:
-            crep = diaggraph.maximal_cliques(g, graph, minimals, paranoid=paranoid)
+            crep = diaggraph.maximal_cliques(graph, minimals, paranoid=cfg.paranoid)
             cliques = (crep.top_through_zero, crep.max_count)
         except CapExceededError:
             pass  # as in check-all, the clique orbits are left out
-        try:
-            rep = symmetry.symmetry_report(g, graph, minimals, cliques,
-                                           translations_checked=not paranoid)
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+        rep = symmetry.symmetry_report(graph, minimals, cliques, paranoid=cfg.paranoid)
         _emit(_render(rep.to_dict(), cfg.fmt), cfg.out)
         return EXIT_OK
 

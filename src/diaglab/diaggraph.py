@@ -9,13 +9,16 @@ Each sorts every row into the padded neighbour array ``nbr``, each entry's
 tag alongside in ``tag``; ``same_edge_set`` asserts that both arrays agree.
 Only the exporters list the edges as pairs, derived from ``nbr``.
 
-``translations_are_automorphisms`` certifies that every right translation
-is an automorphism, as every shortcut from vertex 0 assumes (the diameter,
-distance-regularity, the walk counts, the clique census); where it fails,
-callers pass ``paranoid`` to search from every vertex instead.
+Each graph carries its group, and ``translations_are_automorphisms``
+certifies that every right translation is an automorphism, as every
+shortcut from vertex 0 assumes (the diameter, distance-regularity, the walk
+counts, the clique census).  ``DiagGraph.rooted`` makes that decision for
+all of them: vertex 0 stands for every vertex unless ``paranoid`` is set or
+the certificate, computed at most once per graph, fails; then they search
+from every vertex instead.
 
-The paranoid diameter searches a block of bases at once over ``nbr``: each
-vertex holds reach and frontier bitsets, one bit per base in ``uint64``
+The every-vertex diameter searches a block of bases at once over ``nbr``:
+each vertex holds reach and frontier bitsets, one bit per base in ``uint64``
 words, and each breadth-first level is one gather per column of ``nbr``.
 """
 
@@ -34,13 +37,15 @@ from .groups import GroupTable, generating_sequence
 from .partitions import Partition, components, start_blocks
 from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
 
-# Whole-graph Bron-Kerbosch, the paranoid clique census, stops at this size.
+# Whole-graph Bron-Kerbosch, the clique census off the vertex-0 path, stops at
+# this size.
 CLIQUE_VERTEX_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class DiagGraph:
-    """Simple graph on G^m, built once by ``from_neighbours`` as two arrays.
+    """Simple graph on G^m, built once by ``from_neighbours`` as two arrays,
+    with the group G it is a graph of.
 
     ``nbr`` (int32) holds each vertex's sorted neighbours, one row each,
     padded with the sentinel n where the graph is not regular.  ``tag``
@@ -54,17 +59,32 @@ class DiagGraph:
     nbr: np.ndarray
     tag: np.ndarray
     codec: VertexCodec
+    group: GroupTable
 
     @classmethod
-    def from_neighbours(cls, codec: VertexCodec, nbr: np.ndarray, tag: np.ndarray) -> DiagGraph:
-        """The graph whose vertex u has the neighbours ``nbr[u]``, sorted and
-        padded with n, each tagged by the same entry of ``tag``; the padding
-        is tagged -1, so graphs with the same tagged edges are byte-equal."""
+    def from_neighbours(cls, group: GroupTable, m: int, nbr: np.ndarray,
+                        tag: np.ndarray) -> DiagGraph:
+        """The graph on G^m whose vertex u has the neighbours ``nbr[u]``,
+        sorted and padded with n, each tagged by the same entry of ``tag``;
+        the padding is tagged -1, so graphs with the same tagged edges are
+        byte-equal."""
+        codec = VertexCodec(q=group.order, m=m)
         n = codec.size
         nbr = nbr.astype(np.int32)
         tag = np.where(nbr == n, -1, tag).astype(np.int8, copy=False)
         nbr.flags.writeable = tag.flags.writeable = False
-        return cls(q=codec.q, m=codec.m, size=n, nbr=nbr, tag=tag, codec=codec)
+        return cls(q=codec.q, m=m, size=n, nbr=nbr, tag=tag, codec=codec, group=group)
+
+    @cached_property
+    def translations_certified(self) -> bool:
+        """``translations_are_automorphisms(self)``, computed on first use."""
+        return translations_are_automorphisms(self)
+
+    def rooted(self, paranoid: bool) -> bool:
+        """Whether vertex 0 may stand for every vertex: never under
+        ``paranoid``, which leaves the certificate uncomputed, and otherwise
+        where the right translations are certified automorphisms."""
+        return not paranoid and self.translations_certified
 
     def _upper(self) -> np.ndarray:
         """Where ``nbr`` lists an edge at its smaller end."""
@@ -86,7 +106,7 @@ class DiagGraph:
     @cached_property
     def adjacency(self) -> list[list[int]]:
         """``nbr`` as lists of Python ints without the sentinels, for the
-        per-vertex searches (Bron-Kerbosch on the whole graph, the colourings)."""
+        per-vertex searches (Bron-Kerbosch on the whole graph, DSATUR)."""
         n = self.size
         lists = self.nbr.tolist()
         if self.nbr.size and (self.nbr[:, -1] == n).any():
@@ -122,8 +142,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
     some part of some Q_i contains both vertices, tagged i (the first i at
     m = 1, the complete graph)."""
     m = len(minimals) - 1
-    codec = VertexCodec(q=g.order, m=m)
-    n = codec.size
+    n = g.order**m
     mates = [_block_mates(part) for part in minimals]
     tag = np.repeat(np.arange(m + 1, dtype=np.int8), [a.shape[1] for a in mates])
     nbr, tag = _sort_rows(np.concatenate(mates, axis=1),
@@ -139,7 +158,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
         width = (~twice).sum(axis=1).max()
         nbr, tag = _sort_rows(np.where(twice, n, nbr), tag)
         nbr, tag = nbr[:, :width], tag[:, :width]
-    return DiagGraph.from_neighbours(codec, nbr, tag)
+    return DiagGraph.from_neighbours(g, m, nbr, tag)
 
 
 @dataclass(frozen=True)
@@ -187,7 +206,7 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
         else:
             nbr[:, k] = codec.index(mul[s, d])
     nbr, tag = _sort_rows(nbr, np.broadcast_to(tag, nbr.shape))
-    return DiagGraph.from_neighbours(codec, nbr, tag)
+    return DiagGraph.from_neighbours(g, m, nbr, tag)
 
 
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
@@ -235,14 +254,12 @@ def check_automorphisms(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
             raise AssertionError(f"generator {p.tag} maps an item outside the item set")
 
 
-def translations_are_automorphisms(g: GroupTable, graph: DiagGraph) -> bool:
+def translations_are_automorphisms(graph: DiagGraph) -> bool:
     """True iff every right translation of G^m is an automorphism of
     ``graph``: the ``right_translations`` act transitively and each is an
     automorphism.  They generate a transitive subgroup of the regular group
     of right translations, which is then the whole group."""
-    if graph.q != g.order:
-        return False
-    shifts = right_translations(g, graph.codec)
+    shifts = right_translations(graph.group, graph.codec)
     if components(graph.size, [p.image for p in shifts]).any():
         return False
     try:
@@ -300,10 +317,11 @@ def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
     """BFS diameter against the closed form m+1-ceil((m+1)/q).
 
     Vertex-transitivity, which ``translations_are_automorphisms``
-    certifies, makes the eccentricity of vertex 0 the diameter;
-    ``paranoid`` recomputes from every base vertex.
+    certifies, makes the eccentricity of vertex 0 the diameter; under
+    ``paranoid`` or without the certificate every base vertex is searched
+    (``DiagGraph.rooted``).
     """
-    bases = range(graph.size) if paranoid else range(1)
+    bases = range(1) if graph.rooted(paranoid) else range(graph.size)
     ecc = _max_eccentricity(graph, bases)
     formula = graph.m + 1 - ceil((graph.m + 1) / graph.q)
     return DiameterReport(bfs=ecc, formula=formula)
@@ -397,20 +415,20 @@ def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def _clique_census(
-    graph: DiagGraph, paranoid: bool
+    graph: DiagGraph, whole: bool
 ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
     """The maximal cliques that the clique checks read, as sorted tuples,
     and the number of maximal cliques of each size.
 
-    With ``paranoid``, Bron-Kerbosch lists every maximal clique of the
-    whole graph, at most ``CLIQUE_VERTEX_CAP`` vertices.  Otherwise it lists
+    With ``whole``, Bron-Kerbosch lists every maximal clique of the whole
+    graph, at most ``CLIQUE_VERTEX_CAP`` vertices.  Otherwise it lists
     those through vertex 0, {0} ∪ C for the maximal cliques C of the
     subgraph on N(0), and the caller vouches that the right translations
     are automorphisms: each vertex then lies in as many maximal s-cliques as
     vertex 0, c_0(s), so there are n·c_0(s)/s, and a remainder raises.
     """
     n = graph.size
-    if paranoid:
+    if whole:
         if n > CLIQUE_VERTEX_CAP:
             raise CapExceededError(f"{n} vertices exceeds clique cap {CLIQUE_VERTEX_CAP}")
         cliques = bron_kerbosch(graph.adjacency)
@@ -458,20 +476,21 @@ class CliqueReport:
 
 
 def maximal_cliques(
-    g: GroupTable,
     graph: DiagGraph,
     minimals: list[Partition],
     *,
     paranoid: bool = False,
 ) -> CliqueReport:
     """The clique census of ``graph`` (``_clique_census``), checked against
-    the parts of the minimal partitions it was built from.
+    the parts of the minimal partitions it was built from; it reads the
+    cliques through vertex 0 where ``graph.rooted(paranoid)``, else those
+    of the whole graph.
 
     The four exceptional graphs are checked by their counts.  Otherwise the
     clique number must be q and, at m > 2, no maximal clique may be
     smaller.  Every part must have ω points, every maximum clique in scope
     must lie in a part, so be one, and at m >= 2 there must be as many
-    maximum cliques as parts.  Under ``paranoid`` the scope is the whole
+    maximum cliques as parts.  Off the vertex-0 path the scope is the whole
     graph: distinct maximum cliques are then distinct parts, and the count
     leaves no part over, so the parts are the maximum cliques.  Otherwise
     the scope is vertex 0, where n·c_0(ω)/ω maximum cliques against n/ω
@@ -480,7 +499,8 @@ def maximal_cliques(
     the points of each part and lets no edge lie in two parts, so the parts
     are distinct maximum cliques, and the count makes them all of them.
     """
-    cliques, counts = _clique_census(graph, paranoid)
+    g = graph.group
+    cliques, counts = _clique_census(graph, not graph.rooted(paranoid))
     entry = (EXCEPTIONAL_CLIQUE_TABLE[g.order, max(map(g.order_of, g.elements()))]
              if graph.m == 2 and g.order <= 4 else None)
     report = CliqueReport(sizes=counts,
@@ -494,8 +514,8 @@ def maximal_cliques(
             raise AssertionError(
                 f"exceptional graph {entry['name']} does not match its table entry")
         return report
-    if omega != g.order:
-        raise AssertionError(f"clique number {omega} differs from group order {g.order}")
+    if omega != graph.q:
+        raise AssertionError(f"clique number {omega} differs from group order {graph.q}")
     top = np.array([c for c in cliques if len(c) == omega])
     in_a_part = np.zeros(len(top), dtype=bool)
     for part in minimals:
@@ -520,7 +540,7 @@ class CliqueCover:
     lower_bound: int
 
 
-def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
+def clique_cover(graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
     """Vertex-disjoint clique cover from the parts of Q_1 (q^(m-1) cliques),
     with the matching lower bound size/q."""
     part = minimals[1]
@@ -534,7 +554,7 @@ def clique_cover(g: GroupTable, graph: DiagGraph, minimals: list[Partition]) -> 
     if short.any():
         blk = tuple(part.blocks()[label[:-1][short].min()])
         raise AssertionError(f"cover block {blk} is not a clique")
-    return CliqueCover(size=part.block_count, lower_bound=graph.size // g.order)
+    return CliqueCover(size=part.block_count, lower_bound=graph.size // graph.q)
 
 
 def is_distance_regular(
@@ -542,8 +562,9 @@ def is_distance_regular(
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Distance-regularity by sphere counting from a base vertex.
 
-    Vertex-transitivity justifies the single base; ``paranoid`` re-checks
-    from every vertex.  Returns (verdict, (b_array, c_array) or None).
+    Vertex-transitivity justifies the single base; under ``paranoid`` or
+    without the translation certificate every vertex is a base
+    (``DiagGraph.rooted``).  Returns (verdict, (b_array, c_array) or None).
 
     A block of bases is searched at once: ``dist`` holds one column per
     base, and each breadth-first level gathers the frontier over ``nbr``,
@@ -553,7 +574,7 @@ def is_distance_regular(
     Unreachable vertices (distance -1) are not counted.
     """
     n = graph.size
-    bases = range(n) if paranoid else range(min(n, 1))
+    bases = range(min(n, 1)) if graph.rooted(paranoid) else range(n)
     nbr = graph.nbr
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for block in start_blocks(bases, 32 * max(1, nbr.size)):

@@ -11,9 +11,10 @@ The walk counts are a numpy kernel over the neighbour array ``nbr``.  As A
 is symmetric, tr(A^j) = sum over starts s of <A^a e_s, A^b e_s> with
 a = j // 2 and b = j - a, so only ceil(steps/2) multiplications by A are
 run.  From vertex 0 alone, vertex-transitivity turns the count into the
-trace; ``paranoid`` counts from every vertex, a block of starts side by
-side as the columns of one array.  An entry of A^t e_s is at most deg^t for
-the width deg of ``nbr``, so the columns are int32 while
+trace; under ``paranoid`` or without the translation certificate
+(``DiagGraph.rooted``) it counts from every vertex, a block of starts side
+by side as the columns of one array.  An entry of A^t e_s is at most deg^t
+for the width deg of ``nbr``, so the columns are int32 while
 deg^ceil(steps/2) < 2^31 and a block times deg^steps < 2^63 (the inner
 products are taken in int64); past that bound they hold Python ints
 (``dtype=object``), so a count never wraps.
@@ -107,12 +108,13 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     padding of ``nbr``, and each step adds the rows of every vertex's
     neighbours, one gather per column of ``nbr``.  The degree bound of
     ``_walk_blocks`` comes from the width of ``nbr``, never from the
-    claimed valency.  Without ``paranoid`` the one start 0 gives
-    tr(A^j) = n * (A^j)_00 by vertex-transitivity.
+    claimed valency.  Where ``graph.rooted(paranoid)`` the one start 0
+    gives tr(A^j) = n * (A^j)_00 by vertex-transitivity.
     """
     n = graph.size
     columns = np.ascontiguousarray(graph.nbr.T)
-    starts = range(n) if paranoid else range(1)
+    rooted = graph.rooted(paranoid)
+    starts = range(1) if rooted else range(n)
     half = -(-steps // 2)
     traces = [0] * (steps + 1)
     dtype, blocks = _walk_blocks(n, graph.nbr.shape[1], steps, starts)
@@ -135,7 +137,7 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
             if 2 * t <= steps:
                 traces[2 * t] += dot(y, y)
             x = y
-    if not paranoid:
+    if rooted:
         traces = [n * t for t in traces]
     return traces
 

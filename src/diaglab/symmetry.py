@@ -14,11 +14,12 @@ s needs one per orbit of the translations it conjugates into translations.
 
 Each generator is checked once to be a graph automorphism, on the whole
 neighbour array (``diaggraph.check_automorphisms``); the right
-multiplications are not checked again when the translation certificate
-``diaggraph.translations_are_automorphisms`` has checked them.  The orbits
-on the edges and the maximum cliques are then counted from those through
-vertex 0 alone (the cliques as the clique census lists them, with their
-number).
+multiplications are left to the graph's translation certificate wherever
+``DiagGraph.rooted`` reads it, and checked here only under ``paranoid`` or
+where the certificate fails.  The orbits on the edges and the maximum
+cliques are then counted from those through vertex 0 alone (the cliques as
+the clique census lists them, with their number).  Every count reads the
+group and the vertex codec of the graph.
 Any d in D with d(0) = y is t_y times an element of D_0, so two items
 through 0 share a D-orbit exactly when D_0 maps one onto a re-rooting
 C*c^-1 of the other, c in C.
@@ -74,15 +75,15 @@ def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]
 
 
 def diagonal_group_generators(
-    g: GroupTable, m: int, aut: list[tuple[int, ...]]
+    g: GroupTable, codec: VertexCodec, aut: list[tuple[int, ...]]
 ) -> list[TaggedPerm]:
     """Explicit image arrays for a generating set of the diagonal group on
-    G^m, given ``aut = automorphism_group(g)``.
+    the points of ``codec``, G^m, given ``aut = automorphism_group(g)``.
 
     Uses generating sequences of G and of Aut(G) rather than full element
     lists; identity permutations are dropped and duplicates removed.
     """
-    codec = VertexCodec(q=g.order, m=m)
+    m = codec.m
     d = codec.digits
     mul, inv = np.asarray(g.mul), np.asarray(g.inv)
     identity = np.arange(codec.size)
@@ -281,10 +282,11 @@ def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
 
 
 def vertex_stabiliser_generators(
-    g: GroupTable, m: int, perms: list[TaggedPerm]
+    g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
 ) -> list[TaggedPerm]:
     """Generators of D_0, the stabiliser of vertex 0 in the group D that
-    ``perms`` generate on G^m, each tagged with the generator it comes from.
+    ``perms`` generate on G^m, the points of ``codec``, each tagged with the
+    generator it comes from.
 
     The translations among ``perms`` (p(x) = x*p(0) for every x) must act
     transitively, or AssertionError: then they generate the regular group R
@@ -297,7 +299,6 @@ def vertex_stabiliser_generators(
     of the translation generators r with s r s^-1 in R, and is formed once
     per orbit.  Identities and repeats are dropped.
     """
-    codec = VertexCodec(q=g.order, m=m)
     d = codec.digits
     mul, inv = np.asarray(g.mul), np.asarray(g.inv)
     n = codec.size
@@ -361,8 +362,7 @@ def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
 
 
 def _rooted_orbit_count(
-    g: GroupTable, codec: VertexCodec, stabiliser: list[TaggedPerm],
-    at_zero: np.ndarray, total: int,
+    graph: DiagGraph, stabiliser: list[TaggedPerm], at_zero: np.ndarray, total: int,
 ) -> int:
     """Orbits of D on a D-invariant set of ``total`` items of one size, from
     ``at_zero``, its items that contain vertex 0 (rows of one array).
@@ -373,7 +373,7 @@ def _rooted_orbit_count(
     ``total * |C|`` is not n times the number of items through 0, as it is
     for a set closed under the translations.
     """
-    n = codec.size
+    n = graph.size
     rows = np.sort(np.asarray(at_zero, dtype=np.int32), axis=1)
     if total * rows.shape[1] != n * len(rows):
         raise AssertionError(f"{total} items of {rows.shape[1]} points, "
@@ -393,22 +393,21 @@ def _rooted_orbit_count(
 
     for s in stabiliser:
         link(s.image[distinct], f"generator {s.tag}")
-    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
-    digits = codec.digits[distinct]
+    mul, inv = np.asarray(graph.group.mul), np.asarray(graph.group.inv)
+    digits = graph.codec.digits[distinct]
     for c in range(1, rows.shape[1]):  # column 0 holds vertex 0 itself
-        link(codec.index(mul[digits, inv[digits[:, c:c + 1]]]), "a translation")
+        link(graph.codec.index(mul[digits, inv[digits[:, c:c + 1]]]), "a translation")
     lab = components(count, links)
     return int(np.count_nonzero(lab == np.arange(count)))
 
 
 def rooted_orbit_counts(
-    g: GroupTable,
     graph: DiagGraph,
     perms: list[TaggedPerm],
     stabiliser: list[TaggedPerm],
     cliques: tuple[list[tuple[int, ...]], int] | None = None,
     *,
-    translations_checked: bool = False,
+    paranoid: bool = False,
 ) -> tuple[int, int, int | None]:
     """Orbits of the group D that ``perms`` generate on the vertices, the
     edges and a set of cliques of one size (``cliques``: those through
@@ -417,9 +416,9 @@ def rooted_orbit_counts(
     ``vertex_stabiliser_generators`` returns them.
 
     Every generator is first checked to be an automorphism, so the edge set
-    is D-invariant; the right translations are left out when
-    ``translations_checked`` says that the caller has checked them
-    (``diaggraph.translations_are_automorphisms``).  The edges and cliques are then counted from those
+    is D-invariant; the right translations are left out where
+    ``graph.rooted(paranoid)``, as the graph's translation certificate has
+    checked them.  The edges and cliques are then counted from those
     through vertex 0 alone: if d in D maps C onto C' and d(0) = y, then
     t_{y^-1} d lies in D_0 and maps C onto C'*y^-1, the re-rooting of C' at
     y.  So the D-orbits are the components of the links from D_0's
@@ -427,17 +426,18 @@ def rooted_orbit_counts(
     fails: a generator is no automorphism, a link leaves the items through
     0, or an item set is not spread evenly over the vertices.
     """
+    certified = graph.rooted(paranoid)
     check_automorphisms(graph, [p for p in perms
-                                if not (translations_checked and p.tag == "right-mult")])
+                                if not (certified and p.tag == "right-mult")])
     n = graph.size
     lab = components(n, [p.image for p in perms])
     vertex_orbits = int(np.count_nonzero(lab == np.arange(n)))
     ends = graph.nbr[0][graph.nbr[0] < n]
     edges = np.stack([np.zeros_like(ends), ends], axis=1)
-    edge_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, edges, graph.edge_count)
+    edge_orbits = _rooted_orbit_count(graph, stabiliser, edges, graph.edge_count)
     clique_orbits = None
     if cliques is not None:
-        clique_orbits = _rooted_orbit_count(g, graph.codec, stabiliser, *cliques)
+        clique_orbits = _rooted_orbit_count(graph, stabiliser, *cliques)
     return vertex_orbits, edge_orbits, clique_orbits
 
 
@@ -599,19 +599,17 @@ class SymmetryReport:
 
 
 def symmetry_report(
-    g: GroupTable,
     graph: DiagGraph,
     minimals: list[Partition],
     cliques: tuple[list[tuple[int, ...]], int] | None = None,
     *,
-    translations_checked: bool = False,
+    paranoid: bool = False,
 ) -> SymmetryReport:
     """The diagonal group of G^m, m >= 2, acting on ``graph``, built from
     ``minimals``: its order against the formula, its orbits on the vertices,
     the edges and the cliques of ``cliques`` (when given, as
-    ``rooted_orbit_counts`` takes them, as it takes
-    ``translations_checked``), its primitivity, and the group it induces on
-    the minimal partitions.
+    ``rooted_orbit_counts`` takes them, as it takes ``paranoid``), its
+    primitivity, and the group it induces on the minimal partitions.
 
     One generating set serves every count.  The order is n times the order
     of the stabiliser of vertex 0, from one chain over its generators, and
@@ -622,16 +620,16 @@ def symmetry_report(
     the cliques are not closed under the group, or a generator moves a
     minimal partition outside the family.
     """
-    m = graph.m
+    g, m = graph.group, graph.m
     if m < 2:
         raise ValueError("symmetry analysis needs m >= 2 (the minimal "
                          "partitions coincide at m = 1)")
     aut = automorphism_group(g)
-    perms = diagonal_group_generators(g, m, aut)
-    stabiliser = vertex_stabiliser_generators(g, m, perms)
+    perms = diagonal_group_generators(g, graph.codec, aut)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
     order = graph.size * build_chain(stabiliser).order()
     vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
-        g, graph, perms, stabiliser, cliques, translations_checked=translations_checked)
+        graph, perms, stabiliser, cliques, paranoid=paranoid)
     return SymmetryReport(
         order=order,
         order_formula=diagonal_group_order_formula(g, m, aut),

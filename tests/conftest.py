@@ -13,7 +13,7 @@ import pytest
 
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.groups import automorphism_group, parse_group_spec
-from diaglab.semilattice import join_closure, minimal_partitions, subset_suprema
+from diaglab.semilattice import VertexCodec, join_closure, minimal_partitions, subset_suprema
 from diaglab.symmetry import build_chain, diagonal_group_generators, is_vertex_primitive
 
 from replaced import all_maximal_cliques
@@ -64,18 +64,19 @@ def semilattice_of(spec: str, m: int):
 
 @lru_cache(maxsize=None)
 def cliques_of(spec: str, m: int):
-    return maximal_cliques(group_of(spec), graph_of(spec, m), minimals_of(spec, m))
+    return maximal_cliques(graph_of(spec, m), minimals_of(spec, m))
 
 
 @lru_cache(maxsize=None)
 def clique_list_of(spec: str, m: int) -> list[tuple[int, ...]]:
     """Every maximal clique, sorted, from the list-based oracle."""
-    return sorted(all_maximal_cliques(group_of(spec), graph_of(spec, m)))
+    return sorted(all_maximal_cliques(graph_of(spec, m)))
 
 
 @lru_cache(maxsize=None)
 def generators_of(spec: str, m: int):
-    return tuple(diagonal_group_generators(group_of(spec), m, aut_of(spec)))
+    g = group_of(spec)
+    return tuple(diagonal_group_generators(g, VertexCodec(q=g.order, m=m), aut_of(spec)))
 
 
 def primitivity_of(spec: str, m: int):

@@ -33,16 +33,19 @@ of a failed Moebius check before the semilattice's Moebius values were
 read off its closure masks.  The list of every maximal clique, translated
 from those through vertex 0 once N(v) = N(0)·v was checked at every v,
 before the clique census counted them from the cliques through vertex 0.
+The tabu search over the list view, with a list of colour counts per
+vertex, before the numpy table of those counts over ``nbr``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from diaglab.chromatic import CompleteMapping, Coloring
+from diaglab.chromatic import TABUCOL_MOVE_BUDGET, TABUCOL_SEED, CompleteMapping, Coloring
 from diaglab.diaggraph import DiagGraph, bron_kerbosch, connection_set
 from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import (
@@ -53,7 +56,7 @@ from diaglab.partitions import (
     finer_or_equal,
     singletons,
 )
-from diaglab.semilattice import VertexCodec, minimal_partitions
+from diaglab.semilattice import minimal_partitions
 from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
 
 
@@ -518,7 +521,7 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
     return int(np.count_nonzero(lab == np.arange(count)))
 
 
-def translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]] | None:
+def translated_cliques(graph: DiagGraph) -> list[tuple[int, ...]] | None:
     """All maximal cliques as right translates of those through vertex 0,
     or None when the graph is not certified to be invariant under right
     translation.
@@ -535,9 +538,9 @@ def translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]]
     """
     adj = graph.nbr
     n = graph.size
-    if n == 0 or graph.q != g.order or (adj == n).any():  # not regular
+    if n == 0 or (adj == n).any():  # not regular
         return None
-    codec, mul = graph.codec, np.asarray(g.mul)
+    codec, mul = graph.codec, np.asarray(graph.group.mul)
 
     def translates(left: np.ndarray) -> np.ndarray:
         """Row v: the vertices left·v, sorted."""
@@ -557,19 +560,19 @@ def translated_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]]
     return cliques
 
 
-def all_maximal_cliques(g: GroupTable, graph: DiagGraph) -> list[tuple[int, ...]]:
+def all_maximal_cliques(graph: DiagGraph) -> list[tuple[int, ...]]:
     """Every maximal clique, each once as a sorted tuple: translated from
     those through vertex 0 when ``translated_cliques`` certifies the graph,
     else from Bron-Kerbosch over the whole graph."""
-    cliques = translated_cliques(g, graph)
+    cliques = translated_cliques(graph)
     return bron_kerbosch(graph.adjacency) if cliques is None else cliques
 
 
-def from_rows(codec: VertexCodec, rows) -> DiagGraph:
-    """The graph whose edges are ``rows``, (u, v, tag) with u < v in any
-    order, each tagged at both ends; an edge given more than once keeps its
-    first row."""
-    n = codec.size
+def from_rows(group: GroupTable, m: int, rows) -> DiagGraph:
+    """The graph on G^m whose edges are ``rows``, (u, v, tag) with u < v in
+    any order, each tagged at both ends; an edge given more than once keeps
+    its first row."""
+    n = group.order**m
     rows = np.asarray(rows, dtype=np.int32).reshape(-1, 3)
     key, first = np.unique(rows[:, 0].astype(np.int64) * n + rows[:, 1],
                            return_index=True)
@@ -584,7 +587,7 @@ def from_rows(codec: VertexCodec, rows) -> DiagGraph:
     col = np.arange(len(arcs)) - (np.cumsum(degree) - degree)[src]
     nbr[src, col] = dst
     tag[src, col] = np.tile(rows[:, 2], 2)[order]
-    return DiagGraph.from_neighbours(codec, nbr, tag)
+    return DiagGraph.from_neighbours(group, m, nbr, tag)
 
 
 def tagged_rows(graph: DiagGraph) -> np.ndarray:
@@ -774,3 +777,73 @@ def poset_matrices(elems: list[Partition]) -> PosetMatrices:
         zeta=tuple(tuple(row) for row in zeta),
         mobius=tuple(tuple(row) for row in mobius),
     )
+
+
+def list_tabucol(
+    graph: DiagGraph, k: int, max_moves: int = TABUCOL_MOVE_BUDGET
+) -> Coloring | None:
+    """``chromatic.tabucol`` over the list view: each step scans every
+    vertex and colour in Python, and a move updates the neighbours' lists.
+
+    From a seeded random assignment, each move recolours one vertex that
+    has a same-coloured neighbour, choosing the move that leaves the fewest
+    conflicting edges.  Moving a vertex back to a colour it left is tabu for
+    r + 0.6 * (conflicting vertices) moves, r uniform in 0..9 (Galinier &
+    Hao, 1999), unless it reaches fewer conflicts than ever before.  Ties
+    are broken by a generator seeded with ``TABUCOL_SEED``, so the result
+    depends only on the graph and k.  None if ``max_moves`` moves leave a
+    conflict.
+    """
+    n = graph.size
+    nbr = graph.adjacency
+    rng = random.Random(TABUCOL_SEED)
+    colour = [rng.randrange(k) for _ in range(n)]
+    # seen[v][c]: neighbours of v that have colour c
+    seen = [[0] * k for _ in range(n)]
+    for v in range(n):
+        row = seen[v]
+        for w in nbr[v]:
+            row[colour[w]] += 1
+    conflicts = sum(seen[v][colour[v]] for v in range(n)) // 2
+    fewest = conflicts
+    tabu_until = [[0] * k for _ in range(n)]
+    for step in range(max_moves):
+        if not conflicts:
+            return Coloring(colors=tuple(colour))
+        best = n  # no move changes the conflicts by n or more
+        moves: list[tuple[int, int]] = []
+        conflicted = 0
+        for v in range(n):
+            row = seen[v]
+            cv = colour[v]
+            own = row[cv]
+            if not own:
+                continue
+            conflicted += 1
+            if min(row) - own > best:
+                continue
+            until = tabu_until[v]
+            for c in range(k):
+                delta = row[c] - own
+                if delta > best or c == cv:
+                    continue
+                if until[c] > step and conflicts + delta >= fewest:
+                    continue
+                if delta < best:
+                    best = delta
+                    moves = [(v, c)]
+                else:
+                    moves.append((v, c))
+        if not moves:
+            continue  # every move is tabu; wait for one to expire
+        v, c = moves[rng.randrange(len(moves))]
+        old = colour[v]
+        colour[v] = c
+        for w in nbr[v]:
+            row = seen[w]
+            row[old] -= 1
+            row[c] += 1
+        conflicts += best
+        fewest = min(fewest, conflicts)
+        tabu_until[v][old] = step + 1 + rng.randrange(10) + int(0.6 * conflicted)
+    return Coloring(colors=tuple(colour)) if not conflicts else None

@@ -147,7 +147,7 @@ def test_criterion_06_cliques():
             want = (m + 1) * g.q ** (m - 1)
             if rep.count != want or (rep.clique_number, rep.max_count) != (g.q, want):
                 bad.append((spec, m))
-        cover = clique_cover(group_of(spec), g, minimals_of(spec, m))
+        cover = clique_cover(g, minimals_of(spec, m))
         if cover.size != g.q ** (m - 1):
             bad.append((spec, m, "cover"))
     exceptional = {
@@ -183,7 +183,7 @@ def test_criterion_07_chromatic(tmp_path):
     for spec, m in GRID:
         g = group_of(spec)
         if m % 2 == 1 or hall_paige_predicate(g):
-            verdict = chromatic_verdict(g, graph_of(spec, m))
+            verdict = chromatic_verdict(graph_of(spec, m))
             if verdict.chi != g.order or verdict.coloring is None:
                 bad.append((spec, m))
     folded = chromatic_number_exact(graph_of("C2", 4))

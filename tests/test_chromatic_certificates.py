@@ -10,6 +10,7 @@ exact maximum-clique search on the complement.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from diaglab import chromatic
@@ -28,6 +29,7 @@ from diaglab.diaggraph import bron_kerbosch
 from diaglab.groups import parse_group_spec
 
 from conftest import graph_of, group_of
+from replaced import from_rows, list_tabucol
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
 
 
@@ -89,6 +91,27 @@ def test_tabucol_is_deterministic_and_proper(spec):
     assert first.count <= q + 2
 
 
+@pytest.mark.parametrize("spec", ["C2", "C4", "C6", "S3", "C8", "C10", "C12", "C14",
+                                  "C16", "C18", "C20"])
+def test_tabucol_follows_the_list_based_search(spec):
+    # the same seeded draws over the same moves in the same order
+    graph = graph_of(spec, 2)
+    k = group_of(spec).order + 2
+    assert tabucol(graph, k) == list_tabucol(graph, k)
+
+
+def test_tabucol_follows_the_list_based_search_on_an_irregular_graph():
+    # degrees 1 to 6, so nbr is padded; 300 moves leave a conflict with two
+    # colours and find a colouring with three
+    rng = np.random.default_rng(5)
+    rows = [(u, v, 0) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.15]
+    graph = from_rows(group_of("C5"), 2, rows)
+    assert (graph.nbr == graph.size).any()
+    for k in (2, 3):
+        assert tabucol(graph, k, 300) == list_tabucol(graph, k, 300), k
+    assert tabucol(graph, 2, 300) is None and tabucol(graph, 3, 300) is not None
+
+
 def test_tabucol_budget():
     graph = graph_of("C6", 2)
     assert tabucol(graph, 8, max_moves=0) is None
@@ -100,7 +123,7 @@ def test_tabucol_budget():
 def test_verdict_closes_q_plus_2_at_dimension_2(spec):
     g = group_of(spec)
     q = g.order
-    v = chromatic_verdict(g, graph_of(spec, 2))
+    v = chromatic_verdict(graph_of(spec, 2))
     assert (v.chi, v.lower, v.upper, v.conjecture) == (q + 2, q, q + 2, q + 2)
     assert v.mapping is None
     assert validate_coloring(graph_of(spec, 2), v.coloring)
@@ -109,7 +132,7 @@ def test_verdict_closes_q_plus_2_at_dimension_2(spec):
 @pytest.mark.parametrize("spec,m", [("C2", 4), ("C2", 6), ("C4", 4)])
 def test_verdict_pulls_back_at_even_dimension(spec, m):
     g = group_of(spec)
-    v = chromatic_verdict(g, graph_of(spec, m))
+    v = chromatic_verdict(graph_of(spec, m))
     assert (v.chi, v.lower, v.upper) == (None, g.order, g.order + 2)
     assert validate_coloring(graph_of(spec, m), v.coloring)
     assert "pulled back through the homomorphism cascade to dimension 2" in v.reason
@@ -117,6 +140,6 @@ def test_verdict_pulls_back_at_even_dimension(spec, m):
 
 def test_verdict_without_upper_bound(monkeypatch):
     monkeypatch.setattr(chromatic, "tabucol", lambda graph, k: None)
-    v = chromatic_verdict(group_of("C6"), graph_of("C6", 2))
+    v = chromatic_verdict(graph_of("C6", 2))
     assert (v.chi, v.lower, v.upper) == (None, 6, None)
     assert any("no 8-colouring" in r for r in v.reason)

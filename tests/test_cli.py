@@ -272,38 +272,48 @@ def test_check_all_falls_back_where_translations_are_no_automorphisms(
         capsys, monkeypatch, switched):
     """On a 2-switched graph the translation certificate fails, and each
     shortcut from vertex 0 searches from every vertex instead."""
-    import inspect
+    from diaglab import diaggraph
 
-    from diaglab import diaggraph, spectral
-
-    from test_translated_cliques import two_switch
+    from test_translated_cliques import record_searches, two_switch
 
     build = diaggraph.build_graph
     monkeypatch.setattr(diaggraph, "build_graph", lambda g, minimals: (
         two_switch(build(g, minimals)) if switched else build(g, minimals)))
-    paths = {}
-
-    def recording(module, name):
-        original = getattr(module, name)
-
-        def run(*args, **kwargs):
-            bound = inspect.signature(original).bind(*args, **kwargs)
-            bound.apply_defaults()
-            paths[name] = bound.arguments["paranoid"]
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, run)
-
-    for name in ("diameter", "is_distance_regular", "maximal_cliques"):
-        recording(diaggraph, name)
-    recording(spectral, "spectrum_trace_moments")
+    searched = record_searches(monkeypatch)
     code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
-    assert paths == dict.fromkeys(
-        ["diameter", "spectrum_trace_moments", "maximal_cliques", "is_distance_regular"],
-        switched)
+    n, valency = 27, 8
+    assert searched == {"_max_eccentricity": [n if switched else 1],
+                        "_walk_blocks": [n if switched else 1],
+                        "bron_kerbosch": [n] if switched else [valency],
+                        "is_distance_regular": [n if switched else 1]}
     failures = json.loads(out)["failures"]
     assert code == (EXIT_CHECK_FAILED if switched else EXIT_OK)
     assert ("construction-agreement" in failures) == switched
+
+
+@pytest.mark.parametrize("argv,certificates", [
+    (("check-all", "--group", "C3", "--m", "3"), 1),
+    (("check-all", "--group", "S3", "--m", "2"), 1),
+    (("check-all", "--group", "C4", "--m", "1"), 1),
+    (("cliques", "--group", "C3", "--m", "3"), 1),
+    (("symmetry", "--group", "C3", "--m", "3"), 1),
+    (("diameter", "--group", "C3", "--m", "3"), 1),
+    (("spectrum", "--group", "C3", "--m", "3", "--verify"), 1),
+    (("chromatic", "--group", "C4", "--m", "2"), 0),
+    (("build", "--group", "C3", "--m", "3"), 0),
+])
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_translation_certificate_is_computed_once_and_never_under_paranoid(
+        capsys, monkeypatch, argv, certificates, paranoid):
+    from diaglab import diaggraph
+
+    calls = []
+    original = diaggraph.translations_are_automorphisms
+    monkeypatch.setattr(diaggraph, "translations_are_automorphisms",
+                        lambda graph: calls.append(graph.size) or original(graph))
+    code, _, _ = run_cli(capsys, *argv, *["--paranoid"] * paranoid)
+    assert code == EXIT_OK
+    assert len(calls) == (0 if paranoid else certificates)
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
@@ -559,7 +569,7 @@ def test_check_all_builds_each_artefact_once(capsys, call_counts):
 @pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])
 def test_check_all_never_builds_the_list_view(capsys, monkeypatch, group, m):
     # the walk counts and the diameter read nbr; only the per-vertex searches
-    # (TabuCol, DSATUR, whole-graph Bron-Kerbosch) need Python lists
+    # (DSATUR, whole-graph Bron-Kerbosch) need Python lists
     from diaglab.diaggraph import DiagGraph
 
     build = DiagGraph.__dict__["adjacency"].func
@@ -773,6 +783,59 @@ def test_symmetry_reports_failed_check(capsys, monkeypatch, breakage, message):
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["cliques", "symmetry"])
+def test_clique_commands_report_a_failed_census(capsys, monkeypatch, command):
+    from diaglab import diaggraph
+
+    census = diaggraph._clique_census
+
+    def with_an_edge(graph, whole):
+        cliques, counts = census(graph, whole)
+        return cliques + [(0, graph.size - 1)], {**counts, 2: graph.size // 2}
+
+    monkeypatch.setattr(diaggraph, "_clique_census", with_an_edge)
+    code, out, err = run_cli(capsys, command, "--group", "C3", "--m", "3")
+    assert (code, out) == (EXIT_CHECK_FAILED, "")
+    assert err == "error: a maximal clique below maximum size exists\n"
+
+
+WITNESS_MESSAGE = "C3: complete-mapping witness is not a bijection"
+
+
+def refuse_witnesses(monkeypatch) -> None:
+    """Make every complete-mapping witness fail its check."""
+    from diaglab import chromatic
+
+    monkeypatch.setattr(chromatic, "is_complete_mapping", lambda g, cm: False)
+
+
+@pytest.mark.parametrize("argv", [("chromatic", "--group", "C3", "--m", "2"),
+                                  ("mapping", "--group", "C3")])
+def test_commands_report_a_witness_that_fails_its_check(capsys, monkeypatch, argv):
+    refuse_witnesses(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_CHECK_FAILED, "", f"error: {WITNESS_MESSAGE}\n")
+
+
+@pytest.mark.parametrize("m,failures", [("2", ["chromatic-number", "hall-paige"]),
+                                        ("3", ["hall-paige"])])
+def test_check_all_records_a_witness_that_fails_its_check(capsys, monkeypatch,
+                                                          ledger_validator, m, failures):
+    # at m = 2 the verdict and the hall-paige claim each look for a mapping;
+    # at m = 3 only the hall-paige claim does
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", m)
+    full = [c["claim"] for c in json.loads(out)["claims"]]
+    refuse_witnesses(monkeypatch)
+    code, out, err = run_cli(capsys, "check-all", "--group", "C3", "--m", m)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    data = json.loads(out)
+    ledger_validator.validate(data)
+    assert data["failures"] == failures
+    assert [c["claim"] for c in data["claims"]] == full
+    assert {c["detail"] for c in data["claims"] if c["claim"] in failures} == {
+        WITNESS_MESSAGE}
 
 
 def test_grid_contains_instance_assertion(capsys, monkeypatch):

@@ -220,12 +220,12 @@ def test_cliques_grid_m_above_two(grid):
 
 
 def test_clique_cover_examples():
-    cover = clique_cover(group_of("C3"), graph_of("C3", 2), minimals_of("C3", 2))
+    cover = clique_cover(graph_of("C3", 2), minimals_of("C3", 2))
     assert cover.size == 3
-    cover = clique_cover(group_of("C2"), graph_of("C2", 3), minimals_of("C2", 3))
+    cover = clique_cover(graph_of("C2", 3), minimals_of("C2", 3))
     assert cover.size == 4
     assert cover.lower_bound == 4
-    cover = clique_cover(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3))
+    cover = clique_cover(graph_of("C3", 3), minimals_of("C3", 3))
     assert cover.size == 9
     assert cover.lower_bound == 9
 
@@ -311,7 +311,7 @@ def property_report(g, graph, minimals) -> dict:
     if arrays is not None and dr:
         report["intersection_array"] = [list(arrays[0]), list(arrays[1])]
     if graph.size <= CLIQUE_VERTEX_CAP:
-        report["clique_number"] = maximal_cliques(g, graph, minimals).clique_number
+        report["clique_number"] = maximal_cliques(graph, minimals).clique_number
     return report
 
 

@@ -24,8 +24,9 @@ from diaglab.diaggraph import (
     to_edgelist,
     to_graph6,
 )
+from diaglab.groups import cyclic
 from diaglab.partitions import Partition
-from diaglab.semilattice import VertexCodec, minimal_partitions
+from diaglab.semilattice import minimal_partitions
 
 from conftest import GRID, graph_of, group_of
 from replaced import (
@@ -73,7 +74,7 @@ def test_neighbours_first_matches_the_pair_rows(spec, m):
     g = group_of(spec)
     minimals = minimal_partitions(g, m)
     rows = np.concatenate([block_rows(part, i) for i, part in enumerate(minimals)])
-    want = from_rows(VertexCodec(q=g.order, m=m), rows)
+    want = from_rows(g, m, rows)
     for graph in (build_graph(g, minimals), cayley_graph(g, m)):
         for got, expect in ((graph.nbr, want.nbr), (graph.tag, want.tag),
                             (tagged_rows(graph), tagged_rows(want))):
@@ -116,7 +117,7 @@ def test_dimension_one_pads_the_rows_that_lose_a_copy():
     pairs = Partition.from_labels([0, 0, 1, 1, 2, 2])
     graph = build_graph(g, [halves, pairs])
     rows = np.concatenate([block_rows(halves, 0), block_rows(pairs, 1)])
-    want = from_rows(VertexCodec(q=6, m=1), rows)
+    want = from_rows(cyclic(6), 1, rows)
     assert graph.nbr.tolist() == want.nbr.tolist() == [
         [1, 2, 6], [0, 2, 6], [0, 1, 3], [2, 4, 5], [3, 5, 6], [3, 4, 6]]
     assert graph.tag.tobytes() == want.tag.tobytes()
@@ -129,14 +130,14 @@ def test_dimension_one_pads_the_rows_that_lose_a_copy():
 def test_same_edge_set_compares_tags_and_edges():
     graph = graph_of("C3", 3)
     rows = tagged_rows(graph)
-    assert same_edge_set(graph, from_rows(graph.codec, rows))
+    assert same_edge_set(graph, from_rows(graph.group, graph.m, rows))
     retagged = rows.copy()
     retagged[5, 2] = (retagged[5, 2] + 1) % 4
-    assert not same_edge_set(graph, from_rows(graph.codec, retagged))
-    assert not same_edge_set(graph, from_rows(graph.codec, rows[1:]))
+    assert not same_edge_set(graph, from_rows(graph.group, graph.m, retagged))
+    assert not same_edge_set(graph, from_rows(graph.group, graph.m, rows[1:]))
     # two 4-cycles on 0..3: the same degrees and tags, other edges
-    square = from_rows(VertexCodec(q=4, m=1), [(0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0)])
-    crossed = from_rows(VertexCodec(q=4, m=1), [(0, 2, 0), (1, 2, 0), (1, 3, 0), (0, 3, 0)])
+    square = from_rows(cyclic(4), 1, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 3, 0)])
+    crossed = from_rows(cyclic(4), 1, [(0, 2, 0), (1, 2, 0), (1, 3, 0), (0, 3, 0)])
     assert np.array_equal(square.tag, crossed.tag)
     assert not same_edge_set(square, crossed)
 
@@ -146,7 +147,7 @@ def test_same_edge_set_compares_the_tag_at_the_larger_end():
     u, k = map(int, np.argwhere(graph.nbr < np.arange(graph.size)[:, None])[0])
     tag = graph.tag.copy()
     tag[u, k] = (tag[u, k] + 1) % 4
-    doctored = DiagGraph.from_neighbours(graph.codec, graph.nbr, tag)
+    doctored = DiagGraph.from_neighbours(graph.group, graph.m, graph.nbr, tag)
     # the rows tagged at the smaller end alone cannot tell them apart
     assert np.array_equal(tagged_rows(doctored), tagged_rows(graph))
     assert not same_edge_set(graph, doctored)
@@ -154,10 +155,10 @@ def test_same_edge_set_compares_the_tag_at_the_larger_end():
 
 def test_same_edge_set_catches_a_neighbour_listed_at_one_end_only():
     # a star on 0..3 plus the edge 4-5, where 3 no longer lists 0 back
-    graph = from_rows(VertexCodec(q=6, m=1), [(0, 1, 0), (0, 2, 0), (0, 3, 1), (4, 5, 2)])
+    graph = from_rows(cyclic(6), 1, [(0, 1, 0), (0, 2, 0), (0, 3, 1), (4, 5, 2)])
     nbr = graph.nbr.copy()
     nbr[3, 0] = 6
-    doctored = DiagGraph.from_neighbours(graph.codec, nbr, graph.tag)
+    doctored = DiagGraph.from_neighbours(graph.group, graph.m, nbr, graph.tag)
     assert doctored.tag[3].tolist() == [-1, -1, -1]
     # the rows read at the smaller end alone cannot tell them apart
     assert np.array_equal(tagged_rows(doctored), tagged_rows(graph))
@@ -167,7 +168,7 @@ def test_same_edge_set_catches_a_neighbour_listed_at_one_end_only():
 def test_from_rows_pads_an_irregular_graph():
     # a star on 0..3 plus the edge 4-5, in no order, with one edge given twice
     rows = [(4, 5, 2), (0, 3, 1), (0, 1, 0), (0, 2, 0), (0, 3, 7)]
-    graph = from_rows(VertexCodec(q=6, m=1), rows)
+    graph = from_rows(cyclic(6), 1, rows)
     assert tagged_rows(graph).tolist() == [[0, 1, 0], [0, 2, 0], [0, 3, 1], [4, 5, 2]]
     assert graph.edges().tolist() == [[0, 1], [0, 2], [0, 3], [4, 5]]
     assert graph.nbr.tolist() == [[1, 2, 3], [0, 6, 6], [0, 6, 6], [0, 6, 6],
@@ -177,7 +178,7 @@ def test_from_rows_pads_an_irregular_graph():
                                   [2, -1, -1], [2, -1, -1]]
     assert graph.adjacency == [[1, 2, 3], [0], [0], [0], [5], [4]]
     assert graph.adjacency is graph.adjacency  # built once
-    empty = from_rows(VertexCodec(q=3, m=1), [])
+    empty = from_rows(cyclic(3), 1, [])
     assert empty.edges().shape == (0, 2) and empty.edge_count == 0
     assert empty.nbr.shape == empty.tag.shape == (3, 0)
     assert empty.adjacency == [[], [], []]

@@ -59,9 +59,9 @@ def test_orbit_count_wide_rows_c16_m3():
     g = group_of("C16")
     minimals = minimal_partitions(g, 3)
     graph = build_graph(g, minimals)
-    top = top_cliques(all_maximal_cliques(g, graph))
+    top = top_cliques(all_maximal_cliques(graph))
     assert len(top[0]) == 16 and 4096**16 > 2**63
-    perms = diagonal_group_generators(g, 3, aut_of("C16"))
+    perms = diagonal_group_generators(g, graph.codec, aut_of("C16"))
     assert orbit_count(perms, top) == unionfind_orbit_count(perms, top) == 1
 
 

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from diaglab import diaggraph, partitions, spectral
 from diaglab.diaggraph import DiagGraph, _max_eccentricity, diameter, to_graph6
+from diaglab.groups import cyclic
 from diaglab.partitions import start_blocks
-from diaglab.semilattice import VertexCodec
 from diaglab.spectral import _walk_blocks, _walk_counts
 
 from conftest import GRID, edge_set, graph_of, group_of
@@ -76,7 +76,7 @@ def bit_list_graph6(graph) -> bytes:
 def graph_from_edges(n: int, edges) -> DiagGraph:
     """The graph on 0..n-1 with these edges, each in either order."""
     rows = [(min(u, v), max(u, v), 0) for u, v in edges]
-    return from_rows(VertexCodec(q=n, m=1), rows)
+    return from_rows(cyclic(n), 1, rows)
 
 
 def cycle(n: int) -> DiagGraph:

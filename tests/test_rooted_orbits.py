@@ -65,11 +65,11 @@ def generator_set(spec: str, m: int, which: str) -> list[TaggedPerm]:
 def test_rooted_counts_match_whole_set_counts(spec, m, which):
     g, graph = group_of(spec), graph_of(spec, m)
     perms = generator_set(spec, m, which)
-    stabiliser = vertex_stabiliser_generators(g, m, perms)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
     top = top_cliques(spec, m)
     census = cliques_of(spec, m)
     assert through_zero(top) == (census.top_through_zero, census.max_count)
-    assert rooted_orbit_counts(g, graph, perms, stabiliser, through_zero(top)) == (
+    assert rooted_orbit_counts(graph, perms, stabiliser, through_zero(top)) == (
         orbit_count(perms, list(range(graph.size))),
         orbit_count(perms, graph.edges()),
         orbit_count(perms, top),
@@ -78,16 +78,17 @@ def test_rooted_counts_match_whole_set_counts(spec, m, which):
 
 def test_rooted_counts_c16_m4():
     g = group_of("C16")
-    perms = diagonal_group_generators(g, 4, aut_of("C16"))
-    stabiliser = vertex_stabiliser_generators(g, 4, perms)
-    assert rooted_orbit_counts(g, cayley_graph(g, 4), perms, stabiliser) == (1, 4, None)
+    graph = cayley_graph(g, 4)
+    perms = diagonal_group_generators(g, graph.codec, aut_of("C16"))
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
+    assert rooted_orbit_counts(graph, perms, stabiliser) == (1, 4, None)
 
 
 def test_rooted_counts_without_cliques():
     g, graph = group_of("C3"), graph_of("C3", 3)
     perms = list(generators_of("C3", 3))
-    stabiliser = vertex_stabiliser_generators(g, 3, perms)
-    assert rooted_orbit_counts(g, graph, perms, stabiliser, None) == (1, 1, None)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
+    assert rooted_orbit_counts(graph, perms, stabiliser, None) == (1, 1, None)
 
 
 def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
@@ -95,7 +96,7 @@ def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
     # clique through 0 into the set: only the whole-graph check sees it.
     g, graph = group_of("C3"), graph_of("C3", 3)
     perms = list(generators_of("C3", 3))
-    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
     far = sorted(set(range(1, graph.size)) - set(graph.nbr[0].tolist()))
     nbrs = [set(graph.nbr[v].tolist()) for v in range(graph.size)]
     u, v = next((u, v) for u in far for v in far
@@ -105,7 +106,7 @@ def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
     bad = TaggedPerm(tag="injected", image=swap)
     with pytest.raises(AssertionError,
                        match="generator injected maps an item outside the item set"):
-        rooted_orbit_counts(g, graph, perms + [bad], stabiliser,
+        rooted_orbit_counts(graph, perms + [bad], stabiliser,
                             through_zero(top_cliques("C3", 3)))
 
 
@@ -114,12 +115,12 @@ def test_clique_list_missing_an_item_away_from_0_is_caught():
     # of incidences tells that the list is not closed.
     g, graph = group_of("C3"), graph_of("C3", 3)
     perms = list(generators_of("C3", 3))
-    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
     top = top_cliques("C3", 3)
     away = next(i for i, c in enumerate(top) if 0 not in c)
     with pytest.raises(AssertionError, match="35 items of 3 points, 4 of them through "
                        "vertex 0, on 27 vertices"):
-        rooted_orbit_counts(g, graph, perms, stabiliser,
+        rooted_orbit_counts(graph, perms, stabiliser,
                             through_zero(top[:away] + top[away + 1:]))
 
 
@@ -129,10 +130,10 @@ def test_clique_list_not_closed_under_the_stabiliser_is_caught():
     # Q_2 to one of Q_3.
     g, graph = group_of("C3"), graph_of("C3", 3)
     perms = list(generators_of("C3", 3))
-    stabiliser = vertex_stabiliser_generators(g, 3, perms)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
     digits = VertexCodec(q=3, m=3).digits
     parts = [tuple(np.flatnonzero((np.delete(digits, i, axis=1) == key).all(axis=1)))
              for i in (0, 1) for key in np.unique(np.delete(digits, i, axis=1), axis=0)]
     assert len(parts) == 18 and all(len(p) == 3 for p in parts)
     with pytest.raises(AssertionError, match="maps an item outside the item set"):
-        rooted_orbit_counts(g, graph, perms, stabiliser, through_zero(parts))
+        rooted_orbit_counts(graph, perms, stabiliser, through_zero(parts))

@@ -27,7 +27,9 @@ SMALL = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 1296]
 
 
 def stabiliser_of(spec: str, m: int):
-    return vertex_stabiliser_generators(group_of(spec), m, list(generators_of(spec, m)))
+    g = group_of(spec)
+    return vertex_stabiliser_generators(g, VertexCodec(q=g.order, m=m),
+                                        list(generators_of(spec, m)))
 
 
 def group_order(n: int, stabiliser) -> int:
@@ -78,12 +80,13 @@ def test_dropping_the_inversion_map_is_caught():
 
 def test_needs_transitive_translations():
     g = group_of("C3")
-    perms = diagonal_group_generators(g, 3, aut_of("C3"))
+    codec = VertexCodec(q=3, m=3)
+    perms = diagonal_group_generators(g, codec, aut_of("C3"))
     # the diagonal left multiplications of an abelian group are translations,
     # but only along the diagonal
     without = [p for p in perms if p.tag != "right-mult"]
     with pytest.raises(AssertionError, match="not transitive"):
-        vertex_stabiliser_generators(g, 3, without)
+        vertex_stabiliser_generators(g, codec, without)
 
 
 def cycles(image: np.ndarray) -> dict[int, list[list[int]]]:
@@ -128,7 +131,7 @@ def test_generators_that_do_not_normalise_the_translations(spec, m, seed):
     codec = VertexCodec(q=g.order, m=m)
     digits = codec.digits.copy()
     digits[:, 0] = rng.permutation(g.order)[digits[:, 0]]
-    translations = [p for p in diagonal_group_generators(g, m, aut_of(spec))
+    translations = [p for p in diagonal_group_generators(g, codec, aut_of(spec))
                     if p.tag == "right-mult"]
     r = translations[0].image
     r2 = next(t.image for t in reversed(translations)
@@ -136,5 +139,5 @@ def test_generators_that_do_not_normalise_the_translations(spec, m, seed):
     s = conjugator(r, r2, rng)
     for extra in (codec.index(digits), rng.permutation(codec.size), s, np.argsort(s)):
         perms = translations + [TaggedPerm(tag="extra", image=extra)]
-        stabiliser = vertex_stabiliser_generators(g, m, perms)
+        stabiliser = vertex_stabiliser_generators(g, codec, perms)
         assert group_order(codec.size, stabiliser) == build_chain(perms).order()

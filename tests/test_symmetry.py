@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from diaglab.groups import is_elementary_abelian
-from diaglab.semilattice import minimal_partitions
+from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import (
     action_on_partitions,
     build_chain,
@@ -76,7 +76,7 @@ def test_order_formula_grid(grid):
 def test_chain_order_c2_m9():
     # 1 857 945 600 > 10^9: past the order cap that check-all used to apply
     g = group_of("C2")
-    chain = build_chain(diagonal_group_generators(g, 9, aut_of("C2")))
+    chain = build_chain(diagonal_group_generators(g, VertexCodec(q=2, m=9), aut_of("C2")))
     assert chain.order() == diagonal_group_order_formula(g, 9, aut_of("C2")) == 1857945600
 
 
@@ -202,10 +202,9 @@ def test_induced_action_full_symmetric_grid(grid):
 
 
 def test_symmetry_report_fields():
-    g = group_of("C3")
     graph = graph_of("C3", 2)
     census = cliques_of("C3", 2)
-    rep = symmetry_report(g, graph, minimals_of("C3", 2),
+    rep = symmetry_report(graph, minimals_of("C3", 2),
                           (census.top_through_zero, census.max_count))
     data = rep.to_dict()
     assert data["order"] == data["order_formula"] == 108

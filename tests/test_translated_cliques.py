@@ -13,6 +13,8 @@ translation, ``replaced.translated_cliques``.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,17 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab import diaggraph
+from diaglab import diaggraph, spectral
 from diaglab.diaggraph import (
+    DiagGraph,
     _clique_census,
     bron_kerbosch,
     build_graph,
+    diameter,
+    is_distance_regular,
     maximal_cliques,
     translations_are_automorphisms,
 )
 from diaglab.errors import CapExceededError
 from diaglab.partitions import Partition
-from diaglab.semilattice import VertexCodec, minimal_partitions
+from diaglab.semilattice import minimal_partitions
+from diaglab.spectral import spectrum_trace_moments
 
 from conftest import GRID, edge_set, graph_of, group_of, minimals_of
 from replaced import TupleCodec, from_rows, tagged_rows, translated_cliques
@@ -46,8 +52,8 @@ def oracle_census(g, graph) -> tuple[dict[int, int], list[tuple[int, ...]]]:
     return dict(Counter(map(len, cliques))), sorted(c for c in cliques if 0 in c)
 
 
-def assert_census_matches(g, graph, paranoid: bool = False) -> None:
-    cliques, counts = _clique_census(graph, paranoid)
+def assert_census_matches(g, graph, whole: bool = False) -> None:
+    cliques, counts = _clique_census(graph, whole)
     assert all(list(c) == sorted(set(c)) for c in cliques)
     want_counts, want_at_zero = oracle_census(g, graph)
     assert counts == want_counts
@@ -67,6 +73,22 @@ def record_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def record_searches(monkeypatch) -> dict[str, list[int]]:
+    """Spy on the shortcuts from vertex 0 and their every-vertex forms:
+    how many base vertices or walk starts each kernel cuts into blocks,
+    keyed by the kernel's name, and under "bron_kerbosch" the size of each
+    graph the clique census searches.  The every-vertex forms give n."""
+    searched: dict[str, list[int]] = {"bron_kerbosch": record_sizes(monkeypatch)}
+    for module in (diaggraph, spectral):
+        def spy(starts, bits_per_start, cut=module.start_blocks):
+            caller = sys._getframe(1).f_code.co_name
+            searched.setdefault(caller, []).append(len(starts))
+            return cut(starts, bits_per_start)
+
+        monkeypatch.setattr(module, "start_blocks", spy)
+    return searched
+
+
 def two_switch(graph):
     """The graph with edges ab and cd replaced by ac and bd, for the first
     such pair (a, b, c, d distinct, ac and bd not edges, 0 not among them).
@@ -80,17 +102,17 @@ def two_switch(graph):
             if not linked(a, c) and not linked(b, d):
                 rows = [(u, v, 0) for u, v in edges - {(a, b), (c, d)}]
                 rows += [(min(a, c), max(a, c), 0), (min(b, d), max(b, d), 0)]
-                return from_rows(graph.codec, rows)
+                return from_rows(graph.group, graph.m, rows)
     raise AssertionError("no 2-switch found")
 
 
 @pytest.mark.parametrize("spec,m", GRID + [("C16", 3)] + EXCEPTIONAL)
 def test_grid_graphs(spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
-    assert translations_are_automorphisms(g, graph)
+    assert translations_are_automorphisms(graph)
     assert_census_matches(g, graph)
     counts, at_zero = oracle_census(g, graph)
-    rep = maximal_cliques(g, graph, minimals_of(spec, m))
+    rep = maximal_cliques(graph, minimals_of(spec, m))
     omega = max(counts)
     assert (rep.clique_number, rep.count, rep.max_count, list(rep.through_zero)) == (
         omega, sum(counts.values()), counts[omega], at_zero)
@@ -102,10 +124,10 @@ def test_complete_graphs_of_dimension_1(spec):
     minimals = minimal_partitions(g, 1)
     graph = build_graph(g, minimals)
     everything = tuple(range(g.order))
-    assert translations_are_automorphisms(g, graph)
+    assert translations_are_automorphisms(graph)
     assert _clique_census(graph, False) == ([everything], {g.order: 1})
     assert_census_matches(g, graph)
-    rep = maximal_cliques(g, graph, minimals)
+    rep = maximal_cliques(graph, minimals)
     assert (rep.clique_number, rep.count, rep.through_zero) == (g.order, 1, (everything,))
 
 
@@ -114,24 +136,42 @@ def test_two_switch_falls_back(spec, m):
     g = group_of(spec)
     switched = two_switch(graph_of(spec, m))
     assert len({len(a) for a in switched.adjacency}) == 1  # still regular
-    assert not translations_are_automorphisms(g, switched)
-    assert translated_cliques(g, switched) is None
-    assert_census_matches(g, switched, paranoid=True)
+    assert not translations_are_automorphisms(switched)
+    assert translated_cliques(switched) is None
+    assert_census_matches(g, switched, whole=True)
+
+
+@pytest.mark.parametrize("spec,m", [("C3", 3), ("S3", 2)])
+def test_shortcuts_search_every_vertex_of_a_two_switched_graph(monkeypatch, spec, m):
+    # with default arguments, each shortcut from vertex 0 reads the failed
+    # certificate and searches from every vertex, whatever it then finds
+    switched = two_switch(graph_of(spec, m))
+    searched = record_searches(monkeypatch)
+    diameter(switched)
+    is_distance_regular(switched)
+    with contextlib.suppress(AssertionError):
+        spectrum_trace_moments(switched)
+    with contextlib.suppress(AssertionError):
+        maximal_cliques(switched, minimals_of(spec, m))
+    n = switched.size
+    assert searched == {"_max_eccentricity": [n], "is_distance_regular": [n],
+                        "_walk_blocks": [n], "bron_kerbosch": [n]}
+    assert not switched.translations_certified
 
 
 def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
-    broken = from_rows(graph.codec, tagged_rows(graph)[1:])
-    assert not translations_are_automorphisms(g, broken)
-    assert translated_cliques(g, broken) is None
-    assert_census_matches(g, broken, paranoid=True)
+    broken = from_rows(graph.group, graph.m, tagged_rows(graph)[1:])
+    assert not translations_are_automorphisms(broken)
+    assert translated_cliques(broken) is None
+    assert_census_matches(g, broken, whole=True)
 
 
 def test_edgeless_graph_gives_singletons():
     g = group_of("C3")
-    empty = from_rows(VertexCodec(q=3, m=2), [])
-    assert translations_are_automorphisms(g, empty)
+    empty = from_rows(g, 2, [])
+    assert translations_are_automorphisms(empty)
     assert _clique_census(empty, False) == ([(0,)], {1: 9})
     assert _clique_census(empty, True) == ([(v,) for v in range(9)], {1: 9})
 
@@ -140,7 +180,7 @@ def test_edgeless_graph_gives_singletons():
 def test_default_path_enumerates_only_the_neighbourhood(monkeypatch, spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
     sizes = record_sizes(monkeypatch)
-    maximal_cliques(g, graph, minimals_of(spec, m))
+    maximal_cliques(graph, minimals_of(spec, m))
     assert sizes and max(sizes) <= graph.valency
 
 
@@ -148,9 +188,9 @@ def test_default_path_enumerates_only_the_neighbourhood(monkeypatch, spec, m):
 def test_paranoid_runs_the_full_enumeration(monkeypatch, spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
     sizes = record_sizes(monkeypatch)
-    report = maximal_cliques(g, graph, minimals_of(spec, m), paranoid=True)
+    report = maximal_cliques(graph, minimals_of(spec, m), paranoid=True)
     assert sizes == [graph.size]
-    assert report == maximal_cliques(g, graph, minimals_of(spec, m))
+    assert report == maximal_cliques(graph, minimals_of(spec, m))
 
 
 @st.composite
@@ -171,21 +211,21 @@ def cayley_graphs(draw):
         for s in conn:
             w = codec.encode(tuple(g.mul[s[i]][u[i]] for i in range(m)))
             tagged[(min(v, w), max(v, w))] = 0
-    return g, from_rows(VertexCodec(q=g.order, m=m), [(u, v, 0) for u, v in tagged])
+    return g, from_rows(g, m, [(u, v, 0) for u, v in tagged])
 
 
 @settings(max_examples=150, deadline=None)
 @given(cayley_graphs())
 def test_random_cayley_graphs(case):
     g, graph = case
-    assert translations_are_automorphisms(g, graph)
-    assert translated_cliques(g, graph) is not None
+    assert translations_are_automorphisms(graph)
+    assert translated_cliques(graph) is not None
     assert_census_matches(g, graph)
 
 
 def test_census_that_does_not_spread_evenly_is_caught():
     # vertex 0 lies in one maximal 2-clique, and 9 * 1 / 2 is not whole
-    one_edge = from_rows(VertexCodec(q=3, m=2), [(0, 1, 0)])
+    one_edge = from_rows(group_of("C3"), 2, [(0, 1, 0)])
     with pytest.raises(AssertionError, match="1 maximal cliques of 2 vertices through "
                        "vertex 0 do not spread evenly over 9 vertices"):
         _clique_census(one_edge, False)
@@ -197,7 +237,7 @@ def test_certificate_needs_transitive_generators(monkeypatch):
     first = diaggraph.right_translations(g, graph.codec)[:1]
     diaggraph.check_automorphisms(graph, first)
     monkeypatch.setattr(diaggraph, "right_translations", lambda g, codec: first)
-    assert not translations_are_automorphisms(g, graph)
+    assert not translations_are_automorphisms(graph)
 
 
 PARTS_MESSAGE = "maximum cliques are not exactly the partition parts"
@@ -214,7 +254,7 @@ def test_extra_partition_of_non_cliques_is_caught():
     for paranoid in (False, True):
         with pytest.raises(AssertionError, match=PARTS_MESSAGE + ": 36 maximum "
                            "cliques, 45 parts"):
-            maximal_cliques(g, graph, minimals + [bogus], paranoid=paranoid)
+            maximal_cliques(graph, minimals + [bogus], paranoid=paranoid)
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
@@ -231,7 +271,7 @@ def test_partition_with_a_larger_block_is_caught(paranoid):
                 Partition.from_labels(split)] + minimals[3:]
     assert sum(p.block_count for p in doctored) == sum(p.block_count for p in minimals)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
-        maximal_cliques(g, graph, doctored, paranoid=paranoid)
+        maximal_cliques(graph, doctored, paranoid=paranoid)
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
@@ -240,7 +280,7 @@ def test_maximum_clique_outside_the_parts_is_caught(paranoid):
     # of Q_m through 0 are maximum cliques in no given part
     g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
-        maximal_cliques(g, graph, minimals[:-1] + minimals[1:2], paranoid=paranoid)
+        maximal_cliques(graph, minimals[:-1] + minimals[1:2], paranoid=paranoid)
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
@@ -251,7 +291,7 @@ def test_more_parts_than_maximum_cliques_is_caught(paranoid, spec, m, cliques, p
     g, graph, minimals = group_of(spec), graph_of(spec, m), minimals_of(spec, m)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + f": {cliques} maximum "
                        f"cliques, {parts} parts"):
-        maximal_cliques(g, graph, minimals + minimals[1:2], paranoid=paranoid)
+        maximal_cliques(graph, minimals + minimals[1:2], paranoid=paranoid)
 
 
 def test_paranoid_checks_the_parts_away_from_0():
@@ -265,9 +305,9 @@ def test_paranoid_checks_the_parts_away_from_0():
     labels = minimals[1].block_of.copy()
     labels[[a, b]] = labels[[b, a]]
     doctored = [minimals[0], Partition.from_labels(labels)] + minimals[2:]
-    maximal_cliques(g, graph, doctored)
+    maximal_cliques(graph, doctored)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
-        maximal_cliques(g, graph, doctored, paranoid=True)
+        maximal_cliques(graph, doctored, paranoid=True)
 
 
 @pytest.mark.parametrize("paranoid", [False, True])
@@ -280,26 +320,31 @@ def test_smaller_maximal_clique_above_dimension_two_is_caught(monkeypatch, paran
 
     monkeypatch.setattr(diaggraph, "_clique_census", with_an_edge)
     with pytest.raises(AssertionError, match="a maximal clique below maximum size exists"):
-        maximal_cliques(group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3),
+        maximal_cliques(graph_of("C3", 3), minimals_of("C3", 3),
                         paranoid=paranoid)
 
 
 def test_clique_number_against_the_wrong_group_is_caught():
-    with pytest.raises(AssertionError, match="clique number 3 differs from group order 5"):
-        maximal_cliques(group_of("C5"), graph_of("C3", 3), minimals_of("C3", 3))
+    # the edgeless graph on C3^3: its translations are automorphisms, and
+    # its maximal cliques are single vertices
+    empty = from_rows(group_of("C3"), 3, [])
+    with pytest.raises(AssertionError, match="clique number 1 differs from group order 3"):
+        maximal_cliques(empty, minimals_of("C3", 3))
 
 
 def test_exceptional_counts_are_checked():
-    # the cyclic group of order 4 names the Shrikhande complement, whose
-    # counts the rook's graph complement does not have
+    # the rook's graph complement carrying the cyclic group of order 4,
+    # which names the Shrikhande complement, whose counts it does not have
+    graph = graph_of("C2xC2", 2)
+    relabelled = DiagGraph.from_neighbours(group_of("C4"), 2, graph.nbr, graph.tag)
     with pytest.raises(AssertionError, match="exceptional graph complement of the "
                        "Shrikhande graph does not match its table entry"):
-        maximal_cliques(group_of("C4"), graph_of("C2xC2", 2), minimals_of("C2xC2", 2))
+        maximal_cliques(relabelled, minimals_of("C2xC2", 2))
 
 
 def test_whole_graph_enumeration_keeps_its_cap(monkeypatch):
     monkeypatch.setattr(diaggraph, "CLIQUE_VERTEX_CAP", 8)
     g, graph, minimals = group_of("C3"), graph_of("C3", 2), minimals_of("C3", 2)
     with pytest.raises(CapExceededError, match="9 vertices exceeds clique cap 8"):
-        maximal_cliques(g, graph, minimals, paranoid=True)
-    assert maximal_cliques(g, graph, minimals).count == 27
+        maximal_cliques(graph, minimals, paranoid=True)
+    assert maximal_cliques(graph, minimals).count == 27
