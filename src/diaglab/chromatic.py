@@ -12,7 +12,8 @@ same way.  At dimension 2 the absence of a complete mapping also caps
 every independent set at |G|-1 cells, which closes chi = |G|+2.  Every
 colouring is validated edge by edge; the conjectured value is reported
 separately and never asserted.  The verdict reads G and m from the graph
-it colours.
+it colours, and takes the result of the complete-mapping search from a
+caller that has it.
 """
 
 from __future__ import annotations
@@ -443,9 +444,6 @@ class ChromaticVerdict:
     reason: tuple[str, ...]
     conjecture: int | None
     coloring: Coloring | None = field(repr=False, default=None)
-    # For even m, what find_complete_mapping returned (None: none exists);
-    # odd m never looks for one.
-    mapping: CompleteMapping | None = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -462,9 +460,16 @@ class ChromaticVerdict:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def chromatic_verdict(graph: DiagGraph, exact: bool = False) -> ChromaticVerdict:
+# The default of ``chromatic_verdict``'s ``mapping``: not searched yet.
+UNSEARCHED = object()
+
+
+def chromatic_verdict(graph: DiagGraph, exact: bool = False, *,
+                      mapping: CompleteMapping | None | object = UNSEARCHED) -> ChromaticVerdict:
     """Chromatic number of ``graph``, the diagonal graph of its group G in
-    dimension m = ``graph.m``, with a provenance trail.
+    dimension m = ``graph.m``, with a provenance trail.  For even m it
+    needs ``find_complete_mapping(g)``: ``mapping`` is its result where the
+    caller has it, and it is searched here otherwise.
 
     chi = |G| whenever m is odd or the Hall-Paige condition holds, witnessed
     by an explicit validated colouring.  Otherwise the upper bound is the
@@ -491,7 +496,7 @@ def chromatic_verdict(graph: DiagGraph, exact: bool = False) -> ChromaticVerdict
             reasons.append(
                 "Hall-Paige condition holds (odd order or non-cyclic Sylow 2-subgroup)"
             )
-            cm = find_complete_mapping(g)
+            cm = find_complete_mapping(g) if mapping is UNSEARCHED else mapping
             if cm is None:
                 raise AssertionError(
                     f"{g.label}: Hall-Paige predicate true but no complete mapping found"
@@ -509,13 +514,13 @@ def chromatic_verdict(graph: DiagGraph, exact: bool = False) -> ChromaticVerdict
         reasons.append("colouring validated edge by edge")
         return ChromaticVerdict(
             q=q, m=m, chi=q, lower=q, upper=q,
-            reason=tuple(reasons), conjecture=None, coloring=coloring, mapping=cm,
+            reason=tuple(reasons), conjecture=None, coloring=coloring,
         )
 
     # Even dimension over a group with non-trivial cyclic Sylow 2-subgroup.
     reasons.append("m even and the group has a non-trivial cyclic Sylow 2-subgroup")
     reasons.append("clique of size q forces chi >= q")
-    cm = find_complete_mapping(g)
+    cm = find_complete_mapping(g) if mapping is UNSEARCHED else mapping
     base = graph if m == 2 else build_graph(g, minimal_partitions(g, 2))
     coloring = tabucol(base, q + 2)
     upper: int | None = None
@@ -554,5 +559,5 @@ def chromatic_verdict(graph: DiagGraph, exact: bool = False) -> ChromaticVerdict
             reasons.append(f"exact search on this graph closed the value: {chi}")
     return ChromaticVerdict(
         q=q, m=m, chi=chi, lower=q, upper=upper,
-        reason=tuple(reasons), conjecture=q + 2, coloring=coloring, mapping=cm,
+        reason=tuple(reasons), conjecture=q + 2, coloring=coloring,
     )

@@ -216,9 +216,19 @@ def run_check_all(cfg: RunConfig) -> dict:
             detail += f", intersection array {arrays}"
         _claim(claims, "distance-regular-iff", dr == expect_dr, detail)
 
+    # One search for a complete mapping serves the verdict, which needs it
+    # for even m, and the hall-paige claim.  The search fallback is capped
+    # (order 16, for groups no certificate covers); past it the claims that
+    # need it are left out.  A witness that fails its check fails them.
+    try:
+        cm, cm_error = find_complete_mapping(g), None
+    except (CapExceededError, AssertionError) as exc:
+        cm, cm_error = None, exc
     proven_case = m % 2 == 1 or hall_paige_predicate(g)
     try:
-        verdict = chromatic_verdict(graph, exact=cfg.exact)
+        if cm_error is not None and m % 2 == 0:
+            raise cm_error
+        verdict = chromatic_verdict(graph, exact=cfg.exact, mapping=cm)
     except CapExceededError:
         # Past a cap, e.g. a Hall-Paige group whose complete mapping only
         # the capped search could find, the chromatic claim is left out.
@@ -241,20 +251,11 @@ def run_check_all(cfg: RunConfig) -> dict:
                        f"upper bound {verdict.upper} vs conjectured {verdict.conjecture}",
                        conjectural=True)
 
-    # For even m the verdict has already looked for a complete mapping.  The
-    # search fallback is capped (order 16, for groups no certificate covers);
-    # past it the claim is left out.  A witness that fails its check fails
-    # the claim.
-    try:
-        searched = verdict is not None and m % 2 == 0
-        cm = verdict.mapping if searched else find_complete_mapping(g)
-    except CapExceededError:
-        pass
-    except AssertionError as exc:
-        _claim(claims, "hall-paige", False, str(exc))
-    else:
+    if cm_error is None:
         _claim(claims, "hall-paige", (cm is not None) == hall_paige_predicate(g),
                f"complete mapping {'found' if cm else 'absent'}")
+    elif isinstance(cm_error, AssertionError):
+        _claim(claims, "hall-paige", False, str(cm_error))
 
     # Past the search cap for Aut(G) the symmetry claims are left out; a
     # failed check inside the report fails the symmetry-order claim.

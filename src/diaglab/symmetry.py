@@ -6,11 +6,16 @@ coordinate permutations, and the inversion twist
 (g_1, ..., g_m) -> (g_1^-1, g_1^-1 g_2, ..., g_1^-1 g_m).
 
 The order of the generated group D is n * |D_0|, D_0 the stabiliser of
-vertex 0, with |D_0| from a deterministic Schreier-Sims chain (numpy arrays
-as permutations); it is compared against |G|^m * |Aut(G)| * (m+1)!.
-D_0's generators are Schreier generators over the transversal of right
+vertex 0; it is compared against |G|^m * |Aut(G)| * (m+1)!.  D_0's
+generators are Schreier generators over the transversal of right
 translations t_p: x -> x*p, checked to be in D and transitive.  A generator
 s needs one per orbit of the translations it conjugates into translations.
+One deterministic Schreier-Sims chain (numpy arrays as permutations) of
+D_0 acting on the m+1 minimal partitions followed by the n vertices, with
+the partitions as its first base points, gives |D_0| and, from its first
+m+1 levels, the order of the group D_0 induces on the partitions.  That is
+the group D induces, as the right translations are checked to fix every
+minimal partition.
 
 Each generator is checked once to be a graph automorphism, on the whole
 neighbour array (``diaggraph.check_automorphisms``); the right
@@ -22,15 +27,19 @@ the clique census lists them, with their number).  Every count reads the
 group and the vertex codec of the graph.
 Any d in D with d(0) = y is t_y times an element of D_0, so two items
 through 0 share a D-orbit exactly when D_0 maps one onto a re-rooting
-C*c^-1 of the other, c in C.
-Minimal block systems and the induced action on the minimal partitions
-verify the remaining symmetry claims.
+C*c^-1 of the other, c in C; every link is looked up in one search.
+As D is the regular group of right translations times D_0, a set
+through 0 is a block of D iff it is a subgroup of G^m that D_0 maps onto
+itself, and by Higman's criterion the minimal block through 0 and v is
+the subgroup that v's suborbit under D_0 generates: primitivity is read
+from one such subgroup per suborbit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -43,7 +52,7 @@ from .groups import (
     is_elementary_abelian,
     is_simple_nonabelian,
 )
-from .partitions import Partition, canonical_labels, components
+from .partitions import Partition, components, smallest_points, start_blocks
 from .semilattice import VertexCodec
 
 GENERATOR_TAGS = (
@@ -53,6 +62,18 @@ GENERATOR_TAGS = (
     "coord-perm",
     "inversion-map",
 )
+
+
+def _products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vertex numbers of the products x*v in G^m, for broadcastable arrays
+    ``x`` and ``v`` of vertex numbers of ``codec``.  Coordinate i adds
+    q^i (x_i v_i), one gather from the group table scaled by q^i."""
+    columns, q = codec.digits.T, codec.q
+    flat = np.asarray(g.mul).ravel()
+    out = 0
+    for column, weight in zip(columns, q ** np.arange(codec.m)):
+        out = out + (flat * weight)[column[x] * q + column[v]]
+    return out
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -86,14 +107,15 @@ def diagonal_group_generators(
     m = codec.m
     d = codec.digits
     mul, inv = np.asarray(g.mul), np.asarray(g.inv)
-    identity = np.arange(codec.size)
     out = right_translations(g, codec)
+    seen = {np.arange(codec.size, dtype=np.intp).tobytes()} | {p.image.tobytes() for p in out}
 
     def emit(tag: str, digits: np.ndarray) -> None:
-        image = codec.index(digits)
-        if not np.array_equal(image, identity) and all(
-                not np.array_equal(image, p.image) for p in out):
-            out.append(TaggedPerm(tag=tag, image=image))
+        perm = TaggedPerm(tag=tag, image=codec.index(digits))
+        key = perm.image.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(perm)
 
     for x in generating_sequence(g):
         emit("diag-left-mult", mul[inv[x], d])
@@ -115,7 +137,9 @@ def diagonal_group_order_formula(g: GroupTable, m: int, aut: list[tuple[int, ...
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims chain over numpy permutations.
+    """Deterministic Schreier-Sims chain over numpy permutations, with the
+    points of ``base`` as its first base points, in order; further base
+    points are each the first point that a new strong generator moves.
 
     Level k works with its *effective* generator set: every strong generator
     stored at level k or deeper (all of those fix the bases above k, but may
@@ -125,7 +149,7 @@ class StabilizerChain:
     total work at one pass over each (orbit point, generator) pair.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, base: Sequence[int] = ()):
         self.degree = degree
         self.dtype = np.int16 if degree <= 32000 else np.int32
         self.identity = np.arange(degree, dtype=self.dtype)
@@ -138,12 +162,15 @@ class StabilizerChain:
         self._schreier_done: list[dict[int, int]] = []
         self._seen_schreier: list[set[bytes]] = []
         self._version = 0
+        for b in base:
+            self._new_level(b)
 
-    def order(self) -> int:
-        total = 1
-        for trans in self.transversal:
-            total *= len(trans)
-        return total
+    def order(self, levels: int | None = None) -> int:
+        """The product of the fundamental orbit lengths of the first
+        ``levels`` levels, all of them by default: the group order, or the
+        order of the group's action on the first ``levels`` base points
+        when no generator moves them outside those points."""
+        return prod(len(trans) for trans in self.transversal[:levels])
 
     def stabilizer_generators(self) -> list[np.ndarray]:
         """Strong generators fixing the first base point."""
@@ -171,7 +198,7 @@ class StabilizerChain:
         self.orbit_order.append([base])
         self._orbit_scan.append({})
         self._schreier_done.append({})
-        self._seen_schreier.append(set())
+        self._seen_schreier.append({self.identity.tobytes()})
 
     def _register(self, level: int, perm: np.ndarray) -> None:
         """Store perm at `level`; it is effective at every level up to it."""
@@ -235,11 +262,9 @@ class StabilizerChain:
                     r = int(x[base])
                     sg = inv_trans[r][x]
                     key = sg.tobytes()
-                    if key in seen:
+                    if key in seen:  # the identity is there from the start
                         continue
                     seen.add(key)
-                    if np.array_equal(sg, self.identity):
-                        continue
                     residue, at = self._sift(sg, level + 1)
                     if residue is not None:
                         self._add_at(at, residue)
@@ -265,8 +290,9 @@ class StabilizerChain:
         self._complete_level(level)
 
 
-def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
-    """Stabiliser chain of the group generated by perms.
+def build_chain(perms: list[TaggedPerm], base: Sequence[int] = ()) -> StabilizerChain:
+    """Stabiliser chain of the group generated by perms, with ``base`` as
+    its first base points.
 
     Each level holds a transversal element and its inverse per orbit point,
     so the chain takes the sum of its orbit lengths times the degree in
@@ -275,7 +301,7 @@ def build_chain(perms: list[TaggedPerm]) -> StabilizerChain:
     if not perms:
         raise ValueError("need at least one permutation")
     degree = len(perms[0].image)
-    chain = StabilizerChain(degree)
+    chain = StabilizerChain(degree, base)
     for p in perms:
         chain.add_generator(p.image.astype(chain.dtype))
     return chain
@@ -298,30 +324,46 @@ def vertex_stabiliser_generators(
     sigma(s, p*v) = sigma(s, p).  So sigma(s, .) is constant on the orbits
     of the translation generators r with s r s^-1 in R, and is formed once
     per orbit.  Identities and repeats are dropped.
+
+    Every translation generator's conjugate under s is tested in one
+    gather, in blocks of rows within ``BLOCK_BYTES``; when s normalises
+    them all, the orbits are those of the translations, all of G^m.
     """
-    d = codec.digits
-    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
     n = codec.size
+    vertices = np.arange(n)
+    inverse = codec.index(np.asarray(g.inv)[codec.digits])  # of each vertex
 
-    def translation(v: int) -> np.ndarray:
-        return codec.index(mul[d, d[v]])
+    def blocked(rows: np.ndarray, per_row) -> np.ndarray:
+        """``per_row`` applied to ``rows`` one block of rows at a time, each
+        row taking a few int64 arrays of n entries."""
+        return np.concatenate([per_row(rows[block.start:block.stop])
+                               for block in start_blocks(range(len(rows)), 256 * n)])
 
-    def is_translation(image: np.ndarray) -> bool:
-        return np.array_equal(image, translation(image[0]))
+    def translations(points: np.ndarray) -> np.ndarray:
+        """One row per point v: the right translation t_v."""
+        return _products(g, codec, vertices, points[:, None])
 
-    shifts = [p for p in perms if is_translation(p.image)]
-    if components(n, [r.image for r in shifts]).any():
+    def are_translations(images: np.ndarray) -> np.ndarray:
+        return blocked(images, lambda rows: (rows == translations(rows[:, 0])).all(axis=1))
+
+    images = np.stack([p.image for p in perms])
+    is_shift = are_translations(images)
+    shifts = images[is_shift]
+    orbits = components(n, shifts)
+    if orbits.any():
         raise AssertionError("the translations among the generators are not transitive")
     out: list[TaggedPerm] = []
-    seen = {np.arange(n).tobytes()}
-    for s in perms:
-        if any(s is r for r in shifts):
+    seen = {np.arange(n, dtype=np.intp).tobytes()}
+    for s, shift in zip(perms, is_shift):
+        if shift:
             continue
         s_inv = np.argsort(s.image)
-        normalised = [r.image for r in shifts if is_translation(s.image[r.image[s_inv]])]
-        lab = components(n, normalised)
-        for p in np.flatnonzero(lab == np.arange(n)):
-            sigma = codec.index(mul[d[s.image[translation(p)]], inv[d[s.image[p]]]])
+        normalised = are_translations(s.image[shifts[:, s_inv]])
+        lab = orbits if normalised.all() else components(n, shifts[normalised])
+        points = np.flatnonzero(lab == vertices)
+        sigmas = blocked(points, lambda ps: _products(
+            g, codec, s.image[translations(ps)], inverse[s.image[ps]][:, None]))
+        for sigma in sigmas:
             key = sigma.tobytes()
             if key not in seen:
                 seen.add(key)
@@ -348,16 +390,17 @@ def _row_ids(rows: np.ndarray, degree: int, key_type: type):
     return keys, ids
 
 
-def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int):
-    """Ids (int32) of rows in the table behind ``keys``, or None if one is
-    absent."""
+def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int) -> np.ndarray:
+    """Ids (int32) of rows in the table behind ``keys``, -1 for each row
+    that is absent."""
     ids = np.zeros(len(rows), dtype=np.int32)
+    absent = np.zeros(len(rows), dtype=bool)
     for c, col_keys in enumerate(keys):
         want = ids.astype(col_keys.dtype) * degree + rows[:, c]
         ids = np.minimum(np.searchsorted(col_keys, want), len(col_keys) - 1)
-        if not np.array_equal(col_keys[ids], want):
-            return None
+        absent |= col_keys[ids] != want
         ids = ids.astype(np.int32)
+    ids[absent] = -1
     return ids
 
 
@@ -369,9 +412,10 @@ def _rooted_orbit_count(
 
     Each item C is linked to its image under every generator of D_0 and to
     its re-rooting C*c^-1 at each of its points c, the right translation
-    by c^-1.  Raises AssertionError if a link leaves ``at_zero``, or if
-    ``total * |C|`` is not n times the number of items through 0, as it is
-    for a set closed under the translations.
+    by c^-1; every link image is looked up in one sort and one search.
+    Raises AssertionError, naming the first mover that fails, if a link
+    leaves ``at_zero``, or if ``total * |C|`` is not n times the number of
+    items through 0, as it is for a set closed under the translations.
     """
     n = graph.size
     rows = np.sort(np.asarray(at_zero, dtype=np.int32), axis=1)
@@ -383,20 +427,18 @@ def _rooted_orbit_count(
     count = len(keys[-1])
     distinct = np.empty((count, rows.shape[1]), dtype=np.int32)
     distinct[ids] = rows
-    links = []
-
-    def link(image: np.ndarray, mover: str) -> None:
-        found = _lookup_rows(keys, np.sort(image, axis=1), n)
-        if found is None:
-            raise AssertionError(f"{mover} maps an item outside the item set")
-        links.append(found)
-
-    for s in stabiliser:
-        link(s.image[distinct], f"generator {s.tag}")
-    mul, inv = np.asarray(graph.group.mul), np.asarray(graph.group.inv)
-    digits = graph.codec.digits[distinct]
+    movers = [f"generator {s.tag}" for s in stabiliser]
+    images = [s.image[distinct] for s in stabiliser]
+    inverse = graph.codec.index(np.asarray(graph.group.inv)[graph.codec.digits])
     for c in range(1, rows.shape[1]):  # column 0 holds vertex 0 itself
-        link(graph.codec.index(mul[digits, inv[digits[:, c:c + 1]]]), "a translation")
+        movers.append("a translation")
+        images.append(_products(graph.group, graph.codec, distinct,
+                                inverse[distinct[:, c:c + 1]]))
+    links = _lookup_rows(keys, np.sort(np.concatenate(images), axis=1), n)
+    links = links.reshape(len(images), count)
+    failed = (links < 0).any(axis=1)
+    if failed.any():
+        raise AssertionError(f"{movers[np.argmax(failed)]} maps an item outside the item set")
     lab = components(count, links)
     return int(np.count_nonzero(lab == np.arange(count)))
 
@@ -441,27 +483,6 @@ def rooted_orbit_counts(
     return vertex_orbits, edge_orbits, clique_orbits
 
 
-def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
-    """True iff the minimal block system containing {0, v} is the whole set.
-
-    ``lab`` labels a partition by the smallest point of each block.  Each
-    round coarsens it by its image under every generator p, linking ``x``
-    to the image of the smallest point in the block of ``p^-1(x)``.  When a
-    round changes nothing, every generator maps the partition onto itself,
-    and each round only merged blocks that every such partition containing
-    {0, v} must merge.
-    """
-    inverses = [np.argsort(p.image) for p in perms]
-    lab = np.arange(n)
-    lab[v] = 0
-    while True:
-        images_of_lab = [p.image[lab[p_inv]] for p, p_inv in zip(perms, inverses)]
-        joined = components(n, [lab] + images_of_lab)
-        if np.array_equal(joined, lab):
-            return not lab.any()
-        lab = joined
-
-
 @dataclass(frozen=True)
 class PrimitivityReport:
     primitive: bool
@@ -501,29 +522,53 @@ def primitivity_criterion(g: GroupTable, m: int) -> bool | None:
     return None
 
 
-def is_vertex_primitive(
-    g: GroupTable, m: int, perms: list[TaggedPerm], stabiliser: list[np.ndarray]
-) -> PrimitivityReport:
-    """Block-system primitivity of the diagonal group action, given its
-    generators ``perms`` and image arrays ``stabiliser`` that generate the
-    stabiliser of vertex 0.
+def higman_block_trivial(g: GroupTable, codec: VertexCodec, suborbit: np.ndarray) -> bool:
+    """True iff the minimal block through vertex 0 and the points of
+    ``suborbit``, an orbit of D_0 on G^m, is the whole set, for a group D
+    that contains the right translations and has D_0 as the stabiliser of
+    vertex 0.
 
-    The minimal block containing {0, v} depends only on the suborbit of v
-    under the stabiliser of 0, so one representative per suborbit is tested:
-    the least point of each component of the stabiliser generators.
+    By Higman's criterion that block is the component of 0 in the orbital
+    graph of (0, v), v in ``suborbit``, whose edges are the D-images of
+    (0, v): x -> u*x for u in ``suborbit``, as d = t_x d_0 maps (0, v) to
+    (x, d_0(v)*x).  So it is the subgroup of G^m that ``suborbit``
+    generates.  It is grown one point of the suborbit at a time, each
+    outside the subgroup so far, which then at least doubles: a
+    ``components`` call over the left multiplications by the points taken.
     """
-    n = len(perms[0].image)
-    if n != g.order**m or any(len(s) != n for s in stabiliser):
-        raise ValueError(f"generators on {n} points and stabiliser generators "
-                         f"on {sorted({len(s) for s in stabiliser})} points given "
-                         f"for {g.order}^{m} vertices")
-    lab = components(n, stabiliser)
-    reps = [v for v in range(1, n) if lab[v] == v]
+    vertices = np.arange(codec.size)
+    links: list[np.ndarray] = []
+    inside = vertices == 0
+    while True:
+        outside = suborbit[~inside[suborbit]]
+        if not len(outside):
+            return bool(inside.all())
+        links.append(_products(g, codec, outside[0], vertices))
+        inside = components(codec.size, links) == 0
 
-    primitive = all(minimal_block_trivial(perms, n, v) for v in reps)
+
+def is_vertex_primitive(
+    g: GroupTable, codec: VertexCodec, stabiliser: list[np.ndarray]
+) -> PrimitivityReport:
+    """Block-system primitivity of a group D on G^m, the points of
+    ``codec``, that contains the right translations, given image arrays
+    ``stabiliser`` that generate D_0, the stabiliser of vertex 0 (those of
+    ``vertex_stabiliser_generators``).
+
+    The minimal block containing {0, v} depends only on the suborbit of v,
+    so one representative per suborbit is tested, the least point of each
+    component of the stabiliser generators, by ``higman_block_trivial``.
+    """
+    n = codec.size
+    if codec.q != g.order or any(len(s) != n for s in stabiliser):
+        raise ValueError(f"stabiliser generators on {sorted({len(s) for s in stabiliser})} "
+                         f"points given for {g.order}^{codec.m} vertices")
+    lab = components(n, stabiliser)
+    reps = np.flatnonzero(lab == np.arange(n))[1:]
+    primitive = all(higman_block_trivial(g, codec, np.flatnonzero(lab == v)) for v in reps)
     return PrimitivityReport(
         primitive=primitive,
-        criterion=primitivity_criterion(g, m),
+        criterion=primitivity_criterion(g, codec.m),
         analysed_points=len(reps),
     )
 
@@ -533,41 +578,61 @@ def action_on_partitions(
 ) -> list[tuple[int, ...]]:
     """Induced permutation of the minimal partitions for each generator.
 
-    Each image labelling is put in canonical block form once and looked up
-    by its bytes among the minimal partitions' ``block_of`` arrays.  Raises
-    if some generator does not permute them (that would contradict the
-    semilattice being preserved).
+    Any two minimal partitions meet in the partition into points, so for a
+    generator p and a point y beside 0 in its block of Q_j, at most one
+    Q_i has p(0) and p(y) in one block: p maps Q_j onto that Q_i, if onto
+    any, and does so iff Q_i has as many blocks and its labels at p(x)
+    agree with those at p(r(x)), r(x) the smallest point of x's block of
+    Q_j.  For each j every generator is tested at once.  Raises, naming
+    the first generator that fails, if some generator does not permute
+    them (that would contradict the semilattice being preserved).
     """
-    blocks = [p.block_of for p in minimals]
-    canon = {b.tobytes(): i for i, b in enumerate(blocks)}
-    induced = []
-    for perm in perms:
-        row = []
-        for block_of in blocks:
-            labels = np.empty_like(block_of)
-            labels[perm.image] = block_of
-            target = canon.get(canonical_labels(labels).tobytes())
-            if target is None:
-                raise AssertionError(
-                    f"generator {perm.tag} maps a minimal partition outside the family"
-                )
-            row.append(target)
-        induced.append(tuple(row))
-    return induced
+    if not perms:
+        return []
+    labels = np.stack([part.block_of for part in minimals])
+    counts = np.array([part.block_count for part in minimals])
+    images = np.stack([p.image for p in perms])
+    rows = np.arange(len(perms))[:, None]
+    targets = np.empty((len(perms), len(minimals)), dtype=np.intp)
+    onto = np.empty_like(targets, dtype=bool)
+    for j, part in enumerate(minimals):
+        y = np.flatnonzero(part.block_of == part.block_of[0])[1]
+        joins = labels[:, images[:, 0]] == labels[:, images[:, y]]  # [i, p]
+        joins &= (counts == counts[j])[:, None]
+        targets[:, j] = joins.argmax(axis=0)
+        at_image = labels[targets[:, j]][rows, images]  # [p, x]
+        onto[:, j] = joins.any(axis=0) & (
+            at_image == at_image[:, smallest_points(part)]).all(axis=1)
+    if not onto.all():
+        failed = perms[int(np.argmin(onto.all(axis=1)))]
+        raise AssertionError(
+            f"generator {failed.tag} maps a minimal partition outside the family")
+    return [tuple(row) for row in targets.tolist()]
 
 
-def induced_symmetric_closure(induced: list[tuple[int, ...]]) -> int:
-    """Order of the permutation group generated by the induced actions.
+def partition_chain(
+    perms: list[TaggedPerm], stabiliser: list[TaggedPerm], minimals: list[Partition]
+) -> StabilizerChain:
+    """One stabiliser chain of D_0, given its generators ``stabiliser``,
+    acting on the k = m+1 minimal partitions, points 0..k-1, followed by
+    G^m, vertex v as point k+v, with the partitions as its first k base
+    points.
 
-    A stabiliser chain on the m+1 points, rather than listing the group:
-    the expected order is (m+1)!.
+    ``chain.order()`` is |D_0|, and ``chain.order(k)`` is the order of the
+    group that D_0 induces on the minimal partitions.  That is the group
+    that D, generated by ``perms``, induces: D is the right translations
+    times D_0, and the right translations among ``perms`` (tag
+    ``right-mult``) are checked to fix every minimal partition.  Raises
+    AssertionError if one does not, or if a generator of D_0 maps a
+    minimal partition outside the family.
     """
-    if not induced:
-        return 1
-    chain = StabilizerChain(len(induced[0]))
-    for perm in induced:
-        chain.add_generator(np.asarray(perm, dtype=chain.dtype))
-    return chain.order()
+    k = len(minimals)
+    shifts = [p for p in perms if p.tag == "right-mult"]
+    if any(row != tuple(range(k)) for row in action_on_partitions(shifts, minimals)):
+        raise AssertionError("a right translation moves a minimal partition")
+    induced = action_on_partitions(stabiliser, minimals)
+    return build_chain([TaggedPerm(tag=s.tag, image=np.concatenate([row, s.image + k]))
+                        for s, row in zip(stabiliser, induced)], base=range(k))
 
 
 @dataclass(frozen=True)
@@ -611,14 +676,16 @@ def symmetry_report(
     ``rooted_orbit_counts`` takes them, as it takes ``paranoid``), its
     primitivity, and the group it induces on the minimal partitions.
 
-    One generating set serves every count.  The order is n times the order
-    of the stabiliser of vertex 0, from one chain over its generators, and
-    the same generators give the suborbits for the primitivity and link the
-    edges and cliques through vertex 0 for their orbit counts (see
-    ``rooted_orbit_counts``).  Raises AssertionError when a check fails: the
-    translations are not transitive, a generator is no graph automorphism,
-    the cliques are not closed under the group, or a generator moves a
-    minimal partition outside the family.
+    One generating set serves every count.  The generators of D_0, the
+    stabiliser of vertex 0, link the edges and cliques through vertex 0 for
+    their orbit counts (see ``rooted_orbit_counts``), build the one chain
+    (``partition_chain``) whose order times n is the order of the group and
+    whose first m+1 levels give the induced group, and give the suborbits
+    for the primitivity (``is_vertex_primitive``).  Raises AssertionError
+    when a check fails: the translations are not transitive, a generator is
+    no graph automorphism, the cliques are not closed under the group, a
+    right translation moves a minimal partition, or a generator moves one
+    outside the family.
     """
     g, m = graph.group, graph.m
     if m < 2:
@@ -627,17 +694,16 @@ def symmetry_report(
     aut = automorphism_group(g)
     perms = diagonal_group_generators(g, graph.codec, aut)
     stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
-    order = graph.size * build_chain(stabiliser).order()
     vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
         graph, perms, stabiliser, cliques, paranoid=paranoid)
+    chain = partition_chain(perms, stabiliser, minimals)
     return SymmetryReport(
-        order=order,
+        order=graph.size * chain.order(),
         order_formula=diagonal_group_order_formula(g, m, aut),
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
         clique_orbits=clique_orbits,
-        primitivity=is_vertex_primitive(g, m, perms, [s.image for s in stabiliser]),
-        induced_partition_group=induced_symmetric_closure(
-            action_on_partitions(perms, minimals)),
+        primitivity=is_vertex_primitive(g, graph.codec, [s.image for s in stabiliser]),
+        induced_partition_group=chain.order(len(minimals)),
         small_exceptional_case=(m == 2 and g.order <= 4),
     )

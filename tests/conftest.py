@@ -14,7 +14,11 @@ import pytest
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.groups import automorphism_group, parse_group_spec
 from diaglab.semilattice import VertexCodec, join_closure, minimal_partitions, subset_suprema
-from diaglab.symmetry import build_chain, diagonal_group_generators, is_vertex_primitive
+from diaglab.symmetry import (
+    diagonal_group_generators,
+    is_vertex_primitive,
+    vertex_stabiliser_generators,
+)
 
 from replaced import all_maximal_cliques
 
@@ -34,6 +38,11 @@ def grid_instances() -> list[tuple[str, int]]:
 
 
 GRID = grid_instances()
+
+# Beyond the grid, for the symmetry oracles: long lattices, odd primes, a
+# rank-3 elementary abelian group, and three groups of order 10 and 12.
+SYMMETRY_EXTRAS = [("C2", 6), ("C2", 7), ("C5", 3), ("C7", 3), ("C2xC2xC2", 3),
+                   ("A4", 2), ("D5", 2), ("C10", 2)]
 
 
 @lru_cache(maxsize=None)
@@ -79,12 +88,20 @@ def generators_of(spec: str, m: int):
     return tuple(diagonal_group_generators(g, VertexCodec(q=g.order, m=m), aut_of(spec)))
 
 
+def stabiliser_images_of(spec: str, m: int) -> list:
+    """Image arrays of generators of the stabiliser of vertex 0, from
+    ``vertex_stabiliser_generators``."""
+    g = group_of(spec)
+    stabiliser = vertex_stabiliser_generators(g, VertexCodec(q=g.order, m=m),
+                                              list(generators_of(spec, m)))
+    return [s.image for s in stabiliser]
+
+
 def primitivity_of(spec: str, m: int):
-    """``is_vertex_primitive`` over the stabiliser generators of a fresh
-    generic chain, which is not cached."""
-    perms = list(generators_of(spec, m))
-    return is_vertex_primitive(group_of(spec), m, perms,
-                               build_chain(perms).stabilizer_generators())
+    """``is_vertex_primitive`` over the generators of the stabiliser of
+    vertex 0."""
+    g = group_of(spec)
+    return is_vertex_primitive(g, VertexCodec(q=g.order, m=m), stabiliser_images_of(spec, m))
 
 
 def cycle_chromatic_polynomial(length: int, q: int) -> int:

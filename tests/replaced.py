@@ -2,7 +2,10 @@
 
 The connected-components code that ``partitions.components`` replaced: the
 disjoint-set forest, the supremum and the minimal block system search built
-on it, and the breadth-first suborbit search.  The distance-regularity check
+on it, and the breadth-first suborbit search.  The minimal block system
+search by a fixpoint over every generator, one ``components`` call per
+round, before Higman's criterion built each minimal block through vertex 0
+as the subgroup of G^m that a suborbit generates.  The distance-regularity check
 that ran one breadth-first search per base, which the blocked numpy search
 in ``diaggraph.is_distance_regular`` replaced.  The two Python graph
 constructions, which built an ``edge_tag`` dict {(u, v): tag} and sorted
@@ -325,6 +328,27 @@ def unionfind_supremum(p: Partition, q: Partition) -> Partition:
     return Partition.from_labels([uf.find(x) for x in range(p.size)])
 
 
+def minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
+    """True iff the minimal block system containing {0, v} is the whole set.
+
+    ``lab`` labels a partition by the smallest point of each block.  Each
+    round coarsens it by its image under every generator p, linking ``x``
+    to the image of the smallest point in the block of ``p^-1(x)``.  When a
+    round changes nothing, every generator maps the partition onto itself,
+    and each round only merged blocks that every such partition containing
+    {0, v} must merge.
+    """
+    inverses = [np.argsort(p.image) for p in perms]
+    lab = np.arange(n)
+    lab[v] = 0
+    while True:
+        images_of_lab = [p.image[lab[p_inv]] for p, p_inv in zip(perms, inverses)]
+        joined = components(n, [lab] + images_of_lab)
+        if np.array_equal(joined, lab):
+            return not lab.any()
+        lab = joined
+
+
 def unionfind_minimal_block_trivial(perms: list[TaggedPerm], n: int, v: int) -> bool:
     """True iff the minimal block system containing {0, v} is the whole set."""
     uf = UnionFind(n)
@@ -510,7 +534,7 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
     for p in perms:
         image = p.image.astype(np.int32)[distinct]
         found = _lookup_rows(keys, np.sort(image, axis=1), degree)
-        if found is None:
+        if (found < 0).any():
             raise AssertionError(
                 f"generator {p.tag} maps an item outside the item set"
             )

@@ -37,11 +37,7 @@ from diaglab.spectral import (
     stratum_dimension,
     verify_stratum_identity,
 )
-from diaglab.symmetry import (
-    build_chain,
-    diagonal_group_order_formula,
-    is_vertex_primitive,
-)
+from diaglab.symmetry import build_chain, diagonal_group_order_formula
 
 from conftest import (
     GRID,
@@ -230,8 +226,8 @@ def test_criterion_09_symmetry():
         edge_orbits = orbit_count(perms, graph.edges())
         if (edge_orbits == 1) != (is_elementary_abelian(g) is not None):
             bad.append((spec, m, "edge orbits"))
-        prim = is_vertex_primitive(g, m, perms, chain.stabilizer_generators())
         del chain
+        prim = primitivity_of(spec, m)
         if prim.criterion is not None and prim.agrees is not True:
             bad.append((spec, m, "primitivity"))
     spot = (

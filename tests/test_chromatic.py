@@ -252,16 +252,19 @@ def test_verdict_c2_even_dimension_bounds():
     assert v.chi == 4
 
 
-def test_verdict_reuses_given_graph_and_mapping():
-    for spec, m in [("C3", 2), ("C4", 2), ("C2", 2), ("C2xC2", 4), ("C4", 3)]:
+def test_verdict_reuses_given_graph_and_mapping(monkeypatch):
+    from diaglab import chromatic
+
+    searched = {(spec, m): chromatic_verdict(graph_of(spec, m)).to_dict()
+                for spec, m in [("C3", 2), ("C4", 2), ("C2", 2), ("C2xC2", 4), ("C4", 3)]}
+    mappings = {spec: find_complete_mapping(group_of(spec)) for spec, _ in searched}
+    monkeypatch.setattr(chromatic, "find_complete_mapping", None)  # no search below
+    for (spec, m), data in searched.items():
         g = group_of(spec)
-        given = chromatic_verdict(graph_of(spec, m))
+        given = chromatic_verdict(graph_of(spec, m), mapping=mappings[spec])
         assert (given.q, given.m) == (g.order, m)
         assert "mapping" not in given.to_dict()
-        # a mapping is searched for only when m is even and Hall-Paige holds
-        assert (given.mapping is not None) == (m % 2 == 0 and hall_paige_predicate(g))
-    assert (chromatic_verdict(graph_of("C3", 2)).mapping
-            == find_complete_mapping(group_of("C3")))
+        assert given.to_dict() == data
 
 
 def test_verdict_m1_complete_graph():

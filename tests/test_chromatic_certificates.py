@@ -125,7 +125,6 @@ def test_verdict_closes_q_plus_2_at_dimension_2(spec):
     q = g.order
     v = chromatic_verdict(graph_of(spec, 2))
     assert (v.chi, v.lower, v.upper, v.conjecture) == (q + 2, q, q + 2, q + 2)
-    assert v.mapping is None
     assert validate_coloring(graph_of(spec, 2), v.coloring)
 
 

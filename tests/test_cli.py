@@ -6,6 +6,7 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diaglab.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
@@ -547,7 +548,7 @@ def call_counts(monkeypatch):
     return counted, calls
 
 
-def test_check_all_builds_each_artefact_once(capsys, call_counts):
+def test_check_all_builds_each_artefact_once(capsys, monkeypatch, call_counts):
     from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
@@ -558,12 +559,19 @@ def test_check_all_builds_each_artefact_once(capsys, call_counts):
     counted(symmetry, "diagonal_group_generators")
     counted(symmetry, "build_chain")
     counted(groups, "automorphism_group")
+    degrees = []
+    chain = symmetry.StabilizerChain
+    monkeypatch.setattr(symmetry, "StabilizerChain",
+                        lambda degree, *base: degrees.append(degree) or chain(degree, *base))
     code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
     assert code == EXIT_OK
     assert calls == {"build_graph": 1, "cayley_graph": 1,
                      "minimal_partitions": 1, "subset_suprema": 1,
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1}
+    # one chain of D_0 on the 4 minimal partitions and the 27 vertices, and
+    # the one that picks generators of Aut(C3) from its 2 elements, on 3 points
+    assert degrees == [3, 4 + 27]
 
 
 @pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])
@@ -739,20 +747,40 @@ def test_check_all_contains_chromatic_assertion(capsys, monkeypatch, ledger_vali
 SYMMETRY_BREAKAGES = pytest.mark.parametrize("breakage,message", [
     ("no-translations", "the translations among the generators are not transitive"),
     ("not-an-automorphism", "generator injected maps an item outside the item set"),
+    ("stabiliser-not-an-automorphism",
+     "generator injected maps an item outside the item set"),
+    ("translation-moves-a-partition", "a right translation moves a minimal partition"),
 ])
 
 
 def break_generators(monkeypatch, breakage):
-    """Make the diagonal-group generators lose the right multiplications, or
-    gain a transposition that is no graph automorphism."""
+    """Make the diagonal-group generators of C3 m=2 lose the right
+    multiplications, or gain a transposition that is no graph automorphism,
+    or a right multiplication composed with the coordinate swap, which
+    swaps Q_1 and Q_2; or give the vertex stabiliser a transposition of a
+    neighbour and a non-neighbour of 0, which only the orbit counts' link
+    lookups see."""
     from diaglab import symmetry
 
+    if breakage == "stabiliser-not-an-automorphism":
+        stabiliser = symmetry.vertex_stabiliser_generators
+
+        def broken(*args):
+            swap = np.arange(9)
+            swap[[1, 7]] = 7, 1  # (1, 0) is a neighbour of 0, (1, 2) is not
+            return stabiliser(*args) + [symmetry.TaggedPerm(tag="injected", image=swap)]
+
+        monkeypatch.setattr(symmetry, "vertex_stabiliser_generators", broken)
+        return
     original = symmetry.diagonal_group_generators
 
     def broken(*args):
         perms = original(*args)
         if breakage == "no-translations":
             return [p for p in perms if p.tag != "right-mult"]
+        if breakage == "translation-moves-a-partition":
+            swap = next(p.image for p in perms if p.tag == "coord-perm")
+            return perms + [symmetry.TaggedPerm(tag="right-mult", image=swap[perms[0].image])]
         swap = list(range(len(perms[0].image)))
         swap[1], swap[2] = 2, 1  # (1, 0) and (2, 0) have different neighbours
         return perms + [symmetry.TaggedPerm(tag="injected", image=swap)]
@@ -823,7 +851,7 @@ def test_commands_report_a_witness_that_fails_its_check(capsys, monkeypatch, arg
                                         ("3", ["hall-paige"])])
 def test_check_all_records_a_witness_that_fails_its_check(capsys, monkeypatch,
                                                           ledger_validator, m, failures):
-    # at m = 2 the verdict and the hall-paige claim each look for a mapping;
+    # at m = 2 the verdict and the hall-paige claim each need the mapping;
     # at m = 3 only the hall-paige claim does
     code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", m)
     full = [c["claim"] for c in json.loads(out)["claims"]]
@@ -836,6 +864,21 @@ def test_check_all_records_a_witness_that_fails_its_check(capsys, monkeypatch,
     assert [c["claim"] for c in data["claims"]] == full
     assert {c["detail"] for c in data["claims"] if c["claim"] in failures} == {
         WITNESS_MESSAGE}
+
+
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_check_all_searches_for_a_complete_mapping_once(capsys, monkeypatch, call_counts, m):
+    # also when the witness fails its check, where the verdict at m = 2 fails
+    from diaglab import chromatic
+
+    counted, calls = call_counts
+    counted(chromatic, "find_complete_mapping")
+    code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", m)
+    assert (code, calls) == (EXIT_OK, {"find_complete_mapping": 1})
+    refuse_witnesses(monkeypatch)
+    code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", m)
+    assert (code, calls) == (EXIT_CHECK_FAILED, {"find_complete_mapping": 2})
+    assert "hall-paige" in json.loads(out)["failures"]
 
 
 def test_grid_contains_instance_assertion(capsys, monkeypatch):

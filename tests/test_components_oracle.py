@@ -2,9 +2,11 @@
 
 ``partitions.components`` serves partition suprema, orbit counts, suborbits
 and block systems.  The oracles are the union-find ``supremum`` and
-``minimal_block_trivial`` it replaced, kept in ``replaced.py``.  Orbit
-counts are checked in ``test_orbit_oracle.py``, and suborbits and block
-systems on the grid in ``test_symmetry.py``, which builds the chains.
+minimal block search it replaced, kept in ``replaced.py``; here the
+union-find search also checks ``replaced.minimal_block_trivial``, the
+oracle of Higman's criterion (``test_higman_oracle.py``).  Orbit counts
+are checked in ``test_orbit_oracle.py``, and suborbits and block systems
+on the grid in ``test_symmetry.py``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 
 from diaglab.partitions import Partition, components, single_block, singletons, supremum
 from diaglab.semilattice import minimal_partitions, subset_suprema
-from diaglab.symmetry import TaggedPerm, minimal_block_trivial
+from diaglab.symmetry import TaggedPerm
 
 from conftest import GRID, group_of
-from replaced import unionfind_minimal_block_trivial, unionfind_supremum
+from replaced import minimal_block_trivial, unionfind_minimal_block_trivial, unionfind_supremum
 
 
 def test_components_without_links_are_singletons():

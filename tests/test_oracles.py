@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 
 from diaglab.chromatic import find_complete_mapping
 from diaglab.groups import automorphism_group, parse_group_spec
-from diaglab.semilattice import minimal_partitions
+from diaglab.semilattice import VertexCodec
 from diaglab.symmetry import (
     TaggedPerm,
     action_on_partitions,
     build_chain,
-    induced_symmetric_closure,
+    partition_chain,
+    vertex_stabiliser_generators,
 )
 
-from conftest import GRID, generators_of, group_of
+from conftest import GRID, SYMMETRY_EXTRAS, generators_of, group_of, minimals_of
 
 
 def closure_order(gens: list[tuple[int, ...]]) -> int:
@@ -56,11 +57,16 @@ def test_schreier_sims_matches_closure(perm_lists):
 
 
 def test_induced_closure_matches_bfs_on_grid():
-    for spec, m in GRID:  # every grid instance has m <= 5
-        induced = action_on_partitions(
-            list(generators_of(spec, m)), minimal_partitions(group_of(spec), m)
-        )
-        assert induced_symmetric_closure(induced) == closure_order(induced), (spec, m)
+    # the first m+1 levels of the one chain of D_0 against the closure of
+    # the action of D's generators
+    for spec, m in GRID + SYMMETRY_EXTRAS:  # m <= 7, so at most 8! elements
+        perms = list(generators_of(spec, m))
+        minimals = minimals_of(spec, m)
+        g = group_of(spec)
+        stabiliser = vertex_stabiliser_generators(g, VertexCodec(q=g.order, m=m), perms)
+        chain = partition_chain(perms, stabiliser, minimals)
+        induced = action_on_partitions(perms, minimals)
+        assert chain.order(m + 1) == closure_order(induced), (spec, m)
 
 
 def brute_force_automorphisms(g) -> list[tuple[int, ...]]:

@@ -110,6 +110,24 @@ def test_non_automorphism_fixing_the_neighbourhood_of_0_is_caught():
                             through_zero(top_cliques("C3", 3)))
 
 
+def test_the_link_lookup_names_the_first_mover_that_fails():
+    # Two stabiliser generators that are no automorphisms: each swaps a
+    # neighbour of 0 with a non-neighbour, so maps an edge through 0 to a
+    # non-edge.  No automorphism check reads the stabiliser's generators;
+    # the one lookup of every link image must name the first of them.
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3))
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
+    near = int(graph.nbr[0][0])
+    far = next(v for v in range(1, graph.size) if v not in graph.nbr[0])
+    swap = np.arange(graph.size)
+    swap[[near, far]] = far, near
+    bad = [TaggedPerm(tag=tag, image=swap) for tag in ("first", "second")]
+    with pytest.raises(AssertionError,
+                       match="^generator first maps an item outside the item set$"):
+        rooted_orbit_counts(graph, perms, stabiliser + bad)
+
+
 def test_clique_list_missing_an_item_away_from_0_is_caught():
     # The cliques through 0 and their links are all kept; only the count
     # of incidences tells that the list is not closed.

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from diaglab.groups import is_elementary_abelian
 from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import (
+    TaggedPerm,
     action_on_partitions,
     build_chain,
     diagonal_group_generators,
     diagonal_group_order_formula,
-    induced_symmetric_closure,
     is_vertex_primitive,
-    minimal_block_trivial,
+    partition_chain,
     symmetry_report,
+    vertex_stabiliser_generators,
 )
 
 from conftest import (
@@ -26,9 +28,11 @@ from conftest import (
     group_of,
     minimals_of,
     primitivity_of,
+    stabiliser_images_of,
 )
 from replaced import (
     bfs_suborbit_representatives,
+    minimal_block_trivial,
     orbit_count,
     unionfind_minimal_block_trivial,
 )
@@ -84,12 +88,12 @@ def test_chain_order_c2_m9():
 def test_primitivity_with_given_chain(spec, m):
     g = group_of(spec)
     perms = list(generators_of(spec, m))
-    chain = build_chain(perms)
-    given = is_vertex_primitive(g, m, perms, chain.stabilizer_generators())
-    # Suborbits and block systems against the BFS and union-find code that
-    # the components kernel replaced.
+    stabiliser = stabiliser_images_of(spec, m)
+    given = is_vertex_primitive(g, VertexCodec(q=g.order, m=m), stabiliser)
+    # Suborbits and block systems against the BFS, fixpoint and union-find
+    # code that the components kernel and Higman's criterion replaced.
     n = len(perms[0].image)
-    reps = bfs_suborbit_representatives(n, chain.stabilizer_generators())
+    reps = bfs_suborbit_representatives(n, stabiliser)
     assert given.analysed_points == len(reps)
     verdicts = [minimal_block_trivial(perms, n, v) for v in reps]
     assert verdicts == [unionfind_minimal_block_trivial(perms, n, v) for v in reps]
@@ -98,12 +102,13 @@ def test_primitivity_with_given_chain(spec, m):
 
 def test_primitivity_rejects_mismatched_chain():
     g = group_of("C3")
-    perms = list(generators_of("C3", 2))
+    stabiliser = stabiliser_images_of("C3", 2)
     with pytest.raises(ValueError):
-        is_vertex_primitive(g, 3, perms, build_chain(perms).stabilizer_generators())
+        is_vertex_primitive(g, VertexCodec(q=3, m=3), stabiliser)
     with pytest.raises(ValueError):
-        is_vertex_primitive(
-            g, 2, perms, build_chain(list(generators_of("C3", 3))).stabilizer_generators())
+        is_vertex_primitive(g, VertexCodec(q=3, m=2), stabiliser_images_of("C3", 3))
+    with pytest.raises(ValueError):
+        is_vertex_primitive(group_of("C4"), VertexCodec(q=3, m=2), stabiliser)
 
 
 def test_vertex_orbits_always_one(grid):
@@ -187,18 +192,34 @@ def test_action_on_partitions():
     assert by_tag["inversion-map"] == [(1, 0, 2, 3)]
     # diagonal left multiplication fixes every minimal partition
     assert all(row == (0, 1, 2, 3) for row in by_tag["diag-left-mult"])
-    assert induced_symmetric_closure(induced) == 24
+    # and so do the right translations
+    assert all(row == (0, 1, 2, 3) for row in by_tag["right-mult"])
+    stabiliser = vertex_stabiliser_generators(g, VertexCodec(q=4, m=3), perms)
+    assert partition_chain(perms, stabiliser, minimals).order(4) == 24
+
+
+def test_action_on_partitions_names_the_first_generator_that_breaks_a_block():
+    # Swapping the two non-neighbours of 0 in C3^2, (2, 1) and (1, 2), keeps
+    # every block through 0 but breaks the other blocks of Q_1 and Q_2.
+    swap = np.arange(9)
+    swap[[5, 7]] = 7, 5
+    broken = [TaggedPerm(tag=tag, image=swap) for tag in ("first", "second")]
+    with pytest.raises(AssertionError, match="^generator first maps a minimal partition "
+                       "outside the family$"):
+        action_on_partitions(list(generators_of("C3", 2)) + broken, minimals_of("C3", 2))
 
 
 def test_induced_action_full_symmetric_grid(grid):
     import math
 
     for spec, m in grid[:14]:
-        induced = action_on_partitions(
-            list(generators_of(spec, m)),
-            minimal_partitions(group_of(spec), m),
-        )
-        assert induced_symmetric_closure(induced) == math.factorial(m + 1)
+        perms = list(generators_of(spec, m))
+        stabiliser = vertex_stabiliser_generators(
+            group_of(spec), VertexCodec(q=group_of(spec).order, m=m), perms)
+        chain = partition_chain(perms, stabiliser, minimals_of(spec, m))
+        assert chain.order(m + 1) == math.factorial(m + 1)
+        assert chain.order() == diagonal_group_order_formula(
+            group_of(spec), m, aut_of(spec)) // group_of(spec).order ** m
 
 
 def test_symmetry_report_fields():
