@@ -320,13 +320,13 @@ def chromatic_number_exact(graph: DiagGraph, node_budget: int | None = None) -> 
     if n > EXACT_COLOURING_LIMIT:
         raise CapExceededError(
             f"{n} vertices exceeds exact colouring cap {EXACT_COLOURING_LIMIT}")
-    nbr = graph.adjacency
-
     # Maximum clique for the lower bound and for seeding colours; the graphs
     # here are small enough to enumerate maximal cliques outright.
-    cliques = bron_kerbosch(nbr)
+    cliques = bron_kerbosch(graph.nbr)
     clique = max(cliques, key=lambda c: (len(c), [-x for x in c]))
     lower = len(clique)
+    # DSATUR walks one vertex's neighbours at a time, as Python ints
+    nbr = [[w for w in row if w < n] for row in graph.nbr.tolist()]
 
     # priority = saturation << 2b | uncoloured neighbours << b | (n-1-index)
     b = n.bit_length()

@@ -25,7 +25,6 @@ words, and each breadth-first level is one gather per column of ``nbr``.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -102,16 +101,6 @@ class DiagGraph:
     @property
     def valency(self) -> int:
         return (self.m + 1) * (self.q - 1) if self.m >= 2 else self.q - 1
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """``nbr`` as lists of Python ints without the sentinels, for the
-        per-vertex searches (Bron-Kerbosch on the whole graph, DSATUR)."""
-        n = self.size
-        lists = self.nbr.tolist()
-        if self.nbr.size and (self.nbr[:, -1] == n).any():
-            lists = [a[: a.index(n)] if a[-1] == n else a for a in lists]
-        return lists
 
 
 def _sort_rows(nbr: np.ndarray, tag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,10 +379,15 @@ def _bk_expand(
         x |= bit
 
 
-def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All maximal cliques, each once as a sorted tuple (Bron-Kerbosch over
-    Python-int bitsets with Tomita's pivot).
+def bron_kerbosch(nbr: np.ndarray) -> list[tuple[int, ...]]:
+    """All maximal cliques of the graph whose vertex v has the neighbours
+    ``nbr[v]``, each once as a sorted tuple (Bron-Kerbosch over Python-int
+    bitsets with Tomita's pivot).  Entries of ``nbr`` at or above its row
+    count are padding, as in ``DiagGraph.nbr``.
 
+    Each row's bitset is packed by ``np.packbits`` from a dense boolean row,
+    a block of rows at a time within ``BLOCK_BYTES``, and read as one
+    little-endian Python int, so no numpy integer is ever shifted.
     The outer loop peels vertices in index order: vertex v branches on its
     later neighbours and excludes its earlier ones, which keeps subproblems
     at most the size of a neighbourhood.  The pivot maximises the number of
@@ -406,11 +400,18 @@ def bron_kerbosch(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     The recursion is a module-level function, not a closure, so no reference
     cycle keeps its state alive after the call returns.
     """
-    nbr = [sum(1 << u for u in a) for a in adjacency]
+    n = len(nbr)
+    bits: list[int] = []
+    for block in start_blocks(range(n), 8 * (n + 1)):
+        rows = np.minimum(nbr[block.start:block.stop], n)  # padding in column n
+        dense = np.zeros((len(rows), n + 1), dtype=bool)
+        dense[np.arange(len(rows))[:, None], rows] = True
+        packed = np.packbits(dense[:, :n], axis=1, bitorder="little")
+        bits.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     cliques: list[tuple[int, ...]] = []
-    for v, bits in enumerate(nbr):
-        later = bits >> (v + 1) << (v + 1)
-        _bk_expand([v], later, bits ^ later, nbr, cliques)
+    for v, row in enumerate(bits):
+        later = row >> (v + 1) << (v + 1)
+        _bk_expand([v], later, row ^ later, bits, cliques)
     return cliques
 
 
@@ -431,11 +432,15 @@ def _clique_census(
     if whole:
         if n > CLIQUE_VERTEX_CAP:
             raise CapExceededError(f"{n} vertices exceeds clique cap {CLIQUE_VERTEX_CAP}")
-        cliques = bron_kerbosch(graph.adjacency)
+        cliques = bron_kerbosch(graph.nbr)
         return cliques, dict(Counter(map(len, cliques)))
-    star = [v for v in graph.nbr[0].tolist() if v < n]
-    where = {v: j for j, v in enumerate(star)}
-    local = [[where[w] for w in row if w in where] for row in graph.nbr[star].tolist()]
+    star = graph.nbr[0][graph.nbr[0] < n]
+    # the neighbours of N(0) renumbered by their place in N(0); the others,
+    # padding among them, become the padding len(star)
+    around = graph.nbr[star]
+    at = np.searchsorted(star, around)
+    local = np.where(np.append(star, -1)[at] == around, at, len(star))
+    star = star.tolist()
     cliques = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)] or [(0,)]
     counts = {}
     for size, at_zero in Counter(map(len, cliques)).items():

@@ -51,26 +51,8 @@ class GroupTable:
     associativity_checked: bool = True
     factors: tuple["GroupTable", ...] = ()
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.order)
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[g], -k)
-        acc = 0
-        base = g
-        while k:
-            if k & 1:
-                acc = self.mul[acc][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return acc
 
     def order_of(self, g: int) -> int:
         k, x = 1, g

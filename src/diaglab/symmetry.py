@@ -27,7 +27,8 @@ the clique census lists them, with their number).  Every count reads the
 group and the vertex codec of the graph.
 Any d in D with d(0) = y is t_y times an element of D_0, so two items
 through 0 share a D-orbit exactly when D_0 maps one onto a re-rooting
-C*c^-1 of the other, c in C; every link is looked up in one search.
+C*c^-1 of the other, c in C; every link is looked up in a dict of the
+items through 0.
 As D is the regular group of right translations times D_0, a set
 through 0 is a block of D iff it is a subgroup of G^m that D_0 maps onto
 itself, and by Higman's criterion the minimal block through 0 and v is
@@ -54,15 +55,6 @@ from .groups import (
 )
 from .partitions import Partition, components, smallest_points, start_blocks
 from .semilattice import VertexCodec
-
-GENERATOR_TAGS = (
-    "right-mult",
-    "diag-left-mult",
-    "aut",
-    "coord-perm",
-    "inversion-map",
-)
-
 
 def _products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vertex numbers of the products x*v in G^m, for broadcastable arrays
@@ -371,39 +363,6 @@ def vertex_stabiliser_generators(
     return out
 
 
-def _row_ids(rows: np.ndarray, degree: int, key_type: type):
-    """Number the distinct rows, one column at a time.
-
-    Returns ``(keys, ids)``: ``keys[c]`` holds the sorted distinct values of
-    ``prefix_id * degree + rows[:, c]``, where ``prefix_id`` numbers the
-    distinct prefixes of length c, and ``ids`` (int32) numbers the distinct
-    rows.  No key is wider than ``len(rows) * degree``, whatever the row
-    length, so ``key_type`` is int64 only where that product needs it.
-    """
-    keys = []
-    ids = np.zeros(len(rows), dtype=np.int32)
-    for c in range(rows.shape[1]):
-        col_keys, inverse = np.unique(
-            ids.astype(key_type) * degree + rows[:, c], return_inverse=True)
-        keys.append(col_keys)
-        ids = inverse.astype(np.int32)
-    return keys, ids
-
-
-def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int) -> np.ndarray:
-    """Ids (int32) of rows in the table behind ``keys``, -1 for each row
-    that is absent."""
-    ids = np.zeros(len(rows), dtype=np.int32)
-    absent = np.zeros(len(rows), dtype=bool)
-    for c, col_keys in enumerate(keys):
-        want = ids.astype(col_keys.dtype) * degree + rows[:, c]
-        ids = np.minimum(np.searchsorted(col_keys, want), len(col_keys) - 1)
-        absent |= col_keys[ids] != want
-        ids = ids.astype(np.int32)
-    ids[absent] = -1
-    return ids
-
-
 def _rooted_orbit_count(
     graph: DiagGraph, stabiliser: list[TaggedPerm], at_zero: np.ndarray, total: int,
 ) -> int:
@@ -412,35 +371,36 @@ def _rooted_orbit_count(
 
     Each item C is linked to its image under every generator of D_0 and to
     its re-rooting C*c^-1 at each of its points c, the right translation
-    by c^-1; every link image is looked up in one sort and one search.
+    by c^-1.  The distinct items are numbered in a dict keyed by their
+    sorted points, and every link image is looked up there.
     Raises AssertionError, naming the first mover that fails, if a link
     leaves ``at_zero``, or if ``total * |C|`` is not n times the number of
     items through 0, as it is for a set closed under the translations.
     """
-    n = graph.size
+    n, g, codec = graph.size, graph.group, graph.codec
     rows = np.sort(np.asarray(at_zero, dtype=np.int32), axis=1)
     if total * rows.shape[1] != n * len(rows):
         raise AssertionError(f"{total} items of {rows.shape[1]} points, "
                              f"{len(rows)} of them through vertex 0, on {n} vertices")
-    key_type = np.int64 if len(rows) * n > np.iinfo(np.int32).max else np.int32
-    keys, ids = _row_ids(rows, n, key_type)
-    count = len(keys[-1])
-    distinct = np.empty((count, rows.shape[1]), dtype=np.int32)
-    distinct[ids] = rows
+    ids: dict[tuple[int, ...], int] = {}
+    for item in map(tuple, rows.tolist()):
+        ids.setdefault(item, len(ids))
+    distinct = np.array(list(ids), dtype=np.int32).reshape(len(ids), rows.shape[1])
     movers = [f"generator {s.tag}" for s in stabiliser]
     images = [s.image[distinct] for s in stabiliser]
-    inverse = graph.codec.index(np.asarray(graph.group.inv)[graph.codec.digits])
-    for c in range(1, rows.shape[1]):  # column 0 holds vertex 0 itself
+    # c^-1 for each point c of each item; column 0 holds vertex 0 itself
+    inverse = codec.index(np.asarray(g.inv)[codec.digits[distinct[:, 1:]]])
+    for c in range(rows.shape[1] - 1):
         movers.append("a translation")
-        images.append(_products(graph.group, graph.codec, distinct,
-                                inverse[distinct[:, c:c + 1]]))
-    links = _lookup_rows(keys, np.sort(np.concatenate(images), axis=1), n)
-    links = links.reshape(len(images), count)
+        images.append(_products(g, codec, distinct, inverse[:, c:c + 1]))
+    looked_up = np.sort(np.concatenate(images), axis=1).tolist()
+    links = np.array([ids.get(tuple(item), -1) for item in looked_up], dtype=np.int32)
+    links = links.reshape(len(images), len(ids))
     failed = (links < 0).any(axis=1)
     if failed.any():
         raise AssertionError(f"{movers[np.argmax(failed)]} maps an item outside the item set")
-    lab = components(count, links)
-    return int(np.count_nonzero(lab == np.arange(count)))
+    lab = components(len(ids), links)
+    return int(np.count_nonzero(lab == np.arange(len(ids))))
 
 
 def rooted_orbit_counts(

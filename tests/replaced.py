@@ -37,7 +37,14 @@ read off its closure masks.  The list of every maximal clique, translated
 from those through vertex 0 once N(v) = N(0)·v was checked at every v,
 before the clique census counted them from the cliques through vertex 0.
 The tabu search over the list view, with a list of colour counts per
-vertex, before the numpy table of those counts over ``nbr``.
+vertex, before the numpy table of those counts over ``nbr``.  The list
+view itself, ``nbr`` as lists of Python ints without the padding
+(``adjacency_lists``), before Bron-Kerbosch packed its bitsets from
+``nbr``; ``padded`` turns lists back into such an array.  The radix
+numbering of item rows, one column at a time, and its batched lookup
+(``_row_ids``, ``_lookup_rows``), before the orbit counts through vertex 0
+numbered their few items in a dict; the whole-item-set ``orbit_count``
+still reads them.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from diaglab.partitions import (
     singletons,
 )
 from diaglab.semilattice import minimal_partitions
-from diaglab.symmetry import TaggedPerm, _lookup_rows, _perm_group_generators, _row_ids
+from diaglab.symmetry import TaggedPerm, _perm_group_generators
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,25 @@ def loop_blocks(p: Partition) -> list[list[int]]:
     return out
 
 
+def adjacency_lists(graph: DiagGraph) -> list[list[int]]:
+    """``graph.nbr`` as lists of Python ints without the padding: the list
+    view ``DiagGraph.adjacency`` before the searches read ``nbr`` itself."""
+    n = graph.size
+    return [[w for w in row if w < n] for row in graph.nbr.tolist()]
+
+
+def padded(lists) -> np.ndarray:
+    """Adjacency lists as a padded neighbour array like ``DiagGraph.nbr``:
+    row v holds v's neighbours, then the padding n."""
+    n = len(lists)
+    nbr = np.full((n, max(map(len, lists), default=0)), n, dtype=np.int32)
+    for v, a in enumerate(lists):
+        nbr[v, :len(a)] = a
+    return nbr
+
+
 def bfs_distances(graph: DiagGraph, start: int) -> list[int]:
+    adjacency = adjacency_lists(graph)
     dist = [-1] * graph.size
     dist[start] = 0
     frontier = [start]
@@ -133,7 +158,7 @@ def bfs_distances(graph: DiagGraph, start: int) -> list[int]:
         d += 1
         nxt = []
         for u in frontier:
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 if dist[v] < 0:
                     dist[v] = d
                     nxt.append(v)
@@ -398,6 +423,7 @@ def is_distance_regular(
     from every vertex.  Returns (verdict, (b_array, c_array) or None).
     """
     bases = range(graph.size) if paranoid else (0,)
+    adjacency = adjacency_lists(graph)
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for base in bases:
         dist = bfs_distances(graph, base)
@@ -407,7 +433,7 @@ def is_distance_regular(
         for v in range(graph.size):
             i = dist[v]
             down = up = 0
-            for w in graph.adjacency[v]:
+            for w in adjacency[v]:
                 if dist[w] == i - 1:
                     down += 1
                 elif dist[w] == i + 1:
@@ -506,6 +532,39 @@ def edgelist_of(tagged: dict[tuple[int, int], int]) -> str:
     return "\n".join(f"{u} {v}" for u, v in sorted(tagged))
 
 
+def _row_ids(rows: np.ndarray, degree: int, key_type: type):
+    """Number the distinct rows, one column at a time.
+
+    Returns ``(keys, ids)``: ``keys[c]`` holds the sorted distinct values of
+    ``prefix_id * degree + rows[:, c]``, where ``prefix_id`` numbers the
+    distinct prefixes of length c, and ``ids`` (int32) numbers the distinct
+    rows.  No key is wider than ``len(rows) * degree``, whatever the row
+    length, so ``key_type`` is int64 only where that product needs it.
+    """
+    keys = []
+    ids = np.zeros(len(rows), dtype=np.int32)
+    for c in range(rows.shape[1]):
+        col_keys, inverse = np.unique(
+            ids.astype(key_type) * degree + rows[:, c], return_inverse=True)
+        keys.append(col_keys)
+        ids = inverse.astype(np.int32)
+    return keys, ids
+
+
+def _lookup_rows(keys: list[np.ndarray], rows: np.ndarray, degree: int) -> np.ndarray:
+    """Ids (int32) of rows in the table behind ``keys``, -1 for each row
+    that is absent."""
+    ids = np.zeros(len(rows), dtype=np.int32)
+    absent = np.zeros(len(rows), dtype=bool)
+    for c, col_keys in enumerate(keys):
+        want = ids.astype(col_keys.dtype) * degree + rows[:, c]
+        ids = np.minimum(np.searchsorted(col_keys, want), len(col_keys) - 1)
+        absent |= col_keys[ids] != want
+        ids = ids.astype(np.int32)
+    ids[absent] = -1
+    return ids
+
+
 def orbit_count(perms: list[TaggedPerm], items: list) -> int:
     """Orbits of the induced action on the distinct items.
 
@@ -575,7 +634,7 @@ def translated_cliques(graph: DiagGraph) -> list[tuple[int, ...]] | None:
     star = adj[0].tolist()
     where = {v: j for j, v in enumerate(star)}
     local = [[where[w] for w in row if w in where] for row in adj[star].tolist()]
-    through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(local)]
+    through_zero = [(0,) + tuple(star[j] for j in c) for c in bron_kerbosch(padded(local))]
     cliques: list[tuple[int, ...]] = []
     vertices = np.arange(n)
     for base in through_zero or [(0,)]:
@@ -589,7 +648,7 @@ def all_maximal_cliques(graph: DiagGraph) -> list[tuple[int, ...]]:
     those through vertex 0 when ``translated_cliques`` certifies the graph,
     else from Bron-Kerbosch over the whole graph."""
     cliques = translated_cliques(graph)
-    return bron_kerbosch(graph.adjacency) if cliques is None else cliques
+    return bron_kerbosch(graph.nbr) if cliques is None else cliques
 
 
 def from_rows(group: GroupTable, m: int, rows) -> DiagGraph:
@@ -657,7 +716,7 @@ def packed_walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int
     ``width`` bits never carries into the next one.
     """
     n = graph.size
-    adjacency = graph.adjacency
+    adjacency = adjacency_lists(graph)
     starts = range(n) if paranoid else range(1)
     width = (graph.nbr.shape[1] ** steps).bit_length() + 1
     mask = (1 << width) - 1
@@ -691,7 +750,7 @@ def packed_max_eccentricity(graph: DiagGraph, bases: range) -> int:
     off what is already reached.
     """
     n = graph.size
-    adjacency = graph.adjacency
+    adjacency = adjacency_lists(graph)
     per_block = max(1, PACK_BITS // n)
     ecc = 0
     for lo in range(0, len(bases), per_block):
@@ -819,7 +878,7 @@ def list_tabucol(
     conflict.
     """
     n = graph.size
-    nbr = graph.adjacency
+    nbr = adjacency_lists(graph)
     rng = random.Random(TABUCOL_SEED)
     colour = [rng.randrange(k) for _ in range(n)]
     # seen[v][c]: neighbours of v that have colour c

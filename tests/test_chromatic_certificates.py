@@ -29,7 +29,7 @@ from diaglab.diaggraph import bron_kerbosch
 from diaglab.groups import parse_group_spec
 
 from conftest import graph_of, group_of
-from replaced import from_rows, list_tabucol
+from replaced import adjacency_lists, from_rows, list_tabucol, padded
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
 
 
@@ -66,11 +66,9 @@ def test_bad_witness_is_refused(monkeypatch):
 def independence_number(graph) -> int:
     """Exact: the largest maximal clique of the complement."""
     everyone = set(range(graph.size))
-    complement = tuple(
-        tuple(sorted(everyone - set(graph.adjacency[v]) - {v}))
-        for v in range(graph.size)
-    )
-    return max(len(c) for c in bron_kerbosch(complement))
+    complement = [sorted(everyone - set(a) - {v})
+                  for v, a in enumerate(adjacency_lists(graph))]
+    return max(len(c) for c in bron_kerbosch(padded(complement)))
 
 
 @pytest.mark.parametrize("spec", ["C2", "C4", "C6", "S3", "C8"])

@@ -251,9 +251,9 @@ def test_clique_commands_paranoid_same_output(capsys, monkeypatch, command, grou
     sizes: list[int] = []
     original = diaggraph.bron_kerbosch
 
-    def counted(adjacency):
-        sizes.append(len(adjacency))
-        return original(adjacency)
+    def counted(nbr):
+        sizes.append(len(nbr))
+        return original(nbr)
 
     monkeypatch.setattr(diaggraph, "bron_kerbosch", counted)
     outputs, largest = [], []
@@ -576,14 +576,17 @@ def test_check_all_builds_each_artefact_once(capsys, monkeypatch, call_counts):
 
 @pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])
 def test_check_all_never_builds_the_list_view(capsys, monkeypatch, group, m):
-    # the walk counts and the diameter read nbr; only the per-vertex searches
-    # (DSATUR, whole-graph Bron-Kerbosch) need Python lists
+    # every search reads nbr; the graph keeps no list view, and the exact
+    # colouring, whose DSATUR alone lists the rows of nbr, runs only under
+    # --exact
+    from diaglab import chromatic
     from diaglab.diaggraph import DiagGraph
 
-    build = DiagGraph.__dict__["adjacency"].func
+    assert not hasattr(DiagGraph, "adjacency")
     built = []
-    monkeypatch.setattr(DiagGraph, "adjacency",
-                        property(lambda self: built.append(self.size) or build(self)))
+    original = chromatic.chromatic_number_exact
+    monkeypatch.setattr(chromatic, "chromatic_number_exact",
+                        lambda graph, *a: built.append(graph.size) or original(graph, *a))
     code, _, _ = run_cli(capsys, "check-all", "--group", group, "--m", str(m))
     assert code == EXIT_OK
     assert built == []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from diaglab import diaggraph
 
 from conftest import GRID, graph_of
+from replaced import adjacency_lists, padded
 
 
 def _bk_expand(
@@ -47,9 +48,12 @@ def bron_kerbosch(adjacency: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...
     return cliques
 
 
-def check_against_oracle(adjacency) -> None:
-    got = diaggraph.bron_kerbosch(adjacency)
+def check_against_oracle(nbr) -> None:
+    """``nbr`` is a padded neighbour array; the oracle reads it as lists."""
+    got = diaggraph.bron_kerbosch(nbr)
     assert all(list(c) == sorted(set(c)) for c in got)
+    n = len(nbr)
+    adjacency = tuple(tuple(w for w in row if w < n) for row in nbr.tolist())
     assert sorted(got) == sorted(bron_kerbosch(adjacency))
 
 
@@ -62,12 +66,12 @@ def complement(adjacency) -> tuple[tuple[int, ...], ...]:
 
 @pytest.mark.parametrize("spec,m", GRID + [("C16", 3)])
 def test_grid_graphs(spec, m):
-    check_against_oracle(graph_of(spec, m).adjacency)
+    check_against_oracle(graph_of(spec, m).nbr)
 
 
 @pytest.mark.parametrize("spec", ["C2", "C4", "C6", "S3", "C8"])
 def test_dense_complements_of_dimension_2(spec):
-    check_against_oracle(complement(graph_of(spec, 2).adjacency))
+    check_against_oracle(padded(complement(adjacency_lists(graph_of(spec, 2)))))
 
 
 @st.composite
@@ -87,11 +91,11 @@ def small_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_random_graphs(adjacency):
-    check_against_oracle(adjacency)
+    check_against_oracle(padded(adjacency))
 
 
 def test_empty_graph():
-    assert diaggraph.bron_kerbosch(()) == []
+    assert diaggraph.bron_kerbosch(padded(())) == []
 
 
 def _record_expansions(monkeypatch) -> list[tuple[list[int], int, int]]:
@@ -108,8 +112,9 @@ def _record_expansions(monkeypatch) -> list[tuple[list[int], int, int]]:
 
 def test_outer_loop_branches_on_later_neighbours_only(monkeypatch):
     calls = _record_expansions(monkeypatch)
-    adjacency = graph_of("C3", 3).adjacency
-    diaggraph.bron_kerbosch(adjacency)
+    graph = graph_of("C3", 3)
+    adjacency = adjacency_lists(graph)
+    diaggraph.bron_kerbosch(graph.nbr)
     outer = [(r, p, x) for r, p, x in calls if len(r) == 1]
     assert [r for r, _, _ in outer] == [[v] for v in range(len(adjacency))]
     for [v], p, x in outer:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from diaglab.chromatic import chromatic_number_exact
 
 from conftest import GRID, graph_of
+from replaced import adjacency_lists, padded
 
 
 def k_colourable(adjacency, k: int) -> bool:
@@ -49,10 +50,11 @@ def proper(adjacency, colors) -> bool:
 
 
 def check_against_oracle(graph) -> None:
-    chi = oracle_chromatic_number(graph.adjacency)
+    adjacency = adjacency_lists(graph)
+    chi = oracle_chromatic_number(adjacency)
     res = chromatic_number_exact(graph)
     assert (res.lower, res.upper, res.search_complete) == (chi, chi, True)
-    assert proper(graph.adjacency, res.coloring.colors)
+    assert proper(adjacency, res.coloring.colors)
     assert res.coloring.count == chi
 
 
@@ -77,7 +79,7 @@ def test_exact_improves_on_a_suboptimal_greedy_start():
     for u, v in small + cycle + join:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    graph = SimpleNamespace(size=13, adjacency=tuple(tuple(sorted(a)) for a in nbrs))
+    graph = SimpleNamespace(size=13, nbr=padded([sorted(a) for a in nbrs]))
     greedy_only = chromatic_number_exact(graph, node_budget=0)
     assert (greedy_only.lower, greedy_only.upper, greedy_only.search_complete) == (5, 7, False)
     check_against_oracle(graph)
@@ -92,8 +94,7 @@ def small_graphs(draw):
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    return SimpleNamespace(size=n, adjacency=adjacency)
+    return SimpleNamespace(size=n, nbr=padded([sorted(a) for a in nbrs]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,22 +25,22 @@ from diaglab.groups import cyclic
 from diaglab.semilattice import minimal_partitions
 
 from conftest import clique_list_of, cliques_of, edge_set, graph_of, group_of, minimals_of
-from replaced import bfs_distances, tagged_rows
+from replaced import adjacency_lists, bfs_distances, padded, tagged_rows
 
 
 def test_k4():
     g = graph_of("C2", 2)
     assert g.size == 4
-    assert all(len(nb) == 3 for nb in g.adjacency)
+    assert all(len(nb) == 3 for nb in adjacency_lists(g))
 
 
 def test_k333():
     g = graph_of("C3", 2)
     assert g.size == 9
-    assert all(len(nb) == 6 for nb in g.adjacency)
+    assert all(len(nb) == 6 for nb in adjacency_lists(g))
     # complement classes are three disjoint transversal triples
     non_adj = [
-        (u, v) for u, v in combinations(range(9), 2) if v not in g.adjacency[u]
+        (u, v) for u, v in combinations(range(9), 2) if v not in adjacency_lists(g)[u]
     ]
     assert len(non_adj) == 9
 
@@ -48,13 +48,13 @@ def test_k333():
 def test_c3_m3_valency_8():
     g = graph_of("C3", 3)
     assert g.size == 27
-    assert all(len(nb) == 8 for nb in g.adjacency)
+    assert all(len(nb) == 8 for nb in adjacency_lists(g))
 
 
 def test_m1_is_complete_graph():
     g = graph_of("C5", 1)
     assert g.size == 5
-    assert all(len(nb) == 4 for nb in g.adjacency)
+    assert all(len(nb) == 4 for nb in adjacency_lists(g))
 
 
 def test_group_order_one_rejected():
@@ -102,7 +102,7 @@ def test_valency_and_edge_count(grid):
     for spec, m in grid:
         g = graph_of(spec, m)
         k = (m + 1) * (g.q - 1)
-        assert all(len(nb) == k for nb in g.adjacency), (spec, m)
+        assert all(len(nb) == k for nb in adjacency_lists(g)), (spec, m)
         assert 2 * len(g.edges()) == 2 * g.edge_count == g.size * k
 
 
@@ -273,7 +273,7 @@ def test_graph6_round_trip(grid):
     for spec, m in grid[:8]:
         g = graph_of(spec, m)
         adj = parse_graph6(to_graph6(g))
-        assert adj == g.adjacency
+        assert adj == adjacency_lists(g)
 
 
 def test_graph6_long_form():
@@ -281,7 +281,7 @@ def test_graph6_long_form():
     s = to_graph6(g)
     assert s.startswith(b"~")
     adj = parse_graph6(s)
-    assert adj == g.adjacency
+    assert adj == adjacency_lists(g)
 
 
 def test_export_dot_and_edgelist():
@@ -327,18 +327,18 @@ def test_property_report_keys():
 def test_bron_kerbosch_small_reference():
     # path 0-1-2 plus triangle 2-3-4
     adjacency = ((1,), (0, 2), (1, 3, 4), (2, 4), (2, 3))
-    cliques = bron_kerbosch(adjacency)
+    cliques = bron_kerbosch(padded(adjacency))
     assert sorted(cliques) == [(0, 1), (1, 2), (2, 3, 4)]
 
 
 def test_bron_kerbosch_leaves_no_garbage():
     # a reference cycle would keep the sets and the clique list alive until
     # the cyclic collector ran
-    adjacency = graph_of("C8", 3).adjacency
+    nbr = graph_of("C8", 3).nbr
     gc.collect()
     gc.disable()
     try:
-        cliques = bron_kerbosch(adjacency)
+        cliques = bron_kerbosch(nbr)
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -7,7 +7,8 @@ tag) rows of the dict-based constructions in ``replaced.py`` (read back by
 and edge-list bytes, and the arrays that ``replaced.from_rows`` built from
 the pair rows of each part; and the construction invariants (an edge in two
 minimal partitions, a tag or an edge that differs, a neighbour listed at
-one end only, blocks of unequal size) must be caught.
+one end only, blocks of unequal size) must be caught.  Bron-Kerbosch
+must read the padding of an irregular graph as no neighbour.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from diaglab.diaggraph import (
     DiagGraph,
+    bron_kerbosch,
     build_graph,
     cayley_graph,
     same_edge_set,
@@ -31,6 +33,7 @@ from diaglab.semilattice import minimal_partitions
 from conftest import GRID, graph_of, group_of
 from replaced import (
     TupleCodec,
+    adjacency_lists,
     adjacency_of,
     block_rows,
     cayley_edge_tags,
@@ -62,7 +65,7 @@ def test_rows_match_the_python_constructions(spec, m):
         assert np.array_equal(tagged_rows(graph), rows_of(tagged)), (spec, m)
         assert np.array_equal(graph.edges(), rows_of(tagged)[:, :2]), (spec, m)
         want = adjacency_of(graph.size, tagged)
-        assert [tuple(a) for a in graph.adjacency] == list(want)
+        assert [tuple(a) for a in adjacency_lists(graph)] == list(want)
         assert np.array_equal(graph.nbr, np.array(want, dtype=np.int32))
         assert to_graph6(graph) == graph6_of(graph.size, tagged)
         assert to_dot(graph) == dot_of(TupleCodec(q=graph.q, m=graph.m), tagged)
@@ -176,9 +179,15 @@ def test_from_rows_pads_an_irregular_graph():
     assert np.array_equal(graph.tag == -1, graph.nbr == 6)
     assert graph.tag.tolist() == [[0, 0, 1], [0, -1, -1], [0, -1, -1], [1, -1, -1],
                                   [2, -1, -1], [2, -1, -1]]
-    assert graph.adjacency == [[1, 2, 3], [0], [0], [0], [5], [4]]
-    assert graph.adjacency is graph.adjacency  # built once
     empty = from_rows(cyclic(3), 1, [])
     assert empty.edges().shape == (0, 2) and empty.edge_count == 0
     assert empty.nbr.shape == empty.tag.shape == (3, 0)
-    assert empty.adjacency == [[], [], []]
+
+
+def test_bron_kerbosch_skips_the_padding():
+    # the padding n = 6 of the irregular star is no vertex, so no neighbour
+    rows = [(4, 5, 2), (0, 3, 1), (0, 1, 0), (0, 2, 0)]
+    graph = from_rows(cyclic(6), 1, rows)
+    assert sorted(bron_kerbosch(graph.nbr)) == [(0, 1), (0, 2), (0, 3), (4, 5)]
+    empty = from_rows(cyclic(3), 1, [])
+    assert sorted(bron_kerbosch(empty.nbr)) == [(0,), (1,), (2,)]

@@ -26,7 +26,13 @@ from diaglab.partitions import start_blocks
 from diaglab.spectral import _walk_blocks, _walk_counts
 
 from conftest import GRID, edge_set, graph_of, group_of
-from replaced import bfs_distances, from_rows, packed_max_eccentricity, packed_walk_counts
+from replaced import (
+    adjacency_lists,
+    bfs_distances,
+    from_rows,
+    packed_max_eccentricity,
+    packed_walk_counts,
+)
 
 SMALL_GRID = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 256]
 
@@ -108,7 +114,7 @@ def small_graphs(draw, max_n: int):
 def test_walk_counts_match_matrix_powers_on_grid():
     for spec, m in SMALL_GRID:
         g = graph_of(spec, m)
-        want = matrix_power_traces(g.adjacency, m + 1)
+        want = matrix_power_traces(adjacency_lists(g), m + 1)
         assert _walk_counts(g, m + 1, paranoid=True) == want, (spec, m)
         assert _walk_counts(g, m + 1, paranoid=False) == want, (spec, m)
 
@@ -117,7 +123,7 @@ def test_walk_counts_match_matrix_powers_on_grid():
 @given(small_graphs(12), st.integers(0, 9))
 def test_paranoid_walk_counts_on_irregular_graphs(graph, steps):
     assert _walk_counts(graph, steps, paranoid=True) == matrix_power_traces(
-        graph.adjacency, steps
+        adjacency_lists(graph), steps
     )
 
 
@@ -125,14 +131,14 @@ def test_walk_counts_star_graph():
     # max degree 11 against an average degree below 2
     star = graph_from_edges(12, [(0, v) for v in range(1, 12)])
     assert _walk_counts(star, 12, paranoid=True) == matrix_power_traces(
-        star.adjacency, 12
+        adjacency_lists(star), 12
     )
 
 
 def test_walk_counts_wider_than_a_machine_word():
     k20 = graph_from_edges(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
     assert 19**16 > 2**64
-    want = matrix_power_traces(k20.adjacency, 16)
+    want = matrix_power_traces(adjacency_lists(k20), 16)
     assert _walk_counts(k20, 16, paranoid=True) == want
     assert _walk_counts(k20, 16, paranoid=False) == want
 
@@ -153,7 +159,7 @@ def test_walk_counts_at_the_int32_boundary(steps, half_power, dtype):
     assert 2 ** -(-steps // 2) == half_power
     assert _walk_blocks(5, 2, steps, range(5))[0] is dtype
     assert _walk_blocks(5, 2, steps, range(1))[0] is dtype
-    want = matrix_power_traces(c5.adjacency, steps)
+    want = matrix_power_traces(adjacency_lists(c5), steps)
     assert _walk_counts(c5, steps, paranoid=True) == want
     assert _walk_counts(c5, steps, paranoid=False) == want
 
@@ -162,7 +168,7 @@ def test_walk_counts_when_a_block_could_pass_int64(monkeypatch):
     # eight starts of degree 2 at 60 steps: 2^30 fits int32, but the block
     # sum bound 8 * 2^60 reaches 2^63, so the columns hold Python ints
     c8 = cycle(8)
-    want = matrix_power_traces(c8.adjacency, 60)
+    want = matrix_power_traces(adjacency_lists(c8), 60)
     dtype, blocks = _walk_blocks(8, 2, 60, range(8))
     assert dtype is object and len(blocks) == 1
     assert _walk_counts(c8, 60, paranoid=True) == want
@@ -182,7 +188,7 @@ def test_paranoid_walk_counts_over_several_blocks(monkeypatch):
     g = graph_of("C3", 3)
     monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 28 // 8)
     cut = spy_blocks(monkeypatch, spectral)
-    assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(g.adjacency, 4)
+    assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(adjacency_lists(g), 4)
     assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
 
 
