@@ -33,6 +33,7 @@ from .semilattice import VertexCodec, minimal_partitions
 
 COMPLETE_MAPPING_SEARCH_LIMIT = 16
 EXACT_COLOURING_LIMIT = 64
+EXACT_NODE_BUDGET = 200_000
 TABUCOL_MOVE_BUDGET = 50_000
 TABUCOL_SEED = 0
 
@@ -477,7 +478,9 @@ def chromatic_verdict(graph: DiagGraph, exact: bool = False, *,
     lower bound stays the clique bound |G|, with the conjectured |G|+2
     annotated.  At m = 2 the certificate that no complete mapping exists
     closes chi = |G|+2; ``exact`` adds the exact search within
-    ``EXACT_COLOURING_LIMIT`` vertices.  No search here is unbounded.
+    ``EXACT_COLOURING_LIMIT`` vertices and ``EXACT_NODE_BUDGET`` nodes,
+    which leaves chi as the certificates give it where it stops
+    unclosed.  No search here is unbounded.
     """
     g, q, m = graph.group, graph.q, graph.m
     reasons: list[str] = []
@@ -550,8 +553,11 @@ def chromatic_verdict(graph: DiagGraph, exact: bool = False, *,
             reasons.append("no complete mapping, so independent sets have at most q-1 "
                            "cells and chi >= ceil(q^2/(q-1)) = q+2")
     if exact and graph.size <= EXACT_COLOURING_LIMIT:
-        result = chromatic_number_exact(graph)
-        if result.value is not None:
+        result = chromatic_number_exact(graph, EXACT_NODE_BUDGET)
+        if result.value is None:
+            reasons.append(f"exact search stopped after {EXACT_NODE_BUDGET} nodes "
+                           f"at bounds [{result.lower}, {result.upper}]")
+        else:
             if chi is not None and result.value != chi:
                 raise AssertionError(f"{g.label}, m={m}: exact search gives "
                                      f"{result.value}, certificates give {chi}")

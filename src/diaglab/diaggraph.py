@@ -103,11 +103,19 @@ class DiagGraph:
         return (self.m + 1) * (self.q - 1) if self.m >= 2 else self.q - 1
 
 
-def _sort_rows(nbr: np.ndarray, tag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``nbr`` sorted, ``tag`` permuted alike; equal neighbours
-    keep their order, so the first copy stays first."""
-    order = np.argsort(nbr, axis=1, kind="stable")
-    return np.take_along_axis(nbr, order, axis=1), np.take_along_axis(tag, order, axis=1)
+def _sort_rows(nbr: np.ndarray, tag: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``nbr`` sorted, ``tag`` (in 0..m) permuted alike, by one
+    sort of the key nbr * 2^b + tag with 2^b > m.  Equal neighbours come in
+    tag order, which keeps the first copy first where the columns are in
+    tag order."""
+    b = m.bit_length()
+    # the entries run up to the padding len(nbr), so a key stays below
+    # (len(nbr) + 1) * 2^b
+    key = nbr.astype(np.int64 if (len(nbr) + 1) << b > 2**31 else np.int32)
+    key <<= b
+    key += tag
+    key.sort(axis=1)
+    return (key >> b).astype(nbr.dtype, copy=False), (key & ((1 << b) - 1)).astype(tag.dtype)
 
 
 def _block_mates(part: Partition) -> np.ndarray:
@@ -135,7 +143,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
     mates = [_block_mates(part) for part in minimals]
     tag = np.repeat(np.arange(m + 1, dtype=np.int8), [a.shape[1] for a in mates])
     nbr, tag = _sort_rows(np.concatenate(mates, axis=1),
-                          np.broadcast_to(tag, (n, len(tag))))
+                          np.broadcast_to(tag, (n, len(tag))), m)
     twice = np.zeros(nbr.shape, dtype=bool)
     twice[:, 1:] = nbr[:, 1:] == nbr[:, :-1]
     if twice.any():
@@ -145,7 +153,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
                 f"edge {(int(u[0]), int(nbr[u[0], k[0]]))} lies in two minimal partitions")
         # m = 1: keep the first copy, move the others past the end as padding
         width = (~twice).sum(axis=1).max()
-        nbr, tag = _sort_rows(np.where(twice, n, nbr), tag)
+        nbr, tag = _sort_rows(np.where(twice, n, nbr), tag, m)
         nbr, tag = nbr[:, :width], tag[:, :width]
     return DiagGraph.from_neighbours(g, m, nbr, tag)
 
@@ -194,7 +202,7 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
             tag[k] = i + 1 if m >= 2 else 0
         else:
             nbr[:, k] = codec.index(mul[s, d])
-    nbr, tag = _sort_rows(nbr, np.broadcast_to(tag, nbr.shape))
+    nbr, tag = _sort_rows(nbr, np.broadcast_to(tag, nbr.shape), m)
     return DiagGraph.from_neighbours(g, m, nbr, tag)
 
 

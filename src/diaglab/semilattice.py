@@ -87,16 +87,19 @@ def vertex_codec(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Vertex
     return VertexCodec(q=g.order, m=m)
 
 
-def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP) -> Partition:
+def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP, *,
+            codec: VertexCodec | None = None) -> Partition:
     """The minimal partition Q_i of G^m.
 
     For i >= 1 the parts collect tuples agreeing in every coordinate except
     i; for i = 0 they are the diagonal left-translation classes
-    {(x*g_1, ..., x*g_m) : x in G}.
+    {(x*g_1, ..., x*g_m) : x in G}.  ``codec`` is ``vertex_codec(g, m,
+    cap)`` where the caller has it.
     """
     if not 0 <= i <= m:
         raise ValueError(f"partition index {i} outside 0..{m}")
-    codec = vertex_codec(g, m, cap)
+    if codec is None:
+        codec = vertex_codec(g, m, cap)
     if i >= 1:
         labels = codec.digits.copy()
         labels[:, i - 1] = 0
@@ -108,8 +111,9 @@ def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP) -> Par
 
 
 def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> list[Partition]:
-    """Q_0, Q_1, ..., Q_m in that order."""
-    return [build_q(g, m, i, cap) for i in range(m + 1)]
+    """Q_0, Q_1, ..., Q_m in that order, over one codec."""
+    codec = vertex_codec(g, m, cap)
+    return [build_q(g, m, i, codec=codec) for i in range(m + 1)]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ run.  From vertex 0 alone, vertex-transitivity turns the count into the
 trace; under ``paranoid`` or without the translation certificate
 (``DiagGraph.rooted``) it counts from every vertex, a block of starts side
 by side as the columns of one array.  An entry of A^t e_s is at most deg^t
-for the width deg of ``nbr``, so the columns are int32 while
-deg^ceil(steps/2) < 2^31 and a block times deg^steps < 2^63 (the inner
-products are taken in int64); past that bound they hold Python ints
-(``dtype=object``), so a count never wraps.
+for the width deg of ``nbr``, so the columns of step t take the narrowest
+of uint8, uint16, uint32 and int64 that holds deg^t, and the inner
+products are taken in int64, exact while a block times deg^steps < 2^63.
+Past that bound the columns hold Python ints (``dtype=object``), so a
+count never wraps.
 """
 
 from __future__ import annotations
@@ -85,17 +86,29 @@ def spectrum_closed_form(q: int, m: int) -> SpectrumReport:
     return SpectrumReport(q=q, m=m, entries=tuple(rows), source="closed_form")
 
 
-def _walk_blocks(n: int, deg: int, steps: int, starts: range) -> tuple[type, list[range]]:
-    """The column dtype and the blocks of ``starts`` for ``_walk_counts``.
+# The column types of the walk counts, narrowest first.  There is no uint64:
+# einsum cannot cast it safely to the int64 of the inner products.
+WALK_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
 
-    An entry of A^t e_s is at most deg^t, and one start adds at most
-    deg^steps to a trace, so int32 columns with int64 inner products are
-    exact while deg^ceil(steps/2) < 2^31 and a block times deg^steps <
-    2^63.  Otherwise the columns hold Python ints (``dtype=object``)."""
-    blocks = start_blocks(starts, 32 * (n + 1))
-    if deg ** -(-steps // 2) < 2**31 and len(blocks[0]) * deg**steps < 2**63:
-        return np.int32, blocks
-    return object, start_blocks(starts, 64 * (n + 1))
+
+def _walk_blocks(n: int, deg: int, steps: int, starts: range) -> tuple[list[type], list[range]]:
+    """The column dtype of each step t = 0..ceil(steps/2) and the blocks of
+    ``starts`` for ``_walk_counts``.
+
+    An entry of A^t e_s is at most deg^t, so step t takes the narrowest of
+    ``WALK_DTYPES`` that holds deg^t.  One start adds at most deg^steps to
+    a trace, so the inner products, taken in int64, are exact while a block
+    times deg^steps < 2^63.  A block keeps one column array of the widest
+    step within ``BLOCK_BYTES``.  Where deg^ceil(steps/2) passes int64 or
+    a block passes that bound, every column holds Python ints
+    (``dtype=object``)."""
+    dtypes = [next((d for d in WALK_DTYPES if deg**t <= np.iinfo(d).max), object)
+              for t in range(-(-steps // 2) + 1)]
+    if dtypes[-1] is not object:
+        blocks = start_blocks(starts, 8 * np.dtype(dtypes[-1]).itemsize * (n + 1))
+        if len(blocks[0]) * deg**steps < 2**63:
+            return dtypes, blocks
+    return [object] * len(dtypes), start_blocks(starts, 64 * (n + 1))
 
 
 def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
@@ -104,9 +117,10 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     A is symmetric, so tr(A^j) = sum over starts s of <A^a e_s, A^b e_s>
     with a = j // 2 and b = j - a: only the columns A^t e_s for t up to
     ceil(steps/2) are formed.  A block of starts is one (n + 1, B) array,
-    one column per start; row n is a zero sentinel that absorbs the
-    padding of ``nbr``, and each step adds the rows of every vertex's
-    neighbours, one gather per column of ``nbr``.  The degree bound of
+    one column per start, in the dtype ``_walk_blocks`` gives its step;
+    row n is a zero sentinel that absorbs the padding of ``nbr``, and each
+    step adds the rows of every vertex's neighbours into an array of the
+    next step's dtype, one gather per column of ``nbr``.  The degree bound of
     ``_walk_blocks`` comes from the width of ``nbr``, never from the
     claimed valency.  Where ``graph.rooted(paranoid)`` the one start 0
     gives tr(A^j) = n * (A^j)_00 by vertex-transitivity.
@@ -115,23 +129,23 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     columns = np.ascontiguousarray(graph.nbr.T)
     rooted = graph.rooted(paranoid)
     starts = range(1) if rooted else range(n)
-    half = -(-steps // 2)
     traces = [0] * (steps + 1)
-    dtype, blocks = _walk_blocks(n, graph.nbr.shape[1], steps, starts)
+    dtypes, blocks = _walk_blocks(n, graph.nbr.shape[1], steps, starts)
 
     def dot(a: np.ndarray, b: np.ndarray) -> int:
-        if dtype is object:
+        if a.dtype == object:
             return int((a * b).sum())
         return int(np.einsum("ij,ij->", a, b, dtype=np.int64))
 
     for block in blocks:
-        x = np.zeros((n + 1, len(block)), dtype=dtype)
+        x = np.zeros((n + 1, len(block)), dtype=dtypes[0])
         x[np.asarray(block), np.arange(len(block))] = 1
         traces[0] += len(block)
-        for t in range(1, half + 1):
-            y = np.zeros_like(x)
+        for t, dtype in enumerate(dtypes[1:], 1):
+            y = np.zeros((n + 1, len(block)), dtype=dtype)
+            rows = y[:n]
             for col in columns:
-                y[:n] += x[col]
+                rows += x[col]
             # x = A^(t-1) e_s and y = A^t e_s give j = 2t - 1 and j = 2t
             traces[2 * t - 1] += dot(x, y)
             if 2 * t <= steps:

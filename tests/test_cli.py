@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from importlib import import_module
 from pathlib import Path
 
@@ -154,6 +155,35 @@ def test_chromatic_json(capsys):
     data = json.loads(out)
     assert data["chi"] == 6
     assert data["conjecture"] == 6
+
+
+@pytest.mark.parametrize("command", ["chromatic", "check-all"])
+def test_exact_colouring_stops_at_its_node_budget(capsys, monkeypatch, command):
+    # C8 m=2 has 64 vertices, inside the exact colouring cap, and its search
+    # does not close within the budget: chi = q+2 from the certificates
+    # stands, and a reason names the budget and the bounds the search reached
+    from diaglab import chromatic, cli
+
+    verdicts = []
+
+    def spy(*args, **kwargs):
+        verdicts.append(chromatic.chromatic_verdict(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli, "chromatic_verdict", spy)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, command, "--group", "C8", "--m", "2", "--exact")
+    assert time.perf_counter() - start < 30  # about 1.5 s; unbounded it ran minutes
+    assert code == EXIT_OK
+    (verdict,) = verdicts
+    assert verdict.chi == 10 and (verdict.lower, verdict.upper) == (8, 10)
+    stopped = f"exact search stopped after {chromatic.EXACT_NODE_BUDGET} nodes at bounds [8, 11]"
+    assert verdict.reason[-1] == stopped
+    if command == "chromatic":
+        assert json.loads(out)["reason"][-1] == stopped
+    else:
+        ledger = json.loads(out)
+        assert ledger["ok"] and ledger["failures"] == []
 
 
 def test_chromatic_honours_vertex_cap(capsys, monkeypatch):

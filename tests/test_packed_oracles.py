@@ -1,8 +1,9 @@
 """The walk counts, eccentricities and graph6 encoder against oracles.
 
 The paranoid walk counts and the paranoid diameter run a block of start
-vertices in one pass over ``nbr``: one int32 (or Python int) column per
-start for the walk counts, one bit of a ``uint64`` bitset per base for the
+vertices in one pass over ``nbr``: one column per start for the walk
+counts, in the narrowest unsigned type (or int64, or Python ints) that
+holds its step's entries, one bit of a ``uint64`` bitset per base for the
 eccentricities.  The oracles here run nothing side by side: exact matrix
 powers for the walk counts, one breadth-first search per base for the
 eccentricities, and the bit-list graph6 encoder the packed one replaced.
@@ -150,43 +151,92 @@ def test_walk_counts_match_the_packed_kernel():
             assert _walk_counts(g, m + 2, paranoid) == packed_walk_counts(g, m + 2, paranoid)
 
 
-@pytest.mark.parametrize("steps,half_power,dtype",
-                         [(60, 2**30, np.int32), (62, 2**31, object)],
-                         ids=["int32", "object"])
-def test_walk_counts_at_the_int32_boundary(steps, half_power, dtype):
-    # a 5-cycle has degree 2: the columns reach A^ceil(steps/2) e_s
+def widened(graph: DiagGraph, width: int) -> DiagGraph:
+    """``graph`` with its neighbour array padded out to ``width`` columns:
+    the walk counts bound an entry of A^t e_s by width^t."""
+    n = graph.size
+    nbr = np.full((n, width), n, dtype=np.int32)
+    nbr[:, :graph.nbr.shape[1]] = graph.nbr
+    return DiagGraph.from_neighbours(graph.group, graph.m, nbr, np.zeros_like(nbr))
+
+
+# One case per rung of the ladder: the widest step takes the rung just below
+# its boundary, and just past it step t widens to the next rung.  A cycle
+# has degree 2, so its columns reach 2^ceil(steps/2); past uint32 a degree-2
+# block passes the int64 block bound, so the upper rungs pad a cycle's
+# ``nbr`` out to about 2^16 columns instead.  One step more there passes
+# the int64 block bound, and every column holds Python ints.
+@pytest.mark.parametrize("below,past,t,rung,wider", [
+    ((2, 14), (2, 15), 8, np.uint8, np.uint16),
+    ((2, 30), (2, 31), 16, np.uint16, np.uint32),
+    ((2**16 - 1, 3), (2**16, 3), 2, np.uint32, np.int64),
+    ((2**16, 3), (2**16, 4), None, np.int64, object),
+], ids=["uint8", "uint16", "uint32", "int64"])
+def test_walk_counts_at_each_rung(below, past, t, rung, wider):
+    for width, steps in (below, past):
+        c5 = widened(cycle(5), width)
+        dtypes, _ = _walk_blocks(5, width, steps, range(5))
+        assert len(dtypes) == -(-steps // 2) + 1
+        assert _walk_blocks(5, width, steps, range(1))[0] == dtypes
+        if (width, steps) == below:
+            assert dtypes[-1] is rung
+        elif wider is object:
+            assert dtypes == [object] * len(dtypes)
+        else:
+            assert dtypes[t - 1] is rung and dtypes[t] is wider
+        want = matrix_power_traces(adjacency_lists(c5), steps)
+        assert _walk_counts(c5, steps, paranoid=True) == want
+        assert _walk_counts(c5, steps, paranoid=False) == want
+
+
+def test_walk_counts_past_int32_from_one_start():
+    # one start of a 5-cycle at 62 steps: columns up to 2^31, past int32,
+    # and a trace bound 2^62 < 2^63; five starts in a block pass that bound
     c5 = cycle(5)
-    assert 2 ** -(-steps // 2) == half_power
-    assert _walk_blocks(5, 2, steps, range(5))[0] is dtype
-    assert _walk_blocks(5, 2, steps, range(1))[0] is dtype
-    want = matrix_power_traces(adjacency_lists(c5), steps)
-    assert _walk_counts(c5, steps, paranoid=True) == want
-    assert _walk_counts(c5, steps, paranoid=False) == want
+    want = matrix_power_traces(adjacency_lists(c5), 62)
+    assert _walk_blocks(5, 2, 62, range(1))[0][-2:] == [np.uint32, np.uint32]
+    assert _walk_blocks(5, 2, 62, range(5))[0] == [object] * 32
+    assert _walk_counts(c5, 62, paranoid=False) == want
+    assert _walk_counts(c5, 62, paranoid=True) == want
 
 
 def test_walk_counts_when_a_block_could_pass_int64(monkeypatch):
-    # eight starts of degree 2 at 60 steps: 2^30 fits int32, but the block
+    # eight starts of degree 2 at 60 steps: 2^30 fits uint32, but the block
     # sum bound 8 * 2^60 reaches 2^63, so the columns hold Python ints
     c8 = cycle(8)
     want = matrix_power_traces(adjacency_lists(c8), 60)
-    dtype, blocks = _walk_blocks(8, 2, 60, range(8))
-    assert dtype is object and len(blocks) == 1
+    dtypes, blocks = _walk_blocks(8, 2, 60, range(8))
+    assert dtypes == [object] * 31 and len(blocks) == 1
     assert _walk_counts(c8, 60, paranoid=True) == want
-    # four starts per int32 block keep the bound below 2^63
+    # four starts per block of uint32 columns keep the bound below 2^63
     monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 9 // 8)
-    dtype, blocks = _walk_blocks(8, 2, 60, range(8))
-    assert dtype is np.int32 and [len(b) for b in blocks] == [4, 4]
+    dtypes, blocks = _walk_blocks(8, 2, 60, range(8))
+    assert dtypes[-1] is np.uint32 and [len(b) for b in blocks] == [4, 4]
     assert _walk_counts(c8, 60, paranoid=True) == want
+
+
+def test_walk_counts_blocks_stay_within_the_budget():
+    # a block holds as many starts as keep one column array of its widest
+    # step within BLOCK_BYTES, and no more than fit
+    for n, deg, steps in [(729, 14, 7), (4096, 32, 5), (4096, 12, 9), (65536, 60, 4),
+                          (512, 2, 62), (512, 2, 61)]:
+        dtypes, blocks = _walk_blocks(n, deg, steps, range(n))
+        itemsize = 8 if dtypes[-1] is object else np.dtype(dtypes[-1]).itemsize
+        width = len(blocks[0])
+        assert width * (n + 1) * itemsize <= partitions.BLOCK_BYTES
+        assert width == n or (width + 1) * (n + 1) * itemsize > partitions.BLOCK_BYTES
 
 
 def test_paranoid_walk_counts_over_several_blocks(monkeypatch):
     g = graph_of("C2", 10)
     single = _walk_counts(g, 11, paranoid=False)
     assert _walk_counts(g, 11, paranoid=True) == single
-    # 27 starts, four per block of int32 columns of 28 rows: seven blocks,
-    # the last one short
+    # 27 starts of degree 6 at 4 steps, whose entries are at most 6^2 = 36
+    # and so uint8; four per block of 28 rows: seven blocks, the last
+    # one short
     g = graph_of("C3", 3)
-    monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 32 * 28 // 8)
+    assert _walk_blocks(g.size, 6, 4, range(g.size))[0] == [np.uint8] * 3
+    monkeypatch.setattr(partitions, "BLOCK_BYTES", 4 * 8 * 28 // 8)
     cut = spy_blocks(monkeypatch, spectral)
     assert _walk_counts(g, 4, paranoid=True) == matrix_power_traces(adjacency_lists(g), 4)
     assert [len(b) for b in cut[-1]] == [4] * 6 + [3]
