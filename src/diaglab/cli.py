@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 size cap exceeded or memory exhausted.  ``DIAGLAB_CAP_VERTICES``
 overrides the default vertex cap.  All output is deterministic;
-``--format text`` renders the same data that ``--format json`` emits.
-Each subcommand accepts only the formats it can emit, so an unknown
-``--format`` is a usage error.
+``--format text`` renders the same data that ``--format json`` emits, one
+``key.path: value`` line per leaf, list items keyed by their index.  Each
+subcommand accepts only the formats it can emit and the switches it reads,
+so an unknown ``--format`` or an unread switch is a usage error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ GRID_DEFAULT_VERTEX_LIMIT = 4096
 REPORT_FORMATS = ("json", "text")
 COMMAND_FORMATS = {"build": ("graph6", "dot", "edgelist"),
                    "semilattice": ("dot",), "mobius": ("json",)}
+
+# The switches each subcommand reads; the others take none.
+SWITCH_HELP = {"--paranoid": "re-run symmetry-based shortcuts from every base vertex",
+               "--exact": "run exact search where a cap allows it"}
+COMMAND_SWITCHES = {"spectrum": ("--paranoid",), "diameter": ("--paranoid",),
+                    "cliques": ("--paranoid",), "symmetry": ("--paranoid",),
+                    "chromatic": ("--exact",), "check-all": ("--paranoid", "--exact"),
+                    "grid": ("--paranoid", "--exact")}
 
 
 @dataclass
@@ -79,6 +88,9 @@ def _render(data: dict, fmt: str) -> str:
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}{k}.", value[k])
+        elif isinstance(value, (list, tuple)) and value:
+            for i, item in enumerate(value):
+                walk(f"{prefix}{i}.", item)
         else:
             lines.append(f"{prefix[:-1]}: {value}")
 
@@ -327,34 +339,38 @@ def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
     }
 
 
-def _add_common(p: argparse.ArgumentParser, with_m: bool = True,
-                formats: tuple[str, ...] = REPORT_FORMATS) -> None:
-    p.add_argument("--group", required=True, help="group expression, e.g. C3 or C2xC2")
-    if with_m:
-        p.add_argument("--m", type=int, required=True, help="dimension m >= 1")
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """The options that follow a subcommand's own: its formats, ``--out``,
+    the vertex cap where it builds G^m, and the switches it reads."""
+    formats = COMMAND_FORMATS.get(name, REPORT_FORMATS)
     p.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
                    help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--cap-vertices", type=int, default=None)
-    p.add_argument("--paranoid", action="store_true",
-                   help="re-run symmetry-based shortcuts from every base vertex")
-    p.add_argument("--exact", action="store_true",
-                   help="run exact search where a cap allows it")
+    if name != "mapping":
+        p.add_argument("--cap-vertices", type=int, default=None)
+    for switch in COMMAND_SWITCHES.get(name, ()):
+        p.add_argument(switch, action="store_true", help=SWITCH_HELP[switch])
 
 
-def _build_config(args: argparse.Namespace, with_m: bool = True) -> RunConfig:
-    cfg = RunConfig()
-    cfg.group = getattr(args, "group", "")
-    if with_m:
-        cfg.m = args.m
-        if cfg.m < 1:
-            raise DiagLabError("m must be >= 1")
-    cfg.vertex_cap = resolve_vertex_cap(args.cap_vertices)
-    cfg.fmt = args.fmt
-    cfg.paranoid = args.paranoid
-    cfg.exact = args.exact
-    cfg.out = args.out
-    return cfg
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    if args.m < 1:
+        raise DiagLabError("m must be >= 1")
+    return RunConfig(group=args.group, m=args.m,
+                     vertex_cap=resolve_vertex_cap(args.cap_vertices), fmt=args.fmt,
+                     paranoid=getattr(args, "paranoid", False),
+                     exact=getattr(args, "exact", False), out=args.out)
+
+
+def _grid_config(args: argparse.Namespace) -> RunConfig:
+    """The shared options of a grid run, after its range flags are checked."""
+    if args.m_min < 1:
+        raise DiagLabError(f"--m-min must be at least 1, got {args.m_min}")
+    if args.m_min > args.m_max:
+        raise DiagLabError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+    if args.max_vertices < 1:
+        raise DiagLabError(f"--max-vertices must be at least 1, got {args.max_vertices}")
+    return RunConfig(vertex_cap=resolve_vertex_cap(args.cap_vertices),
+                     paranoid=args.paranoid, exact=args.exact)
 
 
 @functools.cache
@@ -368,27 +384,24 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("build", "semilattice", "mobius", "spectrum", "diameter",
-                 "cliques", "chromatic", "symmetry", "check-all"):
+                 "cliques", "chromatic", "symmetry", "check-all", "mapping"):
         p = sub.add_parser(name)
-        _add_common(p, formats=COMMAND_FORMATS.get(name, REPORT_FORMATS))
+        p.add_argument("--group", required=True, help="group expression, e.g. C3 or C2xC2")
+        if name != "mapping":
+            p.add_argument("--m", type=int, required=True, help="dimension m >= 1")
         if name == "spectrum":
             p.add_argument("--verify", action="store_true",
                            help="also compare against trace moments")
-
-    p = sub.add_parser("mapping")
-    _add_common(p, with_m=False)
+        _add_options(p, name)
 
     p = sub.add_parser("grid")
     p.add_argument("--groups", default=",".join(GRID_DEFAULT_GROUPS),
                    help="comma-separated group expressions")
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--max-vertices", type=int, default=GRID_DEFAULT_VERTEX_LIMIT)
-    p.add_argument("--format", dest="fmt", choices=REPORT_FORMATS, default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--cap-vertices", type=int, default=None)
-    p.add_argument("--paranoid", action="store_true")
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--m-min", type=int, default=2, help="least dimension, at least 1")
+    p.add_argument("--m-max", type=int, default=4, help="greatest dimension")
+    p.add_argument("--max-vertices", type=int, default=GRID_DEFAULT_VERTEX_LIMIT,
+                   help="skip instances with more vertices, at least 1")
+    _add_options(p, "grid")
     return parser
 
 
@@ -416,10 +429,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
 
     if cmd == "grid":
-        cfg = RunConfig()
-        cfg.vertex_cap = resolve_vertex_cap(args.cap_vertices)
-        cfg.paranoid = args.paranoid
-        cfg.exact = args.exact
+        cfg = _grid_config(args)
         groups = [s for s in args.groups.split(",") if s]
         m_values = list(range(args.m_min, args.m_max + 1))
         report = run_grid(groups, m_values, cfg, args.max_vertices)
@@ -427,8 +437,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     if cmd == "mapping":
-        cfg = _build_config(args, with_m=False)
-        g = parse_group_spec(cfg.group)
+        g = parse_group_spec(args.group)
         cm = find_complete_mapping(g)
         data = {
             "group": g.label,
@@ -437,7 +446,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             "exists": cm is not None,
             "phi": list(cm.phi) if cm else None,
         }
-        _emit(_render(data, cfg.fmt), cfg.out)
+        _emit(_render(data, args.fmt), args.out)
         return EXIT_OK
 
     cfg = _build_config(args)

@@ -118,29 +118,13 @@ def _sort_rows(nbr: np.ndarray, tag: np.ndarray, m: int) -> tuple[np.ndarray, np
     return (key >> b).astype(nbr.dtype, copy=False), (key & ((1 << b) - 1)).astype(tag.dtype)
 
 
-def _block_mates(part: Partition) -> np.ndarray:
-    """Row v: the other points of v's block, in increasing order.
-
-    A stable sort by block lists each block's points in increasing order,
-    so the sorted points form one (blocks, size) array; row v of it, taken
-    at v's block, holds v once, which is dropped."""
-    labels = part.block_of
-    counts = np.bincount(labels)
-    if (counts != counts[0]).any():
-        raise ValueError("a minimal partition has blocks of unequal size")
-    n = len(labels)
-    order = np.argsort(labels, kind="stable").astype(np.int32)
-    members = order.reshape(-1, counts[0])[labels]
-    return members[members != np.arange(n)[:, None]].reshape(n, counts[0] - 1)
-
-
 def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
     """Adjacency from the minimal partitions Q_0..Q_m of G^m: joined iff
     some part of some Q_i contains both vertices, tagged i (the first i at
     m = 1, the complete graph)."""
     m = len(minimals) - 1
     n = g.order**m
-    mates = [_block_mates(part) for part in minimals]
+    mates = [part.block_mates() for part in minimals]
     tag = np.repeat(np.arange(m + 1, dtype=np.int8), [a.shape[1] for a in mates])
     nbr, tag = _sort_rows(np.concatenate(mates, axis=1),
                           np.broadcast_to(tag, (n, len(tag))), m)
@@ -533,7 +517,7 @@ def maximal_cliques(
     in_a_part = np.zeros(len(top), dtype=bool)
     for part in minimals:
         lab = part.block_of
-        if (np.bincount(lab) != omega).any():
+        if (part.block_sizes() != omega).any():
             raise AssertionError("maximum cliques are not exactly the partition parts")
         in_a_part |= (lab[top] == lab[top[:, :1]]).all(axis=1)
     if not in_a_part.all():
@@ -559,14 +543,16 @@ def clique_cover(graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
     part = minimals[1]
     if part.size != graph.size:
         raise AssertionError("cover misses vertices")
-    # A block is a clique iff each of its vertices has every other one of
-    # it among its neighbours; the sentinel n lies in no block.
+    # A block B is a clique iff each of its vertices has the other |B| - 1
+    # among its neighbours.  A row of nbr lists distinct neighbours, so no
+    # vertex has more, and the blocks are all cliques iff the counts sum to
+    # the sum of |B|(|B| - 1).  The sentinel n lies in no block.
     label = np.append(part.block_of, -1)
     inside = (label[graph.nbr] == label[:-1, None]).sum(axis=1)
-    short = inside < np.bincount(label[:-1])[label[:-1]] - 1
-    if short.any():
-        blk = tuple(part.blocks()[label[:-1][short].min()])
-        raise AssertionError(f"cover block {blk} is not a clique")
+    sizes = part.block_sizes()
+    if inside.sum() < (sizes * (sizes - 1)).sum():
+        blk = next(b for b in part.blocks() if (inside[b] < len(b) - 1).any())
+        raise AssertionError(f"cover block {tuple(blk)} is not a clique")
     return CliqueCover(size=part.block_count, lower_bound=graph.size // graph.q)
 
 

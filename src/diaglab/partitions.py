@@ -1,11 +1,11 @@
-"""Set partitions in canonical block form, with the refinement order.
+"""Set partitions in smallest-point form, with the refinement order.
 
-A partition's labels are a read-only int32 array in canonical block form,
-and only this module reads or writes that format: the lattice operations,
-the refinement test, the element order and the table of subset suprema all
-work on the arrays.  Inside a supremum a labelling is kept in smallest-point
-form, each point labelled by the smallest point of its block, which is what
-``components`` returns and also a link that ``components`` takes.
+A partition's labels are a read-only int32 array that labels each point by
+the smallest point of its block, and only this module reads or writes that
+format: the lattice operations, the refinement test, the element order, the
+block sizes and the table of subset suprema all work on the arrays.  The
+form is what ``components`` returns and also a link that ``components``
+takes, so a supremum needs no conversion on the way in or out.
 
 Terminology.  This module follows the refinement-order convention used
 throughout the package: ``infimum`` is the common refinement (blockwise
@@ -41,13 +41,14 @@ def start_blocks(starts: range, bits_per_start: int) -> list[range]:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """A partition of {0..size-1} in canonical block form.
+    """A partition of {0..size-1} in smallest-point form.
 
-    ``block_of[p]`` is the block of point p, a read-only int32 array.  Block
-    ids are assigned by first occurrence scanning points upward, so two
-    partitions are equal iff their arrays are.  Any integer sequence may be
-    given; it is stored as such an array, and a writeable array is copied
-    rather than frozen under its owner.
+    ``block_of[p]`` is the smallest point of p's block, a read-only int32
+    array, so two partitions are equal iff their arrays are, and the points
+    labelled by themselves are one per block.  Labels given directly must
+    be in this form (``from_labels`` and ``from_blocks`` take any); any
+    integer sequence is stored as such an array, and a writeable array is
+    copied rather than frozen under its owner.
     """
 
     size: int
@@ -73,11 +74,13 @@ class Partition:
 
     @staticmethod
     def from_labels(labels) -> "Partition":
-        """Canonicalize an integer labelling of {0..n-1}: each distinct label
-        becomes the rank of its first occurrence."""
-        dense = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)[1]
-        canon = canonical_labels(dense)
-        return Partition(len(canon), canon, int(canon.max(initial=-1)) + 1)
+        """The partition of {0..n-1} into the classes of an integer
+        labelling, each class labelled by its least point."""
+        distinct, dense = np.unique(np.asarray(labels, dtype=np.int64),
+                                    return_inverse=True)
+        least = np.full(len(distinct), len(dense))
+        np.minimum.at(least, dense, np.arange(len(dense)))
+        return Partition(len(dense), least[dense], len(distinct))
 
     @staticmethod
     def from_blocks(blocks, size: int | None = None) -> "Partition":
@@ -96,30 +99,39 @@ class Partition:
         return Partition.from_labels(labels)
 
     def blocks(self) -> list[list[int]]:
-        """The points of each block in increasing order, blocks by id.  The
-        split at every block's end leaves one empty piece last."""
+        """The points of each block in increasing order, blocks by smallest
+        point.  The split at every block's end leaves one empty piece last."""
         order = np.argsort(self.block_of, kind="stable")
-        return [b.tolist() for b in
-                np.split(order, np.cumsum(np.bincount(self.block_of)))[:-1]]
+        return [b.tolist() for b in np.split(order, np.cumsum(self.block_sizes()))[:-1]]
+
+    def block_sizes(self) -> np.ndarray:
+        """The size of each block, blocks by smallest point.  Only the
+        smallest points carry a block's label, so the others count 0.  The
+        counts span the whole ground set, so that a loop over many
+        partitions allocates one size of array and reuses its memory."""
+        counts = np.bincount(self.block_of, minlength=self.size)
+        return counts[counts > 0]
+
+    def block_mates(self) -> np.ndarray:
+        """Row v: the other points of v's block, in increasing order.
+
+        A stable sort by label lists each block's points in increasing
+        order, so the sorted points form one (blocks, size) array whose
+        first column holds the labels; row v of it, found through v's
+        label, holds v once, which is dropped.  Raises ``ValueError``
+        unless all blocks have one size."""
+        sizes = self.block_sizes()
+        if (sizes != sizes[0]).any():
+            raise ValueError("a minimal partition has blocks of unequal size")
+        n, k = self.size, int(sizes[0])
+        members = np.argsort(self.block_of, kind="stable").astype(np.int32).reshape(-1, k)
+        row_of = np.empty(n, dtype=np.intp)
+        row_of[members[:, 0]] = np.arange(len(members))
+        members = members[row_of[self.block_of]]
+        return members[members != np.arange(n)[:, None]].reshape(n, k - 1)
 
     def is_single_block(self) -> bool:
         return self.block_count == 1
-
-
-def canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Canonical block form of a labelling of {0..n-1} by labels in 0..n-1:
-    each label becomes the rank of its first occurrence, in linear time, as
-    int32 (the dtype of ``Partition.block_of``, so the bytes compare).
-
-    ``first[l]`` is the first point labelled l; the points where it is
-    reached are the first occurrences, and their running count ranks them.
-    """
-    n = len(labels)
-    points = np.arange(n)
-    first = np.full(n, n)
-    np.minimum.at(first, labels, points)
-    at = first[labels]
-    return (np.cumsum(at == points, dtype=np.int32) - 1)[at]
 
 
 def tie_break_key(p: Partition) -> bytes:
@@ -163,7 +175,7 @@ def finer_or_equal(p: Partition, q: Partition) -> bool:
     _check_same_ground(p, q)
     # Each block of p takes the q-block of one of its points; p refines q
     # iff every point agrees with its block's.
-    image = np.empty(p.block_count, dtype=np.int32)
+    image = np.empty(p.size, dtype=np.int32)
     image[p.block_of] = q.block_of
     return bool((image[p.block_of] == q.block_of).all())
 
@@ -171,8 +183,7 @@ def finer_or_equal(p: Partition, q: Partition) -> bool:
 def infimum(p: Partition, q: Partition) -> Partition:
     """Common refinement: blocks are the non-empty pairwise intersections."""
     _check_same_ground(p, q)
-    return Partition.from_labels(
-        p.block_of.astype(np.int64) * q.block_count + q.block_of)
+    return Partition.from_labels(p.block_of.astype(np.int64) * p.size + q.block_of)
 
 
 def components(n: int, links) -> np.ndarray:
@@ -206,11 +217,10 @@ def components(n: int, links) -> np.ndarray:
             return lab
 
 
-def smallest_points(p: Partition) -> np.ndarray:
-    """The labels of ``p`` in smallest-point form: each point labelled by the
-    smallest point of its block."""
-    b = p.block_of
-    return np.unique(b, return_index=True)[1][b]
+def _block_counts(rows: np.ndarray) -> np.ndarray:
+    """The block count of each row of smallest-point labels: the number of
+    points labelled by themselves."""
+    return (rows == np.arange(rows.shape[1])).sum(axis=1)
 
 
 def join_rows(rows: np.ndarray, part: Partition) -> np.ndarray:
@@ -218,37 +228,22 @@ def join_rows(rows: np.ndarray, part: Partition) -> np.ndarray:
 
     ``rows`` is an (R, n) array of labellings in smallest-point form, and so
     is the result.  The rows are stacked as one ground set of R*n points,
-    row r offset by r*n.  Each point is linked to its row label and to the
-    smallest point of its block of ``part``, and one ``components`` call
-    joins all R rows; its labels are smallest points again.
+    row r offset by r*n.  Each point is linked to its row label and to its
+    label in ``part``, and one ``components`` call joins all R rows; its
+    labels are smallest points again.
     """
     count, n = rows.shape
     offset = n * np.arange(count)[:, None]
-    links = [(rows + offset).ravel(), (smallest_points(part) + offset).ravel()]
+    links = [(rows + offset).ravel(), (part.block_of + offset).ravel()]
     return components(count * n, links).reshape(count, n) - offset
-
-
-def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Put each row of ``rows`` from smallest-point form into canonical
-    block form, in place, and return the block count of each row.
-
-    The first occurrences are the points labelled by themselves, and their
-    running count, read at each point's label, numbers the blocks by first
-    occurrence: one ``cumsum`` and one gather.
-    """
-    first = rows == np.arange(rows.shape[1])
-    rank = np.cumsum(first, axis=1, dtype=np.int32) - 1
-    rows[...] = np.take_along_axis(rank, rows, axis=1)
-    return first.sum(axis=1)
 
 
 def supremum(p: Partition, q: Partition) -> Partition:
     """Coarsening by connected components of the two block structures: the
     one-row case of ``join_rows``."""
     _check_same_ground(p, q)
-    rows = join_rows(smallest_points(p)[None, :], q)
-    count = canonical_rows(rows)
-    return Partition(p.size, rows[0], int(count[0]))
+    rows = join_rows(p.block_of[None, :], q)
+    return Partition(p.size, rows[0], int(_block_counts(rows)[0]))
 
 
 def subset_suprema(parts: list[Partition]) -> list[Partition]:
@@ -260,8 +255,8 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
     entry holds a view of its row.  It is built one part at a time: the
     rows for the masks in [2^b, 2^(b+1)) are the suprema of rows [0, 2^b)
     with part b, a block of rows per ``join_rows`` call at 64 bytes a
-    point.  The rows stay in smallest-point form, the link the next part
-    needs, and each block goes to canonical form in place at the end.
+    point.  Its rows are the partitions' labels as they stand; each row's
+    block count is then counted a block of rows at a time.
     """
     if not parts:
         raise ValueError("need at least one partition")
@@ -275,7 +270,7 @@ def subset_suprema(parts: list[Partition]) -> list[Partition]:
         for block in start_blocks(range(1 << b), bits_per_row):
             lo, hi = block.start, block.stop
             table[(1 << b) + lo: (1 << b) + hi] = join_rows(table[lo:hi], part)
-    counts = np.concatenate([canonical_rows(table[block.start:block.stop])
+    counts = np.concatenate([_block_counts(table[block.start:block.stop])
                              for block in start_blocks(range(len(table)), bits_per_row)])
     table.flags.writeable = False
     return [Partition(n, row, int(c)) for row, c in zip(table, counts)]

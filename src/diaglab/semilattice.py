@@ -9,9 +9,9 @@ diagonal semilattice.  Its elements are read off the table of subset suprema
 (``partitions.subset_suprema``, built one generator at a time in blocks of
 rows) through closure masks: the mask of a subset S has bit g set iff Q_g
 refines sup(S), equal masks name equal elements, and mask inclusion is the
-order.  The elements are listed in ``partitions.element_order``; this module
-reads a partition's labels only as the array ``block_of``, and never
-converts them.
+order.  The elements are listed in ``partitions.element_order``.  This
+module never reads a partition's labels: it sees a partition only through
+its block count and its block sizes.
 
 The table of closure masks ``cl`` is the semilattice's one order structure.
 It is a closure operator on the subsets of the generators: extensive (each
@@ -218,7 +218,7 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     if len(sup) != 1 << len(minimals):
         raise ValueError("sup must be the subset table of the generators")
 
-    part_sizes = np.unique(np.concatenate([np.bincount(p.block_of) for p in minimals]))
+    part_sizes = np.unique(np.concatenate([p.block_sizes() for p in minimals]))
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
     q = int(part_sizes[0])
@@ -262,7 +262,7 @@ def _generates_cartesian(sup: list[Partition], q: int, domains: list[int]) -> bo
     tested once per mask and reused for every D.
     """
     masks = np.arange(len(sup))
-    sizes_ok = np.array([(np.bincount(s.block_of) == q ** mask.bit_count()).all()
+    sizes_ok = np.array([(s.block_sizes() == q ** mask.bit_count()).all()
                          for mask, s in enumerate(sup)])
     cl = closure_masks(sup)
     for d in domains:

@@ -53,7 +53,7 @@ from .groups import (
     is_elementary_abelian,
     is_simple_nonabelian,
 )
-from .partitions import Partition, components, smallest_points, start_blocks
+from .partitions import Partition, components, start_blocks
 from .semilattice import VertexCodec
 
 def _products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -542,10 +542,11 @@ def action_on_partitions(
     generator p and a point y beside 0 in its block of Q_j, at most one
     Q_i has p(0) and p(y) in one block: p maps Q_j onto that Q_i, if onto
     any, and does so iff Q_i has as many blocks and its labels at p(x)
-    agree with those at p(r(x)), r(x) the smallest point of x's block of
-    Q_j.  For each j every generator is tested at once.  Raises, naming
-    the first generator that fails, if some generator does not permute
-    them (that would contradict the semilattice being preserved).
+    agree with those at p(r(x)), r(x) the label of x in Q_j, the smallest
+    point of its block.  For each j every generator is tested at once.
+    Raises, naming the first generator that fails, if some generator does
+    not permute them (that would contradict the semilattice being
+    preserved).
     """
     if not perms:
         return []
@@ -562,7 +563,7 @@ def action_on_partitions(
         targets[:, j] = joins.argmax(axis=0)
         at_image = labels[targets[:, j]][rows, images]  # [p, x]
         onto[:, j] = joins.any(axis=0) & (
-            at_image == at_image[:, smallest_points(part)]).all(axis=1)
+            at_image == at_image[:, part.block_of]).all(axis=1)
     if not onto.all():
         failed = perms[int(np.argmin(onto.all(axis=1)))]
         raise AssertionError(

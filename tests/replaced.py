@@ -13,8 +13,11 @@ adjacency tuples before both were built as numpy arrays, and the exporters
 that read that dict.  The per-vertex tuple loops that gathers over
 ``VertexCodec.digits`` replaced: the tuple codec, the minimal partitions,
 the diagonal-group generators, the induced action on the partitions, the
-homomorphism cascade and the colourings, and the dict canonicalisation of
-``Partition.from_labels``.  The orbit count over the whole item set that
+homomorphism cascade and the colourings, and the dict labelling of
+``Partition.from_labels``.  The first-occurrence ranks of canonical block
+form, the label format before every partition was kept in smallest-point
+form; the element order must not have changed with it.
+The orbit count over the whole item set that
 ``symmetry.rooted_orbit_counts`` replaced: it looks every generator's image
 of every item up in a table of all items.  The edge-list constructor
 ``from_rows`` and the pair rows of each part of a partition, which both
@@ -100,35 +103,37 @@ class TupleCodec:
 
 
 def dict_from_labels(labels) -> Partition:
-    """Canonicalize an arbitrary labelling of {0..n-1}."""
-    remap: dict = {}
-    canon = []
-    for lab in labels:
-        if lab not in remap:
-            remap[lab] = len(remap)
-        canon.append(remap[lab])
-    return Partition(len(canon), tuple(canon), len(remap))
+    """The partition of an arbitrary labelling of {0..n-1}, each point
+    labelled by the least point of its class: the first point that carries
+    its label."""
+    least: dict = {}
+    canon = [least.setdefault(lab, point) for point, lab in enumerate(labels)]
+    return Partition(len(canon), tuple(canon), len(least))
+
+
+def first_occurrence_ranks(labels) -> tuple[int, ...]:
+    """Canonical block form of a labelling: each label becomes the rank of
+    its first occurrence, the label format before smallest points."""
+    rank: dict = {}
+    return tuple(rank.setdefault(lab, len(rank)) for lab in labels)
 
 
 def loop_finer_or_equal(p: Partition, q: Partition) -> bool:
     """True iff every block of p lies inside a single block of q."""
     _check_same_ground(p, q)
-    seen: list[int] = [-1] * p.block_count
+    seen: dict[int, int] = {}
     for point in range(p.size):
-        bp = p.block_of[point]
-        bq = q.block_of[point]
-        if seen[bp] == -1:
-            seen[bp] = bq
-        elif seen[bp] != bq:
+        bq = seen.setdefault(int(p.block_of[point]), int(q.block_of[point]))
+        if bq != q.block_of[point]:
             return False
     return True
 
 
 def loop_blocks(p: Partition) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(p.block_count)]
-    for point, b in enumerate(p.block_of):
-        out[b].append(point)
-    return out
+    out: dict[int, list[int]] = {}
+    for point, b in enumerate(p.block_of.tolist()):
+        out.setdefault(b, []).append(point)
+    return list(out.values())
 
 
 def adjacency_lists(graph: DiagGraph) -> list[list[int]]:
@@ -343,13 +348,9 @@ def unionfind_supremum(p: Partition, q: Partition) -> Partition:
     _check_same_ground(p, q)
     uf = UnionFind(p.size)
     for part in (p, q):
-        anchor = [-1] * part.block_count
+        anchor: dict[int, int] = {}
         for point in range(part.size):
-            b = part.block_of[point]
-            if anchor[b] == -1:
-                anchor[b] = point
-            else:
-                uf.union(anchor[b], point)
+            uf.union(anchor.setdefault(int(part.block_of[point]), point), point)
     return Partition.from_labels([uf.find(x) for x in range(p.size)])
 
 
@@ -777,15 +778,14 @@ def packed_max_eccentricity(graph: DiagGraph, bases: range) -> int:
 
 def pairwise_supremum(p: Partition, q: Partition) -> Partition:
     """Coarsening by connected components, one pair at a time: each point
-    is linked to the first point of its block in p and in q, and the
-    component labels are ranked by ``np.unique``."""
+    is linked to the first point of its block in p and in q, found by
+    ``np.unique``, and the components are the blocks."""
     _check_same_ground(p, q)
     links = []
     for part in (p, q):
-        b = part.block_of
-        links.append(np.unique(b, return_index=True)[1][b])
-    roots, canon = np.unique(components(p.size, links), return_inverse=True)
-    return Partition(p.size, canon, len(roots))
+        _, first, block = np.unique(part.block_of, return_index=True, return_inverse=True)
+        links.append(first[block])
+    return Partition.from_labels(components(p.size, links))
 
 
 def loop_subset_suprema(parts: list[Partition]) -> list[Partition]:

@@ -342,7 +342,10 @@ def test_translation_certificate_is_computed_once_and_never_under_paranoid(
     original = diaggraph.translations_are_automorphisms
     monkeypatch.setattr(diaggraph, "translations_are_automorphisms",
                         lambda graph: calls.append(graph.size) or original(graph))
-    code, _, _ = run_cli(capsys, *argv, *["--paranoid"] * paranoid)
+    # chromatic and build take no --paranoid: they have no shortcut to
+    # switch off, and run alike either way
+    switch = paranoid and argv[0] not in ("chromatic", "build")
+    code, _, _ = run_cli(capsys, *argv, *["--paranoid"] * switch)
     assert code == EXIT_OK
     assert len(calls) == (0 if paranoid else certificates)
 
@@ -415,6 +418,32 @@ def test_check_all_text_format(capsys):
     assert "ok: True" in out
 
 
+def test_text_format_puts_each_claim_field_on_its_own_line(capsys):
+    # C6 m=2 fails no claim but has a conjectural one
+    argv = ("check-all", "--group", "C6", "--m", "2")
+    _, out, _ = run_cli(capsys, *argv)
+    ledger = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert "claims.0.claim: cartesian-hypothesis" in lines
+    expect = [f"claims.{i}.{key}: {value}" for i, claim in enumerate(ledger["claims"])
+              for key, value in sorted(claim.items())]
+    assert [line for line in lines if line.startswith("claims.")] == expect
+    assert "failures: []" in lines
+    assert not any("[{" in line for line in lines)
+
+
+def test_text_format_walks_grid_instances(capsys):
+    code, out, _ = run_cli(capsys, "grid", "--groups", "C2", "--m-max", "2",
+                           "--format", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert {"instances.0.group: C2", "instances.0.m: 2", "instances.0.failures: []",
+            "instances.0.claims.0.claim: cartesian-hypothesis", "ran: 1"} <= set(lines)
+    assert not any("[{" in line for line in lines)
+
+
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "check_all.schema.json"
 
 
@@ -469,6 +498,42 @@ def test_grid_error_entries(capsys):
     assert len(bad) == 1 and bad[0]["group"] == "C1"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--m-min", "0"), "--m-min must be at least 1, got 0"),
+    (("--m-min", "-2", "--m-max", "2"), "--m-min must be at least 1, got -2"),
+    (("--m-min", "3", "--m-max", "2"), "--m-min 3 exceeds --m-max 2"),
+    (("--max-vertices", "0"), "--max-vertices must be at least 1, got 0"),
+    (("--max-vertices", "-1"), "--max-vertices must be at least 1, got -1"),
+])
+def test_grid_range_flags_are_checked_before_any_instance(capsys, monkeypatch, flags,
+                                                          message):
+    from diaglab import cli
+
+    monkeypatch.setattr(cli, "run_check_all", None)  # no instance may run
+    code, out, err = run_cli(capsys, "grid", "--groups", "C2", *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_grid_honours_the_vertex_cap_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "3")  # C2 m=2 has 4 vertices
+    code, out, _ = run_cli(capsys, "grid", "--groups", "C2", "--m-max", "2")
+    assert code == EXIT_CHECK_FAILED
+    [entry] = json.loads(out)["instances"]
+    assert entry["ok"] is False and "exceeds cap 3" in entry["error"]
+
+
+def test_grid_rejects_an_env_cap_below_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "0")
+    path = tmp_path / "grid.json"
+    code, out, err = run_cli(capsys, "grid", "--groups", "C2", "--m-max", "2",
+                             "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and err == "error: DIAGLAB_CAP_VERTICES must be at least 1, got 0\n"
+    assert not path.exists()
+
+
 def test_grid_empty(capsys):
     code, out, _ = run_cli(capsys, "grid", "--groups", "", "--m-min", "2",
                            "--m-max", "2")
@@ -517,6 +582,36 @@ def test_unknown_format_is_usage_error(capsys, argv):
 def test_each_command_accepts_its_own_formats(capsys, argv, start):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK and out.startswith(start)
+
+
+UNREAD_FLAGS = [(command, "--paranoid") for command in ("build", "semilattice", "mobius",
+                                                        "chromatic", "mapping")]
+UNREAD_FLAGS += [(command, "--exact") for command in ("build", "semilattice", "mobius",
+                                                      "spectrum", "diameter", "cliques",
+                                                      "symmetry", "mapping")]
+UNREAD_FLAGS += [("mapping", "--cap-vertices")]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_is_usage_error(capsys, command, flag):
+    argv = [command, "--group", "C2", *(["--m", "2"] if command != "mapping" else []), flag]
+    if flag == "--cap-vertices":
+        argv.append("100")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in captured.err and captured.out == ""
+    # without the flag the command runs
+    assert main(argv[:argv.index(flag)]) == EXIT_OK
+
+
+def test_mapping_reads_no_vertex_cap(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "0")
+    code, out, err = run_cli(capsys, "mapping", "--group", "C3")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["exists"] is True
 
 
 CLAIMS_PATH = Path(__file__).resolve().parent / "data" / "check_all_claims.json"

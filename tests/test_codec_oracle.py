@@ -4,8 +4,8 @@ loops they replaced (kept in ``replaced.py``).
 On every grid instance, plus C16 m=3 and C3 m=5: the same minimal
 partitions, the same generators (tags and images, in order), the same
 induced action on the minimal partitions and the same colourings.  The
-numpy ``Partition.from_labels`` against the dict canonicalisation on
-random integer labellings.
+numpy ``Partition.from_labels`` against a dict of the least point of each
+class on random integer labellings.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def test_gathers_match_the_tuple_loops(spec, m):
 
 def test_from_labels_examples():
     assert Partition.from_labels([]) == Partition(0, (), 0)
-    assert Partition.from_labels([7, -3, 7, 2, -3]) == Partition(5, (0, 1, 0, 2, 1), 3)
+    assert Partition.from_labels([7, -3, 7, 2, -3]) == Partition(5, (0, 1, 0, 3, 1), 3)
+    assert Partition.from_labels([5, 5, 0, 9, 0, 9]) == Partition(6, (0, 0, 2, 3, 2, 3), 3)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from diaglab.diaggraph import (
     to_graph6,
 )
 from diaglab.groups import cyclic
+from diaglab.partitions import Partition
 from diaglab.semilattice import minimal_partitions
 
 from conftest import clique_list_of, cliques_of, edge_set, graph_of, group_of, minimals_of
@@ -228,6 +230,37 @@ def test_clique_cover_examples():
     cover = clique_cover(graph_of("C3", 3), minimals_of("C3", 3))
     assert cover.size == 9
     assert cover.lower_bound == 9
+
+
+def test_clique_cover_names_the_first_block_that_is_no_clique():
+    # the last points of Q_1's last two blocks swapped: both blocks stop
+    # being cliques, and the one with the smaller first point is named
+    graph, minimals = graph_of("C3", 3), minimals_of("C3", 3)
+    blocks = minimals[1].blocks()
+    x, y = blocks[-2][-1], blocks[-1][-1]
+    doctored = Partition.from_blocks(blocks[:-2] + [blocks[-2][:-1] + [y],
+                                                    blocks[-1][:-1] + [x]])
+    adjacent = [set(row.tolist()) for row in graph.nbr]
+    bad = [blk for blk in doctored.blocks()
+           if any(v not in adjacent[u] for u in blk for v in blk if u != v)]
+    assert len(bad) == 2
+    with pytest.raises(AssertionError, match=rf"cover block \({', '.join(map(str, bad[0]))}\) "
+                       "is not a clique"):
+        clique_cover(graph, [minimals[0], doctored] + minimals[2:])
+
+
+def test_clique_cover_catches_one_missing_edge():
+    # one edge inside Q_1's last block taken out of nbr at both ends: the
+    # block falls short by a single pair
+    graph, minimals = graph_of("C3", 3), minimals_of("C3", 3)
+    block = minimals[1].blocks()[-1]
+    u, v = block[:2]
+    nbr = graph.nbr.copy()
+    nbr[u][nbr[u] == v] = graph.size
+    nbr[v][nbr[v] == u] = graph.size
+    with pytest.raises(AssertionError, match=rf"cover block \({', '.join(map(str, block))}\) "
+                       "is not a clique"):
+        clique_cover(replace(graph, nbr=nbr), minimals)
 
 
 def test_distance_regular_verdicts():

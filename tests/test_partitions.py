@@ -16,7 +16,7 @@ from diaglab.partitions import (
     tie_break_key,
 )
 
-from replaced import loop_blocks, loop_finer_or_equal, poset_matrices
+from replaced import first_occurrence_ranks, loop_blocks, loop_finer_or_equal, poset_matrices
 
 
 def parse_partition(text: str) -> Partition:
@@ -56,19 +56,23 @@ partition_pairs = st.composite(pair_of_partitions)()
 @given(labellings)
 def test_canonical_form_round_trip(labels):
     p = Partition.from_labels(labels)
-    assert p.block_of[0] == 0
-    assert max(p.block_of) == p.block_count - 1
-    # first occurrences appear in increasing order
-    firsts = [p.block_of.tolist().index(b) for b in range(p.block_count)]
-    assert firsts == sorted(firsts)
-    # relabelling arbitrarily and re-canonicalising is the identity
+    lab = p.block_of.tolist()
+    points = range(p.size)
+    # the classes are kept, and each point's label is a point of its class
+    # that is labelled by itself and lies at or below every point of it:
+    # the least point of the class
+    assert all((lab[x] == lab[y]) == (labels[x] == labels[y]) for x in points for y in points)
+    assert all(lab[lab[x]] == lab[x] <= x for x in points)
+    assert sum(lab[x] == x for x in points) == p.block_count == len(set(labels))
+    # relabelling arbitrarily and labelling again is the identity
     relabeled = [2 * b + 7 for b in p.block_of]
     assert Partition.from_labels(relabeled) == p
 
 
 def test_from_blocks():
     p = Partition.from_blocks([[0, 2], [1], [3, 4]])
-    assert p.block_of.tolist() == [0, 1, 0, 2, 2]
+    assert p.block_of.tolist() == [0, 1, 0, 3, 3]
+    assert Partition.from_blocks([[4, 1], [3, 0, 2]]).block_of.tolist() == [0, 1, 0, 0, 1]
     with pytest.raises(ValueError):
         Partition.from_blocks([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
@@ -94,7 +98,7 @@ def test_block_of_is_a_read_only_int32_array():
 
 
 def test_tuple_and_array_labels_give_one_partition():
-    labels = [0, 1, 0, 2]
+    labels = [0, 1, 0, 3]
     built = [Partition(4, tuple(labels), 3), Partition(4, np.array(labels), 3),
              Partition(4, np.array(labels, dtype=np.int32), 3),
              Partition.from_labels(labels)]
@@ -106,11 +110,11 @@ def test_tuple_and_array_labels_give_one_partition():
 
 
 def test_a_writeable_array_is_copied_not_frozen():
-    labels = np.array([0, 0, 1], dtype=np.int32)
+    labels = np.array([0, 0, 2], dtype=np.int32)
     p = Partition(3, labels, 2)
     assert labels.flags.writeable
     labels[2] = 0
-    assert p.block_of.tolist() == [0, 0, 1]
+    assert p.block_of.tolist() == [0, 0, 2]
 
 
 @settings(max_examples=100)
@@ -128,6 +132,23 @@ def test_blocks_match_the_loop(labels):
     blocks = p.blocks()
     assert blocks == loop_blocks(p)
     assert all(type(x) is int for blk in blocks for x in blk)
+    assert p.block_sizes().tolist() == [len(blk) for blk in blocks]
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_block_mates_list_the_rest_of_each_block(count, size, rng):
+    points = list(range(count * size))
+    rng.shuffle(points)
+    p = Partition.from_blocks([points[i:i + size] for i in range(0, len(points), size)])
+    block_of = {x: blk for blk in p.blocks() for x in blk}
+    mates = p.block_mates()
+    assert mates.shape == (p.size, size - 1)
+    assert mates.tolist() == [[y for y in block_of[x] if y != x] for x in range(p.size)]
+
+
+def test_block_mates_need_blocks_of_one_size():
+    with pytest.raises(ValueError, match="unequal size"):
+        Partition.from_labels([0, 0, 1, 2, 2, 2]).block_mates()
 
 
 def test_blocks_of_empty_and_single_block():
@@ -150,6 +171,28 @@ def test_tie_break_key_orders_like_the_label_tuples(tails):
     expect = sorted(range(len(parts)), key=lambda i: (-parts[i].block_count,
                                                       tuple(parts[i].block_of.tolist())))
     assert element_order(parts) == expect
+
+
+# Few labels over few points, so rows and block counts often tie.
+small_families = st.integers(0, 10).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=8))
+
+
+@given(small_families)
+def test_smallest_points_order_like_first_occurrence_ranks(rows):
+    # At the first point where two partitions' labels differ, the smaller
+    # smallest point is a block opened earlier in both, so it also has the
+    # smaller first-occurrence rank, so the element order is the order by
+    # those ranks.
+    parts = [Partition.from_labels(r) for r in rows]
+    ranks = [first_occurrence_ranks(r) for r in rows]
+    labels = [tuple(p.block_of.tolist()) for p in parts]
+    for i in range(len(parts)):
+        for j in range(len(parts)):
+            assert (labels[i] < labels[j]) == (ranks[i] < ranks[j])
+            assert (labels[i] == labels[j]) == (ranks[i] == ranks[j])
+    by_ranks = sorted(range(len(parts)), key=lambda i: (-parts[i].block_count, ranks[i]))
+    assert element_order(parts) == by_ranks
 
 
 def test_tie_break_key_past_one_byte():

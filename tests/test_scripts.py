@@ -29,34 +29,6 @@ def test_exceptional_graphs_chromatic_numbers(capsys):
     }
 
 
-def test_run_grid_honours_the_vertex_cap_variable(tmp_path, monkeypatch, capsys):
-    from diaglab.cli import main as diaglab_main
-
-    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "3")  # C2 m=2 has 4 vertices
-    out = tmp_path / "grid.json"
-    code = load_script("run_grid").main(
-        ["--groups", "C2", "--m-max", "2", "--out", str(out)])
-    assert code == 1
-    capsys.readouterr()
-    assert diaglab_main(["grid", "--groups", "C2", "--m-max", "2"]) == 1
-    expected = json.loads(capsys.readouterr().out)
-    report = json.loads(out.read_text())
-    del report["elapsed_seconds"]
-    assert report == expected
-    [entry] = report["instances"]
-    assert entry["ok"] is False and "exceeds cap 3" in entry["error"]
-
-
-def test_run_grid_rejects_a_cap_below_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DIAGLAB_CAP_VERTICES", "0")
-    out = tmp_path / "grid.json"
-    code = load_script("run_grid").main(["--groups", "C2", "--m-max", "2",
-                                         "--out", str(out)])
-    assert code == 2
-    assert "DIAGLAB_CAP_VERTICES must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_bench_records_each_rung(tmp_path, monkeypatch, capsys):
     import hashlib
 

@@ -1,8 +1,8 @@
 """The table of subset suprema against the loop it replaced.
 
 ``partitions.subset_suprema`` builds the table one generator at a time, a
-block of rows per ``components`` call, and canonicalises the blocks in
-place at the end.  The oracle is the per-mask loop of pairwise suprema in
+block of rows per ``components`` call, and counts each row's blocks, a
+block of rows at a time, at the end.  The oracle is the per-mask loop of pairwise suprema in
 ``replaced.py``.
 """
 
@@ -46,8 +46,8 @@ def test_table_matches_the_mask_loop_random(parts):
 
 def test_table_over_several_blocks(monkeypatch):
     # C3 m=3: 16 subsets of 27 points, 64 bytes a point, so three rows per
-    # block; the layers of 1, 2, 4 and 8 rows and the final pass over all 16
-    # each end in a short block where they do not fit whole
+    # block; the layers of 1, 2, 4 and 8 rows and the final count over all
+    # 16 each end in a short block where they do not fit whole
     minimals = minimals_of("C3", 3)
     cut = spy_blocks(monkeypatch, partitions)
     monkeypatch.setattr(partitions, "BLOCK_BYTES", 3 * 64 * 27)

@@ -264,12 +264,11 @@ def test_partition_with_a_larger_block_is_caught(paranoid):
     # still number as many as the maximum cliques, and those through 0 are
     # parts, but some parts do not have q points
     g, graph, minimals = group_of("C3"), graph_of("C3", 3), minimals_of("C3", 3)
-    merged = minimals[1].block_of.copy()
-    merged[merged == merged.max()] = merged.max() - 1
-    split = minimals[2].block_of.copy()
-    split[np.flatnonzero(split == split.max())[0]] = split.max() + 1
-    doctored = [minimals[0], Partition.from_labels(merged),
-                Partition.from_labels(split)] + minimals[3:]
+    q1, q2 = minimals[1].blocks(), minimals[2].blocks()
+    merged = q1[:-2] + [q1[-2] + q1[-1]]
+    split = q2[:-1] + [q2[-1][:1], q2[-1][1:]]
+    doctored = [minimals[0], Partition.from_blocks(merged),
+                Partition.from_blocks(split)] + minimals[3:]
     assert sum(p.block_count for p in doctored) == sum(p.block_count for p in minimals)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
         maximal_cliques(graph, doctored, paranoid=paranoid)
