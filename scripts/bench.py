@@ -4,20 +4,25 @@
 
 Each rung runs as ``python -m diaglab check-all`` on this checkout's
 ``src/`` in a child process of its own, one at a time, so that each peak
-is that rung's alone.  For each rung the file records the wall time of
+is that rung's alone, and each child's address space is limited
+(``RLIMIT_AS``), so that a rung that outgrows the host fails alone: a
+``MemoryError`` exits 3.  For each rung the file records the wall time of
 the child (interpreter start included), its ``ru_maxrss``, its exit code
 and the sha256 of the ledger it printed; it also records the machine and
 the git revision.  Nothing is gated on the numbers.
 
-Run as ``python scripts/bench.py``.
+Run as ``python scripts/bench.py``; ``--large`` adds the rungs of
+``LARGE_RUNGS``, which take up to a minute each.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -31,7 +36,15 @@ OUT = ROOT / "BENCH_check_all.json"
 
 # (group, m), each of at most 65,536 vertices
 RUNGS = [("C2", 10), ("C2", 12), ("C3", 8), ("C4", 7), ("C4", 8), ("C16", 4), ("Q8", 4),
-         ("C2", 13)]
+         ("C2", 13), ("C2", 14)]
+LARGE_RUNGS = [("C2", 15), ("C2", 16)]
+
+# The address space of each child, in bytes.
+ADDRESS_SPACE = 4 << 30
+
+
+def limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
 def run_rung(group: str, m: int) -> dict:
@@ -43,7 +56,8 @@ def run_rung(group: str, m: int) -> dict:
     cmd = [sys.executable, "-m", "diaglab", "check-all", "--group", group, "--m", str(m)]
     with tempfile.TemporaryFile() as ledger:
         started = time.perf_counter()
-        proc = subprocess.Popen(cmd, stdout=ledger, stderr=subprocess.DEVNULL, env=env)
+        proc = subprocess.Popen(cmd, stdout=ledger, stderr=subprocess.DEVNULL, env=env,
+                                preexec_fn=limit_address_space)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - started
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
@@ -83,9 +97,13 @@ def machine() -> dict:
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="time check-all on a ladder of instances")
+    parser.add_argument("--large", action="store_true",
+                        help=f"also run {', '.join(f'{g} m={m}' for g, m in LARGE_RUNGS)}")
+    args = parser.parse_args([] if argv is None else argv)
     rungs = []
-    for group, m in RUNGS:
+    for group, m in RUNGS + LARGE_RUNGS * args.large:
         entry = run_rung(group, m)
         rungs.append(entry)
         print(f"{group:>5} m={m:<3} exit {entry['exit_code']}  {entry['wall_s']:7.2f} s  "
@@ -98,4 +116,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -37,6 +37,8 @@ from .semilattice import (
     join_closure,
     minimal_partitions,
     mobius_closed_form,
+    rooted_block_sizes,
+    semilattice_and_hypothesis,
     verify_mobius,
     verify_semilattice_hypothesis,
     vertex_codec,

@@ -138,13 +138,10 @@ def run_check_all(cfg: RunConfig) -> dict:
     claims: list[dict] = []
 
     minimals = semilattice.minimal_partitions(g, m, cfg.vertex_cap)
-    sup = semilattice.subset_suprema(minimals)
-    ok = semilattice.verify_semilattice_hypothesis(sup, q)
+    sl, ok = semilattice.semilattice_and_hypothesis(g, minimals, cfg.paranoid)
     _claim(claims, "cartesian-hypothesis", ok,
            "every m-subset of the minimal partitions generates a Cartesian lattice")
 
-    sl = semilattice.join_closure(minimals, sup)
-    del sup
     expected = semilattice.expected_rank_counts(m)
     got: dict[int, int] = {}
     for r in sl.rank:

@@ -46,9 +46,11 @@ class Partition:
     ``block_of[p]`` is the smallest point of p's block, a read-only int32
     array, so two partitions are equal iff their arrays are, and the points
     labelled by themselves are one per block.  Labels given directly must
-    be in this form (``from_labels`` and ``from_blocks`` take any); any
-    integer sequence is stored as such an array, and a writeable array is
-    copied rather than frozen under its owner.
+    be in this form (``from_labels`` and ``from_blocks`` take any), or
+    ValueError: each label lies in 0..p and labels itself, and the points
+    labelled by themselves number ``block_count``.  Any integer sequence is
+    stored as such an array, and a writeable array is copied rather than
+    frozen under its owner.
     """
 
     size: int
@@ -57,6 +59,18 @@ class Partition:
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.block_of, dtype=np.int32)
+        points = np.arange(self.size, dtype=np.int32)
+        if labels.shape != points.shape:
+            raise ValueError(f"{labels.size} labels for {self.size} points")
+        # as unsigned, a negative label exceeds every point
+        if not (labels.view(np.uint32) <= points.view(np.uint32)).all():
+            raise ValueError("a label lies outside 0..p, p its point")
+        fixed = labels == points
+        if not np.take(fixed, labels).all():
+            raise ValueError("a label is not the smallest point of its block")
+        if np.count_nonzero(fixed) != self.block_count:
+            raise ValueError(f"the labels name {np.count_nonzero(fixed)} "
+                             f"blocks, not {self.block_count}")
         if labels.flags.writeable:
             if labels is self.block_of:
                 labels = labels.copy()
@@ -130,28 +144,42 @@ class Partition:
         members = members[row_of[self.block_of]]
         return members[members != np.arange(n)[:, None]].reshape(n, k - 1)
 
+    def block_through(self, point: int) -> np.ndarray:
+        """The points of ``point``'s block, in increasing order."""
+        return np.flatnonzero(self.block_of == self.block_of[point])
+
+    def keeps_blocks(self, maps: np.ndarray) -> bool:
+        """True iff each row of ``maps``, an array of point images, sends
+        every point into its own block."""
+        return bool((self.block_of[maps] == self.block_of).all())
+
     def is_single_block(self) -> bool:
         return self.block_count == 1
 
 
-def tie_break_key(p: Partition) -> bytes:
-    """The labels as fixed-width big-endian bytes.  Labels are non-negative
-    and all keys of one ground set have the same length, so the keys order
-    exactly like the label sequences compared lexicographically."""
-    return p.block_of.astype(">i4").tobytes()
+def tie_break_keys(parts: list[Partition]) -> np.ndarray:
+    """One key per partition of one ground set: its labels as big-endian
+    unsigned integers of the narrowest width that holds a point, viewed as
+    one fixed-length void scalar.  Labels are non-negative and all keys
+    have one length, so ``np.argsort`` orders the keys exactly like the
+    label sequences compared lexicographically."""
+    dtype = np.min_scalar_type(max(parts[0].size - 1, 0)).newbyteorder(">")
+    rows = np.stack([p.block_of for p in parts], dtype=dtype, casting="unsafe")
+    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize)))[:, 0]
 
 
 def element_order(parts: list[Partition]) -> list[int]:
     """Indices of ``parts`` sorted by (-block_count, block_of): decreasing
     block count, a linear extension of refinement, with ties broken by the
-    labels.  The tie-break keys are built one tied group at a time."""
+    labels, one stable sort of ``tie_break_keys`` per tied group (on an
+    empty ground set all partitions are equal)."""
     by_count = sorted(range(len(parts)), key=lambda i: -parts[i].block_count)
     order: list[int] = []
     for _, tied in groupby(by_count, key=lambda i: parts[i].block_count):
-        tied = list(tied)
-        if len(tied) > 1:
-            tied.sort(key=lambda i: tie_break_key(parts[i]))
-        order.extend(tied)
+        tied = np.array(list(tied))
+        if len(tied) > 1 and parts[0].size:
+            tied = tied[np.argsort(tie_break_keys([parts[i] for i in tied]), kind="stable")]
+        order.extend(tied.tolist())
     return order
 
 

@@ -5,13 +5,27 @@ significant).  The m+1 minimal partitions are the coordinate partitions
 Q_1..Q_m (tuples agreeing everywhere except one coordinate) and the diagonal
 partition Q_0 (orbits of simultaneous left translation).  Their closure under
 the coarsening operation, together with the singleton partition, is the
-diagonal semilattice.  Its elements are read off the table of subset suprema
-(``partitions.subset_suprema``, built one generator at a time in blocks of
-rows) through closure masks: the mask of a subset S has bit g set iff Q_g
-refines sup(S), equal masks name equal elements, and mask inclusion is the
-order.  The elements are listed in ``partitions.element_order``.  This
-module never reads a partition's labels: it sees a partition only through
-its block count and its block sizes.
+diagonal semilattice.  Its elements are named by closure masks: the mask of
+a subset S of the generators has bit g set iff Q_g refines sup(S), equal
+masks name equal elements, and mask inclusion is the order.  This module
+never reads a partition's labels: it sees a partition through its block
+count, its block sizes, its block through vertex 0 and whether a map keeps
+every point in its block.
+
+The masks come from the block count of sup(S) for every S, by one of two
+routes.  ``semilattice_and_hypothesis`` takes the route through vertex 0
+where it can: each Q_i is the partition of G^m into the cosets B_i·v of a
+subgroup B_i, its block through vertex 0 (a coordinate subgroup, or the
+diagonal).  ``rooted_block_sizes`` certifies that from the partitions and
+the group table.  Then sup(S) is the partition into the cosets of B_S, the
+subgroup that the B_i with i in S generate, and it has n/|B_S| blocks of
+|B_S| points; ``rooted_block_sizes`` grows B_S for every S, a batch of masks
+per numpy call.  Under ``paranoid``, or where the certificate fails, the
+masks come from the table of subset suprema (``partitions.subset_suprema``,
+built one generator at a time in blocks of rows), and the elements are the
+table's partitions, listed in ``partitions.element_order``; the
+``semilattice`` and ``mobius`` commands always take that route.  Both
+routes give the same masks.
 
 The table of closure masks ``cl`` is the semilattice's one order structure.
 It is a closure operator on the subsets of the generators: extensive (each
@@ -30,7 +44,7 @@ values it is compared with.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
 
@@ -38,7 +52,13 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import GroupTable
-from .partitions import Partition, element_order, start_blocks, subset_suprema
+from .partitions import (
+    BLOCK_BYTES,
+    Partition,
+    element_order,
+    start_blocks,
+    subset_suprema,
+)
 
 DEFAULT_VERTEX_CAP = 65536
 
@@ -87,6 +107,18 @@ def vertex_codec(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> Vertex
     return VertexCodec(q=g.order, m=m)
 
 
+def vertex_products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vertex numbers of the products x*v in G^m, for broadcastable arrays
+    ``x`` and ``v`` of vertex numbers of ``codec``.  Coordinate i adds
+    q^i (x_i v_i), one gather from the group table scaled by q^i."""
+    columns, q = codec.digits.T, codec.q
+    flat = np.asarray(g.mul).ravel()
+    out = 0
+    for column, weight in zip(columns, q ** np.arange(codec.m)):
+        out = out + (flat * weight)[column[x] * q + column[v]]
+    return out
+
+
 def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP, *,
             codec: VertexCodec | None = None) -> Partition:
     """The minimal partition Q_i of G^m.
@@ -121,17 +153,20 @@ class DiagonalSemilattice:
     """Closure of the minimal partitions under the coarsening operation.
 
     ``rank`` counts steps from the singleton partition along a longest chain;
-    ``hasse`` lists cover pairs (lower index, upper index) into ``elements``.
+    ``hasse`` lists cover pairs (lower index, upper index) into the elements.
     ``minimal_indices[i]`` locates Q_i, and ``below[k]`` is the closure
     mask of element k: bit g set iff Q_g refines it.  ``cl[S]`` is the
     closure mask of the supremum of the generators in the subset mask S,
-    the semilattice's one order structure.
+    the semilattice's one order structure.  ``elements`` holds the
+    partitions, in the order of ``below``, where they come from the table
+    of subset suprema, and is None where the semilattice was read from the
+    blocks through vertex 0.
     """
 
     m: int
     q: int
     size: int
-    elements: tuple[Partition, ...]
+    elements: tuple[Partition, ...] | None
     rank: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
     e_index: int
@@ -141,26 +176,35 @@ class DiagonalSemilattice:
     cl: tuple[int, ...]
 
 
+def _masks_from_counts(count: np.ndarray) -> np.ndarray:
+    """The closure mask of every subset of the generators, indexed by mask,
+    from ``count[S]``, the block count of sup(S).
+
+    Since sup(S + g) is the supremum of sup(S) and Q_g, it is never finer
+    than sup(S), and it equals sup(S) (Q_g refines sup(S)) exactly when the
+    two have the same block count: one vectorised comparison per generator,
+    with no hashing.
+    """
+    masks = np.arange(len(count))
+    cl = np.zeros(len(count), dtype=np.int64)
+    for g in range(len(count).bit_length() - 1):
+        cl |= (count[masks | 1 << g] == count).astype(np.int64) << g
+    return cl
+
+
 def closure_masks(sup: list[Partition]) -> np.ndarray:
     """The closure mask of every subset of the generators, indexed by mask.
 
     ``sup`` is ``subset_suprema`` of generators Q_0, Q_1, ...; bit g of
-    ``cl[S]`` is set iff Q_g refines sup[S].  Since sup[S | 1 << g] is the
-    supremum of sup[S] and Q_g, it is never finer than sup[S], and it equals
-    sup[S] (Q_g refines sup[S]) exactly when the two have the same block
-    count: one vectorised comparison per generator, with no hashing.
+    ``cl[S]`` is set iff Q_g refines sup[S], read off the block counts
+    (``_masks_from_counts``).
 
     A closure mask names its element and its place in the order:
     sup(S) <= sup(T) iff cl[S] is a subset of cl[T], and sup(S) == sup(T)
     iff cl[S] == cl[T].  (If cl[S] lies in cl[T], every generator of S is
     below sup(T), and so is their supremum.)
     """
-    count = np.array([p.block_count for p in sup])
-    masks = np.arange(len(sup))
-    cl = np.zeros(len(sup), dtype=np.int64)
-    for g in range(len(sup).bit_length() - 1):
-        cl |= (count[masks | 1 << g] == count).astype(np.int64) << g
-    return cl
+    return _masks_from_counts(np.array([p.block_count for p in sup]))
 
 
 def _element_index(cl: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -198,6 +242,41 @@ def _covers(cl: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank = longer
 
 
+def _from_counts(count: np.ndarray, q: int, n: int, order) -> DiagonalSemilattice:
+    """The semilattice, without its partitions, whose generators' subset
+    suprema have the block counts ``count``, indexed by mask, on ``n``
+    points, the generators' parts having size ``q``.
+
+    The closure masks identify the elements, and each element is named by
+    its closed mask: sup(cl(S)) = sup(S).  ``order`` maps the closed masks,
+    in increasing order, to the positions of the elements in the listing; it
+    must put the most blocks first, so that the singleton partition comes
+    first.  The covers and ranks come from the masks alone (``_covers``).
+    """
+    cl = _masks_from_counts(count)
+    closed = np.unique(cl)
+    below = closed[order(closed)]
+    rank, hasse = _covers(cl, below)
+    single = np.flatnonzero(count[below] == 1)
+    if len(single) != 1:
+        raise ValueError("closure did not produce the one-block partition")
+    index = _element_index(cl, below)
+    generators = len(count).bit_length() - 1
+    return DiagonalSemilattice(
+        m=generators - 1,
+        q=q,
+        size=n,
+        elements=None,
+        rank=tuple(rank.tolist()),
+        hasse=tuple(map(tuple, hasse.tolist())),
+        e_index=0,
+        u_index=int(single[0]),
+        minimal_indices=tuple(index[cl[1 << np.arange(generators)]].tolist()),
+        below=tuple(below.tolist()),
+        cl=tuple(cl.tolist()),
+    )
+
+
 def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSemilattice:
     """Generate the semilattice: the suprema of all subsets of the
     generators, the empty one (the singleton partition) included.
@@ -205,10 +284,10 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     Every element of a join closure is the supremum of a subset of its
     generators, so the subset table holds each element at least once.
     ``sup`` is ``subset_suprema(minimals)``.  The closure masks identify the
-    elements (the first subset of each distinct mask represents it) and give
-    the order: s <= t iff the mask of s is a subset of the mask of t.  The
-    elements are listed by (-block_count, block_of), ``element_order``, and
-    their covers and ranks come from the masks alone (``_covers``).
+    elements and give the order: s <= t iff the mask of s is a subset of the
+    mask of t (``_from_counts``).  The elements are the table's partitions
+    of the closed masks, listed by (-block_count, block_of),
+    ``element_order``.
     """
     if not minimals:
         raise ValueError("need at least one generator partition")
@@ -221,55 +300,135 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     part_sizes = np.unique(np.concatenate([p.block_sizes() for p in minimals]))
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
-    q = int(part_sizes[0])
-
-    cl = closure_masks(sup)
-    distinct, first, element_of = np.unique(cl, return_index=True, return_inverse=True)
-    order = element_order([sup[f] for f in first])
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    elements = [sup[first[e]] for e in order]
-    below = distinct[order]
-    rank, hasse = _covers(cl, below)
-
-    m = len(minimals) - 1
-    single = [k for k, p in enumerate(elements) if p.is_single_block()]
-    if len(single) != 1:
-        raise ValueError("closure did not produce the one-block partition")
-    return DiagonalSemilattice(
-        m=m,
-        q=q,
-        size=n,
-        elements=tuple(elements),
-        rank=tuple(rank.tolist()),
-        hasse=tuple(map(tuple, hasse.tolist())),
-        e_index=0,
-        u_index=single[0],
-        minimal_indices=tuple(int(position[element_of[1 << g]]) for g in range(m + 1)),
-        below=tuple(below.tolist()),
-        cl=tuple(cl.tolist()),
-    )
+    sl = _from_counts(np.array([p.block_count for p in sup]), int(part_sizes[0]), n,
+                      lambda closed: element_order([sup[c] for c in closed]))
+    return replace(sl, elements=tuple(sup[c] for c in sl.below))
 
 
-def _generates_cartesian(sup: list[Partition], q: int, domains: list[int]) -> bool:
-    """True iff each generator set D in ``domains`` (a mask into the subset
-    table ``sup``) generates a Cartesian lattice: for every S within D, the
-    parts of sup[S] have size q^|S|, and the suprema are pairwise distinct.
+def _left_multiplications(g: GroupTable, codec: VertexCodec, points: np.ndarray) -> np.ndarray:
+    """Row j: the vertex numbers of points[j]·v for every vertex v, int32,
+    computed in blocks of rows within ``BLOCK_BYTES``."""
+    n = codec.size
+    out = np.empty((len(points), n), dtype=np.int32)
+    for block in start_blocks(range(len(points)), 256 * n):
+        out[block.start:block.stop] = vertex_products(
+            g, codec, points[block.start:block.stop, None], np.arange(n))
+    return out
 
-    Distinctness is read off the closure masks: sup(S) == sup(T) for some
-    T != S within D iff a generator of D outside S lies below sup(S), so the
-    suprema are distinct iff cl[S] & D == S for every S.  Part sizes are
-    tested once per mask and reused for every D.
+
+def rooted_block_sizes(g: GroupTable, minimals: list[Partition]) -> np.ndarray | None:
+    """|B_S|, the size of the block through vertex 0 of the supremum of the
+    partitions in each subset S of ``minimals``, indexed by mask, where
+    their blocks are cosets; else None.
+
+    The certificate: for each partition Q_i, with B_i its block through
+    vertex 0 (the identity), left multiplication by each point h of B_i
+    keeps every vertex v in its block, and the blocks number n/|B_i|.  Then
+    each block holds the coset B_i·v of each of its points, so it has at
+    least |B_i| points and, by the count, exactly those: the blocks are the
+    cosets B_i·v.  So B_i = B_i·h for h in B_i, and B_i is a subgroup.  (The
+    minimal partitions of G^m are the cosets of a coordinate subgroup, or
+    of the diagonal.)  A partition into the cosets of a subgroup is mapped
+    onto itself by every right translation, and so is every supremum of
+    such partitions: sup(S) is the coset partition of B_S, the subgroup that
+    the B_i with i in S generate.
+
+    A boolean membership column per mask, over the vertices, holds B_S.
+    B_(S+b), for b above every generator of S, is grown as B_b·B_S: y lies
+    in it iff h·y lies in B_S for some h in B_b, one gather of the rows per
+    point h, shared by a batch of masks.  The product is a subgroup, and
+    then B_(S+b), iff it holds B_S·B_b, that is, iff it holds x·h for every
+    h in B_b and every x of a B_i with i in S, the generators of B_S: one
+    gather of a few rows.  Else the result is None.  (For the minimal
+    partitions of G^m the product is always a subgroup: B_0 is the first
+    generator, and every later B_b is a coordinate subgroup, normal in G^m.)
+    |B_b·B_S| = |B_b| |B_S| / |B_b ∩ B_S|.
+
+    The masks with generators below ``low`` form one batch within
+    ``BLOCK_BYTES``, built a generator at a time as ``subset_suprema``
+    builds its table.  Each set of higher generators, walked depth first in
+    increasing order, grows that whole batch at once, and each depth keeps
+    one batch.
     """
-    masks = np.arange(len(sup))
-    sizes_ok = np.array([(s.block_sizes() == q ** mask.bit_count()).all()
-                         for mask, s in enumerate(sup)])
-    cl = closure_masks(sup)
+    k, n = len(minimals), minimals[0].size
+    codec = VertexCodec(q=g.order, m=k - 1)
+    if codec.size != n or any(p.size != n for p in minimals):
+        return None
+    blocks = [p.block_through(0) for p in minimals]
+    owner = np.repeat(np.arange(k), [len(blk) for blk in blocks])
+    ends = np.cumsum([0] + [len(blk) for blk in blocks])
+    # row j: left multiplication by the j-th point of the blocks through 0
+    left = _left_multiplications(g, codec, np.concatenate(blocks))
+    if not all(p.block_count * len(blocks[i]) == n and p.keeps_blocks(left[ends[i]:ends[i + 1]])
+               for i, p in enumerate(minimals)):
+        return None
+    sizes = np.zeros(1 << k, dtype=np.int64)
+    sizes[0] = 1
+
+    def grow(rows: np.ndarray, masks: np.ndarray, b: int) -> np.ndarray | None:
+        """B_b·B_S for the B_S in the columns of ``rows``, S in ``masks``,
+        recording their sizes; None if one of them is no subgroup."""
+        # np.take: fancy indexing copies short rows one at a time
+        product = None
+        for block in start_blocks(range(ends[b], ends[b + 1]), 4 * rows.size):
+            moved = np.take(rows, left[block.start:block.stop], axis=0)
+            moved = np.logical_or.reduce(moved, axis=0)
+            product = moved if product is None else product | moved
+        # x·h for the x of each B_i, i in S, and the h of B_b
+        inside = masks >> owner[:, None, None] & 1 == 1
+        if not (np.take(product, left[:, blocks[b]], axis=0) | ~inside).all():
+            return None
+        meet = np.count_nonzero(np.take(rows, blocks[b], axis=0), axis=0)
+        sizes[masks | 1 << b] = len(blocks[b]) * sizes[masks] // meet
+        return product
+
+    low = min(k, max(0, (BLOCK_BYTES // n).bit_length() - 1))
+    rows = np.zeros((n, 1 << low), dtype=bool)
+    rows[0, 0] = True
+    masks = np.arange(1 << low)
+    for b in range(low):
+        grown = grow(rows[:, :1 << b], masks[:1 << b], b)
+        if grown is None:
+            return None
+        rows[:, 1 << b:2 << b] = grown
+    stack = [(rows, masks, low)]
+    while stack:
+        rows, masks, start = stack.pop()
+        for b in range(start, k):
+            grown = grow(rows, masks, b)
+            if grown is None:
+                return None
+            if b + 1 < k:
+                stack.append((grown, masks | 1 << b, b + 1))
+    return sizes
+
+
+def _generates_cartesian(sized: np.ndarray, cl: np.ndarray, domains: list[int]) -> bool:
+    """True iff each generator set D in ``domains`` (a mask) generates a
+    Cartesian lattice: for every S within D, the parts of sup(S) have size
+    q^|S| (``sized[S]``), and the suprema are pairwise distinct.
+
+    Distinctness is read off the closure masks ``cl``: sup(S) == sup(T) for
+    some T != S within D iff a generator of D outside S lies below sup(S),
+    so the suprema are distinct iff cl[S] & D == S for every S.
+    """
+    masks = np.arange(len(cl))
     for d in domains:
         inside = masks[(masks & ~d) == 0]
-        if not (sizes_ok[inside].all() and ((cl[inside] & d) == inside).all()):
+        if not (sized[inside].all() and ((cl[inside] & d) == inside).all()):
             return False
     return True
+
+
+def _parts_of_size(sup: list[Partition], q: int) -> np.ndarray:
+    """Whether the parts of sup[S] all have size q^|S|, for each mask S."""
+    return np.array([(s.block_sizes() == q ** mask.bit_count()).all()
+                     for mask, s in enumerate(sup)])
+
+
+def _m_subsets(full: int) -> list[int]:
+    """The masks of ``full`` with one bit cleared."""
+    return [full & ~(1 << drop) for drop in range(full.bit_length())]
 
 
 def check_cartesian(parts: list[Partition], q: int) -> bool:
@@ -278,7 +437,8 @@ def check_cartesian(parts: list[Partition], q: int) -> bool:
     are pairwise distinct."""
     if not parts:
         return True
-    return _generates_cartesian(subset_suprema(parts), q, [(1 << len(parts)) - 1])
+    sup = subset_suprema(parts)
+    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup), [len(sup) - 1])
 
 
 def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
@@ -289,9 +449,35 @@ def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
     One subset table over all m+1 minimal partitions serves every m-subset:
     the subsets of the one without Q_drop are the masks without bit drop.
     """
-    full = len(sup) - 1
-    return _generates_cartesian(
-        sup, q, [full & ~(1 << drop) for drop in range(full.bit_length())])
+    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup),
+                                _m_subsets(len(sup) - 1))
+
+
+def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition],
+                               paranoid: bool = False) -> tuple[DiagonalSemilattice, bool]:
+    """The join closure of ``minimals``, the minimal partitions of G^m, and
+    whether every m-subset of them generates a Cartesian lattice
+    (``verify_semilattice_hypothesis``).
+
+    Both come from the blocks through vertex 0 (``rooted_block_sizes``)
+    where it can: sup(S) has n/|B_S| blocks of |B_S| points, so its parts
+    have size q^|S| iff |B_S| does, and the elements are listed by
+    (-block count, closed mask), a linear extension of the order, with no
+    partition built.  Under ``paranoid``, or where ``rooted_block_sizes``
+    gives None, both come from the table of subset suprema instead.
+    """
+    sizes = None if paranoid else rooted_block_sizes(g, minimals)
+    if sizes is None:
+        sup = subset_suprema(minimals)
+        return join_closure(minimals, sup), verify_semilattice_hypothesis(sup, g.order)
+    part_sizes = np.unique(sizes[1 << np.arange(len(minimals))])
+    if len(part_sizes) != 1:
+        raise ValueError("generator partitions must have constant part size")
+    count = minimals[0].size // sizes
+    sl = _from_counts(count, int(part_sizes[0]), minimals[0].size,
+                      lambda closed: np.lexsort((closed, -count[closed])))
+    sized = sizes == np.power(g.order, np.bitwise_count(np.arange(len(sizes))), dtype=np.int64)
+    return sl, _generates_cartesian(sized, np.asarray(sl.cl), _m_subsets(len(sizes) - 1))
 
 
 def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
@@ -406,7 +592,7 @@ def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
     found = found[np.lexsort((found[:, 1], found[:, 0]))]
     bottom_top = (found[:, 0] == sl.e_index) & (found[:, 1] == sl.u_index)
     return MobiusReport(
-        element_count=len(sl.elements),
+        element_count=len(sl.below),
         ranks=sl.rank,
         mu_bottom_top=int(found[bottom_top, 2][0]),
         mismatches=tuple(map(tuple, found[found[:, 2] != found[:, 3]].tolist())),
@@ -423,7 +609,7 @@ def expected_rank_counts(m: int) -> dict[int, int]:
 def hasse_dot(sl: DiagonalSemilattice) -> str:
     """Render the Hasse diagram as a DOT digraph (edges point upward)."""
     names = {}
-    for k, p in enumerate(sl.elements):
+    for k in range(len(sl.below)):
         if k == sl.e_index:
             names[k] = "E"
         elif k == sl.u_index:
@@ -433,7 +619,7 @@ def hasse_dot(sl: DiagonalSemilattice) -> str:
         else:
             names[k] = f"P{k}"
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for k in range(len(sl.elements)):
+    for k in range(len(sl.below)):
         lines.append(
             f'  n{k} [label="{names[k]} (rank {sl.rank[k]})"];'
         )

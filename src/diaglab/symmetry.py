@@ -18,10 +18,13 @@ the group D induces, as the right translations are checked to fix every
 minimal partition.
 
 Each generator is checked once to be a graph automorphism, on the whole
-neighbour array (``diaggraph.check_automorphisms``); the right
-multiplications are left to the graph's translation certificate wherever
-``DiagGraph.rooted`` reads it, and checked here only under ``paranoid`` or
-where the certificate fails.  The orbits on the edges and the maximum
+neighbour array (``diaggraph.check_automorphisms``), under ``paranoid`` or
+where the graph's translation certificate fails.  Wherever
+``DiagGraph.rooted`` reads the certificate, the right multiplications are
+left to it, and each generator that normalises them, as
+``stabiliser_and_normalisers`` finds, is checked at vertex 0 alone: it is
+an automorphism iff, composed with a translation to fix 0, it maps the
+neighbours of 0 onto themselves.  The orbits on the edges and the maximum
 cliques are then counted from those through vertex 0 alone (the cliques as
 the clique census lists them, with their number).  Every count reads the
 group and the vertex codec of the graph.
@@ -54,18 +57,7 @@ from .groups import (
     is_simple_nonabelian,
 )
 from .partitions import Partition, components, start_blocks
-from .semilattice import VertexCodec
-
-def _products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vertex numbers of the products x*v in G^m, for broadcastable arrays
-    ``x`` and ``v`` of vertex numbers of ``codec``.  Coordinate i adds
-    q^i (x_i v_i), one gather from the group table scaled by q^i."""
-    columns, q = codec.digits.T, codec.q
-    flat = np.asarray(g.mul).ravel()
-    out = 0
-    for column, weight in zip(columns, q ** np.arange(codec.m)):
-        out = out + (flat * weight)[column[x] * q + column[v]]
-    return out
+from .semilattice import VertexCodec, vertex_products
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -302,6 +294,13 @@ def build_chain(perms: list[TaggedPerm], base: Sequence[int] = ()) -> Stabilizer
 def vertex_stabiliser_generators(
     g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
 ) -> list[TaggedPerm]:
+    """Generators of D_0 (``stabiliser_and_normalisers``)."""
+    return stabiliser_and_normalisers(g, codec, perms)[0]
+
+
+def stabiliser_and_normalisers(
+    g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
+) -> tuple[list[TaggedPerm], list[bool]]:
     """Generators of D_0, the stabiliser of vertex 0 in the group D that
     ``perms`` generate on G^m, the points of ``codec``, each tagged with the
     generator it comes from.
@@ -319,7 +318,10 @@ def vertex_stabiliser_generators(
 
     Every translation generator's conjugate under s is tested in one
     gather, in blocks of rows within ``BLOCK_BYTES``; when s normalises
-    them all, the orbits are those of the translations, all of G^m.
+    them all, the orbits are those of the translations, all of G^m.  The
+    second list says, for each of ``perms``, whether it normalises the
+    translations: it is a translation, or it maps each translation
+    generator to one by conjugation.
     """
     n = codec.size
     vertices = np.arange(n)
@@ -333,7 +335,7 @@ def vertex_stabiliser_generators(
 
     def translations(points: np.ndarray) -> np.ndarray:
         """One row per point v: the right translation t_v."""
-        return _products(g, codec, vertices, points[:, None])
+        return vertex_products(g, codec, vertices, points[:, None])
 
     def are_translations(images: np.ndarray) -> np.ndarray:
         return blocked(images, lambda rows: (rows == translations(rows[:, 0])).all(axis=1))
@@ -345,22 +347,24 @@ def vertex_stabiliser_generators(
     if orbits.any():
         raise AssertionError("the translations among the generators are not transitive")
     out: list[TaggedPerm] = []
+    normalisers = is_shift.tolist()
     seen = {np.arange(n, dtype=np.intp).tobytes()}
-    for s, shift in zip(perms, is_shift):
+    for j, (s, shift) in enumerate(zip(perms, is_shift)):
         if shift:
             continue
         s_inv = np.argsort(s.image)
         normalised = are_translations(s.image[shifts[:, s_inv]])
-        lab = orbits if normalised.all() else components(n, shifts[normalised])
+        normalisers[j] = bool(normalised.all())
+        lab = orbits if normalisers[j] else components(n, shifts[normalised])
         points = np.flatnonzero(lab == vertices)
-        sigmas = blocked(points, lambda ps: _products(
+        sigmas = blocked(points, lambda ps: vertex_products(
             g, codec, s.image[translations(ps)], inverse[s.image[ps]][:, None]))
         for sigma in sigmas:
             key = sigma.tobytes()
             if key not in seen:
                 seen.add(key)
                 out.append(TaggedPerm(tag=s.tag, image=sigma))
-    return out
+    return out, normalisers
 
 
 def _rooted_orbit_count(
@@ -392,7 +396,7 @@ def _rooted_orbit_count(
     inverse = codec.index(np.asarray(g.inv)[codec.digits[distinct[:, 1:]]])
     for c in range(rows.shape[1] - 1):
         movers.append("a translation")
-        images.append(_products(g, codec, distinct, inverse[:, c:c + 1]))
+        images.append(vertex_products(g, codec, distinct, inverse[:, c:c + 1]))
     looked_up = np.sort(np.concatenate(images), axis=1).tolist()
     links = np.array([ids.get(tuple(item), -1) for item in looked_up], dtype=np.int32)
     links = links.reshape(len(images), len(ids))
@@ -403,6 +407,30 @@ def _rooted_orbit_count(
     return int(np.count_nonzero(lab == np.arange(len(ids))))
 
 
+def _check_at_zero(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
+    """Raise AssertionError, as ``check_automorphisms`` does, unless every
+    generator is an automorphism of ``graph``, given that the right
+    translations are automorphisms and that each generator p normalises
+    them.
+
+    Then sigma = t_{p(0)^-1} p fixes 0 and normalises the translations, so
+    sigma t_v sigma^-1 = t_{sigma(v)} and sigma(y x^-1) = sigma(y) sigma(x)^-1.
+    As {x, y} is an edge iff y x^-1 is a neighbour of 0, sigma, and with it
+    p, is an automorphism iff sigma maps the neighbours of 0 onto
+    themselves: O(valency) per generator.
+    """
+    if not perms:
+        return
+    n, g, codec = graph.size, graph.group, graph.codec
+    ends = graph.nbr[0][graph.nbr[0] < n]
+    back = codec.index(np.asarray(g.inv)[codec.digits[[p.image[0] for p in perms]]])  # p(0)^-1
+    moved = vertex_products(g, codec, np.array([p.image[ends] for p in perms]), back[:, None])
+    failed = (np.sort(moved, axis=1) != ends).any(axis=1)
+    if failed.any():
+        raise AssertionError(f"generator {perms[np.argmax(failed)].tag} "
+                             "maps an item outside the item set")
+
+
 def rooted_orbit_counts(
     graph: DiagGraph,
     perms: list[TaggedPerm],
@@ -410,6 +438,7 @@ def rooted_orbit_counts(
     cliques: tuple[list[tuple[int, ...]], int] | None = None,
     *,
     paranoid: bool = False,
+    normalisers: list[bool] | None = None,
 ) -> tuple[int, int, int | None]:
     """Orbits of the group D that ``perms`` generate on the vertices, the
     edges and a set of cliques of one size (``cliques``: those through
@@ -418,9 +447,12 @@ def rooted_orbit_counts(
     ``vertex_stabiliser_generators`` returns them.
 
     Every generator is first checked to be an automorphism, so the edge set
-    is D-invariant; the right translations are left out where
-    ``graph.rooted(paranoid)``, as the graph's translation certificate has
-    checked them.  The edges and cliques are then counted from those
+    is D-invariant.  Where ``graph.rooted(paranoid)``, the graph's
+    translation certificate has checked the right translations, and each
+    generator that normalises them (``normalisers``, as
+    ``stabiliser_and_normalisers`` finds; None for none) is checked at
+    vertex 0 alone (``_check_at_zero``); every other generator is checked
+    on the whole graph (``check_automorphisms``).  The edges and cliques are then counted from those
     through vertex 0 alone: if d in D maps C onto C' and d(0) = y, then
     t_{y^-1} d lies in D_0 and maps C onto C'*y^-1, the re-rooting of C' at
     y.  So the D-orbits are the components of the links from D_0's
@@ -428,9 +460,10 @@ def rooted_orbit_counts(
     fails: a generator is no automorphism, a link leaves the items through
     0, or an item set is not spread evenly over the vertices.
     """
-    certified = graph.rooted(paranoid)
-    check_automorphisms(graph, [p for p in perms
-                                if not (certified and p.tag == "right-mult")])
+    rooted = graph.rooted(paranoid)
+    at_zero = [rooted and x for x in normalisers or [False] * len(perms)]
+    check_automorphisms(graph, [p for p, z in zip(perms, at_zero) if not z])
+    _check_at_zero(graph, [p for p, z in zip(perms, at_zero) if z])
     n = graph.size
     lab = components(n, [p.image for p in perms])
     vertex_orbits = int(np.count_nonzero(lab == np.arange(n)))
@@ -503,7 +536,7 @@ def higman_block_trivial(g: GroupTable, codec: VertexCodec, suborbit: np.ndarray
         outside = suborbit[~inside[suborbit]]
         if not len(outside):
             return bool(inside.all())
-        links.append(_products(g, codec, outside[0], vertices))
+        links.append(vertex_products(g, codec, outside[0], vertices))
         inside = components(codec.size, links) == 0
 
 
@@ -654,9 +687,9 @@ def symmetry_report(
                          "partitions coincide at m = 1)")
     aut = automorphism_group(g)
     perms = diagonal_group_generators(g, graph.codec, aut)
-    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms)
+    stabiliser, normalisers = stabiliser_and_normalisers(g, graph.codec, perms)
     vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
-        graph, perms, stabiliser, cliques, paranoid=paranoid)
+        graph, perms, stabiliser, cliques, paranoid=paranoid, normalisers=normalisers)
     chain = partition_chain(perms, stabiliser, minimals)
     return SymmetryReport(
         order=graph.size * chain.order(),

@@ -352,26 +352,40 @@ def test_translation_certificate_is_computed_once_and_never_under_paranoid(
 
 @pytest.mark.parametrize("paranoid", [False, True])
 def test_check_all_checks_each_right_translation_once(capsys, monkeypatch, paranoid):
-    """The certificate checks the right translations, and the symmetry
-    report checks only the other generators; under --paranoid there is no
-    certificate, and the symmetry report checks them all."""
+    """The certificate checks the right translations on the whole graph,
+    and the symmetry report checks the generators that normalise them at
+    vertex 0 and the others on the whole graph; under --paranoid there is
+    no certificate, and the symmetry report checks them all on the whole
+    graph."""
     from diaglab import diaggraph, symmetry
 
-    checked = []
-    original = diaggraph.check_automorphisms
+    checked, at_zero = [], []
+    original, original_at_zero = diaggraph.check_automorphisms, symmetry._check_at_zero
 
     def recording(graph, perms):
         checked.extend(p.tag for p in perms)
         return original(graph, perms)
 
+    def recording_at_zero(graph, perms):
+        at_zero.extend(p.tag for p in perms)
+        return original_at_zero(graph, perms)
+
     monkeypatch.setattr(diaggraph, "check_automorphisms", recording)
     monkeypatch.setattr(symmetry, "check_automorphisms", recording)
+    monkeypatch.setattr(symmetry, "_check_at_zero", recording_at_zero)
     args = ["check-all", "--group", "S3", "--m", "3"] + ["--paranoid"] * paranoid
     code, _, _ = run_cli(capsys, *args)
     assert code == EXIT_OK
     # S3 has two generators, each shifting one of three coordinates
     assert checked.count("right-mult") == 6
-    assert "diag-left-mult" in checked
+    # S3 is not abelian, so the inversion map alone does not normalise the
+    # translations
+    others = {"diag-left-mult", "aut", "coord-perm"}
+    if paranoid:
+        assert set(checked) == others | {"right-mult", "inversion-map"} and at_zero == []
+    else:
+        assert set(checked) == {"right-mult", "inversion-map"}
+        assert set(at_zero) == others | {"right-mult"}
 
 
 def test_check_all_records_a_graph_built_twice_over_an_edge(capsys, monkeypatch,
@@ -674,6 +688,17 @@ def call_counts(monkeypatch):
 
 
 def test_check_all_builds_each_artefact_once(capsys, monkeypatch, call_counts):
+    check_artefact_counts(capsys, monkeypatch, call_counts, paranoid=False)
+
+
+def test_check_all_paranoid_builds_the_subset_table_once(capsys, monkeypatch, call_counts):
+    check_artefact_counts(capsys, monkeypatch, call_counts, paranoid=True)
+
+
+def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
+    """Each artefact is built once; the subset table only under --paranoid,
+    as the certified path reads the semilattice from the blocks through
+    vertex 0."""
     from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
@@ -688,10 +713,11 @@ def test_check_all_builds_each_artefact_once(capsys, monkeypatch, call_counts):
     chain = symmetry.StabilizerChain
     monkeypatch.setattr(symmetry, "StabilizerChain",
                         lambda degree, *base: degrees.append(degree) or chain(degree, *base))
-    code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
+    code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3",
+                         *["--paranoid"] * paranoid)
     assert code == EXIT_OK
-    assert calls == {"build_graph": 1, "cayley_graph": 1,
-                     "minimal_partitions": 1, "subset_suprema": 1,
+    assert calls == {"build_graph": 1, "cayley_graph": 1, "minimal_partitions": 1,
+                     **({"subset_suprema": 1} if paranoid else {}),
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1}
     # one chain of D_0 on the 4 minimal partitions and the 27 vertices, and
@@ -891,14 +917,15 @@ def break_generators(monkeypatch, breakage):
     from diaglab import symmetry
 
     if breakage == "stabiliser-not-an-automorphism":
-        stabiliser = symmetry.vertex_stabiliser_generators
+        stabiliser = symmetry.stabiliser_and_normalisers
 
         def broken(*args):
             swap = np.arange(9)
             swap[[1, 7]] = 7, 1  # (1, 0) is a neighbour of 0, (1, 2) is not
-            return stabiliser(*args) + [symmetry.TaggedPerm(tag="injected", image=swap)]
+            generators, normalisers = stabiliser(*args)
+            return generators + [symmetry.TaggedPerm(tag="injected", image=swap)], normalisers
 
-        monkeypatch.setattr(symmetry, "vertex_stabiliser_generators", broken)
+        monkeypatch.setattr(symmetry, "stabiliser_and_normalisers", broken)
         return
     original = symmetry.diagonal_group_generators
 

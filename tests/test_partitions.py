@@ -13,7 +13,7 @@ from diaglab.partitions import (
     single_block,
     singletons,
     supremum,
-    tie_break_key,
+    tie_break_keys,
 )
 
 from replaced import first_occurrence_ranks, loop_blocks, loop_finer_or_equal, poset_matrices
@@ -167,7 +167,7 @@ wide_tails = st.lists(st.lists(st.integers(0, 270), min_size=4, max_size=4),
 def test_tie_break_key_orders_like_the_label_tuples(tails):
     parts = [Partition.from_labels(list(range(260)) + tail) for tail in tails]
     by_tuple = sorted(range(len(parts)), key=lambda i: tuple(parts[i].block_of.tolist()))
-    assert sorted(range(len(parts)), key=lambda i: tie_break_key(parts[i])) == by_tuple
+    assert np.argsort(tie_break_keys(parts), kind="stable").tolist() == by_tuple
     expect = sorted(range(len(parts)), key=lambda i: (-parts[i].block_count,
                                                       tuple(parts[i].block_of.tolist())))
     assert element_order(parts) == expect
@@ -199,7 +199,8 @@ def test_tie_break_key_past_one_byte():
     low = Partition.from_labels(list(range(257)) + [255])
     high = Partition.from_labels(list(range(257)) + [256])
     assert low.block_count == high.block_count == 257
-    assert tie_break_key(low) < tie_break_key(high)
+    assert np.argsort(tie_break_keys([high, low])).tolist() == [1, 0]
+    assert tie_break_keys([low]).dtype.itemsize == 2 * 258
     assert element_order([high, low]) == [1, 0]
 
 
@@ -316,3 +317,24 @@ def test_text_format_round_trip():
     assert parse_partition("5,5,0") == Partition.from_labels([0, 0, 1])
     with pytest.raises(ValueError):
         parse_partition("")
+
+
+@pytest.mark.parametrize("size,labels,count", [
+    (4, (0, 1, 0, 2), 3),  # block numbers: label 2 is no point of its block
+    (3, (0, 5, 0), 2),     # a label outside the ground set
+    (2, (0, -1), 2),       # a negative label
+    (3, (1, 1, 2), 2),     # a label above its point
+    (3, (0, 0, 1), 2),     # a chain: point 1 labels point 2 but not itself
+    (4, (0, 1, 1, 2), 2),  # a chain with the right number of fixed points
+    (3, (0, 0, 0), 2),     # one point labels itself, for two blocks
+    (3, (0, 1), 2),        # a label short
+])
+def test_labels_outside_smallest_point_form_are_refused(size, labels, count):
+    with pytest.raises(ValueError):
+        Partition(size, labels, count)
+
+
+def test_smallest_point_labels_are_accepted_as_given():
+    assert Partition(4, (0, 1, 0, 3), 3) == Partition.from_labels([0, 1, 0, 2])
+    assert Partition(3, np.array([0, 1, 1]), 2).blocks() == [[0], [1, 2]]
+    assert Partition(0, (), 0).block_count == 0

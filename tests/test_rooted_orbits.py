@@ -24,6 +24,7 @@ from diaglab.symmetry import (
     TaggedPerm,
     diagonal_group_generators,
     rooted_orbit_counts,
+    stabiliser_and_normalisers,
     vertex_stabiliser_generators,
 )
 
@@ -155,3 +156,45 @@ def test_clique_list_not_closed_under_the_stabiliser_is_caught():
     assert len(parts) == 18 and all(len(p) == 3 for p in parts)
     with pytest.raises(AssertionError, match="maps an item outside the item set"):
         rooted_orbit_counts(graph, perms, stabiliser, through_zero(parts))
+
+
+def inverted_first_coordinate() -> TaggedPerm:
+    """(x1, x2, x3) -> (x1^-1, x2, x3) on C3^3: a group automorphism of
+    G^3, so it normalises the right translations, but it maps the diagonal
+    neighbour (1, 1, 1) of 0 to (2, 1, 1), which is none."""
+    codec = VertexCodec(q=3, m=3)
+    digits = codec.digits.copy()
+    digits[:, 0] = (-digits[:, 0]) % 3
+    return TaggedPerm(tag="injected", image=codec.index(digits))
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_normalising_map_that_is_no_automorphism_is_caught(paranoid):
+    # Under the certificate the map is checked at vertex 0 alone, under
+    # paranoid on the whole graph; either check must refuse it.  The
+    # stabiliser is given without the map's own generator, whose links the
+    # orbit count would also refuse, so only the generator check can.
+    g, graph = group_of("C3"), graph_of("C3", 3)
+    perms = list(generators_of("C3", 3)) + [inverted_first_coordinate()]
+    _, normalisers = stabiliser_and_normalisers(g, graph.codec, perms)
+    stabiliser = vertex_stabiliser_generators(g, graph.codec, perms[:-1])
+    assert normalisers[-1] and graph.rooted(paranoid) is not paranoid
+    with pytest.raises(AssertionError,
+                       match="^generator injected maps an item outside the item set$"):
+        rooted_orbit_counts(graph, perms, stabiliser, paranoid=paranoid,
+                            normalisers=normalisers)
+
+
+@pytest.mark.parametrize("spec,m", INSTANCES)
+def test_normalisers_are_the_generators_that_conjugate_translations_to_translations(spec, m):
+    g, graph = group_of(spec), graph_of(spec, m)
+    perms = list(generators_of(spec, m))
+    stabiliser, normalisers = stabiliser_and_normalisers(g, graph.codec, perms)
+    assert [(s.tag, s.image.tolist()) for s in stabiliser] == [
+        (s.tag, s.image.tolist()) for s in vertex_stabiliser_generators(g, graph.codec, perms)]
+    # every generator but the inversion map normalises the translations;
+    # that one does iff G is abelian
+    expect = [p.tag != "inversion-map" or g.is_abelian() for p in perms]
+    assert normalisers == expect
+    counts = rooted_orbit_counts(graph, perms, stabiliser, normalisers=normalisers)
+    assert counts == rooted_orbit_counts(graph, perms, stabiliser, paranoid=True)

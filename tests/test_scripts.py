@@ -50,3 +50,15 @@ def test_bench_records_each_rung(tmp_path, monkeypatch, capsys):
         diaglab_main(["check-all", "--group", rung["group"], "--m", str(rung["m"])])
         ledger = capsys.readouterr().out.encode()
         assert rung["ledger_sha256"] == hashlib.sha256(ledger).hexdigest()
+
+
+def test_bench_runs_the_large_rungs_only_when_asked(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench")
+    monkeypatch.setattr(bench, "RUNGS", [("C2", 2)])
+    monkeypatch.setattr(bench, "LARGE_RUNGS", [("C3", 2)])
+    monkeypatch.setattr(bench, "OUT", tmp_path / "BENCH_check_all.json")
+    for argv, expect in (([], [("C2", 2)]), (["--large"], [("C2", 2), ("C3", 2)])):
+        assert bench.main(argv) == 0
+        report = json.loads((tmp_path / "BENCH_check_all.json").read_text())
+        assert [(r["group"], r["m"], r["exit_code"]) for r in report["rungs"]] == [
+            (group, m, 0) for group, m in expect]
