@@ -55,6 +55,7 @@ from .diaggraph import (
     export_graph,
     is_distance_regular,
     maximal_cliques,
+    neighbourhood_is_a_base,
     same_edge_set,
     translations_are_automorphisms,
 )

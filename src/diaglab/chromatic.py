@@ -175,7 +175,7 @@ def reduce_hom(digits, g: GroupTable) -> np.ndarray:
     d = np.asarray(digits)
     if d.shape[-1] < 3:
         raise ValueError("dimension reduction needs m >= 3")
-    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    mul, inv = g.mul_array, g.inv_array
     head = mul[mul[d[..., 0], inv[d[..., 1]]], d[..., 2]]
     return np.concatenate([head[..., None], d[..., 3:]], axis=-1)
 
@@ -211,7 +211,7 @@ def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:
     class rows, columns and quotient classes are all distinct, so the class
     is independent.
     """
-    mul, inv, phi = np.asarray(g.mul), np.asarray(g.inv), np.asarray(cm.phi)
+    mul, inv, phi = g.mul_array, g.inv_array, np.asarray(cm.phi)
     a, b = VertexCodec(q=g.order, m=2).digits.T
     return Coloring(colors=tuple(mul[inv[phi[inv[a]]], b].tolist()))
 

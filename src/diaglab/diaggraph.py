@@ -85,6 +85,25 @@ class DiagGraph:
         where the right translations are certified automorphisms."""
         return not paranoid and self.translations_certified
 
+    @cached_property
+    def neighbourhood_certified(self) -> bool:
+        """``neighbourhood_is_a_base(self)``, computed on first use."""
+        return neighbourhood_is_a_base(self)
+
+    def based_at_zero(self, paranoid: bool) -> bool:
+        """Whether an automorphism may be read from its action on N[0], the
+        closed neighbourhood of vertex 0: only where ``rooted(paranoid)``,
+        and there where the neighbourhood certificate holds."""
+        return self.rooted(paranoid) and self.neighbourhood_certified
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``nbr`` transposed, one contiguous read-only row per column of
+        ``nbr``, for the searches that gather a frontier column by column."""
+        columns = np.ascontiguousarray(self.nbr.T)
+        columns.flags.writeable = False
+        return columns
+
     def _upper(self) -> np.ndarray:
         """Where ``nbr`` lists an edge at its smaller end."""
         return (self.nbr > np.arange(self.size)[:, None]) & (self.nbr < self.size)
@@ -173,7 +192,7 @@ def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGr
     changes one digit of v, so s*v is v plus the change of that digit times
     q^i."""
     codec = vertex_codec(g, m, cap)
-    mul = np.asarray(g.mul)
+    mul = g.mul_array
     d = codec.digits
     tuples = connection_set(g, m).tuples
     nbr = np.empty((codec.size, len(tuples)), dtype=np.int32)
@@ -212,15 +231,16 @@ class TaggedPerm:
 
 def right_translations(g: GroupTable, codec: VertexCodec) -> list[TaggedPerm]:
     """v -> v·h for h the identity but for one coordinate, taken from a
-    generating sequence of G: generators of the right translations of G^m."""
-    d = codec.digits
-    mul = np.asarray(g.mul)
+    generating sequence of G: generators of the right translations of G^m.
+    The one that multiplies coordinate i by x changes one digit of v, so it
+    adds the change of that digit times q^i: one gather per generator."""
+    n, q = codec.size, codec.q
+    vertices = np.arange(n)
     out = []
     for x in generating_sequence(g):
-        for i in range(codec.m):
-            t = d.copy()
-            t[:, i] = mul[d[:, i], x]
-            out.append(TaggedPerm(tag="right-mult", image=codec.index(t)))
+        change = g.mul_array[:, x] - np.arange(q)
+        for i, column in enumerate(codec.digits.T):
+            out.append(TaggedPerm(tag="right-mult", image=vertices + (change * q**i)[column]))
     return out
 
 
@@ -250,6 +270,68 @@ def translations_are_automorphisms(graph: DiagGraph) -> bool:
     return True
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of each entry, as uint64."""
+    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
+
+
+def neighbourhood_is_a_base(graph: DiagGraph) -> bool:
+    """True if every automorphism of ``graph`` that fixes each point of
+    N[0], the closed neighbourhood of vertex 0, is the identity (the proof
+    is in the docstring of ``symmetry``); False means only that this
+    certificate failed.
+
+    It holds when the right translations are certified automorphisms, the
+    graph is connected (a breadth-first search from 0, each level one
+    scatter of the frontier's rows of ``nbr``), and colour refinement on the
+    ball of radius 2 about 0 ends discrete.  The refinement starts with 0
+    and each neighbour of 0 in colours of their own and the rest of the
+    ball in one more; neighbours outside the ball, and the padding, read one
+    sentinel colour.  A round's new colour ranks the old one paired with a
+    hash of the multiset of neighbour colours (a sum of ``_mix`` values),
+    and the rounds stop when no class splits.
+    """
+    if not graph.translations_certified:
+        return False
+    n = graph.size
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[[0, n]] = True  # vertex 0, and the padding n, never a frontier
+    levels = [np.zeros(1, dtype=np.intp)]
+    while len(levels[-1]):
+        nxt = np.zeros(n + 1, dtype=bool)
+        nxt[graph.nbr[levels[-1]]] = True
+        nxt &= ~reach
+        reach |= nxt
+        levels.append(np.flatnonzero(nxt))
+    if not reach.all():
+        return False
+    ball = np.concatenate(levels[:3])  # 0, then N(0) sorted, then distance 2
+    size, star = len(ball), len(levels[1])
+    # the colour of each vertex of the ball, then the sentinel colour, size
+    colour = np.minimum(np.arange(size + 1), star + 1)
+    colour[size] = size
+    local = np.full(n + 1, size, dtype=np.int32)  # size: outside the ball
+    local[ball] = np.arange(size)
+    around = local[graph.nbr[ball]]
+    mixed = _mix(np.arange(size + 1))
+    classes = min(size, star + 2)
+    while classes < size:
+        key = colour[:size].astype(np.uint64) << np.uint64(32)
+        key |= mixed[colour][around].sum(axis=1) >> np.uint64(32)
+        order = key.argsort()
+        ranked = key[order]
+        ranks = np.cumsum(ranked[1:] != ranked[:-1])
+        if ranks[-1] + 1 == classes:
+            return False
+        classes = int(ranks[-1]) + 1
+        colour[order[0]] = 0
+        colour[order[1:]] = ranks
+    return True
+
+
 @dataclass(frozen=True)
 class DiameterReport:
     bfs: int
@@ -272,7 +354,6 @@ def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
     so on a disconnected graph it is the largest finite distance.
     """
     n = graph.size
-    columns = np.ascontiguousarray(graph.nbr.T)
     ecc = 0
     for block in start_blocks(bases, n + 1):
         bit = np.arange(len(block))
@@ -282,7 +363,7 @@ def _max_eccentricity(graph: DiagGraph, bases: range) -> int:
         level = 0
         while True:
             nxt = np.zeros_like(frontier)
-            for col in columns:
+            for col in graph.columns:
                 nxt[:n] |= frontier[col]
             nxt &= ~reach
             if not nxt.any():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations
 from pathlib import Path
 
@@ -38,10 +38,11 @@ SIMPLE_CHECK_LIMIT = 128
 class GroupTable:
     """A finite group as an explicit multiplication table.
 
-    ``mul[g][h]`` is the index of g*h, ``inv[g]`` the index of g^-1.
-    ``factors`` records the direct-product decomposition used to build the
-    table (empty for atoms); it is metadata only and does not affect
-    equality of the underlying group structure.
+    ``mul[g][h]`` is the index of g*h, ``inv[g]`` the index of g^-1;
+    ``mul_array`` and ``inv_array`` hold them as read-only numpy arrays,
+    built on first use.  ``factors`` records the direct-product
+    decomposition used to build the table (empty for atoms); it is metadata
+    only and does not affect equality of the underlying group structure.
     """
 
     order: int
@@ -53,6 +54,14 @@ class GroupTable:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def mul_array(self) -> np.ndarray:
+        return _read_only(self.mul)
+
+    @cached_property
+    def inv_array(self) -> np.ndarray:
+        return _read_only(self.inv)
 
     def order_of(self, g: int) -> int:
         k, x = 1, g
@@ -71,6 +80,12 @@ class GroupTable:
 
     def __repr__(self) -> str:  # tables are huge; show only the label
         return f"GroupTable({self.label!r}, order={self.order})"
+
+
+def _read_only(table) -> np.ndarray:
+    array = np.array(table, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 def _check_order(order: int, label: str) -> None:

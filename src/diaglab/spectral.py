@@ -126,7 +126,6 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
     gives tr(A^j) = n * (A^j)_00 by vertex-transitivity.
     """
     n = graph.size
-    columns = np.ascontiguousarray(graph.nbr.T)
     rooted = graph.rooted(paranoid)
     starts = range(1) if rooted else range(n)
     traces = [0] * (steps + 1)
@@ -144,7 +143,7 @@ def _walk_counts(graph: DiagGraph, steps: int, paranoid: bool) -> list[int]:
         for t, dtype in enumerate(dtypes[1:], 1):
             y = np.zeros((n + 1, len(block)), dtype=dtype)
             rows = y[:n]
-            for col in columns:
+            for col in graph.columns:
                 rows += x[col]
             # x = A^(t-1) e_s and y = A^t e_s give j = 2t - 1 and j = 2t
             traces[2 * t - 1] += dot(x, y)

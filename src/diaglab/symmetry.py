@@ -11,11 +11,31 @@ generators are Schreier generators over the transversal of right
 translations t_p: x -> x*p, checked to be in D and transitive.  A generator
 s needs one per orbit of the translations it conjugates into translations.
 One deterministic Schreier-Sims chain (numpy arrays as permutations) of
-D_0 acting on the m+1 minimal partitions followed by the n vertices, with
-the partitions as its first base points, gives |D_0| and, from its first
-m+1 levels, the order of the group D_0 induces on the partitions.  That is
-the group D induces, as the right translations are checked to fix every
-minimal partition.
+D_0, with the m+1 minimal partitions as its first base points, gives |D_0|
+and, from its first m+1 levels, the order of the group D_0 induces on the
+partitions.  That is the group D induces, as the right translations are
+checked to fix every minimal partition.  After the partitions the chain
+acts on N[0], the closed neighbourhood of vertex 0, where the graph's
+neighbourhood certificate holds (``diaggraph.neighbourhood_is_a_base``),
+and on all n vertices under ``paranoid`` or where it fails.  The
+certificate proves D_0 faithful on N[0], as D_0's generators are checked
+to be automorphisms first.  Let h be an automorphism fixing N[0]
+pointwise.  It maps the ball of radius 2 about 0, its distance-2 vertices
+and the rest onto themselves, so it keeps the initial colours of the
+refinement, and by induction each round's: a new colour is a function of
+the old one and the multiset of neighbour colours, and h maps the
+neighbours of v onto those of h(v).  (A hash collision only merges
+classes.)  The colouring ends discrete, so h fixes the ball, and with it
+N[v] for every v in N(0).  The right translation t_x, an automorphism
+mapping 0 to x, carries this to every x: if h fixes N[x] pointwise,
+t_x^-1 h t_x fixes N[0] pointwise.  Along paths from 0 in the connected
+graph h then fixes every vertex, so h = 1.
+
+Every map of all the vertices that acts coordinate by coordinate (the
+translations, the Schreier generators, the left multiplications of the
+primitivity test, the automorphisms, the inversion) is one
+``semilattice.coordinatewise`` row; ``vertex_products`` is left to the
+arrays of items.
 
 Each generator is checked once to be a graph automorphism, on the whole
 neighbour array (``diaggraph.check_automorphisms``), under ``paranoid`` or
@@ -57,7 +77,7 @@ from .groups import (
     is_simple_nonabelian,
 )
 from .partitions import Partition, components, start_blocks
-from .semilattice import VertexCodec, vertex_products
+from .semilattice import VertexCodec, coordinatewise, vertex_products
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -90,28 +110,31 @@ def diagonal_group_generators(
     """
     m = codec.m
     d = codec.digits
-    mul, inv = np.asarray(g.mul), np.asarray(g.inv)
+    mul, inv = g.mul_array, g.inv_array
     out = right_translations(g, codec)
     seen = {np.arange(codec.size, dtype=np.intp).tobytes()} | {p.image.tobytes() for p in out}
 
-    def emit(tag: str, digits: np.ndarray) -> None:
-        perm = TaggedPerm(tag=tag, image=codec.index(digits))
+    def emit(tag: str, image: np.ndarray) -> None:
+        perm = TaggedPerm(tag=tag, image=image)
         key = perm.image.tobytes()
         if key not in seen:
             seen.add(key)
             out.append(perm)
 
+    def in_each_coordinate(table) -> np.ndarray:
+        return coordinatewise(codec, np.asarray(table)[None, None])[0]
+
     for x in generating_sequence(g):
-        emit("diag-left-mult", mul[inv[x], d])
+        emit("diag-left-mult", in_each_coordinate(mul[inv[x]]))
     for alpha in _perm_group_generators(aut):
-        emit("aut", np.asarray(alpha)[d])
+        emit("aut", in_each_coordinate(alpha))
     if m >= 2:
-        emit("coord-perm", d[:, [1, 0, *range(2, m)]])
+        emit("coord-perm", codec.index(d[:, [1, 0, *range(2, m)]]))
         if m >= 3:
-            emit("coord-perm", np.roll(d, -1, axis=1))
+            emit("coord-perm", codec.index(np.roll(d, -1, axis=1)))
     twisted = mul[inv[d[:, :1]], d]
     twisted[:, 0] = inv[d[:, 0]]
-    emit("inversion-map", twisted)
+    emit("inversion-map", codec.index(twisted))
     return out
 
 
@@ -316,49 +339,70 @@ def stabiliser_and_normalisers(
     of the translation generators r with s r s^-1 in R, and is formed once
     per orbit.  Identities and repeats are dropped.
 
-    Every translation generator's conjugate under s is tested in one
-    gather, in blocks of rows within ``BLOCK_BYTES``; when s normalises
-    them all, the orbits are those of the translations, all of G^m.  The
-    second list says, for each of ``perms``, whether it normalises the
-    translations: it is a translation, or it maps each translation
-    generator to one by conjugation.
+    The generators are held in the narrowest integer type of the vertex
+    numbers, and the conjugates of every translation generator under every
+    other generator are tested in one batch, in blocks of generators within
+    ``BLOCK_BYTES``; when s normalises them all, the orbits are those of the
+    translations, all of G^m.  The second list says, for each of ``perms``,
+    whether it normalises the translations: it is a translation, or it maps
+    each translation generator to one by conjugation.
+
+    Every map of all the vertices here is coordinatewise, so one
+    ``coordinatewise`` call builds each batch of rows: the translations t_v,
+    x -> x*v, take coordinate i to its product with v_i, and sigma(s, p) is
+    t_{s(p)^-1} read at s(t_p(x)), one ``take_along_axis``.
     """
     n = codec.size
     vertices = np.arange(n)
-    inverse = codec.index(np.asarray(g.inv)[codec.digits])  # of each vertex
+    mul_by = g.mul_array.T  # mul_by[v] maps a to a*v
+    inverse = coordinatewise(codec, g.inv_array[None, None])[0]  # of each vertex
 
-    def blocked(rows: np.ndarray, per_row) -> np.ndarray:
+    def blocked(rows: np.ndarray, per_row, bits: int = 256 * n) -> np.ndarray:
         """``per_row`` applied to ``rows`` one block of rows at a time, each
-        row taking a few int64 arrays of n entries."""
+        row taking ``bits``, by default a few int64 arrays of n entries; no
+        rows give no flags."""
         return np.concatenate([per_row(rows[block.start:block.stop])
-                               for block in start_blocks(range(len(rows)), 256 * n)])
+                               for block in start_blocks(range(len(rows)), bits)]
+                              or [np.zeros(0, dtype=bool)])
 
-    def translations(points: np.ndarray) -> np.ndarray:
+    def translations(points: np.ndarray, dtype=np.intp) -> np.ndarray:
         """One row per point v: the right translation t_v."""
-        return vertex_products(g, codec, vertices, points[:, None])
+        return coordinatewise(codec, mul_by[codec.digits[points]], dtype)
 
     def are_translations(images: np.ndarray) -> np.ndarray:
-        return blocked(images, lambda rows: (rows == translations(rows[:, 0])).all(axis=1))
+        return (images == translations(images[:, 0], images.dtype)).all(axis=1)
 
-    images = np.stack([p.image for p in perms])
-    is_shift = are_translations(images)
+    small = np.min_scalar_type(n - 1)
+    images = np.array([p.image for p in perms], dtype=small)
+    is_shift = blocked(images, are_translations)
     shifts = images[is_shift]
     orbits = components(n, shifts)
     if orbits.any():
         raise AssertionError("the translations among the generators are not transitive")
-    out: list[TaggedPerm] = []
+    movers = np.flatnonzero(~is_shift)
+    moved = images[movers]
+    undo = np.empty_like(moved)
+    np.put_along_axis(undo, moved, np.arange(n, dtype=small), axis=1)
+
+    def conjugates_are_translations(block: np.ndarray) -> np.ndarray:
+        """Row j: whether s r s^-1, x -> s(r(s^-1(x))), is a translation for
+        each r of ``shifts``, s the generator ``movers[block[j]]``."""
+        inner = shifts[:, undo[block]]
+        conjugates = np.take_along_axis(moved[block][None], inner, axis=2)
+        return are_translations(conjugates.reshape(-1, n)).reshape(len(shifts), -1).T
+
+    normalised = blocked(np.arange(len(movers)), conjugates_are_translations,
+                         16 * small.itemsize * n * (len(shifts) + 1))
     normalisers = is_shift.tolist()
+    out: list[TaggedPerm] = []
     seen = {np.arange(n, dtype=np.intp).tobytes()}
-    for j, (s, shift) in enumerate(zip(perms, is_shift)):
-        if shift:
-            continue
-        s_inv = np.argsort(s.image)
-        normalised = are_translations(s.image[shifts[:, s_inv]])
-        normalisers[j] = bool(normalised.all())
-        lab = orbits if normalisers[j] else components(n, shifts[normalised])
+    for j, kept in zip(movers, normalised):
+        s = perms[j]
+        normalisers[j] = bool(kept.all())
+        lab = orbits if normalisers[j] else components(n, shifts[kept])
         points = np.flatnonzero(lab == vertices)
-        sigmas = blocked(points, lambda ps: vertex_products(
-            g, codec, s.image[translations(ps)], inverse[s.image[ps]][:, None]))
+        sigmas = blocked(points, lambda ps: np.take_along_axis(
+            translations(inverse[s.image[ps]]), s.image[translations(ps)], axis=1))
         for sigma in sigmas:
             key = sigma.tobytes()
             if key not in seen:
@@ -393,7 +437,7 @@ def _rooted_orbit_count(
     movers = [f"generator {s.tag}" for s in stabiliser]
     images = [s.image[distinct] for s in stabiliser]
     # c^-1 for each point c of each item; column 0 holds vertex 0 itself
-    inverse = codec.index(np.asarray(g.inv)[codec.digits[distinct[:, 1:]]])
+    inverse = codec.index(g.inv_array[codec.digits[distinct[:, 1:]]])
     for c in range(rows.shape[1] - 1):
         movers.append("a translation")
         images.append(vertex_products(g, codec, distinct, inverse[:, c:c + 1]))
@@ -423,7 +467,7 @@ def _check_at_zero(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
         return
     n, g, codec = graph.size, graph.group, graph.codec
     ends = graph.nbr[0][graph.nbr[0] < n]
-    back = codec.index(np.asarray(g.inv)[codec.digits[[p.image[0] for p in perms]]])  # p(0)^-1
+    back = codec.index(g.inv_array[codec.digits[[p.image[0] for p in perms]]])  # p(0)^-1
     moved = vertex_products(g, codec, np.array([p.image[ends] for p in perms]), back[:, None])
     failed = (np.sort(moved, axis=1) != ends).any(axis=1)
     if failed.any():
@@ -527,17 +571,18 @@ def higman_block_trivial(g: GroupTable, codec: VertexCodec, suborbit: np.ndarray
     (x, d_0(v)*x).  So it is the subgroup of G^m that ``suborbit``
     generates.  It is grown one point of the suborbit at a time, each
     outside the subgroup so far, which then at least doubles: a
-    ``components`` call over the left multiplications by the points taken.
+    ``components`` call over two links, the labels so far and the left
+    multiplication by the point taken (coordinate i to its product with
+    the point's, one ``coordinatewise`` row).
     """
-    vertices = np.arange(codec.size)
-    links: list[np.ndarray] = []
-    inside = vertices == 0
+    inside, links = np.arange(codec.size) == 0, []
     while True:
         outside = suborbit[~inside[suborbit]]
         if not len(outside):
             return bool(inside.all())
-        links.append(vertex_products(g, codec, outside[0], vertices))
-        inside = components(codec.size, links) == 0
+        left = coordinatewise(codec, g.mul_array[codec.digits[outside[:1]]])[0]
+        lab = components(codec.size, links + [left])
+        inside, links = lab == 0, [lab]
 
 
 def is_vertex_primitive(
@@ -604,29 +649,63 @@ def action_on_partitions(
     return [tuple(row) for row in targets.tolist()]
 
 
+def _on_closed_neighbourhood(graph: DiagGraph, stabiliser: list[TaggedPerm]) -> list[np.ndarray]:
+    """Each generator of D_0 restricted to N[0], the closed neighbourhood of
+    vertex 0, as a permutation of its positions in N[0] (0, then the sorted
+    neighbours).  Raises AssertionError, naming the first generator, unless
+    each maps N[0] onto itself, as an automorphism fixing 0 does."""
+    n = graph.size
+    closed = np.concatenate([[0], graph.nbr[0][graph.nbr[0] < n]])
+    moved = np.stack([s.image[closed] for s in stabiliser])
+    failed = (np.sort(moved, axis=1) != closed).any(axis=1)
+    if failed.any():
+        raise AssertionError(f"generator {stabiliser[np.argmax(failed)].tag} "
+                             "maps the closed neighbourhood of vertex 0 outside itself")
+    return list(np.searchsorted(closed, moved))
+
+
 def partition_chain(
-    perms: list[TaggedPerm], stabiliser: list[TaggedPerm], minimals: list[Partition]
+    perms: list[TaggedPerm],
+    stabiliser: list[TaggedPerm],
+    minimals: list[Partition],
+    graph: DiagGraph | None = None,
+    *,
+    paranoid: bool = False,
 ) -> StabilizerChain:
     """One stabiliser chain of D_0, given its generators ``stabiliser``,
-    acting on the k = m+1 minimal partitions, points 0..k-1, followed by
-    G^m, vertex v as point k+v, with the partitions as its first k base
-    points.
+    acting on the k = m+1 minimal partitions, points 0..k-1, then on G^m,
+    vertex v as point k+v, with the partitions as its first k base points.
+    Where ``graph`` is given and ``graph.based_at_zero(paranoid)``, it acts
+    on N[0], 0 and the sorted neighbours of 0, instead of G^m: its j-th
+    point is point k+j.
 
     ``chain.order()`` is |D_0|, and ``chain.order(k)`` is the order of the
     group that D_0 induces on the minimal partitions.  That is the group
     that D, generated by ``perms``, induces: D is the right translations
     times D_0, and the right translations among ``perms`` (tag
-    ``right-mult``) are checked to fix every minimal partition.  Raises
-    AssertionError if one does not, or if a generator of D_0 maps a
-    minimal partition outside the family.
+    ``right-mult``) are checked to fix every minimal partition.  On N[0]
+    the order is the same because D_0 acts faithfully there, by the
+    neighbourhood certificate, provided that every generator of D_0 is a
+    graph automorphism.  This function does not check that:
+    ``rooted_orbit_counts`` checks every generator of D, of which D_0's are
+    products, and must run first, as in ``symmetry_report``.  Here each
+    restriction to N[0] is checked to be a permutation of N[0].
+
+    Raises AssertionError if one is not, if a right translation moves a
+    minimal partition, or if a generator of D_0 maps a minimal partition
+    outside the family.
     """
     k = len(minimals)
     shifts = [p for p in perms if p.tag == "right-mult"]
     if any(row != tuple(range(k)) for row in action_on_partitions(shifts, minimals)):
         raise AssertionError("a right translation moves a minimal partition")
+    if graph is not None and graph.based_at_zero(paranoid):
+        points = _on_closed_neighbourhood(graph, stabiliser)
+    else:
+        points = [s.image for s in stabiliser]
     induced = action_on_partitions(stabiliser, minimals)
-    return build_chain([TaggedPerm(tag=s.tag, image=np.concatenate([row, s.image + k]))
-                        for s, row in zip(stabiliser, induced)], base=range(k))
+    return build_chain([TaggedPerm(tag=s.tag, image=np.concatenate([row, image + k]))
+                        for s, row, image in zip(stabiliser, induced, points)], base=range(k))
 
 
 @dataclass(frozen=True)
@@ -690,7 +769,7 @@ def symmetry_report(
     stabiliser, normalisers = stabiliser_and_normalisers(g, graph.codec, perms)
     vertex_orbits, edge_orbits, clique_orbits = rooted_orbit_counts(
         graph, perms, stabiliser, cliques, paranoid=paranoid, normalisers=normalisers)
-    chain = partition_chain(perms, stabiliser, minimals)
+    chain = partition_chain(perms, stabiliser, minimals, graph, paranoid=paranoid)
     return SymmetryReport(
         order=graph.size * chain.order(),
         order_formula=diagonal_group_order_formula(g, m, aut),

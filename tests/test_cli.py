@@ -698,7 +698,8 @@ def test_check_all_paranoid_builds_the_subset_table_once(capsys, monkeypatch, ca
 def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
     """Each artefact is built once; the subset table only under --paranoid,
     as the certified path reads the semilattice from the blocks through
-    vertex 0."""
+    vertex 0, and D_0's chain acts on every vertex only under --paranoid,
+    as the certified path reads it on the closed neighbourhood of 0."""
     from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
@@ -720,9 +721,10 @@ def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
                      **({"subset_suprema": 1} if paranoid else {}),
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1}
-    # one chain of D_0 on the 4 minimal partitions and the 27 vertices, and
-    # the one that picks generators of Aut(C3) from its 2 elements, on 3 points
-    assert degrees == [3, 4 + 27]
+    # the chain that picks generators of Aut(C3) from its 2 elements, on 3
+    # points, and one chain of D_0 on the 4 minimal partitions followed by
+    # the 9 points of N[0], or by all 27 vertices under --paranoid
+    assert degrees == [3, 4 + (27 if paranoid else 9)]
 
 
 @pytest.mark.parametrize("group,m", [("Q8", 3), ("C4", 5)])

@@ -62,3 +62,21 @@ def test_bench_runs_the_large_rungs_only_when_asked(tmp_path, monkeypatch, capsy
         report = json.loads((tmp_path / "BENCH_check_all.json").read_text())
         assert [(r["group"], r["m"], r["exit_code"]) for r in report["rungs"]] == [
             (group, m, 0) for group, m in expect]
+
+
+def test_bench_runs_a_rung_with_its_own_environment(tmp_path, monkeypatch):
+    # the large rung C4 m=9 runs past the default vertex cap; here a cap of
+    # 5 vertices makes C3 m=2, with 9, exit 3, and C2 m=2, with none set,
+    # run as before
+    bench = load_script("bench")
+    assert ("C4", 9) in bench.LARGE_RUNGS
+    assert bench.RUNG_ENV[("C4", 9)] == {"DIAGLAB_CAP_VERTICES": "300000"}
+    monkeypatch.delenv("DIAGLAB_CAP_VERTICES", raising=False)
+    monkeypatch.setattr(bench, "RUNGS", [("C2", 2)])
+    monkeypatch.setattr(bench, "LARGE_RUNGS", [("C3", 2)])
+    monkeypatch.setattr(bench, "RUNG_ENV", {("C3", 2): {"DIAGLAB_CAP_VERTICES": "5"}})
+    monkeypatch.setattr(bench, "OUT", tmp_path / "BENCH_check_all.json")
+    assert bench.main(["--large"]) == 0
+    report = json.loads((tmp_path / "BENCH_check_all.json").read_text())
+    assert [(r["group"], r["m"], r["env"], r["exit_code"]) for r in report["rungs"]] == [
+        ("C2", 2, {}, 0), ("C3", 2, {"DIAGLAB_CAP_VERTICES": "5"}, 3)]
