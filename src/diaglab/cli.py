@@ -22,7 +22,7 @@ from math import factorial
 from . import diaggraph, semilattice, spectral, symmetry
 from .chromatic import chromatic_verdict, find_complete_mapping, hall_paige_predicate
 from .errors import CapExceededError, DiagLabError
-from .groups import is_elementary_abelian, parse_group_spec
+from .groups import GroupTable, is_elementary_abelian, parse_group_spec
 from .semilattice import DEFAULT_VERTEX_CAP
 
 EXIT_OK = 0
@@ -130,9 +130,9 @@ def _ledger(g, m: int, n: int, claims: list) -> dict:
             "failures": failures, "ok": not failures}
 
 
-def run_check_all(cfg: RunConfig) -> dict:
-    """Run every verification for one instance; returns the claims ledger."""
-    g = parse_group_spec(cfg.group)
+def run_check_all(cfg: RunConfig, g: GroupTable) -> dict:
+    """Run every verification for one instance, ``g`` the group that
+    ``cfg.group`` names; returns the claims ledger."""
     m = cfg.m
     q = g.order
     claims: list[dict] = []
@@ -319,7 +319,7 @@ def run_grid(groups: list[str], m_values: list[int], cfg: RunConfig,
             g = parse_group_spec(spec)
             if g.order**m > vertex_limit:
                 return {"group": spec, "m": m, "skipped": True}
-            return run_check_all(local)
+            return run_check_all(local, g)
         except (DiagLabError, ValueError, AssertionError) as exc:
             # One instance's failure is its own entry; the rest still run.
             return {"group": spec, "m": m, "error": str(exc), "ok": False}
@@ -478,7 +478,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
     if cmd == "check-all":
-        report = run_check_all(cfg)
+        report = run_check_all(cfg, g)
         _emit(_render(report, cfg.fmt), cfg.out)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 

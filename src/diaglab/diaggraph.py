@@ -12,7 +12,9 @@ Only the exporters list the edges as pairs, derived from ``nbr``.
 Each graph carries its group, and ``translations_are_automorphisms``
 certifies that every right translation is an automorphism, as every
 shortcut from vertex 0 assumes (the diameter, distance-regularity, the walk
-counts, the clique census).  ``DiagGraph.rooted`` makes that decision for
+counts, the clique census), by one test: N(v) = N(0)·v for every v, the
+right translates of N(0) built by ``coordinatewise`` and sorted row by row
+against ``nbr``.  ``DiagGraph.rooted`` makes that decision for
 all of them: vertex 0 stands for every vertex unless ``paranoid`` is set or
 the certificate, computed at most once per graph, fails; then they search
 from every vertex instead.
@@ -33,8 +35,8 @@ import numpy as np
 
 from .errors import CapExceededError
 from .groups import GroupTable, generating_sequence
-from .partitions import Partition, components, start_blocks
-from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, vertex_codec
+from .partitions import BLOCK_BYTES, Partition, start_blocks
+from .semilattice import DEFAULT_VERTEX_CAP, VertexCodec, coordinatewise, vertex_codec
 
 # Whole-graph Bron-Kerbosch, the clique census off the vertex-0 path, stops at
 # this size.
@@ -256,17 +258,28 @@ def check_automorphisms(graph: DiagGraph, perms: list[TaggedPerm]) -> None:
 
 
 def translations_are_automorphisms(graph: DiagGraph) -> bool:
-    """True iff every right translation of G^m is an automorphism of
-    ``graph``: the ``right_translations`` act transitively and each is an
-    automorphism.  They generate a transitive subgroup of the regular group
-    of right translations, which is then the whole group."""
-    shifts = right_translations(graph.group, graph.codec)
-    if components(graph.size, [p.image for p in shifts]).any():
-        return False
-    try:
-        check_automorphisms(graph, shifts)
-    except AssertionError:
-        return False
+    """True iff every right translation t_h: v -> v·h of G^m is an
+    automorphism of ``graph``, tested as N(v) = N(0)·v for every v.
+
+    If N(v) = N(0)·v for all v, then N(vh) = N(0)·vh = N(v)·h, so every t_h
+    is an automorphism; conversely, if every t_h is one, put v = 0.
+
+    One ``coordinatewise`` call builds the right translates of every s in
+    N(0), row s the vertices s·v.  A block of vertices at a time, the
+    translates are transposed, padded with n to the width of ``nbr``,
+    sorted along each row and compared with those rows of ``nbr``; a graph
+    that is not regular pads its rows unequally and fails."""
+    n, nbr, codec = graph.size, graph.nbr, graph.codec
+    star = nbr[0][nbr[0] < n]
+    translates = coordinatewise(codec, graph.group.mul_array[codec.digits[star]], np.int32)
+    width = nbr.shape[1]
+    step = max(1, BLOCK_BYTES // (4 * max(1, width)))
+    for lo in range(0, n, step):
+        rows = np.full((min(step, n - lo), width), n, dtype=np.int32)
+        rows[:, :len(star)] = translates[:, lo: lo + step].T
+        rows.sort(axis=1)
+        if not np.array_equal(rows, nbr[lo: lo + step]):
+            return False
     return True
 
 

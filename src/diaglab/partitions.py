@@ -2,8 +2,10 @@
 
 A partition's labels are a read-only int32 array that labels each point by
 the smallest point of its block, and only this module reads or writes that
-format: the lattice operations, the refinement test, the element order, the
-block sizes and the table of subset suprema all work on the arrays.  The
+format, apart from ``semilattice.build_q``, which builds the minimal
+partitions in it directly for the constructor to check: the lattice
+operations, the refinement test, the element order, the block sizes and the
+table of subset suprema all work on the arrays.  The
 form is what ``components`` returns and also a link that ``components``
 takes, so a supremum needs no conversion on the way in or out.
 

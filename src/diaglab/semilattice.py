@@ -128,36 +128,46 @@ def coordinatewise(codec: VertexCodec, maps: np.ndarray, dtype=np.intp) -> np.nd
     Row p is the sum over i of q^i maps[p, i, y_i].  Coordinate m-1 is the
     most significant, so the row is grown from it down: each coordinate is
     one broadcast add of its scaled (P, q) table, and the result reshaped,
-    with no gather over the vertices."""
+    with no gather over the vertices.  No maps give a (0, q^m) array."""
     maps = np.asarray(maps)
     scaled = (maps * codec.q ** np.arange(codec.m)[:, None]).astype(dtype)
     out = scaled[:, -1]
     for i in range(codec.m - 2, -1, -1):
-        out = (out[:, :, None] + scaled[:, i, None, :]).reshape(len(maps), -1)
+        out = out[:, :, None] + scaled[:, i, None, :]
+        out = out.reshape(len(maps), codec.q ** (codec.m - i))
     return out
 
 
 def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP, *,
             codec: VertexCodec | None = None) -> Partition:
-    """The minimal partition Q_i of G^m.
+    """The minimal partition Q_i of G^m, built in smallest-point form.
 
     For i >= 1 the parts collect tuples agreeing in every coordinate except
-    i; for i = 0 they are the diagonal left-translation classes
-    {(x*g_1, ..., x*g_m) : x in G}.  ``codec`` is ``vertex_codec(g, m,
-    cap)`` where the caller has it.
+    i, and the least point of v's part sets that coordinate to the
+    identity: v - v_i q^(i-1).  For i = 0 they are the diagonal
+    left-translation classes {(x*g_1, ..., x*g_m) : x in G}, and the least
+    point of v's part is v_m^-1·v, the one point of it whose most
+    significant coordinate is the identity.  The points whose last
+    coordinate is c run from c q^(m-1) up, so their labels are one row of
+    ``coordinatewise``: the left multiplication by c^-1 of the first m-1
+    coordinates.  ``codec`` is ``vertex_codec(g, m, cap)`` where the
+    caller has it.
     """
     if not 0 <= i <= m:
         raise ValueError(f"partition index {i} outside 0..{m}")
     if codec is None:
         codec = vertex_codec(g, m, cap)
+    n, q = codec.size, codec.q
     if i >= 1:
-        labels = codec.digits.copy()
-        labels[:, i - 1] = 0
+        step = q ** (i - 1)
+        least = np.arange(n, dtype=np.int32).reshape(-1, q, step)[:, :1]
+        labels = np.broadcast_to(least, (n // (q * step), q, step)).reshape(n)
+    elif m == 1:
+        labels = np.zeros(n, dtype=np.int32)
     else:
-        # normal form: translate the first coordinate to the identity
-        mul, inv = g.mul_array, g.inv_array
-        labels = mul[inv[codec.digits[:, :1]], codec.digits]
-    return Partition.from_labels(codec.index(labels))
+        left = g.mul_array[g.inv_array][:, None, :].repeat(m - 1, axis=1)
+        labels = coordinatewise(VertexCodec(q=q, m=m - 1), left, np.int32).reshape(n)
+    return Partition(n, labels, n // q)
 
 
 def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> list[Partition]:

@@ -47,7 +47,13 @@ view itself, ``nbr`` as lists of Python ints without the padding
 numbering of item rows, one column at a time, and its batched lookup
 (``_row_ids``, ``_lookup_rows``), before the orbit counts through vertex 0
 numbered their few items in a dict; the whole-item-set ``orbit_count``
-still reads them.
+still reads them.  The translation certificate that checked the right
+multiplications by a generating sequence one by one, each by a
+whole-graph gather and sort, after a ``components`` pass showed them
+transitive, before one sort of the right translates of N(0) tested
+N(v) = N(0)·v at every v.  The minimal partitions labelled over the digit
+table and put in smallest-point form by ``Partition.from_labels``, before
+``build_q`` built them in that form directly.
 """
 
 from __future__ import annotations
@@ -59,7 +65,13 @@ from fractions import Fraction
 import numpy as np
 
 from diaglab.chromatic import TABUCOL_MOVE_BUDGET, TABUCOL_SEED, CompleteMapping, Coloring
-from diaglab.diaggraph import DiagGraph, bron_kerbosch, connection_set
+from diaglab.diaggraph import (
+    DiagGraph,
+    bron_kerbosch,
+    check_automorphisms,
+    connection_set,
+    right_translations,
+)
 from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import (
     Partition,
@@ -69,7 +81,7 @@ from diaglab.partitions import (
     finer_or_equal,
     singletons,
 )
-from diaglab.semilattice import minimal_partitions
+from diaglab.semilattice import VertexCodec, minimal_partitions
 from diaglab.symmetry import TaggedPerm, _perm_group_generators
 
 
@@ -190,6 +202,20 @@ def tuple_build_q(g: GroupTable, m: int, i: int) -> Partition:
             x = g.inv[tup[0]]  # normal form: translate first coordinate to 0
             labels.append(tuple(g.mul[x][e] for e in tup))
     return dict_from_labels(labels)
+
+
+def labelled_build_q(g: GroupTable, m: int, i: int) -> Partition:
+    """Q_i of G^m from a label per vertex over the digit table, made
+    smallest-point by ``Partition.from_labels``: the digits with coordinate
+    i set to the identity, or for i = 0 the digits left-multiplied by the
+    inverse of the first coordinate."""
+    codec = VertexCodec(q=g.order, m=m)
+    if i >= 1:
+        labels = codec.digits.copy()
+        labels[:, i - 1] = 0
+    else:
+        labels = g.mul_array[g.inv_array[codec.digits[:, :1]], codec.digits]
+    return Partition.from_labels(codec.index(labels))
 
 
 @dataclass(frozen=True)
@@ -603,6 +629,23 @@ def orbit_count(perms: list[TaggedPerm], items: list) -> int:
 
     lab = components(count, maps)
     return int(np.count_nonzero(lab == np.arange(count)))
+
+
+def generator_translations_are_automorphisms(graph: DiagGraph) -> bool:
+    """True iff every right translation of G^m is an automorphism of
+    ``graph``: the ``right_translations`` by a generating sequence, one per
+    coordinate, act transitively and each is an automorphism, checked by
+    one whole-graph gather and sort per generator.  They generate a
+    transitive subgroup of the regular group of right translations, which
+    is then the whole group."""
+    shifts = right_translations(graph.group, graph.codec)
+    if components(graph.size, [p.image for p in shifts]).any():
+        return False
+    try:
+        check_automorphisms(graph, shifts)
+    except AssertionError:
+        return False
+    return True
 
 
 def translated_cliques(graph: DiagGraph) -> list[tuple[int, ...]] | None:

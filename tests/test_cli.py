@@ -352,11 +352,12 @@ def test_translation_certificate_is_computed_once_and_never_under_paranoid(
 
 @pytest.mark.parametrize("paranoid", [False, True])
 def test_check_all_checks_each_right_translation_once(capsys, monkeypatch, paranoid):
-    """The certificate checks the right translations on the whole graph,
-    and the symmetry report checks the generators that normalise them at
-    vertex 0 and the others on the whole graph; under --paranoid there is
-    no certificate, and the symmetry report checks them all on the whole
-    graph."""
+    """The certificate covers the right translations, N(v) = N(0)·v at
+    every v, and checks none of them one by one; the symmetry report checks
+    the generators that normalise them at vertex 0 and the others on the
+    whole graph.  Under --paranoid there is no certificate, and the
+    symmetry report checks them all, each right translation once, on the
+    whole graph."""
     from diaglab import diaggraph, symmetry
 
     checked, at_zero = [], []
@@ -377,14 +378,14 @@ def test_check_all_checks_each_right_translation_once(capsys, monkeypatch, paran
     code, _, _ = run_cli(capsys, *args)
     assert code == EXIT_OK
     # S3 has two generators, each shifting one of three coordinates
-    assert checked.count("right-mult") == 6
+    assert checked.count("right-mult") == (6 if paranoid else 0)
     # S3 is not abelian, so the inversion map alone does not normalise the
     # translations
     others = {"diag-left-mult", "aut", "coord-perm"}
     if paranoid:
         assert set(checked) == others | {"right-mult", "inversion-map"} and at_zero == []
     else:
-        assert set(checked) == {"right-mult", "inversion-map"}
+        assert set(checked) == {"inversion-map"}
         assert set(at_zero) == others | {"right-mult"}
 
 
@@ -696,10 +697,11 @@ def test_check_all_paranoid_builds_the_subset_table_once(capsys, monkeypatch, ca
 
 
 def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
-    """Each artefact is built once; the subset table only under --paranoid,
-    as the certified path reads the semilattice from the blocks through
-    vertex 0, and D_0's chain acts on every vertex only under --paranoid,
-    as the certified path reads it on the closed neighbourhood of 0."""
+    """Each artefact is built once, and the group parsed once; the subset
+    table only under --paranoid, as the certified path reads the
+    semilattice from the blocks through vertex 0, and D_0's chain acts on
+    every vertex only under --paranoid, as the certified path reads it on
+    the closed neighbourhood of 0."""
     from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
@@ -710,6 +712,7 @@ def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
     counted(symmetry, "diagonal_group_generators")
     counted(symmetry, "build_chain")
     counted(groups, "automorphism_group")
+    counted(groups, "parse_group_spec")
     degrees = []
     chain = symmetry.StabilizerChain
     monkeypatch.setattr(symmetry, "StabilizerChain",
@@ -720,7 +723,7 @@ def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
     assert calls == {"build_graph": 1, "cayley_graph": 1, "minimal_partitions": 1,
                      **({"subset_suprema": 1} if paranoid else {}),
                      "diagonal_group_generators": 1, "build_chain": 1,
-                     "automorphism_group": 1}
+                     "automorphism_group": 1, "parse_group_spec": 1}
     # the chain that picks generators of Aut(C3) from its 2 elements, on 3
     # points, and one chain of D_0 on the 4 minimal partitions followed by
     # the 9 points of N[0], or by all 27 vertices under --paranoid
@@ -1043,10 +1046,10 @@ def test_grid_contains_instance_assertion(capsys, monkeypatch):
 
     original = cli.run_check_all
 
-    def broken_for_c3(cfg):
+    def broken_for_c3(cfg, g):
         if cfg.group == "C3":
             raise AssertionError("injected instance failure")
-        return original(cfg)
+        return original(cfg, g)
 
     monkeypatch.setattr(cli, "run_check_all", broken_for_c3)
     code, out, _ = run_cli(capsys, "grid", "--groups", "C2,C3,C4", "--m-min", "2",
@@ -1130,7 +1133,7 @@ def test_check_all_records_a_failed_assertion(capsys, monkeypatch, ledger_valida
 def test_memory_error_exits_with_cap_code(capsys, monkeypatch, exc, message):
     from diaglab import cli
 
-    def exhausted(cfg):
+    def exhausted(cfg, g):
         raise exc
 
     monkeypatch.setattr(cli, "run_check_all", exhausted)

@@ -5,7 +5,10 @@ On every grid instance, plus C16 m=3 and C3 m=5: the same minimal
 partitions, the same generators (tags and images, in order), the same
 induced action on the minimal partitions and the same colourings.  The
 numpy ``Partition.from_labels`` against a dict of the least point of each
-class on random integer labellings.
+class on random integer labellings.  The minimal partitions, built directly
+in smallest-point form, against ``Partition.from_labels`` of the digit
+labels they were built from before, on the grid groups at m = 1..4 and
+``SYMMETRY_EXTRAS``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,18 @@ from diaglab.partitions import Partition
 from diaglab.semilattice import VertexCodec
 from diaglab.symmetry import action_on_partitions
 
-from conftest import GRID, aut_of, generators_of, group_of, minimals_of
+from conftest import (
+    GRID,
+    GRID_GROUPS,
+    SYMMETRY_EXTRAS,
+    aut_of,
+    generators_of,
+    group_of,
+    minimals_of,
+)
 from replaced import (
     dict_from_labels,
+    labelled_build_q,
     tuple_action_on_partitions,
     tuple_build_q,
     tuple_generators,
@@ -65,6 +77,13 @@ def test_gathers_match_the_tuple_loops(spec, m):
         assert pull_back(g, codec, base) == tuple_pull_back(g, m, base)
     if cm is not None:
         assert latin_square_coloring(g, cm) == tuple_latin_square_coloring(g, cm)
+
+
+@pytest.mark.parametrize("spec,m", sorted(
+    {(spec, m) for spec in GRID_GROUPS for m in range(1, 5)} | set(SYMMETRY_EXTRAS)))
+def test_smallest_point_build_matches_the_digit_labels(spec, m):
+    g = group_of(spec)
+    assert minimals_of(spec, m) == [labelled_build_q(g, m, i) for i in range(m + 1)]
 
 
 def test_from_labels_examples():

@@ -3,7 +3,8 @@ that acts coordinate by coordinate: row p is the sum over i of
 q^i maps[p, i, y_i].  These tests hold it to the digit path, the products
 of ``vertex_products`` and the digit table through ``VertexCodec.index``,
 for left and right multiplications, automorphisms and inversion, at points
-that Hypothesis draws on the grid groups at m <= 4 and on S4."""
+that Hypothesis draws on the grid groups at m <= 4 and on S4.  No maps give
+an empty (0, q^m) array."""
 
 from __future__ import annotations
 
@@ -89,3 +90,14 @@ def test_right_translations_match_the_digit_path(spec, m):
     got = [p.image for p in right_translations(g, codec)]
     assert len(got) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("spec,m", [("C3", 1), ("C3", 2), ("S3", 3)])
+def test_no_maps_give_an_empty_array(spec, m):
+    g = group_of(spec)
+    codec = VertexCodec(q=g.order, m=m)
+    none = g.mul_array[codec.digits[np.zeros(0, dtype=np.intp)]]
+    assert none.shape == (0, m, g.order)
+    for dtype in (np.intp, np.int32):
+        out = coordinatewise(codec, none, dtype)
+        assert out.shape == (0, codec.size) and out.dtype == dtype

@@ -9,6 +9,15 @@ numbers of maximal and of maximum cliques and the cliques through 0, on
 diagonal graphs and on other Cayley graphs of G^m.  Graphs that fail the
 certificate must also fail the N(v) = N(0)·v check of the list-based
 translation, ``replaced.translated_cliques``.
+
+The certificate tests N(v) = N(0)·v at every v in one sort of translated
+rows.  It must agree with the check it replaced, one whole-graph check per
+right multiplication by a generator
+(``replaced.generator_translations_are_automorphisms``), on the grid at
+m = 1..4, ``SYMMETRY_EXTRAS``, C16 m=3, the exceptional graphs, the
+2-switched, irregular and edgeless graphs and random Cayley graphs, and on
+random graphs and graphs that only one coordinate's right multiplications
+preserve, where both fail.
 """
 
 from __future__ import annotations
@@ -38,10 +47,19 @@ from diaglab.partitions import Partition
 from diaglab.semilattice import minimal_partitions
 from diaglab.spectral import spectrum_trace_moments
 
-from conftest import GRID, edge_set, graph_of, group_of, minimals_of
-from replaced import TupleCodec, adjacency_lists, from_rows, tagged_rows, translated_cliques
+from conftest import GRID, GRID_GROUPS, SYMMETRY_EXTRAS, edge_set, graph_of, group_of, minimals_of
+from replaced import (
+    TupleCodec,
+    adjacency_lists,
+    from_rows,
+    generator_translations_are_automorphisms,
+    tagged_rows,
+    translated_cliques,
+)
 
 EXCEPTIONAL = [("C2", 2), ("C3", 2), ("C2xC2", 2), ("C4", 2)]
+CERTIFIED = sorted({(spec, m) for spec in GRID_GROUPS for m in range(1, 5)}
+                   | set(SYMMETRY_EXTRAS) | {("C16", 3)} | set(EXCEPTIONAL))
 COMPLETE = ["C2", "C3", "C5", "C2xC2", "S3", "Q8"]
 
 
@@ -90,6 +108,13 @@ def record_searches(monkeypatch) -> dict[str, list[int]]:
     return searched
 
 
+def certified(graph) -> bool:
+    """The certificate, held to the per-generator oracle."""
+    verdict = translations_are_automorphisms(graph)
+    assert verdict == generator_translations_are_automorphisms(graph)
+    return verdict
+
+
 def two_switch(graph):
     """The graph with edges ab and cd replaced by ac and bd, for the first
     such pair (a, b, c, d distinct, ac and bd not edges, 0 not among them).
@@ -110,7 +135,7 @@ def two_switch(graph):
 @pytest.mark.parametrize("spec,m", GRID + [("C16", 3)] + EXCEPTIONAL)
 def test_grid_graphs(spec, m):
     g, graph = group_of(spec), graph_of(spec, m)
-    assert translations_are_automorphisms(graph)
+    assert certified(graph)
     assert_census_matches(g, graph)
     counts, at_zero = oracle_census(g, graph)
     rep = maximal_cliques(graph, minimals_of(spec, m))
@@ -125,7 +150,7 @@ def test_complete_graphs_of_dimension_1(spec):
     minimals = minimal_partitions(g, 1)
     graph = build_graph(g, minimals)
     everything = tuple(range(g.order))
-    assert translations_are_automorphisms(graph)
+    assert certified(graph)
     assert _clique_census(graph, False) == ([everything], {g.order: 1})
     assert_census_matches(g, graph)
     rep = maximal_cliques(graph, minimals)
@@ -137,7 +162,7 @@ def test_two_switch_falls_back(spec, m):
     g = group_of(spec)
     switched = two_switch(graph_of(spec, m))
     assert len({len(a) for a in adjacency_lists(switched)}) == 1  # still regular
-    assert not translations_are_automorphisms(switched)
+    assert not certified(switched)
     assert translated_cliques(switched) is None
     assert_census_matches(g, switched, whole=True)
 
@@ -164,7 +189,7 @@ def test_irregular_graph_falls_back():
     g = group_of("C3")
     graph = graph_of("C3", 2)
     broken = from_rows(graph.group, graph.m, tagged_rows(graph)[1:])
-    assert not translations_are_automorphisms(broken)
+    assert not certified(broken)
     assert translated_cliques(broken) is None
     assert_census_matches(g, broken, whole=True)
 
@@ -172,7 +197,7 @@ def test_irregular_graph_falls_back():
 def test_edgeless_graph_gives_singletons():
     g = group_of("C3")
     empty = from_rows(g, 2, [])
-    assert translations_are_automorphisms(empty)
+    assert certified(empty)
     assert _clique_census(empty, False) == ([(0,)], {1: 9})
     assert _clique_census(empty, True) == ([(v,) for v in range(9)], {1: 9})
 
@@ -219,7 +244,7 @@ def cayley_graphs(draw):
 @given(cayley_graphs())
 def test_random_cayley_graphs(case):
     g, graph = case
-    assert translations_are_automorphisms(graph)
+    assert certified(graph)
     assert translated_cliques(graph) is not None
     assert_census_matches(g, graph)
 
@@ -232,13 +257,50 @@ def test_census_that_does_not_spread_evenly_is_caught():
         _clique_census(one_edge, False)
 
 
-def test_certificate_needs_transitive_generators(monkeypatch):
-    # the translations of the first coordinate alone are automorphisms
+@pytest.mark.parametrize("spec,m", CERTIFIED)
+def test_certificate_agrees_with_the_per_generator_oracle(spec, m):
+    assert certified(graph_of(spec, m))
+
+
+def test_edgeless_row_0_of_a_graph_with_edges_fails():
+    g = group_of("C3")
+    assert not certified(from_rows(g, 2, [(1, 2, 0)]))
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph on G^m with random edges, most of them not invariant under
+    right translation."""
+    spec = draw(st.sampled_from(["C2", "C3", "C2xC2", "S3"]))
+    g = group_of(spec)
+    m = draw(st.integers(1, 3 if g.order <= 3 else 2))
+    n = g.order**m
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))
+    return from_rows(g, m, [(u, v, 0) for u, v in pairs if u < v])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_random_graphs_agree_with_the_oracle(graph):
+    certified(graph)
+
+
+def test_certificate_needs_transitive_generators():
+    # the edges {h, u·h} for h in the first coordinate's subgroup added to
+    # the diagonal graph of C3^3, with u = (1, 1, 0) no neighbour of 0:
+    # the first coordinate's right multiplications still preserve the
+    # graph, but those of the second move the edge {0, u} to a non-edge
     g, graph = group_of("C3"), graph_of("C3", 3)
-    first = diaggraph.right_translations(g, graph.codec)[:1]
-    diaggraph.check_automorphisms(graph, first)
-    monkeypatch.setattr(diaggraph, "right_translations", lambda g, codec: first)
-    assert not translations_are_automorphisms(graph)
+    u = 1 + 3
+    extra = [(a, (a + 1) % 3 + 3, 0) for a in range(3)]
+    assert u not in graph.nbr[0] and (0, u, 0) in extra
+    grown = from_rows(g, 3, tagged_rows(graph).tolist() + extra)
+    first, second = diaggraph.right_translations(g, grown.codec)[:2]
+    diaggraph.check_automorphisms(grown, [first])
+    with pytest.raises(AssertionError):
+        diaggraph.check_automorphisms(grown, [second])
+    assert not certified(grown)
 
 
 PARTS_MESSAGE = "maximum cliques are not exactly the partition parts"
