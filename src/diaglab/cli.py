@@ -100,7 +100,9 @@ def _render(data: dict, fmt: str) -> str:
 
 def _emit(data: str | bytes, out: str | None) -> None:
     """Write text, or bytes as they are, and a newline, to ``out`` or to
-    standard output."""
+    standard output.  A standard output whose reader has gone takes the
+    rest of the output into the null device, so that the command ends with
+    its own exit code."""
     binary = not isinstance(data, str)
     newline = b"\n" if binary else "\n"
     if out:
@@ -110,12 +112,19 @@ def _emit(data: str | bytes, out: str | None) -> None:
                 fh.write(newline)
         except OSError as exc:
             raise DiagLabError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    elif binary:
+        return
+    try:
+        if binary:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.write(newline)
+        else:
+            print(data)
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.write(newline)
-    else:
-        print(data)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _claim(claims: list, name: str, passed: bool, detail: str = "", conjectural: bool = False) -> None:
@@ -155,7 +164,7 @@ def run_check_all(cfg: RunConfig, g: GroupTable) -> dict:
         _claim(claims, "mobius-closed-form", False, str(exc))
     else:
         _claim(claims, "mobius-closed-form", rep.ok,
-               f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {len(rep.mismatches)}")
+               f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {rep.mismatch_count}")
     del sl
 
     try:

@@ -4,8 +4,9 @@ A partition's labels are a read-only int32 array that labels each point by
 the smallest point of its block, and only this module reads or writes that
 format, apart from ``semilattice.build_q``, which builds the minimal
 partitions in it directly for the constructor to check: the lattice
-operations, the refinement test, the element order, the block sizes and the
-table of subset suprema all work on the arrays.  The
+operations, the refinement test, the element order, the block sizes, the
+partitions that a map carries each onto and the table of subset suprema
+all work on the arrays.  The
 form is what ``components`` returns and also a link that ``components``
 takes, so a supremum needs no conversion on the way in or out.
 
@@ -34,11 +35,23 @@ import numpy as np
 BLOCK_BYTES = 1 << 23
 
 
-def start_blocks(starts: range, bits_per_start: int) -> list[range]:
+def start_blocks(starts: range, bits_per_start) -> list[range]:
     """``starts`` cut into blocks of as many as keep one block within
-    ``BLOCK_BYTES`` when each start takes ``bits_per_start`` bits."""
-    per_block = max(1, 8 * BLOCK_BYTES // bits_per_start)
-    return [starts[lo: lo + per_block] for lo in range(0, len(starts), per_block)]
+    ``BLOCK_BYTES`` when each start takes ``bits_per_start`` bits, or, for
+    an array of one count per start, when start j takes
+    ``bits_per_start[j]``: each block then takes the starts, in order, while
+    they fit, and at least one."""
+    if np.ndim(bits_per_start) == 0:
+        per_block = max(1, 8 * BLOCK_BYTES // bits_per_start)
+        return [starts[lo: lo + per_block] for lo in range(0, len(starts), per_block)]
+    ends = np.cumsum(bits_per_start)
+    blocks, lo = [], 0
+    while lo < len(starts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - bits_per_start[lo]
+                                             + 8 * BLOCK_BYTES, side="right")))
+        blocks.append(starts[lo:hi])
+        lo = hi
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +172,43 @@ class Partition:
         return self.block_count == 1
 
 
+def induced_permutations(maps: np.ndarray, parts: list[Partition]) -> list[tuple[int, ...] | None]:
+    """For each row of ``maps``, an array of point images, the parts that it
+    maps ``parts`` onto: entry j of its tuple is the i such that the row
+    sends every block of parts[j] onto a block of parts[i].  A row that is
+    no permutation of the points, or that maps some part onto none of
+    ``parts``, gives None.
+
+    A permutation p maps parts[j] onto parts[i] iff the two have as many
+    blocks and p keeps the points of each block of parts[j] in one block of
+    parts[i]: the images of the blocks then each lie in one block of
+    parts[i], as many as there are, so each fills one.  Where the parts
+    meet pairwise in the partition into points, as the minimal partitions
+    of G^m do, at most one parts[i] has p(0) and p(y) in one block, y the
+    last point of 0's block in parts[j], the last point labelled 0; the
+    first such i is tested, for every row and j at once.  Then each j is
+    tested for every row at once: the labels of parts[i] at p(x) against
+    those at p(r(x)), r(x) the label of x in parts[j], the smallest point
+    of its block.
+    """
+    maps = np.asarray(maps)
+    labels = np.stack([part.block_of for part in parts])
+    counts = np.array([part.block_count for part in parts])
+    hit = np.zeros(maps.shape, dtype=bool)
+    np.put_along_axis(hit, maps, True, axis=1)
+    y = labels.shape[1] - 1 - np.argmax(labels[:, ::-1] == 0, axis=1)
+    # joins[i, p, j]: parts[i] has p(0) and p(y[j]) in one block, and as
+    # many blocks as parts[j]
+    joins = ((labels[:, maps[:, :1]] == labels[:, maps[:, y]])
+             & (counts[:, None] == counts)[:, None, :])
+    targets = joins.argmax(axis=0)  # [p, j]
+    onto = hit.all(axis=1) & joins.any(axis=0).all(axis=1)
+    for j, part in enumerate(parts):
+        at_image = labels[targets[:, j, None], maps]  # [p, x]
+        onto &= (at_image == at_image[:, part.block_of]).all(axis=1)
+    return [tuple(row) if ok else None for row, ok in zip(targets.tolist(), onto)]
+
+
 def tie_break_keys(parts: list[Partition]) -> np.ndarray:
     """One key per partition of one ground set: its labels as big-endian
     unsigned integers of the narrowest width that holds a point, viewed as
@@ -240,10 +290,10 @@ def components(n: int, links) -> np.ndarray:
             np.minimum.at(lab, t, lab)
         while True:
             jumped = lab[lab]
-            if np.array_equal(jumped, lab):
+            if jumped.tobytes() == lab.tobytes():
                 break
             lab = jumped
-        if np.array_equal(lab, before):
+        if lab.tobytes() == before.tobytes():
             return lab
 
 

@@ -9,8 +9,8 @@ diagonal semilattice.  Its elements are named by closure masks: the mask of
 a subset S of the generators has bit g set iff Q_g refines sup(S), equal
 masks name equal elements, and mask inclusion is the order.  This module
 never reads a partition's labels: it sees a partition through its block
-count, its block sizes, its block through vertex 0 and whether a map keeps
-every point in its block.
+count, its block sizes, its block through vertex 0, whether a map keeps
+every point in its block and which partition a map carries it onto.
 
 The masks come from the block count of sup(S) for every S, by one of two
 routes.  ``semilattice_and_hypothesis`` takes the route through vertex 0
@@ -19,13 +19,28 @@ subgroup B_i, its block through vertex 0 (a coordinate subgroup, or the
 diagonal).  ``rooted_block_sizes`` certifies that from the partitions and
 the group table.  Then sup(S) is the partition into the cosets of B_S, the
 subgroup that the B_i with i in S generate, and it has n/|B_S| blocks of
-|B_S| points; ``rooted_block_sizes`` grows B_S for every S, a batch of masks
-per numpy call.  Under ``paranoid``, or where the certificate fails, the
-masks come from the table of subset suprema (``partitions.subset_suprema``,
-built one generator at a time in blocks of rows), and the elements are the
-table's partitions, listed in ``partitions.element_order``; the
-``semilattice`` and ``mobius`` commands always take that route.  Both
-routes give the same masks.
+|B_S| points; ``rooted_block_sizes`` grows B_S, a batch of masks per numpy
+call.  Under ``paranoid``, or where the certificate fails, the masks come
+from the table of subset suprema (``partitions.subset_suprema``, built one
+generator at a time in blocks of rows), and the elements are the table's
+partitions, listed in ``partitions.element_order``; the ``semilattice``
+and ``mobius`` commands always take that route.  Both routes give the same
+masks.
+
+On the route through vertex 0 only one mask per orbit of the diagonal
+maps is grown.  The coordinate transposition, the coordinate cycle and the
+inversion twist (``diagonal_maps``) are certified, by a full label test
+per partition, to map each Q_j onto some Q_pi(j).  Such a map sigma is a
+bijection of the points that carries the blocks of the Q_j in S onto those
+of the Q_pi(j), so it maps sup(S) onto sup(pi S), and the two have the same
+block count and sizes.  So one mask per orbit, the least (``mask_orbits``),
+suffices: B_S is grown only along the prefixes of those masks, m+1
+one-column steps where the maps induce S_(m+1), and the counts, the
+closure masks, the ranks, the Cartesian check and the Moebius values are
+read from them.  Where the certificate fails, every mask is its own orbit,
+and the same code walks every mask and sums over every element.  The maps
+come from the definition of D(G, m) and are checked against the
+partitions.
 
 The table of closure masks ``cl`` is the semilattice's one order structure.
 It is a closure operator on the subsets of the generators: extensive (each
@@ -35,10 +50,11 @@ sup(cl(S)) = sup(S)).  Its closed masks are the elements.  The covers of an
 element A are the minimal masks among cl(A + g), one per generator g, and
 its Moebius values follow from Rota's closure theorem (1964):
 mu(A, T) = sum of (-1)^|B - A| over the masks B containing A with
-cl(B) = T.  ``verify_mobius`` computes every value this way, exactly, and
-compares each with the closed form.  The masks come from the block counts
-of the partitions alone, so the closed form enters the check only as the
-values it is compared with.
+cl(B) = T.  ``verify_mobius`` computes the values this way, exactly, for
+the least element of each orbit, and compares each with the closed form.
+The Hasse diagram is built only on first use (``DiagonalSemilattice.hasse``).
+The masks come from the block counts of the partitions alone, so the
+closed form enters the check only as the values it is compared with.
 """
 
 from __future__ import annotations
@@ -55,7 +71,9 @@ from .groups import GroupTable
 from .partitions import (
     BLOCK_BYTES,
     Partition,
+    components,
     element_order,
+    induced_permutations,
     start_blocks,
     subset_suprema,
 )
@@ -181,14 +199,16 @@ class DiagonalSemilattice:
     """Closure of the minimal partitions under the coarsening operation.
 
     ``rank`` counts steps from the singleton partition along a longest chain;
-    ``hasse`` lists cover pairs (lower index, upper index) into the elements.
-    ``minimal_indices[i]`` locates Q_i, and ``below[k]`` is the closure
-    mask of element k: bit g set iff Q_g refines it.  ``cl[S]`` is the
-    closure mask of the supremum of the generators in the subset mask S,
-    the semilattice's one order structure.  ``elements`` holds the
-    partitions, in the order of ``below``, where they come from the table
-    of subset suprema, and is None where the semilattice was read from the
-    blocks through vertex 0.
+    ``hasse`` lists cover pairs (lower index, upper index) into the elements,
+    built on first use.  ``minimal_indices[i]`` locates Q_i, and
+    ``below[k]`` is the closure mask of element k: bit g set iff Q_g
+    refines it.  ``cl[S]`` is the closure mask of the supremum of the
+    generators in the subset mask S, the semilattice's one order structure.
+    ``elements`` holds the partitions, in the order of ``below``, where they
+    come from the table of subset suprema, and is None where the
+    semilattice was read from the blocks through vertex 0.  ``orbit[S]`` is
+    the least mask of S's orbit under the diagonal maps (``mask_orbits``);
+    None, as on the table's route, makes every mask its own orbit.
     """
 
     m: int
@@ -196,12 +216,24 @@ class DiagonalSemilattice:
     size: int
     elements: tuple[Partition, ...] | None
     rank: tuple[int, ...]
-    hasse: tuple[tuple[int, int], ...]
     e_index: int
     u_index: int
     minimal_indices: tuple[int, ...]
     below: tuple[int, ...]
     cl: tuple[int, ...]
+    orbit: tuple[int, ...] | None = None
+
+    @cached_property
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        """The cover pairs, sorted: ``_upper_covers`` of every element."""
+        cl, below = np.asarray(self.cl), np.asarray(self.below)
+        lower, upper = _upper_covers(cl, below)
+        codes = np.unique(lower * len(below) + _element_index(cl, below)[upper])
+        return tuple(map(tuple, np.stack(np.divmod(codes, len(below)), axis=1).tolist()))
+
+    def orbit_labels(self) -> np.ndarray:
+        """``orbit`` as an array, one label per mask."""
+        return np.arange(len(self.cl)) if self.orbit is None else np.asarray(self.orbit)
 
 
 def _masks_from_counts(count: np.ndarray) -> np.ndarray:
@@ -242,49 +274,68 @@ def _element_index(cl: np.ndarray, below: np.ndarray) -> np.ndarray:
     return index
 
 
-def _covers(cl: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and Hasse covers of the elements with closure masks ``below``,
-    read off the closure-mask table ``cl``.
+def _upper_covers(cl: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covers of the elements with closed masks ``lower``, read off the
+    closure-mask table ``cl``: pairs of a position in ``lower`` and the
+    closed mask of a cover, by position, a cover reached by two generators
+    listed twice.
 
     Each cover T of A is cl(A + g) for a generator g outside A: for any g in
     T but not in A, A < cl(A + g) <= T.  So the covers of A are the minimal
     masks among its m+1 candidates cl(A + g); for g in A the candidate is A
-    itself and is left out.  The covers come sorted by (lower, upper).
-    Ranks are longest chains along them, one relaxation per step.
+    itself and is left out.
     """
-    index = _element_index(cl, below)
-    cand = cl[below[:, None] | 1 << np.arange((len(cl) - 1).bit_length())]
-    proper = cand != below[:, None]
+    cand = cl[lower[:, None] | 1 << np.arange((len(cl) - 1).bit_length())]
+    proper = cand != lower[:, None]
     # smaller[a, g, h]: candidate h of element a lies strictly inside candidate g
     smaller = (((cand[:, None, :] & ~cand[:, :, None]) == 0)
                & (cand[:, None, :] != cand[:, :, None]) & proper[:, None, :])
-    lower, g = np.nonzero(proper & ~smaller.any(axis=2))
-    codes = np.unique(lower * len(below) + index[cand[lower, g]])
-    hasse = np.stack(np.divmod(codes, len(below)), axis=1)
-    rank = np.zeros(len(below), dtype=np.int64)
+    at, g = np.nonzero(proper & ~smaller.any(axis=2))
+    return at, cand[at, g]
+
+
+def _ranks(cl: np.ndarray, below: np.ndarray, orbit: np.ndarray) -> np.ndarray:
+    """The rank of each element with closed mask in ``below``: the length of
+    a longest chain of covers up to it.
+
+    A permutation pi of the generators that the diagonal maps induce keeps
+    the closure, cl(pi S) = pi cl(S), and so the covers and the ranks.  If L
+    is covered by T and pi maps L to A, the least mask of its orbit, then A
+    is covered by pi T.  So the covers of the closed representatives of the
+    orbits (``_upper_covers``) link every orbit to the orbits covering it,
+    and ranks are relaxed on those links, one step at a time, by orbit.
+    """
+    reps = below[orbit[below] == below]
+    at, upper = _upper_covers(cl, reps)
+    lower, upper = reps[at], orbit[upper]
+    rank = np.zeros(len(cl), dtype=np.int64)
     while True:
         longer = rank.copy()
-        np.maximum.at(longer, hasse[:, 1], rank[hasse[:, 0]] + 1)
+        np.maximum.at(longer, upper, rank[lower] + 1)
         if (longer == rank).all():
-            return rank, hasse
+            return rank[orbit[below]]
         rank = longer
 
 
-def _from_counts(count: np.ndarray, q: int, n: int, order) -> DiagonalSemilattice:
+def _from_counts(count: np.ndarray, q: int, n: int, order,
+                 orbit: np.ndarray | None = None) -> DiagonalSemilattice:
     """The semilattice, without its partitions, whose generators' subset
     suprema have the block counts ``count``, indexed by mask, on ``n``
     points, the generators' parts having size ``q``.
 
     The closure masks identify the elements, and each element is named by
-    its closed mask: sup(cl(S)) = sup(S).  ``order`` maps the closed masks,
-    in increasing order, to the positions of the elements in the listing; it
-    must put the most blocks first, so that the singleton partition comes
-    first.  The covers and ranks come from the masks alone (``_covers``).
+    its closed mask, a fixed point of ``cl``: sup(cl(S)) = sup(S).
+    ``order`` maps the closed masks, in increasing order, to the positions
+    of the elements in the listing; it must put the most blocks first, so
+    that the singleton partition comes first.  ``orbit`` labels each mask by
+    the least mask of its orbit (``mask_orbits``; None for every mask its
+    own), and the ranks come from the covers of the closed representatives
+    (``_ranks``).
     """
     cl = _masks_from_counts(count)
-    closed = np.unique(cl)
+    closed = np.flatnonzero(cl == np.arange(len(cl)))
     below = closed[order(closed)]
-    rank, hasse = _covers(cl, below)
+    rank = _ranks(cl, below, np.arange(len(cl)) if orbit is None else orbit)
     single = np.flatnonzero(count[below] == 1)
     if len(single) != 1:
         raise ValueError("closure did not produce the one-block partition")
@@ -296,12 +347,12 @@ def _from_counts(count: np.ndarray, q: int, n: int, order) -> DiagonalSemilattic
         size=n,
         elements=None,
         rank=tuple(rank.tolist()),
-        hasse=tuple(map(tuple, hasse.tolist())),
         e_index=0,
         u_index=int(single[0]),
         minimal_indices=tuple(index[cl[1 << np.arange(generators)]].tolist()),
         below=tuple(below.tolist()),
         cl=tuple(cl.tolist()),
+        orbit=None if orbit is None else tuple(orbit.tolist()),
     )
 
 
@@ -339,10 +390,72 @@ def _left_multiplications(g: GroupTable, codec: VertexCodec, points: np.ndarray)
     return coordinatewise(codec, g.mul_array[codec.digits[points]], np.int32)
 
 
-def rooted_block_sizes(g: GroupTable, minimals: list[Partition]) -> np.ndarray | None:
+def diagonal_maps(g: GroupTable, codec: VertexCodec) -> list[tuple[str, np.ndarray]]:
+    """The maps of G^m, the points of ``codec``, that permute the minimal
+    partitions, each with its tag and as an image array: the transposition
+    of coordinates 1 and 2 (m >= 2), the cycle of the coordinates (m >= 3)
+    and the inversion twist (g_1, ..., g_m) -> (g_1^-1, g_1^-1 g_2, ...,
+    g_1^-1 g_m).  The transposition swaps Q_1 and Q_2, the cycle cycles
+    Q_1..Q_m and the twist swaps Q_0 and Q_1, so together they induce
+    S_(m+1) on the partitions; the diagonal group's other generators fix
+    each of them.
+    """
+    m, d = codec.m, codec.digits
+    maps = []
+    if m >= 2:
+        maps.append(("coord-perm", codec.index(d[:, [1, 0, *range(2, m)]])))
+        if m >= 3:
+            maps.append(("coord-perm", codec.index(np.roll(d, -1, axis=1))))
+    twisted = g.mul_array[g.inv_array[d[:, :1]], d]
+    twisted[:, 0] = g.inv_array[d[:, 0]]
+    maps.append(("inversion-map", codec.index(twisted)))
+    return maps
+
+
+def mask_orbits(g: GroupTable, minimals: list[Partition]) -> np.ndarray:
+    """The least mask of the orbit of each subset mask of ``minimals``,
+    indexed by mask, under the permutations of the partitions that the
+    ``diagonal_maps`` of G^m induce.
+
+    The certificate: each map sends every partition onto one of the list,
+    and the induced maps of indices are permutations, as a full label test
+    per partition shows (``partitions.induced_permutations``).  A map sigma
+    that sends each Q_j onto Q_pi(j) is a bijection of the points that
+    carries the blocks of the Q_j in S onto those of the Q_pi(j), and so
+    sup(S) onto sup(pi S): the two have the same block sizes and count.
+    The orbits are the components of one link per map, from S to pi S, in
+    one ``components`` call, which labels each by its least mask.  Where
+    the certificate fails, every mask is its own orbit.
+    """
+    k, n = len(minimals), minimals[0].size
+    codec = VertexCodec(q=g.order, m=k - 1)
+    links = []
+    if k > 1 and codec.size == n:
+        maps = np.stack([image for _, image in diagonal_maps(g, codec)])
+        induced = induced_permutations(maps, minimals)
+        if all(row is not None and sorted(row) == list(range(k)) for row in induced):
+            bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+            links = [bits @ (1 << np.array(row)) for row in induced]
+    return components(1 << k, links)
+
+
+def _prefix_closure(orbit: np.ndarray) -> np.ndarray:
+    """Whether each mask is a prefix S & (2^b - 1) of a mask S least in its
+    orbit, indexed by mask."""
+    reps = np.flatnonzero(orbit == np.arange(len(orbit)))
+    needed = np.zeros(len(orbit), dtype=bool)
+    for b in range(len(orbit).bit_length()):
+        needed[reps & (1 << b) - 1] = True
+    return needed
+
+
+def rooted_block_sizes(g: GroupTable, minimals: list[Partition],
+                       needed: np.ndarray | None = None) -> np.ndarray | None:
     """|B_S|, the size of the block through vertex 0 of the supremum of the
     partitions in each subset S of ``minimals``, indexed by mask, where
-    their blocks are cosets; else None.
+    their blocks are cosets; else None.  Only the masks of ``needed``, a
+    boolean array by mask that holds the prefixes S & (2^b - 1) of each of
+    its masks S, are grown, every mask by default, and the others read 0.
 
     The certificate: for each partition Q_i, with B_i its block through
     vertex 0 (the identity), left multiplication by each point h of B_i
@@ -370,8 +483,8 @@ def rooted_block_sizes(g: GroupTable, minimals: list[Partition]) -> np.ndarray |
     The masks with generators below ``low`` form one batch within
     ``BLOCK_BYTES``, built a generator at a time as ``subset_suprema``
     builds its table.  Each set of higher generators, walked depth first in
-    increasing order, grows that whole batch at once, and each depth keeps
-    one batch.
+    increasing order, grows the needed columns of that whole batch at once,
+    and each depth keeps one batch.
     """
     k, n = len(minimals), minimals[0].size
     codec = VertexCodec(q=g.order, m=k - 1)
@@ -385,12 +498,20 @@ def rooted_block_sizes(g: GroupTable, minimals: list[Partition]) -> np.ndarray |
     if not all(p.block_count * len(blocks[i]) == n and p.keeps_blocks(left[ends[i]:ends[i + 1]])
                for i, p in enumerate(minimals)):
         return None
+    if needed is None:
+        needed = np.ones(1 << k, dtype=bool)
     sizes = np.zeros(1 << k, dtype=np.int64)
     sizes[0] = 1
 
-    def grow(rows: np.ndarray, masks: np.ndarray, b: int) -> np.ndarray | None:
+    def grow(rows: np.ndarray, masks: np.ndarray, b: int):
         """B_b·B_S for the B_S in the columns of ``rows``, S in ``masks``,
-        recording their sizes; None if one of them is no subgroup."""
+        with S + b needed, recording their sizes: those columns and their
+        masks S + b, or None if one of them is no subgroup."""
+        keep = needed[masks | 1 << b]
+        if not keep.all():
+            rows, masks = rows[:, keep], masks[keep]
+        if not len(masks):
+            return rows, masks
         # np.take: fancy indexing copies short rows one at a time
         product = None
         for block in start_blocks(range(ends[b], ends[b + 1]), 4 * rows.size):
@@ -403,26 +524,25 @@ def rooted_block_sizes(g: GroupTable, minimals: list[Partition]) -> np.ndarray |
             return None
         meet = np.count_nonzero(np.take(rows, blocks[b], axis=0), axis=0)
         sizes[masks | 1 << b] = len(blocks[b]) * sizes[masks] // meet
-        return product
+        return product, masks | 1 << b
 
     low = min(k, max(0, (BLOCK_BYTES // n).bit_length() - 1))
     rows = np.zeros((n, 1 << low), dtype=bool)
     rows[0, 0] = True
-    masks = np.arange(1 << low)
     for b in range(low):
-        grown = grow(rows[:, :1 << b], masks[:1 << b], b)
+        grown = grow(rows[:, :1 << b], np.arange(1 << b), b)
         if grown is None:
             return None
-        rows[:, 1 << b:2 << b] = grown
-    stack = [(rows, masks, low)]
+        rows[:, grown[1]] = grown[0]
+    stack = [(rows, np.arange(1 << low), low)]
     while stack:
         rows, masks, start = stack.pop()
         for b in range(start, k):
             grown = grow(rows, masks, b)
             if grown is None:
                 return None
-            if b + 1 < k:
-                stack.append((grown, masks | 1 << b, b + 1))
+            if b + 1 < k and len(grown[1]):
+                stack.append((*grown, b + 1))
     return sizes
 
 
@@ -483,24 +603,32 @@ def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition],
     (``verify_semilattice_hypothesis``).
 
     Both come from the blocks through vertex 0 (``rooted_block_sizes``)
-    where it can: sup(S) has n/|B_S| blocks of |B_S| points, so its parts
-    have size q^|S| iff |B_S| does, and the elements are listed by
-    (-block count, closed mask), a linear extension of the order, with no
-    partition built.  Under ``paranoid``, or where ``rooted_block_sizes``
-    gives None, both come from the table of subset suprema instead.
+    where it can, grown only for the prefixes of the least mask of each
+    orbit of the diagonal maps (``mask_orbits``) and read for every other
+    mask from its orbit's: sup(S) has n/|B_S| blocks of |B_S| points, so
+    its parts have size q^|S| iff |B_S| does, and one m-subset per orbit is
+    checked.  The elements are listed by (-block count, closed mask), a
+    linear extension of the order, with no partition built.  Under
+    ``paranoid``, or where ``rooted_block_sizes`` gives None, both come
+    from the table of subset suprema instead.
     """
-    sizes = None if paranoid else rooted_block_sizes(g, minimals)
+    sizes = None
+    if not paranoid:
+        orbit = mask_orbits(g, minimals)
+        sizes = rooted_block_sizes(g, minimals, _prefix_closure(orbit))
     if sizes is None:
         sup = subset_suprema(minimals)
         return join_closure(minimals, sup), verify_semilattice_hypothesis(sup, g.order)
+    sizes = sizes[orbit]
     part_sizes = np.unique(sizes[1 << np.arange(len(minimals))])
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
     count = minimals[0].size // sizes
     sl = _from_counts(count, int(part_sizes[0]), minimals[0].size,
-                      lambda closed: np.lexsort((closed, -count[closed])))
+                      lambda closed: np.lexsort((closed, -count[closed])), orbit)
     sized = sizes == np.power(g.order, np.bitwise_count(np.arange(len(sizes))), dtype=np.int64)
-    return sl, _generates_cartesian(sized, np.asarray(sl.cl), _m_subsets(len(sizes) - 1))
+    domains = [d for d in _m_subsets(len(sizes) - 1) if orbit[d] == d]
+    return sl, _generates_cartesian(sized, np.asarray(sl.cl), domains)
 
 
 def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
@@ -524,16 +652,22 @@ def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
 
 @dataclass(frozen=True)
 class MobiusReport:
-    """Outcome of checking the closed-form Moebius matrix against zeta."""
+    """Outcome of checking the closed-form Moebius matrix against zeta.
+
+    ``mismatches`` lists the failing pairs whose lower element is the least
+    of its orbit, every failing pair where each orbit is one element, as on
+    the table's route; ``mismatch_count`` counts every failing pair.
+    """
 
     element_count: int
     ranks: tuple[int, ...]
     mu_bottom_top: int
     mismatches: tuple[tuple[int, int, int, int], ...]  # (i, j, exact, closed)
+    mismatch_count: int
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.mismatch_count
 
     def to_json(self) -> str:
         return json.dumps(
@@ -547,63 +681,76 @@ class MobiusReport:
         )
 
 
-def _mobius_blocks(cl: np.ndarray, below: np.ndarray):
-    """Yield, block by block of elements, every comparable pair
-    (lower, upper) of element indices with its exact Moebius value.
+def _mobius_blocks(cl: np.ndarray, below: np.ndarray, orbit: np.ndarray):
+    """Yield, batch by batch of lower elements, every comparable pair
+    (lower, upper) of element indices with its exact Moebius value, for the
+    lower elements whose closed mask is the least of its orbit, ``orbit``
+    labelling each mask by that of its orbit.
 
     ``cl`` is a closure operator on the subsets of the generators, and the
     elements are its closed masks, so by Rota's closure theorem
     mu(A, T) = sum of (-1)^|B - A| over the masks B containing A with
-    cl(B) = T.  The masks B are A + s for the subsets s of the generators
-    outside A, and they increase with s, so one ``searchsorted`` finds the
-    position of each cl(B) among them, and two ``bincount`` calls, one per
-    parity of |s|, give the signed sums in int64.  A block holds elements
-    with the same number of free generators, within ``BLOCK_BYTES``: at
-    most 3^(m+1) terms in all.  The closed masks B are exactly the elements
-    above A, so every comparable pair is listed.
+    cl(B) = T.  The masks B are A + s for the subsets s of the f generators
+    outside A, each s deposited bit by bit into them, and they increase
+    with s, so one ``searchsorted`` finds the position of each cl(B) among
+    them, and two ``bincount`` calls, one per parity of |s|, give the
+    signed sums in int64.  A batch holds elements of any f, 2^f terms each,
+    within ``BLOCK_BYTES``: at most 3^(m+1) terms in all.  The closed masks
+    B are exactly the elements above A, so every comparable pair with a
+    listed lower element is found.
     """
     index = _element_index(cl, below)
     width = (len(cl) - 1).bit_length()
-    free = (len(cl) - 1) & ~below
-    nfree = np.bitwise_count(free)
-    for f in np.unique(nfree).tolist():
-        same = np.flatnonzero(nfree == f)
-        subsets = np.arange(1 << f)
-        odd = np.bitwise_count(subsets) & 1 == 1
-        # about eight int64 arrays of 2^f terms per element
-        for block in start_blocks(range(len(same)), 512 << f):
-            rows = same[block.start:block.stop]
-            # the free generators of each row, ascending, deposited by each s
-            pos = np.nonzero(free[rows, None] >> np.arange(width) & 1)[1].reshape(len(rows), f)
-            ups = below[rows, None] + ((subsets[:, None] >> np.arange(f) & 1) @ (1 << pos.T)).T
-            shift = (np.arange(len(rows)) << width)[:, None]
-            keys = (ups + shift).ravel()
-            targets = (cl[ups] + shift).ravel()
-            at = np.searchsorted(keys, targets)
-            if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], targets):
-                raise AssertionError("cl(B) does not contain the element A that B contains")
-            at = at.reshape(ups.shape)
-            mu = (np.bincount(at[:, ~odd].ravel(), minlength=len(keys))
-                  - np.bincount(at[:, odd].ravel(), minlength=len(keys)))
-            closed = targets == keys
-            yield np.repeat(rows, 1 << f)[closed], index[ups.ravel()[closed]], mu[closed]
+    rows = np.flatnonzero(orbit[below] == below)
+    free = (len(cl) - 1) & ~below[rows]
+    terms = np.left_shift(1, np.bitwise_count(free), dtype=np.int64)
+    # about a dozen int64 arrays per term
+    for block in start_blocks(range(len(rows)), 768 * terms):
+        lower, size = rows[block.start:block.stop], terms[block.start:block.stop]
+        owner = np.repeat(np.arange(len(lower)), size)
+        subset = np.arange(len(owner)) - (np.cumsum(size) - size)[owner]
+        ups, spare, rest = below[lower][owner], free[block.start:block.stop][owner], subset.copy()
+        # deposit the bits of each subset, lowest first, into the free generators
+        for g in range(width):
+            bit = spare >> g & 1
+            ups = ups | (rest & bit) << g
+            rest >>= bit
+        shift = owner << width
+        keys = ups + shift
+        targets = cl[ups] + shift
+        at = np.searchsorted(keys, targets)
+        if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], targets):
+            raise AssertionError("cl(B) does not contain the element A that B contains")
+        odd = np.bitwise_count(subset) & 1 == 1
+        mu = (np.bincount(at[~odd], minlength=len(keys))
+              - np.bincount(at[odd], minlength=len(keys)))
+        closed = targets == keys
+        yield lower[owner[closed]], index[ups[closed]], mu[closed]
 
 
 def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
-    """Compute every Moebius value of the semilattice exactly from its
+    """Compute the Moebius values of the semilattice exactly from its
     closure masks (``_mobius_blocks``) and compare each with the closed form.
 
-    A comparable pair whose lower element comes later in the element order
-    fails the check.  The closed form enters only in the comparison.  A
-    rank outside 0..m is a ValueError here, as it is in the closed form.
+    The values mu(A, T) are computed for the lower elements A that are the
+    least of their orbits under the diagonal maps, every element where
+    each orbit is one.  A map that induces pi keeps the closure, so it
+    carries the interval [A, T] onto [pi A, pi T], keeping mu and the ranks
+    that the closed form reads; a failing pair (A, T) then stands for
+    |orbit(A)| failing pairs, one per element of A's orbit, and is counted
+    that many times.  A comparable pair whose lower element comes later in
+    the element order fails the check.  The closed form enters only in the
+    comparison.  A rank outside 0..m is a ValueError here, as it is in the
+    closed form.
     """
     ranks = np.asarray(sl.rank)
+    cl, below, orbit = np.asarray(sl.cl), np.asarray(sl.below), sl.orbit_labels()
     dims = (sl.m + 1, sl.m + 1, 2)
     found = []
-    for lower, upper, exact in _mobius_blocks(np.asarray(sl.cl), np.asarray(sl.below)):
+    for lower, upper, exact in _mobius_blocks(cl, below, orbit):
         if (lower > upper).any():
             raise AssertionError("the order is not upper triangular in the element order")
-        # one closed-form call per distinct (rank_s, rank_t, t_is_u) in the block
+        # one closed-form call per distinct (rank_s, rank_t, t_is_u) in the batch
         codes = np.ravel_multi_index((ranks[lower], ranks[upper], upper == sl.u_index), dims)
         present, where = np.unique(codes, return_inverse=True)
         values = np.array([mobius_closed_form(int(s), int(t), bool(u), sl.m)
@@ -614,11 +761,14 @@ def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
     found = np.concatenate(found)
     found = found[np.lexsort((found[:, 1], found[:, 0]))]
     bottom_top = (found[:, 0] == sl.e_index) & (found[:, 1] == sl.u_index)
+    wrong = found[found[:, 2] != found[:, 3]]
+    orbit_size = np.bincount(orbit, minlength=len(cl))[below]
     return MobiusReport(
         element_count=len(sl.below),
         ranks=sl.rank,
         mu_bottom_top=int(found[bottom_top, 2][0]),
-        mismatches=tuple(map(tuple, found[found[:, 2] != found[:, 3]].tolist())),
+        mismatches=tuple(map(tuple, wrong.tolist())),
+        mismatch_count=int(orbit_size[wrong[:, 0]].sum()),
     )
 
 

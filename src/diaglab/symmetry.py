@@ -76,8 +76,8 @@ from .groups import (
     is_elementary_abelian,
     is_simple_nonabelian,
 )
-from .partitions import Partition, components, start_blocks
-from .semilattice import VertexCodec, coordinatewise, vertex_products
+from .partitions import Partition, components, induced_permutations, start_blocks
+from .semilattice import VertexCodec, coordinatewise, diagonal_maps, vertex_products
 
 
 def _perm_group_generators(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -108,8 +108,6 @@ def diagonal_group_generators(
     Uses generating sequences of G and of Aut(G) rather than full element
     lists; identity permutations are dropped and duplicates removed.
     """
-    m = codec.m
-    d = codec.digits
     mul, inv = g.mul_array, g.inv_array
     out = right_translations(g, codec)
     seen = {np.arange(codec.size, dtype=np.intp).tobytes()} | {p.image.tobytes() for p in out}
@@ -128,13 +126,8 @@ def diagonal_group_generators(
         emit("diag-left-mult", in_each_coordinate(mul[inv[x]]))
     for alpha in _perm_group_generators(aut):
         emit("aut", in_each_coordinate(alpha))
-    if m >= 2:
-        emit("coord-perm", codec.index(d[:, [1, 0, *range(2, m)]]))
-        if m >= 3:
-            emit("coord-perm", codec.index(np.roll(d, -1, axis=1)))
-    twisted = mul[inv[d[:, :1]], d]
-    twisted[:, 0] = inv[d[:, 0]]
-    emit("inversion-map", codec.index(twisted))
+    for tag, image in diagonal_maps(g, codec):
+        emit(tag, image)
     return out
 
 
@@ -160,6 +153,7 @@ class StabilizerChain:
         self.degree = degree
         self.dtype = np.int16 if degree <= 32000 else np.int32
         self.identity = np.arange(degree, dtype=self.dtype)
+        self._identity_key = self.identity.tobytes()
         self.bases: list[int] = []
         self.eff: list[list[np.ndarray]] = []  # effective gens per level
         self.transversal: list[dict[int, np.ndarray]] = []
@@ -193,7 +187,7 @@ class StabilizerChain:
             if inv is None:
                 return p, level
             p = inv[p]
-        if np.array_equal(p, self.identity):
+        if p.tobytes() == self._identity_key:
             return None, -1
         return p, len(self.bases)
 
@@ -205,7 +199,7 @@ class StabilizerChain:
         self.orbit_order.append([base])
         self._orbit_scan.append({})
         self._schreier_done.append({})
-        self._seen_schreier.append({self.identity.tobytes()})
+        self._seen_schreier.append({self._identity_key})
 
     def _register(self, level: int, perm: np.ndarray) -> None:
         """Store perm at `level`; it is effective at every level up to it."""
@@ -614,39 +608,19 @@ def is_vertex_primitive(
 def action_on_partitions(
     perms: list[TaggedPerm], minimals: list[Partition]
 ) -> list[tuple[int, ...]]:
-    """Induced permutation of the minimal partitions for each generator.
-
-    Any two minimal partitions meet in the partition into points, so for a
-    generator p and a point y beside 0 in its block of Q_j, at most one
-    Q_i has p(0) and p(y) in one block: p maps Q_j onto that Q_i, if onto
-    any, and does so iff Q_i has as many blocks and its labels at p(x)
-    agree with those at p(r(x)), r(x) the label of x in Q_j, the smallest
-    point of its block.  For each j every generator is tested at once.
-    Raises, naming the first generator that fails, if some generator does
-    not permute them (that would contradict the semilattice being
-    preserved).
+    """Induced permutation of the minimal partitions for each generator
+    (``partitions.induced_permutations``).  Raises, naming the first
+    generator that fails, if some generator does not permute them (that
+    would contradict the semilattice being preserved).
     """
     if not perms:
         return []
-    labels = np.stack([part.block_of for part in minimals])
-    counts = np.array([part.block_count for part in minimals])
-    images = np.stack([p.image for p in perms])
-    rows = np.arange(len(perms))[:, None]
-    targets = np.empty((len(perms), len(minimals)), dtype=np.intp)
-    onto = np.empty_like(targets, dtype=bool)
-    for j, part in enumerate(minimals):
-        y = np.flatnonzero(part.block_of == part.block_of[0])[1]
-        joins = labels[:, images[:, 0]] == labels[:, images[:, y]]  # [i, p]
-        joins &= (counts == counts[j])[:, None]
-        targets[:, j] = joins.argmax(axis=0)
-        at_image = labels[targets[:, j]][rows, images]  # [p, x]
-        onto[:, j] = joins.any(axis=0) & (
-            at_image == at_image[:, part.block_of]).all(axis=1)
-    if not onto.all():
-        failed = perms[int(np.argmin(onto.all(axis=1)))]
-        raise AssertionError(
-            f"generator {failed.tag} maps a minimal partition outside the family")
-    return [tuple(row) for row in targets.tolist()]
+    induced = induced_permutations(np.stack([p.image for p in perms]), minimals)
+    for p, row in zip(perms, induced):
+        if row is None:
+            raise AssertionError(
+                f"generator {p.tag} maps a minimal partition outside the family")
+    return induced
 
 
 def _on_closed_neighbourhood(graph: DiagGraph, stabiliser: list[TaggedPerm]) -> list[np.ndarray]:

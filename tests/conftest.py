@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from diaglab import semilattice
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.groups import automorphism_group, parse_group_spec
 from diaglab.semilattice import VertexCodec, join_closure, minimal_partitions, subset_suprema
@@ -102,6 +103,18 @@ def primitivity_of(spec: str, m: int):
     vertex 0."""
     g = group_of(spec)
     return is_vertex_primitive(g, VertexCodec(q=g.order, m=m), stabiliser_images_of(spec, m))
+
+
+@pytest.fixture
+def wrong_top_interval(monkeypatch):
+    """Closed form off by one on every interval [s, U] with s below U."""
+    original = semilattice.mobius_closed_form
+
+    def wrong(rank_s, rank_t, t_is_u, m):
+        value = original(rank_s, rank_t, t_is_u, m)
+        return value + 1 if t_is_u and rank_s < m else value
+
+    monkeypatch.setattr(semilattice, "mobius_closed_form", wrong)
 
 
 def cycle_chromatic_polynomial(length: int, q: int) -> int:

@@ -574,6 +574,20 @@ def test_usage_error_exit_two():
 
 
 @pytest.mark.parametrize("argv", [
+    ("check-all", "--group", "C2", "--m", "1"),
+    ("build", "--group", "C3", "--m", "2", "--format", "graph6"),
+])
+def test_a_closed_output_stream_ends_with_the_commands_own_code(argv):
+    # the reading end of the pipe is closed before the command writes
+    proc = subprocess.Popen([sys.executable, "-m", "diaglab", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == EXIT_OK
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ("diameter", "--group", "C3", "--m", "2", "--format", "yaml"),
     ("build", "--group", "C3", "--m", "2", "--format", "json"),
     ("grid", "--groups", "C2", "--m-max", "2", "--format", "graph6"),

@@ -31,7 +31,10 @@ from diaglab.semilattice import (
 from conftest import GRID, group_of
 
 
-def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
+def worklist_join_closure(
+        minimals: list[Partition]) -> tuple[DiagonalSemilattice, tuple[tuple[int, int], ...]]:
+    """The semilattice and its cover pairs, which the library builds on
+    first use."""
     n = minimals[0].size
     q = {len(blk) for p in minimals for blk in p.blocks()}.pop()
 
@@ -89,13 +92,12 @@ def worklist_join_closure(minimals: list[Partition]) -> DiagonalSemilattice:
         size=n,
         elements=tuple(elements),
         rank=tuple(rank),
-        hasse=tuple(hasse),
         e_index=0,
         u_index=next(k for k, p in enumerate(elements) if p.is_single_block()),
         minimal_indices=tuple(elements.index(p) for p in minimals),
         below=tuple(below),
         cl=tuple(cl),
-    )
+    ), tuple(hasse)
 
 
 def per_subset_cartesian(parts: list[Partition], q: int) -> bool:
@@ -149,7 +151,10 @@ def test_closure_masks_with_repeated_parts():
 @pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
 def test_join_closure_matches_worklist(spec, m):
     qs = minimal_partitions(group_of(spec), m)
-    assert join_closure(qs, subset_suprema(qs)) == worklist_join_closure(qs)
+    sl, hasse = worklist_join_closure(qs)
+    got = join_closure(qs, subset_suprema(qs))
+    assert got == sl
+    assert got.hasse == hasse
 
 
 @pytest.mark.parametrize("spec,m", [("C2", 3), ("C3", 3), ("C4", 2), ("S3", 2),

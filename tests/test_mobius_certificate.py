@@ -37,18 +37,6 @@ def exact_mismatches(sl):
     return tuple(out), mats.mobius[sl.e_index][sl.u_index]
 
 
-@pytest.fixture
-def wrong_top_interval(monkeypatch):
-    """Closed form off by one on every interval [s, U] with s below U."""
-    original = semilattice.mobius_closed_form
-
-    def wrong(rank_s, rank_t, t_is_u, m):
-        value = original(rank_s, rank_t, t_is_u, m)
-        return value + 1 if t_is_u and rank_s < m else value
-
-    monkeypatch.setattr(semilattice, "mobius_closed_form", wrong)
-
-
 @pytest.mark.parametrize("spec,m", [inst for inst in GRID if inst[1] <= 5])
 def test_generator_zeta_and_certificate_match_inversion(spec, m, monkeypatch):
     sl = semilattice_of(spec, m)
