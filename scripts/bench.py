@@ -14,7 +14,7 @@ the git revision.  Nothing is gated on the numbers.
 Run as ``python scripts/bench.py``; ``--large`` adds the rungs of
 ``LARGE_RUNGS``, which take a few seconds each.  A rung past the default
 vertex cap runs with the environment of ``RUNG_ENV``, which the file
-records with it: C4 m=9, 262,144 vertices, under
+records with it: C4 m=9, C8 m=6 and C64 m=3, 262,144 vertices each, under
 ``DIAGLAB_CAP_VERTICES=300000``, and C2 m=17, 131,072 vertices, under
 ``DIAGLAB_CAP_VERTICES=131072``.
 """
@@ -41,10 +41,12 @@ OUT = ROOT / "BENCH_check_all.json"
 # (group, m), each of at most 65,536 vertices
 RUNGS = [("C2", 10), ("C2", 12), ("C3", 8), ("C4", 7), ("C4", 8), ("C16", 4), ("Q8", 4),
          ("C2", 13), ("C2", 14)]
-LARGE_RUNGS = [("C2", 15), ("C2", 16), ("C4", 9), ("C2", 17)]
+LARGE_RUNGS = [("C2", 15), ("C2", 16), ("C4", 9), ("C2", 17), ("C8", 6), ("C64", 3)]
 # Extra environment of a rung's child, for the rungs past the vertex cap.
 RUNG_ENV = {("C4", 9): {"DIAGLAB_CAP_VERTICES": "300000"},
-            ("C2", 17): {"DIAGLAB_CAP_VERTICES": "131072"}}
+            ("C2", 17): {"DIAGLAB_CAP_VERTICES": "131072"},
+            ("C8", 6): {"DIAGLAB_CAP_VERTICES": "300000"},
+            ("C64", 3): {"DIAGLAB_CAP_VERTICES": "300000"}}
 
 # The address space of each child, in bytes.
 ADDRESS_SPACE = 4 << 30

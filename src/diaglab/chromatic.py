@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .diaggraph import DiagGraph, bron_kerbosch, build_graph
+from .diaggraph import DiagGraph, bron_kerbosch, build_graph, same_label_neighbours
 from .errors import CapExceededError
 from .groups import GroupTable, direct_product, subgroup_closure, sylow2_nontrivial_cyclic
 from .semilattice import VertexCodec, minimal_partitions
@@ -199,9 +199,9 @@ class Coloring:
 
 
 def validate_coloring(graph: DiagGraph, coloring: Coloring) -> bool:
-    """True iff no neighbour shares a vertex's colour; n is the padding."""
-    c, nbr = np.asarray(coloring.colors), graph.nbr
-    return bool(((np.append(c, -1)[nbr] != c[:, None]) | (nbr == graph.size)).all())
+    """True iff no neighbour shares a vertex's colour
+    (``same_label_neighbours``)."""
+    return not same_label_neighbours(graph, coloring.colors).any()
 
 
 def latin_square_coloring(g: GroupTable, cm: CompleteMapping) -> Coloring:

@@ -141,13 +141,25 @@ def _ledger(g, m: int, n: int, claims: list) -> dict:
 
 def run_check_all(cfg: RunConfig, g: GroupTable) -> dict:
     """Run every verification for one instance, ``g`` the group that
-    ``cfg.group`` names; returns the claims ledger."""
+    ``cfg.group`` names; returns the claims ledger.
+
+    One vertex codec serves every stage.  Where the semilattice certifies
+    the minimal partitions as the cosets of their blocks through 0 (not
+    under ``--paranoid``), and m >= 2, only ``cayley_graph`` is built:
+    ``construction-agreement`` is decided from the blocks, and the Cayley
+    array is certified to be the partition graph
+    (``diaggraph.is_coset_partition_graph``).  Otherwise, or where that
+    certificate fails, ``build_graph`` is built too, the two arrays are
+    compared entry for entry, and the other claims read the partition
+    graph.
+    """
     m = cfg.m
     q = g.order
     claims: list[dict] = []
 
-    minimals = semilattice.minimal_partitions(g, m, cfg.vertex_cap)
-    sl, ok = semilattice.semilattice_and_hypothesis(g, minimals, cfg.paranoid)
+    codec = semilattice.vertex_codec(g, m, cfg.vertex_cap)
+    minimals = semilattice.minimal_partitions(g, m, codec=codec)
+    sl, ok = semilattice.semilattice_and_hypothesis(g, minimals, cfg.paranoid, codec)
     _claim(claims, "cartesian-hypothesis", ok,
            "every m-subset of the minimal partitions generates a Cartesian lattice")
 
@@ -165,17 +177,22 @@ def run_check_all(cfg: RunConfig, g: GroupTable) -> dict:
     else:
         _claim(claims, "mobius-closed-form", rep.ok,
                f"mu(bottom,top) = {rep.mu_bottom_top}, mismatches = {rep.mismatch_count}")
+    blocks = sl.blocks  # None on the table's route, so under --paranoid
     del sl
 
-    try:
-        graph = diaggraph.build_graph(g, minimals)
-    except AssertionError as exc:
-        _claim(claims, "construction-agreement", False, str(exc))
-        return _ledger(g, m, q**m, claims)
-    cay = diaggraph.cayley_graph(g, m, cfg.vertex_cap)
-    _claim(claims, "construction-agreement", diaggraph.same_edge_set(graph, cay),
+    graph = diaggraph.cayley_graph(g, m, codec=codec)
+    agree = blocks is not None and diaggraph.is_coset_partition_graph(graph, blocks)
+    if not agree:
+        cay = graph
+        try:
+            graph = diaggraph.build_graph(g, minimals, codec)
+        except AssertionError as exc:
+            _claim(claims, "construction-agreement", False, str(exc))
+            return _ledger(g, m, q**m, claims)
+        agree = diaggraph.same_edge_set(graph, cay)
+        del cay
+    _claim(claims, "construction-agreement", agree,
            "partition-based and connection-set edge sets coincide")
-    del cay
 
     val = graph.valency
     degree_ok = graph.nbr.shape[1] == val and bool((graph.nbr < graph.size).all())

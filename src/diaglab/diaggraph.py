@@ -9,6 +9,20 @@ Each sorts every row into the padded neighbour array ``nbr``, each entry's
 tag alongside in ``tag``; ``same_edge_set`` asserts that both arrays agree.
 Only the exporters list the edges as pairs, derived from ``nbr``.
 
+``check-all`` builds only the Cayley array where the minimal partitions are
+certified to be the cosets B_i·v of their blocks B_i through 0 (``blocks``
+of the semilattice).  Then v and w share a part of Q_i iff w·v^-1 lies in
+B_i, so the partition graph is the Cayley graph of the union C of the B_i
+less the identity, and ``coset_construction_agrees`` compares C and its
+tags with the connection set's, in O(|C|).
+``is_coset_partition_graph`` ties the array to that Cayley graph: its row 0
+lists the connection set, and the translation certificate holds.  Under
+``paranoid``, at m = 1, on the semilattice's table route, and wherever one
+of these checks fails, ``build_graph`` is built as well and the two arrays
+are compared entry for entry; the ``build``, ``cliques``, ``diameter``,
+``symmetry``, ``spectrum`` and ``chromatic`` commands build the partition
+graph alone.
+
 Each graph carries its group, and ``translations_are_automorphisms``
 certifies that every right translation is an automorphism, as every
 shortcut from vertex 0 assumes (the diameter, distance-regularity, the walk
@@ -17,7 +31,10 @@ right translates of N(0) built by ``coordinatewise`` and sorted row by row
 against ``nbr``.  ``DiagGraph.rooted`` makes that decision for
 all of them: vertex 0 stands for every vertex unless ``paranoid`` is set or
 the certificate, computed at most once per graph, fails; then they search
-from every vertex instead.
+from every vertex instead.  The shortcuts share one breadth-first search
+from vertex 0, cached on the graph (``DiagGraph.layers``): the diameter
+reads its eccentricity, the distance-regularity check its layers, and the
+neighbourhood certificate its connectivity and the ball of radius 2.
 
 The every-vertex diameter searches a block of bases at once over ``nbr``:
 each vertex holds reach and frontier bitsets, one bit per base in ``uint64``
@@ -63,15 +80,15 @@ class DiagGraph:
     group: GroupTable
 
     @classmethod
-    def from_neighbours(cls, group: GroupTable, m: int, nbr: np.ndarray,
-                        tag: np.ndarray) -> DiagGraph:
+    def from_neighbours(cls, group: GroupTable, m: int, nbr: np.ndarray, tag: np.ndarray,
+                        codec: VertexCodec | None = None) -> DiagGraph:
         """The graph on G^m whose vertex u has the neighbours ``nbr[u]``,
         sorted and padded with n, each tagged by the same entry of ``tag``;
         the padding is tagged -1, so graphs with the same tagged edges are
-        byte-equal."""
-        codec = VertexCodec(q=group.order, m=m)
+        byte-equal.  ``codec`` is that of G^m where the caller has it."""
+        codec = codec or VertexCodec(q=group.order, m=m)
         n = codec.size
-        nbr = nbr.astype(np.int32)
+        nbr = np.ascontiguousarray(nbr, dtype=np.int32)
         tag = np.where(nbr == n, -1, tag).astype(np.int8, copy=False)
         nbr.flags.writeable = tag.flags.writeable = False
         return cls(q=codec.q, m=m, size=n, nbr=nbr, tag=tag, codec=codec, group=group)
@@ -99,6 +116,11 @@ class DiagGraph:
         return self.rooted(paranoid) and self.neighbourhood_certified
 
     @cached_property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """``distance_layers(self)``, computed on first use."""
+        return distance_layers(self)
+
+    @cached_property
     def columns(self) -> np.ndarray:
         """``nbr`` transposed, one contiguous read-only row per column of
         ``nbr``, for the searches that gather a frontier column by column."""
@@ -115,7 +137,7 @@ class DiagGraph:
         u, k = np.nonzero(self._upper())
         return np.stack([u.astype(np.int32), self.nbr[u, k]], axis=1)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._upper()))
 
@@ -124,25 +146,39 @@ class DiagGraph:
         return (self.m + 1) * (self.q - 1) if self.m >= 2 else self.q - 1
 
 
+def _row_blocks(rows: int, bytes_per_row: int) -> list[slice]:
+    """The rows 0..rows-1 cut into slices of as many rows as keep a slice
+    within ``BLOCK_BYTES`` at ``bytes_per_row`` each, and at least one."""
+    step = max(1, BLOCK_BYTES // max(1, bytes_per_row))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _sort_rows(nbr: np.ndarray, tag: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``nbr`` sorted, ``tag`` (in 0..m) permuted alike, by one
     sort of the key nbr * 2^b + tag with 2^b > m.  Equal neighbours come in
     tag order, which keeps the first copy first where the columns are in
-    tag order."""
+    tag order.  The key is built, sorted and split in the buffer of an
+    int32 ``nbr``, which the caller gives up."""
     b = m.bit_length()
     # the entries run up to the padding len(nbr), so a key stays below
     # (len(nbr) + 1) * 2^b
-    key = nbr.astype(np.int64 if (len(nbr) + 1) << b > 2**31 else np.int32)
+    key = nbr.astype(np.int64 if (len(nbr) + 1) << b > 2**31 else np.int32, copy=False)
     key <<= b
     key += tag
     key.sort(axis=1)
-    return (key >> b).astype(nbr.dtype, copy=False), (key & ((1 << b) - 1)).astype(tag.dtype)
+    # the low byte of each key, then its low b bits: the tag
+    tag = key.astype(np.int8)
+    tag &= (1 << b) - 1
+    key >>= b
+    return key.astype(nbr.dtype, copy=False), tag
 
 
-def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
+def build_graph(g: GroupTable, minimals: list[Partition],
+                codec: VertexCodec | None = None) -> DiagGraph:
     """Adjacency from the minimal partitions Q_0..Q_m of G^m: joined iff
     some part of some Q_i contains both vertices, tagged i (the first i at
-    m = 1, the complete graph)."""
+    m = 1, the complete graph).  ``codec`` is that of G^m where the caller
+    has it."""
     m = len(minimals) - 1
     n = g.order**m
     mates = [part.block_mates() for part in minimals]
@@ -160,7 +196,7 @@ def build_graph(g: GroupTable, minimals: list[Partition]) -> DiagGraph:
         width = (~twice).sum(axis=1).max()
         nbr, tag = _sort_rows(np.where(twice, n, nbr), tag, m)
         nbr, tag = nbr[:, :width], tag[:, :width]
-    return DiagGraph.from_neighbours(g, m, nbr, tag)
+    return DiagGraph.from_neighbours(g, m, nbr, tag, codec)
 
 
 @dataclass(frozen=True)
@@ -186,35 +222,109 @@ def connection_set(g: GroupTable, m: int) -> ConnectionSet:
     return ConnectionSet(q=g.order, m=m, tuples=tuple(seen))
 
 
-def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> DiagGraph:
-    """Independent construction: v ~ s*v (componentwise) for s in the
-    inverse-closed connection set, one neighbour column per s.  Tags: the
-    moved coordinate for one-coordinate tuples, 0 for the constant tuples;
-    s and its inverse carry the same tag.  A tuple that moves coordinate i
-    changes one digit of v, so s*v is v plus the change of that digit times
-    q^i."""
-    codec = vertex_codec(g, m, cap)
-    mul = g.mul_array
-    d = codec.digits
+def tagged_connection_set(g: GroupTable, m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The tuples of ``connection_set`` and the int8 tag of each: the
+    moved coordinate, from 1, for a one-coordinate tuple at m >= 2, and 0
+    otherwise, so that s and its inverse carry the same tag."""
     tuples = connection_set(g, m).tuples
-    nbr = np.empty((codec.size, len(tuples)), dtype=np.int32)
-    tag = np.zeros(len(tuples), dtype=np.int8)
-    for k, s in enumerate(tuples):
-        moved = [i for i in range(m) if s[i] != 0]
-        if len(moved) == 1:
-            (i,) = moved
-            nbr[:, k] = np.arange(codec.size) + (mul[s[i], d[:, i]] - d[:, i]) * codec.q**i
-            tag[k] = i + 1 if m >= 2 else 0
-        else:
-            nbr[:, k] = codec.index(mul[s, d])
+    tag = [0] * len(tuples)
+    if m >= 2:
+        for k, s in enumerate(tuples):
+            moved = [i for i in range(m) if s[i] != 0]
+            if len(moved) == 1:
+                tag[k] = moved[0] + 1
+    return tuples, np.array(tag, dtype=np.int8)
+
+
+def connection_vertices(g: GroupTable, codec: VertexCodec) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex numbers of the ``tagged_connection_set`` of G^m, the
+    points of ``codec``, in increasing order, and their tags alike: row 0
+    of ``cayley_graph``, with its tags."""
+    tuples, tag = tagged_connection_set(g, codec.m)
+    points = codec.index(np.array(tuples, dtype=np.int64).reshape(len(tuples), codec.m))
+    order = np.argsort(points)
+    return points[order], tag[order]
+
+
+def cayley_graph(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP, *,
+                 codec: VertexCodec | None = None) -> DiagGraph:
+    """Independent construction: v ~ s*v (componentwise) for s in the
+    inverse-closed connection set, one neighbour column per s, tagged as
+    ``tagged_connection_set`` tags s.  Column s is the left multiplication
+    by s, coordinate by coordinate, so the columns are one ``coordinatewise``
+    array by vertex.  ``codec`` is ``vertex_codec(g, m, cap)`` where the
+    caller has it."""
+    if codec is None:
+        codec = vertex_codec(g, m, cap)
+    tuples, tag = tagged_connection_set(g, m)
+    maps = g.mul_array[np.array(tuples, dtype=np.intp).reshape(len(tuples), m)]
+    nbr = coordinatewise(codec, maps, np.int32, by_vertex=True)
     nbr, tag = _sort_rows(nbr, np.broadcast_to(tag, nbr.shape), m)
-    return DiagGraph.from_neighbours(g, m, nbr, tag)
+    return DiagGraph.from_neighbours(g, m, nbr, tag, codec)
 
 
 def same_edge_set(a: DiagGraph, b: DiagGraph) -> bool:
     """True iff the two graphs list the same neighbours with the same tags,
     entry for entry, so at both ends of every edge."""
     return np.array_equal(a.nbr, b.nbr) and np.array_equal(a.tag, b.tag)
+
+
+def coset_construction_agrees(blocks, g: GroupTable, codec: VertexCodec) -> bool:
+    """``same_edge_set(build_graph(g, minimals), cayley_graph(g, m))``, at
+    m >= 2, decided from the blocks through vertex 0 of minimal partitions
+    Q_i that are the coset partitions B_i·v of their blocks B_i through 0
+    (``blocks``, as ``DiagonalSemilattice.blocks`` certifies them); raises
+    the AssertionError that ``build_graph`` raises where an edge lies in
+    two minimal partitions.
+
+    Vertices v and w share a part of Q_i iff w·v^-1 lies in B_i.  So
+    ``build_graph`` joins v to c·v for every c in C, the union of the
+    B_i less the identity 0, and tags the edge i for c in B_i, at both ends
+    as c^-1 lies in B_i too.  An edge lies in two parts iff some c != 0
+    lies in B_i and B_j for i != j; then (0, c) does, and row 0 of
+    ``build_graph``, sorted, names the edge (0, x) for the least such x.
+    Otherwise C, with its tags, is row 0 of ``build_graph``, and the
+    ``connection_vertices`` are row 0 of ``cayley_graph``: unequal rows make
+    unequal arrays, and equal tagged sets make the same Cayley graph with
+    the same tags, so equal arrays.  O(|C|), with no neighbour array.
+    """
+    points = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+    tags = np.repeat(np.arange(len(blocks), dtype=np.int8), [len(b) for b in blocks])
+    moved = points != 0
+    points, tags = points[moved], tags[moved]
+    order = np.lexsort((tags, points))
+    points, tags = points[order], tags[order]
+    twice = points[1:] == points[:-1]
+    if twice.any():
+        raise AssertionError(
+            f"edge {(0, int(points[1:][twice][0]))} lies in two minimal partitions")
+    want, want_tags = connection_vertices(g, codec)
+    return np.array_equal(points, want) and np.array_equal(tags, want_tags)
+
+
+def is_coset_partition_graph(graph: DiagGraph, blocks) -> bool:
+    """True if ``graph`` is certified to list the edges of ``build_graph``
+    of minimal partitions that are the coset partitions of their blocks
+    ``blocks`` through vertex 0; False means only that the certificate
+    failed, and it always fails at m = 1.
+
+    It holds when m >= 2, ``coset_construction_agrees`` (so the partition
+    graph is the Cayley graph of the tagged connection set S, and no edge
+    lies in two parts), row 0 of ``nbr`` and of ``tag`` list S and its tags
+    (``connection_vertices``), and the translation certificate holds (so
+    N(v) = N(0)·v = S·v at every v).  Then ``nbr`` is the Cayley graph of
+    S, and so the partition graph, row for row.  The tags of the other
+    rows are not checked: ``coset_construction_agrees`` has decided the
+    tags, and no later check reads them.
+    """
+    try:
+        if graph.m < 2 or not coset_construction_agrees(blocks, graph.group, graph.codec):
+            return False
+    except AssertionError:
+        return False
+    star, tags = connection_vertices(graph.group, graph.codec)
+    return (np.array_equal(graph.nbr[0], star) and np.array_equal(graph.tag[0], tags)
+            and graph.translations_certified)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,23 +374,18 @@ def translations_are_automorphisms(graph: DiagGraph) -> bool:
     If N(v) = N(0)·v for all v, then N(vh) = N(0)·vh = N(v)·h, so every t_h
     is an automorphism; conversely, if every t_h is one, put v = 0.
 
-    One ``coordinatewise`` call builds the right translates of every s in
-    N(0), row s the vertices s·v.  A block of vertices at a time, the
-    translates are transposed, padded with n to the width of ``nbr``,
-    sorted along each row and compared with those rows of ``nbr``; a graph
-    that is not regular pads its rows unequally and fails."""
+    One ``coordinatewise`` call by vertex builds the right translates of
+    N(0), row v the vertices s·v for s in N(0).  Each row is sorted and
+    compared with the first |N(0)| entries of that row of ``nbr``, and the
+    rest of ``nbr`` must be padding: a graph that is not regular pads its
+    rows unequally and fails."""
     n, nbr, codec = graph.size, graph.nbr, graph.codec
     star = nbr[0][nbr[0] < n]
-    translates = coordinatewise(codec, graph.group.mul_array[codec.digits[star]], np.int32)
-    width = nbr.shape[1]
-    step = max(1, BLOCK_BYTES // (4 * max(1, width)))
-    for lo in range(0, n, step):
-        rows = np.full((min(step, n - lo), width), n, dtype=np.int32)
-        rows[:, :len(star)] = translates[:, lo: lo + step].T
-        rows.sort(axis=1)
-        if not np.array_equal(rows, nbr[lo: lo + step]):
-            return False
-    return True
+    translates = coordinatewise(codec, graph.group.mul_array[codec.digits[star]], np.int32,
+                                by_vertex=True)
+    translates.sort(axis=1)
+    return (np.array_equal(translates, nbr[:, :len(star)])
+            and bool((nbr[:, len(star):] == n).all()))
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -291,6 +396,29 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return z ^ z >> np.uint64(31)
 
 
+def distance_layers(graph: DiagGraph) -> tuple[np.ndarray, ...]:
+    """The vertices at each distance from vertex 0, each layer in
+    increasing order, up to the last layer that is not empty: one
+    breadth-first search, each level one scatter of the frontier's rows of
+    ``nbr``, a block of rows at a time within ``BLOCK_BYTES``.  The graph
+    is connected iff the layers hold all n vertices."""
+    n, nbr = graph.size, graph.nbr
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[[0, n]] = True  # vertex 0, and the padding n, never a frontier
+    layers = [np.zeros(1, dtype=np.intp)]
+    while True:
+        nxt = np.zeros(n + 1, dtype=bool)
+        frontier = layers[-1]
+        for block in _row_blocks(len(frontier), 4 * nbr.shape[1]):
+            nxt[nbr[frontier[block]]] = True
+        nxt &= ~reach
+        layer = np.flatnonzero(nxt)
+        if not len(layer):
+            return tuple(layers)
+        reach[layer] = True
+        layers.append(layer)
+
+
 def neighbourhood_is_a_base(graph: DiagGraph) -> bool:
     """True if every automorphism of ``graph`` that fixes each point of
     N[0], the closed neighbourhood of vertex 0, is the identity (the proof
@@ -298,8 +426,7 @@ def neighbourhood_is_a_base(graph: DiagGraph) -> bool:
     certificate failed.
 
     It holds when the right translations are certified automorphisms, the
-    graph is connected (a breadth-first search from 0, each level one
-    scatter of the frontier's rows of ``nbr``), and colour refinement on the
+    graph is connected (its ``layers`` from 0), and colour refinement on the
     ball of radius 2 about 0 ends discrete.  The refinement starts with 0
     and each neighbour of 0 in colours of their own and the rest of the
     ball in one more; neighbours outside the ball, and the padding, read one
@@ -309,20 +436,11 @@ def neighbourhood_is_a_base(graph: DiagGraph) -> bool:
     """
     if not graph.translations_certified:
         return False
-    n = graph.size
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[[0, n]] = True  # vertex 0, and the padding n, never a frontier
-    levels = [np.zeros(1, dtype=np.intp)]
-    while len(levels[-1]):
-        nxt = np.zeros(n + 1, dtype=bool)
-        nxt[graph.nbr[levels[-1]]] = True
-        nxt &= ~reach
-        reach |= nxt
-        levels.append(np.flatnonzero(nxt))
-    if not reach.all():
+    n, layers = graph.size, graph.layers
+    if sum(map(len, layers)) != n:
         return False
-    ball = np.concatenate(levels[:3])  # 0, then N(0) sorted, then distance 2
-    size, star = len(ball), len(levels[1])
+    ball = np.concatenate(layers[:3])  # 0, then N(0) sorted, then distance 2
+    size, star = len(ball), sum(map(len, layers[1:2]))
     # the colour of each vertex of the ball, then the sentinel colour, size
     colour = np.minimum(np.arange(size + 1), star + 1)
     colour[size] = size
@@ -392,12 +510,14 @@ def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
     """BFS diameter against the closed form m+1-ceil((m+1)/q).
 
     Vertex-transitivity, which ``translations_are_automorphisms``
-    certifies, makes the eccentricity of vertex 0 the diameter; under
-    ``paranoid`` or without the certificate every base vertex is searched
-    (``DiagGraph.rooted``).
+    certifies, makes the eccentricity of vertex 0, read off the graph's
+    ``layers``, the diameter; under ``paranoid`` or without the
+    certificate every base vertex is searched (``DiagGraph.rooted``).
     """
-    bases = range(1) if graph.rooted(paranoid) else range(graph.size)
-    ecc = _max_eccentricity(graph, bases)
+    if graph.rooted(paranoid):
+        ecc = len(graph.layers) - 1
+    else:
+        ecc = _max_eccentricity(graph, range(graph.size))
     formula = graph.m + 1 - ceil((graph.m + 1) / graph.q)
     return DiameterReport(bfs=ecc, formula=formula)
 
@@ -586,9 +706,12 @@ def maximal_cliques(
     leaves no part over, so the parts are the maximum cliques.  Otherwise
     the scope is vertex 0, where n·c_0(ω)/ω maximum cliques against n/ω
     parts per partition make the maximum cliques through 0 exactly the
-    parts through 0, one per partition.  Away from 0, ``build_graph`` joins
-    the points of each part and lets no edge lie in two parts, so the parts
-    are distinct maximum cliques, and the count makes them all of them.
+    parts through 0, one per partition.  Away from 0, the graph is the
+    partition graph of ``minimals``: ``build_graph`` builds it, and
+    ``check-all`` reads either that or a Cayley array certified equal to it
+    (``is_coset_partition_graph``).  The partition graph joins the points
+    of each part and lets no edge lie in two parts, so the parts are
+    distinct maximum cliques, and the count makes them all of them.
     """
     g = graph.group
     cliques, counts = _clique_census(graph, not graph.rooted(paranoid))
@@ -625,6 +748,21 @@ def maximal_cliques(
     return report
 
 
+def same_label_neighbours(graph: DiagGraph, label) -> np.ndarray:
+    """How many neighbours of each vertex carry its label, given one label
+    per vertex, int32: the labels are gathered over ``nbr`` as int32, a
+    block of rows at a time within ``BLOCK_BYTES``, and the padding n
+    carries a label that no vertex does."""
+    n, nbr = graph.size, graph.nbr
+    lab = np.empty(n + 1, dtype=np.int32)
+    lab[:n] = label
+    lab[n] = lab[:n].min(initial=0) - 1
+    count = np.empty(n, dtype=np.intp)
+    for block in _row_blocks(n, 4 * nbr.shape[1]):
+        count[block] = np.count_nonzero(lab[nbr[block]] == lab[block, None], axis=1)
+    return count
+
+
 @dataclass(frozen=True)
 class CliqueCover:
     size: int
@@ -640,14 +778,48 @@ def clique_cover(graph: DiagGraph, minimals: list[Partition]) -> CliqueCover:
     # A block B is a clique iff each of its vertices has the other |B| - 1
     # among its neighbours.  A row of nbr lists distinct neighbours, so no
     # vertex has more, and the blocks are all cliques iff the counts sum to
-    # the sum of |B|(|B| - 1).  The sentinel n lies in no block.
-    label = np.append(part.block_of, -1)
-    inside = (label[graph.nbr] == label[:-1, None]).sum(axis=1)
+    # the sum of |B|(|B| - 1).
+    inside = same_label_neighbours(graph, part.block_of)
     sizes = part.block_sizes()
     if inside.sum() < (sizes * (sizes - 1)).sum():
         blk = next(b for b in part.blocks() if (inside[b] < len(b) - 1).any())
         raise AssertionError(f"cover block {tuple(blk)} is not a clique")
     return CliqueCover(size=part.block_count, lower_bound=graph.size // graph.q)
+
+
+def _sphere_counts(
+    graph: DiagGraph,
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """``is_distance_regular`` from vertex 0 alone, on the distances of the
+    graph's ``layers``.
+
+    One gather of the distances over ``nbr``, a block of rows at a time
+    within ``BLOCK_BYTES``, counts each vertex's neighbours one layer out
+    (b) and one layer in (c); the padding n, at distance -2, and the
+    unreached vertices, at -1, are at no distance i + 1 or i - 1 of a
+    reached vertex.  Every layer must then have one b and one c: its least
+    and greatest counts, taken per layer over the vertices in layer order,
+    must agree.
+    """
+    n, nbr, layers = graph.size, graph.nbr, graph.layers
+    order, sizes = np.concatenate(layers), [len(layer) for layer in layers]
+    dist = np.full(n + 1, -1, dtype=np.int32)
+    dist[n] = -2
+    dist[order] = np.repeat(np.arange(len(layers), dtype=np.int32), sizes)
+    out, into = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for block in _row_blocks(n, 4 * nbr.shape[1]):
+        around, own = dist[nbr[block]], dist[block, None]
+        out[block] = np.count_nonzero(around == own + 1, axis=1)
+        into[block] = np.count_nonzero(around == own - 1, axis=1)
+    starts = np.cumsum([0] + sizes[:-1])
+    counts = []
+    for count in (out[order], into[order]):
+        low = np.minimum.reduceat(count, starts)
+        if (low != np.maximum.reduceat(count, starts)).any():
+            return False, None
+        counts.append(low)
+    ecc = len(layers) - 1
+    return True, (tuple(counts[0][:ecc].tolist()), tuple(counts[1][1:].tolist()))
 
 
 def is_distance_regular(
@@ -658,19 +830,21 @@ def is_distance_regular(
     Vertex-transitivity justifies the single base; under ``paranoid`` or
     without the translation certificate every vertex is a base
     (``DiagGraph.rooted``).  Returns (verdict, (b_array, c_array) or None).
+    For each base, every vertex at distance i must have the same number
+    c_i of neighbours at i - 1 and b_i at i + 1, and every base must give
+    the same arrays.  Unreachable vertices are not counted.
 
-    A block of bases is searched at once: ``dist`` holds one column per
-    base, and each breadth-first level gathers the frontier over ``nbr``,
-    whose padding is the sentinel vertex n.  For each base, every
-    vertex at distance i must have the same number c_i of neighbours at
-    i - 1 and b_i at i + 1, and every base must give the same arrays.
-    Unreachable vertices (distance -1) are not counted.
+    From vertex 0 the distances are the graph's ``layers`` (``_sphere_counts``).
+    Otherwise a block of bases is searched at once: ``dist`` holds one
+    column per base, and each breadth-first level gathers the frontier over
+    ``nbr``, whose padding is the sentinel vertex n.
     """
     n = graph.size
-    bases = range(min(n, 1)) if graph.rooted(paranoid) else range(n)
+    if n and graph.rooted(paranoid):
+        return _sphere_counts(graph)
     nbr = graph.nbr
     result: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for block in start_blocks(bases, 32 * max(1, nbr.size)):
+    for block in start_blocks(range(n), 32 * max(1, nbr.size)):
         dist = np.full((n + 1, len(block)), -1, dtype=np.int32)
         dist[n] = -2  # the sentinel is at no distance i - 1 or i + 1
         dist[block, np.arange(len(block))] = 0

@@ -138,17 +138,27 @@ def vertex_products(g: GroupTable, codec: VertexCodec, x: np.ndarray, v: np.ndar
     return out
 
 
-def coordinatewise(codec: VertexCodec, maps: np.ndarray, dtype=np.intp) -> np.ndarray:
+def coordinatewise(codec: VertexCodec, maps: np.ndarray, dtype=np.intp,
+                   by_vertex: bool = False) -> np.ndarray:
     """Row p: the vertex number of the image of every vertex y of ``codec``
     under the coordinatewise map that sends y_i to ``maps[p, i, y_i]``, for
-    a (P, m, q) array ``maps`` of group elements.
+    a (P, m, q) array ``maps`` of group elements; with ``by_vertex``, the
+    transpose, built as such: row y, the image of y under every map.
 
     Row p is the sum over i of q^i maps[p, i, y_i].  Coordinate m-1 is the
     most significant, so the row is grown from it down: each coordinate is
     one broadcast add of its scaled (P, q) table, and the result reshaped,
-    with no gather over the vertices.  No maps give a (0, q^m) array."""
+    with no gather over the vertices.  By vertex, the vertices take the
+    leading axes and the maps the last, so the (q^m, P) result is written
+    once, row by row.  No maps give a (0, q^m) array, or (q^m, 0)."""
     maps = np.asarray(maps)
     scaled = (maps * codec.q ** np.arange(codec.m)[:, None]).astype(dtype)
+    if by_vertex:
+        scaled = np.ascontiguousarray(scaled.transpose(1, 2, 0))  # (m, q, P)
+        out = scaled[-1]
+        for i in range(codec.m - 2, -1, -1):
+            out = (out[:, None, :] + scaled[i][None]).reshape(codec.q ** (codec.m - i), len(maps))
+        return out
     out = scaled[:, -1]
     for i in range(codec.m - 2, -1, -1):
         out = out[:, :, None] + scaled[:, i, None, :]
@@ -188,9 +198,12 @@ def build_q(g: GroupTable, m: int, i: int, cap: int = DEFAULT_VERTEX_CAP, *,
     return Partition(n, labels, n // q)
 
 
-def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP) -> list[Partition]:
-    """Q_0, Q_1, ..., Q_m in that order, over one codec."""
-    codec = vertex_codec(g, m, cap)
+def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP, *,
+                       codec: VertexCodec | None = None) -> list[Partition]:
+    """Q_0, Q_1, ..., Q_m in that order, over one codec: ``codec``, which
+    is ``vertex_codec(g, m, cap)``, where the caller has it."""
+    if codec is None:
+        codec = vertex_codec(g, m, cap)
     return [build_q(g, m, i, codec=codec) for i in range(m + 1)]
 
 
@@ -209,6 +222,9 @@ class DiagonalSemilattice:
     semilattice was read from the blocks through vertex 0.  ``orbit[S]`` is
     the least mask of S's orbit under the diagonal maps (``mask_orbits``);
     None, as on the table's route, makes every mask its own orbit.
+    ``blocks[i]`` lists the points of B_i, the block of Q_i through vertex
+    0, in increasing order, where ``rooted_block_sizes`` certified that the
+    parts of each Q_i are the cosets B_i·v; it is None on the table's route.
     """
 
     m: int
@@ -222,6 +238,7 @@ class DiagonalSemilattice:
     below: tuple[int, ...]
     cl: tuple[int, ...]
     orbit: tuple[int, ...] | None = None
+    blocks: tuple[tuple[int, ...], ...] | None = None
 
     @cached_property
     def hasse(self) -> tuple[tuple[int, int], ...]:
@@ -412,7 +429,8 @@ def diagonal_maps(g: GroupTable, codec: VertexCodec) -> list[tuple[str, np.ndarr
     return maps
 
 
-def mask_orbits(g: GroupTable, minimals: list[Partition]) -> np.ndarray:
+def mask_orbits(g: GroupTable, minimals: list[Partition],
+                codec: VertexCodec | None = None) -> np.ndarray:
     """The least mask of the orbit of each subset mask of ``minimals``,
     indexed by mask, under the permutations of the partitions that the
     ``diagonal_maps`` of G^m induce.
@@ -425,10 +443,11 @@ def mask_orbits(g: GroupTable, minimals: list[Partition]) -> np.ndarray:
     sup(S) onto sup(pi S): the two have the same block sizes and count.
     The orbits are the components of one link per map, from S to pi S, in
     one ``components`` call, which labels each by its least mask.  Where
-    the certificate fails, every mask is its own orbit.
+    the certificate fails, every mask is its own orbit.  ``codec`` is that
+    of G^m where the caller has it.
     """
     k, n = len(minimals), minimals[0].size
-    codec = VertexCodec(q=g.order, m=k - 1)
+    codec = codec or VertexCodec(q=g.order, m=k - 1)
     links = []
     if k > 1 and codec.size == n:
         maps = np.stack([image for _, image in diagonal_maps(g, codec)])
@@ -450,12 +469,14 @@ def _prefix_closure(orbit: np.ndarray) -> np.ndarray:
 
 
 def rooted_block_sizes(g: GroupTable, minimals: list[Partition],
-                       needed: np.ndarray | None = None) -> np.ndarray | None:
+                       needed: np.ndarray | None = None,
+                       codec: VertexCodec | None = None) -> np.ndarray | None:
     """|B_S|, the size of the block through vertex 0 of the supremum of the
     partitions in each subset S of ``minimals``, indexed by mask, where
     their blocks are cosets; else None.  Only the masks of ``needed``, a
     boolean array by mask that holds the prefixes S & (2^b - 1) of each of
     its masks S, are grown, every mask by default, and the others read 0.
+    ``codec`` is that of G^m where the caller has it.
 
     The certificate: for each partition Q_i, with B_i its block through
     vertex 0 (the identity), left multiplication by each point h of B_i
@@ -487,7 +508,7 @@ def rooted_block_sizes(g: GroupTable, minimals: list[Partition],
     and each depth keeps one batch.
     """
     k, n = len(minimals), minimals[0].size
-    codec = VertexCodec(q=g.order, m=k - 1)
+    codec = codec or VertexCodec(q=g.order, m=k - 1)
     if codec.size != n or any(p.size != n for p in minimals):
         return None
     blocks = [p.block_through(0) for p in minimals]
@@ -596,8 +617,9 @@ def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
                                 _m_subsets(len(sup) - 1))
 
 
-def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition],
-                               paranoid: bool = False) -> tuple[DiagonalSemilattice, bool]:
+def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition], paranoid: bool = False,
+                               codec: VertexCodec | None = None,
+                               ) -> tuple[DiagonalSemilattice, bool]:
     """The join closure of ``minimals``, the minimal partitions of G^m, and
     whether every m-subset of them generates a Cartesian lattice
     (``verify_semilattice_hypothesis``).
@@ -608,14 +630,16 @@ def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition],
     mask from its orbit's: sup(S) has n/|B_S| blocks of |B_S| points, so
     its parts have size q^|S| iff |B_S| does, and one m-subset per orbit is
     checked.  The elements are listed by (-block count, closed mask), a
-    linear extension of the order, with no partition built.  Under
+    linear extension of the order, with no partition built, and the
+    semilattice keeps the certified blocks through 0 (``blocks``).  Under
     ``paranoid``, or where ``rooted_block_sizes`` gives None, both come
-    from the table of subset suprema instead.
+    from the table of subset suprema instead.  ``codec`` is that of G^m
+    where the caller has it.
     """
     sizes = None
     if not paranoid:
-        orbit = mask_orbits(g, minimals)
-        sizes = rooted_block_sizes(g, minimals, _prefix_closure(orbit))
+        orbit = mask_orbits(g, minimals, codec)
+        sizes = rooted_block_sizes(g, minimals, _prefix_closure(orbit), codec)
     if sizes is None:
         sup = subset_suprema(minimals)
         return join_closure(minimals, sup), verify_semilattice_hypothesis(sup, g.order)
@@ -626,6 +650,7 @@ def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition],
     count = minimals[0].size // sizes
     sl = _from_counts(count, int(part_sizes[0]), minimals[0].size,
                       lambda closed: np.lexsort((closed, -count[closed])), orbit)
+    sl = replace(sl, blocks=tuple(tuple(p.block_through(0).tolist()) for p in minimals))
     sized = sizes == np.power(g.order, np.bitwise_count(np.arange(len(sizes))), dtype=np.int64)
     domains = [d for d in _m_subsets(len(sizes) - 1) if orbit[d] == d]
     return sl, _generates_cartesian(sized, np.asarray(sl.cl), domains)

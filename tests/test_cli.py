@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
@@ -298,28 +299,70 @@ def test_clique_commands_paranoid_same_output(capsys, monkeypatch, command, grou
     assert largest[0] < n and largest[1] == n
 
 
+def doctor_constructions(monkeypatch, doctor_build, doctor_cayley) -> list[str]:
+    """Pass the graphs of ``build_graph`` and ``cayley_graph`` through the
+    two doctors; returns the names of the constructions called, in order."""
+    from diaglab import diaggraph
+
+    built = []
+    for name, doctor in (("build_graph", doctor_build), ("cayley_graph", doctor_cayley)):
+        def doctored(*args, construct=getattr(diaggraph, name), name=name, doctor=doctor,
+                     **kwargs):
+            built.append(name)
+            return doctor(construct(*args, **kwargs))
+
+        monkeypatch.setattr(diaggraph, name, doctored)
+    return built
+
+
 @pytest.mark.parametrize("switched", [False, True])
 def test_check_all_falls_back_where_translations_are_no_automorphisms(
         capsys, monkeypatch, switched):
-    """On a 2-switched graph the translation certificate fails, and each
-    shortcut from vertex 0 searches from every vertex instead."""
-    from diaglab import diaggraph
-
+    """With both constructions 2-switched alike, the Cayley array fails the
+    translation certificate, check-all builds the partition graph, the two
+    agree, and each shortcut from vertex 0 searches from every vertex of the
+    switched graph instead.  Unswitched, the one breadth-first search from
+    vertex 0 serves the diameter, the distance-regularity check and the
+    neighbourhood certificate."""
     from test_translated_cliques import record_searches, two_switch
 
-    build = diaggraph.build_graph
-    monkeypatch.setattr(diaggraph, "build_graph", lambda g, minimals: (
-        two_switch(build(g, minimals)) if switched else build(g, minimals)))
+    doctor = two_switch if switched else (lambda graph: graph)
+    built = doctor_constructions(monkeypatch, doctor, doctor)
     searched = record_searches(monkeypatch)
     code, out, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3")
     n, valency = 27, 8
-    assert searched == {"_max_eccentricity": [n if switched else 1],
-                        "_walk_blocks": [n if switched else 1],
-                        "bron_kerbosch": [n] if switched else [valency],
-                        "is_distance_regular": [n if switched else 1]}
+    if switched:
+        assert searched == {"_max_eccentricity": [n], "_walk_blocks": [n],
+                            "bron_kerbosch": [n], "is_distance_regular": [n]}
+    else:
+        assert searched == {"distance_layers": [1], "_walk_blocks": [1],
+                            "bron_kerbosch": [valency]}
+    assert built == ["cayley_graph", "build_graph"] if switched else ["cayley_graph"]
     failures = json.loads(out)["failures"]
     assert code == (EXIT_CHECK_FAILED if switched else EXIT_OK)
-    assert ("construction-agreement" in failures) == switched
+    assert "construction-agreement" not in failures
+    assert ("clique-structure" in failures) == switched
+
+
+@pytest.mark.parametrize("group,m", [("C3", "3"), ("S3", "2")])
+def test_a_two_switched_cayley_array_falls_back_and_fails_the_agreement(
+        capsys, monkeypatch, group, m):
+    """A 2-switched Cayley array keeps row 0 and its tags, so only the
+    translation certificate sees the switch: check-all builds the partition
+    graph, fails construction-agreement, and runs the other claims on the
+    partition graph, as under --paranoid."""
+    from test_translated_cliques import two_switch
+
+    built = doctor_constructions(monkeypatch, lambda graph: graph, two_switch)
+    ledgers = []
+    for extra in ((), ("--paranoid",)):
+        built.clear()
+        ledgers.append(run_cli(capsys, "check-all", "--group", group, "--m", m, *extra))
+        assert built == ["cayley_graph", "build_graph"]
+    assert ledgers[0] == ledgers[1]
+    code, out, _ = ledgers[0]
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["failures"] == ["construction-agreement"]
 
 
 @pytest.mark.parametrize("argv,certificates", [
@@ -389,15 +432,28 @@ def test_check_all_checks_each_right_translation_once(capsys, monkeypatch, paran
         assert set(at_zero) == others | {"right-mult"}
 
 
+@pytest.mark.parametrize("paranoid", [False, True])
 def test_check_all_records_a_graph_built_twice_over_an_edge(capsys, monkeypatch,
-                                                             ledger_validator):
-    # Q_1 given in place of Q_0: every edge of Q_1 is listed twice
-    from diaglab import diaggraph
+                                                             ledger_validator, paranoid):
+    # Q_1 given in place of Q_0 to the graph: every edge of Q_1 is listed
+    # twice.  Off --paranoid check-all reads the blocks through 0, where B_1
+    # now meets itself, falls back to build_graph, and gets its detail.
+    from diaglab import diaggraph, semilattice
 
-    build = diaggraph.build_graph
-    monkeypatch.setattr(diaggraph, "build_graph",
-                        lambda g, minimals: build(g, minimals[1:2] + minimals[1:]))
-    code, out, err = run_cli(capsys, "check-all", "--group", "C3", "--m", "2")
+    build, rooted = diaggraph.build_graph, semilattice.semilattice_and_hypothesis
+    built = []
+
+    def doctored_blocks(*args):
+        sl, ok = rooted(*args)
+        assert (sl.blocks is None) == paranoid
+        return replace(sl, blocks=sl.blocks and sl.blocks[1:2] + sl.blocks[1:]), ok
+
+    monkeypatch.setattr(semilattice, "semilattice_and_hypothesis", doctored_blocks)
+    monkeypatch.setattr(diaggraph, "build_graph", lambda g, minimals, codec: built.append(1) or
+                        build(g, minimals[1:2] + minimals[1:], codec))
+    code, out, err = run_cli(capsys, "check-all", "--group", "C3", "--m", "2",
+                             *["--paranoid"] * paranoid)
+    assert built == [1]
     assert code == EXIT_CHECK_FAILED and err == ""
     data = json.loads(out)
     ledger_validator.validate(data)
@@ -713,12 +769,26 @@ def test_check_all_paranoid_builds_the_subset_table_once(capsys, monkeypatch, ca
 def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
     """Each artefact is built once, and the group parsed once; the subset
     table only under --paranoid, as the certified path reads the
-    semilattice from the blocks through vertex 0, and D_0's chain acts on
-    every vertex only under --paranoid, as the certified path reads it on
-    the closed neighbourhood of 0."""
+    semilattice from the blocks through vertex 0; the partition graph only
+    under --paranoid, as the certified path decides the construction
+    agreement from those blocks and reads the Cayley array alone; the
+    vertex codec's digits once; and D_0's chain acts on every vertex only
+    under --paranoid, as the certified path reads it on the closed
+    neighbourhood of 0."""
+    from functools import cached_property
+
     from diaglab import diaggraph, groups, semilattice, symmetry
 
     counted, calls = call_counts
+    digits = semilattice.VertexCodec.digits
+
+    def counted_digits(codec):
+        calls["digits"] = calls.get("digits", 0) + 1
+        return digits.func(codec)
+
+    recorded = cached_property(counted_digits)
+    recorded.__set_name__(semilattice.VertexCodec, "digits")
+    monkeypatch.setattr(semilattice.VertexCodec, "digits", recorded)
     counted(diaggraph, "build_graph")
     counted(diaggraph, "cayley_graph")
     counted(semilattice, "minimal_partitions")
@@ -734,8 +804,8 @@ def check_artefact_counts(capsys, monkeypatch, call_counts, paranoid):
     code, _, _ = run_cli(capsys, "check-all", "--group", "C3", "--m", "3",
                          *["--paranoid"] * paranoid)
     assert code == EXIT_OK
-    assert calls == {"build_graph": 1, "cayley_graph": 1, "minimal_partitions": 1,
-                     **({"subset_suprema": 1} if paranoid else {}),
+    assert calls == {"cayley_graph": 1, "minimal_partitions": 1, "digits": 1,
+                     **({"subset_suprema": 1, "build_graph": 1} if paranoid else {}),
                      "diagonal_group_generators": 1, "build_chain": 1,
                      "automorphism_group": 1, "parse_group_spec": 1}
     # the chain that picks generators of Aut(C3) from its 2 elements, on 3

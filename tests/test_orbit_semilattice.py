@@ -167,9 +167,10 @@ def test_a_family_no_map_permutes_takes_the_walk(monkeypatch, capsys):
 
     walked, built = [], []
     walk, table = semilattice.rooted_block_sizes, semilattice.subset_suprema
-    monkeypatch.setattr(semilattice, "minimal_partitions", lambda *args: minimals)
+    monkeypatch.setattr(semilattice, "minimal_partitions", lambda *args, **kwargs: minimals)
     monkeypatch.setattr(semilattice, "rooted_block_sizes",
-                        lambda g, parts, needed: walked.append(needed.all()) or walk(g, parts, needed))
+                        lambda g, parts, needed, codec: (walked.append(needed.all())
+                                                         or walk(g, parts, needed, codec)))
     monkeypatch.setattr(semilattice, "subset_suprema",
                         lambda parts: built.append(len(parts)) or table(parts))
     ledgers = []

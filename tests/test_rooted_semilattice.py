@@ -115,7 +115,8 @@ def test_partition_that_fails_the_certificate_sends_check_all_to_the_table(
 
     built = []
     table = semilattice.subset_suprema
-    monkeypatch.setattr(semilattice, "minimal_partitions", lambda *args: blocks_not_cosets())
+    monkeypatch.setattr(semilattice, "minimal_partitions",
+                        lambda *args, **kwargs: blocks_not_cosets())
     monkeypatch.setattr(semilattice, "subset_suprema",
                         lambda parts: built.append(len(parts)) or table(parts))
     ledgers = []

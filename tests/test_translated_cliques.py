@@ -47,7 +47,7 @@ from diaglab.partitions import Partition
 from diaglab.semilattice import minimal_partitions
 from diaglab.spectral import spectrum_trace_moments
 
-from conftest import GRID, GRID_GROUPS, SYMMETRY_EXTRAS, edge_set, graph_of, group_of, minimals_of
+from conftest import GRID, GRID_GROUPS, SYMMETRY_EXTRAS, graph_of, group_of, minimals_of
 from replaced import (
     TupleCodec,
     adjacency_lists,
@@ -94,9 +94,15 @@ def record_sizes(monkeypatch) -> list[int]:
 def record_searches(monkeypatch) -> dict[str, list[int]]:
     """Spy on the shortcuts from vertex 0 and their every-vertex forms:
     how many base vertices or walk starts each kernel cuts into blocks,
-    keyed by the kernel's name, and under "bron_kerbosch" the size of each
-    graph the clique census searches.  The every-vertex forms give n."""
+    keyed by the kernel's name, under "distance_layers" a 1 for each
+    breadth-first search from vertex 0, which the rooted diameter,
+    distance-regularity check and neighbourhood certificate share, and
+    under "bron_kerbosch" the size of each graph the clique census
+    searches.  The every-vertex forms give n."""
     searched: dict[str, list[int]] = {"bron_kerbosch": record_sizes(monkeypatch)}
+    layers = diaggraph.distance_layers
+    monkeypatch.setattr(diaggraph, "distance_layers", lambda graph: (
+        searched.setdefault("distance_layers", []).append(1) or layers(graph)))
     for module in (diaggraph, spectral):
         def spy(starts, bits_per_start, cut=module.start_blocks):
             caller = sys._getframe(1).f_code.co_name
@@ -117,17 +123,18 @@ def certified(graph) -> bool:
 
 def two_switch(graph):
     """The graph with edges ab and cd replaced by ac and bd, for the first
-    such pair (a, b, c, d distinct, ac and bd not edges, 0 not among them).
-    The result is regular, and N(a) loses b while N(0) is unchanged."""
-    edges = edge_set(graph)
-    linked = lambda u, v: (min(u, v), max(u, v)) in edges  # noqa: E731
-    for a, b in sorted(edges):
-        for c, d in sorted(edges):
+    such pair (a, b, c, d distinct, ac and bd not edges, 0 not among them),
+    ac tagged as ab was and bd as cd.  The result is regular, and N(a) loses
+    b while N(0) is unchanged, with its tags."""
+    tags = {(u, v): t for u, v, t in tagged_rows(graph).tolist()}
+    linked = lambda u, v: (min(u, v), max(u, v)) in tags  # noqa: E731
+    for a, b in sorted(tags):
+        for c, d in sorted(tags):
             if 0 in (a, b, c, d) or len({a, b, c, d}) < 4:
                 continue
             if not linked(a, c) and not linked(b, d):
-                rows = [(u, v, 0) for u, v in edges - {(a, b), (c, d)}]
-                rows += [(min(a, c), max(a, c), 0), (min(b, d), max(b, d), 0)]
+                rows = [(u, v, t) for (u, v), t in tags.items() if (u, v) not in {(a, b), (c, d)}]
+                rows += [(min(a, c), max(a, c), tags[a, b]), (min(b, d), max(b, d), tags[c, d])]
                 return from_rows(graph.group, graph.m, rows)
     raise AssertionError("no 2-switch found")
 
