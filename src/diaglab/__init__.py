@@ -20,27 +20,16 @@ from .groups import (
     quaternion,
     sylow2_nontrivial_cyclic,
 )
-from .partitions import (
-    Partition,
-    finer_or_equal,
-    infimum,
-    single_block,
-    singletons,
-    subset_suprema,
-    supremum,
-)
+from .partitions import Partition, subset_suprema
 from .semilattice import (
     DiagonalSemilattice,
     build_q,
-    check_cartesian,
-    closure_masks,
     join_closure,
     minimal_partitions,
     mobius_closed_form,
     rooted_block_sizes,
     semilattice_and_hypothesis,
     verify_mobius,
-    verify_semilattice_hypothesis,
     vertex_codec,
 )
 from .diaggraph import (
@@ -49,7 +38,6 @@ from .diaggraph import (
     build_graph,
     cayley_graph,
     clique_cover,
-    common_neighbours,
     connection_set,
     diameter,
     export_graph,
@@ -82,7 +70,6 @@ from .symmetry import (
     is_vertex_primitive,
     rooted_orbit_counts,
     symmetry_report,
-    vertex_stabiliser_generators,
 )
 
 __version__ = "0.1.0"

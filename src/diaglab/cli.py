@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import factorial
 
@@ -164,9 +165,7 @@ def run_check_all(cfg: RunConfig, g: GroupTable) -> dict:
            "every m-subset of the minimal partitions generates a Cartesian lattice")
 
     expected = semilattice.expected_rank_counts(m)
-    got: dict[int, int] = {}
-    for r in sl.rank:
-        got[r] = got.get(r, 0) + 1
+    got = dict(Counter(sl.rank.tolist()))
     _claim(claims, "rank-counts", got == expected,
            f"elements per rank {got}, expected binomials {expected}")
 

@@ -288,7 +288,7 @@ def coset_construction_agrees(blocks, g: GroupTable, codec: VertexCodec) -> bool
     unequal arrays, and equal tagged sets make the same Cayley graph with
     the same tags, so equal arrays.  O(|C|), with no neighbour array.
     """
-    points = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+    points = np.concatenate(blocks)
     tags = np.repeat(np.arange(len(blocks), dtype=np.int8), [len(b) for b in blocks])
     moved = points != 0
     points, tags = points[moved], tags[moved]
@@ -520,13 +520,6 @@ def diameter(graph: DiagGraph, paranoid: bool = False) -> DiameterReport:
         ecc = _max_eccentricity(graph, range(graph.size))
     formula = graph.m + 1 - ceil((graph.m + 1) / graph.q)
     return DiameterReport(bfs=ecc, formula=formula)
-
-
-def common_neighbours(graph: DiagGraph, u: int, v: int) -> list[int]:
-    if u == v:
-        raise ValueError("common neighbours need two distinct vertices")
-    common = np.intersect1d(graph.nbr[u], graph.nbr[v])
-    return common[common < graph.size].tolist()
 
 
 # The four small graphs whose clique structure departs from the generic
@@ -911,31 +904,6 @@ def to_graph6(graph: DiagGraph) -> bytearray:
     # each edge is listed once, so each bit is added at most once
     np.add.at(out, len(head) + pos // 6, (32 >> pos % 6).astype(np.uint8))
     return buf
-
-
-def parse_graph6(text: str | bytes) -> list[list[int]]:
-    """Decode a graph6 string or byte string into sorted adjacency lists."""
-    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    data = [byte - 63 for byte in raw.strip()]
-    if data and data[0] == 63:  # 0x7e '~' marks the long form
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        data = data[4:]
-    else:
-        n = data[0]
-        data = data[1:]
-    bits = []
-    for val in data:
-        for k in range(5, -1, -1):
-            bits.append(val >> k & 1)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                adj[i].append(j)
-                adj[j].append(i)
-            pos += 1
-    return [sorted(a) for a in adj]
 
 
 def to_dot(graph: DiagGraph) -> str:

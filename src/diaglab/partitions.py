@@ -3,21 +3,21 @@
 A partition's labels are a read-only int32 array that labels each point by
 the smallest point of its block, and only this module reads or writes that
 format, apart from ``semilattice.build_q``, which builds the minimal
-partitions in it directly for the constructor to check: the lattice
-operations, the refinement test, the element order, the block sizes, the
-partitions that a map carries each onto and the table of subset suprema
-all work on the arrays.  The
-form is what ``components`` returns and also a link that ``components``
-takes, so a supremum needs no conversion on the way in or out.
+partitions in it directly for the constructor to check: the suprema, the
+element order, the block sizes, the partitions that a map carries each onto
+and the table of subset suprema all work on the arrays.  The form is what
+``components`` returns and also a link that ``components`` takes, so a
+supremum needs no conversion on the way in or out.
 
 Terminology.  This module follows the refinement-order convention used
-throughout the package: ``infimum`` is the common refinement (blockwise
-intersections) and ``supremum`` is the coarsening whose blocks are the
-connected components of the two block structures overlaid.  Parts of the
-design-theory literature attach the words "join" and "meet" to these two
-operations the other way around; the names here are chosen so that the
-diagonal semilattice, which is generated upward from its minimal partitions,
-is literally closed under ``supremum``.  See README for the full note.
+throughout the package: the supremum of partitions is the coarsening whose
+blocks are the connected components of their block structures overlaid
+(``join_rows``, ``subset_suprema``), and the infimum would be the common
+refinement.  Parts of the design-theory literature attach the words "join"
+and "meet" to these two operations the other way around; the names here are
+chosen so that the diagonal semilattice, which is generated upward from its
+minimal partitions, is literally closed under suprema.  See README for the
+full note.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Partition:
     ``block_of[p]`` is the smallest point of p's block, a read-only int32
     array, so two partitions are equal iff their arrays are, and the points
     labelled by themselves are one per block.  Labels given directly must
-    be in this form (``from_labels`` and ``from_blocks`` take any), or
+    be in this form (``from_labels`` takes any), or
     ValueError: each label lies in 0..p and labels itself, and the points
     labelled by themselves number ``block_count``.  Any integer sequence is
     stored as such an array, and a writeable array is copied rather than
@@ -111,22 +111,6 @@ class Partition:
         np.minimum.at(least, dense, np.arange(len(dense)))
         return Partition(len(dense), least[dense], len(distinct))
 
-    @staticmethod
-    def from_blocks(blocks, size: int | None = None) -> "Partition":
-        points = [p for blk in blocks for p in blk]
-        n = size if size is not None else (max(points) + 1 if points else 0)
-        labels = [-1] * n
-        for i, blk in enumerate(blocks):
-            for p in blk:
-                if not 0 <= p < n:
-                    raise ValueError(f"point {p} outside 0..{n - 1}")
-                if labels[p] != -1:
-                    raise ValueError(f"point {p} appears in two blocks")
-                labels[p] = i
-        if any(lab == -1 for lab in labels):
-            raise ValueError("blocks do not cover the ground set")
-        return Partition.from_labels(labels)
-
     def blocks(self) -> list[list[int]]:
         """The points of each block in increasing order, blocks by smallest
         point.  The split at every block's end leaves one empty piece last."""
@@ -167,9 +151,6 @@ class Partition:
         """True iff each row of ``maps``, an array of point images, sends
         every point into its own block."""
         return bool((self.block_of[maps] == self.block_of).all())
-
-    def is_single_block(self) -> bool:
-        return self.block_count == 1
 
 
 def induced_permutations(maps: np.ndarray, parts: list[Partition]) -> list[tuple[int, ...] | None]:
@@ -235,35 +216,9 @@ def element_order(parts: list[Partition]) -> list[int]:
     return order
 
 
-def singletons(n: int) -> Partition:
-    """The equality partition: every part a singleton."""
-    return Partition(n, np.arange(n, dtype=np.int32), n)
-
-
-def single_block(n: int) -> Partition:
-    """The universal partition with one part."""
-    return Partition(n, np.zeros(n, dtype=np.int32), 1 if n else 0)
-
-
 def _check_same_ground(p: Partition, q: Partition) -> None:
     if p.size != q.size:
         raise ValueError(f"ground sets differ: {p.size} vs {q.size}")
-
-
-def finer_or_equal(p: Partition, q: Partition) -> bool:
-    """True iff every block of p lies inside a single block of q."""
-    _check_same_ground(p, q)
-    # Each block of p takes the q-block of one of its points; p refines q
-    # iff every point agrees with its block's.
-    image = np.empty(p.size, dtype=np.int32)
-    image[p.block_of] = q.block_of
-    return bool((image[p.block_of] == q.block_of).all())
-
-
-def infimum(p: Partition, q: Partition) -> Partition:
-    """Common refinement: blocks are the non-empty pairwise intersections."""
-    _check_same_ground(p, q)
-    return Partition.from_labels(p.block_of.astype(np.int64) * p.size + q.block_of)
 
 
 def components(n: int, links) -> np.ndarray:
@@ -316,14 +271,6 @@ def join_rows(rows: np.ndarray, part: Partition) -> np.ndarray:
     offset = n * np.arange(count)[:, None]
     links = [(rows + offset).ravel(), (part.block_of + offset).ravel()]
     return components(count * n, links).reshape(count, n) - offset
-
-
-def supremum(p: Partition, q: Partition) -> Partition:
-    """Coarsening by connected components of the two block structures: the
-    one-row case of ``join_rows``."""
-    _check_same_ground(p, q)
-    rows = join_rows(p.block_of[None, :], q)
-    return Partition(p.size, rows[0], int(_block_counts(rows)[0]))
 
 
 def subset_suprema(parts: list[Partition]) -> list[Partition]:

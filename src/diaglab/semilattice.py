@@ -23,9 +23,12 @@ subgroup that the B_i with i in S generate, and it has n/|B_S| blocks of
 call.  Under ``paranoid``, or where the certificate fails, the masks come
 from the table of subset suprema (``partitions.subset_suprema``, built one
 generator at a time in blocks of rows), and the elements are the table's
-partitions, listed in ``partitions.element_order``; the ``semilattice``
-and ``mobius`` commands always take that route.  Both routes give the same
-masks.
+partitions, listed in ``partitions.element_order``, with every mask its
+own orbit; the ``semilattice`` and ``mobius`` commands always take that
+route.  Both routes give the same masks, and both end in one Cartesian
+check over the semilattice's closure masks (``_generates_cartesian``).
+The semilattice keeps its per-element and per-mask fields as read-only
+arrays.
 
 On the route through vertex 0 only one mask per orbit of the diagonal
 maps is grown.  The coordinate transposition, the coordinate cycle and the
@@ -207,50 +210,52 @@ def minimal_partitions(g: GroupTable, m: int, cap: int = DEFAULT_VERTEX_CAP, *,
     return [build_q(g, m, i, codec=codec) for i in range(m + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalSemilattice:
     """Closure of the minimal partitions under the coarsening operation.
 
-    ``rank`` counts steps from the singleton partition along a longest chain;
-    ``hasse`` lists cover pairs (lower index, upper index) into the elements,
-    built on first use.  ``minimal_indices[i]`` locates Q_i, and
-    ``below[k]`` is the closure mask of element k: bit g set iff Q_g
-    refines it.  ``cl[S]`` is the closure mask of the supremum of the
-    generators in the subset mask S, the semilattice's one order structure.
-    ``elements`` holds the partitions, in the order of ``below``, where they
-    come from the table of subset suprema, and is None where the
-    semilattice was read from the blocks through vertex 0.  ``orbit[S]`` is
-    the least mask of S's orbit under the diagonal maps (``mask_orbits``);
-    None, as on the table's route, makes every mask its own orbit.
-    ``blocks[i]`` lists the points of B_i, the block of Q_i through vertex
-    0, in increasing order, where ``rooted_block_sizes`` certified that the
-    parts of each Q_i are the cosets B_i·v; it is None on the table's route.
+    Every array field is a read-only numpy array, one entry per element or
+    per subset mask.  ``rank`` counts steps from the singleton partition,
+    element 0, along a longest chain; ``hasse`` lists cover pairs (lower
+    index, upper index) into the elements, built on first use.
+    ``minimal_indices[i]`` locates Q_i, and ``below[k]`` is the closure mask
+    of element k: bit g set iff Q_g refines it.  ``cl[S]`` is the closure
+    mask of the supremum of the generators in the subset mask S, the
+    semilattice's one order structure.  ``elements`` holds the partitions,
+    in the order of ``below``, where they come from the table of subset
+    suprema, and is None where the semilattice was read from the blocks
+    through vertex 0.  ``orbit[S]`` is the least mask of S's orbit under the
+    diagonal maps (``mask_orbits``); on the table's route it is the
+    identity, every mask its own orbit.  ``blocks[i]`` lists the points of
+    B_i, the block of Q_i through vertex 0, in increasing order, where
+    ``rooted_block_sizes`` certified that the parts of each Q_i are the
+    cosets B_i·v; it is None on the table's route.
     """
 
     m: int
     q: int
     size: int
     elements: tuple[Partition, ...] | None
-    rank: tuple[int, ...]
-    e_index: int
+    rank: np.ndarray
     u_index: int
-    minimal_indices: tuple[int, ...]
-    below: tuple[int, ...]
-    cl: tuple[int, ...]
-    orbit: tuple[int, ...] | None = None
-    blocks: tuple[tuple[int, ...], ...] | None = None
+    minimal_indices: np.ndarray
+    below: np.ndarray
+    cl: np.ndarray
+    orbit: np.ndarray
+    blocks: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self) -> None:
+        for field in (self.rank, self.minimal_indices, self.below, self.cl, self.orbit,
+                      *(self.blocks or ())):
+            field.flags.writeable = False
 
     @cached_property
     def hasse(self) -> tuple[tuple[int, int], ...]:
         """The cover pairs, sorted: ``_upper_covers`` of every element."""
-        cl, below = np.asarray(self.cl), np.asarray(self.below)
-        lower, upper = _upper_covers(cl, below)
-        codes = np.unique(lower * len(below) + _element_index(cl, below)[upper])
-        return tuple(map(tuple, np.stack(np.divmod(codes, len(below)), axis=1).tolist()))
-
-    def orbit_labels(self) -> np.ndarray:
-        """``orbit`` as an array, one label per mask."""
-        return np.arange(len(self.cl)) if self.orbit is None else np.asarray(self.orbit)
+        lower, upper = _upper_covers(self.cl, self.below)
+        count = len(self.below)
+        codes = np.unique(lower * count + _element_index(self.cl, self.below)[upper])
+        return tuple(map(tuple, np.stack(np.divmod(codes, count), axis=1).tolist()))
 
 
 def _masks_from_counts(count: np.ndarray) -> np.ndarray:
@@ -261,27 +266,17 @@ def _masks_from_counts(count: np.ndarray) -> np.ndarray:
     than sup(S), and it equals sup(S) (Q_g refines sup(S)) exactly when the
     two have the same block count: one vectorised comparison per generator,
     with no hashing.
-    """
-    masks = np.arange(len(count))
-    cl = np.zeros(len(count), dtype=np.int64)
-    for g in range(len(count).bit_length() - 1):
-        cl |= (count[masks | 1 << g] == count).astype(np.int64) << g
-    return cl
-
-
-def closure_masks(sup: list[Partition]) -> np.ndarray:
-    """The closure mask of every subset of the generators, indexed by mask.
-
-    ``sup`` is ``subset_suprema`` of generators Q_0, Q_1, ...; bit g of
-    ``cl[S]`` is set iff Q_g refines sup[S], read off the block counts
-    (``_masks_from_counts``).
 
     A closure mask names its element and its place in the order:
     sup(S) <= sup(T) iff cl[S] is a subset of cl[T], and sup(S) == sup(T)
     iff cl[S] == cl[T].  (If cl[S] lies in cl[T], every generator of S is
     below sup(T), and so is their supremum.)
     """
-    return _masks_from_counts(np.array([p.block_count for p in sup]))
+    masks = np.arange(len(count))
+    cl = np.zeros(len(count), dtype=np.int64)
+    for g in range(len(count).bit_length() - 1):
+        cl |= (count[masks | 1 << g] == count).astype(np.int64) << g
+    return cl
 
 
 def _element_index(cl: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -335,7 +330,7 @@ def _ranks(cl: np.ndarray, below: np.ndarray, orbit: np.ndarray) -> np.ndarray:
 
 
 def _from_counts(count: np.ndarray, q: int, n: int, order,
-                 orbit: np.ndarray | None = None) -> DiagonalSemilattice:
+                 orbit: np.ndarray) -> DiagonalSemilattice:
     """The semilattice, without its partitions, whose generators' subset
     suprema have the block counts ``count``, indexed by mask, on ``n``
     points, the generators' parts having size ``q``.
@@ -345,14 +340,14 @@ def _from_counts(count: np.ndarray, q: int, n: int, order,
     ``order`` maps the closed masks, in increasing order, to the positions
     of the elements in the listing; it must put the most blocks first, so
     that the singleton partition comes first.  ``orbit`` labels each mask by
-    the least mask of its orbit (``mask_orbits``; None for every mask its
-    own), and the ranks come from the covers of the closed representatives
-    (``_ranks``).
+    the least mask of its orbit (``mask_orbits``; the identity for every
+    mask its own), and the ranks come from the covers of the closed
+    representatives (``_ranks``).
     """
     cl = _masks_from_counts(count)
     closed = np.flatnonzero(cl == np.arange(len(cl)))
     below = closed[order(closed)]
-    rank = _ranks(cl, below, np.arange(len(cl)) if orbit is None else orbit)
+    rank = _ranks(cl, below, orbit)
     single = np.flatnonzero(count[below] == 1)
     if len(single) != 1:
         raise ValueError("closure did not produce the one-block partition")
@@ -363,13 +358,12 @@ def _from_counts(count: np.ndarray, q: int, n: int, order,
         q=q,
         size=n,
         elements=None,
-        rank=tuple(rank.tolist()),
-        e_index=0,
+        rank=rank,
         u_index=int(single[0]),
-        minimal_indices=tuple(index[cl[1 << np.arange(generators)]].tolist()),
-        below=tuple(below.tolist()),
-        cl=tuple(cl.tolist()),
-        orbit=None if orbit is None else tuple(orbit.tolist()),
+        minimal_indices=index[cl[1 << np.arange(generators)]],
+        below=below,
+        cl=cl,
+        orbit=orbit,
     )
 
 
@@ -397,8 +391,9 @@ def join_closure(minimals: list[Partition], sup: list[Partition]) -> DiagonalSem
     if len(part_sizes) != 1:
         raise ValueError("generator partitions must have constant part size")
     sl = _from_counts(np.array([p.block_count for p in sup]), int(part_sizes[0]), n,
-                      lambda closed: element_order([sup[c] for c in closed]))
-    return replace(sl, elements=tuple(sup[c] for c in sl.below))
+                      lambda closed: element_order([sup[c] for c in closed]),
+                      np.arange(len(sup)))
+    return replace(sl, elements=tuple(sup[c] for c in sl.below.tolist()))
 
 
 def _left_multiplications(g: GroupTable, codec: VertexCodec, points: np.ndarray) -> np.ndarray:
@@ -595,46 +590,26 @@ def _m_subsets(full: int) -> list[int]:
     return [full & ~(1 << drop) for drop in range(full.bit_length())]
 
 
-def check_cartesian(parts: list[Partition], q: int) -> bool:
-    """True iff the given partitions generate a Cartesian lattice: every
-    subset supremum has parts of size exactly q^|subset| and all 2^m suprema
-    are pairwise distinct."""
-    if not parts:
-        return True
-    sup = subset_suprema(parts)
-    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup), [len(sup) - 1])
-
-
-def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
-    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice
-    with parts of size q^k, where ``sup`` is ``subset_suprema`` of the m+1
-    minimal partitions.
-
-    One subset table over all m+1 minimal partitions serves every m-subset:
-    the subsets of the one without Q_drop are the masks without bit drop.
-    """
-    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup),
-                                _m_subsets(len(sup) - 1))
-
-
 def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition], paranoid: bool = False,
                                codec: VertexCodec | None = None,
                                ) -> tuple[DiagonalSemilattice, bool]:
     """The join closure of ``minimals``, the minimal partitions of G^m, and
-    whether every m-subset of them generates a Cartesian lattice
-    (``verify_semilattice_hypothesis``).
+    whether every m-subset of them generates a Cartesian lattice: for each,
+    every subset S of it has a supremum with parts of size q^|S|, and the
+    suprema are pairwise distinct (``_generates_cartesian``).
 
     Both come from the blocks through vertex 0 (``rooted_block_sizes``)
     where it can, grown only for the prefixes of the least mask of each
     orbit of the diagonal maps (``mask_orbits``) and read for every other
     mask from its orbit's: sup(S) has n/|B_S| blocks of |B_S| points, so
-    its parts have size q^|S| iff |B_S| does, and one m-subset per orbit is
-    checked.  The elements are listed by (-block count, closed mask), a
-    linear extension of the order, with no partition built, and the
-    semilattice keeps the certified blocks through 0 (``blocks``).  Under
-    ``paranoid``, or where ``rooted_block_sizes`` gives None, both come
-    from the table of subset suprema instead.  ``codec`` is that of G^m
-    where the caller has it.
+    its parts have size q^|S| iff |B_S| does.  The elements are listed by
+    (-block count, closed mask), a linear extension of the order, with no
+    partition built, and the semilattice keeps the certified blocks through
+    0 (``blocks``).  Under ``paranoid``, or where ``rooted_block_sizes``
+    gives None, both come from the table of subset suprema instead, whose
+    every mask is its own orbit.  Either way one m-subset per orbit is
+    checked, against the semilattice's closure masks.  ``codec`` is that of
+    G^m where the caller has it.
     """
     sizes = None
     if not paranoid:
@@ -642,18 +617,20 @@ def semilattice_and_hypothesis(g: GroupTable, minimals: list[Partition], paranoi
         sizes = rooted_block_sizes(g, minimals, _prefix_closure(orbit), codec)
     if sizes is None:
         sup = subset_suprema(minimals)
-        return join_closure(minimals, sup), verify_semilattice_hypothesis(sup, g.order)
-    sizes = sizes[orbit]
-    part_sizes = np.unique(sizes[1 << np.arange(len(minimals))])
-    if len(part_sizes) != 1:
-        raise ValueError("generator partitions must have constant part size")
-    count = minimals[0].size // sizes
-    sl = _from_counts(count, int(part_sizes[0]), minimals[0].size,
-                      lambda closed: np.lexsort((closed, -count[closed])), orbit)
-    sl = replace(sl, blocks=tuple(tuple(p.block_through(0).tolist()) for p in minimals))
-    sized = sizes == np.power(g.order, np.bitwise_count(np.arange(len(sizes))), dtype=np.int64)
-    domains = [d for d in _m_subsets(len(sizes) - 1) if orbit[d] == d]
-    return sl, _generates_cartesian(sized, np.asarray(sl.cl), domains)
+        sl = join_closure(minimals, sup)
+        sized = _parts_of_size(sup, g.order)
+    else:
+        sizes = sizes[orbit]
+        part_sizes = np.unique(sizes[1 << np.arange(len(minimals))])
+        if len(part_sizes) != 1:
+            raise ValueError("generator partitions must have constant part size")
+        count = minimals[0].size // sizes
+        sl = _from_counts(count, int(part_sizes[0]), minimals[0].size,
+                          lambda closed: np.lexsort((closed, -count[closed])), orbit)
+        sl = replace(sl, blocks=tuple(p.block_through(0) for p in minimals))
+        sized = sizes == np.power(g.order, np.bitwise_count(np.arange(len(sizes))), dtype=np.int64)
+    domains = [d for d in _m_subsets(len(sl.cl) - 1) if sl.orbit[d] == d]
+    return sl, _generates_cartesian(sized, sl.cl, domains)
 
 
 def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
@@ -675,17 +652,18 @@ def mobius_closed_form(rank_s: int, rank_t: int, t_is_u: bool, m: int) -> int:
     return (-1) ** s * s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusReport:
     """Outcome of checking the closed-form Moebius matrix against zeta.
 
-    ``mismatches`` lists the failing pairs whose lower element is the least
-    of its orbit, every failing pair where each orbit is one element, as on
-    the table's route; ``mismatch_count`` counts every failing pair.
+    ``ranks`` is the semilattice's rank array.  ``mismatches`` lists the
+    failing pairs whose lower element is the least of its orbit, every
+    failing pair where each orbit is one element, as on the table's route;
+    ``mismatch_count`` counts every failing pair.
     """
 
     element_count: int
-    ranks: tuple[int, ...]
+    ranks: np.ndarray
     mu_bottom_top: int
     mismatches: tuple[tuple[int, int, int, int], ...]  # (i, j, exact, closed)
     mismatch_count: int
@@ -698,7 +676,7 @@ class MobiusReport:
         return json.dumps(
             {
                 "elements": self.element_count,
-                "ranks": list(self.ranks),
+                "ranks": self.ranks.tolist(),
                 "mu_bottom_top": self.mu_bottom_top,
                 "mismatches": [list(t) for t in self.mismatches],
             },
@@ -768,8 +746,7 @@ def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
     comparison.  A rank outside 0..m is a ValueError here, as it is in the
     closed form.
     """
-    ranks = np.asarray(sl.rank)
-    cl, below, orbit = np.asarray(sl.cl), np.asarray(sl.below), sl.orbit_labels()
+    ranks, cl, below, orbit = sl.rank, sl.cl, sl.below, sl.orbit
     dims = (sl.m + 1, sl.m + 1, 2)
     found = []
     for lower, upper, exact in _mobius_blocks(cl, below, orbit):
@@ -781,16 +758,16 @@ def verify_mobius(sl: DiagonalSemilattice) -> MobiusReport:
         values = np.array([mobius_closed_form(int(s), int(t), bool(u), sl.m)
                            for s, t, u in zip(*np.unravel_index(present, dims))], dtype=np.int64)
         closed_form = values[where]
-        keep = (exact != closed_form) | (lower == sl.e_index) & (upper == sl.u_index)
+        keep = (exact != closed_form) | (lower == 0) & (upper == sl.u_index)
         found.append(np.stack([lower, upper, exact, closed_form], axis=1)[keep])
     found = np.concatenate(found)
     found = found[np.lexsort((found[:, 1], found[:, 0]))]
-    bottom_top = (found[:, 0] == sl.e_index) & (found[:, 1] == sl.u_index)
+    bottom_top = (found[:, 0] == 0) & (found[:, 1] == sl.u_index)
     wrong = found[found[:, 2] != found[:, 3]]
     orbit_size = np.bincount(orbit, minlength=len(cl))[below]
     return MobiusReport(
-        element_count=len(sl.below),
-        ranks=sl.rank,
+        element_count=len(below),
+        ranks=ranks,
         mu_bottom_top=int(found[bottom_top, 2][0]),
         mismatches=tuple(map(tuple, wrong.tolist())),
         mismatch_count=int(orbit_size[wrong[:, 0]].sum()),
@@ -805,22 +782,17 @@ def expected_rank_counts(m: int) -> dict[int, int]:
 
 
 def hasse_dot(sl: DiagonalSemilattice) -> str:
-    """Render the Hasse diagram as a DOT digraph (edges point upward)."""
-    names = {}
-    for k in range(len(sl.below)):
-        if k == sl.e_index:
-            names[k] = "E"
-        elif k == sl.u_index:
-            names[k] = "U"
-        elif k in sl.minimal_indices:
-            names[k] = f"Q{sl.minimal_indices.index(k)}"
-        else:
-            names[k] = f"P{k}"
+    """Render the Hasse diagram as a DOT digraph (edges point upward).
+    Element 0, the singleton partition, is E and the top is U; where two
+    minimal partitions are one element, the first names it."""
+    names = [f"P{k}" for k in range(len(sl.below))]
+    for i, k in reversed(list(enumerate(sl.minimal_indices.tolist()))):
+        names[k] = f"Q{i}"
+    names[sl.u_index] = "U"
+    names[0] = "E"
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for k in range(len(sl.below)):
-        lines.append(
-            f'  n{k} [label="{names[k]} (rank {sl.rank[k]})"];'
-        )
+    for k, rank in enumerate(sl.rank.tolist()):
+        lines.append(f'  n{k} [label="{names[k]} (rank {rank})"];')
     for i, j in sl.hasse:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

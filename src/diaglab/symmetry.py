@@ -308,13 +308,6 @@ def build_chain(perms: list[TaggedPerm], base: Sequence[int] = ()) -> Stabilizer
     return chain
 
 
-def vertex_stabiliser_generators(
-    g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
-) -> list[TaggedPerm]:
-    """Generators of D_0 (``stabiliser_and_normalisers``)."""
-    return stabiliser_and_normalisers(g, codec, perms)[0]
-
-
 def stabiliser_and_normalisers(
     g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
 ) -> tuple[list[TaggedPerm], list[bool]]:
@@ -482,7 +475,7 @@ def rooted_orbit_counts(
     edges and a set of cliques of one size (``cliques``: those through
     vertex 0 and the size of the set; None for no cliques), given generators
     ``stabiliser`` of D_0 over the right translations, as
-    ``vertex_stabiliser_generators`` returns them.
+    ``stabiliser_and_normalisers`` returns them.
 
     Every generator is first checked to be an automorphism, so the edge set
     is D-invariant.  Where ``graph.rooted(paranoid)``, the graph's
@@ -585,7 +578,7 @@ def is_vertex_primitive(
     """Block-system primitivity of a group D on G^m, the points of
     ``codec``, that contains the right translations, given image arrays
     ``stabiliser`` that generate D_0, the stabiliser of vertex 0 (those of
-    ``vertex_stabiliser_generators``).
+    ``stabiliser_and_normalisers``).
 
     The minimal block containing {0, v} depends only on the suborbit of v,
     so one representative per suborbit is tested, the least point of each

@@ -7,21 +7,19 @@ the suite fast.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from diaglab import semilattice
 from diaglab.diaggraph import build_graph, maximal_cliques
 from diaglab.groups import automorphism_group, parse_group_spec
 from diaglab.semilattice import VertexCodec, join_closure, minimal_partitions, subset_suprema
-from diaglab.symmetry import (
-    diagonal_group_generators,
-    is_vertex_primitive,
-    vertex_stabiliser_generators,
-)
+from diaglab.symmetry import diagonal_group_generators, is_vertex_primitive
 
-from replaced import all_maximal_cliques
+from replaced import all_maximal_cliques, vertex_stabiliser_generators
 
 GRID_GROUPS = ("C2", "C3", "C4", "C5", "C6", "C2xC2", "S3", "D4", "Q8")
 GRID_M = (2, 3, 4, 5)
@@ -70,6 +68,18 @@ def graph_of(spec: str, m: int):
 def semilattice_of(spec: str, m: int):
     minimals = minimals_of(spec, m)
     return join_closure(minimals, subset_suprema(minimals))
+
+
+def fields_of(obj) -> dict:
+    """The fields of a dataclass instance, by name, an array as a list and a
+    tuple of arrays as a list of lists, so that two compare field by field."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+            return [v.tolist() for v in value]
+        return value
+    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 @lru_cache(maxsize=None)

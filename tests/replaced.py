@@ -54,6 +54,17 @@ transitive, before one sort of the right translates of N(0) tested
 N(v) = N(0)·v at every v.  The minimal partitions labelled over the digit
 table and put in smallest-point form by ``Partition.from_labels``, before
 ``build_q`` built them in that form directly.
+
+Library functions that only the tests called, kept as the tests' helpers
+and oracles: the pairwise ``supremum``, ``infimum`` and ``finer_or_equal``
+of two partitions, the partitions ``singletons`` and ``single_block``, and
+``from_blocks``, which builds a partition from a list of its blocks; the
+graph6 decoder ``parse_graph6`` and ``common_neighbours``; the D_0
+generators alone, ``vertex_stabiliser_generators``.  The Cartesian check
+of the table route over every m-subset, ``verify_semilattice_hypothesis``,
+with ``check_cartesian`` for one generator set and ``closure_masks`` of a
+subset table, before ``semilattice_and_hypothesis`` read both routes'
+checks off the semilattice's own closure masks.
 """
 
 from __future__ import annotations
@@ -75,14 +86,22 @@ from diaglab.diaggraph import (
 from diaglab.groups import GroupTable, generating_sequence
 from diaglab.partitions import (
     Partition,
+    _block_counts,
     _check_same_ground,
     components,
     element_order,
-    finer_or_equal,
-    singletons,
+    join_rows,
+    subset_suprema,
 )
-from diaglab.semilattice import VertexCodec, minimal_partitions
-from diaglab.symmetry import TaggedPerm, _perm_group_generators
+from diaglab.semilattice import (
+    VertexCodec,
+    _generates_cartesian,
+    _m_subsets,
+    _masks_from_counts,
+    _parts_of_size,
+    minimal_partitions,
+)
+from diaglab.symmetry import TaggedPerm, _perm_group_generators, stabiliser_and_normalisers
 
 
 @dataclass(frozen=True)
@@ -973,3 +992,123 @@ def list_tabucol(
         fewest = min(fewest, conflicts)
         tabu_until[v][old] = step + 1 + rng.randrange(10) + int(0.6 * conflicted)
     return Coloring(colors=tuple(colour)) if not conflicts else None
+
+
+def singletons(n: int) -> Partition:
+    """The equality partition: every part a singleton."""
+    return Partition(n, np.arange(n, dtype=np.int32), n)
+
+
+def single_block(n: int) -> Partition:
+    """The universal partition with one part."""
+    return Partition(n, np.zeros(n, dtype=np.int32), 1 if n else 0)
+
+
+def from_blocks(blocks, size: int | None = None) -> Partition:
+    """The partition with the given blocks, of {0..size-1}, or of
+    {0..max point} without ``size``."""
+    points = [p for blk in blocks for p in blk]
+    n = size if size is not None else (max(points) + 1 if points else 0)
+    labels = [-1] * n
+    for i, blk in enumerate(blocks):
+        for p in blk:
+            if not 0 <= p < n:
+                raise ValueError(f"point {p} outside 0..{n - 1}")
+            if labels[p] != -1:
+                raise ValueError(f"point {p} appears in two blocks")
+            labels[p] = i
+    if any(lab == -1 for lab in labels):
+        raise ValueError("blocks do not cover the ground set")
+    return Partition.from_labels(labels)
+
+
+def finer_or_equal(p: Partition, q: Partition) -> bool:
+    """True iff every block of p lies inside a single block of q."""
+    _check_same_ground(p, q)
+    # Each block of p takes the q-block of one of its points; p refines q
+    # iff every point agrees with its block's.
+    image = np.empty(p.size, dtype=np.int32)
+    image[p.block_of] = q.block_of
+    return bool((image[p.block_of] == q.block_of).all())
+
+
+def infimum(p: Partition, q: Partition) -> Partition:
+    """Common refinement: blocks are the non-empty pairwise intersections."""
+    _check_same_ground(p, q)
+    return Partition.from_labels(p.block_of.astype(np.int64) * p.size + q.block_of)
+
+
+def supremum(p: Partition, q: Partition) -> Partition:
+    """Coarsening by connected components of the two block structures: the
+    one-row case of ``join_rows``."""
+    _check_same_ground(p, q)
+    rows = join_rows(p.block_of[None, :], q)
+    return Partition(p.size, rows[0], int(_block_counts(rows)[0]))
+
+
+def common_neighbours(graph: DiagGraph, u: int, v: int) -> list[int]:
+    if u == v:
+        raise ValueError("common neighbours need two distinct vertices")
+    common = np.intersect1d(graph.nbr[u], graph.nbr[v])
+    return common[common < graph.size].tolist()
+
+
+def parse_graph6(text: str | bytes) -> list[list[int]]:
+    """Decode a graph6 string or byte string into sorted adjacency lists."""
+    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    data = [byte - 63 for byte in raw.strip()]
+    if data and data[0] == 63:  # 0x7e '~' marks the long form
+        n = data[1] << 12 | data[2] << 6 | data[3]
+        data = data[4:]
+    else:
+        n = data[0]
+        data = data[1:]
+    bits = []
+    for val in data:
+        for k in range(5, -1, -1):
+            bits.append(val >> k & 1)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                adj[i].append(j)
+                adj[j].append(i)
+            pos += 1
+    return [sorted(a) for a in adj]
+
+
+def vertex_stabiliser_generators(
+    g: GroupTable, codec: VertexCodec, perms: list[TaggedPerm]
+) -> list[TaggedPerm]:
+    """Generators of D_0 (``stabiliser_and_normalisers``)."""
+    return stabiliser_and_normalisers(g, codec, perms)[0]
+
+
+def closure_masks(sup: list[Partition]) -> np.ndarray:
+    """The closure mask of every subset of the generators, indexed by mask:
+    ``sup`` is ``subset_suprema`` of generators Q_0, Q_1, ..., and bit g of
+    ``cl[S]`` is set iff Q_g refines sup[S], read off the block counts."""
+    return _masks_from_counts(np.array([p.block_count for p in sup]))
+
+
+def check_cartesian(parts: list[Partition], q: int) -> bool:
+    """True iff the given partitions generate a Cartesian lattice: every
+    subset supremum has parts of size exactly q^|subset| and all 2^m suprema
+    are pairwise distinct."""
+    if not parts:
+        return True
+    sup = subset_suprema(parts)
+    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup), [len(sup) - 1])
+
+
+def verify_semilattice_hypothesis(sup: list[Partition], q: int) -> bool:
+    """Check that every m-subset of {Q_0..Q_m} generates a Cartesian lattice
+    with parts of size q^k, where ``sup`` is ``subset_suprema`` of the m+1
+    minimal partitions.
+
+    One subset table over all m+1 minimal partitions serves every m-subset:
+    the subsets of the one without Q_drop are the masks without bit drop.
+    """
+    return _generates_cartesian(_parts_of_size(sup, q), closure_masks(sup),
+                                _m_subsets(len(sup) - 1))

@@ -16,20 +16,13 @@ from diaglab.chromatic import (
     hall_paige_predicate,
     reduce_hom,
 )
-from diaglab.diaggraph import (
-    build_graph,
-    clique_cover,
-    common_neighbours,
-    diameter,
-    is_distance_regular,
-)
+from diaglab.diaggraph import build_graph, clique_cover, diameter, is_distance_regular
 from diaglab.groups import is_elementary_abelian, parse_group_spec
 from diaglab.semilattice import (
     expected_rank_counts,
     minimal_partitions,
     subset_suprema,
     verify_mobius,
-    verify_semilattice_hypothesis,
 )
 from diaglab.spectral import (
     spectrum_closed_form,
@@ -52,7 +45,7 @@ from conftest import (
     primitivity_of,
     semilattice_of,
 )
-from replaced import adjacency_lists, orbit_count
+from replaced import adjacency_lists, common_neighbours, orbit_count, verify_semilattice_hypothesis
 from test_chromatic import ORDER_AT_MOST_12, dicyclic12_table
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from diaglab.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from diaglab.diaggraph import parse_graph6
+
+from replaced import parse_graph6
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +124,58 @@ def test_mobius_json(capsys):
     assert data["elements"] == 12
     assert data["mismatches"] == []
     assert data["mu_bottom_top"] == -3
+
+
+OUTPUTS_PATH = Path(__file__).resolve().parent / "data" / "semilattice_outputs.json"
+OUTPUTS = json.loads(OUTPUTS_PATH.read_text())
+
+
+def output_record(code: int, out: str) -> dict:
+    """A command's exit code and the sha256 of its standard output."""
+    return {"sha256": hashlib.sha256(out.encode()).hexdigest(), "exit": code}
+
+
+@pytest.mark.parametrize("command,key", [(command, key) for command in ("semilattice", "mobius")
+                                         for key in sorted(OUTPUTS[command])])
+def test_semilattice_outputs_unchanged(capsys, command, key):
+    """The output of ``semilattice`` and ``mobius`` on the grid groups at
+    m = 1..3, byte for byte, as recorded when the semilattice kept its
+    fields as tuples."""
+    group, m = key.split()
+    code, out, _ = run_cli(capsys, command, "--group", group, "--m", m)
+    assert output_record(code, out) == OUTPUTS[command][key]
+
+
+def swap_a_rank(sl):
+    """``sl`` with the ranks of element 1 and of the first rank-2 element
+    not above it swapped: each rank keeps its count, but rank 2 now appears
+    before rank 1, and the Moebius check fails on the pairs they are in."""
+    j = next(k for k in range(len(sl.below)) if sl.rank[k] == 2 and sl.below[1] & ~sl.below[k])
+    rank = sl.rank.copy()
+    rank[[1, j]] = rank[[j, 1]]
+    return replace(sl, rank=rank)
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUTS["check-all-doctored-ranks"]))
+def test_rank_counts_list_ranks_as_they_first_appear(capsys, monkeypatch, key):
+    """The ledger of ``check-all`` at m = 3 with two ranks swapped, on both
+    routes, byte for byte: the ``rank-counts`` detail lists the ranks in
+    the order they first appear in the rank array."""
+    from diaglab import semilattice
+
+    original = semilattice.semilattice_and_hypothesis
+
+    def doctored(*args, **kwargs):
+        sl, ok = original(*args, **kwargs)
+        return swap_a_rank(sl), ok
+
+    monkeypatch.setattr(semilattice, "semilattice_and_hypothesis", doctored)
+    group, m, *switches = key.split()
+    code, out, _ = run_cli(capsys, "check-all", "--group", group, "--m", m, *switches)
+    assert output_record(code, out) == OUTPUTS["check-all-doctored-ranks"][key]
+    claims = {c["claim"]: c for c in json.loads(out)["claims"]}
+    assert claims["rank-counts"]["passed"]
+    assert claims["rank-counts"]["detail"].startswith("elements per rank {0: 1, 2: 6, 1: 4, 3: 1}")
 
 
 def test_spectrum_verify(capsys):

@@ -16,12 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab.partitions import Partition, components, single_block, singletons, supremum
+from diaglab.partitions import Partition, components
 from diaglab.semilattice import minimal_partitions, subset_suprema
 from diaglab.symmetry import TaggedPerm
 
 from conftest import GRID, group_of
-from replaced import minimal_block_trivial, unionfind_minimal_block_trivial, unionfind_supremum
+from replaced import (
+    minimal_block_trivial,
+    single_block,
+    singletons,
+    supremum,
+    unionfind_minimal_block_trivial,
+    unionfind_supremum,
+)
 
 
 def test_components_without_links_are_singletons():

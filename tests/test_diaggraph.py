@@ -12,22 +12,27 @@ from diaglab.diaggraph import (
     bron_kerbosch,
     cayley_graph,
     clique_cover,
-    common_neighbours,
     connection_set,
     diameter,
     export_graph,
     is_distance_regular,
     maximal_cliques,
-    parse_graph6,
     same_edge_set,
     to_graph6,
 )
 from diaglab.groups import cyclic
-from diaglab.partitions import Partition
 from diaglab.semilattice import minimal_partitions
 
 from conftest import clique_list_of, cliques_of, edge_set, graph_of, group_of, minimals_of
-from replaced import adjacency_lists, bfs_distances, padded, tagged_rows
+from replaced import (
+    adjacency_lists,
+    bfs_distances,
+    common_neighbours,
+    from_blocks,
+    padded,
+    parse_graph6,
+    tagged_rows,
+)
 
 
 def test_k4():
@@ -238,7 +243,7 @@ def test_clique_cover_names_the_first_block_that_is_no_clique():
     graph, minimals = graph_of("C3", 3), minimals_of("C3", 3)
     blocks = minimals[1].blocks()
     x, y = blocks[-2][-1], blocks[-1][-1]
-    doctored = Partition.from_blocks(blocks[:-2] + [blocks[-2][:-1] + [y],
+    doctored = from_blocks(blocks[:-2] + [blocks[-2][:-1] + [y],
                                                     blocks[-1][:-1] + [x]])
     adjacent = [set(row.tolist()) for row in graph.nbr]
     bad = [blk for blk in doctored.blocks()

@@ -24,7 +24,6 @@ from diaglab.symmetry import (
     higman_block_trivial,
     is_vertex_primitive,
     partition_chain,
-    vertex_stabiliser_generators,
 )
 
 from conftest import (
@@ -35,7 +34,7 @@ from conftest import (
     minimals_of,
     stabiliser_images_of,
 )
-from replaced import minimal_block_trivial
+from replaced import minimal_block_trivial, vertex_stabiliser_generators
 
 INSTANCES = [(spec, m) for spec, m in GRID if m <= 4] + SYMMETRY_EXTRAS
 

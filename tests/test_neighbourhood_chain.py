@@ -21,9 +21,10 @@ from diaglab import diaggraph, symmetry
 from diaglab.cli import main
 from diaglab.diaggraph import neighbourhood_is_a_base
 from diaglab.semilattice import VertexCodec
-from diaglab.symmetry import TaggedPerm, partition_chain, vertex_stabiliser_generators
+from diaglab.symmetry import TaggedPerm, partition_chain
 
 from conftest import GRID, SYMMETRY_EXTRAS, generators_of, graph_of, group_of, minimals_of
+from replaced import vertex_stabiliser_generators
 
 UNCERTIFIED = {("C2", 3), ("C3", 2)}
 INSTANCES = [(spec, m) for spec, m in GRID if m <= 4] + SYMMETRY_EXTRAS

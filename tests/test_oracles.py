@@ -14,15 +14,10 @@ from hypothesis import strategies as st
 from diaglab.chromatic import find_complete_mapping
 from diaglab.groups import automorphism_group, parse_group_spec
 from diaglab.semilattice import VertexCodec
-from diaglab.symmetry import (
-    TaggedPerm,
-    action_on_partitions,
-    build_chain,
-    partition_chain,
-    vertex_stabiliser_generators,
-)
+from diaglab.symmetry import TaggedPerm, action_on_partitions, build_chain, partition_chain
 
 from conftest import GRID, SYMMETRY_EXTRAS, generators_of, group_of, minimals_of
+from replaced import vertex_stabiliser_generators
 
 
 def closure_order(gens: list[tuple[int, ...]]) -> int:

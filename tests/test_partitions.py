@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaglab.partitions import (
-    Partition,
-    element_order,
+from diaglab.partitions import Partition, element_order, tie_break_keys
+
+from replaced import (
     finer_or_equal,
+    first_occurrence_ranks,
+    from_blocks,
     infimum,
+    loop_blocks,
+    loop_finer_or_equal,
+    poset_matrices,
     single_block,
     singletons,
     supremum,
-    tie_break_keys,
 )
-
-from replaced import first_occurrence_ranks, loop_blocks, loop_finer_or_equal, poset_matrices
 
 
 def parse_partition(text: str) -> Partition:
@@ -70,25 +72,25 @@ def test_canonical_form_round_trip(labels):
 
 
 def test_from_blocks():
-    p = Partition.from_blocks([[0, 2], [1], [3, 4]])
+    p = from_blocks([[0, 2], [1], [3, 4]])
     assert p.block_of.tolist() == [0, 1, 0, 3, 3]
-    assert Partition.from_blocks([[4, 1], [3, 0, 2]]).block_of.tolist() == [0, 1, 0, 0, 1]
+    assert from_blocks([[4, 1], [3, 0, 2]]).block_of.tolist() == [0, 1, 0, 0, 1]
     with pytest.raises(ValueError):
-        Partition.from_blocks([[0, 1], [1, 2]])
+        from_blocks([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
-        Partition.from_blocks([[0, 2]], size=3)
+        from_blocks([[0, 2]], size=3)
     # a negative point would wrap to the end of the ground set
     with pytest.raises(ValueError, match="point -1 outside 0..2"):
-        Partition.from_blocks([[0, -1], [1]], size=3)
+        from_blocks([[0, -1], [1]], size=3)
     with pytest.raises(ValueError, match="point 3 outside 0..2"):
-        Partition.from_blocks([[0, 3], [1], [2]], size=3)
+        from_blocks([[0, 3], [1], [2]], size=3)
     with pytest.raises(ValueError, match="point -1 outside"):
-        Partition.from_blocks([[0, -1], [1]])
+        from_blocks([[0, -1], [1]])
 
 
 def test_block_of_is_a_read_only_int32_array():
     rows, cols = grid_partitions(3)
-    for p in (Partition.from_labels([7, -3, 7]), Partition.from_blocks([[0], [1, 2]]),
+    for p in (Partition.from_labels([7, -3, 7]), from_blocks([[0], [1, 2]]),
               Partition(3, (0, 1, 0), 2), singletons(4), single_block(4),
               supremum(rows, cols), infimum(rows, cols)):
         assert type(p.block_of) is np.ndarray
@@ -139,7 +141,7 @@ def test_blocks_match_the_loop(labels):
 def test_block_mates_list_the_rest_of_each_block(count, size, rng):
     points = list(range(count * size))
     rng.shuffle(points)
-    p = Partition.from_blocks([points[i:i + size] for i in range(0, len(points), size)])
+    p = from_blocks([points[i:i + size] for i in range(0, len(points), size)])
     block_of = {x: blk for blk in p.blocks() for x in blk}
     mates = p.block_mates()
     assert mates.shape == (p.size, size - 1)

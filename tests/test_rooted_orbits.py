@@ -25,11 +25,10 @@ from diaglab.symmetry import (
     diagonal_group_generators,
     rooted_orbit_counts,
     stabiliser_and_normalisers,
-    vertex_stabiliser_generators,
 )
 
 from conftest import aut_of, clique_list_of, cliques_of, generators_of, graph_of, group_of
-from replaced import orbit_count
+from replaced import orbit_count, vertex_stabiliser_generators
 
 INSTANCES = [(spec, m) for spec in GRID_DEFAULT_GROUPS for m in (2, 3)] + [
     ("S3", 4), ("Q8", 4), ("C16", 3)]

@@ -19,22 +19,22 @@ import pytest
 from diaglab.cli import main
 from diaglab.partitions import Partition
 from diaglab.semilattice import (
-    closure_masks,
     join_closure,
     rooted_block_sizes,
     semilattice_and_hypothesis,
     subset_suprema,
     verify_mobius,
-    verify_semilattice_hypothesis,
 )
 
-from conftest import GRID, SYMMETRY_EXTRAS, group_of, minimals_of, semilattice_of
+from conftest import GRID, SYMMETRY_EXTRAS, fields_of, group_of, minimals_of, semilattice_of
+from replaced import closure_masks, from_blocks, verify_semilattice_hypothesis
 
 INSTANCES = [inst for inst in GRID if 2 <= inst[1] <= 4] + SYMMETRY_EXTRAS
 
 
 def covers_by_mask(sl) -> set[tuple[int, int]]:
-    return {(sl.below[i], sl.below[j]) for i, j in sl.hasse}
+    below = sl.below.tolist()
+    return {(below[i], below[j]) for i, j in sl.hasse}
 
 
 @pytest.mark.parametrize("spec,m", INSTANCES)
@@ -48,26 +48,48 @@ def test_rooted_semilattice_matches_the_table(spec, m):
     sl, ok = semilattice_and_hypothesis(g, minimals)
     table = semilattice_of(spec, m)
     assert sl.elements is None
-    assert sl.cl == table.cl == tuple(closure_masks(sup).tolist())
+    assert sl.cl.tolist() == table.cl.tolist() == closure_masks(sup).tolist()
     assert ok == verify_semilattice_hypothesis(sup, g.order)
     # one order listed two ways: by (-block count, mask) and by the labels
     counts = minimals[0].size // sizes
-    assert list(sl.below) == sorted(sl.below, key=lambda b: (-counts[b], b))
-    assert sorted(zip(sl.below, sl.rank)) == sorted(zip(table.below, table.rank))
+    below = sl.below.tolist()
+    assert below == sorted(below, key=lambda b: (-counts[b], b))
+    assert (sorted(zip(below, sl.rank.tolist()))
+            == sorted(zip(table.below.tolist(), table.rank.tolist())))
     assert covers_by_mask(sl) == covers_by_mask(table)
-    for field in ("e_index", "u_index"):
-        assert sl.below[getattr(sl, field)] == table.below[getattr(table, field)]
-    assert ([sl.below[k] for k in sl.minimal_indices]
-            == [table.below[k] for k in table.minimal_indices])
+    # element 0 is the singleton partition on both routes
+    assert sl.below[0] == table.below[0] == 0
+    assert sl.below[sl.u_index] == table.below[table.u_index]
+    assert (sl.below[sl.minimal_indices].tolist()
+            == table.below[table.minimal_indices].tolist())
     rooted, full = verify_mobius(sl), verify_mobius(table)
     assert (rooted.element_count, rooted.mu_bottom_top, rooted.mismatches) == (
         full.element_count, full.mu_bottom_top, ())
 
 
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_every_array_field_is_read_only(paranoid):
+    """On both routes; the table's every mask is its own orbit, and only the
+    route through vertex 0 keeps the blocks through 0."""
+    g, minimals = group_of("C3"), minimals_of("C3", 3)
+    sl, _ = semilattice_and_hypothesis(g, minimals, paranoid=paranoid)
+    arrays = [sl.rank, sl.minimal_indices, sl.below, sl.cl, sl.orbit, *(sl.blocks or ())]
+    for array in arrays:
+        assert type(array) is np.ndarray and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    identity = np.arange(len(sl.cl))
+    if paranoid:
+        assert sl.blocks is None and np.array_equal(sl.orbit, identity)
+    else:
+        assert len(sl.blocks) == 4 and not np.array_equal(sl.orbit, identity)
+
+
 def test_paranoid_reads_the_table():
     g, minimals = group_of("C3"), minimals_of("C3", 3)
     sl, ok = semilattice_and_hypothesis(g, minimals, paranoid=True)
-    assert ok and sl == semilattice_of("C3", 3) and sl.elements is not None
+    assert ok and fields_of(sl) == fields_of(semilattice_of("C3", 3))
+    assert sl.elements is not None
 
 
 def blocks_not_cosets() -> list[Partition]:
@@ -77,7 +99,7 @@ def blocks_not_cosets() -> list[Partition]:
     block {3, 4, 6} of (0, 1)."""
     minimals = list(minimals_of("C3", 2))
     assert minimals[1].blocks() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    minimals[1] = Partition.from_blocks([[0, 1, 2], [3, 4, 6], [5, 7, 8]])
+    minimals[1] = from_blocks([[0, 1, 2], [3, 4, 6], [5, 7, 8]])
     return minimals
 
 
@@ -91,7 +113,7 @@ def test_blocks_that_are_unions_of_cosets_fail_the_certificate():
     # through 0 keeps every point in its block, but the blocks number 2, not
     # 9 / 3.
     minimals = list(minimals_of("C3", 2))
-    minimals[1] = Partition.from_blocks([[0, 1, 2], [3, 4, 5, 6, 7, 8]])
+    minimals[1] = from_blocks([[0, 1, 2], [3, 4, 5, 6, 7, 8]])
     assert rooted_block_sizes(group_of("C3"), minimals) is None
 
 
@@ -139,5 +161,5 @@ def test_product_that_is_no_subgroup_falls_back_to_the_table():
     assert rooted_block_sizes(g, parts) is None
     sl, ok = semilattice_and_hypothesis(g, parts)
     sup = subset_suprema(parts)
-    assert sl == join_closure(parts, sup)
+    assert fields_of(sl) == fields_of(join_closure(parts, sup))
     assert ok == verify_semilattice_hypothesis(sup, g.order)

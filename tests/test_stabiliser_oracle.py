@@ -18,10 +18,10 @@ from diaglab.symmetry import (
     build_chain,
     diagonal_group_generators,
     diagonal_group_order_formula,
-    vertex_stabiliser_generators,
 )
 
 from conftest import GRID, aut_of, generators_of, group_of
+from replaced import vertex_stabiliser_generators
 
 SMALL = [(spec, m) for spec, m in GRID if group_of(spec).order ** m <= 1296]
 

@@ -14,7 +14,6 @@ from diaglab.symmetry import (
     is_vertex_primitive,
     partition_chain,
     symmetry_report,
-    vertex_stabiliser_generators,
 )
 
 from conftest import (
@@ -35,6 +34,7 @@ from replaced import (
     minimal_block_trivial,
     orbit_count,
     unionfind_minimal_block_trivial,
+    vertex_stabiliser_generators,
 )
 
 

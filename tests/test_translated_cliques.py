@@ -51,6 +51,7 @@ from conftest import GRID, GRID_GROUPS, SYMMETRY_EXTRAS, graph_of, group_of, min
 from replaced import (
     TupleCodec,
     adjacency_lists,
+    from_blocks,
     from_rows,
     generator_translations_are_automorphisms,
     tagged_rows,
@@ -336,8 +337,8 @@ def test_partition_with_a_larger_block_is_caught(paranoid):
     q1, q2 = minimals[1].blocks(), minimals[2].blocks()
     merged = q1[:-2] + [q1[-2] + q1[-1]]
     split = q2[:-1] + [q2[-1][:1], q2[-1][1:]]
-    doctored = [minimals[0], Partition.from_blocks(merged),
-                Partition.from_blocks(split)] + minimals[3:]
+    doctored = [minimals[0], from_blocks(merged),
+                from_blocks(split)] + minimals[3:]
     assert sum(p.block_count for p in doctored) == sum(p.block_count for p in minimals)
     with pytest.raises(AssertionError, match=PARTS_MESSAGE + "$"):
         maximal_cliques(graph, doctored, paranoid=paranoid)
